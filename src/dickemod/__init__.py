@@ -24,7 +24,6 @@ from .hilbert import (
     build_operators,
     coherent_cutoff,
     coherent_state,
-    check_dispersive_regime,
     dicke_amplitude,
     dicke_fock_state,
     embed_collective,
@@ -37,7 +36,6 @@ from .model import (
     ModulationSchedule,
     SystemParams,
     build_hamiltonian,
-    hamiltonian_at,
     hamiltonian_static,
     seconds_per_time_unit,
     total_excitation_operator,

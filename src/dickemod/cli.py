@@ -19,6 +19,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -120,15 +121,17 @@ class ScenarioConfig:
     outputs: dict = field(default_factory=dict)
 
 
-_PLAIN_SECTIONS = (
-    "system",
-    "dissipation",
-    "initial_state",
-    "transition",
-    "run",
-    "sweep",
-    "outputs",
-)
+# every key a section accepts, in emit order; run_scenario rejects any other
+_SECTION_KEYS = {
+    "system": ("n_qubits", "n_max", "omega0", "Omega0", "g0", "basis", "with_crt"),
+    "dissipation": ("kappa", "gamma", "gamma_phi"),
+    "initial_state": ("kind", "k", "n", "alpha_squared"),
+    "transition": ("n", "k"),
+    "run": ("t_final", "sample_count", "tol", "method", "time_unit"),
+    "sweep": ("factor_min", "factor_max", "grid_points", "horizon", "zoom"),
+    "outputs": ("observables",),
+}
+_SCHEDULE_KEYS = ("target", "epsilon", "eta", "phi", "qubit")
 
 
 def parse_config(text: str, origin: str = "<config>") -> ScenarioConfig:
@@ -148,7 +151,7 @@ def parse_config(text: str, origin: str = "<config>") -> ScenarioConfig:
         if not name or "." in name:
             raise ConfigError(f"{origin}:{ln}: key {key!r} must be section.key")
         val = _decode_value(value)
-        if section in _PLAIN_SECTIONS:
+        if section in _SECTION_KEYS:
             bucket = getattr(cfg, section)
         elif section.startswith("schedule") and section[8:].isdigit():
             idx = int(section[8:])
@@ -169,7 +172,7 @@ def parse_config(text: str, origin: str = "<config>") -> ScenarioConfig:
 def emit_config(cfg: ScenarioConfig) -> str:
     """Canonical text form; parse_config(emit_config(c)) == c."""
     lines = []
-    for section in _PLAIN_SECTIONS:
+    for section in _SECTION_KEYS:
         bucket = getattr(cfg, section)
         for name in sorted(bucket):
             lines.append(f"{section}.{name} = {_encode_value(bucket[name])}")
@@ -178,6 +181,19 @@ def emit_config(cfg: ScenarioConfig) -> str:
                 for name in sorted(sched):
                     lines.append(f"schedule{i}.{name} = {_encode_value(sched[name])}")
     return "\n".join(lines) + "\n"
+
+
+def _reject_unknown_keys(cfg: ScenarioConfig, origin: str) -> None:
+    """A misspelled key would otherwise run silently with its default."""
+    buckets = [(name, getattr(cfg, name), known) for name, known in _SECTION_KEYS.items()]
+    buckets += [(f"schedule{i}", d, _SCHEDULE_KEYS) for i, d in enumerate(cfg.schedules)]
+    for section, bucket, known in buckets:
+        for name in bucket:
+            if name not in known:
+                raise ConfigError(
+                    f"{origin}: unknown key {section}.{name}; "
+                    f"{section} accepts {', '.join(known)}"
+                )
 
 
 def load_config(path: Path) -> ScenarioConfig:
@@ -640,7 +656,6 @@ def _cmd_sweep(cfg, out_dir: Path, svg: bool, no_crt: bool) -> int:
         int(points),
         horizon=float(horizon) if horizon is not None else None,
         zoom=bool(sw.get("zoom", True)),
-        workers=int(sw["workers"]) if "workers" in sw else None,
     )
     out = out_dir / "sweep.csv"
     write_csv(
@@ -677,7 +692,7 @@ def _cmd_sweep(cfg, out_dir: Path, svg: bool, no_crt: bool) -> int:
 # figure presets
 # ---------------------------------------------------------------------------
 
-def _snapped_span(eta: float, t_final: float, samples: int):
+def snapped_span(eta: float, t_final: float, samples: int):
     """Uniform grid whose spacing is an integer number of drive periods."""
     period = 2.0 * math.pi / eta
     stride = max(1, int(round(t_final / (samples - 1) / period)))
@@ -686,8 +701,92 @@ def _snapped_span(eta: float, t_final: float, samples: int):
     return (0.0, dt * (count - 1)), count
 
 
-def _g_schedule(g0: float, eta: float, depth: float = 0.1):
-    return (ModulationSchedule(target="g", epsilon=depth * g0, eta=eta, phi=0.0),)
+def _g_schedule(g0: float, eta: float):
+    return (ModulationSchedule(target="g", epsilon=0.1 * g0, eta=eta, phi=0.0),)
+
+
+@dataclass(frozen=True)
+class PresetSystem:
+    """One figure system: parameters, space, initial state, its drive at a
+    given eta, and the dissipation of the dissipative presets."""
+
+    params: SystemParams
+    space: SpaceSpec
+    psi0: StateVector
+    drive: Callable[[float], tuple[ModulationSchedule, ...]]
+    rates: DissipationRates | None = None
+
+
+def two_qubit_systems() -> dict[str, PresetSystem]:
+    """figure1: N=2 from the Fock state |k=0, n=5>, coupling driven at 10%
+    depth, with ("crt") and without ("tc") counter-rotating terms."""
+    g0 = 0.08 / math.sqrt(2)
+    params = SystemParams(omega0=1.0, Omega0=1.72, g0=g0, n_qubits=2, with_crt=True)
+    space = SpaceSpec(n_qubits=2, n_max=12)
+    psi0 = dicke_fock_state(space, 0, 5)
+    return {
+        tag: PresetSystem(dataclasses.replace(params, with_crt=with_crt), space, psi0,
+                          lambda eta: _g_schedule(g0, eta))
+        for tag, with_crt in (("crt", True), ("tc", False))
+    }
+
+
+def six_qubit_systems() -> dict[str, PresetSystem]:
+    """figure2/figure3: N=6 from a coherent field |alpha|^2 = 5.5 with every
+    qubit down; the coupling drive alone ("g") or joined by an antiphase
+    qubit-splitting drive ("go"), both at 10% depth."""
+    g0 = 0.08 / math.sqrt(6)
+    params = SystemParams(omega0=1.0, Omega0=1.72, g0=g0, n_qubits=6, with_crt=True)
+    space = SpaceSpec(n_qubits=6, n_max=21)
+    psi0 = coherent_state(space, math.sqrt(5.5), 0)
+
+    def g_and_omega(eta):
+        return _g_schedule(g0, eta) + (
+            ModulationSchedule(target="Omega", epsilon=0.1 * abs(params.delta_minus),
+                               eta=eta, phi=math.pi),
+        )
+
+    return {
+        "g": PresetSystem(params, space, psi0, lambda eta: _g_schedule(g0, eta)),
+        "go": PresetSystem(params, space, psi0, g_and_omega),
+    }
+
+
+def circuit_pair_systems() -> dict[str, PresetSystem]:
+    """figure4: a slightly distinguishable transmon pair with weak dissipation
+    ("realistic": qubit 2 has 1% more coupling and 2% more detuning, each
+    coupling driven on its own qubit) and the identical, lossless pair it is
+    compared with ("ideal"). Both start from a coherent field |alpha|^2 = 3."""
+    g1 = 5.66e-2
+    g2 = 1.01 * g1
+    real_space = SpaceSpec(n_qubits=2, n_max=15, basis="distinguishable")
+    ideal_space = SpaceSpec(n_qubits=2, n_max=16)
+
+    def per_qubit_drive(eta):
+        return tuple(
+            ModulationSchedule(target="g", epsilon=0.1 * g, eta=eta, phi=0.0, qubit=i + 1)
+            for i, g in enumerate((g1, g2))
+        )
+
+    realistic = PresetSystem(
+        SystemParams(omega0=1.0, Omega0=(1.72, 1.0 + 1.02 * 0.72), g0=(g1, g2),
+                     n_qubits=2, with_crt=True),
+        real_space,
+        coherent_state(real_space, math.sqrt(3.0), 0),
+        per_qubit_drive,
+        DissipationRates(
+            kappa=5e-5 * g1,
+            gamma=(5e-5 * g1, 5e-5 * g2),
+            gamma_phi=(5e-5 * g1, 5e-5 * g2),
+        ),
+    )
+    ideal = PresetSystem(
+        SystemParams(omega0=1.0, Omega0=1.72, g0=g1, n_qubits=2, with_crt=True),
+        ideal_space,
+        coherent_state(ideal_space, math.sqrt(3.0), 0),
+        lambda eta: _g_schedule(g1, eta),
+    )
+    return {"realistic": realistic, "ideal": ideal}
 
 
 def _figure1_analytic(spec, space, schedules, psi0, times):
@@ -713,28 +812,24 @@ def _figure1_analytic(spec, space, schedules, psi0, times):
 
 
 def _cmd_figure1(out_dir: Path, svg: bool, eta_factor=None, eta_factor_2=None) -> int:
-    n_qubits = 2
-    g0 = 0.08 / math.sqrt(n_qubits)
-    params_crt = SystemParams(omega0=1.0, Omega0=1.72, g0=g0, n_qubits=n_qubits,
-                              with_crt=True)
-    params_tc = dataclasses.replace(params_crt, with_crt=False)
-    space = SpaceSpec(n_qubits=n_qubits, n_max=12)
-    psi0 = dicke_fock_state(space, 0, 5)
-    two_delta = 2.0 * abs(params_crt.delta_minus)
+    systems = two_qubit_systems()
+    crt, tc = systems["crt"], systems["tc"]
+    space, psi0, g0 = crt.space, crt.psi0, crt.params.g0_uniform
+    two_delta = 2.0 * abs(crt.params.delta_minus)
     factor_crt = eta_factor if eta_factor is not None else 1.0678
     factor_tc = eta_factor_2 if eta_factor_2 is not None else 1.0540
     eta_crt = factor_crt * two_delta
     eta_tc = factor_tc * two_delta
 
-    q = abs(two_photon_rate_closed_form(params_crt, _g_schedule(g0, eta_crt), 5, 0))
-    span, count = _snapped_span(eta_crt, 2.2 * math.pi / q, 601)
-    traj_crt = evolve_schrodinger(space, params_crt, _g_schedule(g0, eta_crt), psi0,
+    sched_crt = crt.drive(eta_crt)
+    q = abs(two_photon_rate_closed_form(crt.params, sched_crt, 5, 0))
+    span, count = snapped_span(eta_crt, 2.2 * math.pi / q, 601)
+    traj_crt = evolve_schrodinger(space, crt.params, sched_crt, psi0,
                                   span, count, tol=1e-9, store_states=True)
-    traj_tc = evolve_schrodinger(space, params_tc, _g_schedule(g0, eta_tc), psi0,
+    traj_tc = evolve_schrodinger(space, tc.params, tc.drive(eta_tc), psi0,
                                  span, count, tol=1e-9)
-    spec_crt = dispersive_spectrum(space, params_crt)
-    ana_ph, ana_at = _figure1_analytic(spec_crt, space, _g_schedule(g0, eta_crt),
-                                       psi0, traj_crt.times)
+    spec_crt = dispersive_spectrum(space, crt.params)
+    ana_ph, ana_at = _figure1_analytic(spec_crt, space, sched_crt, psi0, traj_crt.times)
 
     t_axis = traj_crt.times * q / math.pi
     out = out_dir / "figure1.csv"
@@ -751,7 +846,7 @@ def _cmd_figure1(out_dir: Path, svg: bool, eta_factor=None, eta_factor_2=None) -
             ("n_at_exactTC", traj_tc.n_at),
         ],
         {
-            "n_qubits": n_qubits,
+            "n_qubits": space.n_qubits,
             "omega0": 1.0,
             "Omega0": 1.72,
             "g0": g0,
@@ -802,31 +897,18 @@ def _cmd_figure1(out_dir: Path, svg: bool, eta_factor=None, eta_factor_2=None) -
     return 0
 
 
-def _figure2_system():
-    n_qubits = 6
-    g0 = 0.08 / math.sqrt(n_qubits)
-    params = SystemParams(omega0=1.0, Omega0=1.72, g0=g0, n_qubits=n_qubits,
-                          with_crt=True)
-    space = SpaceSpec(n_qubits=n_qubits, n_max=21)
-    psi0 = coherent_state(space, math.sqrt(5.5), 0)
-    return params, space, psi0, g0
-
-
 def _cmd_figure2(out_dir: Path, svg: bool, eta_factor=None, eta_factor_2=None) -> int:
-    params, space, psi0, g0 = _figure2_system()
+    systems = six_qubit_systems()
+    params, space, psi0 = systems["g"].params, systems["g"].space, systems["g"].psi0
     two_delta = 2.0 * abs(params.delta_minus)
     factor_g = eta_factor if eta_factor is not None else 1.0389
     factor_go = eta_factor_2 if eta_factor_2 is not None else 1.0388
     eta_g = factor_g * two_delta
     eta_go = factor_go * two_delta
-    sched_g = _g_schedule(g0, eta_g)
-    sched_go = (
-        ModulationSchedule(target="g", epsilon=0.1 * g0, eta=eta_go, phi=0.0),
-        ModulationSchedule(target="Omega", epsilon=0.1 * abs(params.delta_minus),
-                           eta=eta_go, phi=math.pi),
-    )
+    sched_g = systems["g"].drive(eta_g)
+    sched_go = systems["go"].drive(eta_go)
     q = abs(two_photon_rate_closed_form(params, sched_g, 5, 0))
-    span, count = _snapped_span(eta_g, 2.2 * math.pi / q, 501)
+    span, count = snapped_span(eta_g, 2.2 * math.pi / q, 501)
     traj_g = evolve_schrodinger(space, params, sched_g, psi0, span, count, tol=1e-9)
     traj_go = evolve_schrodinger(space, params, sched_go, psi0, span, count, tol=1e-9)
 
@@ -846,7 +928,7 @@ def _cmd_figure2(out_dir: Path, svg: bool, eta_factor=None, eta_factor_2=None) -
             "n_qubits": 6,
             "omega0": 1.0,
             "Omega0": 1.72,
-            "g0": g0,
+            "g0": params.g0_uniform,
             "n_max": space.n_max,
             "initial_state": "coherent(alpha_squared=5.5, k=0)",
             "epsilon_g_over_g0": 0.1,
@@ -871,18 +953,14 @@ def _cmd_figure2(out_dir: Path, svg: bool, eta_factor=None, eta_factor_2=None) -
 
 
 def _cmd_figure3(out_dir: Path, svg: bool, eta_factor=None, eta_factor_2=None) -> int:
-    params, space, psi0, g0 = _figure2_system()
+    systems = six_qubit_systems()
+    params, space, psi0 = systems["go"].params, systems["go"].space, systems["go"].psi0
     two_delta = 2.0 * abs(params.delta_minus)
     factor = eta_factor if eta_factor is not None else 1.0388
     eta = factor * two_delta
-    sched = (
-        ModulationSchedule(target="g", epsilon=0.1 * g0, eta=eta, phi=0.0),
-        ModulationSchedule(target="Omega", epsilon=0.1 * abs(params.delta_minus),
-                           eta=eta, phi=math.pi),
-    )
-    q = abs(two_photon_rate_closed_form(
-        params, _g_schedule(g0, eta), 5, 0))
-    span, count = _snapped_span(eta, 2.2 * math.pi / q, 501)
+    sched = systems["go"].drive(eta)
+    q = abs(two_photon_rate_closed_form(params, systems["g"].drive(eta), 5, 0))
+    span, count = snapped_span(eta, 2.2 * math.pi / q, 501)
     traj = evolve_schrodinger(space, params, sched, psi0, span, count, tol=1e-9)
 
     t_axis = traj.times * q / math.pi
@@ -901,7 +979,7 @@ def _cmd_figure3(out_dir: Path, svg: bool, eta_factor=None, eta_factor_2=None) -
         ],
         {
             "n_qubits": 6,
-            "g0": g0,
+            "g0": params.g0_uniform,
             "n_max": space.n_max,
             "initial_state": "coherent(alpha_squared=5.5, k=0)",
             "eta_factor": factor,
@@ -920,45 +998,23 @@ def _cmd_figure3(out_dir: Path, svg: bool, eta_factor=None, eta_factor_2=None) -
 
 
 def _cmd_figure4(out_dir: Path, svg: bool, eta_factor=None, eta_factor_2=None) -> int:
-    # realistic pair: slightly distinguishable qubits, weak dissipation
-    g1 = 5.66e-2
-    g2 = 1.01 * g1
-    delta1 = -0.72
-    omega_q2 = 1.0 - 1.02 * delta1
-    params_real = SystemParams(omega0=1.0, Omega0=(1.72, omega_q2), g0=(g1, g2),
-                               n_qubits=2, with_crt=True)
-    space_real = SpaceSpec(n_qubits=2, n_max=15, basis="distinguishable")
-    psi0_real = coherent_state(space_real, math.sqrt(3.0), 0)
+    pair = circuit_pair_systems()
+    real, ideal = pair["realistic"], pair["ideal"]
+    # qubit 1 of the realistic pair has the ideal pair's detuning
+    two_delta = 2.0 * abs(ideal.params.delta_minus)
     factor_real = eta_factor if eta_factor is not None else 1.0632
-    eta_real = factor_real * 2.0 * abs(delta1)
-    sched_real = (
-        ModulationSchedule(target="g", epsilon=0.1 * g1, eta=eta_real, phi=0.0, qubit=1),
-        ModulationSchedule(target="g", epsilon=0.1 * g2, eta=eta_real, phi=0.0, qubit=2),
-    )
-    rates = DissipationRates(
-        kappa=5e-5 * g1,
-        gamma=(5e-5 * g1, 5e-5 * g2),
-        gamma_phi=(5e-5 * g1, 5e-5 * g2),
-    )
-
-    # ideal pair: identical qubits, no dissipation
-    params_ideal = SystemParams(omega0=1.0, Omega0=1.72, g0=g1, n_qubits=2,
-                                with_crt=True)
-    space_ideal = SpaceSpec(n_qubits=2, n_max=16)
-    psi0_ideal = coherent_state(space_ideal, math.sqrt(3.0), 0)
     factor_ideal = eta_factor_2 if eta_factor_2 is not None else 1.0531
-    eta_ideal = factor_ideal * 2.0 * abs(params_ideal.delta_minus)
 
     us_per_unit = seconds_per_time_unit(OMEGA0_HZ) * 1e6
     t_final = 2.0 / us_per_unit  # two microseconds of dimensionless evolution
     traj_real = evolve_lindblad(
-        space_real, params_real, sched_real, rates,
-        DensityMatrix.from_state(psi0_real), (0.0, t_final), 601, tol=1e-9,
+        real.space, real.params, real.drive(factor_real * two_delta), real.rates,
+        DensityMatrix.from_state(real.psi0), (0.0, t_final), 601, tol=1e-9,
     )
     # reuse the dissipative run's stroboscopic grid so the CSV shares one t axis
     times = traj_real.times
     traj_ideal = evolve_schrodinger(
-        space_ideal, params_ideal, _g_schedule(g1, eta_ideal), psi0_ideal,
+        ideal.space, ideal.params, ideal.drive(factor_ideal * two_delta), ideal.psi0,
         (times[0], times[-1]), len(times), tol=1e-9,
     )
 
@@ -976,18 +1032,18 @@ def _cmd_figure4(out_dir: Path, svg: bool, eta_factor=None, eta_factor_2=None) -
         ],
         {
             "omega0_over_2pi_hz": OMEGA0_HZ,
-            "g0_qubit1": g1,
-            "g0_qubit2": g2,
+            "g0_qubit1": real.params.g0[0],
+            "g0_qubit2": real.params.g0[1],
             "Omega_qubit1": 1.72,
-            "Omega_qubit2": omega_q2,
+            "Omega_qubit2": real.params.Omega0[1],
             "kappa_over_g0": 5e-5,
             "gamma_over_g0": 5e-5,
             "gamma_phi_over_g0": 5e-5,
             "initial_state": "coherent(alpha_squared=3, all qubits ground)",
             "eta_factor_realistic": factor_real,
             "eta_factor_ideal": factor_ideal,
-            "n_max_realistic": space_real.n_max,
-            "n_max_ideal": space_ideal.n_max,
+            "n_max_realistic": real.space.n_max,
+            "n_max_ideal": ideal.space.n_max,
         },
     )
     contrast_mask = t_us <= 1.0
@@ -1047,6 +1103,7 @@ def run_scenario(
         if config_path is None:
             raise ConfigError(f"{subcommand} requires --config")
         cfg = load_config(Path(config_path))
+        _reject_unknown_keys(cfg, str(config_path))
         return _CONFIG_COMMANDS[subcommand](cfg, out_dir, svg, no_crt)
     raise ConfigError(f"unknown subcommand {subcommand!r}")
 

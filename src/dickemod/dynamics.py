@@ -6,20 +6,28 @@ runs integrate the master equation
               + (gamma_phi_l/2) D[sigma_z_l]),
 with D[O]rho = (2 O rho O^dag - O^dag O rho - rho O^dag O)/2.
 
-Engine selection is automatic. Static Hamiltonians propagate by
-eigendecomposition. Short or aperiodic drives use adaptive Runge-Kutta with
-the step capped at a twentieth of the fastest drive period. Long strictly
-periodic drives use a stroboscopic engine: one drive period is integrated
-once at tight tolerance, the one-period propagator (or quantum channel) is
-then applied period by period. This is what makes horizons of 1e5 time units
-tractable; the drive here is a single sinusoid, so the periodicity is exact
-and the only approximation is the one already controlled by the integrator
-tolerance. The one-period unitary is projected to the nearest exact unitary
-and the projection defect is reported, so marching cannot accumulate norm
-drift. The dissipative channel keeps the Hamiltonian factor exact and expands
-the (weak) dissipative factor to second order per sub-period slice; trace
-preservation is exact by construction because the same quadrature rule builds
-both the jump and the anticommutator pieces.
+evolve_schrodinger and evolve_lindblad share one dispatcher, _select_engine,
+which is also the only place that validates `method` (auto, direct or
+stroboscopic). Under auto, static Hamiltonians propagate by
+eigendecomposition; the master equation has no static engine and integrates
+them directly. Short or aperiodic drives use adaptive Runge-Kutta. Drives
+with one common frequency that span at least STROBE_MIN_PERIODS periods from
+t=0 use the stroboscopic engine, and a forced `stroboscopic` run needs the
+same common frequency and t=0 start. Every ODE solve goes through _integrate,
+which applies H(t) through ModulatedHamiltonian.apply and caps the step at a
+twentieth of the fastest drive period.
+
+The stroboscopic engine integrates one drive period once at tight tolerance,
+then applies the one-period propagator (or quantum channel) period by
+period. This is what makes horizons of 1e5 time units tractable; the drive
+here is a single sinusoid, so the periodicity is exact and the only
+approximation is the one already controlled by the integrator tolerance. The
+one-period unitary is projected to the nearest exact unitary and the
+projection defect is reported, so marching cannot accumulate norm drift. The
+dissipative channel keeps the Hamiltonian factor exact and expands the
+(weak) dissipative factor to second order per sub-period slice; trace
+preservation is exact by construction because the same quadrature rule
+builds both the jump and the anticommutator pieces.
 """
 
 from __future__ import annotations
@@ -29,7 +37,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
 from .errors import ConfigError, CutoffError, DomainError, NumericError, UnsupportedError
@@ -155,40 +162,51 @@ def _cutoff_check(space: SpaceSpec, obs_list, policy: str, metadata: dict) -> No
 
 
 # ---------------------------------------------------------------------------
-# unitary engines
+# ODE integration
 # ---------------------------------------------------------------------------
 
-def _matrix_ode(ham: ModulatedHamiltonian, y0: np.ndarray, t0: float, t1: float,
-                rtol: float, t_eval=None):
-    """Integrate dY/dt = -i H(t) Y for Y with columns of amplitudes."""
-    shape = y0.shape
+def _integrate(ham: ModulatedHamiltonian, rhs, y0, t_span, t_eval, method: str,
+               rtol: float, failure: str):
+    """The one ODE call site: dY/dt = rhs(t, Y) for Y shaped like y0.
 
-    def rhs(t, y):
-        yy = y.reshape(shape)
-        out = ham.h_const @ yy
-        for sched, block in ham.terms:
-            out = out + sched.drive(t) * (block @ yy)
-        return (-1j * out).ravel()
-
+    atol is rtol * 1e-3 and the step is capped by the fastest drive; failure is
+    the NumericError text, with {} standing for the solver's message.
+    """
+    shape = np.shape(y0)
     sol = solve_ivp(
-        rhs,
-        (t0, t1),
+        lambda t, y: rhs(t, y.reshape(shape)).ravel(),
+        t_span,
         np.asarray(y0, dtype=complex).ravel(),
         t_eval=t_eval,
-        method="DOP853",
+        method=method,
         rtol=rtol,
         atol=rtol * 1e-3,
         max_step=_max_step([s for s, _ in ham.terms]),
     )
     if not sol.success:
-        raise NumericError(f"propagator integration failed: {sol.message}")
+        raise NumericError(failure.format(sol.message))
     return sol
+
+
+def _schrodinger_rhs(ham: ModulatedHamiltonian):
+    return lambda t, y: -1j * ham.apply(t, y)
+
+
+def _propagate(ham: ModulatedHamiltonian, y0: np.ndarray, t1: float, rtol: float,
+               t_eval=None):
+    """Integrate dY/dt = -i H(t) Y over [0, t1] for Y with columns of amplitudes."""
+    return _integrate(ham, _schrodinger_rhs(ham), y0, (0.0, t1), t_eval, "DOP853", rtol,
+                      "propagator integration failed: {}")
 
 
 def _polar_project(u: np.ndarray):
     w, s, vh = np.linalg.svd(u)
     return w @ vh, float(np.max(np.abs(s - 1.0)))
 
+
+# ---------------------------------------------------------------------------
+# unitary engines
+# ---------------------------------------------------------------------------
 
 def _evolve_static(ham, psi0, t_grid, metadata):
     h = ham.h_const.toarray()
@@ -202,24 +220,8 @@ def _evolve_static(ham, psi0, t_grid, metadata):
 
 
 def _evolve_direct(ham, psi0, t_grid, tol, metadata):
-    def rhs(t, y):
-        out = ham.h_const @ y
-        for sched, block in ham.terms:
-            out = out + sched.drive(t) * (block @ y)
-        return -1j * out
-
-    sol = solve_ivp(
-        rhs,
-        (float(t_grid[0]), float(t_grid[-1])),
-        psi0.astype(complex),
-        t_eval=t_grid,
-        method="RK45",
-        rtol=tol,
-        atol=tol * 1e-3,
-        max_step=_max_step([s for s, _ in ham.terms]),
-    )
-    if not sol.success:
-        raise NumericError(f"integration failed: {sol.message}; try a tighter tol")
+    sol = _integrate(ham, _schrodinger_rhs(ham), psi0, (float(t_grid[0]), float(t_grid[-1])),
+                     t_grid, "RK45", tol, "integration failed: {}; try a tighter tol")
     metadata["engine"] = "adaptive-rk"
     metadata["rhs_evals"] = int(sol.nfev)
     return sol.y.T
@@ -238,7 +240,7 @@ def _evolve_floquet(ham, psi0, t_grid, tol, metadata):
     dim = ham.space.dim
     rtol_u = max(min(tol / 10.0, 1e-11), 1e-13)
 
-    sol_u = _matrix_ode(ham, np.eye(dim, dtype=complex), 0.0, period, rtol_u)
+    sol_u = _propagate(ham, np.eye(dim, dtype=complex), period, rtol_u)
     u_raw = sol_u.y[:, -1].reshape(dim, dim)
     u_t, defect = _polar_project(u_raw)
     defect_gate = max(UNITARY_DEFECT_TOL, tol)
@@ -261,8 +263,8 @@ def _evolve_floquet(ham, psi0, t_grid, tol, metadata):
     distinct = sorted({v for v in tau_round if v > 0.0})
     offset_cache = {}
     if distinct and len(distinct) <= 128:
-        evals = _matrix_ode(
-            ham, np.eye(dim, dtype=complex), 0.0, period, rtol_u, t_eval=np.array(distinct)
+        evals = _propagate(
+            ham, np.eye(dim, dtype=complex), period, rtol_u, t_eval=np.array(distinct)
         )
         metadata["rhs_evals"] += int(evals.nfev)
         for i, tv in enumerate(distinct):
@@ -282,10 +284,31 @@ def _evolve_floquet(ham, psi0, t_grid, tol, metadata):
         elif tau in offset_cache:
             states[idx] = offset_cache[tau] @ psi_k
         else:
-            short = _matrix_ode(ham, psi_k, 0.0, float(taus[idx]), rtol_u)
+            short = _propagate(ham, psi_k, float(taus[idx]), rtol_u)
             metadata["rhs_evals"] += int(short.nfev)
             states[idx] = short.y[:, -1]
     return states
+
+
+def _select_engine(method: str, ham: ModulatedHamiltonian, t_grid: np.ndarray) -> str:
+    """The one method validator and dispatcher of both evolve functions.
+
+    Returns "static", "stroboscopic" or "direct"; see the module docstring for
+    the auto rule.
+    """
+    if method not in ("auto", "direct", "stroboscopic"):
+        raise ConfigError(f"unknown method {method!r}")
+    periodic = ham.common_eta is not None and t_grid[0] == 0.0
+    if method == "stroboscopic" and not periodic:
+        raise ConfigError(
+            "stroboscopic engine needs a common drive frequency and t_span starting at 0"
+        )
+    if method != "auto":
+        return method
+    if ham.is_static:
+        return "static"
+    periods = (t_grid[-1] - t_grid[0]) / (2.0 * math.pi / ham.common_eta) if periodic else 0.0
+    return "stroboscopic" if periods >= STROBE_MIN_PERIODS else "direct"
 
 
 def evolve_schrodinger(
@@ -312,25 +335,7 @@ def evolve_schrodinger(
     t_grid = _sample_grid(t_span, sample_count)
     ham = build_hamiltonian(space, params, schedules)
     metadata: dict = {"tol": tol}
-
-    periods = None
-    if ham.common_eta is not None:
-        periods = (t_grid[-1] - t_grid[0]) / (2.0 * math.pi / ham.common_eta)
-    if method == "auto":
-        if ham.is_static:
-            chosen = "static"
-        elif periods is not None and periods >= STROBE_MIN_PERIODS and t_grid[0] == 0.0:
-            chosen = "stroboscopic"
-        else:
-            chosen = "direct"
-    elif method in ("direct", "stroboscopic"):
-        chosen = method
-        if chosen == "stroboscopic" and (ham.common_eta is None or t_grid[0] != 0.0):
-            raise ConfigError(
-                "stroboscopic engine needs a common drive frequency and t_span starting at 0"
-            )
-    else:
-        raise ConfigError(f"unknown method {method!r}")
+    chosen = _select_engine(method, ham, t_grid)
 
     psi0_arr = psi0.amplitudes
     if chosen == "static":
@@ -379,6 +384,11 @@ def lindblad_dissipator(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
 def _collapse_operators(space: SpaceSpec, rates: DissipationRates):
     """(rate, operator) pairs for kappa D[a], gamma_l D[sigma-_l],
     (gamma_phi_l/2) D[sigma_z_l]."""
+    if rates.n_qubits not in (0, space.n_qubits):
+        raise DomainError(
+            f"per-qubit rates need one entry per qubit ({space.n_qubits}), "
+            f"got {rates.n_qubits}"
+        )
     ops = build_operators(space)
     out = []
     if rates.kappa > 0:
@@ -390,9 +400,7 @@ def _collapse_operators(space: SpaceSpec, rates: DissipationRates):
             "the collective basis only supports cavity decay"
         )
     if space.basis != COLLECTIVE:
-        for l in range(space.n_qubits):
-            g = rates.gamma[l] if l < len(rates.gamma) else 0.0
-            gp = rates.gamma_phi[l] if l < len(rates.gamma_phi) else 0.0
+        for l, (g, gp) in enumerate(zip(rates.gamma, rates.gamma_phi)):
             if g > 0:
                 out.append((g, ops.sigma_minus(l + 1).toarray()))
             if gp > 0:
@@ -408,28 +416,15 @@ def _lindblad_direct(ham, collapse, rho0, t_grid, tol, metadata):
     dim = rho0.shape[0]
     mats = [(r, op, op.conj().T @ op) for r, op in collapse]
 
-    def rhs(t, y):
-        rho = y.reshape(dim, dim)
-        h = ham.h_const @ rho
-        for sched, block in ham.terms:
-            h = h + sched.drive(t) * (block @ rho)
+    def rhs(t, rho):
+        h = ham.apply(t, rho)
         out = -1j * (h - h.conj().T)
         for r, op, m in mats:
             out = out + r * (op @ rho @ op.conj().T - 0.5 * (m @ rho + rho @ m))
-        return out.ravel()
+        return out
 
-    sol = solve_ivp(
-        rhs,
-        (float(t_grid[0]), float(t_grid[-1])),
-        rho0.ravel().astype(complex),
-        t_eval=t_grid,
-        method="RK45",
-        rtol=tol,
-        atol=tol * 1e-3,
-        max_step=_max_step([s for s, _ in ham.terms]),
-    )
-    if not sol.success:
-        raise NumericError(f"master-equation integration failed: {sol.message}")
+    sol = _integrate(ham, rhs, rho0, (float(t_grid[0]), float(t_grid[-1])), t_grid,
+                     "RK45", tol, "master-equation integration failed: {}")
     metadata["engine"] = "lindblad-adaptive-rk"
     metadata["rhs_evals"] = int(sol.nfev)
     return [sol.y[:, i].reshape(dim, dim) for i in range(sol.y.shape[1])]
@@ -498,7 +493,7 @@ def _lindblad_strobe(ham, collapse, rho0, t_span, sample_count, tol, metadata):
     slice_of = np.array(slice_of)
 
     t_eval = np.unique(np.concatenate([nodes, [period]]))
-    sol_u = _matrix_ode(ham, np.eye(dim, dtype=complex), 0.0, period, rtol_u, t_eval=t_eval)
+    sol_u = _propagate(ham, np.eye(dim, dtype=complex), period, rtol_u, t_eval=t_eval)
     metadata["rhs_evals"] = int(sol_u.nfev)
     u_at = {t: sol_u.y[:, i].reshape(dim, dim) for i, t in enumerate(t_eval)}
     u_period, defect = _polar_project(u_at[period])
@@ -539,6 +534,10 @@ def _lindblad_strobe(ham, collapse, rho0, t_span, sample_count, tol, metadata):
                       - np.eye(dim, dtype=complex).ravel()))
     )
     metadata["channel_trace_defect"] = tp_defect
+    if tp_defect > TRACE_DRIFT_TOL:
+        raise NumericError(
+            f"one-period channel trace defect {tp_defect:.2e} exceeds {TRACE_DRIFT_TOL:g}"
+        )
     metadata["engine"] = "lindblad-stroboscopic"
 
     # samples sit on stride multiples, so march with channel^stride directly
@@ -578,26 +577,8 @@ def evolve_lindblad(
     collapse = _collapse_operators(space, rates)
     metadata: dict = {"tol": tol}
 
-    periods = None
-    if ham.common_eta is not None:
-        periods = (t_grid[-1] - t_grid[0]) / (2.0 * math.pi / ham.common_eta)
-    use_strobe = (
-        method == "stroboscopic"
-        or (
-            method == "auto"
-            and not ham.is_static
-            and periods is not None
-            and periods >= STROBE_MIN_PERIODS
-            and t_grid[0] == 0.0
-        )
-    )
-    if method not in ("auto", "direct", "stroboscopic"):
-        raise ConfigError(f"unknown method {method!r}")
-    if use_strobe:
-        if ham.common_eta is None or t_grid[0] != 0.0:
-            raise ConfigError(
-                "stroboscopic engine needs a common drive frequency and t_span starting at 0"
-            )
+    # the master equation has no static engine: "static" integrates directly
+    if _select_engine(method, ham, t_grid) == "stroboscopic":
         raw, times = _lindblad_strobe(
             ham, collapse, rho0.matrix, (t_grid[0], t_grid[-1]), sample_count, tol, metadata
         )

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import gammaln
 
-from .errors import CutoffError, DomainError, NormalizationError, PhysicsGuardError
+from .errors import CutoffError, DomainError, NormalizationError
 
 COLLECTIVE = "collective"
 DISTINGUISHABLE = "distinguishable"
@@ -336,17 +336,3 @@ def embed_collective(state: StateVector) -> StateVector:
         k = int(bits).bit_count()
         out[bits] = grid[k] * dicke_amplitude(space.n_qubits, k)
     return StateVector(target, out.reshape(target.dim))
-
-
-def check_dispersive_regime(
-    g0: float, delta_minus: float, n_qubits: int, n_excitations: int
-) -> float:
-    """Ratio g0*sqrt(n*N)/|Delta| that must stay well below 1; raises when >= 1."""
-    if delta_minus == 0.0:
-        raise PhysicsGuardError("dispersive regime undefined at zero detuning")
-    ratio = abs(g0) * math.sqrt(max(n_excitations, 1) * n_qubits) / abs(delta_minus)
-    if ratio >= 1.0:
-        raise PhysicsGuardError(
-            f"dispersive parameter g0*sqrt(nN)/|Delta| = {ratio:.3g} >= 1"
-        )
-    return ratio

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -18,8 +18,6 @@ import scipy.sparse as sp
 from .errors import ConfigError, DomainError, UnsupportedError
 from .hilbert import (
     COLLECTIVE,
-    DISTINGUISHABLE,
-    Operators,
     SpaceSpec,
     build_operators,
     f_coefficient,
@@ -243,12 +241,12 @@ class ModulatedHamiltonian:
             h = h + float(sched.drive(t)) * hx
         return h
 
-    def dense(self):
-        """(H_const, [(schedule, H_j)]) as dense arrays for the propagator engines."""
-        return (
-            self.h_const.toarray(),
-            [(s, hx.toarray()) for s, hx in self.terms],
-        )
+    def apply(self, t: float, y: np.ndarray) -> np.ndarray:
+        """H(t) @ y for a state vector or a matrix of columns, without forming H(t)."""
+        out = self.h_const @ y
+        for sched, hx in self.terms:
+            out = out + sched.drive(t) * (hx @ y)
+        return out
 
     @property
     def is_static(self) -> bool:
@@ -327,35 +325,6 @@ def build_hamiltonian(
 def hamiltonian_static(space: SpaceSpec, params: SystemParams) -> sp.csr_matrix:
     """Time-independent Hamiltonian (no modulation)."""
     return build_hamiltonian(space, params).h_const
-
-
-def hamiltonian_at(
-    space: SpaceSpec,
-    params: SystemParams,
-    schedules: tuple[ModulationSchedule, ...],
-    t: float,
-) -> sp.csr_matrix:
-    """H(t) for one time point; builds the cache on the fly.
-
-    Dynamics code should hold a ModulatedHamiltonian instead of calling this in
-    a loop.
-    """
-    return build_hamiltonian(space, params, schedules).at(t)
-
-
-def hamiltonian_realistic_at(
-    space: SpaceSpec,
-    params: SystemParams,
-    schedules: tuple[ModulationSchedule, ...],
-    t: float,
-) -> sp.csr_matrix:
-    """Distinguishable-basis H(t) with per-qubit parameters (N=2).
-
-    Identical qubits reduce to the embedded collective Hamiltonian.
-    """
-    if space.basis != DISTINGUISHABLE:
-        raise DomainError("hamiltonian_realistic_at expects a distinguishable space")
-    return build_hamiltonian(space, params, schedules).at(t)
 
 
 def total_excitation_operator(space: SpaceSpec) -> sp.csr_matrix:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,11 +161,7 @@ def _evolve_point(scenario: TransferScenario, eta: float, horizon: float) -> flo
     return _transfer_of(traj, scenario.target_indices())
 
 
-def _evaluate(scenario, etas, horizon, workers) -> np.ndarray:
-    if workers is not None and workers > 1 and len(etas) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            vals = list(pool.map(lambda e: _evolve_point(scenario, e, horizon), etas))
-        return np.array(vals)
+def _evaluate(scenario, etas, horizon) -> np.ndarray:
     return np.array([_evolve_point(scenario, e, horizon) for e in etas])
 
 
@@ -200,7 +195,6 @@ def sweep_resonance(
     grid_points: int,
     horizon: float | None = None,
     zoom: bool = True,
-    workers: int | None = None,
 ) -> SweepResult:
     """Sweep the drive frequency and locate the transfer resonance.
 
@@ -231,7 +225,7 @@ def sweep_resonance(
         raise ConfigError(f"horizon={horizon} must be positive")
 
     etas = np.linspace(lo, hi, grid_points)
-    transfer = _evaluate(scenario, etas, horizon, workers)
+    transfer = _evaluate(scenario, etas, horizon)
     spacing = etas[1] - etas[0]
 
     i_star = int(np.argmax(transfer))
@@ -269,7 +263,7 @@ def sweep_resonance(
         z_etas = np.linspace(etas[i_star - 1], etas[i_star + 1], 2 * ZOOM_SHRINK + 1)
         known = {0: transfer[i_star - 1], ZOOM_SHRINK: transfer[i_star], 2 * ZOOM_SHRINK: transfer[i_star + 1]}
         new_j = [j for j in range(len(z_etas)) if j not in known]
-        new_vals = _evaluate(scenario, z_etas[new_j], horizon, workers)
+        new_vals = _evaluate(scenario, z_etas[new_j], horizon)
         z_transfer = np.empty(len(z_etas))
         for j, v in known.items():
             z_transfer[j] = v

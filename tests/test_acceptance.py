@@ -2,10 +2,11 @@
 
 Seven criteria, one test each, so a verbose run prints one pass/fail line per
 criterion. Criteria 1-5 rerun the preset scenarios behind the figure1..figure4
-CLI commands, but locate every resonance with sweep_resonance instead of
-trusting the preset defaults; criteria 6-7 re-assert the package-wide
-properties and oracle equivalences at small scale. The expensive sweeps are
-shared through module fixtures; the whole gate runs in minutes.
+CLI commands, built from the same definitions in dickemod.cli, but locate
+every resonance with sweep_resonance instead of trusting the preset
+defaults; criteria 6-7 re-assert the package-wide properties and oracle
+equivalences at small scale. The expensive sweeps are shared through module
+fixtures; the whole gate runs in minutes.
 """
 
 import math
@@ -21,7 +22,13 @@ from dickemod.dispersive import (
     two_photon_rate_closed_form,
 )
 from dickemod.dynamics import DensityMatrix, evolve_lindblad, evolve_schrodinger
-from dickemod.hilbert import SpaceSpec, coherent_state, dicke_fock_state
+from dickemod.cli import (
+    circuit_pair_systems,
+    six_qubit_systems,
+    snapped_span,
+    two_qubit_systems,
+)
+from dickemod.hilbert import SpaceSpec, dicke_fock_state
 from dickemod.model import (
     DissipationRates,
     ModulationSchedule,
@@ -41,15 +48,6 @@ from oracles import (
 
 
 TWO_DELTA = 1.44  # 2|omega0 - Omega0| shared by every preset scenario
-
-
-def snapped_span(eta, t_final, samples):
-    """Uniform grid whose spacing is an integer number of drive periods."""
-    period = 2.0 * math.pi / eta
-    stride = max(1, int(round(t_final / (samples - 1) / period)))
-    dt = stride * period
-    count = max(2, int(round(t_final / dt)) + 1)
-    return (0.0, dt * (count - 1)), count
 
 
 def slow_part(times, values, cap_omega):
@@ -89,66 +87,44 @@ def dressed_population_selector(target):
 @pytest.fixture(scope="module")
 def two_qubit():
     """figure1 scenario: N=2 Fock |k=0, n=5>, swept with and without CRT."""
-    g0 = 0.08 / math.sqrt(2)
-    space = SpaceSpec(2, 12)
-    psi0 = dicke_fock_state(space, 0, 5)
+    systems = two_qubit_systems()
     sweeps = {}
-    for tag, with_crt, center in (("crt", True, 1.068), ("tc", False, 1.054)):
-        params = SystemParams(omega0=1.0, Omega0=1.72, g0=g0, n_qubits=2,
-                              with_crt=with_crt)
-        sched = (ModulationSchedule("g", 0.1 * g0, 1.0),)
-        scen = TransferScenario(space=space, params=params, schedules=sched,
-                                psi0=psi0, transition=(5, 0),
-                                sample_count=121, tol=1e-8)
+    for tag, center in (("crt", 1.068), ("tc", 1.054)):
+        system = systems[tag]
+        scen = TransferScenario(space=system.space, params=system.params,
+                                schedules=system.drive(1.0), psi0=system.psi0,
+                                transition=(5, 0), sample_count=121, tol=1e-8)
         window = ((center - 0.004) * TWO_DELTA, (center + 0.004) * TWO_DELTA)
         sweeps[tag] = sweep_resonance(scen, window, 9, zoom=True)
-    return {"space": space, "psi0": psi0, "g0": g0, **sweeps}
+    return sweeps
 
 
 @pytest.fixture(scope="module")
 def two_qubit_fit(two_qubit):
     """Dressed-pair Rabi fit at the swept CRT peak of the figure1 scenario."""
-    g0 = two_qubit["g0"]
-    space = two_qubit["space"]
-    params = SystemParams(omega0=1.0, Omega0=1.72, g0=g0, n_qubits=2)
+    system = two_qubit_systems()["crt"]
     eta = two_qubit["crt"].peak_eta
-    sched = (ModulationSchedule("g", 0.1 * g0, eta),)
-    q = abs(two_photon_rate_closed_form(params, sched, 5, 0))
+    sched = system.drive(eta)
+    q = abs(two_photon_rate_closed_form(system.params, sched, 5, 0))
     span, count = snapped_span(eta, 2.2 * math.pi / q, 601)
-    traj = evolve_schrodinger(space, params, sched, two_qubit["psi0"], span,
-                              count, tol=1e-9, store_states=True)
-    spec = dispersive_spectrum(space, params)
+    traj = evolve_schrodinger(system.space, system.params, sched, system.psi0,
+                              span, count, tol=1e-9, store_states=True)
+    spec = dispersive_spectrum(system.space, system.params)
     fit = fit_rabi(traj, dressed_population_selector(spec.state(5, 2)))
-    return {"fit": fit, "q": q, "params": params}
-
-
-def _six_qubit_system():
-    g0 = 0.08 / math.sqrt(6)
-    params = SystemParams(omega0=1.0, Omega0=1.72, g0=g0, n_qubits=6)
-    space = SpaceSpec(6, 21)
-    psi0 = coherent_state(space, math.sqrt(5.5), 0)
-    return params, space, psi0, g0
-
-
-def _six_qubit_schedules(g0, eta, combined):
-    if not combined:
-        return (ModulationSchedule("g", 0.1 * g0, eta),)
-    return (
-        ModulationSchedule("g", 0.1 * g0, eta, 0.0),
-        ModulationSchedule("Omega", 0.1 * (TWO_DELTA / 2.0), eta, math.pi),
-    )
+    return {"fit": fit, "q": q, "params": system.params}
 
 
 @pytest.fixture(scope="module")
 def six_qubit():
     """figure2/figure3 scenario: N=6 coherent field, g and g+Omega drives."""
-    params, space, psi0, g0 = _six_qubit_system()
-    out = {"params": params, "space": space, "psi0": psi0, "g0": g0}
+    systems = six_qubit_systems()
+    space, params, psi0 = systems["g"].space, systems["g"].params, systems["g"].psi0
+    out = {"space": space}
     spec = dispersive_spectrum(space, params, subspaces=(5,))
     target = spec.state(5, 2)
-    for tag, combined, center in (("g", False, 1.0389), ("go", True, 1.0388)):
-        sched = _six_qubit_schedules(g0, 1.0, combined)
-        scen = TransferScenario(space=space, params=params, schedules=sched,
+    for tag, center in (("g", 1.0389), ("go", 1.0388)):
+        drive = systems[tag].drive
+        scen = TransferScenario(space=space, params=params, schedules=drive(1.0),
                                 psi0=psi0, transition=(5, 0),
                                 sample_count=61, tol=1e-8)
         window = ((center - 0.0032) * TWO_DELTA, (center + 0.0032) * TWO_DELTA)
@@ -156,7 +132,7 @@ def six_qubit():
         out[tag] = res
 
         eta = res.peak_eta
-        sched = _six_qubit_schedules(g0, eta, combined)
+        sched = drive(eta)
         q = abs(two_photon_rate_closed_form(params, sched, 5, 0))
         span, count = snapped_span(eta, 2.2 * math.pi / q, 501)
         traj = evolve_schrodinger(space, params, sched, psi0, span, count,
@@ -170,49 +146,27 @@ def six_qubit():
 @pytest.fixture(scope="module")
 def circuit_pair():
     """figure4 scenario: slightly distinguishable pair vs ideal identical pair."""
-    g1 = 5.66e-2
-    g2 = 1.01 * g1
-    params_real = SystemParams(omega0=1.0, Omega0=(1.72, 1.0 + 1.02 * 0.72),
-                               g0=(g1, g2), n_qubits=2)
-    space_real = SpaceSpec(2, 15, basis="distinguishable")
-    psi0_real = coherent_state(space_real, math.sqrt(3.0), 0)
-
-    def sched_real(eta):
-        return (
-            ModulationSchedule("g", 0.1 * g1, eta, 0.0, qubit=1),
-            ModulationSchedule("g", 0.1 * g2, eta, 0.0, qubit=2),
-        )
-
-    params_ideal = SystemParams(omega0=1.0, Omega0=1.72, g0=g1, n_qubits=2)
-    space_ideal = SpaceSpec(2, 16)
-    psi0_ideal = coherent_state(space_ideal, math.sqrt(3.0), 0)
-    sched_ideal = (ModulationSchedule("g", 0.1 * g1, 1.0),)
-    q_ideal = abs(two_photon_rate_closed_form(params_ideal, sched_ideal, 4, 0))
+    systems = circuit_pair_systems()
+    real, ideal = systems["realistic"], systems["ideal"]
+    q_ideal = abs(two_photon_rate_closed_form(ideal.params, ideal.drive(1.0), 4, 0))
 
     out = {}
-    for tag, space, params, sched, psi0, center, horizon in (
-        ("ideal", space_ideal, params_ideal, sched_ideal, psi0_ideal,
-         1.0531, None),
-        ("realistic", space_real, params_real, sched_real(1.0), psi0_real,
-         1.0632, 1.2 * math.pi / q_ideal),
+    for tag, system, center, horizon in (
+        ("ideal", ideal, 1.0531, None),
+        ("realistic", real, 1.0632, 1.2 * math.pi / q_ideal),
     ):
-        scen = TransferScenario(space=space, params=params, schedules=sched,
-                                psi0=psi0, transition=(4, 0),
-                                sample_count=61, tol=1e-8)
+        scen = TransferScenario(space=system.space, params=system.params,
+                                schedules=system.drive(1.0), psi0=system.psi0,
+                                transition=(4, 0), sample_count=61, tol=1e-8)
         window = ((center - 0.004) * TWO_DELTA, (center + 0.004) * TWO_DELTA)
         out[tag] = sweep_resonance(scen, window, 9, zoom=True, horizon=horizon)
 
     # dissipative run at the swept realistic peak, one microsecond of lab time
-    rates = DissipationRates(
-        kappa=5e-5 * g1,
-        gamma=(5e-5 * g1, 5e-5 * g2),
-        gamma_phi=(5e-5 * g1, 5e-5 * g2),
-    )
     us_per_unit = seconds_per_time_unit(10e9) * 1e6
     t_final = 1.0 / us_per_unit
     traj = evolve_lindblad(
-        space_real, params_real, sched_real(out["realistic"].peak_eta), rates,
-        DensityMatrix.from_state(psi0_real), (0.0, t_final), 301, tol=1e-9,
+        real.space, real.params, real.drive(out["realistic"].peak_eta), real.rates,
+        DensityMatrix.from_state(real.psi0), (0.0, t_final), 301, tol=1e-9,
     )
     out["lindblad"] = traj
     return out

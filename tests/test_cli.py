@@ -1,6 +1,7 @@
 """Command-line interface: config codec, CSV output, exit codes."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -248,6 +249,26 @@ def test_run_scenario_guards(tmp_path):
         run_scenario(None, "orbit", tmp_path)
     with pytest.raises(ConfigError, match="requires --config"):
         run_scenario(None, "spectrum", tmp_path)
+
+
+@pytest.mark.parametrize(
+    "subcommand, line",
+    [
+        ("evolve", "run.sampel_count = 41"),
+        ("sweep", "sweep.workers = 2"),
+        ("evolve", "system.nmax = 8"),
+        ("evolve", "schedule0.phase = 0.5"),
+        ("lindblad", "dissipation.gamma_1 = 0.01"),
+        ("evolve", "outputs.observable = n_ph"),
+    ],
+)
+def test_unknown_config_keys_are_rejected(tmp_path, subcommand, line):
+    text = SYSTEM_LINES + DRIVE_LINES + STATE_LINES + "run.t_final = 1.0\n" + line + "\n"
+    cfg = write_cfg(tmp_path, text)
+    key = line.split("=")[0].strip()
+    with pytest.raises(ConfigError, match=rf"unknown key {re.escape(key)}\b"):
+        run_scenario(cfg, subcommand, tmp_path / "o")
+    assert not any((tmp_path / "o").iterdir())
 
 
 def test_parser_covers_all_subcommands():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dickemod.dynamics import (
+    TRACE_DRIFT_TOL,
     DensityMatrix,
     evolve_lindblad,
     evolve_schrodinger,
@@ -137,16 +138,30 @@ def test_auto_dispatch_prefers_stroboscopic_engine():
     assert np.max(np.abs(auto.n_ph - direct.n_ph)) < 1e-7
 
 
-def test_stroboscopic_needs_periodic_drive_from_zero():
+def _evolve_either(engine, space, params, schedules, psi0, t_span, **kw):
+    if engine == "schrodinger":
+        return evolve_schrodinger(space, params, schedules, psi0, t_span, 5, **kw)
+    return evolve_lindblad(space, params, schedules, DissipationRates(kappa=0.01),
+                           DensityMatrix.from_state(psi0), t_span, 5, **kw)
+
+
+@pytest.mark.parametrize("engine", ["schrodinger", "lindblad"])
+@pytest.mark.parametrize(
+    "drive, t_span, method, fragment",
+    [
+        (True, (0.0, 10.0), "verlet", "unknown method"),
+        (False, (0.0, 10.0), "stroboscopic", "common drive frequency"),
+        (True, (5.0, 10.0), "stroboscopic", "starting at 0"),
+    ],
+    ids=["unknown-method", "strobe-without-drive", "strobe-late-start"],
+)
+def test_method_guards_are_shared(engine, drive, t_span, method, fragment):
     space = SpaceSpec(2, 3)
     p = bench_params()
-    psi0 = dicke_fock_state(space, 0, 3)
-    with pytest.raises(ConfigError):
-        evolve_schrodinger(space, p, (), psi0, (0.0, 10.0), 5, method="stroboscopic")
-    with pytest.raises(ConfigError):
-        evolve_schrodinger(
-            space, p, (g_schedule(p),), psi0, (5.0, 10.0), 5, method="stroboscopic"
-        )
+    schedules = (g_schedule(p),) if drive else ()
+    with pytest.raises(ConfigError, match=fragment):
+        _evolve_either(engine, space, p, schedules, dicke_fock_state(space, 0, 3), t_span,
+                       method=method)
 
 
 def test_run_configuration_guards():
@@ -160,8 +175,6 @@ def test_run_configuration_guards():
         evolve_schrodinger(space, p, (), psi0, (1.0, 1.0), 5)
     with pytest.raises(ConfigError):
         evolve_schrodinger(space, p, (), psi0, (0.0, 1.0), 1)
-    with pytest.raises(ConfigError):
-        evolve_schrodinger(space, p, (), psi0, (0.0, 1.0), 5, method="verlet")
     with pytest.raises(DomainError):
         evolve_schrodinger(space, p, (), dicke_fock_state(SpaceSpec(2, 4), 0, 3), (0.0, 1.0), 5)
 
@@ -308,6 +321,7 @@ def test_lindblad_stroboscopic_matches_direct():
         method="stroboscopic", **kw,
     )
     assert strobe.metadata["engine"] == "lindblad-stroboscopic"
+    assert 0.0 <= strobe.metadata["channel_trace_defect"] <= TRACE_DRIFT_TOL
     assert np.max(np.abs(direct.n_ph - strobe.n_ph)) < 5e-5
 
 
@@ -326,3 +340,12 @@ def test_lindblad_guards():
             DissipationRates(gamma=(0.01, 0.01), gamma_phi=(0.0, 0.0)),
             rho0, (0.0, 1.0), 3,
         )
+    # per-qubit rates need one entry per qubit: none is zero-filled or dropped
+    dist = SpaceSpec(2, 2, "distinguishable")
+    rho_d = DensityMatrix.from_state(dicke_fock_state(dist, 0, 1))
+    for gamma in ((0.01,), (0.01, 0.02, 0.03)):
+        with pytest.raises(DomainError, match="one entry per qubit"):
+            evolve_lindblad(
+                dist, p, (), DissipationRates(gamma=gamma, gamma_phi=(0.0,) * len(gamma)),
+                rho_d, (0.0, 1.0), 3,
+            )

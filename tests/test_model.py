@@ -12,7 +12,6 @@ from dickemod.model import (
     ModulationSchedule,
     SystemParams,
     build_hamiltonian,
-    hamiltonian_at,
     hamiltonian_static,
     seconds_per_time_unit,
     total_excitation_operator,
@@ -110,14 +109,40 @@ def test_modulation_extremes():
     p = SystemParams(**TWO_QUBIT)
     eps = 0.1 * p.g0_uniform
     eta = 1.5
-    sched = (ModulationSchedule("g", eps, eta, 0.0),)
+    ham = build_hamiltonian(space, p, (ModulationSchedule("g", eps, eta, 0.0),))
     # sin = 0: identical to static
-    h_pi = hamiltonian_at(space, p, sched, math.pi / eta).toarray()
+    h_pi = ham.at(math.pi / eta).toarray()
     assert np.max(np.abs(h_pi - hamiltonian_static(space, p).toarray())) < 1e-14
     # sin = 1: coupling exactly g0 + eps
-    h_top = hamiltonian_at(space, p, sched, math.pi / (2 * eta)).toarray()
+    h_top = ham.at(math.pi / (2 * eta)).toarray()
     p_top = SystemParams(omega0=1.0, Omega0=1.72, g0=p.g0_uniform + eps, n_qubits=2)
     assert np.max(np.abs(h_top - hamiltonian_static(space, p_top).toarray())) < 1e-13
+
+
+@pytest.mark.parametrize("basis", ["collective", DISTINGUISHABLE])
+def test_apply_matches_assembled_operator(basis):
+    space = SpaceSpec(2, 6, basis)
+    if basis == DISTINGUISHABLE:
+        g1 = 5.66e-2
+        p = SystemParams(omega0=1.0, Omega0=(1.72, 1.7344), g0=(g1, 1.01 * g1), n_qubits=2)
+        sched = (
+            ModulationSchedule("g", 0.1 * g1, 1.5, 0.0, qubit=1),
+            ModulationSchedule("g", 0.1 * 1.01 * g1, 1.5, 0.4, qubit=2),
+        )
+    else:
+        p = SystemParams(**TWO_QUBIT)
+        sched = (
+            ModulationSchedule("g", 0.1 * p.g0_uniform, 1.53, 0.3),
+            ModulationSchedule("Omega", 0.05, 1.53, math.pi),
+        )
+    ham = build_hamiltonian(space, p, sched)
+    rng = np.random.default_rng(3)
+    y = rng.normal(size=(space.dim, 4)) + 1j * rng.normal(size=(space.dim, 4))
+    y /= np.linalg.norm(y, axis=0)
+    for t in (0.0, 0.71, 13.9, 250.3):
+        h = ham.at(t)
+        assert np.max(np.abs(ham.apply(t, y[:, 0]) - h @ y[:, 0])) < 1e-14
+        assert np.max(np.abs(ham.apply(t, y) - h @ y)) < 1e-14
 
 
 def test_tc_conserves_total_excitation():
