@@ -17,17 +17,18 @@ same common frequency and t=0 start. Every ODE solve goes through _integrate,
 which applies H(t) through ModulatedHamiltonian.apply and caps the step at a
 twentieth of the fastest drive period.
 
-The stroboscopic engine integrates one drive period once at tight tolerance,
-then applies the one-period propagator (or quantum channel) period by
-period. This is what makes horizons of 1e5 time units tractable; the drive
-here is a single sinusoid, so the periodicity is exact and the only
-approximation is the one already controlled by the integrator tolerance. The
-one-period unitary is projected to the nearest exact unitary and the
-projection defect is reported, so marching cannot accumulate norm drift. The
-dissipative channel keeps the Hamiltonian factor exact and expands the
-(weak) dissipative factor to second order per sub-period slice; trace
-preservation is exact by construction because the same quadrature rule
-builds both the jump and the anticommutator pieces.
+The stroboscopic engines integrate one drive period once, at tight
+tolerance; this is what makes horizons of 1e5 time units tractable. The drive
+is a single sinusoid, so the periodicity is exact and the only approximation
+is the one the integrator tolerance controls. The unitary engine takes the
+propagators at every fractional-period offset of the grid from that one
+solve, projects U(T) to the nearest exact unitary, reports the defect, and
+gets psi(kT) for all sampled k at once from the complex Schur form
+Z diag(lambda^k) Z^dag of U(T) (Floquet; Shirley 1965), with no march. The
+dissipative engine marches a one-period channel that keeps the Hamiltonian
+factor exact and expands the (weak) dissipative factor to second order per
+sub-period slice; trace preservation is exact by construction because the
+same quadrature rule builds both the jump and the anticommutator pieces.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import schur
 
 from .errors import ConfigError, CutoffError, DomainError, NumericError, UnsupportedError
 from .hilbert import (
@@ -227,66 +229,61 @@ def _evolve_direct(ham, psi0, t_grid, tol, metadata):
     return sol.y.T
 
 
+def _period_split(t_grid, period):
+    """t = k T + offsets[index] (index -1 where t = k T): k, index, offsets.
+
+    A t within 64 ulps of t_grid[-1] of a multiple of T is period-aligned, and
+    offsets closer than that are merged: the grid cannot tell them apart.
+    """
+    snap = 64.0 * np.spacing(float(t_grid[-1]))
+    ks = np.floor(t_grid / period)
+    taus = t_grid - ks * period
+    aligned = (taus < snap) | (taus > period - snap)
+    ks = np.where(aligned, np.round(t_grid / period), ks).astype(int)
+    ticks, index = np.unique(np.round(taus[~aligned] / snap), return_inverse=True)
+    offset_index = np.full(len(t_grid), -1)
+    offset_index[~aligned] = index
+    return ks, offset_index, ticks * snap
+
+
 def _evolve_floquet(ham, psi0, t_grid, tol, metadata):
     """Stroboscopic propagation for a strictly periodic H(t).
 
-    One period is integrated as a matrix ODE at tight tolerance; the projected
-    one-period unitary is marched; fractional-period offsets are covered by a
-    cached matrix solve when few offsets repeat, otherwise by short per-sample
-    vector solves.
+    One matrix ODE over one period, at tight tolerance, yields the one-period
+    unitary U(T) and the propagators U(tau) at every distinct fractional
+    offset of the grid. U(T) is projected to the nearest unitary; with its
+    complex Schur form Z diag(lambda) Z^dag, psi(kT) = Z (lambda^k * Z^dag psi0)
+    for every sampled k at once, and an off-period sample is U(tau) psi(kT).
     """
-    eta = ham.common_eta
-    period = 2.0 * math.pi / eta
+    period = 2.0 * math.pi / ham.common_eta
     dim = ham.space.dim
     rtol_u = max(min(tol / 10.0, 1e-11), 1e-13)
+    ks, offset_index, offsets = _period_split(t_grid, period)
 
-    sol_u = _propagate(ham, np.eye(dim, dtype=complex), period, rtol_u)
-    u_raw = sol_u.y[:, -1].reshape(dim, dim)
-    u_t, defect = _polar_project(u_raw)
+    sol = _propagate(ham, np.eye(dim, dtype=complex), period, rtol_u,
+                     t_eval=np.append(offsets, period))
+    u_t, defect = _polar_project(sol.y[:, -1].reshape(dim, dim))
     defect_gate = max(UNITARY_DEFECT_TOL, tol)
     if defect > defect_gate:
         raise NumericError(
             f"one-period propagator unitarity defect {defect:.2e} > {defect_gate:g}; "
             "tighten tol"
         )
+    schur_t, z = schur(u_t, output="complex")
+    lam = np.diag(schur_t)
     metadata["engine"] = "floquet-stroboscopic"
     metadata["propagator_defect"] = defect
-    metadata["rhs_evals"] = int(sol_u.nfev)
+    metadata["rhs_evals"] = int(sol.nfev)
+    metadata["periods"] = int(ks.max())
+    metadata["offsets"] = len(offsets)
+    metadata["schur_offdiag"] = float(np.max(np.abs(np.triu(schur_t, 1))))
 
-    ks = np.floor(t_grid / period + 1e-12).astype(int)
-    taus = t_grid - ks * period
-    taus[np.abs(taus) < 1e-10] = 0.0
-    taus[np.abs(taus - period) < 1e-10] = 0.0
-    ks = np.round((t_grid - taus) / period).astype(int)
-
-    tau_round = np.round(taus, 12)
-    distinct = sorted({v for v in tau_round if v > 0.0})
-    offset_cache = {}
-    if distinct and len(distinct) <= 128:
-        evals = _propagate(
-            ham, np.eye(dim, dtype=complex), period, rtol_u, t_eval=np.array(distinct)
-        )
-        metadata["rhs_evals"] += int(evals.nfev)
-        for i, tv in enumerate(distinct):
-            offset_cache[tv] = evals.y[:, i].reshape(dim, dim)
-
-    states = np.empty((len(t_grid), dim), dtype=complex)
-    psi_k = psi0.astype(complex)
-    cur_k = 0
-    order = np.argsort(ks, kind="stable")
-    for idx in order:
-        while cur_k < ks[idx]:
-            psi_k = u_t @ psi_k
-            cur_k += 1
-        tau = tau_round[idx]
-        if tau == 0.0:
-            states[idx] = psi_k
-        elif tau in offset_cache:
-            states[idx] = offset_cache[tau] @ psi_k
-        else:
-            short = _propagate(ham, psi_k, float(taus[idx]), rtol_u)
-            metadata["rhs_evals"] += int(short.nfev)
-            states[idx] = short.y[:, -1]
+    # lambda is left unnormalized, so the norm-drift gate sees its error
+    phases = np.exp(np.outer(ks, np.log(lam)))
+    states = (phases * (z.conj().T @ psi0)) @ z.T
+    for j in range(len(offsets)):
+        rows = offset_index == j
+        states[rows] = states[rows] @ sol.y[:, j].reshape(dim, dim).T
     return states
 
 

@@ -58,6 +58,28 @@ def frozen_step_evolve(h_at, psi0, t_final, steps):
     return psi
 
 
+def reference_march(one_period, psi0, ks):
+    """States U(T)^k psi0 for each k of the nondecreasing ks, by applying U(T)
+    one period at a time.
+
+    one_period(e_j) is the state one drive period after basis vector e_j; the
+    columns make U(T), which is polar-projected onto the nearest unitary.
+    """
+    dim = len(psi0)
+    u = np.column_stack([one_period(e) for e in np.eye(dim, dtype=complex)])
+    w, _, vh = np.linalg.svd(u)
+    u = w @ vh
+    psi = np.asarray(psi0, dtype=complex)
+    out = []
+    k = 0
+    for target in ks:
+        for _ in range(target - k):
+            psi = u @ psi
+        k = target
+        out.append(psi)
+    return np.array(out)
+
+
 def photon_expectation(psi, n_qubits, n_max):
     npt = n_max + 1
     grid = np.abs(np.asarray(psi).reshape(n_qubits + 1, npt)) ** 2

@@ -19,6 +19,7 @@ from dickemod.errors import (
     NumericError,
     UnsupportedError,
 )
+from dickemod.cli import snapped_span
 from dickemod.dispersive import spectrum_exact
 from dickemod.hilbert import SpaceSpec, StateVector, dicke_fock_state
 from dickemod.model import (
@@ -28,7 +29,12 @@ from dickemod.model import (
     total_excitation_operator,
 )
 
-from oracles import damped_cavity_nph, dense_collective_hamiltonian, frozen_step_evolve
+from oracles import (
+    damped_cavity_nph,
+    dense_collective_hamiltonian,
+    frozen_step_evolve,
+    reference_march,
+)
 
 
 BENCH = dict(omega0=1.0, Omega0=1.72, g0=0.08 / math.sqrt(2), n_qubits=2)
@@ -136,6 +142,69 @@ def test_auto_dispatch_prefers_stroboscopic_engine():
         tol=1e-10, method="direct", cutoff_policy="ignore",
     )
     assert np.max(np.abs(auto.n_ph - direct.n_ph)) < 1e-7
+
+
+def _amplitudes(trajectory):
+    return np.array([s.amplitudes for s in trajectory.states])
+
+
+def test_floquet_sampling_matches_reference_march():
+    # U(T) from direct RK, column by column, applied period by period; its
+    # per-period phase error grows linearly in k, hence tol 1e-12 on both
+    space = SpaceSpec(2, 3)
+    p = bench_params()
+    sch = (g_schedule(p),)
+    psi0 = dicke_fock_state(space, 0, 3)
+    period = 2 * math.pi / ETA
+    span, count = snapped_span(ETA, 1e5, 200)
+    kw = dict(tol=1e-12, store_states=True, cutoff_policy="ignore")
+    strobe = evolve_schrodinger(space, p, sch, psi0, span, count, **kw)
+    assert strobe.metadata["engine"] == "floquet-stroboscopic"
+    assert strobe.metadata["periods"] >= 20000
+
+    def one_period(column):
+        run = evolve_schrodinger(space, p, sch, StateVector(space, column), (0.0, period), 2,
+                                 method="direct", **kw)
+        return run.states[-1].amplitudes
+
+    ref = reference_march(one_period, psi0.amplitudes, np.round(strobe.times / period).astype(int))
+    assert np.max(np.abs(_amplitudes(strobe) - ref)) < 1e-9
+
+
+def test_floquet_off_period_samples_match_direct():
+    # 200 samples over ~59 periods: 199 distinct fractional offsets
+    space = SpaceSpec(2, 3)
+    p = bench_params()
+    sch = (g_schedule(p),)
+    psi0 = dicke_fock_state(space, 0, 3)
+    kw = dict(tol=1e-10, store_states=True, cutoff_policy="ignore")
+    strobe = evolve_schrodinger(space, p, sch, psi0, (0.0, 250.0), 200, **kw)
+    assert strobe.metadata["offsets"] > 128
+    direct = evolve_schrodinger(space, p, sch, psi0, (0.0, 250.0), 200, method="direct", **kw)
+    assert np.max(np.abs(_amplitudes(strobe) - _amplitudes(direct))) < 1e-7
+
+
+def test_floquet_one_period_solve_on_any_grid():
+    space = SpaceSpec(2, 3)
+    p = bench_params()
+    sch = (g_schedule(p),)
+    psi0 = dicke_fock_state(space, 0, 3)
+
+    def run(t_span, count):
+        return evolve_schrodinger(space, p, sch, psi0, t_span, count, tol=1e-10,
+                                  cutoff_policy="ignore").metadata
+
+    # past t = 5e5 a period multiple on the grid is off by more than 1e-10
+    far = run(*snapped_span(ETA, 6e5, 500))
+    assert far["periods"] > 140000
+    assert far["offsets"] == 0
+    # an offset costs DOP853's 3 dense-output evaluations in each step that
+    # holds one, at most a quarter of the step's 12; no solve of its own
+    snapped = run(*snapped_span(ETA, 250.0, 200))
+    fractional = run((0.0, 250.0), 200)
+    assert snapped["offsets"] == 0
+    assert fractional["offsets"] == 199
+    assert snapped["rhs_evals"] <= fractional["rhs_evals"] <= 1.25 * snapped["rhs_evals"]
 
 
 def _evolve_either(engine, space, params, schedules, psi0, t_span, **kw):
