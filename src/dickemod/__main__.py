@@ -1,0 +1,8 @@
+"""`python -m dickemod`: the command-line interface of dickemod.cli."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -556,6 +556,13 @@ def _build_evolution_inputs(cfg, no_crt: bool):
     return space, params, schedules, psi0, scale, t_name, opts
 
 
+def _engine_work(traj: Trajectory) -> dict:
+    """The block sizes, rhs evaluations and propagator defect the engine
+    recorded; the keys an engine does not record are left out."""
+    keys = ("sectors", "rhs_evals", "propagator_defect")
+    return {k: traj.metadata[k] for k in keys if k in traj.metadata}
+
+
 def _cmd_evolve(cfg, out_dir: Path, svg: bool, no_crt: bool) -> int:
     space, params, schedules, psi0, scale, t_name, opts = _build_evolution_inputs(cfg, no_crt)
     rates = build_rates(cfg, space.n_qubits)
@@ -577,6 +584,7 @@ def _cmd_evolve(cfg, out_dir: Path, svg: bool, no_crt: bool) -> int:
     write_csv(out, "evolve", cols, {
         "engine": traj.metadata.get("engine"),
         "norm_drift_max": traj.metadata.get("norm_drift_max"),
+        **_engine_work(traj),
         "time_unit": cfg.run.get("time_unit", "one_over_omega0"),
     })
     if svg:
@@ -613,6 +621,7 @@ def _cmd_lindblad(cfg, out_dir: Path, svg: bool, no_crt: bool) -> int:
         "engine": traj.metadata.get("engine"),
         "trace_drift_max": traj.metadata.get("trace_drift_max"),
         "eig_floor_min": traj.metadata.get("eig_floor_min"),
+        **_engine_work(traj),
         "time_unit": cfg.run.get("time_unit", "one_over_omega0"),
     })
     if svg:

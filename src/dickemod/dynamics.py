@@ -29,6 +29,23 @@ dissipative engine marches a one-period channel that keeps the Hamiltonian
 factor exact and expands the (weak) dissipative factor to second order per
 sub-period slice; trace preservation is exact by construction because the
 same quadrature rule builds both the jump and the anticommutator pieces.
+
+Both stroboscopic engines work on parity sectors. Every Hamiltonian piece
+conserves the parity (-1)^(n+k) (hilbert.parity_sectors), so U(t) is block
+diagonal and the one period solve integrates the sector blocks side by side
+in one ODE. The unitary engine integrates only the sectors psi0 occupies.
+Cavity decay and qubit relaxation flip the parity and dephasing keeps it, so
+vec(rho) splits into two invariant Liouville blocks, rho_pq with p = q and
+with p != q (the weak symmetry of Buca & Prosen 2012); the dissipative
+engine builds, powers and marches only the blocks rho0 occupies, and never
+forms a d^2 x d^2 array. Before either engine integrates, the leak guard
+checks that every Hamiltonian piece keeps each sector exactly and every
+collapse operator keeps or flips it exactly, and raises DomainError
+otherwise: a cross-sector entry would be dropped, not propagated. The check
+runs on the sparse operators, because the polar projection of U(T) leaves
+cross-sector entries near 1e-15. metadata["sectors"] holds the sizes of the
+blocks integrated: parity sectors for the unitary engine, Liouville blocks
+for the dissipative one.
 """
 
 from __future__ import annotations
@@ -49,6 +66,8 @@ from .hilbert import (
     StateVector,
     build_operators,
     observables,
+    parity_flips,
+    parity_sectors,
 )
 from .model import (
     DissipationRates,
@@ -246,44 +265,88 @@ def _period_split(t_grid, period):
     return ks, offset_index, ticks * snap
 
 
+def _parity_blocks(ham: ModulatedHamiltonian, collapse=()):
+    """The leak guard: the parity sectors of ham.space and, per collapse
+    operator, whether it flips the parity.
+
+    Every Hamiltonian piece must keep each sector exactly and every collapse
+    operator must keep or flip it exactly; anything else raises DomainError,
+    since the sector engines would silently drop the cross-sector part.
+    """
+    for h in (ham.h_const, *(hx for _, hx in ham.terms)):
+        if parity_flips(h, ham.space):
+            raise DomainError("a Hamiltonian piece flips the parity (-1)^(n+k)")
+    return parity_sectors(ham.space), [parity_flips(op, ham.space) for _, op in collapse]
+
+
+def _sector_propagators(ham, sectors, period: float, tol: float, t_eval):
+    """U(t) on each parity sector at the times t_eval, from one period solve
+    at a tenth of the run's tol (within [1e-13, 1e-11]).
+
+    H(t) keeps every sector, so their blocks integrate side by side in one Y:
+    the rows are the sectors' rows one after another, and column j starts as
+    the j-th basis vector of every sector at once (zero past a sector's size).
+    Returns one (len(t_eval), b, b) array per sector, and the solve.
+    """
+    sizes = [len(s) for s in sectors]
+    starts = np.cumsum([0, *sizes])
+    y0 = np.zeros((starts[-1], max(sizes)), dtype=complex)
+    for lo, b in zip(starts, sizes):
+        y0[lo + np.arange(b), np.arange(b)] = 1.0
+    rtol = max(min(tol / 10.0, 1e-11), 1e-13)
+    sol = _propagate(ham.restrict(np.concatenate(sectors)), y0, period, rtol, t_eval=t_eval)
+    y = sol.y.reshape(*y0.shape, -1)
+    return [np.moveaxis(y[lo:lo + b, :b], -1, 0) for lo, b in zip(starts, sizes)], sol
+
+
+def _projected_period(u_period: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
+    """U(T) polar-projected to the nearest unitary, gated on its defect."""
+    u_t, defect = _polar_project(u_period)
+    gate = max(UNITARY_DEFECT_TOL, tol)
+    if defect > gate:
+        raise NumericError(
+            f"one-period propagator unitarity defect {defect:.2e} > {gate:g}; tighten tol"
+        )
+    return u_t, defect
+
+
 def _evolve_floquet(ham, psi0, t_grid, tol, metadata):
     """Stroboscopic propagation for a strictly periodic H(t).
 
-    One matrix ODE over one period, at tight tolerance, yields the one-period
-    unitary U(T) and the propagators U(tau) at every distinct fractional
-    offset of the grid. U(T) is projected to the nearest unitary; with its
-    complex Schur form Z diag(lambda) Z^dag, psi(kT) = Z (lambda^k * Z^dag psi0)
-    for every sampled k at once, and an off-period sample is U(tau) psi(kT).
+    Only the parity sectors psi0 occupies are integrated, in one matrix ODE
+    over one period at tight tolerance; it yields each sector's one-period
+    unitary U(T) and its propagators U(tau) at every distinct fractional
+    offset of the grid. Per sector, U(T) is projected to the nearest unitary;
+    with its complex Schur form Z diag(lambda) Z^dag, psi(kT) = Z (lambda^k *
+    Z^dag psi0) for every sampled k at once, and an off-period sample is
+    U(tau) psi(kT).
     """
     period = 2.0 * math.pi / ham.common_eta
-    dim = ham.space.dim
-    rtol_u = max(min(tol / 10.0, 1e-11), 1e-13)
     ks, offset_index, offsets = _period_split(t_grid, period)
+    sectors = [s for s in _parity_blocks(ham)[0] if np.any(psi0[s])]
+    blocks, sol = _sector_propagators(ham, sectors, period, tol, np.append(offsets, period))
 
-    sol = _propagate(ham, np.eye(dim, dtype=complex), period, rtol_u,
-                     t_eval=np.append(offsets, period))
-    u_t, defect = _polar_project(sol.y[:, -1].reshape(dim, dim))
-    defect_gate = max(UNITARY_DEFECT_TOL, tol)
-    if defect > defect_gate:
-        raise NumericError(
-            f"one-period propagator unitarity defect {defect:.2e} > {defect_gate:g}; "
-            "tighten tol"
-        )
-    schur_t, z = schur(u_t, output="complex")
-    lam = np.diag(schur_t)
+    states = np.zeros((len(t_grid), len(psi0)), dtype=complex)
+    defects, offdiag = [], []
+    for s, u in zip(sectors, blocks):
+        u_t, defect = _projected_period(u[-1], tol)
+        schur_t, z = schur(u_t, output="complex")
+        defects.append(defect)
+        offdiag.append(float(np.max(np.abs(np.triu(schur_t, 1)))))
+        # lambda is left unnormalized, so the norm-drift gate sees its error
+        phases = np.exp(np.outer(ks, np.log(np.diag(schur_t))))
+        part = (phases * (z.conj().T @ psi0[s])) @ z.T
+        for j in range(len(offsets)):
+            rows = offset_index == j
+            part[rows] = part[rows] @ u[j].T
+        states[:, s] = part
     metadata["engine"] = "floquet-stroboscopic"
-    metadata["propagator_defect"] = defect
+    metadata["sectors"] = [len(s) for s in sectors]
+    metadata["propagator_defect"] = max(defects)
     metadata["rhs_evals"] = int(sol.nfev)
     metadata["periods"] = int(ks.max())
     metadata["offsets"] = len(offsets)
-    metadata["schur_offdiag"] = float(np.max(np.abs(np.triu(schur_t, 1))))
-
-    # lambda is left unnormalized, so the norm-drift gate sees its error
-    phases = np.exp(np.outer(ks, np.log(lam)))
-    states = (phases * (z.conj().T @ psi0)) @ z.T
-    for j in range(len(offsets)):
-        rows = offset_index == j
-        states[rows] = states[rows] @ sol.y[:, j].reshape(dim, dim).T
+    metadata["schur_offdiag"] = max(offdiag)
     return states
 
 
@@ -379,7 +442,7 @@ def lindblad_dissipator(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 def _collapse_operators(space: SpaceSpec, rates: DissipationRates):
-    """(rate, operator) pairs for kappa D[a], gamma_l D[sigma-_l],
+    """(rate, sparse operator) pairs for kappa D[a], gamma_l D[sigma-_l],
     (gamma_phi_l/2) D[sigma_z_l]."""
     if rates.n_qubits not in (0, space.n_qubits):
         raise DomainError(
@@ -389,7 +452,7 @@ def _collapse_operators(space: SpaceSpec, rates: DissipationRates):
     ops = build_operators(space)
     out = []
     if rates.kappa > 0:
-        out.append((rates.kappa, ops.a.toarray()))
+        out.append((rates.kappa, ops.a))
     per_qubit = any(g > 0 for g in rates.gamma) or any(g > 0 for g in rates.gamma_phi)
     if per_qubit and space.basis == COLLECTIVE:
         raise UnsupportedError(
@@ -399,9 +462,9 @@ def _collapse_operators(space: SpaceSpec, rates: DissipationRates):
     if space.basis != COLLECTIVE:
         for l, (g, gp) in enumerate(zip(rates.gamma, rates.gamma_phi)):
             if g > 0:
-                out.append((g, ops.sigma_minus(l + 1).toarray()))
+                out.append((g, ops.sigma_minus(l + 1)))
             if gp > 0:
-                out.append((gp / 2.0, ops.sigma_z(l + 1).toarray()))
+                out.append((gp / 2.0, ops.sigma_z(l + 1)))
     return out
 
 
@@ -411,7 +474,8 @@ def _collapse_operators(space: SpaceSpec, rates: DissipationRates):
 
 def _lindblad_direct(ham, collapse, rho0, t_grid, tol, metadata):
     dim = rho0.shape[0]
-    mats = [(r, op, op.conj().T @ op) for r, op in collapse]
+    dense = [(r, op.toarray()) for r, op in collapse]
+    mats = [(r, op, op.conj().T @ op) for r, op in dense]
 
     def rhs(t, rho):
         h = ham.apply(t, rho)
@@ -447,34 +511,45 @@ def _spectral_radius_bound(ham) -> float:
     return float(h.sum(axis=1).max())
 
 
-def _kron_apply_unitary(u: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """(U (x) conj(U)) @ C without materializing the Kronecker product."""
-    d = u.shape[0]
-    d2 = d * d
-    t = c.reshape(d, d, d2)
+# The Liouville blocks of vec(rho), by the parity-block pairs (p, q) of
+# rho_pq = rho[sector p, sector q] each holds: p = q, and p != q. H(t) maps
+# rho_pq into itself, and a collapse operator that keeps (flips) the parity
+# maps it into itself (into rho_{1-p,1-q}), so both blocks are invariant.
+_LIOUVILLE_BLOCKS = (((0, 0), (1, 1)), ((0, 1), (1, 0)))
+
+
+def _pair_spans(pairs, sizes) -> dict:
+    """Where each pair's row-major vec(rho_pq) sits in its block's vector."""
+    ends = np.cumsum([sizes[p] * sizes[q] for p, q in pairs])
+    return {(p, q): slice(int(e - sizes[p] * sizes[q]), int(e)) for (p, q), e in zip(pairs, ends)}
+
+
+def _kron_apply_unitary(u: np.ndarray, v: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """(U (x) conj(V)) @ C without materializing the Kronecker product."""
+    t = c.reshape(u.shape[0], v.shape[0], -1)
     t = np.einsum("ab,bcx->acx", u, t, optimize=True)
-    t = np.einsum("cb,abx->acx", u.conj(), t, optimize=True)
-    return t.reshape(d2, d2)
+    t = np.einsum("cb,abx->acx", v.conj(), t, optimize=True)
+    return t.reshape(c.shape)
 
 
-def _lindblad_strobe(ham, collapse, rho0, t_span, sample_count, tol, metadata):
-    """One-period channel, applied stroboscopically.
+def _lindblad_channel(ham, collapse, rho0, tol, metadata):
+    """The one-period channel on each Liouville block that rho0 occupies.
 
     The period is split into slices; per slice the dissipative factor is
     expanded to second order in the interaction picture of the exact
-    Hamiltonian propagator. Samples land on multiples of the period (grid
-    stays uniform; endpoints move by at most one period).
+    Hamiltonian propagator. Every factor is built block by block from the
+    parity-sector blocks of U(t) and of the jump operators, so no d^2 x d^2
+    array is formed. Returns the parity sectors, the occupied blocks (as
+    pair tuples of _LIOUVILLE_BLOCKS) and one channel matrix per block, on
+    the concatenated row-major vec(rho_pq) of its pairs.
     """
-    eta = ham.common_eta
-    period = 2.0 * math.pi / eta
-    dim = ham.space.dim
-    d2 = dim * dim
-    rtol_u = max(min(tol / 10.0, 1e-11), 1e-13)
+    period = 2.0 * math.pi / ham.common_eta
     slices = 6
-
-    total_periods = int(math.ceil((t_span[1] - 1e-9) / period))
-    stride = max(1, int(round((t_span[1] / max(sample_count - 1, 1)) / period)))
-    sample_ks = list(range(0, total_periods + 1, stride))
+    sectors, flips = _parity_blocks(ham, collapse)
+    sizes = [len(s) for s in sectors]
+    blocks = [pairs for pairs in _LIOUVILLE_BLOCKS
+              if any(np.any(rho0[np.ix_(sectors[p], sectors[q])]) for p, q in pairs)]
+    spans = [_pair_spans(pairs, sizes) for pairs in blocks]
 
     radius = _spectral_radius_bound(ham)
     panels_per_slice = max(2, int(math.ceil((period / slices) * radius / 1.3)))
@@ -490,65 +565,97 @@ def _lindblad_strobe(ham, collapse, rho0, t_span, sample_count, tol, metadata):
     slice_of = np.array(slice_of)
 
     t_eval = np.unique(np.concatenate([nodes, [period]]))
-    sol_u = _propagate(ham, np.eye(dim, dtype=complex), period, rtol_u, t_eval=t_eval)
+    u_at, sol_u = _sector_propagators(ham, sectors, period, tol, t_eval)
     metadata["rhs_evals"] = int(sol_u.nfev)
-    u_at = {t: sol_u.y[:, i].reshape(dim, dim) for i, t in enumerate(t_eval)}
-    u_period, defect = _polar_project(u_at[period])
-    if defect > max(UNITARY_DEFECT_TOL, tol):
-        raise NumericError(
-            f"one-period propagator unitarity defect {defect:.2e}; tighten tol"
-        )
-    metadata["propagator_defect"] = defect
+    metadata["channel_nodes"] = len(nodes)
+    u_period, defects = zip(*(_projected_period(u[-1], tol) for u in u_at))
+    metadata["propagator_defect"] = max(defects)
+    node_index = np.searchsorted(t_eval, nodes)
+    # jump operator blocks op[sector p, sector p ^ flip]
+    op_blocks = [[op[sectors[p]][:, sectors[p ^ f]].toarray() for p in (0, 1)]
+                 for (_, op), f in zip(collapse, flips)]
 
     # interaction-picture jump operators at the quadrature nodes; row-major
     # vec(rho): vec(A rho B) = (A (x) B^T) vec(rho)
-    channel = None
-    eye2 = np.eye(d2, dtype=complex)
-    eye1 = np.eye(dim, dtype=complex)
-    for p in range(slices):
-        mask = slice_of == p
-        nd = nodes[mask]
+    channels = [None] * len(blocks)
+    for p_slice in range(slices):
+        mask = slice_of == p_slice
         wt = weights[mask]
-        omega1 = np.zeros((d2, d2), dtype=complex)
-        m_slice = np.zeros((dim, dim), dtype=complex)
-        for rate, op in collapse:
-            a_tilde = np.stack([u_at[t].conj().T @ op @ u_at[t] for t in nd])
-            flat = a_tilde.reshape(len(nd), d2)
-            gram = (flat * wt[:, None]).T @ flat.conj()
-            # gram is indexed [(i,k),(j,l)]; the superoperator needs [(i,j),(k,l)]
-            omega1 += rate * np.ascontiguousarray(
-                gram.reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3)
-            ).reshape(d2, d2)
-            fw = (a_tilde.conj() * wt[:, None, None]).reshape(len(nd) * dim, dim)
-            m_slice += rate * (fw.T @ a_tilde.reshape(len(nd) * dim, dim))
-        omega1 -= 0.5 * (np.kron(m_slice, eye1) + np.kron(eye1, m_slice.T))
-        psi_slice = eye2 + omega1 + 0.5 * (omega1 @ omega1)
-        channel = psi_slice if channel is None else psi_slice @ channel
-    channel = _kron_apply_unitary(u_period, channel)
+        u_nd = [u[node_index[mask]] for u in u_at]
+        omega1 = [np.zeros((sum(sizes[p] * sizes[q] for p, q in pairs),) * 2, dtype=complex)
+                  for pairs in blocks]
+        m_slice = [np.zeros((b, b), dtype=complex) for b in sizes]
+        for (rate, _), f, ob in zip(collapse, flips, op_blocks):
+            # x[p]: the sector block (p, p ^ f) of U^dag op U at each node
+            x = [np.conj(u_nd[p]).transpose(0, 2, 1) @ ob[p] @ u_nd[p ^ f] for p in (0, 1)]
+            flat = [xp.reshape(len(wt), -1) for xp in x]
+            for c in (0, 1):
+                # the columns of sector c of U^dag op U sit in block (c ^ f, c)
+                fw = (x[c ^ f].conj() * wt[:, None, None]).reshape(-1, sizes[c])
+                m_slice[c] += rate * (fw.T @ x[c ^ f].reshape(-1, sizes[c]))
+            for pairs, s, om in zip(blocks, spans, omega1):
+                for p, q in pairs:
+                    # gram is indexed [(i,k),(j,l)]; the superoperator needs [(i,j),(k,l)]
+                    gram = (flat[p] * wt[:, None]).T @ flat[q].conj()
+                    om[s[p, q], s[p ^ f, q ^ f]] += rate * np.ascontiguousarray(
+                        gram.reshape(sizes[p], sizes[p ^ f], sizes[q], sizes[q ^ f])
+                        .transpose(0, 2, 1, 3)
+                    ).reshape(sizes[p] * sizes[q], -1)
+        for i, (pairs, s, om) in enumerate(zip(blocks, spans, omega1)):
+            for p, q in pairs:
+                om[s[p, q], s[p, q]] -= 0.5 * (
+                    np.kron(m_slice[p], np.eye(sizes[q])) + np.kron(np.eye(sizes[p]), m_slice[q].T)
+                )
+            psi_slice = np.eye(len(om), dtype=complex) + om + 0.5 * (om @ om)
+            channels[i] = psi_slice if channels[i] is None else psi_slice @ channels[i]
 
-    tp_defect = float(
-        np.max(np.abs(np.eye(dim, dtype=complex).ravel() @ channel
-                      - np.eye(dim, dtype=complex).ravel()))
-    )
+    tp_defect = 0.0
+    for pairs, s, ch in zip(blocks, spans, channels):
+        trace = np.zeros(len(ch), dtype=complex)
+        for p, q in pairs:
+            ch[s[p, q]] = _kron_apply_unitary(u_period[p], u_period[q], ch[s[p, q]])
+            if p == q:
+                trace[s[p, q]] = np.eye(sizes[p]).ravel()
+        tp_defect = max(tp_defect, float(np.max(np.abs(trace @ ch - trace))))
     metadata["channel_trace_defect"] = tp_defect
     if tp_defect > TRACE_DRIFT_TOL:
         raise NumericError(
             f"one-period channel trace defect {tp_defect:.2e} exceeds {TRACE_DRIFT_TOL:g}"
         )
+    return sectors, blocks, channels
+
+
+def _lindblad_strobe(ham, collapse, rho0, t_span, sample_count, tol, metadata):
+    """The one-period channel of _lindblad_channel, applied stroboscopically
+    on each occupied Liouville block. Samples land on multiples of the period
+    (grid stays uniform; endpoints move by at most one period).
+    """
+    period = 2.0 * math.pi / ham.common_eta
+    total_periods = int(math.ceil((t_span[1] - 1e-9) / period))
+    stride = max(1, int(round((t_span[1] / max(sample_count - 1, 1)) / period)))
+    sample_ks = list(range(0, total_periods + 1, stride))
+
+    sectors, blocks, channels = _lindblad_channel(ham, collapse, rho0, tol, metadata)
+    sizes = [len(s) for s in sectors]
     metadata["engine"] = "lindblad-stroboscopic"
+    metadata["sectors"] = [len(ch) for ch in channels]
 
     # samples sit on stride multiples, so march with channel^stride directly
-    step = np.linalg.matrix_power(channel, stride) if stride > 1 else channel
-    rhos = []
-    vec = rho0.ravel().astype(complex)
-    k = 0
-    for target in sample_ks:
-        while k < target:
-            vec = step @ vec
-            k += stride
-        rhos.append(vec.reshape(dim, dim).copy())
+    rhos = np.zeros((len(sample_ks), *rho0.shape), dtype=complex)
+    for pairs, channel in zip(blocks, channels):
+        parts = {(p, q): np.ix_(sectors[p], sectors[q]) for p, q in pairs}
+        spans = _pair_spans(pairs, sizes)
+        step = np.linalg.matrix_power(channel, stride) if stride > 1 else channel
+        vec = np.concatenate([rho0[part].ravel() for part in parts.values()]).astype(complex)
+        k = 0
+        for rho, target in zip(rhos, sample_ks):
+            while k < target:
+                vec = step @ vec
+                k += stride
+            for (p, q), part in parts.items():
+                rho[part] = vec[spans[p, q]].reshape(sizes[p], sizes[q])
     times = period * np.array(sample_ks, dtype=float)
-    return rhos, times
+    return list(rhos), times
 
 
 def evolve_lindblad(

@@ -306,6 +306,40 @@ class Operators:
         return self._qubit_site(qubit, np.array([[-1.0, 0.0], [0.0, 1.0]]))
 
 
+def parity_sectors(space: SpaceSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the even and the odd sector of the parity (-1)^(n+k).
+
+    k counts the excited qubits: the Dicke index in the collective basis, the
+    popcount of the configuration in the distinguishable basis. Both sectors
+    are nonempty, since the atomic ground and singly excited levels differ.
+    """
+    k = np.array([space.excitations_of_atom_index(s) for s in range(space.atom_dim)])
+    odd = (np.add.outer(k, np.arange(space.photon_dim)) % 2).ravel() == 1
+    return np.flatnonzero(~odd), np.flatnonzero(odd)
+
+
+def parity_flips(op, space: SpaceSpec) -> bool:
+    """Whether an operator on `space` maps each parity sector into the other.
+
+    False when every nonzero entry stays inside a sector, True when every one
+    crosses; an operator that does both leaks between the sectors and raises
+    DomainError, because the sector engines would drop that part.
+    """
+    coo = sp.coo_matrix(op)
+    odd = np.zeros(space.dim, dtype=bool)
+    odd[parity_sectors(space)[1]] = True
+    nonzero = coo.data != 0
+    crosses = odd[coo.row[nonzero]] != odd[coo.col[nonzero]]
+    if crosses.all() and crosses.size:
+        return True
+    if not crosses.any():
+        return False
+    raise DomainError(
+        f"operator leaks between the parity sectors: {int(crosses.sum())} of "
+        f"{crosses.size} nonzero entries cross them"
+    )
+
+
 def build_operators(space: SpaceSpec) -> Operators:
     """Sparse ladder and number operators on the joint space."""
     pd = space.photon_dim

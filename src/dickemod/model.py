@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -247,6 +247,16 @@ class ModulatedHamiltonian:
         for sched, hx in self.terms:
             out = out + sched.drive(t) * (hx @ y)
         return out
+
+    def restrict(self, index: np.ndarray) -> "ModulatedHamiltonian":
+        """The pieces on the rows and columns `index`, in that order; `space`
+        still names the full space. Meant for an invariant subspace, such as a
+        parity sector: nothing checks that `index` is one."""
+        def sub(h):
+            return h[index][:, index].tocsr()
+
+        return replace(self, h_const=sub(self.h_const),
+                       terms=tuple((s, sub(hx)) for s, hx in self.terms))
 
     @property
     def is_static(self) -> bool:

@@ -146,3 +146,73 @@ def dominant_angular_rate(times, values):
     denom = a - 2.0 * b + c
     off = 0.5 * (a - c) / denom if denom != 0.0 else 0.0
     return 2.0 * math.pi * (freqs[i] + off * (freqs[1] - freqs[0]))
+
+
+def _one_period_propagators(h_at, dim, period, times, rtol):
+    """Full-space U(t) at the sorted `times` in [0, period], from one dim x dim
+    solve of dU/dt = -i H(t) U."""
+    def rhs(t, y):
+        return (-1j * (h_at(t) @ y.reshape(dim, dim))).ravel()
+
+    sol = solve_ivp(rhs, (0.0, period), np.eye(dim, dtype=complex).ravel(), t_eval=times,
+                    method="DOP853", rtol=rtol, atol=rtol * 1e-3, max_step=period / 20)
+    if not sol.success:
+        raise RuntimeError(f"oracle integration failed: {sol.message}")
+    return sol.y.T.reshape(-1, dim, dim)
+
+
+def _nearest_unitary(u):
+    w, _, vh = np.linalg.svd(u)
+    return w @ vh
+
+
+def full_space_floquet(h_at, psi0, period, times, rtol=1e-13):
+    """States psi(kT + tau) = U(tau) U(T)^k psi0 at `times`, with every
+    propagator on the full space and U(T) polar-projected.
+
+    h_at(t) is the dense H(t); a time within 1e-9 periods of a multiple of
+    the period counts as that multiple.
+    """
+    psi0 = np.asarray(psi0, dtype=complex)
+    cycles = np.asarray(times, dtype=float) / period
+    ks = np.where(np.abs(cycles - np.round(cycles)) < 1e-9, np.round(cycles), np.floor(cycles))
+    taus = np.clip((cycles - ks) * period, 0.0, period)
+    grid, index = np.unique(np.append(taus, period), return_inverse=True)
+    us = _one_period_propagators(h_at, len(psi0), period, grid, rtol)
+    u_t = _nearest_unitary(us[-1])
+    return np.array([us[j] @ (np.linalg.matrix_power(u_t, int(k)) @ psi0)
+                     for k, j in zip(ks, index[:-1])])
+
+
+def full_space_lindblad_channel(h_at, collapse, period, panels, rtol=1e-13, slices=6):
+    """The d^2 x d^2 one-period channel on row-major vec(rho), built the way
+    the stroboscopic master-equation engine builds it, on the full space.
+
+    Per slice of the period, the dissipator in the interaction picture of U(t)
+    is integrated by composite 6-point Gauss-Legendre quadrature with `panels`
+    panels, to Omega; the slice factor is 1 + Omega + Omega^2/2. The product of
+    the slice factors is followed by the polar-projected U(T) (x) conj(U(T)).
+    collapse holds (rate, dense operator) pairs.
+    """
+    x, w = np.polynomial.legendre.leggauss(6)
+    edges = np.linspace(0.0, period, slices * panels + 1)
+    half = np.diff(edges) / 2.0
+    nodes = (half[:, None] * x + (edges[:-1] + half)[:, None]).reshape(slices, -1)
+    weights = (half[:, None] * w).reshape(slices, -1)
+    grid = np.unique(np.append(nodes.ravel(), period))
+    dim = collapse[0][1].shape[0] if collapse else h_at(0.0).shape[0]
+    us = _one_period_propagators(h_at, dim, period, grid, rtol)
+    eye = np.eye(dim)
+    channel = np.eye(dim * dim, dtype=complex)
+    for nd, wt in zip(nodes, weights):
+        u = us[np.searchsorted(grid, nd)]
+        omega = np.zeros((dim * dim, dim * dim), dtype=complex)
+        for rate, op in collapse:
+            # sum_t w(t) [A(t) (x) conj(A(t)) - (M(t) (x) 1 + 1 (x) M(t)^T)/2]
+            a = np.conj(u).transpose(0, 2, 1) @ op @ u
+            jump = np.einsum("t,tik,tjl->ijkl", wt, a, a.conj()).reshape(dim * dim, -1)
+            m = np.einsum("t,tki,tkj->ij", wt, a.conj(), a)
+            omega += rate * (jump - 0.5 * (np.kron(m, eye) + np.kron(eye, m.T)))
+        channel = (np.eye(dim * dim) + omega + 0.5 * omega @ omega) @ channel
+    u_t = _nearest_unitary(us[-1])
+    return np.kron(u_t, u_t.conj()) @ channel

@@ -1,11 +1,16 @@
 """Command-line interface: config codec, CSV output, exit codes."""
 
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dickemod
 from dickemod.cli import (
     CSV_SCHEMA,
     ScenarioConfig,
@@ -404,6 +409,33 @@ def test_lindblad_csv(tmp_path):
     # photon loss without drive: population decays
     assert data[-1, 1] < data[0, 1]
     assert data[0, 1] == pytest.approx(2.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("command, blocks", [("evolve", "13,"), ("lindblad", "365,")])
+def test_stroboscopic_csv_headers_carry_engine_work(tmp_path, command, blocks):
+    # |k=0, n=3> fills the odd sector of (2, 8), 13 of 27 states; the master
+    # equation keeps the Liouville block of rho_pp, 14^2 + 13^2 entries
+    text = (SYSTEM_LINES + DRIVE_LINES + STATE_LINES
+            + "run.t_final = 60.0\nrun.sample_count = 5\nrun.method = stroboscopic\n")
+    if command == "lindblad":
+        text += "dissipation.kappa = 0.001\n"
+    cfg = write_cfg(tmp_path, text)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    meta, _, _ = read_csv(tmp_path / "o" / f"{command}.csv")
+    assert meta["sectors"] == blocks
+    assert int(meta["rhs_evals"]) > 0
+    assert 0.0 <= float(meta["propagator_defect"]) < 1e-9
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(dickemod.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    run = subprocess.run([sys.executable, "-m", "dickemod", "--help"], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert "usage: dickemod" in run.stdout
+    assert "RuntimeWarning" not in run.stderr
 
 
 def test_sweep_csv(tmp_path):

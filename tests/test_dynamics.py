@@ -1,10 +1,12 @@
 """Integration engines: unitary evolution, master equation, trajectory checks."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import dickemod.dynamics as dynamics
 from dickemod.dynamics import (
     TRACE_DRIFT_TOL,
     DensityMatrix,
@@ -21,11 +23,18 @@ from dickemod.errors import (
 )
 from dickemod.cli import snapped_span
 from dickemod.dispersive import spectrum_exact
-from dickemod.hilbert import SpaceSpec, StateVector, dicke_fock_state
+from dickemod.hilbert import (
+    SpaceSpec,
+    StateVector,
+    coherent_state,
+    dicke_fock_state,
+    parity_sectors,
+)
 from dickemod.model import (
     DissipationRates,
     ModulationSchedule,
     SystemParams,
+    build_hamiltonian,
     total_excitation_operator,
 )
 
@@ -33,6 +42,8 @@ from oracles import (
     damped_cavity_nph,
     dense_collective_hamiltonian,
     frozen_step_evolve,
+    full_space_floquet,
+    full_space_lindblad_channel,
     reference_march,
 )
 
@@ -205,6 +216,116 @@ def test_floquet_one_period_solve_on_any_grid():
     assert snapped["offsets"] == 0
     assert fractional["offsets"] == 199
     assert snapped["rhs_evals"] <= fractional["rhs_evals"] <= 1.25 * snapped["rhs_evals"]
+
+
+# (2, 4) has parity sectors of 8 and 7 states in the collective basis and
+# 10 and 10 in the distinguishable one; the coherent state fills both, the
+# Fock state |k=0, n=3> one
+SECTOR_CASES = [
+    pytest.param(basis, state, id=f"{basis}-{state}")
+    for basis in ("collective", "distinguishable")
+    for state in ("coherent", "fock")
+]
+
+
+def _sector_case(basis, state):
+    space = SpaceSpec(2, 4, basis)
+    psi0 = coherent_state(space, 1.1) if state == "coherent" else dicke_fock_state(space, 0, 3)
+    return space, psi0, 2 if state == "coherent" else 1
+
+
+@pytest.mark.parametrize("basis, state", SECTOR_CASES)
+def test_sector_floquet_matches_full_space(basis, state):
+    space, psi0, occupied = _sector_case(basis, state)
+    p = bench_params()
+    sch = (g_schedule(p),)
+    # about 41 periods, 97 distinct fractional offsets
+    kw = dict(tol=1e-12, store_states=True, cutoff_policy="ignore", method="stroboscopic")
+    strobe = evolve_schrodinger(space, p, sch, psi0, (0.0, 175.0), 98, **kw)
+    assert len(strobe.metadata["sectors"]) == occupied
+    ham = build_hamiltonian(space, p, sch)
+    ref = full_space_floquet(lambda t: ham.at(t).toarray(), psi0.amplitudes,
+                             2 * math.pi / ETA, strobe.times)
+    assert np.max(np.abs(_amplitudes(strobe) - ref)) < 1e-9
+
+
+def _lindblad_case(basis, state):
+    space, psi0, occupied = _sector_case(basis, state)
+    if basis == "collective":
+        rates = DissipationRates(kappa=0.01)
+    else:
+        rates = DissipationRates(kappa=0.01, gamma=(0.01, 0.02), gamma_phi=(0.003, 0.001))
+    return space, DensityMatrix.from_state(psi0), rates, occupied
+
+
+@pytest.mark.parametrize("basis, state", SECTOR_CASES)
+def test_sector_lindblad_matches_full_space_channel(basis, state):
+    space, rho0, rates, occupied = _lindblad_case(basis, state)
+    p = bench_params()
+    sch = (g_schedule(p),)
+    ham = build_hamiltonian(space, p, sch)
+    collapse = dynamics._collapse_operators(space, rates)
+    meta = {}
+    sectors, blocks, channels = dynamics._lindblad_channel(ham, collapse, rho0.matrix, 1e-12, meta)
+    assert len(blocks) == occupied
+    period = 2 * math.pi / ETA
+    full = full_space_lindblad_channel(
+        lambda t: ham.at(t).toarray(), [(r, op.toarray()) for r, op in collapse],
+        period, panels=meta["channel_nodes"] // 36,
+    )
+    # the block's rows and columns: row-major vec(rho) indices of its pairs
+    for pairs, channel in zip(blocks, channels):
+        index = np.concatenate([(sectors[a][:, None] * space.dim + sectors[b]).ravel()
+                                for a, b in pairs])
+        assert np.max(np.abs(full[np.ix_(index, index)] - channel)) < 1e-9
+
+    strobe = evolve_lindblad(space, p, sch, rates, rho0, (0.0, 30 * period), 16, tol=1e-12,
+                             method="stroboscopic", store_states=True, cutoff_policy="ignore")
+    assert strobe.metadata["sectors"] == [len(c) for c in channels]
+    vec = rho0.matrix.ravel()
+    ref = [np.linalg.matrix_power(full, int(k)) @ vec for k in np.round(strobe.times / period)]
+    got = [s.matrix.ravel() for s in strobe.states]
+    assert np.max(np.abs(np.array(got) - np.array(ref))) < 1e-9
+
+
+def test_one_state_sectors_run_both_engines():
+    # SpaceSpec(1, 0): the states |k=0> and |k=1>, one per parity sector
+    space = SpaceSpec(1, 0)
+    p = SystemParams(omega0=1.0, Omega0=1.72, g0=0.05, n_qubits=1)
+    sch = (ModulationSchedule("Omega", 0.05, 1.5),)
+    psi0 = StateVector(space, np.array([1.0, 1.0j]) / math.sqrt(2))
+    span = (0.0, 2 * math.pi / 1.5 * 40.3)
+    kw = dict(tol=1e-10, store_states=True, cutoff_policy="ignore")
+    strobe = evolve_schrodinger(space, p, sch, psi0, span, 9, method="stroboscopic", **kw)
+    direct = evolve_schrodinger(space, p, sch, psi0, span, 9, method="direct", **kw)
+    assert strobe.metadata["sectors"] == [1, 1]
+    assert np.max(np.abs(_amplitudes(strobe) - _amplitudes(direct))) < 1e-7
+
+    rho0 = DensityMatrix.from_state(psi0)
+    rates = DissipationRates(kappa=0.01)
+    strobe = evolve_lindblad(space, p, sch, rates, rho0, span, 9, method="stroboscopic", **kw)
+    assert strobe.metadata["sectors"] == [2, 2]
+    direct = evolve_lindblad(space, p, sch, rates, rho0, (0.0, strobe.times[-1]), 9,
+                             method="direct", **kw)
+    assert np.allclose(strobe.times, direct.times, rtol=1e-12)
+    for a, b in zip(strobe.states, direct.states):
+        assert np.max(np.abs(a.matrix - b.matrix)) < 1e-7
+
+
+@pytest.mark.parametrize("engine", ["schrodinger", "lindblad"])
+def test_leak_guard_rejects_cross_parity_hamiltonian(engine, monkeypatch):
+    space = SpaceSpec(2, 3)
+    p = bench_params()
+    sch = (g_schedule(p),)
+    ham = build_hamiltonian(space, p, sch)
+    even, odd = parity_sectors(space)
+    h = ham.h_const.tolil()
+    h[even[0], odd[0]] = h[odd[0], even[0]] = 1e-3
+    leaky = dataclasses.replace(ham, h_const=h.tocsr())
+    monkeypatch.setattr(dynamics, "build_hamiltonian", lambda *args: leaky)
+    with pytest.raises(DomainError, match="parity"):
+        _evolve_either(engine, space, p, sch, dicke_fock_state(space, 0, 3),
+                       (0.0, 2 * math.pi / ETA * 40), method="stroboscopic")
 
 
 def _evolve_either(engine, space, params, schedules, psi0, t_span, **kw):

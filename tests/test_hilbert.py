@@ -18,6 +18,8 @@ from dickemod.hilbert import (
     embed_collective,
     f_coefficient,
     observables,
+    parity_flips,
+    parity_sectors,
 )
 
 from oracles import truncated_poisson
@@ -197,3 +199,22 @@ def test_operator_sparsity():
     ops = build_operators(space)
     # one nonzero per photon step per atomic block
     assert ops.a.nnz == space.atom_dim * space.n_max
+
+
+def test_parity_sectors_and_leak_guard():
+    # collective (2, 2): (-1)^(n+k) even on (0,0) (0,2) (1,1) (2,0) (2,2)
+    even, odd = parity_sectors(SpaceSpec(2, 2))
+    assert even.tolist() == [0, 2, 4, 6, 8]
+    assert odd.tolist() == [1, 3, 5, 7]
+    # distinguishable: the popcount of the configuration counts the qubits
+    dist = SpaceSpec(2, 1, DISTINGUISHABLE)
+    even, odd = parity_sectors(dist)
+    assert even.tolist() == [0, 3, 5, 6]
+    assert [len(s) for s in parity_sectors(SpaceSpec(1, 0))] == [1, 1]
+    ops = build_operators(dist)
+    assert parity_flips(ops.a, dist)
+    assert parity_flips(ops.sigma_minus(2), dist)
+    assert not parity_flips(ops.sigma_z(1), dist)
+    assert not parity_flips(0 * ops.a, dist)
+    with pytest.raises(DomainError, match="leaks"):
+        parity_flips(ops.a + ops.n_ph, dist)

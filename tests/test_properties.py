@@ -1,0 +1,100 @@
+"""Property tests over random small systems and configs (hypothesis)."""
+
+import warnings
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dickemod.cli import _SCHEDULE_KEYS, _SECTION_KEYS, ScenarioConfig, emit_config, parse_config
+from dickemod.dynamics import _collapse_operators
+from dickemod.hilbert import COLLECTIVE, DISTINGUISHABLE, SpaceSpec, parity_flips
+from dickemod.model import (
+    MOD_TARGETS,
+    DissipationRates,
+    ModulationSchedule,
+    SystemParams,
+    build_hamiltonian,
+    total_excitation_operator,
+)
+
+frequency = st.floats(0.05, 3.0)
+
+
+@st.composite
+def modulated_systems(draw):
+    """(space, params, schedules, rates) with N 1..3, n_max 0..5, either basis
+    where the builders support it (distinguishable needs N = 2)."""
+    n_qubits = draw(st.integers(1, 3))
+    basis = draw(st.sampled_from([COLLECTIVE, DISTINGUISHABLE])) if n_qubits == 2 else COLLECTIVE
+    space = SpaceSpec(n_qubits, draw(st.integers(0, 5)), basis)
+    per_qubit = basis == DISTINGUISHABLE and draw(st.booleans())
+    qubit_values = st.tuples(frequency, frequency) if per_qubit else frequency
+    params = SystemParams(
+        omega0=draw(frequency),
+        Omega0=draw(qubit_values),
+        g0=draw(qubit_values),
+        n_qubits=n_qubits,
+        with_crt=draw(st.booleans()),
+    )
+    targets = draw(st.lists(st.sampled_from(MOD_TARGETS), unique=True, max_size=3))
+    schedules = tuple(
+        ModulationSchedule(t, draw(st.floats(0.0, 0.2)), draw(frequency),
+                           draw(st.floats(-3.2, 3.2)))
+        for t in targets
+    )
+    rate = st.floats(0.0, 0.1)
+    if basis == DISTINGUISHABLE:
+        rates = DissipationRates(draw(rate), tuple(draw(st.lists(rate, min_size=2, max_size=2))),
+                                 tuple(draw(st.lists(rate, min_size=2, max_size=2))))
+    else:
+        rates = DissipationRates(draw(rate))
+    return space, params, schedules, rates
+
+
+@settings(max_examples=60, deadline=None)
+@given(modulated_systems())
+def test_assembled_operators_keep_parity_sectors(system):
+    space, params, schedules, rates = system
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # deep modulations only warn
+        ham = build_hamiltonian(space, params, schedules)
+    pieces = [ham.h_const, *(hx for _, hx in ham.terms)]
+    # every Hamiltonian piece keeps each sector; the leak guard raises otherwise
+    assert not any(parity_flips(h, space) for h in pieces)
+    # cavity decay and relaxation flip the parity, dephasing keeps it
+    for _, op in _collapse_operators(space, rates):
+        flips = parity_flips(op, space)
+        assert flips == (op.diagonal() == 0).all() or op.nnz == 0
+    if not params.with_crt:
+        n_exc = total_excitation_operator(space)
+        for h in pieces:
+            commutator = h @ n_exc - n_exc @ h
+            assert commutator.nnz == 0 or np.abs(commutator.data).max() == 0.0
+
+
+# config values the codec round-trips: a word that reads as no number or
+# bool, an int, a finite float, a bool, or a nonempty tuple of those
+word = st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=10).filter(
+    lambda s: s not in ("true", "false", "inf", "nan", "infinity")
+)
+scalar = st.one_of(word, st.integers(-10**6, 10**6), st.booleans(),
+                   st.floats(allow_nan=False, allow_infinity=False))
+value = st.one_of(scalar, st.lists(scalar, min_size=1, max_size=4).map(tuple))
+
+
+def section(keys, min_size=0):
+    return st.dictionaries(st.sampled_from(keys), value, min_size=min_size)
+
+
+configs = st.builds(
+    ScenarioConfig,
+    schedules=st.lists(section(_SCHEDULE_KEYS, min_size=1), max_size=3),
+    **{name: section(keys) for name, keys in _SECTION_KEYS.items()},
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(configs)
+def test_config_round_trip_property(cfg):
+    assert parse_config(emit_config(cfg)) == cfg
