@@ -557,9 +557,10 @@ def _build_evolution_inputs(cfg, no_crt: bool):
 
 
 def _engine_work(traj: Trajectory) -> dict:
-    """The block sizes, rhs evaluations and propagator defect the engine
-    recorded; the keys an engine does not record are left out."""
-    keys = ("sectors", "rhs_evals", "propagator_defect")
+    """The block sizes, integrated period window, rhs evaluations and
+    propagator defect the engine recorded; the keys an engine does not record
+    are left out."""
+    keys = ("sectors", "period_window", "rhs_evals", "propagator_defect")
     return {k: traj.metadata[k] for k in keys if k in traj.metadata}
 
 

@@ -20,15 +20,26 @@ twentieth of the fastest drive period.
 The stroboscopic engines integrate one drive period once, at tight
 tolerance; this is what makes horizons of 1e5 time units tractable. The drive
 is a single sinusoid, so the periodicity is exact and the only approximation
-is the one the integrator tolerance controls. The unitary engine takes the
-propagators at every fractional-period offset of the grid from that one
-solve, projects U(T) to the nearest exact unitary, reports the defect, and
-gets psi(kT) for all sampled k at once from the complex Schur form
-Z diag(lambda^k) Z^dag of U(T) (Floquet; Shirley 1965), with no march. The
-dissipative engine marches a one-period channel that keeps the Hamiltonian
-factor exact and expands the (weak) dissipative factor to second order per
-sub-period slice; trace preservation is exact by construction because the
-same quadrature rule builds both the jump and the anticommutator pieces.
+is the one the integrator tolerance controls. When every active drive term
+has one phase phi mod pi and every Hamiltonian piece is symmetric (h^T == h,
+exactly, on the sparse matrices; the assembled pieces are real), H(t) is
+also mirror-symmetric about the drive extremum c = ((pi/2 - phi) mod pi)/eta,
+so U(c + s, c) = U(c, c - s)^T and half a period of integration, over
+[c - T/2, c], gives U(T) and U(t) at every t in [0, T] (the time-reversal
+symmetric Floquet construction; Haake, Quantum Signatures of Chaos, ch. 4).
+Drives whose phases differ by anything other than a multiple of pi, or a
+piece with h^T != h, integrate the full window [0, T]; the drive alone
+chooses, and metadata["period_window"] records the window integrated.
+
+The unitary engine takes the propagators at every fractional-period offset
+of the grid from that one solve, projects U(T) to the nearest exact unitary,
+reports the defect, and gets psi(kT) for all sampled k at once from the
+complex Schur form Z diag(lambda^k) Z^dag of U(T) (Floquet; Shirley 1965),
+with no march. The dissipative engine marches a one-period channel that
+keeps the Hamiltonian factor exact and expands the (weak) dissipative factor
+to second order per sub-period slice; trace preservation is exact by
+construction because the same quadrature rule builds both the jump and the
+anticommutator pieces.
 
 Both stroboscopic engines work on parity sectors. Every Hamiltonian piece
 conserves the parity (-1)^(n+k) (hilbert.parity_sectors), so U(t) is block
@@ -213,13 +224,6 @@ def _schrodinger_rhs(ham: ModulatedHamiltonian):
     return lambda t, y: -1j * ham.apply(t, y)
 
 
-def _propagate(ham: ModulatedHamiltonian, y0: np.ndarray, t1: float, rtol: float,
-               t_eval=None):
-    """Integrate dY/dt = -i H(t) Y over [0, t1] for Y with columns of amplitudes."""
-    return _integrate(ham, _schrodinger_rhs(ham), y0, (0.0, t1), t_eval, "DOP853", rtol,
-                      "propagator integration failed: {}")
-
-
 def _polar_project(u: np.ndarray):
     w, s, vh = np.linalg.svd(u)
     return w @ vh, float(np.max(np.abs(s - 1.0)))
@@ -279,14 +283,42 @@ def _parity_blocks(ham: ModulatedHamiltonian, collapse=()):
     return parity_sectors(ham.space), [parity_flips(op, ham.space) for _, op in collapse]
 
 
-def _sector_propagators(ham, sectors, period: float, tol: float, t_eval):
-    """U(t) on each parity sector at the times t_eval, from one period solve
-    at a tenth of the run's tol (within [1e-13, 1e-11]).
+def _symmetric_window(ham, period: float):
+    """The half window (c - T/2, c) of a time-symmetric drive, or None.
+
+    When every active drive term has one phase phi mod pi and every piece is
+    symmetric (h^T == h, exactly), H(t) = H(t)^T and H(c + s) = H(c - s) about
+    the drive extremum c = ((pi/2 - phi) mod pi) / eta in [0, T/2]. Phases
+    count as equal within 1e-13 rad, where phi + pi - phi rounds; the
+    Hamiltonian error that admits is far below the solve's tolerance.
+    """
+    active = [s for s, hx in ham.terms if s.epsilon > 0 and hx.nnz > 0]
+    phi = active[0].phi
+    if any(abs(math.remainder(s.phi - phi, math.pi)) > 1e-13 for s in active):
+        return None
+    if any((h != h.T).nnz for h in (ham.h_const, *(hx for _, hx in ham.terms))):
+        return None
+    c = ((math.pi / 2.0 - phi) % math.pi) / ham.common_eta
+    return c - period / 2.0, c
+
+
+def _sector_propagators(ham, sectors, period: float, tol: float, t_eval, metadata):
+    """U(t) on each parity sector at the times t_eval in [0, T], from one
+    DOP853 solve at a tenth of the run's tol (within [1e-13, 1e-11]).
 
     H(t) keeps every sector, so their blocks integrate side by side in one Y:
     the rows are the sectors' rows one after another, and column j starts as
     the j-th basis vector of every sector at once (zero past a sector's size).
-    Returns one (len(t_eval), b, b) array per sector, and the solve.
+
+    For a time-symmetric drive (_symmetric_window) the solve covers only the
+    half window [c - T/2, c], for Y(t) = U(t, c - T/2). With Y0 = Y(0),
+    M = Y(c) and U(c + s, c) = U(c, c - s)^T,
+        U(t) = Y(t) Y0^dag                   for t <= c,
+        U(t) = conj(Y(2c - t)) M^T M Y0^dag  for c < t <= c + T/2,
+        U(t) = Y(t - T) M^T M Y0^dag         for t > c + T/2,
+    so U(T) = Y0 M^T M Y0^dag. Other drives integrate the full window [0, T].
+    Records the window and the rhs evaluations in metadata; returns one
+    (len(t_eval), b, b) array per sector.
     """
     sizes = [len(s) for s in sectors]
     starts = np.cumsum([0, *sizes])
@@ -294,9 +326,40 @@ def _sector_propagators(ham, sectors, period: float, tol: float, t_eval):
     for lo, b in zip(starts, sizes):
         y0[lo + np.arange(b), np.arange(b)] = 1.0
     rtol = max(min(tol / 10.0, 1e-11), 1e-13)
-    sol = _propagate(ham.restrict(np.concatenate(sectors)), y0, period, rtol, t_eval=t_eval)
-    y = sol.y.reshape(*y0.shape, -1)
-    return [np.moveaxis(y[lo:lo + b, :b], -1, 0) for lo, b in zip(starts, sizes)], sol
+    t_eval = np.asarray(t_eval, dtype=float)
+    half = _symmetric_window(ham, period)
+    window, grid = half or (0.0, period), t_eval
+    if half is not None:
+        start, c = half
+        mirrored = t_eval > c
+        wrapped = t_eval > c + period / 2.0
+        mapped = np.where(wrapped, t_eval - period, np.where(mirrored, 2.0 * c - t_eval, t_eval))
+        grid, index = np.unique(np.concatenate([np.clip(mapped, start, c), [0.0, c]]),
+                                return_inverse=True)
+    sub = ham.restrict(np.concatenate(sectors))
+    sol = _integrate(sub, _schrodinger_rhs(sub), y0, window, grid, "DOP853", rtol,
+                     "propagator integration failed: {}")
+    metadata["period_window"] = window
+    metadata["rhs_evals"] = int(sol.nfev)
+    y = np.moveaxis(sol.y.reshape(*y0.shape, -1), -1, 0)
+    blocks = [y[:, lo:lo + b, :b] for lo, b in zip(starts, sizes)]
+    if half is None:
+        return blocks
+    at, (i0, ic) = index[:-2], index[-2:]
+    out = []
+    for ys in blocks:
+        y0_dag = ys[i0].conj().T
+        tail = ys[ic].T @ ys[ic] @ y0_dag
+        u = np.empty((len(at), *y0_dag.shape), dtype=complex)
+        for j, k in enumerate(at):
+            if not mirrored[j]:
+                u[j] = ys[k] @ y0_dag
+            elif wrapped[j]:
+                u[j] = ys[k] @ tail
+            else:
+                u[j] = ys[k].conj() @ tail
+        out.append(u)
+    return out
 
 
 def _projected_period(u_period: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
@@ -324,7 +387,7 @@ def _evolve_floquet(ham, psi0, t_grid, tol, metadata):
     period = 2.0 * math.pi / ham.common_eta
     ks, offset_index, offsets = _period_split(t_grid, period)
     sectors = [s for s in _parity_blocks(ham)[0] if np.any(psi0[s])]
-    blocks, sol = _sector_propagators(ham, sectors, period, tol, np.append(offsets, period))
+    blocks = _sector_propagators(ham, sectors, period, tol, np.append(offsets, period), metadata)
 
     states = np.zeros((len(t_grid), len(psi0)), dtype=complex)
     defects, offdiag = [], []
@@ -343,7 +406,6 @@ def _evolve_floquet(ham, psi0, t_grid, tol, metadata):
     metadata["engine"] = "floquet-stroboscopic"
     metadata["sectors"] = [len(s) for s in sectors]
     metadata["propagator_defect"] = max(defects)
-    metadata["rhs_evals"] = int(sol.nfev)
     metadata["periods"] = int(ks.max())
     metadata["offsets"] = len(offsets)
     metadata["schur_offdiag"] = max(offdiag)
@@ -565,8 +627,7 @@ def _lindblad_channel(ham, collapse, rho0, tol, metadata):
     slice_of = np.array(slice_of)
 
     t_eval = np.unique(np.concatenate([nodes, [period]]))
-    u_at, sol_u = _sector_propagators(ham, sectors, period, tol, t_eval)
-    metadata["rhs_evals"] = int(sol_u.nfev)
+    u_at = _sector_propagators(ham, sectors, period, tol, t_eval, metadata)
     metadata["channel_nodes"] = len(nodes)
     u_period, defects = zip(*(_projected_period(u[-1], tol) for u in u_at))
     metadata["propagator_defect"] = max(defects)
@@ -631,7 +692,10 @@ def _lindblad_strobe(ham, collapse, rho0, t_span, sample_count, tol, metadata):
     (grid stays uniform; endpoints move by at most one period).
     """
     period = 2.0 * math.pi / ham.common_eta
-    total_periods = int(math.ceil((t_span[1] - 1e-9) / period))
+    # the periods that cover t_span[1], which counts as period-aligned within
+    # the 64-ulp snap of _period_split
+    ks, offset_index, _ = _period_split(np.array([float(t_span[1])]), period)
+    total_periods = int(ks[0]) + int(offset_index[0] >= 0)
     stride = max(1, int(round((t_span[1] / max(sample_count - 1, 1)) / period)))
     sample_ks = list(range(0, total_periods + 1, stride))
 

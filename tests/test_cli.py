@@ -423,6 +423,11 @@ def test_stroboscopic_csv_headers_carry_engine_work(tmp_path, command, blocks):
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     meta, _, _ = read_csv(tmp_path / "o" / f"{command}.csv")
     assert meta["sectors"] == blocks
+    # the g drive has phi = 0, so its extremum sits at c = T/4 and the
+    # solve covers the half window (c - T/2, c)
+    quarter = math.pi / 2 / 1.4844444444444445
+    window = [float(v) for v in meta["period_window"].split(",")]
+    assert window == pytest.approx([-quarter, quarter], rel=1e-12)
     assert int(meta["rhs_evals"]) > 0
     assert 0.0 <= float(meta["propagator_defect"]) < 1e-9
 

@@ -39,6 +39,7 @@ from dickemod.model import (
 )
 
 from oracles import (
+    _one_period_propagators,
     damped_cavity_nph,
     dense_collective_hamiltonian,
     frozen_step_evolve,
@@ -50,14 +51,21 @@ from oracles import (
 
 BENCH = dict(omega0=1.0, Omega0=1.72, g0=0.08 / math.sqrt(2), n_qubits=2)
 ETA = 1.4844
+PHI = 0.7  # a drive phase whose extremum c = (pi/2 - PHI)/ETA is not T/4
 
 
 def bench_params(**over):
     return SystemParams(**{**BENCH, **over})
 
 
-def g_schedule(params, eta=ETA):
-    return ModulationSchedule("g", 0.1 * params.g0_uniform, eta)
+def g_schedule(params, eta=ETA, phi=0.0):
+    return ModulationSchedule("g", 0.1 * params.g0_uniform, eta, phi)
+
+
+def half_window(phi=0.0):
+    """(c - T/2, c) for the g drive at ETA and phase phi."""
+    c = ((math.pi / 2 - phi) % math.pi) / ETA
+    return c - math.pi / ETA, c
 
 
 # ---------------------------------------------------------------------------
@@ -258,16 +266,20 @@ def _lindblad_case(basis, state):
     return space, DensityMatrix.from_state(psi0), rates, occupied
 
 
-@pytest.mark.parametrize("basis, state", SECTOR_CASES)
-def test_sector_lindblad_matches_full_space_channel(basis, state):
+@pytest.mark.parametrize("basis, state, phi", [
+    *(pytest.param(*case.values, 0.0, id=case.id) for case in SECTOR_CASES),
+    pytest.param("distinguishable", "coherent", PHI, id="distinguishable-coherent-phi0.7"),
+])
+def test_sector_lindblad_matches_full_space_channel(basis, state, phi):
     space, rho0, rates, occupied = _lindblad_case(basis, state)
     p = bench_params()
-    sch = (g_schedule(p),)
+    sch = (g_schedule(p, phi=phi),)
     ham = build_hamiltonian(space, p, sch)
     collapse = dynamics._collapse_operators(space, rates)
     meta = {}
     sectors, blocks, channels = dynamics._lindblad_channel(ham, collapse, rho0.matrix, 1e-12, meta)
     assert len(blocks) == occupied
+    assert meta["period_window"] == pytest.approx(half_window(phi), rel=1e-15)
     period = 2 * math.pi / ETA
     full = full_space_lindblad_channel(
         lambda t: ham.at(t).toarray(), [(r, op.toarray()) for r, op in collapse],
@@ -333,6 +345,86 @@ def _evolve_either(engine, space, params, schedules, psi0, t_span, **kw):
         return evolve_schrodinger(space, params, schedules, psi0, t_span, 5, **kw)
     return evolve_lindblad(space, params, schedules, DissipationRates(kappa=0.01),
                            DensityMatrix.from_state(psi0), t_span, 5, **kw)
+
+
+def test_half_window_propagators_match_full_period_solve():
+    space = SpaceSpec(2, 4)
+    p = bench_params()
+    ham = build_hamiltonian(space, p, (g_schedule(p, phi=PHI),))
+    period = 2 * math.pi / ETA
+    c = half_window(PHI)[1]
+    # offsets in [0, c], in (c, c + T/2] and past c + T/2, plus U(T) itself
+    t_eval = np.array([0.3 * c, c, 1.5 * c, c + period / 2, 0.5 * (c + period / 2 + period),
+                       period])
+    meta = {}
+    sectors = parity_sectors(space)
+    blocks = dynamics._sector_propagators(ham, sectors, period, 1e-12, t_eval, meta)
+    assert meta["period_window"] == pytest.approx(half_window(PHI), rel=1e-15)
+    full = _one_period_propagators(lambda t: ham.at(t).toarray(), space.dim, period, t_eval,
+                                   rtol=1e-13)
+    for s, u in zip(sectors, blocks):
+        assert np.max(np.abs(u - full[:, s][:, :, s])) < 1e-9
+
+
+def _complex_piece(ham):
+    # a Hermitian pair i, -i inside the even sector: h^T != h, parity kept
+    even, _ = parity_sectors(ham.space)
+    h = ham.h_const.tolil()
+    h[even[0], even[1]], h[even[1], even[0]] = 1e-3j, -1e-3j
+    return dataclasses.replace(ham, h_const=h.tocsr())
+
+
+@pytest.mark.parametrize("case", ["mixed-phase", "complex-piece"])
+def test_asymmetric_drive_integrates_the_full_period(case, monkeypatch):
+    space = SpaceSpec(2, 3)
+    p = bench_params()
+    if case == "mixed-phase":
+        sch = (g_schedule(p), ModulationSchedule("Omega", 0.05, ETA, math.pi / 2))
+    else:
+        sch = (g_schedule(p),)
+        ham = _complex_piece(build_hamiltonian(space, p, sch))
+        monkeypatch.setattr(dynamics, "build_hamiltonian", lambda *args: ham)
+    psi0 = coherent_state(space, 0.8)
+    span = (0.0, 2 * math.pi / ETA * 40.3)
+    kw = dict(tol=1e-10, store_states=True, cutoff_policy="ignore")
+    strobe = evolve_schrodinger(space, p, sch, psi0, span, 9, method="stroboscopic", **kw)
+    assert strobe.metadata["period_window"] == (0.0, 2 * math.pi / ETA)
+    direct = evolve_schrodinger(space, p, sch, psi0, span, 9, method="direct", **kw)
+    assert np.max(np.abs(_amplitudes(strobe) - _amplitudes(direct))) < 1e-7
+
+
+def test_half_window_halves_the_period_solve(monkeypatch):
+    space = SpaceSpec(2, 4)
+    p = bench_params()
+    sch = (g_schedule(p, phi=PHI),)
+    psi0 = coherent_state(space, 1.1)
+
+    def run():
+        return evolve_schrodinger(space, p, sch, psi0, (0.0, 175.0), 98, tol=1e-10,
+                                  cutoff_policy="ignore").metadata
+
+    half = run()
+    monkeypatch.setattr(dynamics, "_symmetric_window", lambda ham, period: None)
+    full = run()
+    assert half["period_window"] == pytest.approx(half_window(PHI), rel=1e-15)
+    assert full["period_window"] == (0.0, 2 * math.pi / ETA)
+    assert half["rhs_evals"] <= 0.6 * full["rhs_evals"]
+
+
+def test_lindblad_period_count_snaps_like_the_sample_grid():
+    # 1e5 periods and 40 ulps: past the old absolute 1e-9 (17 ulps at this t),
+    # inside the 64-ulp snap, so the span ends on the 1e5-th period
+    space = SpaceSpec(1, 0)
+    p = SystemParams(omega0=1.0, Omega0=1.72, g0=0.05, n_qubits=1)
+    ham = build_hamiltonian(space, p, (ModulationSchedule("Omega", 0.05, 1.5),))
+    collapse = dynamics._collapse_operators(space, DissipationRates(kappa=0.01))
+    period = 2 * math.pi / 1.5
+    k = 100_000
+    t1 = k * period + 40 * np.spacing(k * period)
+    _, times = dynamics._lindblad_strobe(ham, collapse, np.diag([0.0, 1.0]).astype(complex),
+                                         (0.0, t1), k + 1, 1e-9, {})
+    assert len(times) == k + 1
+    assert times[-1] == k * period
 
 
 @pytest.mark.parametrize("engine", ["schrodinger", "lindblad"])

@@ -1,5 +1,6 @@
 """Property tests over random small systems and configs (hypothesis)."""
 
+import math
 import warnings
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dickemod.cli import _SCHEDULE_KEYS, _SECTION_KEYS, ScenarioConfig, emit_config, parse_config
-from dickemod.dynamics import _collapse_operators
-from dickemod.hilbert import COLLECTIVE, DISTINGUISHABLE, SpaceSpec, parity_flips
+from dickemod.dynamics import NORM_DRIFT_TOL, _collapse_operators, evolve_schrodinger
+from dickemod.hilbert import COLLECTIVE, DISTINGUISHABLE, SpaceSpec, StateVector, parity_flips
 from dickemod.model import (
     MOD_TARGETS,
     DissipationRates,
@@ -17,6 +18,8 @@ from dickemod.model import (
     build_hamiltonian,
     total_excitation_operator,
 )
+
+from oracles import full_space_floquet
 
 frequency = st.floats(0.05, 3.0)
 
@@ -71,6 +74,49 @@ def test_assembled_operators_keep_parity_sectors(system):
         for h in pieces:
             commutator = h @ n_exc - n_exc @ h
             assert commutator.nnz == 0 or np.abs(commutator.data).max() == 0.0
+
+
+@st.composite
+def stroboscopic_runs(draw):
+    """(space, params, schedules, psi0, t_span, samples): collective N 1..3,
+    n_max 0..4, one or two drives on one frequency, each with its own phase,
+    a random state and a span that ends at a fractional period."""
+    n_qubits = draw(st.integers(1, 3))
+    space = SpaceSpec(n_qubits, draw(st.integers(0, 4)))
+    params = SystemParams(omega0=draw(frequency), Omega0=draw(frequency), g0=draw(frequency),
+                          n_qubits=n_qubits, with_crt=draw(st.booleans()))
+    eta = draw(st.floats(0.5, 3.0))
+    targets = draw(st.lists(st.sampled_from(MOD_TARGETS), unique=True, min_size=1, max_size=2))
+    schedules = tuple(ModulationSchedule(t, draw(st.floats(0.01, 0.2)), eta,
+                                         draw(st.floats(-3.2, 3.2)))
+                      for t in targets)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amplitudes = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    periods = draw(st.integers(32, 60)) + draw(st.floats(0.05, 0.95))
+    span = (0.0, periods * 2 * math.pi / eta)
+    psi0 = StateVector(space, amplitudes / np.linalg.norm(amplitudes))
+    return space, params, schedules, psi0, span, draw(st.integers(2, 6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(stroboscopic_runs())
+def test_stroboscopic_run_keeps_norm_and_matches_full_space(run):
+    space, params, schedules, psi0, span, samples = run
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # deep modulations only warn
+        ham = build_hamiltonian(space, params, schedules)
+        if ham.common_eta is None:  # every drive piece vanishes: no period
+            return
+        traj = evolve_schrodinger(space, params, schedules, psi0, span, samples, tol=1e-12,
+                                  method="stroboscopic", store_states=True,
+                                  cutoff_policy="ignore")
+    assert traj.metadata["norm_drift_max"] <= NORM_DRIFT_TOL
+    h0 = ham.h_const.toarray()
+    drives = [(s, hx.toarray()) for s, hx in ham.terms]
+    ref = full_space_floquet(lambda t: h0 + sum(s.drive(t) * hx for s, hx in drives),
+                             psi0.amplitudes, 2 * math.pi / ham.common_eta, traj.times)
+    got = np.array([s.amplitudes for s in traj.states])
+    assert np.max(np.abs(got - ref)) < 1e-9
 
 
 # config values the codec round-trips: a word that reads as no number or
