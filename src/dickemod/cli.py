@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -33,7 +34,7 @@ from .dispersive import (
     transition_rate_general,
     two_photon_rate_closed_form,
 )
-from .dynamics import DensityMatrix, Trajectory, evolve_lindblad, evolve_schrodinger
+from .dynamics import DensityMatrix, evolve_lindblad, evolve_schrodinger
 from .errors import (
     ConfigError,
     DickemodError,
@@ -430,22 +431,32 @@ def write_svg(path: Path, title: str, xlabel: str, ylabel: str, x, series) -> No
     Path(path).write_text("\n".join(parts) + "\n")
 
 
+def _emit(out_dir: Path, command: str, svg: bool, columns, meta: dict, chart, summary) -> int:
+    """The one output path of every subcommand: <command>.csv, <command>.svg
+    with svg, then the summary lines and the path written.
+
+    columns lists each column once as (csv name, values, legend). The first
+    column with a legend is the chart's x axis, its legend the axis label, and
+    every later one with a legend is a series; legend None keeps a column out
+    of the chart. chart is (title, y label), or None for no chart.
+    """
+    out = out_dir / f"{command}.csv"
+    write_csv(out, command, [(name, values) for name, values, _ in columns], meta)
+    if svg and chart is not None:
+        (_, x, xlabel), *series = [c for c in columns if c[2] is not None]
+        write_svg(out_dir / f"{command}.svg", chart[0], xlabel, chart[1], x,
+                  [(legend, y) for _, y, legend in series])
+    for line in summary:
+        print(line)
+    print(f"wrote {out}")
+    return 0
+
+
 # ---------------------------------------------------------------------------
-# subcommand runners
+# subcommand runners: each returns _emit's (columns, meta, chart, summary)
 # ---------------------------------------------------------------------------
 
-def _print(*args):
-    print(*args)
-
-
-def _trajectory_columns(traj: Trajectory, tokens) -> list:
-    cols = []
-    for tok in tokens:
-        cols.append((tok.replace(":", "_"), _select_observable(traj, tok)))
-    return cols
-
-
-def _cmd_spectrum(cfg, out_dir: Path, svg: bool, no_crt: bool) -> int:
+def _cmd_spectrum(cfg, no_crt: bool):
     space = build_space(cfg)
     params = build_params(cfg, no_crt)
     spec = dispersive_spectrum(space, params)
@@ -460,33 +471,28 @@ def _cmd_spectrum(cfg, out_dir: Path, svg: bool, no_crt: bool) -> int:
             nu_x.append(nu)
             lam_t.append(spec.lam(m, k) + nu if math.isfinite(nu) else math.nan)
             lam_p.append(lambda_perturbative(params, m, k))
-    out = out_dir / "spectrum.csv"
-    write_csv(
-        out,
-        "spectrum",
-        [
-            ("m", np.array(rows_m, dtype=float)),
-            ("k", np.array(rows_k, dtype=float)),
-            ("lambda_exact", np.array(lam_x)),
-            ("nu_crt", np.array(nu_x)),
-            ("lambda_tilde", np.array(lam_t)),
-            ("lambda_perturbative", np.array(lam_p)),
-        ],
-        {
-            "n_qubits": space.n_qubits,
-            "n_max": space.n_max,
-            "omega0": params.omega0,
-            "Omega0": params.Omega0,
-            "g0": params.g0,
-            "with_crt": params.with_crt,
-        },
-    )
-    _print(f"spectrum: {len(rows_m)} dressed levels across {len(spec.subspaces)} subspaces")
-    _print(f"wrote {out}")
-    return 0
+    columns = [
+        ("m", np.array(rows_m, dtype=float), None),
+        ("k", np.array(rows_k, dtype=float), None),
+        ("lambda_exact", np.array(lam_x), None),
+        ("nu_crt", np.array(nu_x), None),
+        ("lambda_tilde", np.array(lam_t), None),
+        ("lambda_perturbative", np.array(lam_p), None),
+    ]
+    meta = {
+        "n_qubits": space.n_qubits,
+        "n_max": space.n_max,
+        "omega0": params.omega0,
+        "Omega0": params.Omega0,
+        "g0": params.g0,
+        "with_crt": params.with_crt,
+    }
+    return columns, meta, None, [
+        f"spectrum: {len(rows_m)} dressed levels across {len(spec.subspaces)} subspaces"
+    ]
 
 
-def _cmd_rates(cfg, out_dir: Path, svg: bool, no_crt: bool) -> int:
+def _cmd_rates(cfg, no_crt: bool):
     space = build_space(cfg)
     params = build_params(cfg, no_crt)
     schedules = build_schedules(cfg)
@@ -514,37 +520,45 @@ def _cmd_rates(cfg, out_dir: Path, svg: bool, no_crt: bool) -> int:
         eta_x.append(rate.eta_res)
     if not ks:
         raise ConfigError(f"subspace n={m} has no (k, k+2) pairs")
-    out = out_dir / "rates.csv"
-    write_csv(
-        out,
-        "rates",
-        [
-            ("k_from", np.array(ks, dtype=float)),
-            ("k_to", np.array(ks, dtype=float) + 2),
-            ("xi_closed_abs", np.array(closed_abs)),
-            ("xi_closed_re", np.array(closed_re)),
-            ("xi_closed_im", np.array(closed_im)),
-            ("xi_exact_abs", np.array(exact_abs)),
-            ("xi_exact_re", np.array(exact_re)),
-            ("xi_exact_im", np.array(exact_im)),
-            ("eta_res_formula", np.array(eta_f)),
-            ("eta_res_exact", np.array(eta_x)),
-        ],
-        {"n": m, "with_crt": params.with_crt},
-    )
+    columns = [
+        ("k_from", np.array(ks, dtype=float), None),
+        ("k_to", np.array(ks, dtype=float) + 2, None),
+        ("xi_closed_abs", np.array(closed_abs), None),
+        ("xi_closed_re", np.array(closed_re), None),
+        ("xi_closed_im", np.array(closed_im), None),
+        ("xi_exact_abs", np.array(exact_abs), None),
+        ("xi_exact_re", np.array(exact_re), None),
+        ("xi_exact_im", np.array(exact_im), None),
+        ("eta_res_formula", np.array(eta_f), None),
+        ("eta_res_exact", np.array(eta_x), None),
+    ]
     two_delta = 2.0 * abs(params.delta_minus)
-    _print(f"rates in subspace n={m} (eta factors relative to 2|Delta| = {two_delta:.6g}):")
-    for i, k in enumerate(ks):
-        _print(
-            f"  k={k} -> {k+2}: |Xi_closed| = {closed_abs[i]:.6e}  "
-            f"|Xi_exact| = {exact_abs[i]:.6e}  "
-            f"eta_r = {eta_x[i]:.8g} (factor {eta_x[i]/two_delta:.6f})"
-        )
-    _print(f"wrote {out}")
-    return 0
+    summary = [f"rates in subspace n={m} (eta factors relative to 2|Delta| = {two_delta:.6g}):"]
+    summary += [
+        f"  k={k} -> {k+2}: |Xi_closed| = {closed_abs[i]:.6e}  "
+        f"|Xi_exact| = {exact_abs[i]:.6e}  "
+        f"eta_r = {eta_x[i]:.8g} (factor {eta_x[i]/two_delta:.6f})"
+        for i, k in enumerate(ks)
+    ]
+    return columns, {"n": m, "with_crt": params.with_crt}, None, summary
 
 
-def _build_evolution_inputs(cfg, no_crt: bool):
+# evolve and lindblad differ only here: whether the run is dissipative (the
+# master equation), the refusal when the config's rates say otherwise, and
+# the gates reported in the header and the summary line
+_TRAJECTORY_COMMANDS = {
+    "evolve": (False, "config has nonzero dissipation; use the lindblad subcommand",
+               ("norm_drift_max",)),
+    "lindblad": (True, "lindblad needs a dissipation section with nonzero rates",
+                 ("trace_drift_max", "eig_floor_min")),
+}
+# the block sizes, integrated period window, rhs evaluations and propagator
+# defect; the header leaves out the keys an engine does not record
+_ENGINE_WORK_KEYS = ("sectors", "period_window", "rhs_evals", "propagator_defect")
+
+
+def _cmd_trajectory(command: str, cfg, no_crt: bool):
+    dissipative, refusal, gates = _TRAJECTORY_COMMANDS[command]
     space = build_space(cfg)
     params = build_params(cfg, no_crt)
     schedules = build_schedules(cfg)
@@ -553,90 +567,36 @@ def _build_evolution_inputs(cfg, no_crt: bool):
     psi0 = build_initial_state(cfg, space)
     scale, t_name = _time_scale(cfg, params, schedules)
     opts = build_run_options(cfg)
-    return space, params, schedules, psi0, scale, t_name, opts
-
-
-def _engine_work(traj: Trajectory) -> dict:
-    """The block sizes, integrated period window, rhs evaluations and
-    propagator defect the engine recorded; the keys an engine does not record
-    are left out."""
-    keys = ("sectors", "period_window", "rhs_evals", "propagator_defect")
-    return {k: traj.metadata[k] for k in keys if k in traj.metadata}
-
-
-def _cmd_evolve(cfg, out_dir: Path, svg: bool, no_crt: bool) -> int:
-    space, params, schedules, psi0, scale, t_name, opts = _build_evolution_inputs(cfg, no_crt)
     rates = build_rates(cfg, space.n_qubits)
-    if rates is not None and not rates.all_zero:
-        raise ConfigError("config has nonzero dissipation; use the lindblad subcommand")
-    traj = evolve_schrodinger(
-        space,
-        params,
-        schedules,
-        psi0,
-        (0.0, opts["t_final"] * scale),
-        opts["sample_count"],
-        tol=opts["tol"],
-        method=opts["method"],
-    )
-    tokens = _output_tokens(cfg)
-    cols = [(t_name, traj.times / scale)] + _trajectory_columns(traj, tokens)
-    out = out_dir / "evolve.csv"
-    write_csv(out, "evolve", cols, {
-        "engine": traj.metadata.get("engine"),
-        "norm_drift_max": traj.metadata.get("norm_drift_max"),
-        **_engine_work(traj),
+    lossless = rates is None or rates.all_zero
+    if dissipative == lossless:
+        raise ConfigError(refusal)
+    span = (0.0, opts.pop("t_final") * scale)
+    if dissipative:
+        traj = evolve_lindblad(space, params, schedules, rates,
+                               DensityMatrix.from_state(psi0), span, **opts)
+    else:
+        traj = evolve_schrodinger(space, params, schedules, psi0, span, **opts)
+    md = traj.metadata
+    columns = [(t_name, traj.times / scale, t_name)] + [
+        (tok.replace(":", "_"), _select_observable(traj, tok), tok.replace(":", "_"))
+        for tok in _output_tokens(cfg)
+    ]
+    meta = {
+        "engine": md.get("engine"),
+        **{k: md.get(k) for k in gates},
+        **{k: md[k] for k in _ENGINE_WORK_KEYS if k in md},
         "time_unit": cfg.run.get("time_unit", "one_over_omega0"),
-    })
-    if svg:
-        write_svg(out_dir / "evolve.svg", "evolve", t_name, "observables",
-                  cols[0][1], cols[1:])
-    _print(
-        f"evolve: engine={traj.metadata.get('engine')} samples={len(traj.times)} "
-        f"norm drift={traj.metadata.get('norm_drift_max'):.2e}"
-    )
-    _print(f"wrote {out}")
-    return 0
+    }
+    # "norm_drift_max" reads "norm drift" on stdout
+    gate = gates[0].removesuffix("_max").replace("_", " ")
+    return columns, meta, (command, "observables"), [
+        f"{command}: engine={md.get('engine')} samples={len(traj.times)} "
+        f"{gate}={md.get(gates[0]):.2e}"
+    ]
 
 
-def _cmd_lindblad(cfg, out_dir: Path, svg: bool, no_crt: bool) -> int:
-    space, params, schedules, psi0, scale, t_name, opts = _build_evolution_inputs(cfg, no_crt)
-    rates = build_rates(cfg, space.n_qubits)
-    if rates is None or rates.all_zero:
-        raise ConfigError("lindblad needs a dissipation section with nonzero rates")
-    traj = evolve_lindblad(
-        space,
-        params,
-        schedules,
-        rates,
-        DensityMatrix.from_state(psi0),
-        (0.0, opts["t_final"] * scale),
-        opts["sample_count"],
-        tol=opts["tol"],
-        method=opts["method"],
-    )
-    tokens = _output_tokens(cfg)
-    cols = [(t_name, traj.times / scale)] + _trajectory_columns(traj, tokens)
-    out = out_dir / "lindblad.csv"
-    write_csv(out, "lindblad", cols, {
-        "engine": traj.metadata.get("engine"),
-        "trace_drift_max": traj.metadata.get("trace_drift_max"),
-        "eig_floor_min": traj.metadata.get("eig_floor_min"),
-        **_engine_work(traj),
-        "time_unit": cfg.run.get("time_unit", "one_over_omega0"),
-    })
-    if svg:
-        write_svg(out_dir / "lindblad.svg", "lindblad", t_name, "observables",
-                  cols[0][1], cols[1:])
-    _print(
-        f"lindblad: engine={traj.metadata.get('engine')} samples={len(traj.times)} "
-        f"trace drift={traj.metadata.get('trace_drift_max'):.2e}"
-    )
-    _print(f"wrote {out}")
-    return 0
-
-
-def _cmd_sweep(cfg, out_dir: Path, svg: bool, no_crt: bool) -> int:
+def _cmd_sweep(cfg, no_crt: bool):
     space = build_space(cfg)
     params = build_params(cfg, no_crt)
     schedules = build_schedules(cfg)
@@ -667,40 +627,37 @@ def _cmd_sweep(cfg, out_dir: Path, svg: bool, no_crt: bool) -> int:
         horizon=float(horizon) if horizon is not None else None,
         zoom=bool(sw.get("zoom", True)),
     )
-    out = out_dir / "sweep.csv"
-    write_csv(
-        out,
-        "sweep",
-        [
-            ("eta", result.etas),
-            ("eta_factor", result.etas / two_delta),
-            ("transfer", result.transfer),
-        ],
-        {
-            "peak_eta": result.peak_eta,
-            "peak_factor": result.peak_eta / two_delta,
-            "peak_width": result.peak_width,
-            "background": result.fit_diagnostics["background"],
-            "transition_n": n,
-            "transition_k": k,
-        },
-    )
-    if svg:
-        write_svg(out_dir / "sweep.svg", "resonance sweep", "eta / 2|Delta|",
-                  "max transfer", result.etas / two_delta,
-                  [("transfer", result.transfer)])
-    _print(
+    columns = [
+        ("eta", result.etas, None),
+        ("eta_factor", result.etas / two_delta, "eta / 2|Delta|"),
+        ("transfer", result.transfer, "transfer"),
+    ]
+    meta = {
+        "peak_eta": result.peak_eta,
+        "peak_factor": result.peak_eta / two_delta,
+        "peak_width": result.peak_width,
+        "background": result.fit_diagnostics["background"],
+        "transition_n": n,
+        "transition_k": k,
+    }
+    return columns, meta, ("resonance sweep", "max transfer"), [
         f"sweep: peak eta = {result.peak_eta:.9g} "
         f"(factor {result.peak_eta/two_delta:.6f}), width ~ {result.peak_width:.3g}, "
         f"peak transfer {result.fit_diagnostics['peak_transfer']:.3f}"
-    )
-    _print(f"wrote {out}")
-    return 0
+    ]
 
 
 # ---------------------------------------------------------------------------
 # figure presets
 # ---------------------------------------------------------------------------
+
+# every preset drives at 10% depth: epsilon = 0.1 g0 for g, 0.1 |Delta| for Omega
+DRIVE_DEPTH = 0.1
+# figure4's kappa, gamma and gamma_phi, each in units of its qubit's g0
+CIRCUIT_LOSS_OVER_G0 = 5e-5
+# eta / 2|Delta| of the N=6 g+Omega drive: figure2's second run and figure3
+SIX_QUBIT_G_OMEGA_FACTOR = 1.0388
+
 
 def snapped_span(eta: float, t_final: float, samples: int):
     """Uniform grid whose spacing is an integer number of drive periods."""
@@ -712,17 +669,19 @@ def snapped_span(eta: float, t_final: float, samples: int):
 
 
 def _g_schedule(g0: float, eta: float):
-    return (ModulationSchedule(target="g", epsilon=0.1 * g0, eta=eta, phi=0.0),)
+    return (ModulationSchedule(target="g", epsilon=DRIVE_DEPTH * g0, eta=eta, phi=0.0),)
 
 
 @dataclass(frozen=True)
 class PresetSystem:
-    """One figure system: parameters, space, initial state, its drive at a
-    given eta, and the dissipation of the dissipative presets."""
+    """One figure system: parameters, space, initial state and the header's
+    description of it, its drive at a given eta, and the dissipation of the
+    dissipative presets."""
 
     params: SystemParams
     space: SpaceSpec
     psi0: StateVector
+    state: str
     drive: Callable[[float], tuple[ModulationSchedule, ...]]
     rates: DissipationRates | None = None
 
@@ -733,10 +692,11 @@ def two_qubit_systems() -> dict[str, PresetSystem]:
     g0 = 0.08 / math.sqrt(2)
     params = SystemParams(omega0=1.0, Omega0=1.72, g0=g0, n_qubits=2, with_crt=True)
     space = SpaceSpec(n_qubits=2, n_max=12)
-    psi0 = dicke_fock_state(space, 0, 5)
+    k, n = 0, 5
+    psi0 = dicke_fock_state(space, k, n)
     return {
         tag: PresetSystem(dataclasses.replace(params, with_crt=with_crt), space, psi0,
-                          lambda eta: _g_schedule(g0, eta))
+                          f"dicke_fock(k={k}, n={n})", lambda eta: _g_schedule(g0, eta))
         for tag, with_crt in (("crt", True), ("tc", False))
     }
 
@@ -748,17 +708,19 @@ def six_qubit_systems() -> dict[str, PresetSystem]:
     g0 = 0.08 / math.sqrt(6)
     params = SystemParams(omega0=1.0, Omega0=1.72, g0=g0, n_qubits=6, with_crt=True)
     space = SpaceSpec(n_qubits=6, n_max=21)
-    psi0 = coherent_state(space, math.sqrt(5.5), 0)
+    alpha_squared = 5.5
+    psi0 = coherent_state(space, math.sqrt(alpha_squared), 0)
+    state = f"coherent(alpha_squared={alpha_squared}, k=0)"
 
     def g_and_omega(eta):
         return _g_schedule(g0, eta) + (
-            ModulationSchedule(target="Omega", epsilon=0.1 * abs(params.delta_minus),
+            ModulationSchedule(target="Omega", epsilon=DRIVE_DEPTH * abs(params.delta_minus),
                                eta=eta, phi=math.pi),
         )
 
     return {
-        "g": PresetSystem(params, space, psi0, lambda eta: _g_schedule(g0, eta)),
-        "go": PresetSystem(params, space, psi0, g_and_omega),
+        "g": PresetSystem(params, space, psi0, state, lambda eta: _g_schedule(g0, eta)),
+        "go": PresetSystem(params, space, psi0, state, g_and_omega),
     }
 
 
@@ -771,29 +733,31 @@ def circuit_pair_systems() -> dict[str, PresetSystem]:
     g2 = 1.01 * g1
     real_space = SpaceSpec(n_qubits=2, n_max=15, basis="distinguishable")
     ideal_space = SpaceSpec(n_qubits=2, n_max=16)
+    alpha_squared = 3
+    state = f"coherent(alpha_squared={alpha_squared}, all qubits ground)"
 
     def per_qubit_drive(eta):
         return tuple(
-            ModulationSchedule(target="g", epsilon=0.1 * g, eta=eta, phi=0.0, qubit=i + 1)
+            ModulationSchedule(target="g", epsilon=DRIVE_DEPTH * g, eta=eta, phi=0.0,
+                               qubit=i + 1)
             for i, g in enumerate((g1, g2))
         )
 
+    loss = (CIRCUIT_LOSS_OVER_G0 * g1, CIRCUIT_LOSS_OVER_G0 * g2)
     realistic = PresetSystem(
         SystemParams(omega0=1.0, Omega0=(1.72, 1.0 + 1.02 * 0.72), g0=(g1, g2),
                      n_qubits=2, with_crt=True),
         real_space,
-        coherent_state(real_space, math.sqrt(3.0), 0),
+        coherent_state(real_space, math.sqrt(alpha_squared), 0),
+        state,
         per_qubit_drive,
-        DissipationRates(
-            kappa=5e-5 * g1,
-            gamma=(5e-5 * g1, 5e-5 * g2),
-            gamma_phi=(5e-5 * g1, 5e-5 * g2),
-        ),
+        DissipationRates(kappa=loss[0], gamma=loss, gamma_phi=loss),
     )
     ideal = PresetSystem(
         SystemParams(omega0=1.0, Omega0=1.72, g0=g1, n_qubits=2, with_crt=True),
         ideal_space,
-        coherent_state(ideal_space, math.sqrt(3.0), 0),
+        coherent_state(ideal_space, math.sqrt(alpha_squared), 0),
+        state,
         lambda eta: _g_schedule(g1, eta),
     )
     return {"realistic": realistic, "ideal": ideal}
@@ -821,13 +785,24 @@ def _figure1_analytic(spec, space, schedules, psi0, times):
     return n_ph, n_at
 
 
-def _cmd_figure1(out_dir: Path, svg: bool, eta_factor=None, eta_factor_2=None) -> int:
+def _uniform_system_meta(system: PresetSystem) -> dict:
+    """The header lines figure1 and figure2 share, read from the system."""
+    return {
+        "n_qubits": system.space.n_qubits,
+        "omega0": system.params.omega0,
+        "Omega0": system.params.Omega0_uniform,
+        "g0": system.params.g0_uniform,
+        "n_max": system.space.n_max,
+        "initial_state": system.state,
+        "epsilon_g_over_g0": DRIVE_DEPTH,
+    }
+
+
+def _cmd_figure1(factor_crt: float, factor_tc: float):
     systems = two_qubit_systems()
     crt, tc = systems["crt"], systems["tc"]
-    space, psi0, g0 = crt.space, crt.psi0, crt.params.g0_uniform
+    space, psi0 = crt.space, crt.psi0
     two_delta = 2.0 * abs(crt.params.delta_minus)
-    factor_crt = eta_factor if eta_factor is not None else 1.0678
-    factor_tc = eta_factor_2 if eta_factor_2 is not None else 1.0540
     eta_crt = factor_crt * two_delta
     eta_tc = factor_tc * two_delta
 
@@ -841,51 +816,31 @@ def _cmd_figure1(out_dir: Path, svg: bool, eta_factor=None, eta_factor_2=None) -
     spec_crt = dispersive_spectrum(space, crt.params)
     ana_ph, ana_at = _figure1_analytic(spec_crt, space, sched_crt, psi0, traj_crt.times)
 
-    t_axis = traj_crt.times * q / math.pi
-    out = out_dir / "figure1.csv"
-    write_csv(
-        out,
-        "figure1",
-        [
-            ("t_q_over_pi", t_axis),
-            ("n_ph_analytic", ana_ph),
-            ("n_ph_exactCRT", traj_crt.n_ph),
-            ("n_ph_exactTC", traj_tc.n_ph),
-            ("n_at_analytic", ana_at),
-            ("n_at_exactCRT", traj_crt.n_at),
-            ("n_at_exactTC", traj_tc.n_at),
-        ],
-        {
-            "n_qubits": space.n_qubits,
-            "omega0": 1.0,
-            "Omega0": 1.72,
-            "g0": g0,
-            "n_max": space.n_max,
-            "initial_state": "dicke_fock(k=0, n=5)",
-            "epsilon_g_over_g0": 0.1,
-            "phi_g": 0.0,
-            "eta_factor_crt": factor_crt,
-            "eta_factor_tc": factor_tc,
-            "eta_crt": eta_crt,
-            "eta_tc": eta_tc,
-            "q_closed_form": q,
-        },
-    )
-    if svg:
-        write_svg(out_dir / "figure1.svg", "two-photon exchange, N=2", "t q / pi",
-                  "<n>", t_axis,
-                  [("n_ph analytic", ana_ph), ("n_ph CRT", traj_crt.n_ph),
-                   ("n_ph TC", traj_tc.n_ph), ("n_at analytic", ana_at),
-                   ("n_at CRT", traj_crt.n_at), ("n_at TC", traj_tc.n_at)])
-    _print(
+    columns = [
+        ("t_q_over_pi", traj_crt.times * q / math.pi, "t q / pi"),
+        ("n_ph_analytic", ana_ph, "n_ph analytic"),
+        ("n_ph_exactCRT", traj_crt.n_ph, "n_ph CRT"),
+        ("n_ph_exactTC", traj_tc.n_ph, "n_ph TC"),
+        ("n_at_analytic", ana_at, "n_at analytic"),
+        ("n_at_exactCRT", traj_crt.n_at, "n_at CRT"),
+        ("n_at_exactTC", traj_tc.n_at, "n_at TC"),
+    ]
+    meta = {
+        **_uniform_system_meta(crt),
+        "phi_g": sched_crt[0].phi,
+        "eta_factor_crt": factor_crt,
+        "eta_factor_tc": factor_tc,
+        "eta_crt": eta_crt,
+        "eta_tc": eta_tc,
+        "q_closed_form": q,
+    }
+    summary = [
         f"figure1: eta/2|Delta| = {factor_crt} (with CRT), {factor_tc} (without); "
-        f"q = {q:.6e}"
-    )
-    _print(
+        f"q = {q:.6e}",
         f"  n_ph swing: analytic {ana_ph.min():.3f}..{ana_ph.max():.3f}  "
         f"exact CRT {traj_crt.n_ph.min():.3f}..{traj_crt.n_ph.max():.3f}  "
-        f"exact TC {traj_tc.n_ph.min():.3f}..{traj_tc.n_ph.max():.3f}"
-    )
+        f"exact TC {traj_tc.n_ph.min():.3f}..{traj_tc.n_ph.max():.3f}",
+    ]
     # the clean Rabi observable is the target dressed population; bare
     # populations carry an O(g/Delta) spectator beat the cosine cannot absorb
     target = spec_crt.state(5, 2)
@@ -896,23 +851,20 @@ def _cmd_figure1(out_dir: Path, svg: bool, eta_factor=None, eta_factor_2=None) -
                 [abs(np.vdot(target, st.amplitudes)) ** 2 for st in tr.states]
             ),
         )
-        _print(
+        summary.append(
             f"  fitted |Xi| = {fit.rate:.6e} "
             f"({abs(fit.rate - q)/q:.1%} from closed form, "
             f"residual rms {fit.residual_rms:.2e})"
         )
     except DickemodError as exc:
-        _print(f"  rate fit not available: {exc}")
-    _print(f"wrote {out}")
-    return 0
+        summary.append(f"  rate fit not available: {exc}")
+    return columns, meta, ("two-photon exchange, N=2", "<n>"), summary
 
 
-def _cmd_figure2(out_dir: Path, svg: bool, eta_factor=None, eta_factor_2=None) -> int:
+def _cmd_figure2(factor_g: float, factor_go: float):
     systems = six_qubit_systems()
     params, space, psi0 = systems["g"].params, systems["g"].space, systems["g"].psi0
     two_delta = 2.0 * abs(params.delta_minus)
-    factor_g = eta_factor if eta_factor is not None else 1.0389
-    factor_go = eta_factor_2 if eta_factor_2 is not None else 1.0388
     eta_g = factor_g * two_delta
     eta_go = factor_go * two_delta
     sched_g = systems["g"].drive(eta_g)
@@ -922,98 +874,64 @@ def _cmd_figure2(out_dir: Path, svg: bool, eta_factor=None, eta_factor_2=None) -
     traj_g = evolve_schrodinger(space, params, sched_g, psi0, span, count, tol=1e-9)
     traj_go = evolve_schrodinger(space, params, sched_go, psi0, span, count, tol=1e-9)
 
-    t_axis = traj_g.times * q / math.pi
-    out = out_dir / "figure2.csv"
-    write_csv(
-        out,
-        "figure2",
-        [
-            ("t_q_over_pi", t_axis),
-            ("n_ph_gmod", traj_g.n_ph),
-            ("n_at_gmod", traj_g.n_at),
-            ("n_ph_gOmegamod", traj_go.n_ph),
-            ("n_at_gOmegamod", traj_go.n_at),
-        ],
-        {
-            "n_qubits": 6,
-            "omega0": 1.0,
-            "Omega0": 1.72,
-            "g0": params.g0_uniform,
-            "n_max": space.n_max,
-            "initial_state": "coherent(alpha_squared=5.5, k=0)",
-            "epsilon_g_over_g0": 0.1,
-            "epsilon_Omega_over_abs_delta": 0.1,
-            "phi_Omega": math.pi,
-            "eta_factor_gmod": factor_g,
-            "eta_factor_gOmegamod": factor_go,
-            "q_closed_form_gmod": q,
-        },
-    )
-    if svg:
-        write_svg(out_dir / "figure2.svg", "collective two-photon exchange, N=6",
-                  "t q / pi", "<n>", t_axis,
-                  [("n_ph g-mod", traj_g.n_ph), ("n_at g-mod", traj_g.n_at),
-                   ("n_ph g+Omega", traj_go.n_ph), ("n_at g+Omega", traj_go.n_at)])
-    _print(
+    columns = [
+        ("t_q_over_pi", traj_g.times * q / math.pi, "t q / pi"),
+        ("n_ph_gmod", traj_g.n_ph, "n_ph g-mod"),
+        ("n_at_gmod", traj_g.n_at, "n_at g-mod"),
+        ("n_ph_gOmegamod", traj_go.n_ph, "n_ph g+Omega"),
+        ("n_at_gOmegamod", traj_go.n_at, "n_at g+Omega"),
+    ]
+    meta = {
+        **_uniform_system_meta(systems["g"]),
+        "epsilon_Omega_over_abs_delta": DRIVE_DEPTH,
+        "phi_Omega": sched_go[1].phi,
+        "eta_factor_gmod": factor_g,
+        "eta_factor_gOmegamod": factor_go,
+        "q_closed_form_gmod": q,
+    }
+    return columns, meta, ("collective two-photon exchange, N=6", "<n>"), [
         f"figure2: eta/2|Delta| = {factor_g} (g mod), {factor_go} (g+Omega); "
         f"q = {q:.6e}"
-    )
-    _print(f"wrote {out}")
-    return 0
+    ]
 
 
-def _cmd_figure3(out_dir: Path, svg: bool, eta_factor=None, eta_factor_2=None) -> int:
+def _cmd_figure3(factor: float):
     systems = six_qubit_systems()
     params, space, psi0 = systems["go"].params, systems["go"].space, systems["go"].psi0
     two_delta = 2.0 * abs(params.delta_minus)
-    factor = eta_factor if eta_factor is not None else 1.0388
     eta = factor * two_delta
     sched = systems["go"].drive(eta)
     q = abs(two_photon_rate_closed_form(params, systems["g"].drive(eta), 5, 0))
     span, count = snapped_span(eta, 2.2 * math.pi / q, 501)
     traj = evolve_schrodinger(space, params, sched, psi0, span, count, tol=1e-9)
 
-    t_axis = traj.times * q / math.pi
-    out = out_dir / "figure3.csv"
-    write_csv(
-        out,
-        "figure3",
-        [
-            ("t_q_over_pi", t_axis),
-            ("p_ph_5", traj.p_ph(5)),
-            ("p_ph_3", traj.p_ph(3)),
-            ("p_ph_2", traj.p_ph(2)),
-            ("p_at_0", traj.p_at(0)),
-            ("p_at_2", traj.p_at(2)),
-            ("p_at_3", traj.p_at(3)),
-        ],
-        {
-            "n_qubits": 6,
-            "g0": params.g0_uniform,
-            "n_max": space.n_max,
-            "initial_state": "coherent(alpha_squared=5.5, k=0)",
-            "eta_factor": factor,
-            "q_closed_form_gmod": q,
-        },
-    )
-    if svg:
-        write_svg(out_dir / "figure3.svg", "bare populations, N=6", "t q / pi",
-                  "population", t_axis,
-                  [("P_ph(5)", traj.p_ph(5)), ("P_ph(3)", traj.p_ph(3)),
-                   ("P_ph(2)", traj.p_ph(2)), ("P_at(0)", traj.p_at(0)),
-                   ("P_at(2)", traj.p_at(2)), ("P_at(3)", traj.p_at(3))])
-    _print(f"figure3: eta/2|Delta| = {factor}")
-    _print(f"wrote {out}")
-    return 0
+    columns = [
+        ("t_q_over_pi", traj.times * q / math.pi, "t q / pi"),
+        ("p_ph_5", traj.p_ph(5), "P_ph(5)"),
+        ("p_ph_3", traj.p_ph(3), "P_ph(3)"),
+        ("p_ph_2", traj.p_ph(2), "P_ph(2)"),
+        ("p_at_0", traj.p_at(0), "P_at(0)"),
+        ("p_at_2", traj.p_at(2), "P_at(2)"),
+        ("p_at_3", traj.p_at(3), "P_at(3)"),
+    ]
+    meta = {
+        "n_qubits": space.n_qubits,
+        "g0": params.g0_uniform,
+        "n_max": space.n_max,
+        "initial_state": systems["go"].state,
+        "eta_factor": factor,
+        "q_closed_form_gmod": q,
+    }
+    return columns, meta, ("bare populations, N=6", "population"), [
+        f"figure3: eta/2|Delta| = {factor}"
+    ]
 
 
-def _cmd_figure4(out_dir: Path, svg: bool, eta_factor=None, eta_factor_2=None) -> int:
+def _cmd_figure4(factor_real: float, factor_ideal: float):
     pair = circuit_pair_systems()
     real, ideal = pair["realistic"], pair["ideal"]
     # qubit 1 of the realistic pair has the ideal pair's detuning
     two_delta = 2.0 * abs(ideal.params.delta_minus)
-    factor_real = eta_factor if eta_factor is not None else 1.0632
-    factor_ideal = eta_factor_2 if eta_factor_2 is not None else 1.0531
 
     us_per_unit = seconds_per_time_unit(OMEGA0_HZ) * 1e6
     t_final = 2.0 / us_per_unit  # two microseconds of dimensionless evolution
@@ -1029,67 +947,59 @@ def _cmd_figure4(out_dir: Path, svg: bool, eta_factor=None, eta_factor_2=None) -
     )
 
     t_us = times * us_per_unit
-    out = out_dir / "figure4.csv"
-    write_csv(
-        out,
-        "figure4",
-        [
-            ("t_us", t_us),
-            ("n_ph_ideal", traj_ideal.n_ph),
-            ("n_at_ideal", traj_ideal.n_at),
-            ("n_ph_realistic", traj_real.n_ph),
-            ("n_at_realistic", traj_real.n_at),
-        ],
-        {
-            "omega0_over_2pi_hz": OMEGA0_HZ,
-            "g0_qubit1": real.params.g0[0],
-            "g0_qubit2": real.params.g0[1],
-            "Omega_qubit1": 1.72,
-            "Omega_qubit2": real.params.Omega0[1],
-            "kappa_over_g0": 5e-5,
-            "gamma_over_g0": 5e-5,
-            "gamma_phi_over_g0": 5e-5,
-            "initial_state": "coherent(alpha_squared=3, all qubits ground)",
-            "eta_factor_realistic": factor_real,
-            "eta_factor_ideal": factor_ideal,
-            "n_max_realistic": real.space.n_max,
-            "n_max_ideal": ideal.space.n_max,
-        },
-    )
+    columns = [
+        ("t_us", t_us, "t (us)"),
+        ("n_ph_ideal", traj_ideal.n_ph, "n_ph ideal"),
+        ("n_at_ideal", traj_ideal.n_at, "n_at ideal"),
+        ("n_ph_realistic", traj_real.n_ph, "n_ph realistic"),
+        ("n_at_realistic", traj_real.n_at, "n_at realistic"),
+    ]
+    meta = {
+        "omega0_over_2pi_hz": OMEGA0_HZ,
+        "g0_qubit1": real.params.g0[0],
+        "g0_qubit2": real.params.g0[1],
+        "Omega_qubit1": real.params.Omega0[0],
+        "Omega_qubit2": real.params.Omega0[1],
+        "kappa_over_g0": CIRCUIT_LOSS_OVER_G0,
+        "gamma_over_g0": CIRCUIT_LOSS_OVER_G0,
+        "gamma_phi_over_g0": CIRCUIT_LOSS_OVER_G0,
+        "initial_state": real.state,
+        "eta_factor_realistic": factor_real,
+        "eta_factor_ideal": factor_ideal,
+        "n_max_realistic": real.space.n_max,
+        "n_max_ideal": ideal.space.n_max,
+    }
     contrast_mask = t_us <= 1.0
     contrast = float(np.max(traj_real.n_at[contrast_mask])
                      - np.min(traj_real.n_at[contrast_mask]))
-    if svg:
-        write_svg(out_dir / "figure4.svg", "circuit-QED pair, 10 GHz cavity",
-                  "t (us)", "<n>", t_us,
-                  [("n_ph ideal", traj_ideal.n_ph), ("n_at ideal", traj_ideal.n_at),
-                   ("n_ph realistic", traj_real.n_ph),
-                   ("n_at realistic", traj_real.n_at)])
-    _print(
+    return columns, meta, ("circuit-QED pair, 10 GHz cavity", "<n>"), [
         f"figure4: eta/2|Delta| = {factor_real} (realistic), {factor_ideal} (ideal); "
         f"n_at contrast over first microsecond = {contrast:.3f}"
-    )
-    _print(f"wrote {out}")
-    return 0
+    ]
 
 
 # ---------------------------------------------------------------------------
 # entry points
 # ---------------------------------------------------------------------------
 
+# config subcommands read --config and --no-crt
 _CONFIG_COMMANDS = {
     "spectrum": _cmd_spectrum,
     "rates": _cmd_rates,
-    "evolve": _cmd_evolve,
-    "lindblad": _cmd_lindblad,
+    "evolve": functools.partial(_cmd_trajectory, "evolve"),
+    "lindblad": functools.partial(_cmd_trajectory, "lindblad"),
     "sweep": _cmd_sweep,
 }
+# preset -> (runner, the eta / 2|Delta| overrides it reads with their defaults,
+# in the runner's argument order)
 _FIGURE_COMMANDS = {
-    "figure1": _cmd_figure1,
-    "figure2": _cmd_figure2,
-    "figure3": _cmd_figure3,
-    "figure4": _cmd_figure4,
+    "figure1": (_cmd_figure1, {"eta_factor": 1.0678, "eta_factor_2": 1.0540}),
+    "figure2": (_cmd_figure2, {"eta_factor": 1.0389,
+                               "eta_factor_2": SIX_QUBIT_G_OMEGA_FACTOR}),
+    "figure3": (_cmd_figure3, {"eta_factor": SIX_QUBIT_G_OMEGA_FACTOR}),
+    "figure4": (_cmd_figure4, {"eta_factor": 1.0632, "eta_factor_2": 1.0531}),
 }
+_ETA_HELP = {"eta_factor": "the first run's", "eta_factor_2": "the second run's"}
 
 
 def run_scenario(
@@ -1101,21 +1011,34 @@ def run_scenario(
     eta_factor: float | None = None,
     eta_factor_2: float | None = None,
 ) -> int:
-    """Run one subcommand; returns the process exit status (0 on success)."""
+    """Run one subcommand; returns the process exit status (0 on success).
+
+    An option the subcommand does not read is refused, not ignored.
+    """
+    if subcommand in _FIGURE_COMMANDS:
+        runner, reads = _FIGURE_COMMANDS[subcommand]
+    elif subcommand in _CONFIG_COMMANDS:
+        runner, reads = _CONFIG_COMMANDS[subcommand], ("config_path", "no_crt")
+    else:
+        raise ConfigError(f"unknown subcommand {subcommand!r}")
+    options = {"config_path": config_path, "no_crt": no_crt or None,
+               "eta_factor": eta_factor, "eta_factor_2": eta_factor_2}
+    unread = [k for k, v in options.items() if v is not None and k not in reads]
+    if unread:
+        raise ConfigError(f"{subcommand} does not read {', '.join(unread)}")
     out_dir = Path(output_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output dir {out_dir}: {exc}") from exc
     if subcommand in _FIGURE_COMMANDS:
-        return _FIGURE_COMMANDS[subcommand](out_dir, svg, eta_factor, eta_factor_2)
-    if subcommand in _CONFIG_COMMANDS:
-        if config_path is None:
-            raise ConfigError(f"{subcommand} requires --config")
-        cfg = load_config(Path(config_path))
-        _reject_unknown_keys(cfg, str(config_path))
-        return _CONFIG_COMMANDS[subcommand](cfg, out_dir, svg, no_crt)
-    raise ConfigError(f"unknown subcommand {subcommand!r}")
+        factors = (d if options[k] is None else options[k] for k, d in reads.items())
+        return _emit(out_dir, subcommand, svg, *runner(*factors))
+    if config_path is None:
+        raise ConfigError(f"{subcommand} requires --config")
+    cfg = load_config(Path(config_path))
+    _reject_unknown_keys(cfg, str(config_path))
+    return _emit(out_dir, subcommand, svg, *runner(cfg, no_crt))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1131,14 +1054,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--svg", action="store_true", help="also write SVG charts")
         p.add_argument("--no-crt", action="store_true",
                        help="drop counter-rotating terms regardless of the config")
-    for name in _FIGURE_COMMANDS:
+    for name, (_, reads) in _FIGURE_COMMANDS.items():
         p = sub.add_parser(name, help=f"regenerate the {name} dataset")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--svg", action="store_true", help="also write SVG charts")
-        p.add_argument("--eta-factor", type=float, default=None,
-                       help="override the primary run's eta / 2|Delta|")
-        p.add_argument("--eta-factor-2", type=float, default=None,
-                       help="override the secondary run's eta / 2|Delta|")
+        for key, default in reads.items():
+            p.add_argument("--" + key.replace("_", "-"), type=float, default=None,
+                           help=f"override {_ETA_HELP[key]} eta / 2|Delta| "
+                                f"(default {default})")
     return parser
 
 

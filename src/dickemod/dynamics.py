@@ -696,7 +696,7 @@ def _lindblad_strobe(ham, collapse, rho0, t_span, sample_count, tol, metadata):
     # the 64-ulp snap of _period_split
     ks, offset_index, _ = _period_split(np.array([float(t_span[1])]), period)
     total_periods = int(ks[0]) + int(offset_index[0] >= 0)
-    stride = max(1, int(round((t_span[1] / max(sample_count - 1, 1)) / period)))
+    stride = max(1, int(round((t_span[1] / (sample_count - 1)) / period)))
     sample_ks = list(range(0, total_periods + 1, stride))
 
     sectors, blocks, channels = _lindblad_channel(ham, collapse, rho0, tol, metadata)
@@ -704,18 +704,16 @@ def _lindblad_strobe(ham, collapse, rho0, t_span, sample_count, tol, metadata):
     metadata["engine"] = "lindblad-stroboscopic"
     metadata["sectors"] = [len(ch) for ch in channels]
 
-    # samples sit on stride multiples, so march with channel^stride directly
+    # samples sit on stride multiples, so one channel^stride step per sample
     rhos = np.zeros((len(sample_ks), *rho0.shape), dtype=complex)
     for pairs, channel in zip(blocks, channels):
         parts = {(p, q): np.ix_(sectors[p], sectors[q]) for p, q in pairs}
         spans = _pair_spans(pairs, sizes)
         step = np.linalg.matrix_power(channel, stride) if stride > 1 else channel
         vec = np.concatenate([rho0[part].ravel() for part in parts.values()]).astype(complex)
-        k = 0
-        for rho, target in zip(rhos, sample_ks):
-            while k < target:
+        for i, rho in enumerate(rhos):
+            if i:
                 vec = step @ vec
-                k += stride
             for (p, q), part in parts.items():
                 rho[part] = vec[spans[p, q]].reshape(sizes[p], sizes[q])
     times = period * np.array(sample_ks, dtype=float)

@@ -254,6 +254,18 @@ def test_run_scenario_guards(tmp_path):
         run_scenario(None, "orbit", tmp_path)
     with pytest.raises(ConfigError, match="requires --config"):
         run_scenario(None, "spectrum", tmp_path)
+    # an option the command does not read is refused before anything runs
+    cfg = write_cfg(tmp_path, SYSTEM_LINES + STATE_LINES + "run.t_final = 1.0\n")
+    for command, config, option in [("evolve", cfg, {"eta_factor": 1.04}),
+                                    ("lindblad", cfg, {"eta_factor_2": 1.04}),
+                                    ("figure3", None, {"eta_factor_2": 1.04}),
+                                    ("figure1", None, {"no_crt": True}),
+                                    ("figure2", cfg, {})]:
+        out = tmp_path / f"{command}-out"
+        unread = next(iter(option), "config_path")
+        with pytest.raises(ConfigError, match=rf"{command} does not read {unread}$"):
+            run_scenario(config, command, out, **option)
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -282,6 +294,16 @@ def test_parser_covers_all_subcommands():
     assert args.command == "figure2" and args.eta_factor == 1.04
     args = parser.parse_args(["rates", "--config", "c", "--out", "x", "--no-crt"])
     assert args.command == "rates" and args.no_crt
+    for name in ("figure1", "figure2", "figure4"):
+        args = parser.parse_args([name, "--out", "x", "--eta-factor-2", "1.05"])
+        assert args.eta_factor_2 == 1.05
+    # each command registers only the flags it reads
+    for argv in (["figure3", "--out", "x", "--eta-factor-2", "1.04"],
+                 ["figure1", "--out", "x", "--no-crt"],
+                 ["evolve", "--config", "c", "--out", "x", "--eta-factor", "1.04"]):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert exc.value.code == 2
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +508,23 @@ def test_figure1_preset(tmp_path):
 
     svg = (tmp_path / "figure1.svg").read_text()
     assert svg.startswith("<svg") and svg.count("<polyline") == 6
+    # the chart carries each column's legend, not its CSV name
+    assert ">n_ph analytic</text>" in svg and "n_ph_analytic" not in svg
+
+
+def test_figure2_preset(tmp_path):
+    assert main(["figure2", "--out", str(tmp_path), "--svg"]) == 0
+    meta, header, data = read_csv(tmp_path / "figure2.csv")
+    assert header == ["t_q_over_pi", "n_ph_gmod", "n_at_gmod",
+                      "n_ph_gOmegamod", "n_at_gOmegamod"]
+    assert float(meta["eta_factor_gmod"]) == pytest.approx(1.0389)
+    assert float(meta["q_closed_form_gmod"]) > 0.0
+    assert meta["n_qubits"] == "6" and meta["epsilon_g_over_g0"] == "0.1"
+    # coherent start |alpha|^2 = 5.5 with every qubit down; n_max = 21 cuts
+    # 1.6e-6 of the Poisson tail's photon number
+    assert data[0, 1:] == pytest.approx([5.5, 0.0, 5.5, 0.0], abs=1e-5)
+    svg = (tmp_path / "figure2.svg").read_text()
+    assert svg.count("<polyline") == 4 and ">n_at g+Omega</text>" in svg
 
 
 def test_figure3_preset(tmp_path):
