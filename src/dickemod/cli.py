@@ -438,11 +438,12 @@ def _emit(out_dir: Path, command: str, svg: bool, columns, meta: dict, chart, su
     columns lists each column once as (csv name, values, legend). The first
     column with a legend is the chart's x axis, its legend the axis label, and
     every later one with a legend is a series; legend None keeps a column out
-    of the chart. chart is (title, y label), or None for no chart.
+    of the chart. chart is (title, y label), or None for a command that does
+    not read svg.
     """
     out = out_dir / f"{command}.csv"
     write_csv(out, command, [(name, values) for name, values, _ in columns], meta)
-    if svg and chart is not None:
+    if svg:
         (_, x, xlabel), *series = [c for c in columns if c[2] is not None]
         write_svg(out_dir / f"{command}.svg", chart[0], xlabel, chart[1], x,
                   [(legend, y) for _, y, legend in series])
@@ -982,16 +983,18 @@ def _cmd_figure4(factor_real: float, factor_ideal: float):
 # entry points
 # ---------------------------------------------------------------------------
 
-# config subcommands read --config and --no-crt
+# config subcommand -> (runner, the options it reads): every one reads --config
+# and --no-crt, and those that draw a chart read --svg
+_CONFIG_OPTIONS = ("config_path", "no_crt")
 _CONFIG_COMMANDS = {
-    "spectrum": _cmd_spectrum,
-    "rates": _cmd_rates,
-    "evolve": functools.partial(_cmd_trajectory, "evolve"),
-    "lindblad": functools.partial(_cmd_trajectory, "lindblad"),
-    "sweep": _cmd_sweep,
+    "spectrum": (_cmd_spectrum, _CONFIG_OPTIONS),
+    "rates": (_cmd_rates, _CONFIG_OPTIONS),
+    "evolve": (functools.partial(_cmd_trajectory, "evolve"), (*_CONFIG_OPTIONS, "svg")),
+    "lindblad": (functools.partial(_cmd_trajectory, "lindblad"), (*_CONFIG_OPTIONS, "svg")),
+    "sweep": (_cmd_sweep, (*_CONFIG_OPTIONS, "svg")),
 }
 # preset -> (runner, the eta / 2|Delta| overrides it reads with their defaults,
-# in the runner's argument order)
+# in the runner's argument order); every preset also reads --svg
 _FIGURE_COMMANDS = {
     "figure1": (_cmd_figure1, {"eta_factor": 1.0678, "eta_factor_2": 1.0540}),
     "figure2": (_cmd_figure2, {"eta_factor": 1.0389,
@@ -1016,12 +1019,13 @@ def run_scenario(
     An option the subcommand does not read is refused, not ignored.
     """
     if subcommand in _FIGURE_COMMANDS:
-        runner, reads = _FIGURE_COMMANDS[subcommand]
+        runner, defaults = _FIGURE_COMMANDS[subcommand]
+        reads = ("svg", *defaults)
     elif subcommand in _CONFIG_COMMANDS:
-        runner, reads = _CONFIG_COMMANDS[subcommand], ("config_path", "no_crt")
+        runner, reads = _CONFIG_COMMANDS[subcommand]
     else:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
-    options = {"config_path": config_path, "no_crt": no_crt or None,
+    options = {"config_path": config_path, "svg": svg or None, "no_crt": no_crt or None,
                "eta_factor": eta_factor, "eta_factor_2": eta_factor_2}
     unread = [k for k, v in options.items() if v is not None and k not in reads]
     if unread:
@@ -1032,7 +1036,7 @@ def run_scenario(
     except OSError as exc:
         raise ConfigError(f"cannot create output dir {out_dir}: {exc}") from exc
     if subcommand in _FIGURE_COMMANDS:
-        factors = (d if options[k] is None else options[k] for k, d in reads.items())
+        factors = (d if options[k] is None else options[k] for k, d in defaults.items())
         return _emit(out_dir, subcommand, svg, *runner(*factors))
     if config_path is None:
         raise ConfigError(f"{subcommand} requires --config")
@@ -1047,11 +1051,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Modulated collective cavity-QED simulator and analytics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _CONFIG_COMMANDS:
+    for name, (_, reads) in _CONFIG_COMMANDS.items():
         p = sub.add_parser(name, help=f"run {name} from a scenario config")
         p.add_argument("--config", required=True, help="scenario file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--svg", action="store_true", help="also write SVG charts")
+        if "svg" in reads:
+            p.add_argument("--svg", action="store_true", help="also write SVG charts")
         p.add_argument("--no-crt", action="store_true",
                        help="drop counter-rotating terms regardless of the config")
     for name, (_, reads) in _FIGURE_COMMANDS.items():
@@ -1072,7 +1077,7 @@ def main(argv=None) -> int:
             getattr(args, "config", None),
             args.command,
             args.out,
-            svg=args.svg,
+            svg=getattr(args, "svg", False),
             no_crt=getattr(args, "no_crt", False),
             eta_factor=getattr(args, "eta_factor", None),
             eta_factor_2=getattr(args, "eta_factor_2", None),

@@ -2,9 +2,12 @@
 transition rates and the slow effective dynamics they generate.
 
 Everything here lives on the collective basis and treats the excitation-
-conserving (Tavis-Cummings) Hamiltonian as the unperturbed problem. Counter-
-rotating terms enter only through second-order level shifts nu attached to the
-dressed levels; the drive enters through first-order matrix elements Upsilon.
+conserving (Tavis-Cummings) Hamiltonian as the unperturbed problem. Exact
+spectra diagonalize model's static Hamiltonian; the level shifts and the summed
+drive elements are matrix elements of the structural operators model assembles
+it from. Counter-rotating terms enter only through second-order level shifts nu
+attached to the dressed levels; the drive enters through first-order matrix
+elements Upsilon.
 The two-photon exchange resonance is exposed twice: through the general rate
 built from exact dressed states, and through a closed-form expression valid to
 leading order in g0/Delta.
@@ -17,10 +20,9 @@ up to (g0/Delta)^4, which the truncated second-order expansion does not contain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
 from .errors import (
@@ -33,7 +35,7 @@ from .errors import (
     PhysicsGuardError,
 )
 from .hilbert import COLLECTIVE, SpaceSpec, StateVector, f_coefficient
-from .model import ModulationSchedule, SystemParams, _collective_blocks
+from .model import ModulationSchedule, SystemParams, _collective_blocks, hamiltonian_static
 
 SOURCE_EXACT = "exact-diagonalization"
 SOURCE_PERTURBATIVE = "second-order-perturbation"
@@ -236,24 +238,23 @@ class DressedSpectrum:
 def spectrum_exact(
     space: SpaceSpec, params: SystemParams, subspaces=None
 ) -> DressedSpectrum:
-    """Exact dressed spectrum, honoring params.with_crt.
+    """Exact dressed spectrum of model's static Hamiltonian, honoring
+    params.with_crt.
 
     Without counter-rotating terms each total-excitation subspace is
-    diagonalized on its own (the coupling is block tridiagonal); with them the
-    full Hamiltonian is diagonalized and eigenvectors are binned by their
-    dominant bare component. Labeling demands a dominant overlap above 0.5,
-    otherwise the system is outside the regime where the labels mean anything.
-    Near-cutoff subspaces of a large space routinely violate that; passing
+    diagonalized on its own (the coupling conserves the excitation number);
+    with them the full Hamiltonian is diagonalized. Each eigenvector is labeled
+    by its dominant bare component, which must carry more than 0.5 of its
+    weight; one without is left unlabeled, and a label no eigenvector claims
+    means the system is outside the regime where the labels mean anything.
+    Near-cutoff subspaces of a large space routinely fail that; passing
     `subspaces` restricts building (and labeling) to the listed m values so the
     usable low ones stay reachable.
     """
     _check_space(space)
     if not params.is_uniform:
         raise DomainError("exact spectrum requires uniform parameters")
-    ms = _requested_subspaces(space, subspaces)
-    if params.with_crt:
-        return _spectrum_full(space, params, ms)
-    return _spectrum_blocks(space, params, ms)
+    return _spectrum(space, params, _requested_subspaces(space, subspaces))
 
 
 def _subspace_atom_range(space: SpaceSpec, m: int) -> range:
@@ -271,86 +272,32 @@ def _requested_subspaces(space: SpaceSpec, subspaces) -> list[int]:
     return ms
 
 
-def _spectrum_blocks(
-    space: SpaceSpec, params: SystemParams, ms: list[int]
-) -> DressedSpectrum:
-    g = params.g0_uniform
-    om, Om = params.omega0, params.Omega0_uniform
-    lams: dict[int, np.ndarray] = {}
-    nus: dict[int, np.ndarray] = {}
-    vecs: dict[int, np.ndarray] = {}
-    for m in ms:
-        ks = _subspace_atom_range(space, m)
-        nk = len(ks)
-        diag = np.array([om * (m - k) + Om * k for k in ks])
-        off = np.array(
-            [g * f_coefficient(k, space.n_qubits) * math.sqrt(m - k) for k in list(ks)[:-1]]
-        )
-        if nk == 1:
-            w = diag.copy()
-            v = np.ones((1, 1))
-        else:
-            h = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-            w, v = np.linalg.eigh(h)
-        lam_m = np.empty(nk)
-        vec_m = np.zeros((space.dim, nk), dtype=complex)
-        claimed = set()
-        for col in range(nk):
+def _spectrum(space: SpaceSpec, params: SystemParams, ms: list[int]) -> DressedSpectrum:
+    h = hamiltonian_static(space, params).toarray().real
+    if params.with_crt:
+        index_sets = [np.arange(space.dim)]
+    else:
+        index_sets = [[space.index(k, m - k) for k in _subspace_atom_range(space, m)]
+                      for m in ms]
+    lams = {m: np.full(len(_subspace_atom_range(space, m)), np.nan) for m in ms}
+    vecs = {m: np.zeros((space.dim, len(lams[m])), dtype=complex) for m in ms}
+    for idx in index_sets:
+        w, v = np.linalg.eigh(h[np.ix_(idx, idx)])
+        for col in range(len(w)):
             j = int(np.argmax(np.abs(v[:, col])))
             if v[j, col] ** 2 <= LABEL_OVERLAP_MIN:
-                raise LabelingError(
-                    f"subspace m={m}: eigenvector has no dominant bare component"
-                )
-            s_label = j
-            if s_label in claimed:
-                raise LabelingError(f"subspace m={m}: label S={s_label} claimed twice")
-            claimed.add(s_label)
-            comp = v[:, col] * np.sign(v[j, col])
-            lam_m[s_label] = w[col]
-            for idx, k in enumerate(ks):
-                vec_m[space.index(k, m - k), s_label] = comp[idx]
-        lams[m] = lam_m
-        nus[m] = np.zeros(nk)
-        vecs[m] = vec_m
-    return DressedSpectrum(space, params, SOURCE_EXACT, lams, nus, vecs)
-
-
-def _spectrum_full(
-    space: SpaceSpec, params: SystemParams, ms: list[int]
-) -> DressedSpectrum:
-    from .model import hamiltonian_static
-
-    h = hamiltonian_static(space, params).toarray()
-    w, v = np.linalg.eigh(h)
-    wanted = set(ms)
-    lams: dict[int, np.ndarray] = {}
-    nus: dict[int, np.ndarray] = {}
-    vecs: dict[int, np.ndarray] = {}
+                # no dominant bare component: near the cutoff or outside the
+                # dispersive regime, so no label
+                continue
+            k, n_ph = divmod(idx[j], space.photon_dim)
+            if k + n_ph in lams:
+                lams[k + n_ph][k] = w[col]
+                vecs[k + n_ph][idx, k] = v[:, col] * np.sign(v[j, col])
     for m in ms:
-        nk = len(_subspace_atom_range(space, m))
-        lams[m] = np.full(nk, np.nan)
-        nus[m] = np.zeros(nk)
-        vecs[m] = np.zeros((space.dim, nk), dtype=complex)
-    claimed: set[tuple[int, int]] = set()
-    for col in range(len(w)):
-        j = int(np.argmax(np.abs(v[:, col])))
-        if abs(v[j, col]) ** 2 <= LABEL_OVERLAP_MIN:
-            # states without a dominant bare component live near the cutoff or
-            # outside the dispersive regime; they get no label
-            continue
-        k, n_ph = divmod(j, space.photon_dim)
-        m = k + n_ph
-        if m not in wanted:
-            continue
-        if (m, k) in claimed:
-            raise LabelingError(f"label (m={m}, S={k}) claimed twice")
-        claimed.add((m, k))
-        lams[m][k] = w[col]
-        vecs[m][:, k] = v[:, col] * np.sign(np.real(v[j, col]))
-    for m in ms:
-        if np.isnan(lams[m]).any():
-            missing = [s for s in range(len(lams[m])) if math.isnan(lams[m][s])]
+        missing = [s for s in range(len(lams[m])) if math.isnan(lams[m][s])]
+        if missing:
             raise LabelingError(f"subspace m={m}: no eigenvector claimed labels {missing}")
+    nus = {m: np.zeros(len(lams[m])) for m in ms}
     return DressedSpectrum(space, params, SOURCE_EXACT, lams, nus, vecs)
 
 
@@ -373,26 +320,16 @@ def spectrum_perturbative(space: SpaceSpec, params: SystemParams) -> DressedSpec
 # counter-rotating level shifts
 # ---------------------------------------------------------------------------
 
-def _lowering_coupling(space: SpaceSpec) -> sp.csr_matrix:
-    """V_minus = sum_k f_k a |k><k+1|: the part of the counter-rotating coupling
-    that removes two excitations."""
-    pd = space.photon_dim
-    nq = space.n_qubits
-    a_ph = sp.diags(np.sqrt(np.arange(1, pd)), offsets=1)
-    f = np.array([f_coefficient(k, nq) for k in range(nq)])
-    s_lower = sp.diags(f, offsets=1)  # |k><k+1| weighted by f_k
-    return sp.kron(s_lower, a_ph, format="csr").astype(complex)
-
-
 def crt_shift(spectrum: DressedSpectrum, m: int, t_label: int) -> float:
     """Second-order level shift of (m, T) from the counter-rotating coupling.
 
-    nu = g0^2 * sum_S [ <phi_{m-2,S}|V|phi_{m,T}>^2 / (lam_{m,T} - lam_{m-2,S})
-                      - <phi_{m,T}|V|phi_{m+2,S}>^2 / (lam_{m+2,S} - lam_{m,T}) ]
+    nu = g0^2 * sum_{m' = m +- 2} sum_S <phi_{m',S}|V|phi_{m,T}>^2 / (lam_{m,T} - lam_{m',S})
 
-    with V = sum_k f_k a sigma_{k,k+1}. Requires the Tavis-Cummings spectrum
-    (the unperturbed problem); subspace m+2 must be complete, m-2 < 0
-    contributes zero.
+    with V the whole counter-rotating part of the coupling at g = 1,
+    sum_k f_k (a^dag sigma_{k+1,k} + a sigma_{k,k+1}); it moves two excitations
+    either way, so V|phi_{m,T}> lies in subspaces m - 2 and m + 2. Requires
+    the Tavis-Cummings spectrum (the unperturbed problem); subspace m+2 must
+    be complete, m-2 < 0 contributes zero.
     """
     if spectrum.source != SOURCE_EXACT or spectrum.params.with_crt:
         raise DomainError("crt_shift needs an exact Tavis-Cummings spectrum")
@@ -401,30 +338,22 @@ def crt_shift(spectrum: DressedSpectrum, m: int, t_label: int) -> float:
         raise CutoffError(
             f"nu at m={m} needs complete subspace m+2={m + 2}; n_max={spectrum.space.n_max}"
         )
-    g = spectrum.params.g0_uniform
-    v_minus = _lowering_coupling(spectrum.space)
+    crt = _collective_blocks(spectrum.space)[3]
     lam_t = spectrum.lam(m, t_label)
-    phi_t = spectrum.state(m, t_label)
+    v_phi = crt @ spectrum.state(m, t_label)
     total = 0.0
-    if m - 2 >= 0:
-        lower = v_minus @ phi_t
-        for s_label in spectrum.labels(m - 2):
-            num = float(np.real(np.vdot(spectrum.state(m - 2, s_label), lower)))
-            den = lam_t - spectrum.lam(m - 2, s_label)
+    for mm in (m - 2, m + 2):
+        if mm < 0:
+            continue
+        for s_label in spectrum.labels(mm):
+            num = float(np.real(np.vdot(spectrum.state(mm, s_label), v_phi)))
+            den = lam_t - spectrum.lam(mm, s_label)
             if abs(den) < DENOMINATOR_TOL:
                 raise PhysicsGuardError(
-                    f"nu denominator |lam_(m,T)-lam_(m-2,S)|={abs(den):.2e} below 1e-9"
+                    f"nu denominator |lam_(m,T)-lam_(m{mm - m:+d},S)|={abs(den):.2e} below 1e-9"
                 )
             total += num * num / den
-    for s_label in spectrum.labels(m + 2):
-        num = float(np.real(np.vdot(phi_t, v_minus @ spectrum.state(m + 2, s_label))))
-        den = spectrum.lam(m + 2, s_label) - lam_t
-        if abs(den) < DENOMINATOR_TOL:
-            raise PhysicsGuardError(
-                f"nu denominator |lam_(m+2,S)-lam_(m,T)|={abs(den):.2e} below 1e-9"
-            )
-        total -= num * num / den
-    return g * g * total
+    return spectrum.params.g0_uniform ** 2 * total
 
 
 def attach_crt_shifts(spectrum: DressedSpectrum, subspaces=None) -> DressedSpectrum:
@@ -452,19 +381,11 @@ def dispersive_spectrum(
     neighbors are built too because the counter-rotating shift needs them, but
     only the listed ones get nu attached).
     """
-    from dataclasses import replace
-
-    tc = replace(params, with_crt=False)
-    if subspaces is None:
-        spec = spectrum_exact(space, tc)
-        if params.with_crt:
-            attach_crt_shifts(spec)
-        return spec
     ms = _requested_subspaces(space, subspaces)
     build = sorted(
         {mm for m in ms for mm in (m - 2, m, m + 2) if 0 <= mm <= space.n_max}
     )
-    spec = spectrum_exact(space, tc, subspaces=build)
+    spec = spectrum_exact(space, replace(params, with_crt=False), subspaces=build)
     if params.with_crt:
         attach_crt_shifts(spec, subspaces=[m for m in ms if m + 2 <= space.n_max])
     return spec
@@ -473,18 +394,6 @@ def dispersive_spectrum(
 # ---------------------------------------------------------------------------
 # drive matrix elements and rates
 # ---------------------------------------------------------------------------
-
-_OPS_CACHE: dict[SpaceSpec, dict] = {}
-
-
-def _structural_ops(space: SpaceSpec):
-    ops = _OPS_CACHE.get(space)
-    if ops is None:
-        n_op, k_op, tc = _collective_blocks(space, with_crt=False)
-        ops = {"omega": n_op, "Omega": k_op, "g": tc}
-        _OPS_CACHE[space] = ops
-    return ops
-
 
 def upsilon(
     spectrum: DressedSpectrum,
@@ -501,33 +410,25 @@ def upsilon(
     <T| a sigma_{k+1,k} + h.c. |S>; Omega target: eps * k * <T| sigma_kk |S>.
     Real by the dressed-state phase convention.
     """
-    space = spectrum.space
-    nq = space.n_qubits
-    phi_t = spectrum.state(m, t_label)
-    phi_s = spectrum.state(m, s_label)
     if schedule.target == "omega":
         if k != 0:
             return 0.0
-        n_op = _structural_ops(space)["omega"]
-        val = np.vdot(phi_t, n_op @ phi_s)
-    elif schedule.target == "g":
+        return _upsilon_target_total(spectrum, schedule, m, t_label, s_label)
+    space = spectrum.space
+    nq = space.n_qubits
+    grid_t = spectrum.state(m, t_label).reshape(nq + 1, space.photon_dim)
+    grid_s = spectrum.state(m, s_label).reshape(nq + 1, space.photon_dim)
+    if schedule.target == "g":
         if not 0 <= k <= nq - 1:
             raise DomainError(f"g-target k={k} outside [0, {nq - 1}]")
-        pd = space.photon_dim
-        a_ph = sp.diags(np.sqrt(np.arange(1, pd)), offsets=1)
-        raise_k = sp.csr_matrix(
-            ([1.0], ([k + 1], [k])), shape=(nq + 1, nq + 1)
-        )
-        op = sp.kron(raise_k, a_ph) + sp.kron(raise_k.T, a_ph.T)
-        val = f_coefficient(k, nq) * np.vdot(phi_t, op @ phi_s)
-    elif schedule.target == "Omega":
+        # a sigma_{k+1,k} |k, n> = sqrt(n) |k+1, n-1>, and its conjugate
+        sq = np.sqrt(np.arange(1, space.photon_dim))
+        val = f_coefficient(k, nq) * (np.vdot(grid_t[k + 1, :-1], sq * grid_s[k, 1:])
+                                      + np.vdot(grid_t[k, 1:], sq * grid_s[k + 1, :-1]))
+    else:
         if not 0 <= k <= nq:
             raise DomainError(f"Omega-target k={k} outside [0, {nq}]")
-        grid_t = phi_t.reshape(nq + 1, space.photon_dim)
-        grid_s = phi_s.reshape(nq + 1, space.photon_dim)
         val = k * np.vdot(grid_t[k], grid_s[k])
-    else:
-        raise DomainError(f"unknown target {schedule.target!r}")
     return schedule.epsilon * float(np.real(val))
 
 
@@ -538,9 +439,10 @@ def _upsilon_target_total(
     t_label: int,
     s_label: int,
 ) -> float:
-    """sum_k Upsilon^(target,k) computed with the assembled structural operator."""
-    ops = _structural_ops(spectrum.space)
-    op = ops[schedule.target]
+    """sum_k Upsilon^(target,k), from the structural operator the Hamiltonian
+    is assembled from."""
+    n_op, k_op, tc, _ = _collective_blocks(spectrum.space)
+    op = {"omega": n_op, "Omega": k_op, "g": tc}[schedule.target]
     val = np.vdot(spectrum.state(m, t_label), op @ spectrum.state(m, s_label))
     return schedule.epsilon * float(np.real(val))
 

@@ -277,7 +277,7 @@ def _parity_blocks(ham: ModulatedHamiltonian, collapse=()):
     operator must keep or flip it exactly; anything else raises DomainError,
     since the sector engines would silently drop the cross-sector part.
     """
-    for h in (ham.h_const, *(hx for _, hx in ham.terms)):
+    for h in ham.pieces:
         if parity_flips(h, ham.space):
             raise DomainError("a Hamiltonian piece flips the parity (-1)^(n+k)")
     return parity_sectors(ham.space), [parity_flips(op, ham.space) for _, op in collapse]
@@ -296,7 +296,7 @@ def _symmetric_window(ham, period: float):
     phi = active[0].phi
     if any(abs(math.remainder(s.phi - phi, math.pi)) > 1e-13 for s in active):
         return None
-    if any((h != h.T).nnz for h in (ham.h_const, *(hx for _, hx in ham.terms))):
+    if any((h != h.T).nnz for h in ham.pieces):
         return None
     c = ((math.pi / 2.0 - phi) % math.pi) / ham.common_eta
     return c - period / 2.0, c
@@ -567,9 +567,8 @@ def _gauss_nodes(a: float, b: float, panels: int, order: int = 6):
 
 
 def _spectral_radius_bound(ham) -> float:
-    h = abs(ham.h_const)
-    for sched, block in ham.terms:
-        h = h + abs(block)
+    h0, *drives = ham.pieces
+    h = sum((abs(hx) for hx in drives), abs(h0))
     return float(h.sum(axis=1).max())
 
 

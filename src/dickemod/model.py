@@ -8,6 +8,7 @@ no -N*Omega/2 offset, the bare level of |k, n> is omega*n + Omega*k.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -178,8 +179,15 @@ def validate_schedules(
             )
 
 
-def _collective_blocks(space: SpaceSpec, with_crt: bool):
-    """(n_op, k_op, coupling) structural matrices on the collective basis."""
+@functools.lru_cache(maxsize=16)
+def _collective_blocks(space: SpaceSpec):
+    """(n_op, k_op, tc, crt) structural matrices on the collective basis.
+
+    tc = sum_k f_k (a sigma_{k+1,k} + h.c.) is the excitation-conserving
+    coupling and crt = sum_k f_k (a^dag sigma_{k+1,k} + h.c.) its counter-
+    rotating part, both at g = 1. Built once per space and shared, so the
+    arrays are read-only: every caller forms new matrices from them.
+    """
     pd = space.photon_dim
     nq = space.n_qubits
     sq = np.sqrt(np.arange(1, pd))
@@ -191,10 +199,12 @@ def _collective_blocks(space: SpaceSpec, with_crt: bool):
     f = np.array([f_coefficient(k, nq) for k in range(nq)])
     s_raise = sp.diags(f, offsets=-1)  # |k+1><k| weighted by f_k
     tc = sp.kron(s_raise, a_ph) + sp.kron(s_raise.T, a_ph.T)
-    coupling = tc
-    if with_crt:
-        coupling = coupling + sp.kron(s_raise, a_ph.T) + sp.kron(s_raise.T, a_ph)
-    return n_op.astype(complex), k_op.astype(complex), coupling.tocsr().astype(complex)
+    crt = sp.kron(s_raise, a_ph.T) + sp.kron(s_raise.T, a_ph)
+    blocks = tuple(op.tocsr().astype(complex) for op in (n_op, k_op, tc, crt))
+    for op in blocks:
+        for arr in (op.data, op.indices, op.indptr):
+            arr.flags.writeable = False
+    return blocks
 
 
 def _distinguishable_blocks(space: SpaceSpec, with_crt: bool):
@@ -259,6 +269,11 @@ class ModulatedHamiltonian:
                        terms=tuple((s, sub(hx)) for s, hx in self.terms))
 
     @property
+    def pieces(self) -> tuple[sp.csr_matrix, ...]:
+        """h_const followed by each drive term's matrix."""
+        return (self.h_const, *(hx for _, hx in self.terms))
+
+    @property
     def is_static(self) -> bool:
         return all(hx.nnz == 0 or s.epsilon == 0 for s, hx in self.terms)
 
@@ -295,7 +310,8 @@ def build_hamiltonian(
         for s in schedules:
             if s.qubit is not None:
                 raise ConfigError("qubit-addressed schedules require the distinguishable basis")
-        n_op, k_op, coupling = _collective_blocks(space, params.with_crt)
+        n_op, k_op, tc, crt = _collective_blocks(space)
+        coupling = tc + crt if params.with_crt else tc
         h_const = (
             params.omega0 * n_op
             + params.Omega0_uniform * k_op
@@ -319,17 +335,16 @@ def build_hamiltonian(
                 if s.qubit is None:
                     hx = sum(per[1:], per[0])
                 else:
-                    if s.qubit > space.n_qubits:
-                        raise DomainError(f"qubit={s.qubit} > N={space.n_qubits}")
                     hx = per[s.qubit - 1]
             terms.append((s, (s.epsilon * hx).tocsr()))
         terms = tuple(terms)
 
-    for h in (h_const, *(hx for _, hx in terms)):
+    ham = ModulatedHamiltonian(space, params, schedules, h_const, terms)
+    for h in ham.pieces:
         defect = hermiticity_defect(h)
         if defect > HERMITICITY_TOL:
             raise DomainError(f"assembled Hamiltonian not Hermitian: defect {defect:.2e}")
-    return ModulatedHamiltonian(space, params, schedules, h_const, terms)
+    return ham
 
 
 def hamiltonian_static(space: SpaceSpec, params: SystemParams) -> sp.csr_matrix:

@@ -260,7 +260,9 @@ def test_run_scenario_guards(tmp_path):
                                     ("lindblad", cfg, {"eta_factor_2": 1.04}),
                                     ("figure3", None, {"eta_factor_2": 1.04}),
                                     ("figure1", None, {"no_crt": True}),
-                                    ("figure2", cfg, {})]:
+                                    ("figure2", cfg, {}),
+                                    ("spectrum", cfg, {"svg": True}),
+                                    ("rates", cfg, {"svg": True})]:
         out = tmp_path / f"{command}-out"
         unread = next(iter(option), "config_path")
         with pytest.raises(ConfigError, match=rf"{command} does not read {unread}$"):
@@ -297,10 +299,14 @@ def test_parser_covers_all_subcommands():
     for name in ("figure1", "figure2", "figure4"):
         args = parser.parse_args([name, "--out", "x", "--eta-factor-2", "1.05"])
         assert args.eta_factor_2 == 1.05
-    # each command registers only the flags it reads
+    for name in ("evolve", "lindblad", "sweep"):
+        assert parser.parse_args([name, "--config", "c", "--out", "x", "--svg"]).svg
+    # each command registers only the flags it reads; spectrum and rates draw no chart
     for argv in (["figure3", "--out", "x", "--eta-factor-2", "1.04"],
                  ["figure1", "--out", "x", "--no-crt"],
-                 ["evolve", "--config", "c", "--out", "x", "--eta-factor", "1.04"]):
+                 ["evolve", "--config", "c", "--out", "x", "--eta-factor", "1.04"],
+                 ["spectrum", "--config", "c", "--out", "x", "--svg"],
+                 ["rates", "--config", "c", "--out", "x", "--svg"]):
         with pytest.raises(SystemExit) as exc:
             parser.parse_args(argv)
         assert exc.value.code == 2

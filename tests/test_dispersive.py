@@ -31,6 +31,7 @@ from dickemod.errors import (
     CutoffError,
     DegeneracyError,
     DomainError,
+    LabelingError,
     NumericError,
     PhysicsGuardError,
 )
@@ -217,9 +218,75 @@ def test_spectrum_input_guards():
         spectrum_exact(SpaceSpec(2, 6, DISTINGUISHABLE), bench_params())
 
 
+@pytest.mark.parametrize("with_crt, message", [
+    (False, r"subspace m=1: no eigenvector claimed labels \[0, 1\]$"),
+    (True, r"subspace m=2: no eigenvector claimed labels \[0\]$"),
+])
+def test_resonant_system_cannot_be_labeled(with_crt, message):
+    # at zero detuning the bare pairs mix half and half: no dominant component
+    with pytest.raises(LabelingError, match=message):
+        spectrum_exact(SpaceSpec(2, 4), SystemParams(1.0, 1.0, 0.05, 2, with_crt=with_crt))
+
+
+@pytest.mark.parametrize("with_crt", [False, True])
+def test_dressed_states_are_real(with_crt):
+    # Upsilon's phase convention: real states, leading amplitude positive
+    space = SpaceSpec(3, 9)
+    p = SystemParams(1.0, 1.72, 0.08 / math.sqrt(3), 3, with_crt=with_crt)
+    if with_crt:
+        spec = spectrum_exact(space, p, subspaces=range(6))
+    else:
+        spec = dispersive_spectrum(space, p)
+    for m in spec.subspaces:
+        for s in spec.labels(m):
+            vec = spec.state(m, s)
+            assert np.all(vec.imag == 0.0)
+            assert vec[space.index(s, m - s)] > 0.5
+
+
+def test_default_subspaces_are_all_of_them():
+    space = SpaceSpec(2, 8)
+    p = bench_params()
+    default = dispersive_spectrum(space, p)
+    listed = dispersive_spectrum(space, p, subspaces=range(space.n_max + 1))
+    assert default.subspaces == listed.subspaces == list(range(9))
+    for m in default.subspaces:
+        for got, want in ((default._lams, listed._lams), (default._nus, listed._nus),
+                          (default._vecs, listed._vecs)):
+            assert np.array_equal(got[m], want[m], equal_nan=True)
+
+
 # ---------------------------------------------------------------------------
 # counter-rotating shifts
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n_qubits, n_max", [(2, 10), (3, 9)])
+def test_shift_matches_second_order_perturbation_theory(n_qubits, n_max):
+    p = SystemParams(1.0, 1.72, 0.08 / math.sqrt(n_qubits), n_qubits, with_crt=False)
+    spec = spectrum_exact(SpaceSpec(n_qubits, n_max), p)
+
+    def dense(om, Om, g, crt):
+        return dense_collective_hamiltonian(n_qubits, n_max, om, Om, g, crt).real
+
+    h_tc = dense(p.omega0, p.Omega0_uniform, p.g0_uniform, False)
+    v = dense(0.0, 0.0, 1.0, True) - dense(0.0, 0.0, 1.0, False)  # the CRT part at g = 1
+    excitations = np.add.outer(np.arange(n_qubits + 1), np.arange(n_max + 1)).ravel()
+    blocks = {}
+    for m in range(n_max + 1):
+        rows = np.flatnonzero(excitations == m)
+        w, u = np.linalg.eigh(h_tc[np.ix_(rows, rows)])
+        vecs = np.zeros((len(excitations), len(w)))
+        vecs[rows] = u
+        blocks[m] = w, vecs
+    for m in range(n_max - 1):
+        w, vecs = blocks[m]
+        for t in spec.labels(m):
+            col = int(np.argmin(np.abs(w - spec.lam(m, t))))
+            v_phi = v @ vecs[:, col]
+            nu = sum(np.sum((blocks[mm][1].T @ v_phi) ** 2 / (w[col] - blocks[mm][0]))
+                     for mm in (m - 2, m + 2) if mm >= 0)
+            assert crt_shift(spec, m, t) == pytest.approx(p.g0_uniform**2 * nu, abs=1e-12)
+
 
 def test_shift_vanishes_without_coupling():
     space = SpaceSpec(2, 6)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dickemod.cli import _SCHEDULE_KEYS, _SECTION_KEYS, ScenarioConfig, emit_config, parse_config
+from dickemod.dispersive import dispersive_spectrum, subspace_rates, upsilon
 from dickemod.dynamics import NORM_DRIFT_TOL, _collapse_operators, evolve_schrodinger
 from dickemod.hilbert import COLLECTIVE, DISTINGUISHABLE, SpaceSpec, StateVector, parity_flips
 from dickemod.model import (
@@ -19,7 +20,7 @@ from dickemod.model import (
     total_excitation_operator,
 )
 
-from oracles import full_space_floquet
+from oracles import dense_collective_hamiltonian, full_space_floquet
 
 frequency = st.floats(0.05, 3.0)
 
@@ -62,7 +63,7 @@ def test_assembled_operators_keep_parity_sectors(system):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # deep modulations only warn
         ham = build_hamiltonian(space, params, schedules)
-    pieces = [ham.h_const, *(hx for _, hx in ham.terms)]
+    pieces = ham.pieces
     # every Hamiltonian piece keeps each sector; the leak guard raises otherwise
     assert not any(parity_flips(h, space) for h in pieces)
     # cavity decay and relaxation flip the parity, dephasing keeps it
@@ -117,6 +118,51 @@ def test_stroboscopic_run_keeps_norm_and_matches_full_space(run):
                              psi0.amplitudes, 2 * math.pi / ham.common_eta, traj.times)
     got = np.array([s.amplitudes for s in traj.states])
     assert np.max(np.abs(got - ref)) < 1e-9
+
+
+@st.composite
+def dispersive_systems(draw):
+    """(space, params, schedules, m): collective N 2..4, n_max 3..7, |Delta| in
+    [0.7, 0.9] on either side of the cavity (no counter-rotating denominator
+    2 - j|Delta| comes near zero) and g0 small enough that every dressed state
+    keeps a dominant bare component; one to three drives with their own phases,
+    and a subspace m whose m + 2 neighbor is complete."""
+    n_qubits = draw(st.integers(2, 4))
+    space = SpaceSpec(n_qubits, draw(st.integers(3, 7)))
+    detuning = draw(st.floats(0.7, 0.9)) * draw(st.sampled_from([-1.0, 1.0]))
+    params = SystemParams(omega0=1.0, Omega0=1.0 - detuning, g0=draw(st.floats(0.005, 0.03)),
+                          n_qubits=n_qubits, with_crt=draw(st.booleans()))
+    targets = draw(st.lists(st.sampled_from(MOD_TARGETS), unique=True, min_size=1, max_size=3))
+    schedules = tuple(ModulationSchedule(t, draw(st.floats(0.001, 0.05)), 1.0,
+                                         draw(st.floats(-3.2, 3.2)))
+                      for t in targets)
+    return space, params, schedules, draw(st.integers(1, space.n_max - 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dispersive_systems())
+def test_rates_are_antisymmetric_and_drive_elements_sum_to_the_operator(system):
+    space, params, schedules, m = system
+    spec = dispersive_spectrum(space, params, subspaces=(m,))
+    rates = subspace_rates(spec, schedules, m)
+    for (t, s), fwd in rates.items():
+        rev = rates[(s, t)]
+        assert abs(fwd.xi + np.conj(rev.xi)) <= 1e-14
+        assert fwd.eta_res == rev.eta_res and fwd.sign == -rev.sign
+    nq, n_max = space.n_qubits, space.n_max
+    operators = {  # omega * n, Omega * k and the Tavis-Cummings coupling at unit weight
+        "omega": dense_collective_hamiltonian(nq, n_max, 1.0, 0.0, 0.0, False),
+        "Omega": dense_collective_hamiltonian(nq, n_max, 0.0, 1.0, 0.0, False),
+        "g": dense_collective_hamiltonian(nq, n_max, 0.0, 0.0, 1.0, False),
+    }
+    ks = {"omega": range(nq + 1), "Omega": range(nq + 1), "g": range(nq)}
+    for sched in schedules:
+        for t in spec.labels(m):
+            for s in spec.labels(m):
+                total = sum(upsilon(spec, sched, k, m, t, s) for k in ks[sched.target])
+                want = sched.epsilon * np.vdot(spec.state(m, t),
+                                               operators[sched.target] @ spec.state(m, s))
+                assert abs(total - want) <= 1e-13
 
 
 # config values the codec round-trips: a word that reads as no number or
