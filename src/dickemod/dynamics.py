@@ -39,7 +39,8 @@ with no march. The dissipative engine marches a one-period channel that
 keeps the Hamiltonian factor exact and expands the (weak) dissipative factor
 to second order per sub-period slice; trace preservation is exact by
 construction because the same quadrature rule builds both the jump and the
-anticommutator pieces.
+anticommutator pieces. It samples whole periods only, on the grid
+snapped_span gives, the one period-alignment rule of the package.
 
 Both stroboscopic engines work on parity sectors. Every Hamiltonian piece
 conserves the parity (-1)^(n+k) (hilbert.parity_sectors), so U(t) is block
@@ -95,6 +96,7 @@ CUTOFF_POP_TOL = 1e-6
 UNITARY_DEFECT_TOL = 1e-9
 STROBE_MIN_PERIODS = 32
 DRIVE_STEPS_PER_PERIOD = 20
+CUTOFF_POLICIES = ("warn", "error", "ignore")
 
 
 @dataclass
@@ -158,9 +160,13 @@ class DensityMatrix:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
 
 
-def _validate_tol(tol: float) -> None:
+def _validate_run(tol: float, cutoff_policy: str) -> None:
     if not 1e-12 <= tol <= 1e-6:
         raise ConfigError(f"tol={tol:g} outside [1e-12, 1e-6]")
+    if cutoff_policy not in CUTOFF_POLICIES:
+        raise ConfigError(
+            f"cutoff_policy={cutoff_policy!r} is not one of {', '.join(CUTOFF_POLICIES)}"
+        )
 
 
 def _sample_grid(t_span, sample_count: int) -> np.ndarray:
@@ -170,6 +176,20 @@ def _sample_grid(t_span, sample_count: int) -> np.ndarray:
     if sample_count < 2:
         raise ConfigError("sample_count must be >= 2")
     return np.linspace(t0, t1, sample_count)
+
+
+def snapped_span(eta: float, t_final: float, samples: int):
+    """Uniform grid whose spacing is an integer number of drive periods.
+
+    The one period-alignment rule: the stride is the requested spacing
+    rounded to whole periods, and the count the one that lands nearest
+    t_final. Returns ((0, t_end), count).
+    """
+    period = 2.0 * math.pi / eta
+    stride = max(1, int(round(t_final / (samples - 1) / period)))
+    dt = stride * period
+    count = max(2, int(round(t_final / dt)) + 1)
+    return (0.0, dt * (count - 1)), count
 
 
 def _max_step(schedules) -> float:
@@ -451,7 +471,7 @@ def evolve_schrodinger(
     stroboscopic (force the periodic engine). Norm drift is measured, never
     silently repaired; drift beyond 1e-7 fails the run.
     """
-    _validate_tol(tol)
+    _validate_run(tol, cutoff_policy)
     if psi0.space != space:
         raise DomainError("initial state lives on a different space")
     t_grid = _sample_grid(t_span, sample_count)
@@ -687,16 +707,18 @@ def _lindblad_channel(ham, collapse, rho0, tol, metadata):
 
 def _lindblad_strobe(ham, collapse, rho0, t_span, sample_count, tol, metadata):
     """The one-period channel of _lindblad_channel, applied stroboscopically
-    on each occupied Liouville block. Samples land on multiples of the period
-    (grid stays uniform; endpoints move by at most one period).
+    on each occupied Liouville block. The samples are the period-aligned grid
+    snapped_span gives for t_span and sample_count (the endpoint may move by
+    up to half a stride, the count with it); metadata records the request.
     """
     period = 2.0 * math.pi / ham.common_eta
-    # the periods that cover t_span[1], which counts as period-aligned within
-    # the 64-ulp snap of _period_split
-    ks, offset_index, _ = _period_split(np.array([float(t_span[1])]), period)
-    total_periods = int(ks[0]) + int(offset_index[0] >= 0)
-    stride = max(1, int(round((t_span[1] / (sample_count - 1)) / period)))
-    sample_ks = list(range(0, total_periods + 1, stride))
+    span, count = snapped_span(ham.common_eta, float(t_span[1]), sample_count)
+    times = np.linspace(*span, count)
+    # every time of that grid is a whole number of periods
+    ks = _period_split(times, period)[0]
+    stride = int(ks[1])
+    metadata["t_span_requested"] = (float(t_span[0]), float(t_span[1]))
+    metadata["sample_count_requested"] = sample_count
 
     sectors, blocks, channels = _lindblad_channel(ham, collapse, rho0, tol, metadata)
     sizes = [len(s) for s in sectors]
@@ -704,7 +726,7 @@ def _lindblad_strobe(ham, collapse, rho0, t_span, sample_count, tol, metadata):
     metadata["sectors"] = [len(ch) for ch in channels]
 
     # samples sit on stride multiples, so one channel^stride step per sample
-    rhos = np.zeros((len(sample_ks), *rho0.shape), dtype=complex)
+    rhos = np.zeros((count, *rho0.shape), dtype=complex)
     for pairs, channel in zip(blocks, channels):
         parts = {(p, q): np.ix_(sectors[p], sectors[q]) for p, q in pairs}
         spans = _pair_spans(pairs, sizes)
@@ -715,7 +737,6 @@ def _lindblad_strobe(ham, collapse, rho0, t_span, sample_count, tol, metadata):
                 vec = step @ vec
             for (p, q), part in parts.items():
                 rho[part] = vec[spans[p, q]].reshape(sizes[p], sizes[q])
-    times = period * np.array(sample_ks, dtype=float)
     return list(rhos), times
 
 
@@ -733,8 +754,13 @@ def evolve_lindblad(
     cutoff_policy: str = "warn",
 ) -> Trajectory:
     """Integrate the master equation; Hermitize at samples, check trace drift
-    (<= 1e-7) and the eigenvalue floor (>= -1e-6)."""
-    _validate_tol(tol)
+    (<= 1e-7) and the eigenvalue floor (>= -1e-6).
+
+    The stroboscopic engine samples the period-aligned grid of snapped_span,
+    which can end and count differently from t_span and sample_count; it
+    records both requested values in metadata.
+    """
+    _validate_run(tol, cutoff_policy)
     if rho0.space != space:
         raise DomainError("initial density matrix lives on a different space")
     t_grid = _sample_grid(t_span, sample_count)

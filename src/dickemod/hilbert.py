@@ -94,11 +94,14 @@ class SpaceSpec:
             raise DomainError(f"n_photon={n_photon} outside [0, {self.n_max}]")
         return atom_state * self.photon_dim + n_photon
 
-    def excitations_of_atom_index(self, atom_state: int) -> int:
-        """Number of excited qubits encoded by an atomic basis index."""
+    @property
+    def atom_excitations(self) -> np.ndarray:
+        """Excited qubits of every atomic basis index: the Dicke index in the
+        collective basis, the popcount of the configuration in the
+        distinguishable one."""
         if self.basis == COLLECTIVE:
-            return atom_state
-        return int(atom_state).bit_count()
+            return np.arange(self.atom_dim)
+        return np.array([bits.bit_count() for bits in range(self.atom_dim)])
 
 
 @dataclass
@@ -133,20 +136,28 @@ class StateVector:
 
 @dataclass
 class ObservableSet:
-    """Photon and atomic-excitation marginals of one state or density matrix."""
+    """The joint distribution of one state or density matrix over excited
+    qubits and photons, and the marginals and means read from it.
 
-    n_ph: float
-    n_at: float
-    p_ph: np.ndarray  # length n_max+1, sums to 1 within 1e-9
-    p_at: np.ndarray  # length N+1, sums to 1 within 1e-9
+    joint[k, n] = P(k excited qubits, n photons), shape (N+1, n_max+1), sums
+    to 1 within 1e-9. p_ph, p_at, n_ph and n_at are derived from it.
+    """
+
+    joint: np.ndarray
+    p_ph: np.ndarray = field(init=False)  # length n_max+1
+    p_at: np.ndarray = field(init=False)  # length N+1
+    n_ph: float = field(init=False)
+    n_at: float = field(init=False)
 
     def __post_init__(self):
-        self.p_ph = np.asarray(self.p_ph, dtype=float)
-        self.p_at = np.asarray(self.p_at, dtype=float)
-        for name, dist in (("p_ph", self.p_ph), ("p_at", self.p_at)):
-            s = float(dist.sum())
-            if abs(s - 1.0) > DISTRIBUTION_SUM_TOL:
-                raise NormalizationError(f"{name} sums to {s!r}, not 1 within 1e-9")
+        self.joint = np.asarray(self.joint, dtype=float)
+        s = float(self.joint.sum())
+        if abs(s - 1.0) > DISTRIBUTION_SUM_TOL:
+            raise NormalizationError(f"joint distribution sums to {s!r}, not 1 within 1e-9")
+        self.p_ph = self.joint.sum(axis=0)
+        self.p_at = self.joint.sum(axis=1)
+        self.n_ph = float(np.dot(self.p_ph, np.arange(len(self.p_ph))))
+        self.n_at = float(np.dot(self.p_at, np.arange(len(self.p_at))))
 
 
 def dicke_fock_state(space: SpaceSpec, k: int, n_photon: int) -> StateVector:
@@ -159,15 +170,10 @@ def dicke_fock_state(space: SpaceSpec, k: int, n_photon: int) -> StateVector:
         raise DomainError(f"k={k} outside [0, {space.n_qubits}]")
     if not 0 <= n_photon <= space.n_max:
         raise DomainError(f"n_photon={n_photon} outside [0, {space.n_max}]")
-    amp = np.zeros(space.dim, dtype=complex)
-    if space.basis == COLLECTIVE:
-        amp[space.index(k, n_photon)] = 1.0
-    else:
-        c = dicke_amplitude(space.n_qubits, k)
-        for bits in range(space.atom_dim):
-            if bits.bit_count() == k:
-                amp[space.index(bits, n_photon)] = c
-    return StateVector(space, amp)
+    amp = np.zeros((space.atom_dim, space.photon_dim), dtype=complex)
+    members = space.atom_excitations == k
+    amp[members, n_photon] = 1.0 / math.sqrt(np.count_nonzero(members))
+    return StateVector(space, amp.reshape(space.dim))
 
 
 def coherent_state(space: SpaceSpec, alpha: complex, k_atom: int = 0) -> StateVector:
@@ -198,15 +204,18 @@ def coherent_state(space: SpaceSpec, alpha: complex, k_atom: int = 0) -> StateVe
 
 
 def observables(state, space: SpaceSpec | None = None) -> ObservableSet:
-    """Marginals of a StateVector, an amplitude vector, or a density matrix.
+    """Joint (excited qubits, photons) distribution of a StateVector, an
+    amplitude vector, or a density matrix.
 
     Raw ndarray input (1d amplitudes or 2d matrix) requires an explicit space.
-    The input must be normalized to 1e-6; marginals are renormalized by the
-    actual norm so the distributions always sum to one exactly.
+    The input must be normalized to 1e-6; the distribution is renormalized by
+    the actual norm so it always sums to one. The (atom, photon) grid of |psi|^2
+    or diag(rho) is folded onto k = space.atom_excitations, which sums the
+    distinguishable configurations by popcount.
     """
     if isinstance(state, StateVector):
         space = state.space
-        joint = np.abs(state.amplitudes) ** 2
+        pops = np.abs(state.amplitudes) ** 2
     else:
         arr = np.asarray(state)
         if space is None:
@@ -214,28 +223,19 @@ def observables(state, space: SpaceSpec | None = None) -> ObservableSet:
         if arr.ndim == 1:
             if arr.shape != (space.dim,):
                 raise DomainError(f"amplitude shape {arr.shape} != ({space.dim},)")
-            joint = np.abs(arr) ** 2
+            pops = np.abs(arr) ** 2
         elif arr.ndim == 2:
             if arr.shape != (space.dim, space.dim):
                 raise DomainError(f"matrix shape {arr.shape} != square dim {space.dim}")
-            joint = np.real(np.diag(arr)).copy()
+            pops = np.real(np.diag(arr))
         else:
             raise DomainError(f"unsupported input ndim {arr.ndim}")
-    total = float(joint.sum())
+    total = float(pops.sum())
     if abs(total - 1.0) > OBSERVABLE_NORM_TOL:
         raise NormalizationError(f"input normalization {total!r} off by more than 1e-6")
-    joint = joint / total
-    grid = joint.reshape(space.atom_dim, space.photon_dim)
-    p_ph = grid.sum(axis=0)
-    if space.basis == COLLECTIVE:
-        p_at = grid.sum(axis=1)
-    else:
-        p_at = np.zeros(space.n_qubits + 1)
-        for bits in range(space.atom_dim):
-            p_at[int(bits).bit_count()] += grid[bits].sum()
-    n_ph = float(np.dot(p_ph, np.arange(space.photon_dim)))
-    n_at = float(np.dot(p_at, np.arange(space.n_qubits + 1)))
-    return ObservableSet(n_ph=n_ph, n_at=n_at, p_ph=p_ph, p_at=p_at)
+    joint = np.zeros((space.n_qubits + 1, space.photon_dim))
+    np.add.at(joint, space.atom_excitations, pops.reshape(space.atom_dim, space.photon_dim) / total)
+    return ObservableSet(joint)
 
 
 @dataclass
@@ -269,11 +269,7 @@ class Operators:
 
     def atomic_excitation(self) -> sp.csr_matrix:
         """Sum_k k |k><k| (collective) or sum_l |e><e|_l (distinguishable)."""
-        ad = self.space.atom_dim
-        diag = np.array(
-            [self.space.excitations_of_atom_index(s) for s in range(ad)], dtype=float
-        )
-        at = sp.diags(diag).tocsr()
+        at = sp.diags(self.space.atom_excitations.astype(float)).tocsr()
         return sp.kron(at, sp.identity(self.space.photon_dim, dtype=complex), format="csr")
 
     # -- distinguishable-basis per-qubit operators -----------------------
@@ -313,8 +309,7 @@ def parity_sectors(space: SpaceSpec) -> tuple[np.ndarray, np.ndarray]:
     popcount of the configuration in the distinguishable basis. Both sectors
     are nonempty, since the atomic ground and singly excited levels differ.
     """
-    k = np.array([space.excitations_of_atom_index(s) for s in range(space.atom_dim)])
-    odd = (np.add.outer(k, np.arange(space.photon_dim)) % 2).ravel() == 1
+    odd = (np.add.outer(space.atom_excitations, np.arange(space.photon_dim)) % 2).ravel() == 1
     return np.flatnonzero(~odd), np.flatnonzero(odd)
 
 
@@ -365,8 +360,6 @@ def embed_collective(state: StateVector) -> StateVector:
         raise DomainError("embed_collective expects a collective-basis state")
     target = SpaceSpec(space.n_qubits, space.n_max, DISTINGUISHABLE)
     grid = state.amplitudes.reshape(space.atom_dim, space.photon_dim)
-    out = np.zeros((target.atom_dim, target.photon_dim), dtype=complex)
-    for bits in range(target.atom_dim):
-        k = int(bits).bit_count()
-        out[bits] = grid[k] * dicke_amplitude(space.n_qubits, k)
-    return StateVector(target, out.reshape(target.dim))
+    ks = target.atom_excitations
+    amplitude = np.array([dicke_amplitude(space.n_qubits, k) for k in ks])
+    return StateVector(target, (grid[ks] * amplitude[:, None]).reshape(target.dim))

@@ -3,7 +3,9 @@
 sweep_resonance evolves one scenario at a grid of modulation frequencies,
 records the best population transfer into the two-photon target state at
 each frequency, and locates the peak by quadratic interpolation through the
-three highest neighboring samples, optionally refined by one 10x zoom.
+three highest neighboring samples, optionally refined by one 10x zoom. The
+transfer is one cell of the joint (excited qubits, photons) distribution
+that every sample's ObservableSet carries, so sweeps store no states.
 fit_rabi pulls |Xi| out of a sampled population oscillation by fitting
 A*cos(2|Xi| t + theta) + C.
 """
@@ -27,7 +29,7 @@ from .errors import (
     NumericError,
     SweepBoundaryError,
 )
-from .hilbert import DISTINGUISHABLE, SpaceSpec, StateVector
+from .hilbert import SpaceSpec, StateVector
 from .model import DissipationRates, ModulationSchedule, SystemParams
 
 # a peak must beat the median transfer by this factor to count as a resonance
@@ -43,11 +45,12 @@ class TransferScenario:
     """A sweepable experiment: everything fixed except the drive frequency.
 
     transition = (n, k) labels the targeted pair inside the n-excitation
-    subspace; the transfer metric is the bare |k+2, n-k-2> population, the
-    quantity these resonances actually move.
+    subspace; the transfer metric is the bare |k+2, n-k-2> population,
+    joint[k+2, n-k-2] of the sample's ObservableSet, the quantity these
+    resonances actually move.
 
-    sample_count and tol control each per-frequency evolution. When rates is
-    given and nonzero the scenario evolves under the master equation.
+    sample_count, tol and method control each per-frequency evolution. When
+    rates is given and nonzero the scenario evolves under the master equation.
     """
 
     space: SpaceSpec
@@ -59,7 +62,6 @@ class TransferScenario:
     tol: float = 1e-8
     rates: DissipationRates | None = None
     method: str = "auto"
-    cutoff_policy: str = "warn"
 
     def __post_init__(self):
         if not self.schedules:
@@ -75,17 +77,6 @@ class TransferScenario:
             raise DomainError("initial state lives on a different space")
         if self.sample_count < 16:
             raise ConfigError("sample_count below 16 cannot resolve the transfer envelope")
-
-    def target_indices(self) -> tuple[int, ...]:
-        n, k = self.transition
-        n_ph = n - k - 2
-        if self.space.basis == DISTINGUISHABLE:
-            return tuple(
-                self.space.index(a, n_ph)
-                for a in range(self.space.atom_dim)
-                if self.space.excitations_of_atom_index(a) == k + 2
-            )
-        return (self.space.index(k + 2, n_ph),)
 
 
 @dataclass
@@ -112,53 +103,23 @@ class SweepResult:
             raise NumericError("transfer values escaped [0, 1]")
 
 
-def _transfer_of(trajectory: Trajectory, indices: tuple[int, ...]) -> float:
-    if trajectory.states is None:
-        raise ConfigError("transfer needs a trajectory evolved with store_states=True")
-    pops = np.zeros(len(trajectory.times))
-    if isinstance(trajectory.states[0], StateVector):
-        for i, st in enumerate(trajectory.states):
-            amps = st.amplitudes
-            pops[i] = sum(abs(amps[j]) ** 2 for j in indices)
+def _evolve_point(scenario: TransferScenario, eta: float, horizon: float) -> float:
+    """The best target population joint[k+2, n-k-2] over the samples of one
+    evolution at eta."""
+    sc = scenario
+    schedules = tuple(dataclasses.replace(s, eta=eta) for s in sc.schedules)
+    if sc.rates is not None and not sc.rates.all_zero:
+        traj = evolve_lindblad(sc.space, sc.params, schedules, sc.rates,
+                               DensityMatrix.from_state(sc.psi0), (0.0, horizon),
+                               sc.sample_count, tol=sc.tol, method=sc.method)
     else:
-        for i, st in enumerate(trajectory.states):
-            pops[i] = sum(float(np.real(st.matrix[j, j])) for j in indices)
-    top = float(np.max(pops))
+        traj = evolve_schrodinger(sc.space, sc.params, schedules, sc.psi0, (0.0, horizon),
+                                  sc.sample_count, tol=sc.tol, method=sc.method)
+    n, k = sc.transition
+    top = max(float(o.joint[k + 2, n - k - 2]) for o in traj.observables)
     if top > 1.0 + POPULATION_SLACK:
         raise NumericError(f"target population {top:.6g} exceeds 1")
     return min(top, 1.0)
-
-
-def _evolve_point(scenario: TransferScenario, eta: float, horizon: float) -> float:
-    schedules = tuple(dataclasses.replace(s, eta=eta) for s in scenario.schedules)
-    if scenario.rates is not None and not scenario.rates.all_zero:
-        traj = evolve_lindblad(
-            scenario.space,
-            scenario.params,
-            schedules,
-            scenario.rates,
-            DensityMatrix.from_state(scenario.psi0),
-            (0.0, horizon),
-            scenario.sample_count,
-            tol=scenario.tol,
-            method=scenario.method,
-            store_states=True,
-            cutoff_policy=scenario.cutoff_policy,
-        )
-    else:
-        traj = evolve_schrodinger(
-            scenario.space,
-            scenario.params,
-            schedules,
-            scenario.psi0,
-            (0.0, horizon),
-            scenario.sample_count,
-            tol=scenario.tol,
-            method=scenario.method,
-            store_states=True,
-            cutoff_policy=scenario.cutoff_policy,
-        )
-    return _transfer_of(traj, scenario.target_indices())
 
 
 def _evaluate(scenario, etas, horizon) -> np.ndarray:

@@ -86,6 +86,19 @@ def photon_expectation(psi, n_qubits, n_max):
     return float(grid.sum(axis=0) @ np.arange(npt))
 
 
+def bare_marginals(populations, n_qubits, n_max, distinguishable):
+    """(p_ph, p_at) of flat basis-state populations, one basis state at a time;
+    a distinguishable configuration counts its set bits as excited qubits."""
+    p_ph, p_at = np.zeros(n_max + 1), np.zeros(n_qubits + 1)
+    for index, weight in enumerate(populations):
+        atom, n = divmod(index, n_max + 1)
+        k = bin(atom).count("1") if distinguishable else atom
+        p_ph[n] += weight
+        p_at[k] += weight
+    total = float(np.sum(populations))
+    return p_ph / total, p_at / total
+
+
 def truncated_poisson(alpha_sq, n_max):
     """Photon distribution of a coherent state truncated at n_max, renormalized."""
     if alpha_sq == 0.0:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -449,7 +450,7 @@ def test_stroboscopic_csv_headers_carry_engine_work(tmp_path, command, blocks):
         text += "dissipation.kappa = 0.001\n"
     cfg = write_cfg(tmp_path, text)
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-    meta, _, _ = read_csv(tmp_path / "o" / f"{command}.csv")
+    meta, _, data = read_csv(tmp_path / "o" / f"{command}.csv")
     assert meta["sectors"] == blocks
     # the g drive has phi = 0, so its extremum sits at c = T/4 and the
     # solve covers the half window (c - T/2, c)
@@ -458,6 +459,15 @@ def test_stroboscopic_csv_headers_carry_engine_work(tmp_path, command, blocks):
     assert window == pytest.approx([-quarter, quarter], rel=1e-12)
     assert int(meta["rhs_evals"]) > 0
     assert 0.0 <= float(meta["propagator_defect"]) < 1e-9
+    # only the Lindblad engine snaps the grid, so only its header records the
+    # request: 5 samples over 60 became 5 samples 4 periods apart, ending on
+    # the 16th period
+    if command == "lindblad":
+        assert (meta["t_span_requested"], meta["sample_count_requested"]) == ("0.0, 60.0", "5")
+        assert len(data) == 5
+        assert data[-1, 0] == pytest.approx(16 * 4 * quarter, rel=1e-12)
+    else:
+        assert "t_span_requested" not in meta
 
 
 def test_python_dash_m_runs_the_cli():
@@ -492,6 +502,34 @@ def test_sweep_csv(tmp_path):
     assert data[:, 2].max() > 0.8
     # the factor column is eta scaled by 2|Delta| = 1.44
     assert data[:, 0] / data[:, 1] == pytest.approx(1.44)
+
+
+SWEEP_LINES = ("transition.n = 3\ntransition.k = 0\n"
+               + "sweep.factor_min = 1.03\nsweep.factor_max = 1.05\n"
+               + "sweep.grid_points = 5\nsweep.zoom = false\n")
+
+
+def test_sweep_honours_run_method(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SYSTEM_LINES + DRIVE_LINES + STATE_LINES + SWEEP_LINES
+                    + "run.method = bogus\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "unknown method 'bogus'" in capsys.readouterr().err
+
+
+def test_depth_warning_once_and_duplicate_targets_refused(tmp_path, capsys):
+    deep = DRIVE_LINES.replace(f"epsilon = {0.1 * G0!r}", f"epsilon = {0.5 * G0!r}")
+    cfg = write_cfg(tmp_path, SYSTEM_LINES + deep + STATE_LINES
+                    + "run.t_final = 10.0\nrun.sample_count = 5\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert ["modulation depth" in str(w.message) for w in caught] == [True]
+
+    twice = DRIVE_LINES + DRIVE_LINES.replace("schedule0", "schedule1")
+    for command, extra in (("evolve", "run.t_final = 10.0\n"), ("sweep", SWEEP_LINES)):
+        cfg = write_cfg(tmp_path, SYSTEM_LINES + twice + STATE_LINES + extra)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "duplicate modulation target" in capsys.readouterr().err
 
 
 def test_figure1_preset(tmp_path):

@@ -324,6 +324,25 @@ def test_one_state_sectors_run_both_engines():
         assert np.max(np.abs(a.matrix - b.matrix)) < 1e-7
 
 
+def test_lindblad_strobe_samples_the_snapped_grid():
+    # 21 samples over 58.8 periods: a stride of 3 periods and 21 samples that
+    # end on the 60th period, the grid of snapped_span (the engine's earlier
+    # private rule gave 20, ending on the 57th)
+    space = SpaceSpec(1, 2)
+    p = SystemParams(omega0=1.0, Omega0=1.72, g0=0.05, n_qubits=1)
+    period = 2 * math.pi / 1.5
+    span = (0.0, 58.8 * period)
+    tr = evolve_lindblad(space, p, (ModulationSchedule("Omega", 0.05, 1.5),),
+                         DissipationRates(kappa=0.01),
+                         DensityMatrix.from_state(dicke_fock_state(space, 0, 1)), span, 21,
+                         method="stroboscopic", cutoff_policy="ignore")
+    (start, end), count = snapped_span(1.5, span[1], 21)
+    assert count == 21 and end == pytest.approx(60 * period, rel=1e-15)
+    assert np.array_equal(tr.times, np.linspace(start, end, count))
+    assert tr.metadata["t_span_requested"] == span
+    assert tr.metadata["sample_count_requested"] == 21
+
+
 @pytest.mark.parametrize("engine", ["schrodinger", "lindblad"])
 def test_leak_guard_rejects_cross_parity_hamiltonian(engine, monkeypatch):
     space = SpaceSpec(2, 3)
@@ -471,6 +490,25 @@ def test_cutoff_policy_rows():
         evolve_schrodinger(space, p, (), psi0, (0.0, 1.0), 3, cutoff_policy="warn")
     tr = evolve_schrodinger(space, p, (), psi0, (0.0, 1.0), 3, cutoff_policy="ignore")
     assert tr.metadata["cutoff_max_population"] > 0.9
+
+
+@pytest.mark.parametrize("engine", ["schrodinger", "lindblad"])
+def test_unknown_cutoff_policy_is_refused_before_integrating(engine, monkeypatch):
+    space = SpaceSpec(1, 2)
+    p = SystemParams(omega0=1.0, Omega0=1.72, g0=0.05, n_qubits=1)
+    psi0 = dicke_fock_state(space, 0, 2)  # all weight at the cutoff
+
+    def no_assembly(*_):
+        raise AssertionError("the run was assembled before its options were checked")
+
+    monkeypatch.setattr(dynamics, "build_hamiltonian", no_assembly)
+    with pytest.raises(ConfigError, match="cutoff_policy='raise'"):
+        if engine == "schrodinger":
+            evolve_schrodinger(space, p, (), psi0, (0.0, 1.0), 3, cutoff_policy="raise")
+        else:
+            evolve_lindblad(space, p, (), DissipationRates(kappa=0.01),
+                            DensityMatrix.from_state(psi0), (0.0, 1.0), 3,
+                            cutoff_policy="raise")
 
 
 def test_trajectory_accessors():

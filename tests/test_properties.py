@@ -4,13 +4,21 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dickemod.cli import _SCHEDULE_KEYS, _SECTION_KEYS, ScenarioConfig, emit_config, parse_config
 from dickemod.dispersive import dispersive_spectrum, subspace_rates, upsilon
 from dickemod.dynamics import NORM_DRIFT_TOL, _collapse_operators, evolve_schrodinger
-from dickemod.hilbert import COLLECTIVE, DISTINGUISHABLE, SpaceSpec, StateVector, parity_flips
+from dickemod.hilbert import (
+    COLLECTIVE,
+    DISTINGUISHABLE,
+    SpaceSpec,
+    StateVector,
+    observables,
+    parity_flips,
+)
 from dickemod.model import (
     MOD_TARGETS,
     DissipationRates,
@@ -20,7 +28,7 @@ from dickemod.model import (
     total_excitation_operator,
 )
 
-from oracles import dense_collective_hamiltonian, full_space_floquet
+from oracles import bare_marginals, dense_collective_hamiltonian, full_space_floquet
 
 frequency = st.floats(0.05, 3.0)
 
@@ -190,3 +198,31 @@ configs = st.builds(
 @given(configs)
 def test_config_round_trip_property(cfg):
     assert parse_config(emit_config(cfg)) == cfg
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 5), st.sampled_from([COLLECTIVE, DISTINGUISHABLE]),
+       st.sampled_from(["state", "amplitudes", "density"]), st.integers(0, 2**32 - 1))
+def test_joint_distribution_sums_to_one_and_folds_to_the_marginals(n_qubits, n_max, basis,
+                                                                  kind, seed):
+    space = SpaceSpec(n_qubits, n_max, basis)
+    rng = np.random.default_rng(seed)
+    amp = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    amp /= np.linalg.norm(amp)
+    if kind == "density":
+        rank = int(rng.integers(1, space.dim + 1))
+        a = rng.normal(size=(space.dim, rank)) + 1j * rng.normal(size=(space.dim, rank))
+        rho = a @ a.conj().T
+        rho /= np.trace(rho).real
+        obs, pops = observables(rho, space), np.real(np.diag(rho))
+    else:
+        state = StateVector(space, amp) if kind == "state" else amp
+        obs, pops = observables(state, space), np.abs(amp) ** 2
+    assert obs.joint.shape == (n_qubits + 1, n_max + 1)
+    assert np.all(obs.joint >= 0.0)
+    assert abs(float(obs.joint.sum()) - 1.0) <= 1e-14
+    p_ph, p_at = bare_marginals(pops, n_qubits, n_max, basis == DISTINGUISHABLE)
+    assert np.max(np.abs(obs.p_ph - p_ph)) <= 1e-14
+    assert np.max(np.abs(obs.p_at - p_at)) <= 1e-14
+    assert obs.n_ph == pytest.approx(p_ph @ np.arange(n_max + 1), abs=1e-13)
+    assert obs.n_at == pytest.approx(p_at @ np.arange(n_qubits + 1), abs=1e-13)

@@ -1,12 +1,15 @@
 """Resonance sweeps and Rabi-rate extraction."""
 
+import dataclasses
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+from dickemod import scan
 from dickemod.dispersive import dispersive_spectrum, transition_rate_general
-from dickemod.dynamics import Trajectory, evolve_schrodinger
+from dickemod.dynamics import DensityMatrix, Trajectory, evolve_lindblad, evolve_schrodinger
 from dickemod.errors import (
     ConfigError,
     DomainError,
@@ -22,7 +25,7 @@ from dickemod.hilbert import (
     dicke_fock_state,
     observables,
 )
-from dickemod.model import ModulationSchedule, SystemParams
+from dickemod.model import DissipationRates, ModulationSchedule, SystemParams
 from dickemod.scan import SweepResult, TransferScenario, fit_rabi, sweep_resonance
 
 
@@ -149,18 +152,44 @@ def test_scenario_validation():
         scenario(space, p, sample_count=15)
 
 
-def test_target_indices():
-    space = SpaceSpec(6, 21)
-    p = SystemParams(omega0=1.0, Omega0=1.72, g0=0.08 / math.sqrt(6), n_qubits=6)
-    scen = scenario(space, p, psi0=dicke_fock_state(space, 0, 5), transition=(5, 0))
-    assert scen.target_indices() == (space.index(2, 3),)
+def _stored_target_population(traj, space, transition):
+    """The max over samples of the summed |k+2, n-k-2> populations, read
+    from the stored states with an explicit index list."""
+    n, k = transition
+    excited = [bin(a).count("1") if space.basis == DISTINGUISHABLE else a
+               for a in range(space.atom_dim)]
+    target = [space.index(a, n - k - 2) for a, e in enumerate(excited) if e == k + 2]
+    if isinstance(traj.states[0], StateVector):
+        pops = [np.sum(np.abs(st.amplitudes[target]) ** 2) for st in traj.states]
+    else:
+        pops = [np.sum(np.real(np.diag(st.matrix))[target]) for st in traj.states]
+    return float(np.max(pops))
 
-    dist = SpaceSpec(2, 8, DISTINGUISHABLE)
-    scen2 = scenario(dist, SystemParams(**BENCH),
-                     psi0=dicke_fock_state(dist, 0, 3), transition=(3, 0))
-    idx = scen2.target_indices()
-    assert len(idx) == 1  # both qubits excited is a single configuration
-    assert idx[0] == dist.index(3, 1)
+
+@pytest.mark.parametrize("basis, rates", [
+    pytest.param("collective", None, id="collective"),
+    pytest.param(DISTINGUISHABLE, None, id="distinguishable"),
+    pytest.param("collective", DissipationRates(kappa=1e-7), id="dissipative"),
+])
+def test_transfer_reads_the_joint_target_cell(basis, rates):
+    p = SystemParams(**BENCH)
+    spec = dispersive_spectrum(SpaceSpec(2, 10), p, subspaces=(3,))
+    sched = (ModulationSchedule("g", 0.1 * p.g0_uniform, 1.0),)
+    pred = transition_rate_general(spec, sched, 3, 0, 2)
+    horizon = 0.6 * math.pi / abs(pred.xi)
+    space = SpaceSpec(2, 8, basis)
+    scen = scenario(space, p, psi0=dicke_fock_state(space, 0, 3), rates=rates)
+    transfer = scan._evolve_point(scen, pred.eta_res, horizon)
+
+    on_peak = (dataclasses.replace(sched[0], eta=pred.eta_res),)
+    kw = dict(tol=scen.tol, store_states=True)
+    if rates is None:
+        traj = evolve_schrodinger(space, p, on_peak, scen.psi0, (0.0, horizon), 16, **kw)
+    else:
+        traj = evolve_lindblad(space, p, on_peak, rates, DensityMatrix.from_state(scen.psi0),
+                               (0.0, horizon), 16, **kw)
+    assert transfer > 0.3  # half a Rabi cycle moves most of |0, 3> to |2, 1>
+    assert abs(transfer - _stored_target_population(traj, space, (3, 0))) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +228,22 @@ def test_sweep_is_deterministic(baseline):
     two = sweep_resonance(scen, window, 5, zoom=False)
     assert np.max(np.abs(one.transfer - two.transfer)) <= 1e-12
     assert abs(one.peak_eta - two.peak_eta) <= 1e-12
+
+
+def test_sweeps_store_no_states(baseline, monkeypatch):
+    evolve = scan.evolve_schrodinger
+    stored = []
+
+    def spy(*args, **kwargs):
+        bound = inspect.signature(evolve).bind(*args, **kwargs)
+        stored.append(bound.arguments.get("store_states", False))
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(scan, "evolve_schrodinger", spy)
+    eta_res = baseline["predicted"].eta_res
+    sweep_resonance(baseline["scen"], (eta_res - 3e-4, eta_res + 3e-4), 5, zoom=True)
+    assert len(stored) == 5 + 2 * scan.ZOOM_SHRINK - 2
+    assert not any(stored)
 
 
 def test_fitted_rate_scales_linearly_with_drive():
