@@ -14,8 +14,11 @@ them directly. Short or aperiodic drives use adaptive Runge-Kutta. Drives
 with one common frequency that span at least STROBE_MIN_PERIODS periods from
 t=0 use the stroboscopic engine, and a forced `stroboscopic` run needs the
 same common frequency and t=0 start. Every ODE solve goes through _integrate,
-which applies H(t) through ModulatedHamiltonian.apply and caps the step at a
-twentieth of the fastest drive period.
+which caps the step at a twentieth of the fastest drive period. Its right-hand
+sides apply H(t) through ModulatedHamiltonian.apply: one real sparse product
+of the pieces' merged pattern, with d_0 + sum_j s_j(t) d_j as its data, and
+the float64 view of the complex state (interleaved re/im columns), so the ODE
+state stays complex.
 
 The stroboscopic engines integrate one drive period once, at tight
 tolerance; this is what makes horizons of 1e5 time units tractable. The drive

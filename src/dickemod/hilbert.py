@@ -140,7 +140,8 @@ class ObservableSet:
     qubits and photons, and the marginals and means read from it.
 
     joint[k, n] = P(k excited qubits, n photons), shape (N+1, n_max+1), sums
-    to 1 within 1e-9. p_ph, p_at, n_ph and n_at are derived from it.
+    to 1 within 1e-9. p_ph, p_at, n_ph and n_at are derived from it, so two
+    sets are equal when their joint distributions are.
     """
 
     joint: np.ndarray
@@ -158,6 +159,11 @@ class ObservableSet:
         self.p_at = self.joint.sum(axis=1)
         self.n_ph = float(np.dot(self.p_ph, np.arange(len(self.p_ph))))
         self.n_at = float(np.dot(self.p_at, np.arange(len(self.p_at))))
+
+    def __eq__(self, other):
+        if not isinstance(other, ObservableSet):
+            return NotImplemented
+        return bool(np.array_equal(self.joint, other.joint))
 
 
 def dicke_fock_state(space: SpaceSpec, k: int, n_photon: int) -> StateVector:

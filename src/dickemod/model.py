@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -235,15 +235,46 @@ def hermiticity_defect(h: sp.spmatrix) -> float:
     return 0.0 if d.nnz == 0 else float(np.abs(d.data).max())
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModulatedHamiltonian:
-    """H(t) = H_const + sum_j sin(eta_j t + phi_j) * H_j, with the pieces cached."""
+    """H(t) = H_const + sum_j sin(eta_j t + phi_j) * H_j, with the pieces cached.
+
+    The pieces (h_const, then each drive term's matrix) also live on one
+    merged real CSR matrix, whose pattern is the union of theirs: each piece
+    is one real data row d_j on that pattern, and a piece with an imaginary
+    part, H_j = A_j + i B_j, adds its B_j to a second set of rows. `apply`
+    writes d_0 + sum_j s_j(t) d_j into the merged matrix's data and multiplies
+    it once. The rows are derived from h_const and terms on construction, so
+    `restrict` and `dataclasses.replace` rebuild them; the instance is frozen
+    so they cannot go stale.
+    """
 
     space: SpaceSpec
     params: SystemParams
     schedules: tuple[ModulationSchedule, ...]
     h_const: sp.csr_matrix
     terms: tuple[tuple[ModulationSchedule, sp.csr_matrix], ...]
+    _merged: sp.csr_matrix = field(init=False, repr=False)
+    _rows: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    _drives: tuple[tuple[float, float], ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n_rows, n_cols = self.h_const.shape
+        # each piece's entries as row-major keys row * n_cols + col
+        piece_keys = [np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(h.indptr)) * n_cols
+                      + h.indices for h in self.pieces]
+        keys = np.sort(np.concatenate(piece_keys))
+        keys = keys[np.diff(keys, prepend=-1) > 0]  # the union pattern
+        indptr = np.searchsorted(keys, np.arange(n_rows + 1) * n_cols)
+        merged = sp.csr_matrix((np.zeros(keys.size), keys % n_cols, indptr), shape=(n_rows, n_cols))
+        data = np.zeros((len(piece_keys), keys.size), dtype=complex)
+        for d, k, h in zip(data, piece_keys, self.pieces):
+            np.add.at(d, np.searchsorted(keys, k), h.data)
+        # the real rows, then the imaginary ones when a piece has any
+        rows = (data.real.copy(), data.imag.copy()) if data.imag.any() else (data.real.copy(),)
+        object.__setattr__(self, "_merged", merged)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_drives", tuple((s.eta, s.phi) for s, _ in self.terms))
 
     def at(self, t: float) -> sp.csr_matrix:
         h = self.h_const
@@ -252,11 +283,25 @@ class ModulatedHamiltonian:
         return h
 
     def apply(self, t: float, y: np.ndarray) -> np.ndarray:
-        """H(t) @ y for a state vector or a matrix of columns, without forming H(t)."""
-        out = self.h_const @ y
-        for sched, hx in self.terms:
-            out = out + sched.drive(t) * (hx @ y)
-        return out
+        """H(t) @ y for a state vector or a matrix of columns, without forming H(t).
+
+        One real sparse product with y's float64 view, whose columns are the
+        interleaved real and imaginary parts of y's columns, and a second one
+        (times i) when a piece is complex. The merged matrix's data is
+        overwritten on every call, so one instance must not apply from two
+        threads at once.
+        """
+        shape = np.shape(y)
+        cols = np.ascontiguousarray(y, dtype=complex).reshape(shape[0], -1).view(np.float64)
+        coeffs = np.array([1.0, *(math.sin(eta * t + phi) for eta, phi in self._drives)])
+        out = self._product(coeffs, self._rows[0], cols)
+        for rows in self._rows[1:]:
+            out += 1j * self._product(coeffs, rows, cols)
+        return out.reshape(shape)
+
+    def _product(self, coeffs: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        np.dot(coeffs, rows, out=self._merged.data)
+        return (self._merged @ cols).view(complex)
 
     def restrict(self, index: np.ndarray) -> "ModulatedHamiltonian":
         """The pieces on the rows and columns `index`, in that order; `space`

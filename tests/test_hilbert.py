@@ -154,6 +154,15 @@ def test_observables_basic():
     assert obs.n_at == pytest.approx(np.arange(space.atom_dim) @ obs.p_at, abs=1e-12)
 
 
+def test_observable_sets_compare_by_their_joint_distribution():
+    space = SpaceSpec(1, 2)
+    one_photon = observables(dicke_fock_state(space, 0, 1), space)
+    assert one_photon == observables(dicke_fock_state(space, 0, 1), space)
+    assert one_photon != observables(dicke_fock_state(space, 1, 0), space)
+    wider = SpaceSpec(1, 3)
+    assert one_photon != observables(dicke_fock_state(wider, 0, 1), wider)
+
+
 def test_operators_ladder_algebra():
     space = SpaceSpec(2, 7)
     ops = build_operators(space)

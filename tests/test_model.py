@@ -1,12 +1,13 @@
 """Hamiltonian assembly, modulation schedules, dissipation rates, units."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from dickemod.errors import ConfigError, DomainError
-from dickemod.hilbert import DISTINGUISHABLE, SpaceSpec, dicke_fock_state
+from dickemod.hilbert import DISTINGUISHABLE, SpaceSpec, dicke_fock_state, parity_sectors
 from dickemod.model import (
     DissipationRates,
     ModulationSchedule,
@@ -143,6 +144,77 @@ def test_apply_matches_assembled_operator(basis):
         h = ham.at(t)
         assert np.max(np.abs(ham.apply(t, y[:, 0]) - h @ y[:, 0])) < 1e-14
         assert np.max(np.abs(ham.apply(t, y) - h @ y)) < 1e-14
+
+
+def _coupling_drive(g0):
+    space = SpaceSpec(2, 5)
+    p = SystemParams(omega0=1.0, Omega0=1.72, g0=g0, n_qubits=2)
+    sched = (ModulationSchedule("g", 0.004, 1.53, 0.3),
+             ModulationSchedule("Omega", 0.05, 1.53, math.pi))
+    return build_hamiltonian(space, p, sched)
+
+
+def _random_columns(dim, m, seed=3):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(dim, m)) + 1j * rng.normal(size=(dim, m))
+
+
+def _complex_piece(ham):
+    # a Hermitian pair i, -i inside the even sector, as test_dynamics builds it
+    even, _ = parity_sectors(ham.space)
+    h = ham.h_const.tolil()
+    h[even[0], even[1]], h[even[1], even[0]] = 1e-3j, -1e-3j
+    return dataclasses.replace(ham, h_const=h.tocsr())
+
+
+def _union_pattern(ham):
+    # g0 = 0: every coupling entry of the g drive is missing from h_const
+    rows, cols = ham.terms[0][1].nonzero()
+    assert np.all(np.asarray(ham.h_const[rows, cols]) == 0)
+    return ham
+
+
+def _replaced(ham):
+    # the copy must apply its own h_const, not rows derived for the original
+    ham.apply(0.4, _random_columns(ham.space.dim, 2))
+    return dataclasses.replace(ham, h_const=(2.0 * ham.h_const).tocsr())
+
+
+@pytest.mark.parametrize("g0, build", [
+    pytest.param(0.0566, _complex_piece, id="complex-piece"),
+    pytest.param(0.0, _union_pattern, id="union-pattern"),
+    pytest.param(0.0566, _replaced, id="replaced-h-const"),
+])
+def test_apply_matches_assembled_operator_on_every_pattern(g0, build):
+    ham = build(_coupling_drive(g0))
+    y = _random_columns(ham.space.dim, 3)
+    for t in (0.0, 0.71, 13.9):
+        assert np.max(np.abs(ham.apply(t, y) - ham.at(t) @ y)) < 1e-14
+
+
+def test_apply_takes_any_layout_of_columns():
+    ham = _coupling_drive(0.0566)
+    y = _random_columns(ham.space.dim, 6)
+    h = ham.at(0.71)
+    # a transposed array, column slices, strided complex and real vectors, a contiguous vector
+    layouts = (np.ascontiguousarray(y.T).T, y[:, 1:4], y[:, ::2], y[:, 2], y[:, 2].real,
+               y[:, 2].copy())
+    for cols in layouts:
+        got = ham.apply(0.71, cols)
+        assert got.shape == cols.shape
+        assert np.max(np.abs(got - h @ cols)) < 1e-14
+
+
+def test_restricted_apply_matches_the_sector_of_the_full_product():
+    ham = _coupling_drive(0.0566)
+    y = _random_columns(ham.space.dim, 3)
+    for sector in parity_sectors(ham.space):
+        sub = ham.restrict(sector)
+        inside = np.zeros_like(y)
+        inside[sector] = y[sector]
+        for t in (0.0, 0.71, 13.9):
+            full = ham.at(t) @ inside
+            assert np.max(np.abs(sub.apply(t, y[sector]) - full[sector])) < 1e-14
 
 
 def test_tc_conserves_total_excitation():
