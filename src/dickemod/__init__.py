@@ -45,8 +45,6 @@ from .dispersive import (
     DressedSpectrum,
     EffectiveState,
     TransitionRate,
-    attach_crt_shifts,
-    crt_shift,
     dispersive_spectrum,
     dressed_state_perturbative,
     eta_resonant,
@@ -57,7 +55,6 @@ from .dispersive import (
     reconstruct_state,
     rwa_solution,
     spectrum_exact,
-    spectrum_perturbative,
     subspace_rates,
     transition_rate_general,
     two_photon_rate_closed_form,

@@ -25,6 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .dispersive import (
+    default_subspaces,
     dispersive_spectrum,
     eta_resonant,
     lambda_perturbative,
@@ -301,15 +302,20 @@ def _time_scale(cfg, params, schedules) -> tuple[float, str]:
     raise ConfigError(f"run.time_unit must be one of {TIME_UNITS}, got {unit!r}")
 
 
+# run keys the library takes as keywords; one the config leaves out is not
+# passed, so the library's own default applies
+_RUN_KEYWORDS = {"sample_count": int, "tol": float, "method": str}
+
+
+def _run_keywords(cfg) -> dict:
+    return {key: kind(cfg.run[key]) for key, kind in _RUN_KEYWORDS.items() if key in cfg.run}
+
+
 def build_run_options(cfg) -> dict:
-    run = cfg.run
-    (t_final,) = _require(run, "run", "t_final")
-    return {
-        "t_final": float(t_final),
-        "sample_count": int(run.get("sample_count", 401)),
-        "tol": float(run.get("tol", 1e-9)),
-        "method": str(run.get("method", "auto")),
-    }
+    """t_final, sample_count (401 when unset) and whichever of tol and method
+    the config sets."""
+    (t_final,) = _require(cfg.run, "run", "t_final")
+    return {"t_final": float(t_final), "sample_count": 401, **_run_keywords(cfg)}
 
 
 def _output_tokens(cfg) -> list[str]:
@@ -460,25 +466,26 @@ def _emit(out_dir: Path, command: str, svg: bool, columns, meta: dict, chart, su
 def _cmd_spectrum(cfg, no_crt: bool):
     space = build_space(cfg)
     params = build_params(cfg, no_crt)
-    spec = dispersive_spectrum(space, params)
-    rows_m, rows_k = [], []
-    lam_x, nu_x, lam_t, lam_p = [], [], [], []
-    for m in spec.subspaces:
-        for k in spec.labels(m):
-            rows_m.append(m)
-            rows_k.append(k)
-            lam_x.append(spec.lam(m, k))
-            nu = spec.nu(m, k) if params.with_crt else 0.0
-            nu_x.append(nu)
-            lam_t.append(spec.lam(m, k) + nu if math.isfinite(nu) else math.nan)
-            lam_p.append(lambda_perturbative(params, m, k))
+    # one subspace at a time, up to the first whose labels (or whose m +- 2
+    # neighbours' labels) break down near the cutoff
+    specs, stop = [], None
+    for m in default_subspaces(space, params):
+        try:
+            specs.append(dispersive_spectrum(space, params, subspaces=(m,)))
+        except PhysicsGuardError as exc:
+            if not specs:
+                raise
+            stop = (m, f"{type(exc).__name__}: {exc}")
+            break
+    rows = [(spec, m, k) for spec in specs for m in spec.subspaces for k in spec.labels(m)]
     columns = [
-        ("m", np.array(rows_m, dtype=float), None),
-        ("k", np.array(rows_k, dtype=float), None),
-        ("lambda_exact", np.array(lam_x), None),
-        ("nu_crt", np.array(nu_x), None),
-        ("lambda_tilde", np.array(lam_t), None),
-        ("lambda_perturbative", np.array(lam_p), None),
+        ("m", np.array([m for _, m, _ in rows], dtype=float), None),
+        ("k", np.array([k for _, _, k in rows], dtype=float), None),
+        ("lambda_exact", np.array([spec.lam(m, k) for spec, m, k in rows]), None),
+        ("nu_crt", np.array([spec.nu(m, k) for spec, m, k in rows]), None),
+        ("lambda_tilde", np.array([spec.lam_tilde(m, k) for spec, m, k in rows]), None),
+        ("lambda_perturbative",
+         np.array([lambda_perturbative(params, m, k) for _, m, k in rows]), None),
     ]
     meta = {
         "n_qubits": space.n_qubits,
@@ -488,9 +495,11 @@ def _cmd_spectrum(cfg, no_crt: bool):
         "g0": params.g0,
         "with_crt": params.with_crt,
     }
-    return columns, meta, None, [
-        f"spectrum: {len(rows_m)} dressed levels across {len(spec.subspaces)} subspaces"
-    ]
+    summary = f"spectrum: {len(rows)} dressed levels across {len(specs)} subspaces"
+    if stop is not None:
+        meta["stopped_at_m"], meta["stopped_by"] = stop
+        summary += f"; stopped at m={stop[0]}: {stop[1]}"
+    return columns, meta, None, [summary]
 
 
 def _cmd_rates(cfg, no_crt: bool):
@@ -501,7 +510,7 @@ def _cmd_rates(cfg, no_crt: bool):
         raise ConfigError("rates needs at least one schedule section")
     validate_schedules(params, schedules)
     (m,) = (int(v) for v in _require(cfg.transition, "transition", "n"))
-    spec = dispersive_spectrum(space, params)
+    spec = dispersive_spectrum(space, params, subspaces=(m,))
     ks, closed_abs, closed_re, closed_im = [], [], [], []
     exact_abs, exact_re, exact_im, eta_f, eta_x = [], [], [], [], []
     labels = spec.labels(m)
@@ -615,10 +624,8 @@ def _cmd_sweep(cfg, no_crt: bool):
         schedules=schedules,
         psi0=psi0,
         transition=(n, k),
-        sample_count=int(cfg.run.get("sample_count", 181)),
-        tol=float(cfg.run.get("tol", 1e-8)),
         rates=rates,
-        method=str(cfg.run.get("method", "auto")),
+        **_run_keywords(cfg),
     )
     horizon = sw.get("horizon")
     result = sweep_resonance(

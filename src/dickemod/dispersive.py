@@ -2,12 +2,15 @@
 transition rates and the slow effective dynamics they generate.
 
 Everything here lives on the collective basis and treats the excitation-
-conserving (Tavis-Cummings) Hamiltonian as the unperturbed problem. Exact
-spectra diagonalize model's static Hamiltonian; the level shifts and the summed
-drive elements are matrix elements of the structural operators model assembles
-it from. Counter-rotating terms enter only through second-order level shifts nu
-attached to the dressed levels; the drive enters through first-order matrix
-elements Upsilon.
+conserving (Tavis-Cummings) Hamiltonian as the unperturbed problem.
+dispersive_spectrum is the one builder of that picture: it diagonalizes the
+Tavis-Cummings blocks of model's static Hamiltonian for the requested
+subspaces and, with counter-rotating terms, shifts their levels by nu, second
+order in the counter-rotating coupling, in one immutable DressedSpectrum.
+spectrum_exact is the full-diagonalization reference it is checked against.
+The shifts and the summed drive elements are matrix elements of the
+structural operators model assembles the Hamiltonian from; the drive enters
+through first-order matrix elements Upsilon.
 The two-photon exchange resonance is exposed twice: through the general rate
 built from exact dressed states, and through a closed-form expression valid to
 leading order in g0/Delta.
@@ -36,9 +39,6 @@ from .errors import (
 )
 from .hilbert import COLLECTIVE, SpaceSpec, StateVector, f_coefficient
 from .model import ModulationSchedule, SystemParams, _collective_blocks, hamiltonian_static
-
-SOURCE_EXACT = "exact-diagonalization"
-SOURCE_PERTURBATIVE = "second-order-perturbation"
 
 DENOMINATOR_TOL = 1e-9
 DEGENERACY_TOL = 1e-12
@@ -174,26 +174,33 @@ def _check_space(space: SpaceSpec) -> None:
 
 
 # ---------------------------------------------------------------------------
-# exact spectrum
+# dressed spectrum
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class DressedSpectrum:
     """Dressed levels and states, indexed by (m, S).
 
     m is the total excitation number and S the atomic-excitation label of the
-    dominant bare component |S, m-S>. Only complete subspaces (m <= n_max) are
-    stored. lam holds the Tavis-Cummings eigenvalue (or the full eigenvalue
-    when built from a counter-rotating Hamiltonian), nu the second-order
-    counter-rotating shift, NaN where it has not been attached.
+    dominant bare component |S, m-S>. It holds exactly the subspaces it was
+    built for, each with its levels lam, its counter-rotating shifts nu and its
+    states (one column per label), and the params the caller passed. lam is
+    the Tavis-Cummings eigenvalue (the full eigenvalue for spectrum_exact with
+    counter-rotating terms), nu the second-order counter-rotating shift (0
+    without counter-rotating terms, and in spectrum_exact). Every array is
+    read-only.
     """
 
     space: SpaceSpec
     params: SystemParams
-    source: str
     _lams: dict[int, np.ndarray]
     _nus: dict[int, np.ndarray]
     _vecs: dict[int, np.ndarray]
+
+    def __post_init__(self):
+        for arrays in (self._lams, self._nus, self._vecs):
+            for a in arrays.values():
+                a.setflags(write=False)
 
     @property
     def subspaces(self) -> list[int]:
@@ -205,9 +212,7 @@ class DressedSpectrum:
 
     def _need(self, m: int) -> None:
         if m not in self._lams:
-            raise CutoffError(
-                f"subspace m={m} not available (complete subspaces reach m={self.space.n_max})"
-            )
+            raise CutoffError(f"subspace m={m} not in this spectrum ({self.subspaces})")
 
     def lam(self, m: int, s: int) -> float:
         self._need(m)
@@ -218,61 +223,100 @@ class DressedSpectrum:
         return float(self._nus[m][s])
 
     def lam_tilde(self, m: int, s: int) -> float:
-        """Shifted level lambda + nu; requires nu to be attached."""
-        v = self.lam(m, s) + self.nu(m, s)
-        if math.isnan(v):
-            raise PhysicsGuardError(
-                f"nu not attached for (m={m}, S={s}); call attach_crt_shifts first"
-            )
-        return v
+        """Shifted level lambda + nu."""
+        return self.lam(m, s) + self.nu(m, s)
 
     def state(self, m: int, s: int) -> np.ndarray:
         self._need(m)
         return self._vecs[m][:, s]
 
-    def has_nu(self, m: int) -> bool:
-        self._need(m)
-        return not np.isnan(self._nus[m]).any()
+
+def default_subspaces(space: SpaceSpec, params: SystemParams) -> range:
+    """Every m whose shift is defined: each complete subspace, or with
+    counter-rotating terms each one whose m+2 is complete."""
+    return range(space.n_max - 1 if params.with_crt else space.n_max + 1)
+
+
+def dispersive_spectrum(
+    space: SpaceSpec, params: SystemParams, subspaces=None
+) -> DressedSpectrum:
+    """The spectrum the effective machinery runs on: exact Tavis-Cummings dressed
+    states of the requested subspaces (default_subspaces when None), shifted by
+    the counter-rotating coupling when params.with_crt:
+
+    nu = g0^2 * sum_{m' = m +- 2} sum_S <phi_{m',S}|V|phi_{m,T}>^2 / (lam_{m,T} - lam_{m',S})
+
+    with V the whole counter-rotating part of the coupling at g = 1,
+    sum_k f_k (a^dag sigma_{k+1,k} + a sigma_{k,k+1}); it moves two excitations
+    either way, so only then are the m +- 2 neighbours diagonalized too, and
+    m - 2 < 0 contributes zero. A requested m above n_max - 2 then raises
+    CutoffError.
+    """
+    _check_uniform(space, params)
+    ms = _requested_subspaces(space, subspaces, default_subspaces(space, params))
+    near = {mm for m in ms for mm in (m - 2, m + 2) if mm >= 0} if params.with_crt else set()
+    lams, vecs = _spectrum(space, replace(params, with_crt=False), sorted(near.union(ms)))
+    crt = _collective_blocks(space)[3]
+    nus = {}
+    for m in ms:
+        nu = np.zeros(len(lams[m]))
+        for mm in sorted({m - 2, m + 2} & near):
+            amp = vecs[mm].real.T @ (crt @ vecs[m]).real
+            den = lams[m] - lams[mm][:, None]
+            if np.min(np.abs(den)) < DENOMINATOR_TOL:
+                raise PhysicsGuardError(
+                    f"nu denominator |lam_(m={m},T)-lam_(m={mm},S)|="
+                    f"{np.min(np.abs(den)):.2e} below {DENOMINATOR_TOL:g}"
+                )
+            nu += np.sum(amp * amp / den, axis=0)
+        nus[m] = params.g0_uniform ** 2 * nu
+    return DressedSpectrum(space, params, {m: lams[m] for m in ms}, nus, {m: vecs[m] for m in ms})
 
 
 def spectrum_exact(
     space: SpaceSpec, params: SystemParams, subspaces=None
 ) -> DressedSpectrum:
-    """Exact dressed spectrum of model's static Hamiltonian, honoring
-    params.with_crt.
+    """Full-diagonalization reference: exact dressed levels of model's static
+    Hamiltonian, honoring params.with_crt, with nu = 0; `subspaces` (default:
+    every complete one) restricts which m are labeled and kept."""
+    _check_uniform(space, params)
+    lams, vecs = _spectrum(space, params, _requested_subspaces(space, subspaces,
+                                                               range(space.n_max + 1)))
+    return DressedSpectrum(space, params, lams, {m: 0.0 * lams[m] for m in lams}, vecs)
 
-    Without counter-rotating terms each total-excitation subspace is
-    diagonalized on its own (the coupling conserves the excitation number);
-    with them the full Hamiltonian is diagonalized. Each eigenvector is labeled
-    by its dominant bare component, which must carry more than 0.5 of its
-    weight; one without is left unlabeled, and a label no eigenvector claims
-    means the system is outside the regime where the labels mean anything.
-    Near-cutoff subspaces of a large space routinely fail that; passing
-    `subspaces` restricts building (and labeling) to the listed m values so the
-    usable low ones stay reachable.
-    """
+
+def _check_uniform(space: SpaceSpec, params: SystemParams) -> None:
     _check_space(space)
     if not params.is_uniform:
-        raise DomainError("exact spectrum requires uniform parameters")
-    return _spectrum(space, params, _requested_subspaces(space, subspaces))
+        raise DomainError("dressed spectra require uniform parameters")
 
 
 def _subspace_atom_range(space: SpaceSpec, m: int) -> range:
     return range(0, min(m, space.n_qubits) + 1)
 
 
-def _requested_subspaces(space: SpaceSpec, subspaces) -> list[int]:
-    if subspaces is None:
-        return list(range(space.n_max + 1))
-    ms = sorted({int(m) for m in subspaces})
-    if not ms:
-        raise DomainError("subspaces must be a nonempty iterable of m values")
-    if ms[0] < 0 or ms[-1] > space.n_max:
-        raise DomainError(f"subspaces must lie in [0, {space.n_max}]")
+def _requested_subspaces(space: SpaceSpec, subspaces, defined: range) -> list[int]:
+    ms = sorted({int(m) for m in (defined if subspaces is None else subspaces)})
+    if subspaces is not None and (not ms or ms[0] < 0 or ms[-1] > space.n_max):
+        raise DomainError(f"subspaces must be a nonempty set of m in [0, {space.n_max}]")
+    if not ms or ms[-1] not in defined:
+        top = max(ms, default=0)
+        raise CutoffError(f"nu at m={top} needs complete subspace m+2={top + 2}; "
+                          f"n_max={space.n_max}")
     return ms
 
 
-def _spectrum(space: SpaceSpec, params: SystemParams, ms: list[int]) -> DressedSpectrum:
+def _spectrum(space: SpaceSpec, params: SystemParams, ms: list[int]) -> tuple[dict, dict]:
+    """Labeled levels and states of each m in ms. Without counter-rotating
+    terms each excitation block is diagonalized on its own (the coupling
+    conserves the excitation number); with them the full Hamiltonian is.
+
+    Each eigenvector is labeled by its dominant bare component, which must
+    carry more than LABEL_OVERLAP_MIN of its weight; one without is left
+    unlabeled, and a label no eigenvector claims means the system is outside
+    the regime where the labels mean anything. Near-cutoff subspaces of a large
+    space routinely fail that, so only the subspaces asked for are labeled.
+    """
     h = hamiltonian_static(space, params).toarray().real
     if params.with_crt:
         index_sets = [np.arange(space.dim)]
@@ -286,8 +330,6 @@ def _spectrum(space: SpaceSpec, params: SystemParams, ms: list[int]) -> DressedS
         for col in range(len(w)):
             j = int(np.argmax(np.abs(v[:, col])))
             if v[j, col] ** 2 <= LABEL_OVERLAP_MIN:
-                # no dominant bare component: near the cutoff or outside the
-                # dispersive regime, so no label
                 continue
             k, n_ph = divmod(idx[j], space.photon_dim)
             if k + n_ph in lams:
@@ -297,98 +339,7 @@ def _spectrum(space: SpaceSpec, params: SystemParams, ms: list[int]) -> DressedS
         missing = [s for s in range(len(lams[m])) if math.isnan(lams[m][s])]
         if missing:
             raise LabelingError(f"subspace m={m}: no eigenvector claimed labels {missing}")
-    nus = {m: np.zeros(len(lams[m])) for m in ms}
-    return DressedSpectrum(space, params, SOURCE_EXACT, lams, nus, vecs)
-
-
-def spectrum_perturbative(space: SpaceSpec, params: SystemParams) -> DressedSpectrum:
-    """Second-order spectrum assembled from the closed formulas, for comparison."""
-    _check_space(space)
-    lams: dict[int, np.ndarray] = {}
-    nus: dict[int, np.ndarray] = {}
-    vecs: dict[int, np.ndarray] = {}
-    for m in range(space.n_max + 1):
-        ks = _subspace_atom_range(space, m)
-        lams[m] = np.array([lambda_perturbative(params, m, k) for k in ks])
-        nus[m] = np.zeros(len(ks))
-        cols = [dressed_state_perturbative(space, params, m, k) for k in ks]
-        vecs[m] = np.stack(cols, axis=1)
-    return DressedSpectrum(space, params, SOURCE_PERTURBATIVE, lams, nus, vecs)
-
-
-# ---------------------------------------------------------------------------
-# counter-rotating level shifts
-# ---------------------------------------------------------------------------
-
-def crt_shift(spectrum: DressedSpectrum, m: int, t_label: int) -> float:
-    """Second-order level shift of (m, T) from the counter-rotating coupling.
-
-    nu = g0^2 * sum_{m' = m +- 2} sum_S <phi_{m',S}|V|phi_{m,T}>^2 / (lam_{m,T} - lam_{m',S})
-
-    with V the whole counter-rotating part of the coupling at g = 1,
-    sum_k f_k (a^dag sigma_{k+1,k} + a sigma_{k,k+1}); it moves two excitations
-    either way, so V|phi_{m,T}> lies in subspaces m - 2 and m + 2. Requires
-    the Tavis-Cummings spectrum (the unperturbed problem); subspace m+2 must
-    be complete, m-2 < 0 contributes zero.
-    """
-    if spectrum.source != SOURCE_EXACT or spectrum.params.with_crt:
-        raise DomainError("crt_shift needs an exact Tavis-Cummings spectrum")
-    spectrum._need(m)
-    if m + 2 > spectrum.space.n_max:
-        raise CutoffError(
-            f"nu at m={m} needs complete subspace m+2={m + 2}; n_max={spectrum.space.n_max}"
-        )
-    crt = _collective_blocks(spectrum.space)[3]
-    lam_t = spectrum.lam(m, t_label)
-    v_phi = crt @ spectrum.state(m, t_label)
-    total = 0.0
-    for mm in (m - 2, m + 2):
-        if mm < 0:
-            continue
-        for s_label in spectrum.labels(mm):
-            num = float(np.real(np.vdot(spectrum.state(mm, s_label), v_phi)))
-            den = lam_t - spectrum.lam(mm, s_label)
-            if abs(den) < DENOMINATOR_TOL:
-                raise PhysicsGuardError(
-                    f"nu denominator |lam_(m,T)-lam_(m{mm - m:+d},S)|={abs(den):.2e} below 1e-9"
-                )
-            total += num * num / den
-    return spectrum.params.g0_uniform ** 2 * total
-
-
-def attach_crt_shifts(spectrum: DressedSpectrum, subspaces=None) -> DressedSpectrum:
-    """Fill nu for every label of the requested subspaces (default: all with
-    m+2 complete); other subspaces keep nu = NaN so lam_tilde refuses them."""
-    if subspaces is None:
-        subspaces = [m for m in spectrum.subspaces if m + 2 <= spectrum.space.n_max]
-    for m in spectrum.subspaces:
-        if m not in subspaces:
-            spectrum._nus[m] = np.full_like(spectrum._nus[m], np.nan)
-    for m in subspaces:
-        spectrum._nus[m] = np.array(
-            [crt_shift(spectrum, m, t) for t in spectrum.labels(m)]
-        )
-    return spectrum
-
-
-def dispersive_spectrum(
-    space: SpaceSpec, params: SystemParams, subspaces=None
-) -> DressedSpectrum:
-    """The spectrum the effective machinery runs on: exact Tavis-Cummings dressed
-    states, with counter-rotating shifts attached when params.with_crt.
-
-    `subspaces` restricts the build to the listed m values (their m+-2
-    neighbors are built too because the counter-rotating shift needs them, but
-    only the listed ones get nu attached).
-    """
-    ms = _requested_subspaces(space, subspaces)
-    build = sorted(
-        {mm for m in ms for mm in (m - 2, m, m + 2) if 0 <= mm <= space.n_max}
-    )
-    spec = spectrum_exact(space, replace(params, with_crt=False), subspaces=build)
-    if params.with_crt:
-        attach_crt_shifts(spec, subspaces=[m for m in ms if m + 2 <= space.n_max])
-    return spec
+    return lams, vecs
 
 
 # ---------------------------------------------------------------------------
@@ -549,8 +500,8 @@ def project_initial(
 ) -> EffectiveState:
     """Expand a bare state over the dressed basis at t = 0.
 
-    Raises when more than coverage_tol of the norm lives outside the complete
-    subspaces (those states cannot be labeled).
+    Raises when more than coverage_tol of the norm lives outside the
+    spectrum's subspaces.
     """
     if state.space != spectrum.space:
         raise DomainError("state and spectrum live on different spaces")
@@ -566,7 +517,7 @@ def project_initial(
     defect = 1.0 - float(np.sum(np.abs(b) ** 2))
     if defect > coverage_tol:
         raise CutoffError(
-            f"initial state has {defect:.2e} of its norm outside complete subspaces"
+            f"initial state has {defect:.2e} of its norm outside subspaces {spectrum.subspaces}"
         )
     return EffectiveState(labels=labels, b=b)
 

@@ -329,11 +329,13 @@ def test_spectrum_csv_matches_library(tmp_path, capsys):
     space = SpaceSpec(2, 8)
     params = SystemParams(omega0=1.0, Omega0=1.72, g0=G0, n_qubits=2)
     spec = dispersive_spectrum(space, params)
+    # every m with a defined shift (m + 2 <= n_max), and only those
+    assert sorted(set(data[:, 0])) == spec.subspaces == list(range(7))
+    assert "stopped_at_m" not in meta
     for m, k, lam, nu, lam_t in data[:, :5]:
         assert lam == pytest.approx(spec.lam(int(m), int(k)), abs=1e-12)
-        if math.isfinite(nu):
-            assert nu == pytest.approx(spec.nu(int(m), int(k)), abs=1e-12)
-            assert lam_t == pytest.approx(lam + nu, abs=1e-12)
+        assert nu == pytest.approx(spec.nu(int(m), int(k)), abs=1e-12)
+        assert lam_t == pytest.approx(lam + nu, abs=1e-12)
 
 
 def test_spectrum_no_crt_flag(tmp_path):
@@ -367,6 +369,78 @@ def test_rates_csv_matches_library(tmp_path):
     assert row["eta_res_exact"] == pytest.approx(rate.eta_res, rel=1e-12)
     assert row["eta_res_formula"] == pytest.approx(
         eta_resonant(params, 3, 0), rel=1e-12)
+
+
+G0_SIX = 0.08 / math.sqrt(6)
+
+# the figure2/figure3 system: N=6 qubits at n_max=21, the coupling driven
+SIX_QUBIT_LINES = f"""\
+system.n_qubits = 6
+system.n_max = 21
+system.omega0 = 1.0
+system.Omega0 = 1.72
+system.g0 = {G0_SIX!r}
+schedule0.target = g
+schedule0.epsilon = {0.1 * G0_SIX!r}
+schedule0.eta = 1.4958
+"""
+
+
+def test_rates_on_the_six_qubit_system(tmp_path):
+    # only subspace n is built: its labels hold, unlike those of m=17
+    cfg = write_cfg(tmp_path, SIX_QUBIT_LINES + "transition.n = 5\n")
+    assert main(["rates", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    meta, header, data = read_csv(tmp_path / "o" / "rates.csv")
+    assert data[:, header.index("k_from")].tolist() == [0.0, 1.0, 2.0, 3.0]
+    params = SystemParams(omega0=1.0, Omega0=1.72, g0=G0_SIX, n_qubits=6)
+    sched = (ModulationSchedule("g", 0.1 * G0_SIX, 1.4958),)
+    row = dict(zip(header, data[0]))
+    assert row["xi_closed_abs"] == pytest.approx(
+        abs(two_photon_rate_closed_form(params, sched, 5, 0)), rel=1e-12)
+    factor = row["eta_res_exact"] / (2.0 * abs(params.delta_minus))
+    assert round(factor, 5) == 1.03890
+
+
+def test_spectrum_stops_at_the_first_unlabeled_subspace(tmp_path, capsys):
+    # m=15 needs its neighbour m=17, whose labels break down near the cutoff
+    cfg = write_cfg(tmp_path, SIX_QUBIT_LINES)
+    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    reason = "LabelingError: subspace m=17: no eigenvector claimed labels [2, 3]"
+    assert (f"spectrum: 84 dressed levels across 15 subspaces; stopped at m=15: {reason}"
+            in capsys.readouterr().out)
+    meta, header, data = read_csv(tmp_path / "o" / "spectrum.csv")
+    assert meta["stopped_at_m"] == "15" and meta["stopped_by"] == reason
+    assert sorted(set(data[:, 0])) == list(range(15)) and data.shape[0] == 84
+    assert np.all(np.isfinite(data))
+
+
+def test_library_defaults_are_not_retyped(tmp_path, monkeypatch):
+    # a config without run.tol or run.method leaves both to the library
+    import dickemod.cli as cli
+
+    calls = {}
+
+    class Stop(Exception):
+        pass
+
+    def spy(name):
+        def record(*args, **kwargs):
+            calls[name] = kwargs
+            raise Stop
+        return record
+
+    monkeypatch.setattr(cli, "TransferScenario", spy("scenario"))
+    monkeypatch.setattr(cli, "evolve_schrodinger", spy("evolve"))
+    text = (SYSTEM_LINES + DRIVE_LINES + STATE_LINES + "transition.n = 3\ntransition.k = 0\n"
+            + "run.t_final = 50.0\nsweep.factor_min = 1.0\nsweep.factor_max = 1.1\n"
+            + "sweep.grid_points = 9\n")
+    cfg = write_cfg(tmp_path, text)
+    for command in ("sweep", "evolve"):
+        with pytest.raises(Stop):
+            run_scenario(cfg, command, tmp_path / command)
+    assert not {"tol", "method", "sample_count"} & set(calls["scenario"])
+    assert calls["evolve"]["sample_count"] == 401
+    assert not {"tol", "method"} & set(calls["evolve"])
 
 
 def test_evolve_csv_and_determinism(tmp_path):

@@ -1,6 +1,7 @@
 """Dressed-level analytics: closed formulas, exact spectra, drive matrix
 elements, and the slow two-level dynamics built from them."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,9 +9,6 @@ import pytest
 
 from dickemod.dispersive import (
     EffectiveState,
-    SOURCE_EXACT,
-    attach_crt_shifts,
-    crt_shift,
     dispersive_spectrum,
     dressed_state_perturbative,
     eta_resonant,
@@ -21,7 +19,6 @@ from dickemod.dispersive import (
     reconstruct_state,
     rwa_solution,
     spectrum_exact,
-    spectrum_perturbative,
     subspace_rates,
     transition_rate_general,
     two_photon_rate_closed_form,
@@ -245,15 +242,17 @@ def test_dressed_states_are_real(with_crt):
 
 
 def test_default_subspaces_are_all_of_them():
+    # every m whose shift is defined: with CRT the neighbour m+2 must be complete
     space = SpaceSpec(2, 8)
-    p = bench_params()
-    default = dispersive_spectrum(space, p)
-    listed = dispersive_spectrum(space, p, subspaces=range(space.n_max + 1))
-    assert default.subspaces == listed.subspaces == list(range(9))
-    for m in default.subspaces:
-        for got, want in ((default._lams, listed._lams), (default._nus, listed._nus),
-                          (default._vecs, listed._vecs)):
-            assert np.array_equal(got[m], want[m], equal_nan=True)
+    for with_crt, top in ((True, 6), (False, 8)):
+        p = bench_params(with_crt=with_crt)
+        default = dispersive_spectrum(space, p)
+        listed = dispersive_spectrum(space, p, subspaces=range(top + 1))
+        assert default.subspaces == listed.subspaces == list(range(top + 1))
+        for m in default.subspaces:
+            for got, want in ((default._lams, listed._lams), (default._nus, listed._nus),
+                              (default._vecs, listed._vecs)):
+                assert np.array_equal(got[m], want[m])
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +261,9 @@ def test_default_subspaces_are_all_of_them():
 
 @pytest.mark.parametrize("n_qubits, n_max", [(2, 10), (3, 9)])
 def test_shift_matches_second_order_perturbation_theory(n_qubits, n_max):
-    p = SystemParams(1.0, 1.72, 0.08 / math.sqrt(n_qubits), n_qubits, with_crt=False)
-    spec = spectrum_exact(SpaceSpec(n_qubits, n_max), p)
+    p = SystemParams(1.0, 1.72, 0.08 / math.sqrt(n_qubits), n_qubits)
+    spec = dispersive_spectrum(SpaceSpec(n_qubits, n_max), p)
+    assert spec.subspaces == list(range(n_max - 1))
 
     def dense(om, Om, g, crt):
         return dense_collective_hamiltonian(n_qubits, n_max, om, Om, g, crt).real
@@ -285,30 +285,33 @@ def test_shift_matches_second_order_perturbation_theory(n_qubits, n_max):
             v_phi = v @ vecs[:, col]
             nu = sum(np.sum((blocks[mm][1].T @ v_phi) ** 2 / (w[col] - blocks[mm][0]))
                      for mm in (m - 2, m + 2) if mm >= 0)
-            assert crt_shift(spec, m, t) == pytest.approx(p.g0_uniform**2 * nu, abs=1e-12)
+            assert spec.nu(m, t) == pytest.approx(p.g0_uniform**2 * nu, abs=1e-12)
 
 
 def test_shift_vanishes_without_coupling():
     space = SpaceSpec(2, 6)
-    spec = spectrum_exact(space, bench_params(g0=0.0, with_crt=False))
-    assert crt_shift(spec, 2, 0) == 0.0
+    spec = dispersive_spectrum(space, bench_params(g0=0.0), subspaces=(2,))
+    assert spec.nu(2, 0) == 0.0
 
 
 def test_shift_rows():
     space = SpaceSpec(2, 8)
-    spec = spectrum_exact(space, bench_params(with_crt=False))
-    assert crt_shift(spec, 0, 0) < 0.0
+    p = bench_params()
+    assert dispersive_spectrum(space, p, subspaces=(0,)).nu(0, 0) < 0.0
+    # the shift of m needs the complete subspace m+2
+    for m in (7, 8):
+        with pytest.raises(CutoffError, match=f"nu at m={m} needs complete subspace"):
+            dispersive_spectrum(space, p, subspaces=(2, m))
     with pytest.raises(CutoffError):
-        crt_shift(spec, 7, 0)
-    with pytest.raises(DomainError):
-        crt_shift(spectrum_exact(space, bench_params(with_crt=True)), 0, 0)
-    with pytest.raises(DomainError):
-        crt_shift(spectrum_perturbative(space, bench_params()), 0, 0)
+        dispersive_spectrum(SpaceSpec(2, 1), p)
+    # without CRT every level is unshifted and every complete subspace defined
+    plain = dispersive_spectrum(space, bench_params(with_crt=False), subspaces=(8,))
+    assert [plain.nu(8, s) for s in plain.labels(8)] == [0.0, 0.0, 0.0]
 
 
 def test_shifted_levels_track_full_diagonalization():
     space = SpaceSpec(2, 10)
-    tc = attach_crt_shifts(spectrum_exact(space, bench_params(with_crt=False)))
+    tc = dispersive_spectrum(space, bench_params(with_crt=True))
     full = spectrum_exact(space, bench_params(with_crt=True))
     for m in range(5):
         for s in tc.labels(m):
@@ -317,9 +320,9 @@ def test_shifted_levels_track_full_diagonalization():
             if bare_err < 1e-10:
                 continue
             assert abs(tc.lam_tilde(m, s) - exact) * 5 < bare_err
-    # default attachment stops where the upper neighbor subspace is incomplete
-    assert tc.has_nu(8)
-    with pytest.raises(PhysicsGuardError):
+    # the default stops where the upper neighbour subspace is incomplete
+    assert tc.subspaces == list(range(9))
+    with pytest.raises(CutoffError):
         tc.lam_tilde(9, 0)
 
 
@@ -553,7 +556,18 @@ def test_effective_evolution_guards():
     assert np.max(np.abs(b - pair_state().b)) < 1e-12
 
 
-def test_spectrum_source_is_recorded():
-    spec = dispersive_spectrum(SpaceSpec(2, 6), bench_params(), subspaces=(2,))
-    assert spec.source == SOURCE_EXACT
-    assert spec.has_nu(2)
+def test_spectrum_is_frozen_and_holds_the_request():
+    # exactly the requested subspace, the caller's params, no NaN placeholder
+    for with_crt in (True, False):
+        p = bench_params(with_crt=with_crt)
+        spec = dispersive_spectrum(SpaceSpec(2, 8), p, subspaces=(3,))
+        assert spec.subspaces == [3]
+        assert spec.params is p
+        assert all(math.isfinite(spec.lam_tilde(3, s)) for s in spec.labels(3))
+        assert (spec.nu(3, 0) != 0.0) == with_crt
+        with pytest.raises(CutoffError):
+            spec.state(1, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.params = bench_params()
+        with pytest.raises(ValueError):
+            spec.state(3, 0)[0] = 1.0

@@ -10,7 +10,16 @@ from hypothesis import strategies as st
 
 from dickemod.cli import _SCHEDULE_KEYS, _SECTION_KEYS, ScenarioConfig, emit_config, parse_config
 from dickemod.dispersive import dispersive_spectrum, subspace_rates, upsilon
-from dickemod.dynamics import NORM_DRIFT_TOL, _collapse_operators, evolve_schrodinger
+from dickemod.dynamics import (
+    EIG_FLOOR_RUN,
+    NORM_DRIFT_TOL,
+    TRACE_DRIFT_TOL,
+    DensityMatrix,
+    _collapse_operators,
+    evolve_lindblad,
+    evolve_schrodinger,
+    snapped_span,
+)
 from dickemod.hilbert import (
     COLLECTIVE,
     DISTINGUISHABLE,
@@ -28,7 +37,12 @@ from dickemod.model import (
     total_excitation_operator,
 )
 
-from oracles import bare_marginals, dense_collective_hamiltonian, full_space_floquet
+from oracles import (
+    bare_marginals,
+    dense_collective_hamiltonian,
+    full_space_floquet,
+    full_space_lindblad_channel,
+)
 
 frequency = st.floats(0.05, 3.0)
 
@@ -126,6 +140,64 @@ def test_stroboscopic_run_keeps_norm_and_matches_full_space(run):
                              psi0.amplitudes, 2 * math.pi / ham.common_eta, traj.times)
     got = np.array([s.amplitudes for s in traj.states])
     assert np.max(np.abs(got - ref)) < 1e-9
+
+
+@st.composite
+def lindblad_runs(draw):
+    """(space, params, schedules, rates, rho0, t_span, samples): collective N 1..2
+    with cavity decay, or distinguishable N = 2 with decay, relaxation and
+    dephasing; n_max 0..3, rates up to 2e-3, one drive, a random mixed state
+    and a period-aligned grid."""
+    if draw(st.booleans()):
+        space = SpaceSpec(2, draw(st.integers(0, 3)), DISTINGUISHABLE)
+        pair = st.lists(st.floats(0.0, 2e-3), min_size=2, max_size=2).map(tuple)
+        rates = DissipationRates(draw(st.floats(0.0, 2e-3)), draw(pair), draw(pair))
+    else:
+        space = SpaceSpec(draw(st.integers(1, 2)), draw(st.integers(0, 3)))
+        rates = DissipationRates(draw(st.floats(1e-5, 2e-3)))
+    params = SystemParams(omega0=draw(frequency), Omega0=draw(frequency), g0=draw(frequency),
+                          n_qubits=space.n_qubits, with_crt=draw(st.booleans()))
+    eta = draw(st.floats(0.5, 3.0))
+    schedules = (ModulationSchedule(draw(st.sampled_from(MOD_TARGETS)),
+                                    draw(st.floats(0.01, 0.2)), eta, draw(st.floats(-3.2, 3.2))),)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rank = int(rng.integers(1, space.dim + 1))
+    a = rng.normal(size=(space.dim, rank)) + 1j * rng.normal(size=(space.dim, rank))
+    rho = a @ a.conj().T
+    samples = draw(st.integers(2, 6))
+    stride = draw(st.integers(1, 8))
+    span, count = snapped_span(eta, stride * (samples - 1) * 2 * math.pi / eta, samples)
+    return (space, params, schedules, rates, DensityMatrix(space, rho / np.trace(rho).real),
+            span, count)
+
+
+@settings(max_examples=20, deadline=None)
+@given(lindblad_runs())
+def test_stroboscopic_lindblad_keeps_its_gates_and_matches_full_space(run):
+    space, params, schedules, rates, rho0, span, samples = run
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # deep modulations only warn
+        ham = build_hamiltonian(space, params, schedules)
+        if ham.common_eta is None:  # the drive piece vanishes: no period
+            return
+        traj = evolve_lindblad(space, params, schedules, rates, rho0, span, samples,
+                               tol=1e-12, method="stroboscopic", store_states=True,
+                               cutoff_policy="ignore")
+    md = traj.metadata
+    assert len(traj.times) == samples
+    assert md["trace_drift_max"] <= TRACE_DRIFT_TOL
+    assert md["channel_trace_defect"] <= TRACE_DRIFT_TOL
+    assert md["eig_floor_min"] >= EIG_FLOOR_RUN
+    period = 2 * math.pi / ham.common_eta
+    full = full_space_lindblad_channel(
+        lambda t: ham.at(t).toarray(),
+        [(r, op.toarray()) for r, op in _collapse_operators(space, rates)],
+        period, panels=md["channel_nodes"] // 36,
+    )
+    vec = rho0.matrix.ravel()
+    ref = [np.linalg.matrix_power(full, int(k)) @ vec for k in np.round(traj.times / period)]
+    got = [s.matrix.ravel() for s in traj.states]
+    assert np.max(np.abs(np.array(got) - np.array(ref))) < 1e-9
 
 
 @st.composite
