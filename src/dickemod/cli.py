@@ -73,7 +73,9 @@ def _encode_value(v) -> str:
     if isinstance(v, float):
         return repr(v)
     if isinstance(v, (tuple, list)):
-        body = ", ".join(_encode_value(x) for x in v)
+        # a nested sequence keeps its parentheses: ((0, 0), (1, 1)) reads "(0, 0), (1, 1)"
+        body = ", ".join(f"({_encode_value(x)})" if isinstance(x, (tuple, list))
+                         else _encode_value(x) for x in v)
         return body + "," if len(v) == 1 else body
     return str(v)
 
@@ -562,11 +564,12 @@ _TRAJECTORY_COMMANDS = {
     "lindblad": (True, "lindblad needs a dissipation section with nonzero rates",
                  ("trace_drift_max", "eig_floor_min")),
 }
-# the block sizes, integrated period window, rhs evaluations, propagator
-# defect, and the span and count a period-snapped Lindblad grid was asked for
-# (in 1/omega0 units); the header leaves out the keys an engine does not record
-_ENGINE_WORK_KEYS = ("sectors", "period_window", "rhs_evals", "propagator_defect",
-                     "t_span_requested", "sample_count_requested")
+# the block sizes, the parity-block pairs (p, q) of rho a Lindblad run
+# propagated, integrated period window, rhs evaluations, propagator defect,
+# and the span and count a period-snapped Lindblad grid was asked for (in
+# 1/omega0 units); the header leaves out the keys an engine does not record
+_ENGINE_WORK_KEYS = ("sectors", "liouville_pairs", "period_window", "rhs_evals",
+                     "propagator_defect", "t_span_requested", "sample_count_requested")
 
 
 def _cmd_trajectory(command: str, cfg, no_crt: bool):

@@ -53,14 +53,18 @@ Cavity decay and qubit relaxation flip the parity and dephasing keeps it, so
 vec(rho) splits into two invariant Liouville blocks, rho_pq with p = q and
 with p != q (the weak symmetry of Buca & Prosen 2012); the dissipative
 engine builds, powers and marches only the blocks rho0 occupies, and never
-forms a d^2 x d^2 array. Before either engine integrates, the leak guard
-checks that every Hamiltonian piece keeps each sector exactly and every
-collapse operator keeps or flips it exactly, and raises DomainError
-otherwise: a cross-sector entry would be dropped, not propagated. The check
-runs on the sparse operators, because the polar projection of U(T) leaves
-cross-sector entries near 1e-15. metadata["sectors"] holds the sizes of the
-blocks integrated: parity sectors for the unitary engine, Liouville blocks
-for the dissipative one.
+forms a d^2 x d^2 array. Observables read diag(rho), which lies in the
+p = q block alone, so a run that stores no states propagates only that
+block and leaves the coherences rho_pq with p != q at zero; its Hermiticity
+defect and eigenvalue floor then gate the block-diagonal part of rho, the
+part it propagated. Before either engine integrates, the leak guard checks
+that every Hamiltonian piece keeps each sector exactly and every collapse
+operator keeps or flips it exactly, and raises DomainError otherwise: a
+cross-sector entry would be dropped, not propagated. The check runs on the
+sparse operators, because the polar projection of U(T) leaves cross-sector
+entries near 1e-15. metadata["sectors"] holds the sizes of the blocks
+integrated: parity sectors for the unitary engine, Liouville blocks for the
+dissipative one, whose pairs (p, q) metadata["liouville_pairs"] names.
 """
 
 from __future__ import annotations
@@ -616,23 +620,28 @@ def _kron_apply_unitary(u: np.ndarray, v: np.ndarray, c: np.ndarray) -> np.ndarr
     return t.reshape(c.shape)
 
 
-def _lindblad_channel(ham, collapse, rho0, tol, metadata):
-    """The one-period channel on each Liouville block that rho0 occupies.
+def _lindblad_channel(ham, collapse, rho0, tol, metadata, coherences: bool):
+    """The one-period channel on each Liouville block that rho0 occupies,
+    the parity-diagonal one only unless `coherences` asks for rho_pq with
+    p != q as well.
 
     The period is split into slices; per slice the dissipative factor is
     expanded to second order in the interaction picture of the exact
     Hamiltonian propagator. Every factor is built block by block from the
     parity-sector blocks of U(t) and of the jump operators, so no d^2 x d^2
-    array is formed. Returns the parity sectors, the occupied blocks (as
-    pair tuples of _LIOUVILLE_BLOCKS) and one channel matrix per block, on
-    the concatenated row-major vec(rho_pq) of its pairs.
+    array is formed. Returns the parity sectors, the propagated blocks (as
+    pair tuples of _LIOUVILLE_BLOCKS, also in metadata["liouville_pairs"])
+    and one channel matrix per block, on the concatenated row-major
+    vec(rho_pq) of its pairs.
     """
     period = 2.0 * math.pi / ham.common_eta
     slices = 6
     sectors, flips = _parity_blocks(ham, collapse)
     sizes = [len(s) for s in sectors]
     blocks = [pairs for pairs in _LIOUVILLE_BLOCKS
-              if any(np.any(rho0[np.ix_(sectors[p], sectors[q])]) for p, q in pairs)]
+              if (coherences or all(p == q for p, q in pairs))
+              and any(np.any(rho0[np.ix_(sectors[p], sectors[q])]) for p, q in pairs)]
+    metadata["liouville_pairs"] = tuple(pair for pairs in blocks for pair in pairs)
     spans = [_pair_spans(pairs, sizes) for pairs in blocks]
 
     radius = _spectral_radius_bound(ham)
@@ -708,9 +717,11 @@ def _lindblad_channel(ham, collapse, rho0, tol, metadata):
     return sectors, blocks, channels
 
 
-def _lindblad_strobe(ham, collapse, rho0, t_span, sample_count, tol, metadata):
+def _lindblad_strobe(ham, collapse, rho0, t_span, sample_count, tol, metadata,
+                     coherences: bool):
     """The one-period channel of _lindblad_channel, applied stroboscopically
-    on each occupied Liouville block. The samples are the period-aligned grid
+    on each Liouville block it propagates; the blocks left out stay zero in
+    the returned matrices. The samples are the period-aligned grid
     snapped_span gives for t_span and sample_count (the endpoint may move by
     up to half a stride, the count with it); metadata records the request.
     """
@@ -723,7 +734,8 @@ def _lindblad_strobe(ham, collapse, rho0, t_span, sample_count, tol, metadata):
     metadata["t_span_requested"] = (float(t_span[0]), float(t_span[1]))
     metadata["sample_count_requested"] = sample_count
 
-    sectors, blocks, channels = _lindblad_channel(ham, collapse, rho0, tol, metadata)
+    sectors, blocks, channels = _lindblad_channel(ham, collapse, rho0, tol, metadata,
+                                                  coherences)
     sizes = [len(s) for s in sectors]
     metadata["engine"] = "lindblad-stroboscopic"
     metadata["sectors"] = [len(ch) for ch in channels]
@@ -761,7 +773,11 @@ def evolve_lindblad(
 
     The stroboscopic engine samples the period-aligned grid of snapped_span,
     which can end and count differently from t_span and sample_count; it
-    records both requested values in metadata.
+    records both requested values in metadata. With store_states=False it
+    propagates only the parity-diagonal Liouville block, which carries every
+    observable: the coherences between the parity sectors stay zero, so the
+    Hermiticity defect and the eigenvalue floor cover the block-diagonal part
+    of rho only. metadata["liouville_pairs"] names the pairs propagated.
     """
     _validate_run(tol, cutoff_policy)
     if rho0.space != space:
@@ -773,9 +789,8 @@ def evolve_lindblad(
 
     # the master equation has no static engine: "static" integrates directly
     if _select_engine(method, ham, t_grid) == "stroboscopic":
-        raw, times = _lindblad_strobe(
-            ham, collapse, rho0.matrix, (t_grid[0], t_grid[-1]), sample_count, tol, metadata
-        )
+        raw, times = _lindblad_strobe(ham, collapse, rho0.matrix, (t_grid[0], t_grid[-1]),
+                                      sample_count, tol, metadata, coherences=store_states)
     else:
         raw = _lindblad_direct(ham, collapse, rho0.matrix, t_grid, tol, metadata)
         times = t_grid

@@ -537,11 +537,12 @@ def test_stroboscopic_csv_headers_carry_engine_work(tmp_path, command, blocks):
     # request: 5 samples over 60 became 5 samples 4 periods apart, ending on
     # the 16th period
     if command == "lindblad":
+        assert meta["liouville_pairs"] == "(0, 0), (1, 1)"
         assert (meta["t_span_requested"], meta["sample_count_requested"]) == ("0.0, 60.0", "5")
         assert len(data) == 5
         assert data[-1, 0] == pytest.approx(16 * 4 * quarter, rel=1e-12)
     else:
-        assert "t_span_requested" not in meta
+        assert "t_span_requested" not in meta and "liouville_pairs" not in meta
 
 
 def test_python_dash_m_runs_the_cli():

@@ -277,7 +277,8 @@ def test_sector_lindblad_matches_full_space_channel(basis, state, phi):
     ham = build_hamiltonian(space, p, sch)
     collapse = dynamics._collapse_operators(space, rates)
     meta = {}
-    sectors, blocks, channels = dynamics._lindblad_channel(ham, collapse, rho0.matrix, 1e-12, meta)
+    sectors, blocks, channels = dynamics._lindblad_channel(ham, collapse, rho0.matrix, 1e-12,
+                                                           meta, coherences=True)
     assert len(blocks) == occupied
     assert meta["period_window"] == pytest.approx(half_window(phi), rel=1e-15)
     period = 2 * math.pi / ETA
@@ -298,6 +299,31 @@ def test_sector_lindblad_matches_full_space_channel(basis, state, phi):
     ref = [np.linalg.matrix_power(full, int(k)) @ vec for k in np.round(strobe.times / period)]
     got = [s.matrix.ravel() for s in strobe.states]
     assert np.max(np.abs(np.array(got) - np.array(ref))) < 1e-9
+
+
+def test_observable_only_lindblad_propagates_the_parity_diagonal_block():
+    # the coherent state fills both parity sectors, so rho0 also occupies the
+    # coherences rho_pq with p != q; observables read diag(rho), which the
+    # p = q block alone carries, so a run that stores no states drops p != q
+    space, rho0, rates, _ = _lindblad_case("distinguishable", "coherent")
+    assert rates.kappa > 0 and all(rates.gamma) and all(rates.gamma_phi)
+    p = bench_params()
+    sch = (g_schedule(p),)
+    kw = dict(tol=1e-12, method="stroboscopic", cutoff_policy="ignore")
+    span = (0.0, 30 * 2 * math.pi / ETA)
+    both = evolve_lindblad(space, p, sch, rates, rho0, span, 16, store_states=True, **kw)
+    diag = evolve_lindblad(space, p, sch, rates, rho0, span, 16, **kw)
+    assert both.metadata["liouville_pairs"] == ((0, 0), (1, 1), (0, 1), (1, 0))
+    assert diag.metadata["liouville_pairs"] == ((0, 0), (1, 1))
+    assert len(both.metadata["sectors"]) == 2
+    assert diag.metadata["sectors"] == both.metadata["sectors"][:1]
+    assert diag.states is None
+    assert np.array_equal(diag.times, both.times)
+    pairs = [(diag.n_ph, both.n_ph), (diag.n_at, both.n_at)]
+    pairs += [(diag.p_ph(n), both.p_ph(n)) for n in range(space.photon_dim)]
+    pairs += [(diag.p_at(k), both.p_at(k)) for k in range(space.n_qubits + 1)]
+    for got, ref in pairs:
+        assert np.max(np.abs(got - ref)) < 1e-12
 
 
 def test_one_state_sectors_run_both_engines():
@@ -441,7 +467,7 @@ def test_lindblad_period_count_snaps_like_the_sample_grid():
     k = 100_000
     t1 = k * period + 40 * np.spacing(k * period)
     _, times = dynamics._lindblad_strobe(ham, collapse, np.diag([0.0, 1.0]).astype(complex),
-                                         (0.0, t1), k + 1, 1e-9, {})
+                                         (0.0, t1), k + 1, 1e-9, {}, coherences=False)
     assert len(times) == k + 1
     assert times[-1] == k * period
 

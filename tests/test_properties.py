@@ -199,6 +199,17 @@ def test_stroboscopic_lindblad_keeps_its_gates_and_matches_full_space(run):
     got = [s.matrix.ravel() for s in traj.states]
     assert np.max(np.abs(np.array(got) - np.array(ref))) < 1e-9
 
+    # a run that stores no states propagates the parity-diagonal block alone,
+    # and the joint distribution reads only that block
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        diag = evolve_lindblad(space, params, schedules, rates, rho0, span, samples,
+                               tol=1e-12, method="stroboscopic", cutoff_policy="ignore")
+    assert diag.metadata["liouville_pairs"] == ((0, 0), (1, 1))
+    assert np.array_equal(diag.times, traj.times)
+    joint = [o.joint for o in diag.observables]
+    assert np.max(np.abs(np.array(joint) - [o.joint for o in traj.observables])) < 1e-12
+
 
 @st.composite
 def dispersive_systems(draw):

@@ -22,6 +22,7 @@ from dickemod.hilbert import (
     DISTINGUISHABLE,
     SpaceSpec,
     StateVector,
+    coherent_state,
     dicke_fock_state,
     observables,
 )
@@ -244,6 +245,33 @@ def test_sweeps_store_no_states(baseline, monkeypatch):
     sweep_resonance(baseline["scen"], (eta_res - 3e-4, eta_res + 3e-4), 5, zoom=True)
     assert len(stored) == 5 + 2 * scan.ZOOM_SHRINK - 2
     assert not any(stored)
+
+
+def test_dissipative_sweep_points_propagate_one_liouville_block(baseline, monkeypatch):
+    # a coherent state fills both parity sectors; each point's transfer reads
+    # diag(rho) only, so it propagates the p = q Liouville block alone
+    space = SpaceSpec(2, 8)
+    scen = scenario(space, baseline["params"], psi0=coherent_state(space, 0.8),
+                    rates=DissipationRates(kappa=1e-7))
+    evolve = scan.evolve_lindblad
+    runs = []
+
+    def spy(*args, **kwargs):
+        traj = evolve(*args, **kwargs)
+        runs.append((args, kwargs, traj))
+        return traj
+
+    monkeypatch.setattr(scan, "evolve_lindblad", spy)
+    eta_res = baseline["predicted"].eta_res
+    res = sweep_resonance(scen, (eta_res - 3e-4, eta_res + 3e-4), 5, zoom=False)
+    assert len(runs) == 5
+    n, k = scen.transition
+    for (args, kwargs, traj), transfer in zip(runs, res.transfer):
+        assert traj.metadata["liouville_pairs"] == ((0, 0), (1, 1))
+        both = evolve(*args, **{**kwargs, "store_states": True})
+        assert len(both.metadata["sectors"]) == 2
+        top = max(float(o.joint[k + 2, n - k - 2]) for o in both.observables)
+        assert abs(transfer - top) <= 1e-12
 
 
 def test_fitted_rate_scales_linearly_with_drive():
