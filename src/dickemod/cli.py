@@ -566,10 +566,14 @@ _TRAJECTORY_COMMANDS = {
 }
 # the block sizes, the parity-block pairs (p, q) of rho a Lindblad run
 # propagated, integrated period window, rhs evaluations, propagator defect,
-# and the span and count a period-snapped Lindblad grid was asked for (in
-# 1/omega0 units); the header leaves out the keys an engine does not record
+# the Lindblad channel's quadrature nodes, trace and Hermiticity defects and
+# dense block products, and the span and count a period-snapped Lindblad
+# grid was asked for (in 1/omega0 units); the header leaves out the keys an
+# engine does not record
 _ENGINE_WORK_KEYS = ("sectors", "liouville_pairs", "period_window", "rhs_evals",
-                     "propagator_defect", "t_span_requested", "sample_count_requested")
+                     "propagator_defect", "channel_nodes", "channel_trace_defect",
+                     "channel_hermiticity_defect", "channel_matmuls", "t_span_requested",
+                     "sample_count_requested")
 
 
 def _cmd_trajectory(command: str, cfg, no_crt: bool):

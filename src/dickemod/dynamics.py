@@ -42,7 +42,17 @@ with no march. The dissipative engine marches a one-period channel that
 keeps the Hamiltonian factor exact and expands the (weak) dissipative factor
 to second order per sub-period slice; trace preservation is exact by
 construction because the same quadrature rule builds both the jump and the
-anticommutator pieces. It samples whole periods only, on the grid
+anticommutator pieces. A Lindblad channel maps Hermitian matrices to
+Hermitian ones, so on each Liouville block below it is a real matrix in a
+Hermitian operator basis (Havel, J. Math. Phys. 44, 534 (2003)): the fixed
+unitary T keeps every diagonal entry rho_ii and sends each transpose pair
+(rho_ij, rho_ji) to (rho_ij + rho_ji)/sqrt(2) and i(rho_ij - rho_ji)/sqrt(2).
+Each slice generator is built in complex and taken to these coordinates
+once; the slice products, the channel power and the march are real, and T^H
+takes each sample back. The imaginary residue each step to real leaves is a
+gate: metadata["channel_hermiticity_defect"] records the largest, relative
+to the matrix's largest entry, and above CHANNEL_HERMITICITY_TOL the run
+raises NumericError. The engine samples whole periods only, on the grid
 snapped_span gives, the one period-alignment rule of the package.
 
 Both stroboscopic engines work on parity sectors. Every Hamiltonian piece
@@ -64,7 +74,11 @@ cross-sector entry would be dropped, not propagated. The check runs on the
 sparse operators, because the polar projection of U(T) leaves cross-sector
 entries near 1e-15. metadata["sectors"] holds the sizes of the blocks
 integrated: parity sectors for the unitary engine, Liouville blocks for the
-dissipative one, whose pairs (p, q) metadata["liouville_pairs"] names.
+dissipative one, whose pairs (p, q) metadata["liouville_pairs"] names and
+whose dense block products metadata["channel_matmuls"] counts. The returned
+density matrices of that engine are Hermitian by construction, so its
+hermiticity_defect_max reads 0 and the channel's residue gate stands in for
+it.
 """
 
 from __future__ import annotations
@@ -101,6 +115,10 @@ TRACE_DRIFT_TOL = 1e-7
 EIG_FLOOR_RUN = -1e-6
 CUTOFF_POP_TOL = 1e-6
 UNITARY_DEFECT_TOL = 1e-9
+# the imaginary residue a Lindblad generator or channel may keep in a
+# Liouville block's Hermitian basis, relative to its largest entry; rounding
+# leaves a few 1e-16
+CHANNEL_HERMITICITY_TOL = 1e-12
 STROBE_MIN_PERIODS = 32
 DRIVE_STEPS_PER_PERIOD = 20
 CUTOFF_POLICIES = ("warn", "error", "ignore")
@@ -605,6 +623,11 @@ def _spectral_radius_bound(ham) -> float:
 # maps it into itself (into rho_{1-p,1-q}), so both blocks are invariant.
 _LIOUVILLE_BLOCKS = (((0, 0), (1, 1)), ((0, 1), (1, 0)))
 
+# T's action on one transpose pair (x_ij, x_ji) of a block's vec: it sends
+# them to ((x_ij + x_ji), i (x_ij - x_ji)) / sqrt(2) and keeps x_ii, so the vec
+# of a Hermitian rho becomes real (Havel, J. Math. Phys. 44, 534 (2003)).
+_HERMITIAN_PAIR = math.sqrt(0.5) * np.array([[1.0, 1.0], [1.0j, -1.0j]])
+
 
 def _pair_spans(pairs, sizes) -> dict:
     """Where each pair's row-major vec(rho_pq) sits in its block's vector."""
@@ -612,27 +635,116 @@ def _pair_spans(pairs, sizes) -> dict:
     return {(p, q): slice(int(e - sizes[p] * sizes[q]), int(e)) for (p, q), e in zip(pairs, ends)}
 
 
-def _kron_apply_unitary(u: np.ndarray, v: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """(U (x) conj(V)) @ C without materializing the Kronecker product."""
-    t = c.reshape(u.shape[0], v.shape[0], -1)
-    t = np.einsum("ab,bcx->acx", u, t, optimize=True)
-    t = np.einsum("cb,abx->acx", v.conj(), t, optimize=True)
-    return t.reshape(c.shape)
+def _block_vec(rho: np.ndarray, sectors, pairs) -> np.ndarray:
+    """The block's vector: the row-major vec(rho_pq) of its pairs, in order."""
+    return np.concatenate([rho[np.ix_(sectors[p], sectors[q])].ravel() for p, q in pairs])
+
+
+def _transpose_pairing(pairs, sizes):
+    """The transpose pairs of a block's vector as index arrays lo < hi.
+
+    The partner of entry (i, j) of pair (p, q) is entry (j, i) of pair (q, p);
+    the diagonal entries rho_ii are their own partners and in neither array.
+    Both blocks of _LIOUVILLE_BLOCKS are closed under this pairing.
+    """
+    spans = _pair_spans(pairs, sizes)
+    partner = np.empty(spans[pairs[-1]].stop, dtype=np.intp)
+    for p, q in pairs:
+        own = np.arange(spans[p, q].start, spans[p, q].stop).reshape(sizes[p], sizes[q])
+        partner[spans[q, p]] = own.T.ravel()
+    lo = np.flatnonzero(partner > np.arange(len(partner)))
+    return lo, partner[lo]
+
+
+def _rotate_pairs(x: np.ndarray, pairing, w: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Apply the 2 x 2 matrix w to every transpose pair (x_lo, x_hi) of the
+    vectors along `axis` of the complex array x, in place; entries in no pair
+    stay. With w = _HERMITIAN_PAIR this is T @ x, with its conjugate
+    transpose T^H @ x; along axis 1, w acts as x @ A with A's pair block w^T.
+    It takes 64 pairs at a time, so its temporaries stay small.
+    """
+    v = np.moveaxis(x, axis, 0)
+    for start in range(0, len(pairing[0]), 64):
+        lo, hi = (index[start:start + 64] for index in pairing)
+        a, b = v[lo], v[hi]
+        v[lo] = w[0, 0] * a + w[0, 1] * b
+        v[hi] = w[1, 0] * a + w[1, 1] * b
+    return x
+
+
+def _to_hermitian_basis(m: np.ndarray, pairing) -> np.ndarray:
+    """T m T^H, computed in place on the complex matrix m."""
+    m = _rotate_pairs(m, pairing, _HERMITIAN_PAIR)
+    return _rotate_pairs(m, pairing, _HERMITIAN_PAIR.conj(), axis=1)
+
+
+def _from_hermitian_basis(r: np.ndarray, pairing) -> np.ndarray:
+    """T^H r T as a new complex matrix: the inverse of _to_hermitian_basis."""
+    c = _rotate_pairs(r.astype(complex), pairing, _HERMITIAN_PAIR.conj().T)
+    return _rotate_pairs(c, pairing, _HERMITIAN_PAIR.T, axis=1)
+
+
+def _real_part(z: np.ndarray, metadata: dict) -> np.ndarray:
+    """The real part of a block matrix in the Hermitian basis, gated on the
+    imaginary residue relative to its largest entry.
+
+    A Lindblad generator or channel preserves Hermiticity, so in that basis
+    it is real and the residue is rounding; metadata keeps the largest one as
+    channel_hermiticity_defect, and above CHANNEL_HERMITICITY_TOL the matrix
+    was not what it claims to be.
+    """
+    imag = float(np.max(np.abs(z.imag)))
+    scale = max(float(np.max(np.abs(z.real))), imag)
+    residue = imag / scale if scale else 0.0
+    metadata["channel_hermiticity_defect"] = max(
+        metadata.get("channel_hermiticity_defect", 0.0), residue)
+    if residue > CHANNEL_HERMITICITY_TOL:
+        raise NumericError(
+            f"channel Hermiticity defect {residue:.2e} exceeds {CHANNEL_HERMITICITY_TOL:g}: "
+            "the generator does not preserve Hermiticity"
+        )
+    return np.ascontiguousarray(z.real)
+
+
+def _slice_step(om: np.ndarray, pairing, channel, metadata: dict) -> np.ndarray:
+    """(I + R + R^2/2) @ channel (or that factor alone when channel is None),
+    with R = T om T^H the real slice generator; om is overwritten."""
+    r = _real_part(_to_hermitian_basis(om, pairing), metadata)
+    step = r @ r
+    step *= 0.5
+    step += r
+    step[np.diag_indices_from(step)] += 1.0
+    return step if channel is None else step @ channel
+
+
+def _kron_apply_unitary(u: np.ndarray, v: np.ndarray, c: np.ndarray) -> None:
+    """C <- (U (x) conj(V)) @ C in place, without materializing the
+    Kronecker product."""
+    b = v.shape[0]
+    t = (u @ c.reshape(u.shape[0], -1)).reshape(u.shape[0], b, -1)
+    vc = v.conj()
+    for a, rows in enumerate(t):
+        c[a * b:(a + 1) * b] = vc @ rows
 
 
 def _lindblad_channel(ham, collapse, rho0, tol, metadata, coherences: bool):
     """The one-period channel on each Liouville block that rho0 occupies,
     the parity-diagonal one only unless `coherences` asks for rho_pq with
-    p != q as well.
+    p != q as well, as a real matrix in the block's Hermitian basis.
 
     The period is split into slices; per slice the dissipative factor is
     expanded to second order in the interaction picture of the exact
     Hamiltonian propagator. Every factor is built block by block from the
     parity-sector blocks of U(t) and of the jump operators, so no d^2 x d^2
-    array is formed. Returns the parity sectors, the propagated blocks (as
-    pair tuples of _LIOUVILLE_BLOCKS, also in metadata["liouville_pairs"])
-    and one channel matrix per block, on the concatenated row-major
-    vec(rho_pq) of its pairs.
+    array is formed. A slice's generator Omega is built in complex on the
+    concatenated row-major vec(rho_pq) of the block's pairs and taken once to
+    the real coordinates T Omega T^H (_HERMITIAN_PAIR); I + R + R^2/2 and the
+    slice product are real. The Hamiltonian factor U (x) conj(U) acts on
+    T^H C, and T takes the result back to real. Each step to real is gated on
+    its imaginary residue (_real_part). metadata["channel_matmuls"] counts the
+    dense block products. Returns the parity sectors, the propagated blocks
+    (as pair tuples of _LIOUVILLE_BLOCKS, also in metadata["liouville_pairs"]),
+    their transpose pairings and one real channel matrix per block.
     """
     period = 2.0 * math.pi / ham.common_eta
     slices = 6
@@ -643,6 +755,7 @@ def _lindblad_channel(ham, collapse, rho0, tol, metadata, coherences: bool):
               and any(np.any(rho0[np.ix_(sectors[p], sectors[q])]) for p, q in pairs)]
     metadata["liouville_pairs"] = tuple(pair for pairs in blocks for pair in pairs)
     spans = [_pair_spans(pairs, sizes) for pairs in blocks]
+    pairings = [_transpose_pairing(pairs, sizes) for pairs in blocks]
 
     radius = _spectral_radius_bound(ham)
     panels_per_slice = max(2, int(math.ceil((period / slices) * radius / 1.3)))
@@ -670,12 +783,16 @@ def _lindblad_channel(ham, collapse, rho0, tol, metadata, coherences: bool):
     # interaction-picture jump operators at the quadrature nodes; row-major
     # vec(rho): vec(A rho B) = (A (x) B^T) vec(rho)
     channels = [None] * len(blocks)
+    matmuls = 0
+    # each slice builds its generators in these buffers and realifies them in place
+    omega1 = [np.empty((sum(sizes[p] * sizes[q] for p, q in pairs),) * 2, dtype=complex)
+              for pairs in blocks]
     for p_slice in range(slices):
         mask = slice_of == p_slice
         wt = weights[mask]
         u_nd = [u[node_index[mask]] for u in u_at]
-        omega1 = [np.zeros((sum(sizes[p] * sizes[q] for p, q in pairs),) * 2, dtype=complex)
-                  for pairs in blocks]
+        for om in omega1:
+            om.fill(0.0)
         m_slice = [np.zeros((b, b), dtype=complex) for b in sizes]
         for (rate, _), f, ob in zip(collapse, flips, op_blocks):
             # x[p]: the sector block (p, p ^ f) of U^dag op U at each node
@@ -693,37 +810,45 @@ def _lindblad_channel(ham, collapse, rho0, tol, metadata, coherences: bool):
                         gram.reshape(sizes[p], sizes[p ^ f], sizes[q], sizes[q ^ f])
                         .transpose(0, 2, 1, 3)
                     ).reshape(sizes[p] * sizes[q], -1)
-        for i, (pairs, s, om) in enumerate(zip(blocks, spans, omega1)):
+        for i, (pairs, s, pairing, om) in enumerate(zip(blocks, spans, pairings, omega1)):
             for p, q in pairs:
                 om[s[p, q], s[p, q]] -= 0.5 * (
                     np.kron(m_slice[p], np.eye(sizes[q])) + np.kron(np.eye(sizes[p]), m_slice[q].T)
                 )
-            psi_slice = np.eye(len(om), dtype=complex) + om + 0.5 * (om @ om)
-            channels[i] = psi_slice if channels[i] is None else psi_slice @ channels[i]
+            matmuls += 1 if channels[i] is None else 2
+            channels[i] = _slice_step(om, pairing, channels[i], metadata)
+    metadata["channel_matmuls"] = matmuls
+    del omega1
 
+    # the trace is the sum of the diagonal entries rho_ii, which T keeps
     tp_defect = 0.0
-    for pairs, s, ch in zip(blocks, spans, channels):
-        trace = np.zeros(len(ch), dtype=complex)
+    for i, (pairs, s, pairing) in enumerate(zip(blocks, spans, pairings)):
+        ch = _rotate_pairs(channels[i].astype(complex), pairing, _HERMITIAN_PAIR.conj().T)
+        trace = np.zeros(len(ch))
         for p, q in pairs:
-            ch[s[p, q]] = _kron_apply_unitary(u_period[p], u_period[q], ch[s[p, q]])
+            _kron_apply_unitary(u_period[p], u_period[q], ch[s[p, q]])
             if p == q:
                 trace[s[p, q]] = np.eye(sizes[p]).ravel()
+        channels[i] = ch = _real_part(_rotate_pairs(ch, pairing, _HERMITIAN_PAIR), metadata)
         tp_defect = max(tp_defect, float(np.max(np.abs(trace @ ch - trace))))
     metadata["channel_trace_defect"] = tp_defect
     if tp_defect > TRACE_DRIFT_TOL:
         raise NumericError(
             f"one-period channel trace defect {tp_defect:.2e} exceeds {TRACE_DRIFT_TOL:g}"
         )
-    return sectors, blocks, channels
+    return sectors, blocks, pairings, channels
 
 
 def _lindblad_strobe(ham, collapse, rho0, t_span, sample_count, tol, metadata,
                      coherences: bool):
     """The one-period channel of _lindblad_channel, applied stroboscopically
     on each Liouville block it propagates; the blocks left out stay zero in
-    the returned matrices. The samples are the period-aligned grid
-    snapped_span gives for t_span and sample_count (the endpoint may move by
-    up to half a stride, the count with it); metadata records the request.
+    the returned matrices. The march is real: it starts from T vec(rho0_herm),
+    with rho0_herm the Hermitian part of rho0, and T^H maps every sample back,
+    so the returned matrices are Hermitian by construction. The samples are
+    the period-aligned grid snapped_span gives for t_span and sample_count
+    (the endpoint may move by up to half a stride, the count with it);
+    metadata records the request.
     """
     period = 2.0 * math.pi / ham.common_eta
     span, count = snapped_span(ham.common_eta, float(t_span[1]), sample_count)
@@ -734,25 +859,28 @@ def _lindblad_strobe(ham, collapse, rho0, t_span, sample_count, tol, metadata,
     metadata["t_span_requested"] = (float(t_span[0]), float(t_span[1]))
     metadata["sample_count_requested"] = sample_count
 
-    sectors, blocks, channels = _lindblad_channel(ham, collapse, rho0, tol, metadata,
-                                                  coherences)
+    sectors, blocks, pairings, channels = _lindblad_channel(ham, collapse, rho0, tol, metadata,
+                                                            coherences)
     sizes = [len(s) for s in sectors]
     metadata["engine"] = "lindblad-stroboscopic"
     metadata["sectors"] = [len(ch) for ch in channels]
+    # matrix_power squares bit_length - 1 times and multiplies bit_count - 1 times
+    metadata["channel_matmuls"] += len(channels) * (stride.bit_length() + stride.bit_count() - 2)
 
     # samples sit on stride multiples, so one channel^stride step per sample
+    herm = (rho0 + rho0.conj().T) / 2.0
     rhos = np.zeros((count, *rho0.shape), dtype=complex)
-    for pairs, channel in zip(blocks, channels):
-        parts = {(p, q): np.ix_(sectors[p], sectors[q]) for p, q in pairs}
-        spans = _pair_spans(pairs, sizes)
+    for pairs, pairing, channel in zip(blocks, pairings, channels):
         step = np.linalg.matrix_power(channel, stride) if stride > 1 else channel
-        vec = np.concatenate([rho0[part].ravel() for part in parts.values()]).astype(complex)
-        for i, rho in enumerate(rhos):
-            if i:
-                vec = step @ vec
-            for (p, q), part in parts.items():
-                rho[part] = vec[spans[p, q]].reshape(sizes[p], sizes[q])
-    return list(rhos), times
+        vecs = np.empty((count, len(channel)))
+        vecs[0] = _rotate_pairs(_block_vec(herm, sectors, pairs), pairing, _HERMITIAN_PAIR).real
+        for i in range(1, count):
+            np.dot(step, vecs[i - 1], out=vecs[i])
+        back = _rotate_pairs(vecs.astype(complex), pairing, _HERMITIAN_PAIR.conj().T, axis=1)
+        for (p, q), part in _pair_spans(pairs, sizes).items():
+            rhos[:, sectors[p][:, None], sectors[q]] = back[:, part].reshape(
+                count, sizes[p], sizes[q])
+    return rhos, times
 
 
 def evolve_lindblad(
@@ -776,8 +904,11 @@ def evolve_lindblad(
     records both requested values in metadata. With store_states=False it
     propagates only the parity-diagonal Liouville block, which carries every
     observable: the coherences between the parity sectors stay zero, so the
-    Hermiticity defect and the eigenvalue floor cover the block-diagonal part
-    of rho only. metadata["liouville_pairs"] names the pairs propagated.
+    eigenvalue floor covers the block-diagonal part of rho only.
+    metadata["liouville_pairs"] names the pairs propagated. Its samples are
+    Hermitian by construction; metadata["channel_hermiticity_defect"] gates
+    the channel that made them. The eigenvalue floor takes one eigvalsh of
+    all the samples at once.
     """
     _validate_run(tol, cutoff_policy)
     if rho0.space != space:
@@ -795,11 +926,11 @@ def evolve_lindblad(
         raw = _lindblad_direct(ham, collapse, rho0.matrix, t_grid, tol, metadata)
         times = t_grid
 
-    rhos = [(r + r.conj().T) / 2.0 for r in raw]
-    herm_defect = max(float(np.max(np.abs(r - h))) for r, h in zip(raw, rhos))
-    traces = np.array([np.real(np.trace(r)) for r in rhos])
-    drift = float(np.max(np.abs(traces - 1.0)))
-    floor = min(float(np.linalg.eigvalsh(r)[0]) for r in rhos)
+    raw = np.asarray(raw)
+    rhos = (raw + raw.conj().transpose(0, 2, 1)) / 2.0
+    herm_defect = float(np.max(np.abs(raw - rhos)))
+    drift = float(np.max(np.abs(np.real(np.trace(rhos, axis1=1, axis2=2)) - 1.0)))
+    floor = float(np.min(np.linalg.eigvalsh(rhos)[:, 0]))
     metadata["hermiticity_defect_max"] = herm_defect
     metadata["trace_drift_max"] = drift
     metadata["eig_floor_min"] = floor

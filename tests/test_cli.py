@@ -30,6 +30,7 @@ from dickemod.dispersive import (
     transition_rate_general,
     two_photon_rate_closed_form,
 )
+from dickemod.dynamics import CHANNEL_HERMITICITY_TOL, TRACE_DRIFT_TOL
 from dickemod.errors import ConfigError
 from dickemod.hilbert import SpaceSpec
 from dickemod.model import ModulationSchedule, SystemParams
@@ -536,13 +537,22 @@ def test_stroboscopic_csv_headers_carry_engine_work(tmp_path, command, blocks):
     # only the Lindblad engine snaps the grid, so only its header records the
     # request: 5 samples over 60 became 5 samples 4 periods apart, ending on
     # the 16th period
+    channel_keys = ("channel_nodes", "channel_trace_defect", "channel_hermiticity_defect",
+                    "channel_matmuls")
     if command == "lindblad":
         assert meta["liouville_pairs"] == "(0, 0), (1, 1)"
         assert (meta["t_span_requested"], meta["sample_count_requested"]) == ("0.0, 60.0", "5")
         assert len(data) == 5
         assert data[-1, 0] == pytest.approx(16 * 4 * quarter, rel=1e-12)
+        # six slices of six-node Gauss panels; each gate inside its bound
+        assert int(meta["channel_nodes"]) % 36 == 0 and int(meta["channel_nodes"]) > 0
+        assert 0.0 <= float(meta["channel_trace_defect"]) <= TRACE_DRIFT_TOL
+        assert 0.0 <= float(meta["channel_hermiticity_defect"]) <= CHANNEL_HERMITICITY_TOL
+        # one block: 2 products per slice but the first (11), then channel^4 (2)
+        assert meta["channel_matmuls"] == "13"
     else:
         assert "t_span_requested" not in meta and "liouville_pairs" not in meta
+        assert not any(key in meta for key in channel_keys)
 
 
 def test_python_dash_m_runs_the_cli():

@@ -277,8 +277,10 @@ def test_sector_lindblad_matches_full_space_channel(basis, state, phi):
     ham = build_hamiltonian(space, p, sch)
     collapse = dynamics._collapse_operators(space, rates)
     meta = {}
-    sectors, blocks, channels = dynamics._lindblad_channel(ham, collapse, rho0.matrix, 1e-12,
-                                                           meta, coherences=True)
+    sectors, blocks, pairings, real = dynamics._lindblad_channel(ham, collapse, rho0.matrix,
+                                                                 1e-12, meta, coherences=True)
+    # the channels come back real in each block's Hermitian basis
+    channels = [dynamics._from_hermitian_basis(r, pr) for r, pr in zip(real, pairings)]
     assert len(blocks) == occupied
     assert meta["period_window"] == pytest.approx(half_window(phi), rel=1e-15)
     period = 2 * math.pi / ETA
@@ -299,6 +301,55 @@ def test_sector_lindblad_matches_full_space_channel(basis, state, phi):
     ref = [np.linalg.matrix_power(full, int(k)) @ vec for k in np.round(strobe.times / period)]
     got = [s.matrix.ravel() for s in strobe.states]
     assert np.max(np.abs(np.array(got) - np.array(ref))) < 1e-9
+
+
+def test_channel_that_breaks_hermiticity_is_refused():
+    # rates with an imaginary part leave each slice generator trace-preserving
+    # but not Hermiticity-preserving: the trace gate cannot see it, the
+    # residue left in the Hermitian basis can
+    space, rho0, rates, _ = _lindblad_case("distinguishable", "coherent")
+    p = bench_params()
+    ham = build_hamiltonian(space, p, (g_schedule(p),))
+    collapse = dynamics._collapse_operators(space, rates)
+    meta = {}
+    *_, channels = dynamics._lindblad_channel(ham, collapse, rho0.matrix, 1e-9, meta,
+                                              coherences=True)
+    assert len(channels) == 2 and all(ch.dtype == float for ch in channels)
+    assert 0.0 <= meta["channel_hermiticity_defect"] < 1e-14
+    # one block, six slices: 2 products per slice but the first
+    assert meta["channel_matmuls"] == 2 * 11
+
+    skewed = [(r * (1 + 1e-6j), op) for r, op in collapse]
+    with pytest.raises(NumericError, match="Hermiticity defect"):
+        dynamics._lindblad_channel(ham, skewed, rho0.matrix, 1e-9, {}, coherences=False)
+
+
+@pytest.mark.parametrize("pairs", dynamics._LIOUVILLE_BLOCKS)
+def test_hermitian_basis_gate_catches_an_added_skew_term(pairs):
+    # a Hermiticity-preserving generator on one block is real in its basis;
+    # adding 1j * I is not
+    sizes, sectors = [3, 2], [np.arange(3), 3 + np.arange(2)]
+    pairing = dynamics._transpose_pairing(pairs, sizes)
+    rng = np.random.default_rng(5)
+    ops = [rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)) for _ in range(3)]
+    n = sum(sizes[p] * sizes[q] for p, q in pairs)
+
+    def column(k):
+        # the generator acting on the k-th basis vector of the block
+        vec = np.zeros(n, dtype=complex)
+        vec[k] = 1.0
+        rho = np.zeros((5, 5), dtype=complex)
+        for (p, q), part in dynamics._pair_spans(pairs, sizes).items():
+            rho[np.ix_(sectors[p], sectors[q])] = vec[part].reshape(sizes[p], sizes[q])
+        out = sum(lindblad_dissipator(op, rho) for op in ops)
+        return dynamics._block_vec(out, sectors, pairs)
+
+    om = np.array([column(k) for k in range(n)]).T
+    meta = {}
+    r = dynamics._real_part(dynamics._to_hermitian_basis(om.copy(), pairing), meta)
+    assert r.dtype == float and meta["channel_hermiticity_defect"] < 1e-15
+    with pytest.raises(NumericError, match="Hermiticity defect"):
+        dynamics._real_part(dynamics._to_hermitian_basis(om + 1j * np.eye(n), pairing), {})
 
 
 def test_observable_only_lindblad_propagates_the_parity_diagonal_block():

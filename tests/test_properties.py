@@ -14,8 +14,15 @@ from dickemod.dynamics import (
     EIG_FLOOR_RUN,
     NORM_DRIFT_TOL,
     TRACE_DRIFT_TOL,
+    _HERMITIAN_PAIR,
+    _LIOUVILLE_BLOCKS,
     DensityMatrix,
+    _block_vec,
     _collapse_operators,
+    _from_hermitian_basis,
+    _rotate_pairs,
+    _to_hermitian_basis,
+    _transpose_pairing,
     evolve_lindblad,
     evolve_schrodinger,
     snapped_span,
@@ -209,6 +216,33 @@ def test_stroboscopic_lindblad_keeps_its_gates_and_matches_full_space(run):
     assert np.array_equal(diag.times, traj.times)
     joint = [o.joint for o in diag.observables]
     assert np.max(np.abs(np.array(joint) - [o.joint for o in traj.observables])) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.sampled_from(_LIOUVILLE_BLOCKS),
+       st.integers(0, 2**32 - 1))
+def test_hermitian_basis_map_is_unitary_and_makes_hermitian_vecs_real(a, b, pairs, seed):
+    sizes = [a, b]
+    sectors = [np.arange(a), a + np.arange(b)]
+    pairing = _transpose_pairing(pairs, sizes)
+    n = sum(sizes[p] * sizes[q] for p, q in pairs)
+    t = _rotate_pairs(np.eye(n, dtype=complex), pairing, _HERMITIAN_PAIR)
+    assert np.max(np.abs(t @ t.conj().T - np.eye(n))) < 1e-14
+
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(a + b, a + b)) + 1j * rng.normal(size=(a + b, a + b))
+    vec = _block_vec((m + m.conj().T) / 2, sectors, pairs)
+    real = _rotate_pairs(vec.copy(), pairing, _HERMITIAN_PAIR)
+    assert np.max(np.abs(real.imag)) <= 1e-15
+    assert np.max(np.abs(real - t @ vec)) < 1e-14
+    back = _rotate_pairs(real.real.astype(complex), pairing, _HERMITIAN_PAIR.conj().T)
+    assert np.max(np.abs(back - vec)) < 1e-14
+
+    # the matrix maps are T M T^H and its inverse T^H R T
+    big = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    there = _to_hermitian_basis(big.copy(), pairing)
+    assert np.max(np.abs(there - t @ big @ t.conj().T)) < 1e-13
+    assert np.max(np.abs(_from_hermitian_basis(there, pairing) - big)) < 1e-13
 
 
 @st.composite
