@@ -646,6 +646,9 @@ def _cmd_sweep(cfg, no_crt: bool):
         ("eta", result.etas, None),
         ("eta_factor", result.etas / two_delta, "eta / 2|Delta|"),
         ("transfer", result.transfer, "transfer"),
+        # each point's work and gate value, NaN where the engine formed no U(T)
+        ("rhs_evals", result.fit_diagnostics["rhs_evals"], None),
+        ("propagator_defect", result.fit_diagnostics["propagator_defect"], None),
     ]
     meta = {
         "peak_eta": result.peak_eta,

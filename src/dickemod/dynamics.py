@@ -23,7 +23,18 @@ state stays complex.
 The stroboscopic engines integrate one drive period once, at tight
 tolerance; this is what makes horizons of 1e5 time units tractable. The drive
 is a single sinusoid, so the periodicity is exact and the only approximation
-is the one the integrator tolerance controls. When every active drive term
+is the one the integrator tolerance controls. That one period solve runs in
+the interaction frame of the diagonal of H(t), the integrating-factor
+(Lawson) Runge-Kutta method (Lawson, SIAM J. Numer. Anal. 4, 372 (1967)):
+the diagonal D(t) = D_0 + sum_j sin(eta_j t + phi_j) D_j holds the bare
+energies omega*n + Omega*k, which dominate H(t) in the dispersive regime, and
+its integral theta(t) from the window start is exact in closed form
+(ModulatedHamiltonian.diagonal_phase). The ODE integrates Y_I = e^{i theta} Y,
+dY_I/dt = -i P (H(t) - D(t)) P^* Y_I with P = e^{i theta(t)}, so its steps
+follow the slow dispersive dynamics rather than the bare phases, and every
+sample goes back to the lab frame as Y = e^{-i theta} Y_I. The direct engines
+stay in the lab frame: they are the slow paths the stroboscopic ones are
+checked against. When every active drive term
 has one phase phi mod pi and every Hamiltonian piece is symmetric (h^T == h,
 exactly, on the sparse matrices; the assembled pieces are real), H(t) is
 also mirror-symmetric about the drive extremum c = ((pi/2 - phi) mod pi)/eta,
@@ -355,6 +366,14 @@ def _sector_propagators(ham, sectors, period: float, tol: float, t_eval, metadat
     the rows are the sectors' rows one after another, and column j starts as
     the j-th basis vector of every sector at once (zero past a sector's size).
 
+    The solve runs in the interaction frame of the diagonal D(t) of H(t), an
+    integrating-factor (Lawson 1967) step: with theta(t) the exact integral
+    of D from the window start t0, it integrates Y_I(t) = e^{i theta(t)} Y(t),
+        dY_I/dt = -i P(t) (H(t) - D(t)) P(t)^* Y_I,   P = diag(e^{i theta}),
+    one off-diagonal product of ModulatedHamiltonian's merged pattern between
+    two row scalings. Y_I(t0) = Y(t0), and every sample goes back to the lab
+    frame, Y = e^{-i theta} Y_I, before anything below reads it.
+
     For a time-symmetric drive (_symmetric_window) the solve covers only the
     half window [c - T/2, c], for Y(t) = U(t, c - T/2). With Y0 = Y(0),
     M = Y(c) and U(c + s, c) = U(c, c - s)^T,
@@ -382,11 +401,21 @@ def _sector_propagators(ham, sectors, period: float, tol: float, t_eval, metadat
         grid, index = np.unique(np.concatenate([np.clip(mapped, start, c), [0.0, c]]),
                                 return_inverse=True)
     sub = ham.restrict(np.concatenate(sectors))
-    sol = _integrate(sub, _schrodinger_rhs(sub), y0, window, grid, "DOP853", rtol,
+
+    def frame_rhs(t, y):
+        # dY_I/dt = -i P (H - D) P^* Y_I with P = e^{i theta(t)}
+        p = np.exp(1j * sub.diagonal_phase(t, window[0]))[:, None]
+        out = sub.apply_off_diagonal(t, p.conj() * y)
+        out *= -1j * p
+        return out
+
+    sol = _integrate(sub, frame_rhs, y0, window, grid, "DOP853", rtol,
                      "propagator integration failed: {}")
     metadata["period_window"] = window
     metadata["rhs_evals"] = int(sol.nfev)
+    # back to the lab frame, Y = e^{-i theta} Y_I
     y = np.moveaxis(sol.y.reshape(*y0.shape, -1), -1, 0)
+    y *= np.exp(-1j * np.array([sub.diagonal_phase(t, window[0]) for t in sol.t]))[:, :, None]
     blocks = [y[:, lo:lo + b, :b] for lo, b in zip(starts, sizes)]
     if half is None:
         return blocks

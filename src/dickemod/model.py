@@ -244,9 +244,12 @@ class ModulatedHamiltonian:
     is one real data row d_j on that pattern, and a piece with an imaginary
     part, H_j = A_j + i B_j, adds its B_j to a second set of rows. `apply`
     writes d_0 + sum_j s_j(t) d_j into the merged matrix's data and multiplies
-    it once. The rows are derived from h_const and terms on construction, so
-    `restrict` and `dataclasses.replace` rebuild them; the instance is frozen
-    so they cannot go stale.
+    it once. The real diagonal D_j of each piece is kept apart too, with real
+    rows on the same pattern that zero it: `apply_off_diagonal` multiplies
+    H(t) - D(t), D(t) = D_0 + sum_j s_j(t) D_j, and `diagonal_phase` is the
+    exact integral of D(t). The rows are derived from h_const and terms on
+    construction, so `restrict` and `dataclasses.replace` rebuild them; the
+    instance is frozen so they cannot go stale.
     """
 
     space: SpaceSpec
@@ -256,6 +259,8 @@ class ModulatedHamiltonian:
     terms: tuple[tuple[ModulationSchedule, sp.csr_matrix], ...]
     _merged: sp.csr_matrix = field(init=False, repr=False)
     _rows: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    _off_rows: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    _diagonals: np.ndarray = field(init=False, repr=False)
     _drives: tuple[tuple[float, float], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -272,8 +277,16 @@ class ModulatedHamiltonian:
             np.add.at(d, np.searchsorted(keys, k), h.data)
         # the real rows, then the imaginary ones when a piece has any
         rows = (data.real.copy(), data.imag.copy()) if data.imag.any() else (data.real.copy(),)
+        # each piece's real diagonal, and the real rows without it
+        on_diag = keys // n_cols == keys % n_cols
+        diagonals = np.zeros((len(piece_keys), n_rows))
+        diagonals[:, keys[on_diag] // n_cols] = rows[0][:, on_diag]
+        off = rows[0].copy()
+        off[:, on_diag] = 0.0
         object.__setattr__(self, "_merged", merged)
         object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_off_rows", (off, *rows[1:]))
+        object.__setattr__(self, "_diagonals", diagonals)
         object.__setattr__(self, "_drives", tuple((s.eta, s.phi) for s, _ in self.terms))
 
     def at(self, t: float) -> sp.csr_matrix:
@@ -291,11 +304,26 @@ class ModulatedHamiltonian:
         overwritten on every call, so one instance must not apply from two
         threads at once.
         """
+        return self._apply(self._rows, t, y)
+
+    def apply_off_diagonal(self, t: float, y: np.ndarray) -> np.ndarray:
+        """(H(t) - D(t)) @ y, with D(t) the real diagonal of H(t), made like
+        `apply`'s product on the same pattern."""
+        return self._apply(self._off_rows, t, y)
+
+    def diagonal_phase(self, t: float, t0: float) -> np.ndarray:
+        """theta(t), the integral of D(s) from t0 to t, in closed form:
+        D_0 (t - t0) - sum_j D_j (cos(eta_j t + phi_j) - cos(eta_j t0 + phi_j)) / eta_j."""
+        coeffs = np.array([t - t0, *((math.cos(eta * t0 + phi) - math.cos(eta * t + phi)) / eta
+                                     for eta, phi in self._drives)])
+        return coeffs @ self._diagonals
+
+    def _apply(self, row_sets: tuple[np.ndarray, ...], t: float, y: np.ndarray) -> np.ndarray:
         shape = np.shape(y)
         cols = np.ascontiguousarray(y, dtype=complex).reshape(shape[0], -1).view(np.float64)
         coeffs = np.array([1.0, *(math.sin(eta * t + phi) for eta, phi in self._drives)])
-        out = self._product(coeffs, self._rows[0], cols)
-        for rows in self._rows[1:]:
+        out = self._product(coeffs, row_sets[0], cols)
+        for rows in row_sets[1:]:
             out += 1j * self._product(coeffs, rows, cols)
         return out.reshape(shape)
 

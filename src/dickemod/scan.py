@@ -6,7 +6,9 @@ each frequency, and locates the peak by quadratic interpolation through the
 three highest neighboring samples, optionally refined by one 10x zoom. The
 transfer is one cell of the joint (excited qubits, photons) distribution
 that every sample's ObservableSet carries, so sweeps store no states.
-fit_rabi pulls |Xi| out of a sampled population oscillation by fitting
+Each point's evolution work goes with it: fit_diagnostics holds its rhs
+evaluations and its one-period propagator defect as arrays aligned with
+etas. fit_rabi pulls |Xi| out of a sampled population oscillation by fitting
 A*cos(2|Xi| t + theta) + C.
 """
 
@@ -103,9 +105,11 @@ class SweepResult:
             raise NumericError("transfer values escaped [0, 1]")
 
 
-def _evolve_point(scenario: TransferScenario, eta: float, horizon: float) -> float:
-    """The best target population joint[k+2, n-k-2] over the samples of one
-    evolution at eta."""
+def _evolve_point(scenario: TransferScenario, eta: float, horizon: float):
+    """(transfer, rhs_evals, propagator_defect) of one evolution at eta: the
+    best target population joint[k+2, n-k-2] over its samples, and the work
+    and gate value its engine recorded; the defect is NaN for an engine that
+    forms no one-period propagator."""
     sc = scenario
     schedules = tuple(dataclasses.replace(s, eta=eta) for s in sc.schedules)
     if sc.rates is not None and not sc.rates.all_zero:
@@ -119,11 +123,13 @@ def _evolve_point(scenario: TransferScenario, eta: float, horizon: float) -> flo
     top = max(float(o.joint[k + 2, n - k - 2]) for o in traj.observables)
     if top > 1.0 + POPULATION_SLACK:
         raise NumericError(f"target population {top:.6g} exceeds 1")
-    return min(top, 1.0)
+    md = traj.metadata
+    return min(top, 1.0), md["rhs_evals"], md.get("propagator_defect", math.nan)
 
 
-def _evaluate(scenario, etas, horizon) -> np.ndarray:
-    return np.array([_evolve_point(scenario, e, horizon) for e in etas])
+def _evaluate(scenario, etas, horizon):
+    """(transfer, rhs_evals, propagator_defect), one array each over etas."""
+    return tuple(np.array(v) for v in zip(*(_evolve_point(scenario, e, horizon) for e in etas)))
 
 
 def _quad_vertex(x3, y3):
@@ -186,7 +192,7 @@ def sweep_resonance(
         raise ConfigError(f"horizon={horizon} must be positive")
 
     etas = np.linspace(lo, hi, grid_points)
-    transfer = _evaluate(scenario, etas, horizon)
+    transfer, rhs_evals, defects = _evaluate(scenario, etas, horizon)
     spacing = etas[1] - etas[0]
 
     i_star = int(np.argmax(transfer))
@@ -224,7 +230,7 @@ def sweep_resonance(
         z_etas = np.linspace(etas[i_star - 1], etas[i_star + 1], 2 * ZOOM_SHRINK + 1)
         known = {0: transfer[i_star - 1], ZOOM_SHRINK: transfer[i_star], 2 * ZOOM_SHRINK: transfer[i_star + 1]}
         new_j = [j for j in range(len(z_etas)) if j not in known]
-        new_vals = _evaluate(scenario, z_etas[new_j], horizon)
+        new_vals, new_rhs, new_defects = _evaluate(scenario, z_etas[new_j], horizon)
         z_transfer = np.empty(len(z_etas))
         for j, v in known.items():
             z_transfer[j] = v
@@ -247,8 +253,12 @@ def sweep_resonance(
         order = np.argsort(np.concatenate([etas, z_etas[new_j]]))
         all_etas = np.concatenate([etas, z_etas[new_j]])[order]
         all_transfer = np.concatenate([transfer, new_vals])[order]
+        rhs_evals = np.concatenate([rhs_evals, new_rhs])[order]
+        defects = np.concatenate([defects, new_defects])[order]
 
     diagnostics["peak_transfer"] = peak_val
+    diagnostics["rhs_evals"] = rhs_evals
+    diagnostics["propagator_defect"] = defects
     return SweepResult(
         etas=all_etas,
         transfer=np.clip(all_transfer, 0.0, 1.0),

@@ -30,7 +30,7 @@ from dickemod.dispersive import (
     transition_rate_general,
     two_photon_rate_closed_form,
 )
-from dickemod.dynamics import CHANNEL_HERMITICITY_TOL, TRACE_DRIFT_TOL
+from dickemod.dynamics import CHANNEL_HERMITICITY_TOL, TRACE_DRIFT_TOL, UNITARY_DEFECT_TOL
 from dickemod.errors import ConfigError
 from dickemod.hilbert import SpaceSpec
 from dickemod.model import ModulationSchedule, SystemParams
@@ -578,8 +578,11 @@ def test_sweep_csv(tmp_path):
     cfg = write_cfg(tmp_path, text)
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     meta, header, data = read_csv(tmp_path / "o" / "sweep.csv")
-    assert header == ["eta", "eta_factor", "transfer"]
-    assert data.shape == (5, 3)
+    assert header == ["eta", "eta_factor", "transfer", "rhs_evals", "propagator_defect"]
+    assert data.shape == (5, 5)
+    # one row per eta with that point's period solve and its unitarity gate
+    assert np.all(data[:, 3] > 0)
+    assert np.all(data[:, 4] <= UNITARY_DEFECT_TOL)
     assert np.all(np.diff(data[:, 0]) > 0)
     assert np.all((data[:, 2] >= 0.0) & (data[:, 2] <= 1.0))
     peak_factor = float(meta["peak_factor"])

@@ -507,6 +507,60 @@ def test_half_window_halves_the_period_solve(monkeypatch):
     assert half["rhs_evals"] <= 0.6 * full["rhs_evals"]
 
 
+def _six_qubit_g_omega(n_max):
+    """exchange-n6's g + Omega drive (Omega at phase pi) on SpaceSpec(6, n_max):
+    the diagonal of H(t) moves with the drive, and the window is the half one."""
+    g0 = 0.08 / math.sqrt(6)
+    p = SystemParams(omega0=1.0, Omega0=1.72, g0=g0, n_qubits=6)
+    eta = 1.03876 * 1.44
+    sch = (ModulationSchedule("g", 0.1 * g0, eta), ModulationSchedule("Omega", 0.072, eta, math.pi))
+    return build_hamiltonian(SpaceSpec(6, n_max), p, sch), 2 * math.pi / eta
+
+
+def _frame_case(case):
+    if case == "n6-g-omega":
+        ham, period = _six_qubit_g_omega(7)
+        return ham, period, True
+    p = bench_params()
+    if case == "mixed-phase":
+        sch = (g_schedule(p), ModulationSchedule("Omega", 0.05, ETA, math.pi / 2))
+        ham = build_hamiltonian(SpaceSpec(2, 3), p, sch)
+    else:
+        sch = (g_schedule(p), ModulationSchedule("Omega", 0.05, ETA, qubit=1))
+        ham = _complex_piece(build_hamiltonian(SpaceSpec(2, 3, "distinguishable"), p, sch))
+    return ham, 2 * math.pi / ETA, False
+
+
+@pytest.mark.parametrize("case", ["n6-g-omega", "mixed-phase", "distinguishable-complex-piece"])
+def test_interaction_frame_propagators_match_the_lab_frame(case):
+    # the period solve integrates e^{i theta} U in the diagonal frame; the
+    # oracle integrates U itself, on the full space, at rtol 1e-13
+    ham, period, half = _frame_case(case)
+    t_eval = period * np.array([0.13, 0.37, 0.5, 0.71, 0.94, 1.0])
+    meta = {}
+    sectors = parity_sectors(ham.space)
+    blocks = dynamics._sector_propagators(ham, sectors, period, 1e-9, t_eval, meta)
+    assert (meta["period_window"] == (0.0, period)) != half
+    full = _one_period_propagators(lambda t: ham.at(t).toarray(), ham.space.dim, period,
+                                   t_eval, rtol=1e-13)
+    for s, u in zip(sectors, blocks):
+        assert np.max(np.abs(u - full[:, s][:, :, s])) < 1e-10
+
+
+def test_period_solve_on_the_exchange_system_is_accurate_and_cheap():
+    # N=6, n_max=21, g + Omega: both parity sectors (77 + 77 states) in one solve
+    ham, period = _six_qubit_g_omega(21)
+    sectors = parity_sectors(ham.space)
+    runs = {}
+    for tol in (1e-9, 1e-12):
+        meta = {}
+        runs[tol] = dynamics._sector_propagators(ham, sectors, period, tol, [period], meta)
+        assert meta["rhs_evals"] <= 1000
+    for u, ref in zip(runs[1e-9], runs[1e-12]):
+        assert np.max(np.abs(u[-1] - ref[-1])) < 1e-11
+        assert dynamics._projected_period(u[-1], 1e-9)[1] < 1e-11
+
+
 def test_lindblad_period_count_snaps_like_the_sample_grid():
     # 1e5 periods and 40 ulps: past the old absolute 1e-9 (17 ulps at this t),
     # inside the 64-ulp snap, so the span ends on the 1e5-th period

@@ -180,16 +180,34 @@ def _replaced(ham):
     return dataclasses.replace(ham, h_const=(2.0 * ham.h_const).tocsr())
 
 
-@pytest.mark.parametrize("g0, build", [
+PATTERN_CASES = [
     pytest.param(0.0566, _complex_piece, id="complex-piece"),
     pytest.param(0.0, _union_pattern, id="union-pattern"),
     pytest.param(0.0566, _replaced, id="replaced-h-const"),
-])
+]
+
+
+@pytest.mark.parametrize("g0, build", PATTERN_CASES)
 def test_apply_matches_assembled_operator_on_every_pattern(g0, build):
     ham = build(_coupling_drive(g0))
     y = _random_columns(ham.space.dim, 3)
     for t in (0.0, 0.71, 13.9):
         assert np.max(np.abs(ham.apply(t, y) - ham.at(t) @ y)) < 1e-14
+
+
+@pytest.mark.parametrize("g0, build", PATTERN_CASES)
+def test_off_diagonal_product_and_diagonal_phase_split_the_operator(g0, build):
+    ham = build(_coupling_drive(g0))
+    y = _random_columns(ham.space.dim, 3)
+    t0, step = 0.4, 1e-4
+    for t in (0.0, 0.71, 13.9):
+        h = ham.at(t)
+        d = h.diagonal().real
+        assert np.max(np.abs(ham.apply_off_diagonal(t, y) + d[:, None] * y - h @ y)) < 1e-14
+        # theta' = D(t): a central difference of the closed form
+        slope = (ham.diagonal_phase(t + step, t0) - ham.diagonal_phase(t - step, t0)) / (2 * step)
+        assert np.max(np.abs(slope - d)) < 1e-8
+    assert not np.any(ham.diagonal_phase(t0, t0))
 
 
 def test_apply_takes_any_layout_of_columns():

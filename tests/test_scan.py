@@ -180,7 +180,7 @@ def test_transfer_reads_the_joint_target_cell(basis, rates):
     horizon = 0.6 * math.pi / abs(pred.xi)
     space = SpaceSpec(2, 8, basis)
     scen = scenario(space, p, psi0=dicke_fock_state(space, 0, 3), rates=rates)
-    transfer = scan._evolve_point(scen, pred.eta_res, horizon)
+    transfer, rhs_evals, defect = scan._evolve_point(scen, pred.eta_res, horizon)
 
     on_peak = (dataclasses.replace(sched[0], eta=pred.eta_res),)
     kw = dict(tol=scen.tol, store_states=True)
@@ -191,6 +191,8 @@ def test_transfer_reads_the_joint_target_cell(basis, rates):
                                (0.0, horizon), 16, **kw)
     assert transfer > 0.3  # half a Rabi cycle moves most of |0, 3> to |2, 1>
     assert abs(transfer - _stored_target_population(traj, space, (3, 0))) <= 1e-14
+    assert rhs_evals > 0
+    assert defect <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -233,18 +235,25 @@ def test_sweep_is_deterministic(baseline):
 
 def test_sweeps_store_no_states(baseline, monkeypatch):
     evolve = scan.evolve_schrodinger
-    stored = []
+    stored, work = [], {}
 
     def spy(*args, **kwargs):
         bound = inspect.signature(evolve).bind(*args, **kwargs)
         stored.append(bound.arguments.get("store_states", False))
-        return evolve(*args, **kwargs)
+        traj = evolve(*args, **kwargs)
+        md = traj.metadata
+        work[bound.arguments["schedules"][0].eta] = (md["rhs_evals"], md["propagator_defect"])
+        return traj
 
     monkeypatch.setattr(scan, "evolve_schrodinger", spy)
     eta_res = baseline["predicted"].eta_res
-    sweep_resonance(baseline["scen"], (eta_res - 3e-4, eta_res + 3e-4), 5, zoom=True)
+    res = sweep_resonance(baseline["scen"], (eta_res - 3e-4, eta_res + 3e-4), 5, zoom=True)
     assert len(stored) == 5 + 2 * scan.ZOOM_SHRINK - 2
     assert not any(stored)
+    # each point's work and defect sit at its eta after the zoom merge
+    assert len(work) == len(res.etas)
+    for i, name in enumerate(("rhs_evals", "propagator_defect")):
+        assert res.fit_diagnostics[name].tolist() == [work[e][i] for e in res.etas]
 
 
 def test_dissipative_sweep_points_propagate_one_liouville_block(baseline, monkeypatch):
