@@ -35,7 +35,13 @@ from .dispersive import (
     transition_rate_general,
     two_photon_rate_closed_form,
 )
-from .dynamics import DensityMatrix, evolve_lindblad, evolve_schrodinger, snapped_span
+from .dynamics import (
+    DensityMatrix,
+    evolve_lindblad,
+    evolve_schrodinger,
+    lindblad_grid,
+    snapped_span,
+)
 from .errors import (
     ConfigError,
     DickemodError,
@@ -566,14 +572,13 @@ _TRAJECTORY_COMMANDS = {
 }
 # the block sizes, the parity-block pairs (p, q) of rho a Lindblad run
 # propagated, integrated period window, rhs evaluations, propagator defect,
-# the Lindblad channel's quadrature nodes, trace and Hermiticity defects and
-# dense block products, and the span and count a period-snapped Lindblad
-# grid was asked for (in 1/omega0 units); the header leaves out the keys an
-# engine does not record
+# and the Lindblad channel's quadrature nodes, slice count and step-doubling
+# error estimate, trace and Hermiticity defects and dense block products; the
+# header leaves out the keys an engine does not record
 _ENGINE_WORK_KEYS = ("sectors", "liouville_pairs", "period_window", "rhs_evals",
-                     "propagator_defect", "channel_nodes", "channel_trace_defect",
-                     "channel_hermiticity_defect", "channel_matmuls", "t_span_requested",
-                     "sample_count_requested")
+                     "propagator_defect", "channel_nodes", "channel_slices",
+                     "channel_slice_error", "channel_trace_defect",
+                     "channel_hermiticity_defect", "channel_matmuls")
 
 
 def _cmd_trajectory(command: str, cfg, no_crt: bool):
@@ -590,6 +595,8 @@ def _cmd_trajectory(command: str, cfg, no_crt: bool):
         raise ConfigError(refusal)
     span = (0.0, opts.pop("t_final") * scale)
     if dissipative:
+        span, opts["sample_count"] = lindblad_grid(schedules, span[1], opts["sample_count"],
+                                                   opts.get("method", "auto"))
         traj = evolve_lindblad(space, params, schedules, rates,
                                DensityMatrix.from_state(psi0), span, **opts)
     else:
@@ -944,11 +951,11 @@ def _cmd_figure4(factor_real: float, factor_ideal: float):
 
     us_per_unit = seconds_per_time_unit(OMEGA0_HZ) * 1e6
     t_final = 2.0 / us_per_unit  # two microseconds of dimensionless evolution
-    traj_real = evolve_lindblad(
-        real.space, real.params, real.drive(factor_real * two_delta), real.rates,
-        DensityMatrix.from_state(real.psi0), (0.0, t_final), 601, tol=1e-9,
-    )
-    # reuse the dissipative run's stroboscopic grid so the CSV shares one t axis
+    drive_real = real.drive(factor_real * two_delta)
+    span, count = lindblad_grid(drive_real, t_final, 601)
+    traj_real = evolve_lindblad(real.space, real.params, drive_real, real.rates,
+                                DensityMatrix.from_state(real.psi0), span, count, tol=1e-9)
+    # the ideal run shares the dissipative run's period-aligned grid, one t axis
     times = traj_real.times
     traj_ideal = evolve_schrodinger(
         ideal.space, ideal.params, ideal.drive(factor_ideal * two_delta), ideal.psi0,

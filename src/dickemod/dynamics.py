@@ -50,21 +50,35 @@ of the grid from that one solve, projects U(T) to the nearest exact unitary,
 reports the defect, and gets psi(kT) for all sampled k at once from the
 complex Schur form Z diag(lambda^k) Z^dag of U(T) (Floquet; Shirley 1965),
 with no march. The dissipative engine marches a one-period channel that
-keeps the Hamiltonian factor exact and expands the (weak) dissipative factor
-to second order per sub-period slice; trace preservation is exact by
-construction because the same quadrature rule builds both the jump and the
-anticommutator pieces. A Lindblad channel maps Hermitian matrices to
-Hermitian ones, so on each Liouville block below it is a real matrix in a
-Hermitian operator basis (Havel, J. Math. Phys. 44, 534 (2003)): the fixed
-unitary T keeps every diagonal entry rho_ii and sends each transpose pair
-(rho_ij, rho_ji) to (rho_ij + rho_ji)/sqrt(2) and i(rho_ij - rho_ji)/sqrt(2).
+keeps the Hamiltonian factor exact and, per sub-period slice, takes the
+dissipative factor as a first-order Magnus step expanded to second order;
+trace preservation is exact by construction because the same quadrature rule
+builds both the jump and the anticommutator pieces. The slice count comes
+from step doubling (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4):
+rounds of 2, 4, 8, ... slices each compare their channel with the embedded
+partner of half the slices, whose generators are sums of theirs, and the
+first round whose estimate max|C_2s - C_s| is within tol keeps C_2s. The
+error falls as 1/slices^2, from the commutator term the step drops, so the
+kept channel carries about a quarter of the estimate. The doubling stops at
+MAX_CHANNEL_SLICES; a run whose estimate is still above tol there keeps that
+channel, records the estimate and warns once, pointing to method="direct".
+tol so bounds the channel's error per period (local), as it bounds each ODE
+step's, not the global error of a long march; metadata records
+channel_slices and channel_slice_error. A Lindblad channel maps Hermitian
+matrices to Hermitian ones, so on each Liouville block below it is a real
+matrix in a Hermitian operator basis (Havel, J. Math. Phys. 44, 534
+(2003)): the fixed unitary T keeps every diagonal entry rho_ii and sends
+each transpose pair (rho_ij, rho_ji) to (rho_ij + rho_ji)/sqrt(2) and
+i(rho_ij - rho_ji)/sqrt(2).
 Each slice generator is built in complex and taken to these coordinates
 once; the slice products, the channel power and the march are real, and T^H
 takes each sample back. The imaginary residue each step to real leaves is a
 gate: metadata["channel_hermiticity_defect"] records the largest, relative
 to the matrix's largest entry, and above CHANNEL_HERMITICITY_TOL the run
-raises NumericError. The engine samples whole periods only, on the grid
-snapped_span gives, the one period-alignment rule of the package.
+raises NumericError. The engine samples whole periods only: a grid that
+snapped_span, the one period-alignment rule of the package, would move is
+refused with ConfigError naming the aligned grid, and lindblad_grid gives
+callers the grid to request.
 
 Both stroboscopic engines work on parity sectors. Every Hamiltonian piece
 conserves the parity (-1)^(n+k) (hilbert.parity_sectors), so U(t) is block
@@ -78,8 +92,9 @@ forms a d^2 x d^2 array. Observables read diag(rho), which lies in the
 p = q block alone, so a run that stores no states propagates only that
 block and leaves the coherences rho_pq with p != q at zero; its Hermiticity
 defect and eigenvalue floor then gate the block-diagonal part of rho, the
-part it propagated. Before either engine integrates, the leak guard checks
-that every Hamiltonian piece keeps each sector exactly and every collapse
+part it propagated, and the floor takes one eigvalsh per parity block.
+Before either engine integrates, the leak guard checks that every
+Hamiltonian piece keeps each sector exactly and every collapse
 operator keeps or flips it exactly, and raises DomainError otherwise: a
 cross-sector entry would be dropped, not propagated. The check runs on the
 sparse operators, because the polar projection of U(T) leaves cross-sector
@@ -131,6 +146,8 @@ UNITARY_DEFECT_TOL = 1e-9
 # leaves a few 1e-16
 CHANNEL_HERMITICITY_TOL = 1e-12
 STROBE_MIN_PERIODS = 32
+# the Lindblad channel's slice count doubles up to this cap (_lindblad_channel)
+MAX_CHANNEL_SLICES = 32
 DRIVE_STEPS_PER_PERIOD = 20
 CUTOFF_POLICIES = ("warn", "error", "ignore")
 
@@ -720,10 +737,11 @@ def _real_part(z: np.ndarray, metadata: dict) -> np.ndarray:
     A Lindblad generator or channel preserves Hermiticity, so in that basis
     it is real and the residue is rounding; metadata keeps the largest one as
     channel_hermiticity_defect, and above CHANNEL_HERMITICITY_TOL the matrix
-    was not what it claims to be.
+    was not what it claims to be. The largest entries come from reductions
+    over the views, with no temporary the size of z.
     """
-    imag = float(np.max(np.abs(z.imag)))
-    scale = max(float(np.max(np.abs(z.real))), imag)
+    imag = max(float(z.imag.max()), -float(z.imag.min()))
+    scale = max(float(z.real.max()), -float(z.real.min()), imag)
     residue = imag / scale if scale else 0.0
     metadata["channel_hermiticity_defect"] = max(
         metadata.get("channel_hermiticity_defect", 0.0), residue)
@@ -735,15 +753,92 @@ def _real_part(z: np.ndarray, metadata: dict) -> np.ndarray:
     return np.ascontiguousarray(z.real)
 
 
-def _slice_step(om: np.ndarray, pairing, channel, metadata: dict) -> np.ndarray:
-    """(I + R + R^2/2) @ channel (or that factor alone when channel is None),
-    with R = T om T^H the real slice generator; om is overwritten."""
-    r = _real_part(_to_hermitian_basis(om, pairing), metadata)
+def _slice_step(r: np.ndarray, channel) -> np.ndarray:
+    """(I + R + R^2/2) @ channel, or that factor alone when channel is None,
+    for the real slice generator R = r; the product is written over r."""
     step = r @ r
     step *= 0.5
     step += r
     step[np.diag_indices_from(step)] += 1.0
-    return step if channel is None else step @ channel
+    return step if channel is None else np.matmul(step, channel, out=r)
+
+
+def _pair_view(om: np.ndarray, span, a, b, sizes) -> np.ndarray:
+    """The 4-D view v[i, j, k, l] = om[(i, j) of pair a, (k, l) of pair b];
+    splitting each axis of a strided 2-D view always gives a view."""
+    return om[span[a], span[b]].reshape(sizes[a[0]], sizes[a[1]], sizes[b[0]], sizes[b[1]])
+
+
+def _slice_generator(u_nd, wt, collapse, flips, op_blocks, pairs, span, sizes) -> np.ndarray:
+    """One slice's generator Omega on the Liouville block of `pairs`, in
+    complex on the concatenated row-major vec(rho_pq) (positions `span`).
+
+    It is the quadrature, with weights wt, of the dissipator in the
+    interaction picture of U(t), whose parity-sector blocks at the slice's
+    nodes are u_nd; vec(A rho B) = (A (x) B^T) vec(rho). Every term is added
+    in place through 4-D views of the block, so the only temporary the size
+    of a pair's block is one gram matrix.
+    """
+    n = span[pairs[-1]].stop
+    om = np.zeros((n, n), dtype=complex)
+    m_slice = [np.zeros((b, b), dtype=complex) for b in sizes]
+    for (rate, _), f, ob in zip(collapse, flips, op_blocks):
+        # x[p]: the sector block (p, p ^ f) of U^dag op U at each node
+        x = [np.conj(u_nd[p]).transpose(0, 2, 1) @ ob[p] @ u_nd[p ^ f] for p in (0, 1)]
+        flat = [xp.reshape(len(wt), -1) for xp in x]
+        for c in (0, 1):
+            # the columns of sector c of U^dag op U sit in block (c ^ f, c)
+            fw = (x[c ^ f].conj() * wt[:, None, None]).reshape(-1, sizes[c])
+            m_slice[c] += rate * (fw.T @ x[c ^ f].reshape(-1, sizes[c]))
+        for p, q in pairs:
+            # the jump term A rho A^dag; the gram is indexed [(i,k),(j,l)]
+            view = _pair_view(om, span, (p, q), (p ^ f, q ^ f), sizes)
+            view += ((flat[p] * (rate * wt)[:, None]).T @ flat[q].conj()).reshape(
+                sizes[p], sizes[p ^ f], sizes[q], sizes[q ^ f]).transpose(0, 2, 1, 3)
+    for p, q in pairs:
+        # -(M_p (x) 1 + 1 (x) M_q^T)/2, one identity index at a time
+        view = _pair_view(om, span, (p, q), (p, q), sizes)
+        for j in range(sizes[q]):
+            view[:, j, :, j] -= 0.5 * m_slice[p]
+        for i in range(sizes[p]):
+            view[i, :, i, :] -= 0.5 * m_slice[q].T
+    return om
+
+
+def _doubled_channel(generator, slices: int, pairing, metadata: dict):
+    """The dissipative factor of one Liouville block over `slices` slices,
+    and its step-doubling error estimate.
+
+    generator(j) is slice j's complex generator; it is taken to real once,
+    and the factor is the product of the slices' I + R + R^2/2. The embedded
+    partner has half the slices: quadrature is additive, so each of its
+    generators is the sum of two consecutive real ones, kept in one buffer,
+    and it costs no quadrature and no period solve of its own. Returns the
+    factor, max|factor - partner| and the dense products made.
+    """
+    def real(j):
+        return _real_part(_to_hermitian_basis(generator(j), pairing), metadata)
+
+    fine = coarse = None
+    for j in range(0, slices, 2):
+        r = real(j)
+        if fine is None:
+            # the first pair keeps R_j alone while slice j + 1 is built
+            pair_sum = r
+        else:
+            pair_sum = r.copy()
+            fine = _slice_step(r, fine)
+        r = real(j + 1)
+        if fine is None:
+            fine = _slice_step(pair_sum, None)
+        pair_sum += r
+        fine = _slice_step(r, fine)
+        coarse = _slice_step(pair_sum, coarse)
+        del pair_sum
+    diff = np.subtract(fine, coarse, out=coarse)
+    error = max(float(diff.max()), -float(diff.min()))
+    # a squaring per slice and a product per slice but the first, both kinds
+    return fine, error, (2 * slices - 1) + (slices - 1)
 
 
 def _kron_apply_unitary(u: np.ndarray, v: np.ndarray, c: np.ndarray) -> None:
@@ -761,22 +856,36 @@ def _lindblad_channel(ham, collapse, rho0, tol, metadata, coherences: bool):
     the parity-diagonal one only unless `coherences` asks for rho_pq with
     p != q as well, as a real matrix in the block's Hermitian basis.
 
-    The period is split into slices; per slice the dissipative factor is
-    expanded to second order in the interaction picture of the exact
-    Hamiltonian propagator. Every factor is built block by block from the
-    parity-sector blocks of U(t) and of the jump operators, so no d^2 x d^2
-    array is formed. A slice's generator Omega is built in complex on the
-    concatenated row-major vec(rho_pq) of the block's pairs and taken once to
-    the real coordinates T Omega T^H (_HERMITIAN_PAIR); I + R + R^2/2 and the
-    slice product are real. The Hamiltonian factor U (x) conj(U) acts on
+    The period is split into slices; per slice the dissipative factor is the
+    first-order Magnus step exp(Omega) of the interaction picture of the
+    exact Hamiltonian propagator, expanded to I + Omega + Omega^2/2. Each
+    slice integrates Omega by 6-node Gauss panels no wider than 1.3 over the
+    spectral radius bound of H (at least two per slice). The slice count
+    comes from step doubling (Hairer, Norsett & Wanner, Solving ODEs I,
+    sec. II.4): for 2, 4, 8, ... slices, each round's factor C_2s is compared
+    with its embedded partner C_s (_doubled_channel), and the first round
+    whose estimate max|C_2s - C_s|, over the blocks, is within tol keeps
+    C_2s. The dropped commutator term makes the error fall as 1/slices^2, so
+    C_2s carries about a quarter of the estimate. At MAX_CHANNEL_SLICES the
+    doubling stops and keeps that channel; an estimate still above tol is
+    recorded and warned about once. tol so bounds the channel's error per
+    period, as it bounds each ODE step's, not the error of a long march.
+    Each round makes one period solve for its nodes.
+
+    Every factor is built block by block from the parity-sector blocks of
+    U(t) and of the jump operators, so no d^2 x d^2 array is formed. A
+    slice's generator is built in complex (_slice_generator) and taken once
+    to the real coordinates T Omega T^H (_HERMITIAN_PAIR); I + R + R^2/2 and
+    the slice products are real. The Hamiltonian factor U (x) conj(U) acts on
     T^H C, and T takes the result back to real. Each step to real is gated on
-    its imaginary residue (_real_part). metadata["channel_matmuls"] counts the
-    dense block products. Returns the parity sectors, the propagated blocks
-    (as pair tuples of _LIOUVILLE_BLOCKS, also in metadata["liouville_pairs"]),
-    their transpose pairings and one real channel matrix per block.
+    its imaginary residue (_real_part). metadata records channel_slices,
+    channel_slice_error, the accepted channel's channel_nodes, and in
+    channel_matmuls the dense block products of every round, partners
+    included. Returns the parity sectors, the propagated blocks (as pair
+    tuples of _LIOUVILLE_BLOCKS, also in metadata["liouville_pairs"]), their
+    transpose pairings and one real channel matrix per block.
     """
     period = 2.0 * math.pi / ham.common_eta
-    slices = 6
     sectors, flips = _parity_blocks(ham, collapse)
     sizes = [len(s) for s in sectors]
     blocks = [pairs for pairs in _LIOUVILLE_BLOCKS
@@ -785,74 +894,56 @@ def _lindblad_channel(ham, collapse, rho0, tol, metadata, coherences: bool):
     metadata["liouville_pairs"] = tuple(pair for pairs in blocks for pair in pairs)
     spans = [_pair_spans(pairs, sizes) for pairs in blocks]
     pairings = [_transpose_pairing(pairs, sizes) for pairs in blocks]
-
-    radius = _spectral_radius_bound(ham)
-    panels_per_slice = max(2, int(math.ceil((period / slices) * radius / 1.3)))
-    bounds = np.linspace(0.0, period, slices + 1)
-    all_nodes, all_weights, slice_of = [], [], []
-    for p in range(slices):
-        nd, wt = _gauss_nodes(bounds[p], bounds[p + 1], panels_per_slice)
-        all_nodes.append(nd)
-        all_weights.append(wt)
-        slice_of.extend([p] * len(nd))
-    nodes = np.concatenate(all_nodes)
-    weights = np.concatenate(all_weights)
-    slice_of = np.array(slice_of)
-
-    t_eval = np.unique(np.concatenate([nodes, [period]]))
-    u_at = _sector_propagators(ham, sectors, period, tol, t_eval, metadata)
-    metadata["channel_nodes"] = len(nodes)
-    u_period, defects = zip(*(_projected_period(u[-1], tol) for u in u_at))
-    metadata["propagator_defect"] = max(defects)
-    node_index = np.searchsorted(t_eval, nodes)
     # jump operator blocks op[sector p, sector p ^ flip]
     op_blocks = [[op[sectors[p]][:, sectors[p ^ f]].toarray() for p in (0, 1)]
                  for (_, op), f in zip(collapse, flips)]
+    radius = _spectral_radius_bound(ham)
 
-    # interaction-picture jump operators at the quadrature nodes; row-major
-    # vec(rho): vec(A rho B) = (A (x) B^T) vec(rho)
-    channels = [None] * len(blocks)
-    matmuls = 0
-    # each slice builds its generators in these buffers and realifies them in place
-    omega1 = [np.empty((sum(sizes[p] * sizes[q] for p, q in pairs),) * 2, dtype=complex)
-              for pairs in blocks]
-    for p_slice in range(slices):
-        mask = slice_of == p_slice
-        wt = weights[mask]
-        u_nd = [u[node_index[mask]] for u in u_at]
-        for om in omega1:
-            om.fill(0.0)
-        m_slice = [np.zeros((b, b), dtype=complex) for b in sizes]
-        for (rate, _), f, ob in zip(collapse, flips, op_blocks):
-            # x[p]: the sector block (p, p ^ f) of U^dag op U at each node
-            x = [np.conj(u_nd[p]).transpose(0, 2, 1) @ ob[p] @ u_nd[p ^ f] for p in (0, 1)]
-            flat = [xp.reshape(len(wt), -1) for xp in x]
-            for c in (0, 1):
-                # the columns of sector c of U^dag op U sit in block (c ^ f, c)
-                fw = (x[c ^ f].conj() * wt[:, None, None]).reshape(-1, sizes[c])
-                m_slice[c] += rate * (fw.T @ x[c ^ f].reshape(-1, sizes[c]))
-            for pairs, s, om in zip(blocks, spans, omega1):
-                for p, q in pairs:
-                    # gram is indexed [(i,k),(j,l)]; the superoperator needs [(i,j),(k,l)]
-                    gram = (flat[p] * wt[:, None]).T @ flat[q].conj()
-                    om[s[p, q], s[p ^ f, q ^ f]] += rate * np.ascontiguousarray(
-                        gram.reshape(sizes[p], sizes[p ^ f], sizes[q], sizes[q ^ f])
-                        .transpose(0, 2, 1, 3)
-                    ).reshape(sizes[p] * sizes[q], -1)
-        for i, (pairs, s, pairing, om) in enumerate(zip(blocks, spans, pairings, omega1)):
-            for p, q in pairs:
-                om[s[p, q], s[p, q]] -= 0.5 * (
-                    np.kron(m_slice[p], np.eye(sizes[q])) + np.kron(np.eye(sizes[p]), m_slice[q].T)
-                )
-            matmuls += 1 if channels[i] is None else 2
-            channels[i] = _slice_step(om, pairing, channels[i], metadata)
+    slices, rhs_evals, matmuls = 2, 0, 0
+    while True:
+        panels = max(2, int(math.ceil((period / slices) * radius / 1.3)))
+        nodes, weights = _gauss_nodes(0.0, period, slices * panels)
+        t_eval = np.unique(np.append(nodes, period))
+        u_at = _sector_propagators(ham, sectors, period, tol, t_eval, metadata)
+        rhs_evals += metadata["rhs_evals"]
+        node_index = np.searchsorted(t_eval, nodes).reshape(slices, -1)
+        weights = weights.reshape(slices, -1)
+        channels, error = [], 0.0
+        for pairs, span, pairing in zip(blocks, spans, pairings):
+            def generator(j, pairs=pairs, span=span):
+                return _slice_generator([u[node_index[j]] for u in u_at], weights[j], collapse,
+                                        flips, op_blocks, pairs, span, sizes)
+
+            fine, block_error, products = _doubled_channel(generator, slices, pairing, metadata)
+            channels.append(fine)
+            error = max(error, block_error)
+            matmuls += products
+        if error <= tol or slices == MAX_CHANNEL_SLICES:
+            break
+        # the next round builds every factor anew
+        del channels, fine
+        slices *= 2
+    metadata["rhs_evals"] = rhs_evals
+    metadata["channel_nodes"] = len(nodes)
+    metadata["channel_slices"] = slices
+    metadata["channel_slice_error"] = error
     metadata["channel_matmuls"] = matmuls
-    del omega1
+    if error > tol:
+        warnings.warn(
+            f"Lindblad channel slice error estimate {error:.2e} exceeds tol={tol:g} at the "
+            f"cap of {MAX_CHANNEL_SLICES} slices; method='direct' integrates the master "
+            "equation without slices",
+            stacklevel=4,
+        )
+    u_period, defects = zip(*(_projected_period(u[-1], tol) for u in u_at))
+    metadata["propagator_defect"] = max(defects)
 
     # the trace is the sum of the diagonal entries rho_ii, which T keeps
     tp_defect = 0.0
     for i, (pairs, s, pairing) in enumerate(zip(blocks, spans, pairings)):
-        ch = _rotate_pairs(channels[i].astype(complex), pairing, _HERMITIAN_PAIR.conj().T)
+        # the real factor goes before the complex channel is worked on
+        ch, channels[i] = channels[i].astype(complex), None
+        ch = _rotate_pairs(ch, pairing, _HERMITIAN_PAIR.conj().T)
         trace = np.zeros(len(ch))
         for p, q in pairs:
             _kron_apply_unitary(u_period[p], u_period[q], ch[s[p, q]])
@@ -874,19 +965,23 @@ def _lindblad_strobe(ham, collapse, rho0, t_span, sample_count, tol, metadata,
     on each Liouville block it propagates; the blocks left out stay zero in
     the returned matrices. The march is real: it starts from T vec(rho0_herm),
     with rho0_herm the Hermitian part of rho0, and T^H maps every sample back,
-    so the returned matrices are Hermitian by construction. The samples are
-    the period-aligned grid snapped_span gives for t_span and sample_count
-    (the endpoint may move by up to half a stride, the count with it);
-    metadata records the request.
+    so the returned matrices are Hermitian by construction. It samples whole
+    periods only: a grid that snapped_span would move (by more than the
+    64-ulp snap of _period_split) raises ConfigError naming the aligned grid
+    to request, so the grid it returns is the one asked for.
     """
     period = 2.0 * math.pi / ham.common_eta
-    span, count = snapped_span(ham.common_eta, float(t_span[1]), sample_count)
+    t_final = float(t_span[1])
+    span, count = snapped_span(ham.common_eta, t_final, sample_count)
+    if count != sample_count or abs(span[1] - t_final) > 64.0 * np.spacing(t_final):
+        raise ConfigError(
+            f"the stroboscopic Lindblad engine samples whole drive periods only, and "
+            f"{sample_count} samples on (0, {t_final!r}) are not period-aligned; request "
+            f"t_span=(0.0, {span[1]!r}) with sample_count={count}, the grid snapped_span gives"
+        )
     times = np.linspace(*span, count)
     # every time of that grid is a whole number of periods
-    ks = _period_split(times, period)[0]
-    stride = int(ks[1])
-    metadata["t_span_requested"] = (float(t_span[0]), float(t_span[1]))
-    metadata["sample_count_requested"] = sample_count
+    stride = int(_period_split(times, period)[0][1])
 
     sectors, blocks, pairings, channels = _lindblad_channel(ham, collapse, rho0, tol, metadata,
                                                             coherences)
@@ -912,6 +1007,29 @@ def _lindblad_strobe(ham, collapse, rho0, t_span, sample_count, tol, metadata,
     return rhos, times
 
 
+def _eig_floor(rhos: np.ndarray, blocks) -> float:
+    """The smallest eigenvalue over the samples rhos, which are block
+    diagonal on the index sets `blocks`: one eigvalsh per block."""
+    return min(float(np.linalg.eigvalsh(rhos[:, b[:, None], b])[:, 0].min()) for b in blocks)
+
+
+def lindblad_grid(schedules, t_final: float, sample_count: int, method: str = "auto"):
+    """The grid to request from evolve_lindblad for t in [0, t_final]:
+    ((0, t_end), count).
+
+    The stroboscopic engine samples whole drive periods only, so where it
+    runs (forced, or under auto over at least STROBE_MIN_PERIODS periods of
+    one common drive frequency) this is the period-aligned grid of
+    snapped_span; anywhere else it is the request itself.
+    """
+    etas = {s.eta for s in schedules if s.epsilon > 0}
+    if method != "direct" and len(etas) == 1:
+        eta = etas.pop()
+        if method == "stroboscopic" or t_final / (2.0 * math.pi / eta) >= STROBE_MIN_PERIODS:
+            return snapped_span(eta, t_final, sample_count)
+    return (0.0, float(t_final)), sample_count
+
+
 def evolve_lindblad(
     space: SpaceSpec,
     params: SystemParams,
@@ -928,16 +1046,17 @@ def evolve_lindblad(
     """Integrate the master equation; Hermitize at samples, check trace drift
     (<= 1e-7) and the eigenvalue floor (>= -1e-6).
 
-    The stroboscopic engine samples the period-aligned grid of snapped_span,
-    which can end and count differently from t_span and sample_count; it
-    records both requested values in metadata. With store_states=False it
-    propagates only the parity-diagonal Liouville block, which carries every
-    observable: the coherences between the parity sectors stay zero, so the
-    eigenvalue floor covers the block-diagonal part of rho only.
-    metadata["liouville_pairs"] names the pairs propagated. Its samples are
-    Hermitian by construction; metadata["channel_hermiticity_defect"] gates
-    the channel that made them. The eigenvalue floor takes one eigvalsh of
-    all the samples at once.
+    The stroboscopic engine samples whole periods only and refuses any other
+    grid (ConfigError, naming the aligned grid); lindblad_grid gives the grid
+    to request. Its tol also bounds the step-doubling estimate of the
+    one-period channel's error (metadata["channel_slice_error"], see
+    _lindblad_channel). With store_states=False it propagates only the
+    parity-diagonal Liouville block, which carries every observable: the
+    coherences between the parity sectors stay zero, so rho is block diagonal
+    and the eigenvalue floor takes one eigvalsh per parity block of all the
+    samples at once. metadata["liouville_pairs"] names the pairs propagated.
+    Its samples are Hermitian by construction;
+    metadata["channel_hermiticity_defect"] gates the channel that made them.
     """
     _validate_run(tol, cutoff_policy)
     if rho0.space != space:
@@ -959,7 +1078,8 @@ def evolve_lindblad(
     rhos = (raw + raw.conj().transpose(0, 2, 1)) / 2.0
     herm_defect = float(np.max(np.abs(raw - rhos)))
     drift = float(np.max(np.abs(np.real(np.trace(rhos, axis1=1, axis2=2)) - 1.0)))
-    floor = float(np.min(np.linalg.eigvalsh(rhos)[:, 0]))
+    diagonal = metadata.get("liouville_pairs") == _LIOUVILLE_BLOCKS[0]
+    floor = _eig_floor(rhos, parity_sectors(space) if diagonal else [np.arange(space.dim)])
     metadata["hermiticity_defect_max"] = herm_defect
     metadata["trace_drift_max"] = drift
     metadata["eig_floor_min"] = floor

@@ -22,7 +22,13 @@ import numpy as np
 from scipy.optimize import curve_fit
 
 from .dispersive import two_photon_rate_closed_form
-from .dynamics import DensityMatrix, Trajectory, evolve_lindblad, evolve_schrodinger
+from .dynamics import (
+    DensityMatrix,
+    Trajectory,
+    evolve_lindblad,
+    evolve_schrodinger,
+    lindblad_grid,
+)
 from .errors import (
     ConfigError,
     DomainError,
@@ -109,13 +115,15 @@ def _evolve_point(scenario: TransferScenario, eta: float, horizon: float):
     """(transfer, rhs_evals, propagator_defect) of one evolution at eta: the
     best target population joint[k+2, n-k-2] over its samples, and the work
     and gate value its engine recorded; the defect is NaN for an engine that
-    forms no one-period propagator."""
+    forms no one-period propagator. A master-equation point samples the grid
+    lindblad_grid gives, whole periods wherever the stroboscopic engine runs."""
     sc = scenario
     schedules = tuple(dataclasses.replace(s, eta=eta) for s in sc.schedules)
     if sc.rates is not None and not sc.rates.all_zero:
+        span, count = lindblad_grid(schedules, horizon, sc.sample_count, sc.method)
         traj = evolve_lindblad(sc.space, sc.params, schedules, sc.rates,
-                               DensityMatrix.from_state(sc.psi0), (0.0, horizon),
-                               sc.sample_count, tol=sc.tol, method=sc.method)
+                               DensityMatrix.from_state(sc.psi0), span, count,
+                               tol=sc.tol, method=sc.method)
     else:
         traj = evolve_schrodinger(sc.space, sc.params, schedules, sc.psi0, (0.0, horizon),
                                   sc.sample_count, tol=sc.tol, method=sc.method)

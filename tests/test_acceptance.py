@@ -21,7 +21,7 @@ from dickemod.dispersive import (
     transition_rate_general,
     two_photon_rate_closed_form,
 )
-from dickemod.dynamics import DensityMatrix, evolve_lindblad, evolve_schrodinger
+from dickemod.dynamics import DensityMatrix, evolve_lindblad, evolve_schrodinger, lindblad_grid
 from dickemod.cli import (
     circuit_pair_systems,
     six_qubit_systems,
@@ -164,9 +164,11 @@ def circuit_pair():
     # dissipative run at the swept realistic peak, one microsecond of lab time
     us_per_unit = seconds_per_time_unit(10e9) * 1e6
     t_final = 1.0 / us_per_unit
+    drive = real.drive(out["realistic"].peak_eta)
+    span, count = lindblad_grid(drive, t_final, 301)
     traj = evolve_lindblad(
-        real.space, real.params, real.drive(out["realistic"].peak_eta), real.rates,
-        DensityMatrix.from_state(real.psi0), (0.0, t_final), 301, tol=1e-9,
+        real.space, real.params, drive, real.rates,
+        DensityMatrix.from_state(real.psi0), span, count, tol=1e-9,
     )
     out["lindblad"] = traj
     return out

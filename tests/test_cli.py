@@ -534,24 +534,29 @@ def test_stroboscopic_csv_headers_carry_engine_work(tmp_path, command, blocks):
     assert window == pytest.approx([-quarter, quarter], rel=1e-12)
     assert int(meta["rhs_evals"]) > 0
     assert 0.0 <= float(meta["propagator_defect"]) < 1e-9
-    # only the Lindblad engine snaps the grid, so only its header records the
-    # request: 5 samples over 60 became 5 samples 4 periods apart, ending on
-    # the 16th period
-    channel_keys = ("channel_nodes", "channel_trace_defect", "channel_hermiticity_defect",
-                    "channel_matmuls")
+    # the lindblad command asks the Lindblad engine for whole periods: 5
+    # samples over 60 become 5 samples 4 periods apart, ending on the 16th
+    channel_keys = ("channel_nodes", "channel_slices", "channel_slice_error",
+                    "channel_trace_defect", "channel_hermiticity_defect", "channel_matmuls")
     if command == "lindblad":
         assert meta["liouville_pairs"] == "(0, 0), (1, 1)"
-        assert (meta["t_span_requested"], meta["sample_count_requested"]) == ("0.0, 60.0", "5")
         assert len(data) == 5
         assert data[-1, 0] == pytest.approx(16 * 4 * quarter, rel=1e-12)
-        # six slices of six-node Gauss panels; each gate inside its bound
-        assert int(meta["channel_nodes"]) % 36 == 0 and int(meta["channel_nodes"]) > 0
+        # the doubled slice count and its six-node Gauss panels; the error
+        # estimate is within the run's tol (1e-9) unless the count reached
+        # the cap; each gate inside its bound
+        slices = int(meta["channel_slices"])
+        assert slices in (2, 4, 8, 16, 32)
+        assert int(meta["channel_nodes"]) % (6 * slices) == 0 and int(meta["channel_nodes"]) > 0
+        assert 0.0 < float(meta["channel_slice_error"]) <= 1e-9 or slices == 32
         assert 0.0 <= float(meta["channel_trace_defect"]) <= TRACE_DRIFT_TOL
         assert 0.0 <= float(meta["channel_hermiticity_defect"]) <= CHANNEL_HERMITICITY_TOL
-        # one block: 2 products per slice but the first (11), then channel^4 (2)
-        assert meta["channel_matmuls"] == "13"
+        # one block: per round of 2s slices, 2 products per slice but the
+        # first and the same for its s-slice partner; then channel^4 (2)
+        rounds = [2 ** k for k in range(1, slices.bit_length())]
+        assert int(meta["channel_matmuls"]) == sum(3 * n - 2 for n in rounds) + 2
     else:
-        assert "t_span_requested" not in meta and "liouville_pairs" not in meta
+        assert "liouville_pairs" not in meta
         assert not any(key in meta for key in channel_keys)
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -284,9 +285,10 @@ def test_sector_lindblad_matches_full_space_channel(basis, state, phi):
     assert len(blocks) == occupied
     assert meta["period_window"] == pytest.approx(half_window(phi), rel=1e-15)
     period = 2 * math.pi / ETA
+    slices = meta["channel_slices"]
     full = full_space_lindblad_channel(
         lambda t: ham.at(t).toarray(), [(r, op.toarray()) for r, op in collapse],
-        period, panels=meta["channel_nodes"] // 36,
+        period, slices=slices, panels=meta["channel_nodes"] // (6 * slices),
     )
     # the block's rows and columns: row-major vec(rho) indices of its pairs
     for pairs, channel in zip(blocks, channels):
@@ -316,12 +318,85 @@ def test_channel_that_breaks_hermiticity_is_refused():
                                               coherences=True)
     assert len(channels) == 2 and all(ch.dtype == float for ch in channels)
     assert 0.0 <= meta["channel_hermiticity_defect"] < 1e-14
-    # one block, six slices: 2 products per slice but the first
-    assert meta["channel_matmuls"] == 2 * 11
+    # per block, each round of 2s slices makes 2 products per slice but the
+    # first, and its s-slice partner the same
+    rounds = [2 ** k for k in range(1, meta["channel_slices"].bit_length())]
+    assert meta["channel_matmuls"] == 2 * sum((2 * n - 1) + (n - 1) for n in rounds)
 
     skewed = [(r * (1 + 1e-6j), op) for r, op in collapse]
     with pytest.raises(NumericError, match="Hermiticity defect"):
         dynamics._lindblad_channel(ham, skewed, rho0.matrix, 1e-9, {}, coherences=False)
+
+
+def _weak_lindblad_case():
+    # every rate at 1e-3 g0 on the distinguishable pair: rate * T ~ 2.4e-4
+    space, rho0, _, _ = _lindblad_case("distinguishable", "coherent")
+    r = 1e-3 * BENCH["g0"]
+    return space, rho0, DissipationRates(kappa=r, gamma=(r, r), gamma_phi=(r, r))
+
+
+@pytest.mark.parametrize("strength", ["weak", "strong"])
+def test_channel_slice_error_bounds_the_distance_to_64_slices(strength):
+    if strength == "weak":
+        space, rho0, rates = _weak_lindblad_case()
+    else:
+        space, rho0, rates, _ = _lindblad_case("distinguishable", "coherent")
+    p = bench_params()
+    ham = build_hamiltonian(space, p, (g_schedule(p),))
+    collapse = dynamics._collapse_operators(space, rates)
+    meta = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the strong system stops at the cap
+        sectors, blocks, pairings, real = dynamics._lindblad_channel(
+            ham, collapse, rho0.matrix, 1e-9, meta, coherences=True)
+    assert (meta["channel_slices"] < 32) == (strength == "weak")
+    period = 2 * math.pi / ETA
+    panels = max(2, math.ceil(period / 64 * dynamics._spectral_radius_bound(ham) / 1.3))
+    c64 = full_space_lindblad_channel(
+        lambda t: ham.at(t).toarray(), [(r, op.toarray()) for r, op in collapse],
+        period, slices=64, panels=panels,
+    )
+    distance = 0.0
+    for pairs, r, pairing in zip(blocks, real, pairings):
+        index = np.concatenate([(sectors[a][:, None] * space.dim + sectors[b]).ravel()
+                                for a, b in pairs])
+        channel = dynamics._from_hermitian_basis(r, pairing)
+        distance = max(distance, np.max(np.abs(c64[np.ix_(index, index)] - channel)))
+    assert distance <= meta["channel_slice_error"]
+
+
+def test_weak_system_stroboscopic_matches_direct_within_the_slice_estimate():
+    space, rho0, rates = _weak_lindblad_case()
+    p = bench_params()
+    sch = (g_schedule(p),)
+    span, count = snapped_span(ETA, 40 * 2 * math.pi / ETA, 5)
+    kw = dict(store_states=True, cutoff_policy="ignore")
+    strobe = evolve_lindblad(space, p, sch, rates, rho0, span, count, tol=1e-9,
+                             method="stroboscopic", **kw)
+    direct = evolve_lindblad(space, p, sch, rates, rho0, span, count, tol=1e-11,
+                             method="direct", **kw)
+    bound = 40 * strobe.metadata["channel_slice_error"] + 1e-10
+    gap = max(np.max(np.abs(a.matrix - b.matrix)) for a, b in zip(strobe.states, direct.states))
+    assert gap <= bound
+
+
+def test_channel_slices_stop_at_the_cap_and_warn_once():
+    space, rho0, rates, _ = _lindblad_case("distinguishable", "coherent")
+    p = bench_params()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        tr = evolve_lindblad(space, p, (g_schedule(p),), rates, rho0,
+                             (0.0, 32 * 2 * math.pi / ETA), 5, tol=1e-12,
+                             method="stroboscopic", cutoff_policy="ignore")
+    md = tr.metadata
+    assert md["channel_slices"] == dynamics.MAX_CHANNEL_SLICES
+    assert md["channel_slice_error"] > 1e-12
+    assert md["channel_nodes"] % (6 * dynamics.MAX_CHANNEL_SLICES) == 0
+    slice_warnings = [w for w in caught if "slice error" in str(w.message)]
+    assert len(slice_warnings) == 1
+    message = str(slice_warnings[0].message)
+    assert f"{md['channel_slice_error']:.2e}" in message and "tol=1e-12" in message
+    assert "method='direct'" in message
 
 
 @pytest.mark.parametrize("pairs", dynamics._LIOUVILLE_BLOCKS)
@@ -392,32 +467,44 @@ def test_one_state_sectors_run_both_engines():
 
     rho0 = DensityMatrix.from_state(psi0)
     rates = DissipationRates(kappa=0.01)
-    strobe = evolve_lindblad(space, p, sch, rates, rho0, span, 9, method="stroboscopic", **kw)
+    # the Lindblad engine samples whole periods: 9 samples ending on the 40th
+    span, count = snapped_span(1.5, span[1], 9)
+    strobe = evolve_lindblad(space, p, sch, rates, rho0, span, count, method="stroboscopic",
+                             **kw)
     assert strobe.metadata["sectors"] == [2, 2]
-    direct = evolve_lindblad(space, p, sch, rates, rho0, (0.0, strobe.times[-1]), 9,
-                             method="direct", **kw)
+    direct = evolve_lindblad(space, p, sch, rates, rho0, span, count, method="direct", **kw)
     assert np.allclose(strobe.times, direct.times, rtol=1e-12)
     for a, b in zip(strobe.states, direct.states):
         assert np.max(np.abs(a.matrix - b.matrix)) < 1e-7
 
 
 def test_lindblad_strobe_samples_the_snapped_grid():
-    # 21 samples over 58.8 periods: a stride of 3 periods and 21 samples that
-    # end on the 60th period, the grid of snapped_span (the engine's earlier
-    # private rule gave 20, ending on the 57th)
+    # 21 samples over 58.8 periods are not period-aligned: the engine refuses
+    # them and names the grid of snapped_span, a stride of 3 periods and 21
+    # samples ending on the 60th period, which it then returns as asked
     space = SpaceSpec(1, 2)
     p = SystemParams(omega0=1.0, Omega0=1.72, g0=0.05, n_qubits=1)
     period = 2 * math.pi / 1.5
-    span = (0.0, 58.8 * period)
-    tr = evolve_lindblad(space, p, (ModulationSchedule("Omega", 0.05, 1.5),),
-                         DissipationRates(kappa=0.01),
-                         DensityMatrix.from_state(dicke_fock_state(space, 0, 1)), span, 21,
-                         method="stroboscopic", cutoff_policy="ignore")
-    (start, end), count = snapped_span(1.5, span[1], 21)
+    schedules = (ModulationSchedule("Omega", 0.05, 1.5),)
+
+    def run(span, count):
+        return evolve_lindblad(space, p, schedules, DissipationRates(kappa=0.01),
+                               DensityMatrix.from_state(dicke_fock_state(space, 0, 1)), span,
+                               count, method="stroboscopic", cutoff_policy="ignore")
+
+    (start, end), count = snapped_span(1.5, 58.8 * period, 21)
     assert count == 21 and end == pytest.approx(60 * period, rel=1e-15)
+    with pytest.raises(ConfigError, match=rf"t_span=\(0.0, {end!r}\) with sample_count=21"):
+        run((0.0, 58.8 * period), 21)
+    tr = run((start, end), count)
     assert np.array_equal(tr.times, np.linspace(start, end, count))
-    assert tr.metadata["t_span_requested"] == span
-    assert tr.metadata["sample_count_requested"] == 21
+    assert tr.times[-1] == end and len(tr.times) == 21
+    assert "t_span_requested" not in tr.metadata
+    assert dynamics.lindblad_grid(schedules, 58.8 * period, 21) == ((start, end), count)
+    # a run the stroboscopic engine does not take keeps its grid
+    assert dynamics.lindblad_grid(schedules, 58.8 * period, 21, "direct") == (
+        (0.0, 58.8 * period), 21)
+    assert dynamics.lindblad_grid(schedules, 20.3 * period, 21) == ((0.0, 20.3 * period), 21)
 
 
 @pytest.mark.parametrize("engine", ["schrodinger", "lindblad"])

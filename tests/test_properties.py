@@ -19,7 +19,9 @@ from dickemod.dynamics import (
     DensityMatrix,
     _block_vec,
     _collapse_operators,
+    _eig_floor,
     _from_hermitian_basis,
+    _lindblad_strobe,
     _rotate_pairs,
     _to_hermitian_basis,
     _transpose_pairing,
@@ -34,6 +36,7 @@ from dickemod.hilbert import (
     StateVector,
     observables,
     parity_flips,
+    parity_sectors,
 )
 from dickemod.model import (
     MOD_TARGETS,
@@ -196,10 +199,11 @@ def test_stroboscopic_lindblad_keeps_its_gates_and_matches_full_space(run):
     assert md["channel_trace_defect"] <= TRACE_DRIFT_TOL
     assert md["eig_floor_min"] >= EIG_FLOOR_RUN
     period = 2 * math.pi / ham.common_eta
+    slices = md["channel_slices"]
     full = full_space_lindblad_channel(
         lambda t: ham.at(t).toarray(),
         [(r, op.toarray()) for r, op in _collapse_operators(space, rates)],
-        period, panels=md["channel_nodes"] // 36,
+        period, slices=slices, panels=md["channel_nodes"] // (6 * slices),
     )
     vec = rho0.matrix.ravel()
     ref = [np.linalg.matrix_power(full, int(k)) @ vec for k in np.round(traj.times / period)]
@@ -216,6 +220,17 @@ def test_stroboscopic_lindblad_keeps_its_gates_and_matches_full_space(run):
     assert np.array_equal(diag.times, traj.times)
     joint = [o.joint for o in diag.observables]
     assert np.max(np.abs(np.array(joint) - [o.joint for o in traj.observables])) < 1e-12
+
+    # its samples are block diagonal by parity, so the eigenvalue floor taken
+    # per parity block is the floor of the whole matrices
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        raw, _ = _lindblad_strobe(ham, _collapse_operators(space, rates), rho0.matrix, span,
+                                  samples, 1e-12, {}, coherences=False)
+    rhos = (raw + raw.conj().transpose(0, 2, 1)) / 2
+    floor = _eig_floor(rhos, parity_sectors(space))
+    assert abs(floor - np.linalg.eigvalsh(rhos)[:, 0].min()) <= 1e-15
+    assert floor == diag.metadata["eig_floor_min"]
 
 
 @settings(max_examples=60, deadline=None)

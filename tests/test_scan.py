@@ -9,7 +9,13 @@ import pytest
 
 from dickemod import scan
 from dickemod.dispersive import dispersive_spectrum, transition_rate_general
-from dickemod.dynamics import DensityMatrix, Trajectory, evolve_lindblad, evolve_schrodinger
+from dickemod.dynamics import (
+    DensityMatrix,
+    Trajectory,
+    evolve_lindblad,
+    evolve_schrodinger,
+    lindblad_grid,
+)
 from dickemod.errors import (
     ConfigError,
     DomainError,
@@ -187,8 +193,10 @@ def test_transfer_reads_the_joint_target_cell(basis, rates):
     if rates is None:
         traj = evolve_schrodinger(space, p, on_peak, scen.psi0, (0.0, horizon), 16, **kw)
     else:
+        # the period-aligned grid the sweep point asks the Lindblad engine for
+        span, count = lindblad_grid(on_peak, horizon, 16)
         traj = evolve_lindblad(space, p, on_peak, rates, DensityMatrix.from_state(scen.psi0),
-                               (0.0, horizon), 16, **kw)
+                               span, count, **kw)
     assert transfer > 0.3  # half a Rabi cycle moves most of |0, 3> to |2, 1>
     assert abs(transfer - _stored_target_population(traj, space, (3, 0))) <= 1e-14
     assert rhs_evals > 0
