@@ -55,11 +55,12 @@ dissipative factor as a first-order Magnus step expanded to second order;
 trace preservation is exact by construction because the same quadrature rule
 builds both the jump and the anticommutator pieces. The slice count comes
 from step doubling (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4):
-rounds of 2, 4, 8, ... slices each compare their channel with the embedded
-partner of half the slices, whose generators are sums of theirs, and the
-first round whose estimate max|C_2s - C_s| is within tol keeps C_2s. The
-error falls as 1/slices^2, from the commutator term the step drops, so the
-kept channel carries about a quarter of the estimate. The doubling stops at
+rounds of 2, 4, 8, ... slices share one quadrature grid and one period
+solve, each round compares its channel with the previous round's, the
+embedded partner of half the slices on that grid, and the first round whose
+estimate max|C_2s - C_s| is within tol keeps C_2s. The error falls as
+1/slices^2, from the commutator term the step drops, so the kept channel
+carries about a quarter of the estimate. The doubling stops at
 MAX_CHANNEL_SLICES; a run whose estimate is still above tol there keeps that
 channel, records the estimate and warns once, pointing to method="direct".
 tol so bounds the channel's error per period (local), as it bounds each ODE
@@ -90,9 +91,9 @@ with p != q (the weak symmetry of Buca & Prosen 2012); the dissipative
 engine builds, powers and marches only the blocks rho0 occupies, and never
 forms a d^2 x d^2 array. Observables read diag(rho), which lies in the
 p = q block alone, so a run that stores no states propagates only that
-block and leaves the coherences rho_pq with p != q at zero; its Hermiticity
-defect and eigenvalue floor then gate the block-diagonal part of rho, the
-part it propagated, and the floor takes one eigvalsh per parity block.
+block and leaves the coherences rho_pq with p != q at zero; its eigenvalue
+floor then gates the block-diagonal part of rho, the part it propagated,
+with one eigvalsh per parity block.
 Before either engine integrates, the leak guard checks that every
 Hamiltonian piece keeps each sector exactly and every collapse
 operator keeps or flips it exactly, and raises DomainError otherwise: a
@@ -103,8 +104,9 @@ integrated: parity sectors for the unitary engine, Liouville blocks for the
 dissipative one, whose pairs (p, q) metadata["liouville_pairs"] names and
 whose dense block products metadata["channel_matmuls"] counts. The returned
 density matrices of that engine are Hermitian by construction, so its
-hermiticity_defect_max reads 0 and the channel's residue gate stands in for
-it.
+hermiticity_defect_max is 0 without a measurement and the channel's residue
+gate stands in for it; the direct engine Hermitizes its samples and records
+the skew part it removed.
 """
 
 from __future__ import annotations
@@ -641,7 +643,11 @@ def _lindblad_direct(ham, collapse, rho0, t_grid, tol, metadata):
                      "RK45", tol, "master-equation integration failed: {}")
     metadata["engine"] = "lindblad-adaptive-rk"
     metadata["rhs_evals"] = int(sol.nfev)
-    return [sol.y[:, i].reshape(dim, dim) for i in range(sol.y.shape[1])]
+    # the samples' Hermitian parts, gated downstream; the skew part is the defect
+    raw = np.moveaxis(sol.y.reshape(dim, dim, -1), -1, 0)
+    rhos = (raw + raw.conj().transpose(0, 2, 1)) / 2.0
+    metadata["hermiticity_defect_max"] = float(np.max(np.abs(raw - rhos)))
+    return rhos
 
 
 def _gauss_nodes(a: float, b: float, panels: int, order: int = 6):
@@ -805,40 +811,27 @@ def _slice_generator(u_nd, wt, collapse, flips, op_blocks, pairs, span, sizes) -
     return om
 
 
-def _doubled_channel(generator, slices: int, pairing, metadata: dict):
-    """The dissipative factor of one Liouville block over `slices` slices,
-    and its step-doubling error estimate.
+def _doubling_round(real, slices: int, previous):
+    """One doubling round on one Liouville block: the product C_2s of the
+    real slice generators' I + R + R^2/2 for j < slices (real(j) gives R_j),
+    and the estimate max|C_2s - C_s|.
 
-    generator(j) is slice j's complex generator; it is taken to real once,
-    and the factor is the product of the slices' I + R + R^2/2. The embedded
-    partner has half the slices: quadrature is additive, so each of its
-    generators is the sum of two consecutive real ones, kept in one buffer,
-    and it costs no quadrature and no period solve of its own. Returns the
-    factor, max|factor - partner| and the dense products made.
+    The partner C_s is the previous round's factor, which the subtraction
+    overwrites. Round 1 has none (previous is None): its partner is the
+    one-slice factor of R_0 + R_1, and R_0 waits alone while R_1 is built.
     """
-    def real(j):
-        return _real_part(_to_hermitian_basis(generator(j), pairing), metadata)
-
-    fine = coarse = None
-    for j in range(0, slices, 2):
-        r = real(j)
-        if fine is None:
-            # the first pair keeps R_j alone while slice j + 1 is built
-            pair_sum = r
-        else:
-            pair_sum = r.copy()
-            fine = _slice_step(r, fine)
-        r = real(j + 1)
-        if fine is None:
-            fine = _slice_step(pair_sum, None)
-        pair_sum += r
+    if previous is None:
+        r0, r = real(0), real(1)
+        fine = _slice_step(r0, None)
+        r0 += r
         fine = _slice_step(r, fine)
-        coarse = _slice_step(pair_sum, coarse)
-        del pair_sum
-    diff = np.subtract(fine, coarse, out=coarse)
-    error = max(float(diff.max()), -float(diff.min()))
-    # a squaring per slice and a product per slice but the first, both kinds
-    return fine, error, (2 * slices - 1) + (slices - 1)
+        previous = _slice_step(r0, None)
+    else:
+        fine = _slice_step(real(0), None)
+        for j in range(1, slices):
+            fine = _slice_step(real(j), fine)
+    diff = np.subtract(fine, previous, out=previous)
+    return fine, max(float(diff.max()), -float(diff.min()))
 
 
 def _kron_apply_unitary(u: np.ndarray, v: np.ndarray, c: np.ndarray) -> None:
@@ -858,19 +851,22 @@ def _lindblad_channel(ham, collapse, rho0, tol, metadata, coherences: bool):
 
     The period is split into slices; per slice the dissipative factor is the
     first-order Magnus step exp(Omega) of the interaction picture of the
-    exact Hamiltonian propagator, expanded to I + Omega + Omega^2/2. Each
-    slice integrates Omega by 6-node Gauss panels no wider than 1.3 over the
-    spectral radius bound of H (at least two per slice). The slice count
-    comes from step doubling (Hairer, Norsett & Wanner, Solving ODEs I,
-    sec. II.4): for 2, 4, 8, ... slices, each round's factor C_2s is compared
-    with its embedded partner C_s (_doubled_channel), and the first round
-    whose estimate max|C_2s - C_s|, over the blocks, is within tol keeps
-    C_2s. The dropped commutator term makes the error fall as 1/slices^2, so
-    C_2s carries about a quarter of the estimate. At MAX_CHANNEL_SLICES the
+    exact Hamiltonian propagator, expanded to I + Omega + Omega^2/2. Omega is
+    integrated on one composite 6-node Gauss grid per run: the fewest panels,
+    in a multiple of MAX_CHANNEL_SLICES, none wider than 1.3 over the
+    spectral radius bound of H, so every slice of every round is a run of
+    whole panels, and one period solve gives U(t) at all of its nodes. The
+    slice count comes from step doubling (Hairer, Norsett & Wanner, Solving
+    ODEs I, sec. II.4): for 2, 4, 8, ... slices, each round's factor C_2s is
+    compared with its embedded partner C_s (_doubling_round), and the first
+    round whose estimate max|C_2s - C_s|, over the blocks, is within tol
+    keeps C_2s. On the one grid quadrature is additive, so the partner is the
+    previous round's factor; round 1's is the one-slice factor of R_0 + R_1.
+    The dropped commutator term makes the error fall as 1/slices^2, so C_2s
+    carries about a quarter of the estimate. At MAX_CHANNEL_SLICES the
     doubling stops and keeps that channel; an estimate still above tol is
     recorded and warned about once. tol so bounds the channel's error per
     period, as it bounds each ODE step's, not the error of a long march.
-    Each round makes one period solve for its nodes.
 
     Every factor is built block by block from the parity-sector blocks of
     U(t) and of the jump operators, so no d^2 x d^2 array is formed. A
@@ -879,11 +875,12 @@ def _lindblad_channel(ham, collapse, rho0, tol, metadata, coherences: bool):
     the slice products are real. The Hamiltonian factor U (x) conj(U) acts on
     T^H C, and T takes the result back to real. Each step to real is gated on
     its imaginary residue (_real_part). metadata records channel_slices,
-    channel_slice_error, the accepted channel's channel_nodes, and in
-    channel_matmuls the dense block products of every round, partners
-    included. Returns the parity sectors, the propagated blocks (as pair
-    tuples of _LIOUVILLE_BLOCKS, also in metadata["liouville_pairs"]), their
-    transpose pairings and one real channel matrix per block.
+    channel_slice_error, the grid's channel_nodes, the one solve's
+    rhs_evals, and in channel_matmuls the dense block products of every
+    round: 2s - 1 for s slices, and one more for round 1's partner. Returns
+    the parity sectors, the propagated blocks (as pair tuples of
+    _LIOUVILLE_BLOCKS, also in metadata["liouville_pairs"]), their transpose
+    pairings and one real channel matrix per block.
     """
     period = 2.0 * math.pi / ham.common_eta
     sectors, flips = _parity_blocks(ham, collapse)
@@ -897,33 +894,33 @@ def _lindblad_channel(ham, collapse, rho0, tol, metadata, coherences: bool):
     # jump operator blocks op[sector p, sector p ^ flip]
     op_blocks = [[op[sectors[p]][:, sectors[p ^ f]].toarray() for p in (0, 1)]
                  for (_, op), f in zip(collapse, flips)]
-    radius = _spectral_radius_bound(ham)
+    # one grid for every round: each slice of 2 .. MAX_CHANNEL_SLICES slices is
+    # a run of whole panels, none wider than 1.3 over the spectral radius bound
+    panels = MAX_CHANNEL_SLICES * max(1, math.ceil(
+        period * _spectral_radius_bound(ham) / 1.3 / MAX_CHANNEL_SLICES))
+    nodes, weights = _gauss_nodes(0.0, period, panels)
+    t_eval = np.unique(np.append(nodes, period))
+    u_at = _sector_propagators(ham, sectors, period, tol, t_eval, metadata)
+    node_index = np.searchsorted(t_eval, nodes)
 
-    slices, rhs_evals, matmuls = 2, 0, 0
+    channels, slices, matmuls = [None] * len(blocks), 1, 0
     while True:
-        panels = max(2, int(math.ceil((period / slices) * radius / 1.3)))
-        nodes, weights = _gauss_nodes(0.0, period, slices * panels)
-        t_eval = np.unique(np.append(nodes, period))
-        u_at = _sector_propagators(ham, sectors, period, tol, t_eval, metadata)
-        rhs_evals += metadata["rhs_evals"]
-        node_index = np.searchsorted(t_eval, nodes).reshape(slices, -1)
-        weights = weights.reshape(slices, -1)
-        channels, error = [], 0.0
-        for pairs, span, pairing in zip(blocks, spans, pairings):
-            def generator(j, pairs=pairs, span=span):
-                return _slice_generator([u[node_index[j]] for u in u_at], weights[j], collapse,
-                                        flips, op_blocks, pairs, span, sizes)
+        slices *= 2
+        at, wts = node_index.reshape(slices, -1), weights.reshape(slices, -1)
+        error = 0.0
+        for i, (pairs, span, pairing) in enumerate(zip(blocks, spans, pairings)):
+            def real(j, pairs=pairs, span=span, pairing=pairing):
+                om = _slice_generator([u[at[j]] for u in u_at], wts[j], collapse, flips,
+                                      op_blocks, pairs, span, sizes)
+                return _real_part(_to_hermitian_basis(om, pairing), metadata)
 
-            fine, block_error, products = _doubled_channel(generator, slices, pairing, metadata)
-            channels.append(fine)
+            # a squaring per slice and a product per slice but the first;
+            # round 1's one-slice partner adds a squaring
+            matmuls += 2 * slices - 1 + (channels[i] is None)
+            channels[i], block_error = _doubling_round(real, slices, channels[i])
             error = max(error, block_error)
-            matmuls += products
         if error <= tol or slices == MAX_CHANNEL_SLICES:
             break
-        # the next round builds every factor anew
-        del channels, fine
-        slices *= 2
-    metadata["rhs_evals"] = rhs_evals
     metadata["channel_nodes"] = len(nodes)
     metadata["channel_slices"] = slices
     metadata["channel_slice_error"] = error
@@ -1043,8 +1040,8 @@ def evolve_lindblad(
     store_states: bool = False,
     cutoff_policy: str = "warn",
 ) -> Trajectory:
-    """Integrate the master equation; Hermitize at samples, check trace drift
-    (<= 1e-7) and the eigenvalue floor (>= -1e-6).
+    """Integrate the master equation; check trace drift (<= 1e-7) and the
+    eigenvalue floor (>= -1e-6) of the Hermitian samples.
 
     The stroboscopic engine samples whole periods only and refuses any other
     grid (ConfigError, naming the aligned grid); lindblad_grid gives the grid
@@ -1068,19 +1065,17 @@ def evolve_lindblad(
 
     # the master equation has no static engine: "static" integrates directly
     if _select_engine(method, ham, t_grid) == "stroboscopic":
-        raw, times = _lindblad_strobe(ham, collapse, rho0.matrix, (t_grid[0], t_grid[-1]),
-                                      sample_count, tol, metadata, coherences=store_states)
+        rhos, times = _lindblad_strobe(ham, collapse, rho0.matrix, (t_grid[0], t_grid[-1]),
+                                       sample_count, tol, metadata, coherences=store_states)
+        # T^H gives every sample's transpose pairs as exact conjugates
+        metadata["hermiticity_defect_max"] = 0.0
     else:
-        raw = _lindblad_direct(ham, collapse, rho0.matrix, t_grid, tol, metadata)
+        rhos = _lindblad_direct(ham, collapse, rho0.matrix, t_grid, tol, metadata)
         times = t_grid
 
-    raw = np.asarray(raw)
-    rhos = (raw + raw.conj().transpose(0, 2, 1)) / 2.0
-    herm_defect = float(np.max(np.abs(raw - rhos)))
     drift = float(np.max(np.abs(np.real(np.trace(rhos, axis1=1, axis2=2)) - 1.0)))
     diagonal = metadata.get("liouville_pairs") == _LIOUVILLE_BLOCKS[0]
     floor = _eig_floor(rhos, parity_sectors(space) if diagonal else [np.arange(space.dim)])
-    metadata["hermiticity_defect_max"] = herm_defect
     metadata["trace_drift_max"] = drift
     metadata["eig_floor_min"] = floor
     if drift > TRACE_DRIFT_TOL:

@@ -1,5 +1,6 @@
 """Command-line interface: config codec, CSV output, exit codes."""
 
+import contextlib
 import math
 import os
 import re
@@ -524,7 +525,10 @@ def test_stroboscopic_csv_headers_carry_engine_work(tmp_path, command, blocks):
     if command == "lindblad":
         text += "dissipation.kappa = 0.001\n"
     cfg = write_cfg(tmp_path, text)
-    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    # kappa = 0.001 takes the Lindblad channel to the slice cap
+    with (pytest.warns(UserWarning, match="slice error") if command == "lindblad"
+          else contextlib.nullcontext()):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     meta, _, data = read_csv(tmp_path / "o" / f"{command}.csv")
     assert meta["sectors"] == blocks
     # the g drive has phi = 0, so its extremum sits at c = T/4 and the
@@ -551,10 +555,10 @@ def test_stroboscopic_csv_headers_carry_engine_work(tmp_path, command, blocks):
         assert 0.0 < float(meta["channel_slice_error"]) <= 1e-9 or slices == 32
         assert 0.0 <= float(meta["channel_trace_defect"]) <= TRACE_DRIFT_TOL
         assert 0.0 <= float(meta["channel_hermiticity_defect"]) <= CHANNEL_HERMITICITY_TOL
-        # one block: per round of 2s slices, 2 products per slice but the
-        # first and the same for its s-slice partner; then channel^4 (2)
+        # one block: per round of s slices, 2 products per slice but the
+        # first, one more for round 1's one-slice partner; then channel^4 (2)
         rounds = [2 ** k for k in range(1, slices.bit_length())]
-        assert int(meta["channel_matmuls"]) == sum(3 * n - 2 for n in rounds) + 2
+        assert int(meta["channel_matmuls"]) == sum(2 * n - 1 for n in rounds) + 1 + 2
     else:
         assert "liouville_pairs" not in meta
         assert not any(key in meta for key in channel_keys)

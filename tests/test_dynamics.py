@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import dickemod.dynamics as dynamics
 from dickemod.dynamics import (
@@ -278,8 +279,10 @@ def test_sector_lindblad_matches_full_space_channel(basis, state, phi):
     ham = build_hamiltonian(space, p, sch)
     collapse = dynamics._collapse_operators(space, rates)
     meta = {}
-    sectors, blocks, pairings, real = dynamics._lindblad_channel(ham, collapse, rho0.matrix,
-                                                                 1e-12, meta, coherences=True)
+    # kappa = 0.01 takes the channel to the slice cap at tol 1e-12
+    with pytest.warns(UserWarning, match="slice error"):
+        sectors, blocks, pairings, real = dynamics._lindblad_channel(
+            ham, collapse, rho0.matrix, 1e-12, meta, coherences=True)
     # the channels come back real in each block's Hermitian basis
     channels = [dynamics._from_hermitian_basis(r, pr) for r, pr in zip(real, pairings)]
     assert len(blocks) == occupied
@@ -296,8 +299,10 @@ def test_sector_lindblad_matches_full_space_channel(basis, state, phi):
                                 for a, b in pairs])
         assert np.max(np.abs(full[np.ix_(index, index)] - channel)) < 1e-9
 
-    strobe = evolve_lindblad(space, p, sch, rates, rho0, (0.0, 30 * period), 16, tol=1e-12,
-                             method="stroboscopic", store_states=True, cutoff_policy="ignore")
+    with pytest.warns(UserWarning, match="slice error"):
+        strobe = evolve_lindblad(space, p, sch, rates, rho0, (0.0, 30 * period), 16,
+                                 tol=1e-12, method="stroboscopic", store_states=True,
+                                 cutoff_policy="ignore")
     assert strobe.metadata["sectors"] == [len(c) for c in channels]
     vec = rho0.matrix.ravel()
     ref = [np.linalg.matrix_power(full, int(k)) @ vec for k in np.round(strobe.times / period)]
@@ -314,14 +319,15 @@ def test_channel_that_breaks_hermiticity_is_refused():
     ham = build_hamiltonian(space, p, (g_schedule(p),))
     collapse = dynamics._collapse_operators(space, rates)
     meta = {}
-    *_, channels = dynamics._lindblad_channel(ham, collapse, rho0.matrix, 1e-9, meta,
-                                              coherences=True)
+    with pytest.warns(UserWarning, match="slice error"):  # the cap, at kappa = 0.01
+        *_, channels = dynamics._lindblad_channel(ham, collapse, rho0.matrix, 1e-9, meta,
+                                                  coherences=True)
     assert len(channels) == 2 and all(ch.dtype == float for ch in channels)
     assert 0.0 <= meta["channel_hermiticity_defect"] < 1e-14
-    # per block, each round of 2s slices makes 2 products per slice but the
-    # first, and its s-slice partner the same
+    # per block, each round of s slices makes 2 products per slice but the
+    # first, and round 1's one-slice partner one squaring more
     rounds = [2 ** k for k in range(1, meta["channel_slices"].bit_length())]
-    assert meta["channel_matmuls"] == 2 * sum((2 * n - 1) + (n - 1) for n in rounds)
+    assert meta["channel_matmuls"] == 2 * (sum(2 * n - 1 for n in rounds) + 1)
 
     skewed = [(r * (1 + 1e-6j), op) for r, op in collapse]
     with pytest.raises(NumericError, match="Hermiticity defect"):
@@ -399,6 +405,91 @@ def test_channel_slices_stop_at_the_cap_and_warn_once():
     assert "method='direct'" in message
 
 
+def _counting_solve_ivp(monkeypatch):
+    """Route dynamics' solve_ivp through a wrapper; returns the list of the
+    solutions it hands back, one per call."""
+    solutions = []
+
+    def counted(*args, **kwargs):
+        solutions.append(solve_ivp(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(dynamics, "solve_ivp", counted)
+    return solutions
+
+
+def test_cap_bound_lindblad_run_makes_one_period_solve(monkeypatch):
+    # every doubling round, 2 to 32 slices, reads the nodes of one grid
+    space, rho0, rates, _ = _lindblad_case("distinguishable", "coherent")
+    p = bench_params()
+    solutions = _counting_solve_ivp(monkeypatch)
+    with pytest.warns(UserWarning, match="slice error"):
+        tr = evolve_lindblad(space, p, (g_schedule(p),), rates, rho0,
+                             (0.0, 32 * 2 * math.pi / ETA), 5, tol=1e-12,
+                             method="stroboscopic", cutoff_policy="ignore")
+    md = tr.metadata
+    assert md["channel_slices"] == dynamics.MAX_CHANNEL_SLICES
+    assert len(solutions) == 1 and md["rhs_evals"] == solutions[0].nfev
+    # one block: 2s - 1 products per round of s slices, one more for round
+    # 1's partner, then channel^8 by three squarings
+    assert len(md["sectors"]) == 1
+    assert md["channel_matmuls"] == sum(2 * n - 1 for n in (2, 4, 8, 16, 32)) + 1 + 3 == 123
+
+
+def test_previous_round_is_the_pair_sum_partner(monkeypatch):
+    # on the one grid, pair sums of a round's real generators are the previous
+    # round's generators, so that round's factor is this round's partner
+    space, rho0, rates = _weak_lindblad_case()
+    p = bench_params()
+    ham = build_hamiltonian(space, p, (g_schedule(p),))
+    collapse = dynamics._collapse_operators(space, rates)
+    rounds = []
+    original = dynamics._doubling_round
+
+    def spy(real, slices, previous):
+        partner = None if previous is None else previous.copy()
+        rounds.append(([real(j) for j in range(slices)], partner))
+        return original(real, slices, previous)
+
+    monkeypatch.setattr(dynamics, "_doubling_round", spy)
+    meta = {}
+    dynamics._lindblad_channel(ham, collapse, rho0.matrix, 1e-9, meta, coherences=True)
+    assert meta["channel_slices"] >= 4
+    checked = 0
+    for generators, partner in rounds:
+        if partner is None:
+            continue
+        rebuilt = None
+        for j in range(0, len(generators), 2):
+            rebuilt = dynamics._slice_step(generators[j] + generators[j + 1], rebuilt)
+        assert np.max(np.abs(rebuilt - partner)) < 1e-13
+        checked += 1
+    # both Liouville blocks, every round after the first
+    assert checked == 2 * (meta["channel_slices"].bit_length() - 2)
+
+
+def test_only_the_direct_lindblad_engine_measures_a_hermiticity_defect(monkeypatch):
+    space, rho0, rates = _weak_lindblad_case()
+    p = bench_params()
+    sch = (g_schedule(p),)
+    kw = dict(store_states=True, cutoff_policy="ignore")
+    span, count = snapped_span(ETA, 40 * 2 * math.pi / ETA, 5)
+    strobe = evolve_lindblad(space, p, sch, rates, rho0, span, count, tol=1e-9,
+                             method="stroboscopic", **kw)
+    # T^H gives every transpose pair as exact conjugates
+    assert strobe.metadata["hermiticity_defect_max"] == 0.0
+    assert all(np.array_equal(s.matrix, s.matrix.conj().T) for s in strobe.states)
+
+    solutions = _counting_solve_ivp(monkeypatch)
+    direct = evolve_lindblad(space, p, sch, rates, rho0, (0.0, 2 * math.pi / ETA), 3,
+                             tol=1e-9, method="direct", **kw)
+    dim = space.dim
+    raw = np.moveaxis(solutions[0].y.reshape(dim, dim, -1), -1, 0)
+    skew = np.max(np.abs(raw - raw.conj().transpose(0, 2, 1))) / 2.0
+    assert direct.metadata["hermiticity_defect_max"] == pytest.approx(skew, rel=1e-12, abs=0.0)
+    assert direct.metadata["hermiticity_defect_max"] < 1e-12
+
+
 @pytest.mark.parametrize("pairs", dynamics._LIOUVILLE_BLOCKS)
 def test_hermitian_basis_gate_catches_an_added_skew_term(pairs):
     # a Hermiticity-preserving generator on one block is real in its basis;
@@ -437,8 +528,9 @@ def test_observable_only_lindblad_propagates_the_parity_diagonal_block():
     sch = (g_schedule(p),)
     kw = dict(tol=1e-12, method="stroboscopic", cutoff_policy="ignore")
     span = (0.0, 30 * 2 * math.pi / ETA)
-    both = evolve_lindblad(space, p, sch, rates, rho0, span, 16, store_states=True, **kw)
-    diag = evolve_lindblad(space, p, sch, rates, rho0, span, 16, **kw)
+    with pytest.warns(UserWarning, match="slice error"):  # both reach the slice cap
+        both = evolve_lindblad(space, p, sch, rates, rho0, span, 16, store_states=True, **kw)
+        diag = evolve_lindblad(space, p, sch, rates, rho0, span, 16, **kw)
     assert both.metadata["liouville_pairs"] == ((0, 0), (1, 1), (0, 1), (1, 0))
     assert diag.metadata["liouville_pairs"] == ((0, 0), (1, 1))
     assert len(both.metadata["sectors"]) == 2
@@ -496,7 +588,8 @@ def test_lindblad_strobe_samples_the_snapped_grid():
     assert count == 21 and end == pytest.approx(60 * period, rel=1e-15)
     with pytest.raises(ConfigError, match=rf"t_span=\(0.0, {end!r}\) with sample_count=21"):
         run((0.0, 58.8 * period), 21)
-    tr = run((start, end), count)
+    with pytest.warns(UserWarning, match="slice error"):  # kappa = 0.01 reaches the cap
+        tr = run((start, end), count)
     assert np.array_equal(tr.times, np.linspace(start, end, count))
     assert tr.times[-1] == end and len(tr.times) == 21
     assert "t_span_requested" not in tr.metadata
@@ -854,10 +947,11 @@ def test_lindblad_stroboscopic_matches_direct():
         space, p, sch, DissipationRates(kappa=0.01), rho0, (0.0, t_final), 41,
         method="direct", **kw,
     )
-    strobe = evolve_lindblad(
-        space, p, sch, DissipationRates(kappa=0.01), rho0, (0.0, t_final), 41,
-        method="stroboscopic", **kw,
-    )
+    with pytest.warns(UserWarning, match="slice error"):  # kappa = 0.01 reaches the cap
+        strobe = evolve_lindblad(
+            space, p, sch, DissipationRates(kappa=0.01), rho0, (0.0, t_final), 41,
+            method="stroboscopic", **kw,
+        )
     assert strobe.metadata["engine"] == "lindblad-stroboscopic"
     assert 0.0 <= strobe.metadata["channel_trace_defect"] <= TRACE_DRIFT_TOL
     assert np.max(np.abs(direct.n_ph - strobe.n_ph)) < 5e-5
