@@ -571,12 +571,13 @@ _TRAJECTORY_COMMANDS = {
                  ("trace_drift_max", "eig_floor_min")),
 }
 # the block sizes, the parity-block pairs (p, q) of rho a Lindblad run
-# propagated, integrated period window, rhs evaluations, propagator defect,
-# and the Lindblad channel's quadrature nodes, slice count and step-doubling
-# error estimate, trace and Hermiticity defects and dense block products; the
-# header leaves out the keys an engine does not record
+# propagated, integrated period window, rhs evaluations, the points the
+# period solve served, propagator defect, and the Lindblad channel's
+# quadrature nodes, slice count and step-doubling error estimate, trace and
+# Hermiticity defects and dense block products; the header leaves out the
+# keys an engine does not record
 _ENGINE_WORK_KEYS = ("sectors", "liouville_pairs", "period_window", "rhs_evals",
-                     "propagator_defect", "channel_nodes", "channel_slices",
+                     "batch_points", "propagator_defect", "channel_nodes", "channel_slices",
                      "channel_slice_error", "channel_trace_defect",
                      "channel_hermiticity_defect", "channel_matmuls")
 
@@ -662,6 +663,9 @@ def _cmd_sweep(cfg, no_crt: bool):
         "peak_factor": result.peak_eta / two_delta,
         "peak_width": result.peak_width,
         "background": result.fit_diagnostics["background"],
+        # the sweep's period solves and the most points one of them served
+        "period_solves": result.fit_diagnostics["period_solves"],
+        "batch_points": int(max(result.fit_diagnostics["batch_points"])),
         "transition_n": n,
         "transition_k": k,
     }

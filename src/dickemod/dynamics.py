@@ -14,7 +14,9 @@ them directly. Short or aperiodic drives use adaptive Runge-Kutta. Drives
 with one common frequency that span at least STROBE_MIN_PERIODS periods from
 t=0 use the stroboscopic engine, and a forced `stroboscopic` run needs the
 same common frequency and t=0 start. Every ODE solve goes through _integrate,
-which caps the step at a twentieth of the fastest drive period. Its right-hand
+which steps with DOP853 (the Dormand-Prince 8(5,3) pair; Hairer, Norsett &
+Wanner, Solving ODEs I) and caps the step at a twentieth of the fastest
+drive period. Its right-hand
 sides apply H(t) through ModulatedHamiltonian.apply: one real sparse product
 of the pieces' merged pattern, with d_0 + sum_j s_j(t) d_j as its data, and
 the float64 view of the complex state (interleaved re/im columns), so the ODE
@@ -23,10 +25,17 @@ state stays complex.
 The stroboscopic engines integrate one drive period once, at tight
 tolerance; this is what makes horizons of 1e5 time units tractable. The drive
 is a single sinusoid, so the periodicity is exact and the only approximation
-is the one the integrator tolerance controls. That one period solve runs in
-the interaction frame of the diagonal of H(t), the integrating-factor
-(Lawson) Runge-Kutta method (Lawson, SIAM J. Numer. Anal. 4, 372 (1967)):
-the diagonal D(t) = D_0 + sum_j sin(eta_j t + phi_j) D_j holds the bare
+is the one the integrator tolerance controls. The period solve runs in the
+normalized time s = eta t, where H(s) and the period 2 pi do not depend on
+eta: one solve integrates dY_j/ds = -(i/eta_j) H(s) Y_j for a batch of
+frequencies side by side (_sector_propagators). evolve_schrodinger_etas, the
+entry of resonance sweeps, builds one Hamiltonian and splits its
+stroboscopic points into chunks whose lab-frame samples fit in
+SAMPLE_STORE_BYTES; every point keeps its own engine choice and gates. A
+single run and the Lindblad channel's solve are batches of one. The period
+solve runs in the interaction frame of the diagonal of H(t), the
+integrating-factor (Lawson) Runge-Kutta method (Lawson, SIAM J. Numer.
+Anal. 4, 372 (1967)): the diagonal D(t) = D_0 + sum_j sin(eta_j t + phi_j) D_j holds the bare
 energies omega*n + Omega*k, which dominate H(t) in the dispersive regime, and
 its integral theta(t) from the window start is exact in closed form
 (ModulatedHamiltonian.diagonal_phase). The ODE integrates Y_I = e^{i theta} Y,
@@ -45,12 +54,13 @@ Drives whose phases differ by anything other than a multiple of pi, or a
 piece with h^T != h, integrate the full window [0, T]; the drive alone
 chooses, and metadata["period_window"] records the window integrated.
 
-The unitary engine takes the propagators at every fractional-period offset
-of the grid from that one solve, projects U(T) to the nearest exact unitary,
-reports the defect, and gets psi(kT) for all sampled k at once from the
-complex Schur form Z diag(lambda^k) Z^dag of U(T) (Floquet; Shirley 1965),
-with no march. The dissipative engine marches a one-period channel that
-keeps the Hamiltonian factor exact and, per sub-period slice, takes the
+The unitary engine reads Y at every fractional-period offset of the grid off
+that solve's steps, projects U(T) to the nearest exact unitary, reports the
+defect, gets psi(kT) for all sampled k at once from the complex Schur form
+Z diag(lambda^k) Z^dag of U(T) (Floquet; Shirley 1965), with no march, and
+an off-period sample as Y(tau) (R psi(kT)), with no U(tau) formed. The
+dissipative engine marches a one-period channel that keeps the Hamiltonian
+factor exact and, per sub-period slice, takes the
 dissipative factor as a first-order Magnus step expanded to second order;
 trace preservation is exact by construction because the same quadrature rule
 builds both the jump and the anticommutator pieces. The slice count comes
@@ -113,10 +123,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 from scipy.linalg import schur
 
 from .errors import ConfigError, CutoffError, DomainError, NumericError, UnsupportedError
@@ -151,6 +161,10 @@ STROBE_MIN_PERIODS = 32
 # the Lindblad channel's slice count doubles up to this cap (_lindblad_channel)
 MAX_CHANNEL_SLICES = 32
 DRIVE_STEPS_PER_PERIOD = 20
+# a batched period solve keeps every sample of its points, in the lab frame,
+# until their U(T) is known; a sweep gives each solve as many points as fit
+# in this many bytes of samples, and at least one (_store_width)
+SAMPLE_STORE_BYTES = 2_000_000
 CUTOFF_POLICIES = ("warn", "error", "ignore")
 
 
@@ -254,7 +268,8 @@ def _max_step(schedules) -> float:
     return (2.0 * math.pi / max(etas)) / DRIVE_STEPS_PER_PERIOD
 
 
-def _cutoff_check(space: SpaceSpec, obs_list, policy: str, metadata: dict) -> None:
+def _cutoff_check(space: SpaceSpec, obs_list, policy: str, metadata: dict,
+                  stacklevel: int = 3) -> None:
     top = max(o.p_ph[space.n_max] for o in obs_list)
     metadata["cutoff_max_population"] = top
     if top > CUTOFF_POP_TOL:
@@ -265,19 +280,49 @@ def _cutoff_check(space: SpaceSpec, obs_list, policy: str, metadata: dict) -> No
         if policy == "error":
             raise CutoffError(msg)
         if policy == "warn":
-            warnings.warn(msg, stacklevel=3)
+            warnings.warn(msg, stacklevel=stacklevel)
 
 
 # ---------------------------------------------------------------------------
 # ODE integration
 # ---------------------------------------------------------------------------
 
-def _integrate(ham: ModulatedHamiltonian, rhs, y0, t_span, t_eval, method: str,
-               rtol: float, failure: str):
-    """The one ODE call site: dY/dt = rhs(t, Y) for Y shaped like y0.
+class _SampledDOP853(DOP853):
+    """DOP853 that hands each accepted step to `sampler`, which may read the
+    step's dense output. That output is built at most once per step, for the
+    sampler and solve_ivp's own t_eval alike."""
+
+    def __init__(self, fun, t0, y0, t_bound, sampler=None, **options):
+        super().__init__(fun, t0, y0, t_bound, **options)
+        self._sampler, self._dense = sampler, None
+
+    def step(self):
+        self._dense = None
+        message = super().step()
+        if self._sampler is not None and self.status != "failed":
+            self._sampler(self)
+        if self.status == "finished":
+            self.dense_output()  # solve_ivp reads it after the last step
+        if self.status != "running":
+            # the solver and its rhs wrapper form a reference cycle: break it,
+            # so that the solver's arrays go when solve_ivp returns rather
+            # than at some later garbage collection
+            self._sampler = self.fun = self.fun_vectorized = None
+        return message
+
+    def dense_output(self):
+        if self._dense is None:
+            self._dense = super().dense_output()
+        return self._dense
+
+
+def _integrate(ham: ModulatedHamiltonian, rhs, y0, t_span, t_eval, rtol: float, failure: str,
+               sampler=None):
+    """The one ODE call site: dY/dt = rhs(t, Y) for Y shaped like y0, by DOP853.
 
     atol is rtol * 1e-3 and the step is capped by the fastest drive; failure is
-    the NumericError text, with {} standing for the solver's message.
+    the NumericError text, with {} standing for the solver's message. sampler,
+    when given, sees every accepted step (_SampledDOP853).
     """
     shape = np.shape(y0)
     sol = solve_ivp(
@@ -285,7 +330,8 @@ def _integrate(ham: ModulatedHamiltonian, rhs, y0, t_span, t_eval, method: str,
         t_span,
         np.asarray(y0, dtype=complex).ravel(),
         t_eval=t_eval,
-        method=method,
+        method=_SampledDOP853,
+        sampler=sampler,
         rtol=rtol,
         atol=rtol * 1e-3,
         max_step=_max_step([s for s, _ in ham.terms]),
@@ -293,6 +339,63 @@ def _integrate(ham: ModulatedHamiltonian, rhs, y0, t_span, t_eval, method: str,
     if not sol.success:
         raise NumericError(failure.format(sol.message))
     return sol
+
+
+# DOP853's dense output is a polynomial of degree 7 on each step (solve_ivp's
+# documentation), so its values at these 8 Chebyshev-Lobatto points of the
+# step, as fractions of it, fix it exactly
+_STEP_NODES = (1.0 - np.cos(np.pi * np.arange(8) / 7.0)) / 2.0
+_OTHER_NODES = np.array([[m for m in range(8) if m != k] for k in range(8)])
+_NODE_SCALE = 1.0 / np.prod(_STEP_NODES[:, None] - _STEP_NODES[_OTHER_NODES], axis=1)
+
+
+def _lagrange_weights(x: np.ndarray) -> np.ndarray:
+    """(len(x), 8) weights w with p(x_i) = sum_k w[i, k] p(_STEP_NODES[k])
+    for every polynomial p of degree at most 7."""
+    return np.prod((x[:, None] - _STEP_NODES)[:, _OTHER_NODES], axis=2) * _NODE_SCALE
+
+
+class _StepSampler:
+    """Reads the samples of a batched period solve off each accepted step.
+
+    The state is (n, width, cols), one (n, cols) block per point. grids[j]
+    holds point j's sample times, ascending, and labs[j] their row factors
+    e^{-i theta(s)/eta_j}, which take a sample back to the lab frame. A step
+    with m samples evaluates its interpolant at min(m, 8) times: at the
+    samples themselves, or at _STEP_NODES, where each sample then combines
+    the values of its own point's block alone. stores[j] receives point j's
+    lab-frame blocks in the order of grids[j]; one array per point keeps
+    every allocation the size of one point's samples.
+    """
+
+    def __init__(self, grids, labs, shape):
+        self.grids, self.labs, self.shape = grids, labs, shape
+        self.stores = [np.empty((len(g), shape[0], shape[2]), dtype=complex) for g in grids]
+        self.done = [0] * len(grids)
+
+    def __call__(self, solver):
+        stops = [int(np.searchsorted(g, solver.t, side="right")) for g in self.grids]
+        new = [(j, lo, hi) for j, (lo, hi) in enumerate(zip(self.done, stops)) if hi > lo]
+        if not new:
+            return
+        dense, h = solver.dense_output(), solver.t - solver.t_old
+        taken = sum(hi - lo for _, lo, hi in new)
+        few = taken <= len(_STEP_NODES)
+        if few:
+            times = np.concatenate([self.grids[j][lo:hi] for j, lo, hi in new])
+            values = dense(times).T.reshape(taken, *self.shape)
+        else:
+            values = dense(solver.t_old + h * _STEP_NODES).T.reshape(-1, *self.shape)
+        first = 0
+        for j, lo, hi in new:
+            if few:
+                block = values[first:first + hi - lo, :, j]
+                first += hi - lo
+            else:
+                weights = _lagrange_weights((self.grids[j][lo:hi] - solver.t_old) / h)
+                block = np.tensordot(weights, values[:, :, j], axes=1)
+            self.stores[j][lo:hi] = block * self.labs[j][lo:hi, :, None]
+        self.done = stops
 
 
 def _schrodinger_rhs(ham: ModulatedHamiltonian):
@@ -321,7 +424,7 @@ def _evolve_static(ham, psi0, t_grid, metadata):
 
 def _evolve_direct(ham, psi0, t_grid, tol, metadata):
     sol = _integrate(ham, _schrodinger_rhs(ham), psi0, (float(t_grid[0]), float(t_grid[-1])),
-                     t_grid, "RK45", tol, "integration failed: {}; try a tighter tol")
+                     t_grid, tol, "integration failed: {}; try a tighter tol")
     metadata["engine"] = "adaptive-rk"
     metadata["rhs_evals"] = int(sol.nfev)
     return sol.y.T
@@ -377,82 +480,153 @@ def _symmetric_window(ham, period: float):
     return c - period / 2.0, c
 
 
-def _sector_propagators(ham, sectors, period: float, tol: float, t_eval, metadata):
-    """U(t) on each parity sector at the times t_eval in [0, T], from one
-    DOP853 solve at a tenth of the run's tol (within [1e-13, 1e-11]).
+def _window_reads(taus: np.ndarray, window):
+    """Where a solve over `window` reads U(tau) for each normalized time tau
+    in [0, 2 pi]: (times, index, conj, tail).
 
-    H(t) keeps every sector, so their blocks integrate side by side in one Y:
-    the rows are the sectors' rows one after another, and column j starts as
-    the j-th basis vector of every sector at once (zero past a sector's size).
+    times are the window times to sample, ascending; index[k] is tau_k's
+    time, and index[-2], index[-1] are those of Y(0) and of Y(c), c the
+    window end. U(tau_k) = conj(Y) R when conj[k], else Y R, with Y the
+    sample at index[k] and R the tail M^T M Y(0)^dag where tail[k], else the
+    head Y(0)^dag (_sector_propagators). The full window reads every tau
+    where it is, with the head alone.
+    """
+    start, c = window
+    taus = np.clip(taus, 0.0, 2.0 * math.pi)
+    mirrored = taus > c
+    wrapped = taus > c + math.pi
+    mapped = np.where(wrapped, taus - 2.0 * math.pi, np.where(mirrored, 2.0 * c - taus, taus))
+    times, index = np.unique(np.concatenate([np.clip(mapped, start, c), [0.0, c]]),
+                             return_inverse=True)
+    return times, index, mirrored & ~wrapped, mirrored
 
-    The solve runs in the interaction frame of the diagonal D(t) of H(t), an
-    integrating-factor (Lawson 1967) step: with theta(t) the exact integral
-    of D from the window start t0, it integrates Y_I(t) = e^{i theta(t)} Y(t),
-        dY_I/dt = -i P(t) (H(t) - D(t)) P(t)^* Y_I,   P = diag(e^{i theta}),
+
+@dataclass
+class _PeriodSamples:
+    """One point's share of a batched period solve (_sector_propagators).
+
+    store[rows[k]] is the point's lab-frame Y at the window time tau_k maps
+    to, one (n, cols) block, in which sector p holds rows spans[p] and the
+    first as many columns. U(tau_k) on sector p is F_k(Y) R_k
+    (_window_reads), with R_k = tails[p] where tail[k], else heads[p].
+    metadata holds the point's period_window (t units), the solve's
+    rhs_evals and its batch_points.
+    """
+
+    store: np.ndarray
+    rows: np.ndarray
+    conj: np.ndarray
+    tail: np.ndarray
+    spans: list
+    heads: list
+    tails: list
+    metadata: dict
+
+    def _block(self, p: int, rows):
+        span = self.spans[p]
+        return self.store[rows, span, :span.stop - span.start]
+
+    def apply(self, p: int, k: int, v: np.ndarray) -> np.ndarray:
+        """U(tau_k) @ v on sector p, with no U formed: Y (R v)."""
+        rv = (self.tails[p] if self.tail[k] else self.heads[p]) @ v
+        y = self._block(p, self.rows[k])
+        return (y @ rv.conj()).conj() if self.conj[k] else y @ rv
+
+    def propagators(self, p: int) -> np.ndarray:
+        """U(tau_k) on sector p for every requested tau, one (K, b, b) array
+        written one tau at a time, so the only other array is the store."""
+        head = self.heads[p]
+        u = np.empty((len(self.rows), *head.shape), dtype=complex)
+        for k, (row, conj, tail) in enumerate(zip(self.rows, self.conj, self.tail)):
+            y = self._block(p, row)
+            np.matmul(y.conj() if conj else y, self.tails[p] if tail else head, out=u[k])
+        return u
+
+
+def _sector_propagators(ham, etas, sectors, tol: float, taus) -> list[_PeriodSamples]:
+    """The one period solve: U on each parity sector for every drive frequency
+    of `etas` at once, from one DOP853 solve at a tenth of the run's tol
+    (within [1e-13, 1e-11]). Returns one _PeriodSamples per eta.
+
+    ham has every drive at eta 1 (ModulatedHamiltonian.at_eta): in the
+    normalized time s = eta t every point has the same H(s) and the period
+    2 pi, and point j integrates dY_j/ds = -(i/eta_j) H(s) Y_j. taus[j] holds
+    the normalized times in [0, 2 pi] at which point j reads U.
+
+    H(s) keeps every sector, so their blocks integrate side by side: a
+    point's rows are the sectors' rows one after another, and its column m
+    starts as the m-th basis vector of every sector at once (zero past a
+    sector's size). The points' blocks sit side by side in one (n, width,
+    cols) state, and every rhs makes one sparse product for all of them.
+
+    The solve runs in the interaction frame of the diagonal D(s) of H(s), an
+    integrating-factor (Lawson 1967) step: with Theta(s) the exact integral
+    of D from the window start s0 and theta_j = Theta / eta_j, it integrates
+    Y_I(s) = e^{i theta_j(s)} Y(s),
+        dY_I/ds = -(i/eta_j) P_j (H(s) - D(s)) P_j^* Y_I,   P_j = e^{i theta_j},
     one off-diagonal product of ModulatedHamiltonian's merged pattern between
-    two row scalings. Y_I(t0) = Y(t0), and every sample goes back to the lab
-    frame, Y = e^{-i theta} Y_I, before anything below reads it.
+    two row scalings. Y_I(s0) = Y(s0), and every sample goes back to the lab
+    frame, Y = e^{-i theta_j} Y_I, as it is read (_StepSampler).
 
     For a time-symmetric drive (_symmetric_window) the solve covers only the
-    half window [c - T/2, c], for Y(t) = U(t, c - T/2). With Y0 = Y(0),
-    M = Y(c) and U(c + s, c) = U(c, c - s)^T,
-        U(t) = Y(t) Y0^dag                   for t <= c,
-        U(t) = conj(Y(2c - t)) M^T M Y0^dag  for c < t <= c + T/2,
-        U(t) = Y(t - T) M^T M Y0^dag         for t > c + T/2,
-    so U(T) = Y0 M^T M Y0^dag. Other drives integrate the full window [0, T].
-    Records the window and the rhs evaluations in metadata; returns one
-    (len(t_eval), b, b) array per sector.
+    half window [c - pi, c], for Y(s) = U(s, c - pi). With Y0 = Y(0),
+    M = Y(c) and U(c + r, c) = U(c, c - r)^T,
+        U(s) = Y(s) Y0^dag                   for s <= c,
+        U(s) = conj(Y(2c - s)) M^T M Y0^dag  for c < s <= c + pi,
+        U(s) = Y(s - 2 pi) M^T M Y0^dag      for s > c + pi,
+    so U(2 pi) = Y0 M^T M Y0^dag. Other drives integrate the full window
+    [0, 2 pi], where Y0 = I.
     """
     sizes = [len(s) for s in sectors]
     starts = np.cumsum([0, *sizes])
-    y0 = np.zeros((starts[-1], max(sizes)), dtype=complex)
-    for lo, b in zip(starts, sizes):
-        y0[lo + np.arange(b), np.arange(b)] = 1.0
-    rtol = max(min(tol / 10.0, 1e-11), 1e-13)
-    t_eval = np.asarray(t_eval, dtype=float)
-    half = _symmetric_window(ham, period)
-    window, grid = half or (0.0, period), t_eval
-    if half is not None:
-        start, c = half
-        mirrored = t_eval > c
-        wrapped = t_eval > c + period / 2.0
-        mapped = np.where(wrapped, t_eval - period, np.where(mirrored, 2.0 * c - t_eval, t_eval))
-        grid, index = np.unique(np.concatenate([np.clip(mapped, start, c), [0.0, c]]),
-                                return_inverse=True)
+    n, cols, width = int(starts[-1]), max(sizes), len(etas)
+    inv_eta = 1.0 / np.asarray(etas, dtype=float)
+    window = _symmetric_window(ham, 2.0 * math.pi) or (0.0, 2.0 * math.pi)
+    reads = [_window_reads(np.asarray(t, dtype=float), window) for t in taus]
     sub = ham.restrict(np.concatenate(sectors))
+    sampler = _StepSampler(
+        [r[0] for r in reads],
+        [np.exp(-1j / eta * sub.diagonal_phase(r[0], window[0])) for eta, r in zip(etas, reads)],
+        (n, width, cols))
+    y0 = np.zeros((n, width, cols), dtype=complex)
+    for lo, b in zip(starts, sizes):
+        y0[lo + np.arange(b), :, np.arange(b)] = 1.0
+    rtol = max(min(tol / 10.0, 1e-11), 1e-13)
+    rate, scale = 1j * inv_eta, -1j * inv_eta
 
-    def frame_rhs(t, y):
-        # dY_I/dt = -i P (H - D) P^* Y_I with P = e^{i theta(t)}
-        p = np.exp(1j * sub.diagonal_phase(t, window[0]))[:, None]
-        out = sub.apply_off_diagonal(t, p.conj() * y)
-        out *= -1j * p
+    def frame_rhs(s, y):
+        # dY_I/ds = -(i/eta_j) P_j (H - D) P_j^* Y_I with P_j = e^{i Theta(s)/eta_j}
+        p = np.exp(np.multiply.outer(sub.diagonal_phase(s, window[0]), rate))
+        out = sub.apply_off_diagonal(s, y * p.conj()[:, :, None])
+        out *= (p * scale)[:, :, None]
         return out
 
-    sol = _integrate(sub, frame_rhs, y0, window, grid, "DOP853", rtol,
-                     "propagator integration failed: {}")
-    metadata["period_window"] = window
-    metadata["rhs_evals"] = int(sol.nfev)
-    # back to the lab frame, Y = e^{-i theta} Y_I
-    y = np.moveaxis(sol.y.reshape(*y0.shape, -1), -1, 0)
-    y *= np.exp(-1j * np.array([sub.diagonal_phase(t, window[0]) for t in sol.t]))[:, :, None]
-    blocks = [y[:, lo:lo + b, :b] for lo, b in zip(starts, sizes)]
-    if half is None:
-        return blocks
-    at, (i0, ic) = index[:-2], index[-2:]
+    sol = _integrate(sub, frame_rhs, y0, window, [window[1]], rtol,
+                     "propagator integration failed: {}", sampler)
+    spans = [slice(lo, lo + b) for lo, b in zip(starts, sizes)]
     out = []
-    for ys in blocks:
-        y0_dag = ys[i0].conj().T
-        tail = ys[ic].T @ ys[ic] @ y0_dag
-        u = np.empty((len(at), *y0_dag.shape), dtype=complex)
-        for j, k in enumerate(at):
-            if not mirrored[j]:
-                u[j] = ys[k] @ y0_dag
-            elif wrapped[j]:
-                u[j] = ys[k] @ tail
-            else:
-                u[j] = ys[k].conj() @ tail
-        out.append(u)
+    for eta, store, (_, index, conj, tail) in zip(etas, sampler.stores, reads):
+        # the head Y0^dag and, where a tau reads past c, the tail M^T M Y0^dag
+        heads = [store[index[-2], sp, :sp.stop - sp.start].conj().T for sp in spans]
+        ms = [store[index[-1], sp, :sp.stop - sp.start] for sp in spans] if tail.any() else []
+        out.append(_PeriodSamples(store, index[:-2], conj, tail, spans, heads,
+                                  [m.T @ m @ h for m, h in zip(ms, heads)], {
+                                      "period_window": (window[0] / eta, window[1] / eta),
+                                      "rhs_evals": int(sol.nfev),
+                                      "batch_points": width,
+                                  }))
     return out
+
+
+def _period_propagators(ham, sectors, tol: float, t_eval, metadata) -> list[np.ndarray]:
+    """U(t) on each parity sector at the times t_eval in [0, T] of ham's common
+    drive, one (len(t_eval), b, b) array per sector: _sector_propagators for
+    a batch of one. Records period_window, rhs_evals and batch_points."""
+    eta = ham.common_eta
+    samples, = _sector_propagators(ham.at_eta(1.0), (eta,), sectors, tol,
+                                   [np.asarray(t_eval, dtype=float) * eta])
+    metadata.update(samples.metadata)
+    return [samples.propagators(p) for p in range(len(sectors))]
 
 
 def _projected_period(u_period: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
@@ -466,64 +640,113 @@ def _projected_period(u_period: np.ndarray, tol: float) -> tuple[np.ndarray, flo
     return u_t, defect
 
 
-def _evolve_floquet(ham, psi0, t_grid, tol, metadata):
-    """Stroboscopic propagation for a strictly periodic H(t).
+def _floquet_states(samples: _PeriodSamples, sectors, psi0, split, tol):
+    """One point's samples from its share of the period solve, and its
+    metadata.
 
-    Only the parity sectors psi0 occupies are integrated, in one matrix ODE
-    over one period at tight tolerance; it yields each sector's one-period
-    unitary U(T) and its propagators U(tau) at every distinct fractional
-    offset of the grid. Per sector, U(T) is projected to the nearest unitary;
-    with its complex Schur form Z diag(lambda) Z^dag, psi(kT) = Z (lambda^k *
-    Z^dag psi0) for every sampled k at once, and an off-period sample is
-    U(tau) psi(kT).
+    Per sector, U(T) is projected to the nearest unitary; with its complex
+    Schur form Z diag(lambda) Z^dag, psi(kT) = Z (lambda^k * Z^dag psi0) for
+    every sampled k at once, and an off-period sample is
+    psi(kT + tau) = F(Y) (R psi(kT)) (_PeriodSamples.apply), with no U(tau)
+    formed.
     """
-    period = 2.0 * math.pi / ham.common_eta
-    ks, offset_index, offsets = _period_split(t_grid, period)
-    sectors = [s for s in _parity_blocks(ham)[0] if np.any(psi0[s])]
-    blocks = _sector_propagators(ham, sectors, period, tol, np.append(offsets, period), metadata)
-
-    states = np.zeros((len(t_grid), len(psi0)), dtype=complex)
+    ks, offset_index, offsets = split
+    states = np.zeros((len(ks), len(psi0)), dtype=complex)
     defects, offdiag = [], []
-    for s, u in zip(sectors, blocks):
-        u_t, defect = _projected_period(u[-1], tol)
+    shifted = np.flatnonzero(offset_index >= 0)
+    for p, s in enumerate(sectors):
+        # U(T) is the last tau the point reads
+        u_t, defect = _projected_period(samples.apply(p, -1, np.eye(len(s))), tol)
         schur_t, z = schur(u_t, output="complex")
         defects.append(defect)
         offdiag.append(float(np.max(np.abs(np.triu(schur_t, 1)))))
         # lambda is left unnormalized, so the norm-drift gate sees its error
         phases = np.exp(np.outer(ks, np.log(np.diag(schur_t))))
         part = (phases * (z.conj().T @ psi0[s])) @ z.T
-        for j in range(len(offsets)):
-            rows = offset_index == j
-            part[rows] = part[rows] @ u[j].T
+        for r in shifted:
+            part[r] = samples.apply(p, offset_index[r], part[r])
         states[:, s] = part
-    metadata["engine"] = "floquet-stroboscopic"
-    metadata["sectors"] = [len(s) for s in sectors]
-    metadata["propagator_defect"] = max(defects)
-    metadata["periods"] = int(ks.max())
-    metadata["offsets"] = len(offsets)
-    metadata["schur_offdiag"] = max(offdiag)
-    return states
+    return states, {**samples.metadata, "engine": "floquet-stroboscopic",
+                    "sectors": [len(s) for s in sectors], "propagator_defect": max(defects),
+                    "periods": int(ks.max()), "offsets": len(offsets),
+                    "schur_offdiag": max(offdiag)}
 
 
-def _select_engine(method: str, ham: ModulatedHamiltonian, t_grid: np.ndarray) -> str:
-    """The one method validator and dispatcher of both evolve functions.
+def _store_width(reads: int, n: int, cols: int) -> int:
+    """Points per batched period solve: as many whose `reads` (n, cols)
+    samples fit in SAMPLE_STORE_BYTES, and at least one."""
+    return max(1, SAMPLE_STORE_BYTES // (reads * n * cols * 16))
+
+
+def _floquet_chunk(ham, etas, sectors, psi0, splits, tol):
+    """(states, metadata) of each point of one batched period solve; its
+    sample store is freed on return."""
+    taus = [np.append(offsets * eta, 2.0 * math.pi) for eta, (_, _, offsets) in zip(etas, splits)]
+    return [_floquet_states(samples, sectors, psi0, split, tol)
+            for samples, split in zip(_sector_propagators(ham, etas, sectors, tol, taus), splits)]
+
+
+def _evolve_floquet(ham, etas, psi0, t_grid, tol):
+    """Stroboscopic propagation at each drive frequency of `etas`: yields
+    (states, metadata) per point, in order.
+
+    ham has every drive at eta 1. Only the parity sectors psi0 occupies are
+    integrated. The points share period solves in chunks, as many per solve
+    as _store_width allows for the samples each one reads: the distinct
+    fractional offsets of its grid, U(T), Y(0) and Y(c).
+    """
+    sectors = [s for s in _parity_blocks(ham)[0] if np.any(psi0[s])]
+    splits = [_period_split(t_grid, 2.0 * math.pi / eta) for eta in etas]
+    reads = max((len(offsets) + 3 for _, _, offsets in splits), default=1)
+    width = _store_width(reads, sum(len(s) for s in sectors), max(len(s) for s in sectors))
+    for lo in range(0, len(etas), width):
+        yield from _floquet_chunk(ham, etas[lo:lo + width], sectors, psi0,
+                                  splits[lo:lo + width], tol)
+
+
+def _select_engine(method: str, eta: float | None, is_static: bool, t_grid: np.ndarray) -> str:
+    """The one method validator and dispatcher of the evolve functions, for a
+    drive with common frequency eta (None when there is none).
 
     Returns "static", "stroboscopic" or "direct"; see the module docstring for
     the auto rule.
     """
     if method not in ("auto", "direct", "stroboscopic"):
         raise ConfigError(f"unknown method {method!r}")
-    periodic = ham.common_eta is not None and t_grid[0] == 0.0
+    periodic = eta is not None and t_grid[0] == 0.0
     if method == "stroboscopic" and not periodic:
         raise ConfigError(
             "stroboscopic engine needs a common drive frequency and t_span starting at 0"
         )
     if method != "auto":
         return method
-    if ham.is_static:
+    if is_static:
         return "static"
-    periods = (t_grid[-1] - t_grid[0]) / (2.0 * math.pi / ham.common_eta) if periodic else 0.0
+    periods = (t_grid[-1] - t_grid[0]) / (2.0 * math.pi / eta) if periodic else 0.0
     return "stroboscopic" if periods >= STROBE_MIN_PERIODS else "direct"
+
+
+def _unitary_trajectory(space, t_grid, states, metadata, cutoff_policy, store_states):
+    """The norm-drift gate, the observables and the cutoff check of a run."""
+    norms = np.linalg.norm(states, axis=1)
+    drift = float(np.max(np.abs(norms - 1.0)))
+    metadata["norm_drift_max"] = drift
+    if drift > NORM_DRIFT_TOL:
+        raise NumericError(
+            f"norm drift {drift:.2e} exceeds {NORM_DRIFT_TOL:g}; tighten tol "
+            f"(currently {metadata['tol']:g})"
+        )
+    obs = [observables(states[i], space) for i in range(len(t_grid))]
+    _cutoff_check(space, obs, cutoff_policy, metadata, stacklevel=4)
+    return Trajectory(
+        space=space,
+        times=t_grid,
+        observables=obs,
+        states=[StateVector(space, s / np.linalg.norm(s)) for s in states]
+        if store_states
+        else None,
+        metadata=metadata,
+    )
 
 
 def evolve_schrodinger(
@@ -550,35 +773,69 @@ def evolve_schrodinger(
     t_grid = _sample_grid(t_span, sample_count)
     ham = build_hamiltonian(space, params, schedules)
     metadata: dict = {"tol": tol}
-    chosen = _select_engine(method, ham, t_grid)
+    chosen = _select_engine(method, ham.common_eta, ham.is_static, t_grid)
 
     psi0_arr = psi0.amplitudes
     if chosen == "static":
         states = _evolve_static(ham, psi0_arr, t_grid, metadata)
     elif chosen == "stroboscopic":
-        states = _evolve_floquet(ham, psi0_arr, t_grid, tol, metadata)
+        (states, work), = _evolve_floquet(ham.at_eta(1.0), (ham.common_eta,), psi0_arr,
+                                          t_grid, tol)
+        metadata.update(work)
     else:
         states = _evolve_direct(ham, psi0_arr, t_grid, tol, metadata)
+    return _unitary_trajectory(space, t_grid, states, metadata, cutoff_policy, store_states)
 
-    norms = np.linalg.norm(states, axis=1)
-    drift = float(np.max(np.abs(norms - 1.0)))
-    metadata["norm_drift_max"] = drift
-    if drift > NORM_DRIFT_TOL:
-        raise NumericError(
-            f"norm drift {drift:.2e} exceeds {NORM_DRIFT_TOL:g}; tighten tol "
-            f"(currently {tol:g})"
-        )
-    obs = [observables(states[i], space) for i in range(len(t_grid))]
-    _cutoff_check(space, obs, cutoff_policy, metadata)
-    return Trajectory(
-        space=space,
-        times=t_grid,
-        observables=obs,
-        states=[StateVector(space, s / np.linalg.norm(s)) for s in states]
-        if store_states
-        else None,
-        metadata=metadata,
-    )
+
+def evolve_schrodinger_etas(
+    space: SpaceSpec,
+    params: SystemParams,
+    schedules: tuple[ModulationSchedule, ...],
+    psi0: StateVector,
+    etas,
+    t_span,
+    sample_count: int,
+    tol: float = 1e-9,
+    method: str = "auto",
+    cutoff_policy: str = "warn",
+):
+    """evolve_schrodinger with every schedule driven at each eta of `etas` in
+    turn, storing no states: an iterator over the points in order, with a
+    Trajectory for each point the dispatcher sends to the stroboscopic engine
+    and None for the others (evolve_schrodinger runs those).
+
+    In the normalized time s = eta t every point has the same H(s), so one
+    Hamiltonian serves them all, and the stroboscopic points share batched
+    period solves (_sector_propagators), as many per solve as fit in
+    SAMPLE_STORE_BYTES of samples. A solve runs when its first point is
+    reached, so a caller that consumes the points one by one holds one
+    solve's samples and one point's observables at a time. Each point keeps
+    its own engine choice, unitarity gate, Schur sampling, norm-drift gate
+    and cutoff check; its rhs_evals are those of the solve it shared, whose
+    width batch_points records. The arguments and every point's engine
+    choice are checked on the call.
+    """
+    _validate_run(tol, cutoff_policy)
+    if psi0.space != space:
+        raise DomainError("initial state lives on a different space")
+    t_grid = _sample_grid(t_span, sample_count)
+    ham = build_hamiltonian(space, params, tuple(replace(s, eta=1.0) for s in schedules))
+    etas = [float(eta) for eta in etas]
+    strobe = [_select_engine(method, eta if ham.common_eta else None, ham.is_static,
+                             t_grid) == "stroboscopic" for eta in etas]
+    points = _evolve_floquet(ham, [eta for eta, s in zip(etas, strobe) if s],
+                             psi0.amplitudes, t_grid, tol)
+
+    def trajectories():
+        for chosen in strobe:
+            if not chosen:
+                yield None
+                continue
+            states, work = next(points)
+            yield _unitary_trajectory(space, t_grid, states, {"tol": tol, **work},
+                                      cutoff_policy, False)
+
+    return trajectories()
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +897,7 @@ def _lindblad_direct(ham, collapse, rho0, t_grid, tol, metadata):
         return out
 
     sol = _integrate(ham, rhs, rho0, (float(t_grid[0]), float(t_grid[-1])), t_grid,
-                     "RK45", tol, "master-equation integration failed: {}")
+                     tol, "master-equation integration failed: {}")
     metadata["engine"] = "lindblad-adaptive-rk"
     metadata["rhs_evals"] = int(sol.nfev)
     # the samples' Hermitian parts, gated downstream; the skew part is the defect
@@ -900,7 +1157,7 @@ def _lindblad_channel(ham, collapse, rho0, tol, metadata, coherences: bool):
         period * _spectral_radius_bound(ham) / 1.3 / MAX_CHANNEL_SLICES))
     nodes, weights = _gauss_nodes(0.0, period, panels)
     t_eval = np.unique(np.append(nodes, period))
-    u_at = _sector_propagators(ham, sectors, period, tol, t_eval, metadata)
+    u_at = _period_propagators(ham, sectors, tol, t_eval, metadata)
     node_index = np.searchsorted(t_eval, nodes)
 
     channels, slices, matmuls = [None] * len(blocks), 1, 0
@@ -1064,7 +1321,7 @@ def evolve_lindblad(
     metadata: dict = {"tol": tol}
 
     # the master equation has no static engine: "static" integrates directly
-    if _select_engine(method, ham, t_grid) == "stroboscopic":
+    if _select_engine(method, ham.common_eta, ham.is_static, t_grid) == "stroboscopic":
         rhos, times = _lindblad_strobe(ham, collapse, rho0.matrix, (t_grid[0], t_grid[-1]),
                                        sample_count, tol, metadata, coherences=store_states)
         # T^H gives every sample's transpose pairs as exact conjugates

@@ -311,12 +311,14 @@ class ModulatedHamiltonian:
         `apply`'s product on the same pattern."""
         return self._apply(self._off_rows, t, y)
 
-    def diagonal_phase(self, t: float, t0: float) -> np.ndarray:
+    def diagonal_phase(self, t, t0: float) -> np.ndarray:
         """theta(t), the integral of D(s) from t0 to t, in closed form:
-        D_0 (t - t0) - sum_j D_j (cos(eta_j t + phi_j) - cos(eta_j t0 + phi_j)) / eta_j."""
-        coeffs = np.array([t - t0, *((math.cos(eta * t0 + phi) - math.cos(eta * t + phi)) / eta
+        D_0 (t - t0) - sum_j D_j (cos(eta_j t + phi_j) - cos(eta_j t0 + phi_j)) / eta_j.
+        For a 1-D array of times, one row per time."""
+        cos = np.cos if np.ndim(t) else math.cos
+        coeffs = np.array([t - t0, *((math.cos(eta * t0 + phi) - cos(eta * t + phi)) / eta
                                      for eta, phi in self._drives)])
-        return coeffs @ self._diagonals
+        return coeffs.T @ self._diagonals
 
     def _apply(self, row_sets: tuple[np.ndarray, ...], t: float, y: np.ndarray) -> np.ndarray:
         shape = np.shape(y)
@@ -340,6 +342,12 @@ class ModulatedHamiltonian:
 
         return replace(self, h_const=sub(self.h_const),
                        terms=tuple((s, sub(hx)) for s, hx in self.terms))
+
+    def at_eta(self, eta: float) -> "ModulatedHamiltonian":
+        """The same pieces with every drive at frequency eta. At eta = 1 this
+        is H(s) in the normalized time s = eta t of any common frequency."""
+        return replace(self, schedules=tuple(replace(s, eta=eta) for s in self.schedules),
+                       terms=tuple((replace(s, eta=eta), hx) for s, hx in self.terms))
 
     @property
     def pieces(self) -> tuple[sp.csr_matrix, ...]:

@@ -6,9 +6,15 @@ each frequency, and locates the peak by quadratic interpolation through the
 three highest neighboring samples, optionally refined by one 10x zoom. The
 transfer is one cell of the joint (excited qubits, photons) distribution
 that every sample's ObservableSet carries, so sweeps store no states.
-Each point's evolution work goes with it: fit_diagnostics holds its rhs
-evaluations and its one-period propagator defect as arrays aligned with
-etas. fit_rabi pulls |Xi| out of a sampled population oscillation by fitting
+A unitary grid goes to dynamics.evolve_schrodinger_etas in one call: in the
+normalized time s = eta t its stroboscopic points share batched period
+solves, as many per solve as fit in dynamics.SAMPLE_STORE_BYTES of samples,
+and each keeps its own engine choice and gates; the other points run
+evolve_schrodinger one at a time. Each point's evolution work goes with it:
+fit_diagnostics holds its rhs evaluations (those of the solve it shared),
+its one-period propagator defect and that solve's width (batch_points) as
+arrays aligned with etas, and period_solves counts the solves. fit_rabi
+pulls |Xi| out of a sampled population oscillation by fitting
 A*cos(2|Xi| t + theta) + C.
 """
 
@@ -27,6 +33,7 @@ from .dynamics import (
     Trajectory,
     evolve_lindblad,
     evolve_schrodinger,
+    evolve_schrodinger_etas,
     lindblad_grid,
 )
 from .errors import (
@@ -111,33 +118,55 @@ class SweepResult:
             raise NumericError("transfer values escaped [0, 1]")
 
 
-def _evolve_point(scenario: TransferScenario, eta: float, horizon: float):
-    """(transfer, rhs_evals, propagator_defect) of one evolution at eta: the
-    best target population joint[k+2, n-k-2] over its samples, and the work
-    and gate value its engine recorded; the defect is NaN for an engine that
-    forms no one-period propagator. A master-equation point samples the grid
-    lindblad_grid gives, whole periods wherever the stroboscopic engine runs."""
+def _lindblad_point(scenario: TransferScenario, schedules, horizon: float) -> Trajectory:
+    """A master-equation point samples the grid lindblad_grid gives, whole
+    periods wherever the stroboscopic engine runs."""
     sc = scenario
-    schedules = tuple(dataclasses.replace(s, eta=eta) for s in sc.schedules)
-    if sc.rates is not None and not sc.rates.all_zero:
-        span, count = lindblad_grid(schedules, horizon, sc.sample_count, sc.method)
-        traj = evolve_lindblad(sc.space, sc.params, schedules, sc.rates,
-                               DensityMatrix.from_state(sc.psi0), span, count,
-                               tol=sc.tol, method=sc.method)
-    else:
-        traj = evolve_schrodinger(sc.space, sc.params, schedules, sc.psi0, (0.0, horizon),
-                                  sc.sample_count, tol=sc.tol, method=sc.method)
-    n, k = sc.transition
+    span, count = lindblad_grid(schedules, horizon, sc.sample_count, sc.method)
+    return evolve_lindblad(sc.space, sc.params, schedules, sc.rates,
+                           DensityMatrix.from_state(sc.psi0), span, count,
+                           tol=sc.tol, method=sc.method)
+
+
+def _point_record(scenario: TransferScenario, traj: Trajectory):
+    """(transfer, rhs_evals, propagator_defect, batch_points) of one point:
+    the best target population joint[k+2, n-k-2] over its samples, and the
+    work and gate value its engine recorded. The defect is NaN, and
+    batch_points 0, for an engine that makes no period solve."""
+    n, k = scenario.transition
     top = max(float(o.joint[k + 2, n - k - 2]) for o in traj.observables)
     if top > 1.0 + POPULATION_SLACK:
         raise NumericError(f"target population {top:.6g} exceeds 1")
     md = traj.metadata
-    return min(top, 1.0), md["rhs_evals"], md.get("propagator_defect", math.nan)
+    return (min(top, 1.0), md["rhs_evals"], md.get("propagator_defect", math.nan),
+            md.get("batch_points", 0))
 
 
 def _evaluate(scenario, etas, horizon):
-    """(transfer, rhs_evals, propagator_defect), one array each over etas."""
-    return tuple(np.array(v) for v in zip(*(_evolve_point(scenario, e, horizon) for e in etas)))
+    """(transfer, rhs_evals, propagator_defect, batch_points), one array each
+    over etas.
+
+    Unitary points go to evolve_schrodinger_etas in one call, so the ones
+    that run stroboscopic share batched period solves; the others run
+    evolve_schrodinger one at a time.
+    """
+    sc = scenario
+
+    def at(eta):
+        return tuple(dataclasses.replace(s, eta=eta) for s in sc.schedules)
+
+    # the points are generated one by one, so one point's observables are held at a time
+    if sc.rates is not None and not sc.rates.all_zero:
+        trajs = (_lindblad_point(sc, at(eta), horizon) for eta in etas)
+    else:
+        batched = evolve_schrodinger_etas(sc.space, sc.params, sc.schedules, sc.psi0, etas,
+                                          (0.0, horizon), sc.sample_count, tol=sc.tol,
+                                          method=sc.method)
+        trajs = (traj or evolve_schrodinger(sc.space, sc.params, at(eta), sc.psi0,
+                                            (0.0, horizon), sc.sample_count, tol=sc.tol,
+                                            method=sc.method)
+                 for eta, traj in zip(etas, batched))
+    return tuple(np.array(v) for v in zip(*(_point_record(sc, traj) for traj in trajs)))
 
 
 def _quad_vertex(x3, y3):
@@ -200,7 +229,7 @@ def sweep_resonance(
         raise ConfigError(f"horizon={horizon} must be positive")
 
     etas = np.linspace(lo, hi, grid_points)
-    transfer, rhs_evals, defects = _evaluate(scenario, etas, horizon)
+    transfer, rhs_evals, defects, widths = _evaluate(scenario, etas, horizon)
     spacing = etas[1] - etas[0]
 
     i_star = int(np.argmax(transfer))
@@ -238,7 +267,7 @@ def sweep_resonance(
         z_etas = np.linspace(etas[i_star - 1], etas[i_star + 1], 2 * ZOOM_SHRINK + 1)
         known = {0: transfer[i_star - 1], ZOOM_SHRINK: transfer[i_star], 2 * ZOOM_SHRINK: transfer[i_star + 1]}
         new_j = [j for j in range(len(z_etas)) if j not in known]
-        new_vals, new_rhs, new_defects = _evaluate(scenario, z_etas[new_j], horizon)
+        new_vals, new_rhs, new_defects, new_widths = _evaluate(scenario, z_etas[new_j], horizon)
         z_transfer = np.empty(len(z_etas))
         for j, v in known.items():
             z_transfer[j] = v
@@ -263,10 +292,14 @@ def sweep_resonance(
         all_transfer = np.concatenate([transfer, new_vals])[order]
         rhs_evals = np.concatenate([rhs_evals, new_rhs])[order]
         defects = np.concatenate([defects, new_defects])[order]
+        widths = np.concatenate([widths, new_widths])[order]
 
     diagnostics["peak_transfer"] = peak_val
     diagnostics["rhs_evals"] = rhs_evals
     diagnostics["propagator_defect"] = defects
+    diagnostics["batch_points"] = widths
+    # a solve of w points gives each of them 1/w of it
+    diagnostics["period_solves"] = int(round(sum(1.0 / w for w in widths if w)))
     return SweepResult(
         etas=all_etas,
         transfer=np.clip(all_transfer, 0.0, 1.0),

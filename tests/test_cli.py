@@ -212,7 +212,7 @@ def test_exit_code_physics_guard(tmp_path, capsys):
 
 def test_exit_code_numeric(tmp_path, capsys):
     text = (SYSTEM_LINES + DRIVE_LINES + STATE_LINES
-            + "run.t_final = 100.0\nrun.tol = 1e-06\nrun.sample_count = 51\n"
+            + "run.t_final = 1000.0\nrun.tol = 1e-06\nrun.sample_count = 51\n"
             + "run.method = direct\n")
     cfg = write_cfg(tmp_path, text)
     rc = main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "o")])
@@ -537,6 +537,7 @@ def test_stroboscopic_csv_headers_carry_engine_work(tmp_path, command, blocks):
     window = [float(v) for v in meta["period_window"].split(",")]
     assert window == pytest.approx([-quarter, quarter], rel=1e-12)
     assert int(meta["rhs_evals"]) > 0
+    assert int(meta["batch_points"]) == 1
     assert 0.0 <= float(meta["propagator_defect"]) < 1e-9
     # the lindblad command asks the Lindblad engine for whole periods: 5
     # samples over 60 become 5 samples 4 periods apart, ending on the 16th
@@ -592,6 +593,9 @@ def test_sweep_csv(tmp_path):
     # one row per eta with that point's period solve and its unitarity gate
     assert np.all(data[:, 3] > 0)
     assert np.all(data[:, 4] <= UNITARY_DEFECT_TOL)
+    # the stroboscopic points share period solves of up to batch_points each
+    width = int(meta["batch_points"])
+    assert 1 <= width <= 5 and int(meta["period_solves"]) == math.ceil(5 / width)
     assert np.all(np.diff(data[:, 0]) > 0)
     assert np.all((data[:, 2] >= 0.0) & (data[:, 2] <= 1.0))
     peak_factor = float(meta["peak_factor"])

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
 import dickemod.dynamics as dynamics
 from dickemod.dynamics import (
@@ -14,6 +14,7 @@ from dickemod.dynamics import (
     DensityMatrix,
     evolve_lindblad,
     evolve_schrodinger,
+    evolve_schrodinger_etas,
     lindblad_dissipator,
 )
 from dickemod.errors import (
@@ -634,7 +635,7 @@ def test_half_window_propagators_match_full_period_solve():
                        period])
     meta = {}
     sectors = parity_sectors(space)
-    blocks = dynamics._sector_propagators(ham, sectors, period, 1e-12, t_eval, meta)
+    blocks = dynamics._period_propagators(ham, sectors, 1e-12, t_eval, meta)
     assert meta["period_window"] == pytest.approx(half_window(PHI), rel=1e-15)
     full = _one_period_propagators(lambda t: ham.at(t).toarray(), space.dim, period, t_eval,
                                    rtol=1e-13)
@@ -719,7 +720,7 @@ def test_interaction_frame_propagators_match_the_lab_frame(case):
     t_eval = period * np.array([0.13, 0.37, 0.5, 0.71, 0.94, 1.0])
     meta = {}
     sectors = parity_sectors(ham.space)
-    blocks = dynamics._sector_propagators(ham, sectors, period, 1e-9, t_eval, meta)
+    blocks = dynamics._period_propagators(ham, sectors, 1e-9, t_eval, meta)
     assert (meta["period_window"] == (0.0, period)) != half
     full = _one_period_propagators(lambda t: ham.at(t).toarray(), ham.space.dim, period,
                                    t_eval, rtol=1e-13)
@@ -734,11 +735,110 @@ def test_period_solve_on_the_exchange_system_is_accurate_and_cheap():
     runs = {}
     for tol in (1e-9, 1e-12):
         meta = {}
-        runs[tol] = dynamics._sector_propagators(ham, sectors, period, tol, [period], meta)
+        runs[tol] = dynamics._period_propagators(ham, sectors, tol, [period], meta)
         assert meta["rhs_evals"] <= 1000
     for u, ref in zip(runs[1e-9], runs[1e-12]):
         assert np.max(np.abs(u[-1] - ref[-1])) < 1e-11
         assert dynamics._projected_period(u[-1], 1e-9)[1] < 1e-11
+
+
+# ---------------------------------------------------------------------------
+# eta-batched period solves
+# ---------------------------------------------------------------------------
+
+BATCH_ETAS = (0.99 * ETA, ETA, 1.01 * ETA)
+
+
+def _batch_case(window):
+    """A g drive alone (the half window), or g at phase 0 with an Omega drive
+    at pi/2 (the full window), on a state that fills both parity sectors."""
+    p = bench_params()
+    sch = (g_schedule(p),)
+    if window == "full":
+        sch += (ModulationSchedule("Omega", 0.05, ETA, math.pi / 2),)
+    space = SpaceSpec(2, 4)
+    return space, p, sch, coherent_state(space, 0.8), (0.0, 40.3 * 2 * math.pi / ETA)
+
+
+def _point_store_bytes(space, psi0, t_span, count, eta):
+    """One point's sample store: its distinct offsets, U(T), Y(0) and Y(c)."""
+    sizes = [len(s) for s in parity_sectors(space) if np.any(psi0.amplitudes[s])]
+    offsets = dynamics._period_split(np.linspace(*t_span, count), 2 * math.pi / eta)[2]
+    return (len(offsets) + 3) * sum(sizes) * max(sizes) * 16
+
+
+@pytest.mark.parametrize("window", ["half", "full"])
+def test_batched_points_match_one_point_at_a_time(window, monkeypatch):
+    space, p, sch, psi0, span = _batch_case(window)
+    monkeypatch.setattr(dynamics, "SAMPLE_STORE_BYTES", 10**12)
+    kw = dict(tol=1e-10, method="stroboscopic", cutoff_policy="ignore")
+    # 121 samples: most steps of the batched solve read more than 8, so they
+    # read the 8-node values; a run alone reads its few samples directly
+    batched = list(evolve_schrodinger_etas(space, p, sch, psi0, BATCH_ETAS, span, 121, **kw))
+    for eta, traj in zip(BATCH_ETAS, batched):
+        alone = evolve_schrodinger(space, p, tuple(dataclasses.replace(s, eta=eta) for s in sch),
+                                   psi0, span, 121, **kw)
+        assert traj.states is None
+        assert traj.metadata["batch_points"] == 3 and alone.metadata["batch_points"] == 1
+        assert traj.metadata["period_window"] == pytest.approx(
+            alone.metadata["period_window"], rel=1e-15)
+        assert (alone.metadata["period_window"][0] == 0.0) == (window == "full")
+        joint = np.array([o.joint for o in traj.observables])
+        assert np.max(np.abs(joint - [o.joint for o in alone.observables])) < 1e-9
+    assert len({traj.metadata["rhs_evals"] for traj in batched}) == 1
+
+
+@pytest.mark.parametrize("width", [1, 2, 5])
+def test_batched_points_make_one_solve_per_chunk(width, monkeypatch):
+    space, p, sch, psi0, span = _batch_case("half")
+    etas = np.linspace(0.99, 1.01, 5) * ETA
+    per_point = max(_point_store_bytes(space, psi0, span, 9, eta) for eta in etas)
+    monkeypatch.setattr(dynamics, "SAMPLE_STORE_BYTES", width * per_point)
+    solutions = _counting_solve_ivp(monkeypatch)
+    trajs = list(evolve_schrodinger_etas(space, p, sch, psi0, etas, span, 9, tol=1e-10,
+                                         cutoff_policy="ignore"))
+    assert len(solutions) == math.ceil(len(etas) / width)
+    for i, traj in enumerate(trajs):
+        chunk = i // width
+        assert traj.metadata["batch_points"] == min(width, len(etas) - chunk * width)
+        assert traj.metadata["rhs_evals"] == solutions[chunk].nfev
+
+
+def test_batched_entry_leaves_points_off_the_stroboscopic_engine():
+    space, p, sch, psi0, _ = _batch_case("half")
+    # three periods: auto integrates these directly
+    span = (0.0, 3 * 2 * math.pi / ETA)
+    assert list(evolve_schrodinger_etas(space, p, sch, psi0, BATCH_ETAS, span, 9)) == [None] * 3
+    with pytest.raises(ConfigError, match="unknown method"):
+        evolve_schrodinger_etas(space, p, sch, psi0, BATCH_ETAS, span, 9, method="bogus")
+
+
+def test_store_width_follows_the_budget(monkeypatch):
+    # sweep-n2's point: 121 samples, 120 offsets, one 19-state sector
+    per_point = 123 * 19 * 19 * 16
+    assert dynamics._store_width(123, 19, 19) == dynamics.SAMPLE_STORE_BYTES // per_point
+    for width in (1, 3, 9):
+        monkeypatch.setattr(dynamics, "SAMPLE_STORE_BYTES", width * per_point + per_point - 1)
+        assert dynamics._store_width(123, 19, 19) == width
+    monkeypatch.undo()
+    # an N=6 point at 61 samples, on one 77-state sector or on both
+    assert dynamics._store_width(63, 77, 77) == dynamics._store_width(63, 154, 77) == 1
+
+
+def test_step_nodes_reproduce_the_dense_output():
+    # DOP853's interpolant has degree 7, so 8 node values fix it
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    solver = DOP853(lambda t, y: a @ y * math.cos(t), 0.0,
+                    rng.normal(size=6) + 1j * rng.normal(size=6), 1.0, rtol=1e-6)
+    for _ in range(3):
+        solver.step()
+    dense, h = solver.dense_output(), solver.t - solver.t_old
+    nodes = dense(solver.t_old + h * dynamics._STEP_NODES).T
+    x = np.concatenate([rng.random(40), [0.0, 1.0]])
+    combined = dynamics._lagrange_weights(x) @ nodes
+    direct = dense(solver.t_old + h * x).T
+    assert np.max(np.abs(combined - direct)) <= 1e-14 * np.max(np.abs(direct))
 
 
 def test_lindblad_period_count_snaps_like_the_sample_grid():

@@ -186,7 +186,7 @@ def test_transfer_reads_the_joint_target_cell(basis, rates):
     horizon = 0.6 * math.pi / abs(pred.xi)
     space = SpaceSpec(2, 8, basis)
     scen = scenario(space, p, psi0=dicke_fock_state(space, 0, 3), rates=rates)
-    transfer, rhs_evals, defect = scan._evolve_point(scen, pred.eta_res, horizon)
+    (transfer,), (rhs_evals,), (defect,), _ = scan._evaluate(scen, [pred.eta_res], horizon)
 
     on_peak = (dataclasses.replace(sched[0], eta=pred.eta_res),)
     kw = dict(tol=scen.tol, store_states=True)
@@ -242,18 +242,18 @@ def test_sweep_is_deterministic(baseline):
 
 
 def test_sweeps_store_no_states(baseline, monkeypatch):
-    evolve = scan.evolve_schrodinger
+    batched = scan.evolve_schrodinger_etas
     stored, work = [], {}
 
     def spy(*args, **kwargs):
-        bound = inspect.signature(evolve).bind(*args, **kwargs)
-        stored.append(bound.arguments.get("store_states", False))
-        traj = evolve(*args, **kwargs)
-        md = traj.metadata
-        work[bound.arguments["schedules"][0].eta] = (md["rhs_evals"], md["propagator_defect"])
-        return traj
+        bound = inspect.signature(batched).bind(*args, **kwargs)
+        for eta, traj in zip(bound.arguments["etas"], batched(*args, **kwargs)):
+            stored.append(traj.states is not None)
+            md = traj.metadata
+            work[eta] = (md["rhs_evals"], md["propagator_defect"])
+            yield traj
 
-    monkeypatch.setattr(scan, "evolve_schrodinger", spy)
+    monkeypatch.setattr(scan, "evolve_schrodinger_etas", spy)
     eta_res = baseline["predicted"].eta_res
     res = sweep_resonance(baseline["scen"], (eta_res - 3e-4, eta_res + 3e-4), 5, zoom=True)
     assert len(stored) == 5 + 2 * scan.ZOOM_SHRINK - 2
