@@ -68,7 +68,9 @@ from step doubling (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4):
 rounds of 2, 4, 8, ... slices share one quadrature grid and one period
 solve, each round compares its channel with the previous round's, the
 embedded partner of half the slices on that grid, and the first round whose
-estimate max|C_2s - C_s| is within tol keeps C_2s. The error falls as
+estimate max|C_2s - C_s| is within tol keeps C_2s. Each Liouville block
+below doubles on its own, so its channel does not depend on which other
+blocks a run propagates. The error falls as
 1/slices^2, from the commutator term the step drops, so the kept channel
 carries about a quarter of the estimate. The doubling stops at
 MAX_CHANNEL_SLICES; a run whose estimate is still above tol there keeps that
@@ -1114,10 +1116,10 @@ def _lindblad_channel(ham, collapse, rho0, tol, metadata, coherences: bool):
     spectral radius bound of H, so every slice of every round is a run of
     whole panels, and one period solve gives U(t) at all of its nodes. The
     slice count comes from step doubling (Hairer, Norsett & Wanner, Solving
-    ODEs I, sec. II.4): for 2, 4, 8, ... slices, each round's factor C_2s is
-    compared with its embedded partner C_s (_doubling_round), and the first
-    round whose estimate max|C_2s - C_s|, over the blocks, is within tol
-    keeps C_2s. On the one grid quadrature is additive, so the partner is the
+    ODEs I, sec. II.4), block by block: for 2, 4, 8, ... slices, each round's
+    factor C_2s is compared with its embedded partner C_s (_doubling_round),
+    and the first round whose estimate max|C_2s - C_s| is within tol keeps
+    C_2s. On the one grid quadrature is additive, so the partner is the
     previous round's factor; round 1's is the one-slice factor of R_0 + R_1.
     The dropped commutator term makes the error fall as 1/slices^2, so C_2s
     carries about a quarter of the estimate. At MAX_CHANNEL_SLICES the
@@ -1131,9 +1133,9 @@ def _lindblad_channel(ham, collapse, rho0, tol, metadata, coherences: bool):
     to the real coordinates T Omega T^H (_HERMITIAN_PAIR); I + R + R^2/2 and
     the slice products are real. The Hamiltonian factor U (x) conj(U) acts on
     T^H C, and T takes the result back to real. Each step to real is gated on
-    its imaginary residue (_real_part). metadata records channel_slices,
-    channel_slice_error, the grid's channel_nodes, the one solve's
-    rhs_evals, and in channel_matmuls the dense block products of every
+    its imaginary residue (_real_part). metadata records channel_slices and
+    channel_slice_error, the largest over the blocks, the grid's
+    channel_nodes, the one solve's rhs_evals, and in channel_matmuls the dense block products of every
     round: 2s - 1 for s slices, and one more for round 1's partner. Returns
     the parity sectors, the propagated blocks (as pair tuples of
     _LIOUVILLE_BLOCKS, also in metadata["liouville_pairs"]), their transpose
@@ -1160,24 +1162,29 @@ def _lindblad_channel(ham, collapse, rho0, tol, metadata, coherences: bool):
     u_at = _period_propagators(ham, sectors, tol, t_eval, metadata)
     node_index = np.searchsorted(t_eval, nodes)
 
-    channels, slices, matmuls = [None] * len(blocks), 1, 0
-    while True:
-        slices *= 2
-        at, wts = node_index.reshape(slices, -1), weights.reshape(slices, -1)
-        error = 0.0
-        for i, (pairs, span, pairing) in enumerate(zip(blocks, spans, pairings)):
-            def real(j, pairs=pairs, span=span, pairing=pairing):
+    # each block doubles on its own, so a block's channel does not depend on
+    # which other blocks the run propagates
+    channels, slices, error, matmuls = [], 2, 0.0, 0
+    for pairs, span, pairing in zip(blocks, spans, pairings):
+        channel, block_slices = None, 1
+        while True:
+            block_slices *= 2
+            at = node_index.reshape(block_slices, -1)
+            wts = weights.reshape(block_slices, -1)
+
+            def real(j, at=at, wts=wts, pairs=pairs, span=span, pairing=pairing):
                 om = _slice_generator([u[at[j]] for u in u_at], wts[j], collapse, flips,
                                       op_blocks, pairs, span, sizes)
                 return _real_part(_to_hermitian_basis(om, pairing), metadata)
 
             # a squaring per slice and a product per slice but the first;
             # round 1's one-slice partner adds a squaring
-            matmuls += 2 * slices - 1 + (channels[i] is None)
-            channels[i], block_error = _doubling_round(real, slices, channels[i])
-            error = max(error, block_error)
-        if error <= tol or slices == MAX_CHANNEL_SLICES:
-            break
+            matmuls += 2 * block_slices - 1 + (channel is None)
+            channel, block_error = _doubling_round(real, block_slices, channel)
+            if block_error <= tol or block_slices == MAX_CHANNEL_SLICES:
+                break
+        channels.append(channel)
+        slices, error = max(slices, block_slices), max(error, block_error)
     metadata["channel_nodes"] = len(nodes)
     metadata["channel_slices"] = slices
     metadata["channel_slice_error"] = error

@@ -437,6 +437,33 @@ def test_cap_bound_lindblad_run_makes_one_period_solve(monkeypatch):
     assert md["channel_matmuls"] == sum(2 * n - 1 for n in (2, 4, 8, 16, 32)) + 1 + 3 == 123
 
 
+def test_each_liouville_block_doubles_on_its_own():
+    # at tol 1e-12 the diagonal block of this system stops at 4 slices and the
+    # coherence block runs to the cap: asking for the coherences leaves the
+    # diagonal block's channel as it is, bit for bit
+    space = SpaceSpec(2, 1)
+    p = SystemParams(omega0=1.0, Omega0=1.0, g0=2.0, n_qubits=2, with_crt=False)
+    ham = build_hamiltonian(space, p, (ModulationSchedule("omega", 0.125, 1.5, 0.0),))
+    collapse = dynamics._collapse_operators(space, DissipationRates(1e-5))
+    a = np.random.default_rng(7).normal(size=(6, 12)).view(complex)
+    rho = a @ a.conj().T / np.trace(a @ a.conj().T).real
+    diag, both = {}, {}
+    _, blocks, _, alone = dynamics._lindblad_channel(ham, collapse, rho, 1e-12, diag,
+                                                     coherences=False)
+    with pytest.warns(UserWarning, match="slice error"):
+        _, all_blocks, _, channels = dynamics._lindblad_channel(ham, collapse, rho, 1e-12,
+                                                                both, coherences=True)
+    assert blocks == all_blocks[:1] and len(all_blocks) == 2
+    assert np.array_equal(alone[0], channels[0])
+    assert diag["channel_slices"] == 4 and diag["channel_slice_error"] <= 1e-12
+    assert both["channel_slices"] == dynamics.MAX_CHANNEL_SLICES
+    assert both["channel_slice_error"] > 1e-12
+    # rounds 2 and 4 for the diagonal block, 2 to 32 for the coherence block
+    per_block = [sum(2 * n - 1 for n in rounds) + 1 for rounds in ((2, 4), (2, 4, 8, 16, 32))]
+    assert diag["channel_matmuls"] == per_block[0]
+    assert both["channel_matmuls"] == sum(per_block)
+
+
 def test_previous_round_is_the_pair_sum_partner(monkeypatch):
     # on the one grid, pair sums of a round's real generators are the previous
     # round's generators, so that round's factor is this round's partner
