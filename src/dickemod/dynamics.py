@@ -123,6 +123,7 @@ the skew part it removed.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -343,31 +344,16 @@ def _integrate(ham: ModulatedHamiltonian, rhs, y0, t_span, t_eval, rtol: float, 
     return sol
 
 
-# DOP853's dense output is a polynomial of degree 7 on each step (solve_ivp's
-# documentation), so its values at these 8 Chebyshev-Lobatto points of the
-# step, as fractions of it, fix it exactly
-_STEP_NODES = (1.0 - np.cos(np.pi * np.arange(8) / 7.0)) / 2.0
-_OTHER_NODES = np.array([[m for m in range(8) if m != k] for k in range(8)])
-_NODE_SCALE = 1.0 / np.prod(_STEP_NODES[:, None] - _STEP_NODES[_OTHER_NODES], axis=1)
-
-
-def _lagrange_weights(x: np.ndarray) -> np.ndarray:
-    """(len(x), 8) weights w with p(x_i) = sum_k w[i, k] p(_STEP_NODES[k])
-    for every polynomial p of degree at most 7."""
-    return np.prod((x[:, None] - _STEP_NODES)[:, _OTHER_NODES], axis=2) * _NODE_SCALE
-
-
 class _StepSampler:
     """Reads the samples of a batched period solve off each accepted step.
 
     The state is (n, width, cols), one (n, cols) block per point. grids[j]
     holds point j's sample times, ascending, and labs[j] their row factors
     e^{-i theta(s)/eta_j}, which take a sample back to the lab frame. A step
-    with m samples evaluates its interpolant at min(m, 8) times: at the
-    samples themselves, or at _STEP_NODES, where each sample then combines
-    the values of its own point's block alone. stores[j] receives point j's
-    lab-frame blocks in the order of grids[j]; one array per point keeps
-    every allocation the size of one point's samples.
+    evaluates its interpolant once, at every sample it holds of any point,
+    and each point keeps its own block of its own times. stores[j] receives
+    point j's lab-frame blocks in the order of grids[j]; one array per point
+    keeps every allocation the size of one point's samples.
     """
 
     def __init__(self, grids, labs, shape):
@@ -380,23 +366,13 @@ class _StepSampler:
         new = [(j, lo, hi) for j, (lo, hi) in enumerate(zip(self.done, stops)) if hi > lo]
         if not new:
             return
-        dense, h = solver.dense_output(), solver.t - solver.t_old
-        taken = sum(hi - lo for _, lo, hi in new)
-        few = taken <= len(_STEP_NODES)
-        if few:
-            times = np.concatenate([self.grids[j][lo:hi] for j, lo, hi in new])
-            values = dense(times).T.reshape(taken, *self.shape)
-        else:
-            values = dense(solver.t_old + h * _STEP_NODES).T.reshape(-1, *self.shape)
+        times = np.concatenate([self.grids[j][lo:hi] for j, lo, hi in new])
+        values = solver.dense_output()(times).T.reshape(len(times), *self.shape)
         first = 0
         for j, lo, hi in new:
-            if few:
-                block = values[first:first + hi - lo, :, j]
-                first += hi - lo
-            else:
-                weights = _lagrange_weights((self.grids[j][lo:hi] - solver.t_old) / h)
-                block = np.tensordot(weights, values[:, :, j], axes=1)
+            block = values[first:first + hi - lo, :, j]
             self.stores[j][lo:hi] = block * self.labs[j][lo:hi, :, None]
+            first += hi - lo
         self.done = stops
 
 
@@ -550,6 +526,13 @@ def _sector_propagators(ham, etas, sectors, tol: float, taus) -> list[_PeriodSam
     of `etas` at once, from one DOP853 solve at a tenth of the run's tol
     (within [1e-13, 1e-11]). Returns one _PeriodSamples per eta.
 
+    One step controller serves the batch: DOP853 accepts a step when the RMS
+    norm of its error estimate over the whole state, every point's block and
+    its zero columns, is within that tolerance. So a point's own error can
+    exceed what a solve of that point alone would accept, by up to
+    sqrt(len(etas)), and its result depends, within that, on which points
+    share its solve (the grid and SAMPLE_STORE_BYTES set those).
+
     ham has every drive at eta 1 (ModulatedHamiltonian.at_eta): in the
     normalized time s = eta t every point has the same H(s) and the period
     2 pi, and point j integrates dY_j/ds = -(i/eta_j) H(s) Y_j. taus[j] holds
@@ -689,21 +672,23 @@ def _floquet_chunk(ham, etas, sectors, psi0, splits, tol):
 
 
 def _evolve_floquet(ham, etas, psi0, t_grid, tol):
-    """Stroboscopic propagation at each drive frequency of `etas`: yields
-    (states, metadata) per point, in order.
+    """Stroboscopic propagation at each drive frequency of `etas`: an
+    iterator over (states, metadata) per point, in order.
 
     ham has every drive at eta 1. Only the parity sectors psi0 occupies are
-    integrated. The points share period solves in chunks, as many per solve
-    as _store_width allows for the samples each one reads: the distinct
-    fractional offsets of its grid, U(T), Y(0) and Y(c).
+    integrated; they are chosen, and the parity leak guard runs, on the call.
+    The points share period solves in chunks, as many per solve as
+    _store_width allows for the samples each one reads: the distinct
+    fractional offsets of its grid, U(T), Y(0) and Y(c). A chunk is solved
+    when its first point is reached.
     """
     sectors = [s for s in _parity_blocks(ham)[0] if np.any(psi0[s])]
     splits = [_period_split(t_grid, 2.0 * math.pi / eta) for eta in etas]
     reads = max((len(offsets) + 3 for _, _, offsets in splits), default=1)
     width = _store_width(reads, sum(len(s) for s in sectors), max(len(s) for s in sectors))
-    for lo in range(0, len(etas), width):
-        yield from _floquet_chunk(ham, etas[lo:lo + width], sectors, psi0,
-                                  splits[lo:lo + width], tol)
+    return itertools.chain.from_iterable(
+        _floquet_chunk(ham, etas[lo:lo + width], sectors, psi0, splits[lo:lo + width], tol)
+        for lo in range(0, len(etas), width))
 
 
 def _select_engine(method: str, eta: float | None, is_static: bool, t_grid: np.ndarray) -> str:
@@ -814,8 +799,11 @@ def evolve_schrodinger_etas(
     solve's samples and one point's observables at a time. Each point keeps
     its own engine choice, unitarity gate, Schur sampling, norm-drift gate
     and cutoff check; its rhs_evals are those of the solve it shared, whose
-    width batch_points records. The arguments and every point's engine
-    choice are checked on the call.
+    width batch_points records. The shared solve's tolerance holds for the
+    batch as a whole, so a point's error per step may exceed what its own
+    evolve_schrodinger run accepts by up to sqrt(batch_points)
+    (_sector_propagators). The arguments, every point's engine choice and
+    the parity leak guard are checked on the call.
     """
     _validate_run(tol, cutoff_policy)
     if psi0.space != space:

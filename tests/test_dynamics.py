@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate import solve_ivp
 
 import dickemod.dynamics as dynamics
 from dickemod.dynamics import (
@@ -628,7 +628,7 @@ def test_lindblad_strobe_samples_the_snapped_grid():
     assert dynamics.lindblad_grid(schedules, 20.3 * period, 21) == ((0.0, 20.3 * period), 21)
 
 
-@pytest.mark.parametrize("engine", ["schrodinger", "lindblad"])
+@pytest.mark.parametrize("engine", ["schrodinger", "lindblad", "schrodinger-etas"])
 def test_leak_guard_rejects_cross_parity_hamiltonian(engine, monkeypatch):
     space = SpaceSpec(2, 3)
     p = bench_params()
@@ -647,6 +647,9 @@ def test_leak_guard_rejects_cross_parity_hamiltonian(engine, monkeypatch):
 def _evolve_either(engine, space, params, schedules, psi0, t_span, **kw):
     if engine == "schrodinger":
         return evolve_schrodinger(space, params, schedules, psi0, t_span, 5, **kw)
+    if engine == "schrodinger-etas":
+        # checked on the call: no point of the returned iterator is consumed
+        return evolve_schrodinger_etas(space, params, schedules, psi0, (ETA,), t_span, 5, **kw)
     return evolve_lindblad(space, params, schedules, DissipationRates(kappa=0.01),
                            DensityMatrix.from_state(psi0), t_span, 5, **kw)
 
@@ -799,8 +802,6 @@ def test_batched_points_match_one_point_at_a_time(window, monkeypatch):
     space, p, sch, psi0, span = _batch_case(window)
     monkeypatch.setattr(dynamics, "SAMPLE_STORE_BYTES", 10**12)
     kw = dict(tol=1e-10, method="stroboscopic", cutoff_policy="ignore")
-    # 121 samples: most steps of the batched solve read more than 8, so they
-    # read the 8-node values; a run alone reads its few samples directly
     batched = list(evolve_schrodinger_etas(space, p, sch, psi0, BATCH_ETAS, span, 121, **kw))
     for eta, traj in zip(BATCH_ETAS, batched):
         alone = evolve_schrodinger(space, p, tuple(dataclasses.replace(s, eta=eta) for s in sch),
@@ -813,6 +814,26 @@ def test_batched_points_match_one_point_at_a_time(window, monkeypatch):
         joint = np.array([o.joint for o in traj.observables])
         assert np.max(np.abs(joint - [o.joint for o in alone.observables])) < 1e-9
     assert len({traj.metadata["rhs_evals"] for traj in batched}) == 1
+
+
+@pytest.mark.parametrize("window", ["half", "full"])
+def test_batched_points_hold_the_single_run_bound(window):
+    # one step controller serves the batch, so a point's own error is not
+    # held by it alone: each point's propagators must still meet the bound
+    # of a single period solve against the rtol 1e-13 oracle
+    space, p, sch, _, _ = _batch_case(window)
+    ham = build_hamiltonian(space, p, sch)
+    sectors = parity_sectors(space)
+    fractions = np.array([0.13, 0.37, 0.5, 0.71, 0.94, 1.0])
+    batch = dynamics._sector_propagators(ham.at_eta(1.0), BATCH_ETAS, sectors, 1e-9,
+                                         [2 * math.pi * fractions] * len(BATCH_ETAS))
+    for eta, samples in zip(BATCH_ETAS, batch):
+        at = ham.at_eta(eta)
+        period = 2 * math.pi / eta
+        full = _one_period_propagators(lambda t: at.at(t).toarray(), space.dim, period,
+                                       period * fractions, rtol=1e-13)
+        for q, s in enumerate(sectors):
+            assert np.max(np.abs(samples.propagators(q) - full[:, s][:, :, s])) < 1e-10
 
 
 @pytest.mark.parametrize("width", [1, 2, 5])
@@ -850,22 +871,6 @@ def test_store_width_follows_the_budget(monkeypatch):
     monkeypatch.undo()
     # an N=6 point at 61 samples, on one 77-state sector or on both
     assert dynamics._store_width(63, 77, 77) == dynamics._store_width(63, 154, 77) == 1
-
-
-def test_step_nodes_reproduce_the_dense_output():
-    # DOP853's interpolant has degree 7, so 8 node values fix it
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    solver = DOP853(lambda t, y: a @ y * math.cos(t), 0.0,
-                    rng.normal(size=6) + 1j * rng.normal(size=6), 1.0, rtol=1e-6)
-    for _ in range(3):
-        solver.step()
-    dense, h = solver.dense_output(), solver.t - solver.t_old
-    nodes = dense(solver.t_old + h * dynamics._STEP_NODES).T
-    x = np.concatenate([rng.random(40), [0.0, 1.0]])
-    combined = dynamics._lagrange_weights(x) @ nodes
-    direct = dense(solver.t_old + h * x).T
-    assert np.max(np.abs(combined - direct)) <= 1e-14 * np.max(np.abs(direct))
 
 
 def test_lindblad_period_count_snaps_like_the_sample_grid():
