@@ -22,11 +22,8 @@ from .hilbert import (
     SpaceSpec,
     StateVector,
     build_operators,
-    coherent_cutoff,
     coherent_state,
-    dicke_amplitude,
     dicke_fock_state,
-    embed_collective,
     f_coefficient,
     observables,
 )
@@ -36,9 +33,7 @@ from .model import (
     ModulationSchedule,
     SystemParams,
     build_hamiltonian,
-    hamiltonian_static,
     seconds_per_time_unit,
-    total_excitation_operator,
     validate_schedules,
 )
 from .dispersive import (
@@ -46,26 +41,21 @@ from .dispersive import (
     EffectiveState,
     TransitionRate,
     dispersive_spectrum,
-    dressed_state_perturbative,
     eta_resonant,
-    evolve_effective,
     lambda_perturbative,
     phase_Phi,
     project_initial,
     reconstruct_state,
     rwa_solution,
     spectrum_exact,
-    subspace_rates,
     transition_rate_general,
     two_photon_rate_closed_form,
-    upsilon,
 )
 from .dynamics import (
     DensityMatrix,
     Trajectory,
     evolve_lindblad,
     evolve_schrodinger,
-    lindblad_dissipator,
 )
 from .scan import (
     RabiFit,

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     ConfigError,
@@ -37,8 +36,8 @@ from .errors import (
     NumericError,
     PhysicsGuardError,
 )
-from .hilbert import COLLECTIVE, SpaceSpec, StateVector, f_coefficient
-from .model import ModulationSchedule, SystemParams, _collective_blocks, hamiltonian_static
+from .hilbert import COLLECTIVE, SpaceSpec, StateVector
+from .model import ModulationSchedule, SystemParams, _collective_blocks, build_hamiltonian
 
 DENOMINATOR_TOL = 1e-9
 DEGENERACY_TOL = 1e-12
@@ -61,48 +60,6 @@ def lambda_perturbative(params: SystemParams, n: int, k: int) -> float:
     nq = params.n_qubits
     corr = (nq - k) * (n - 2 * k) - k * (n - k + 1)
     return n * params.omega0 - k * delta + params.delta_dispersive * corr
-
-
-def dressed_state_perturbative(
-    space: SpaceSpec, params: SystemParams, n: int, k: int
-) -> np.ndarray:
-    """Second-order dressed state of |k, n-k> as a full-space vector.
-
-    Components exist only for atomic indices k', |k'-k| <= 2, inside
-    [0, min(n, N)]; the vector is normalized with the leading amplitude
-    positive.
-    """
-    _check_space(space)
-    _check_label(params.n_qubits, n, k)
-    if n > space.n_max:
-        raise CutoffError(f"subspace n={n} incomplete at n_max={space.n_max}")
-    g = params.g0_uniform
-    delta = params.delta_minus
-    if delta == 0.0:
-        raise PhysicsGuardError("dressed state undefined at zero detuning")
-    nq = params.n_qubits
-    kmax = min(n, nq)
-    K = n - k
-
-    def f(j):
-        return f_coefficient(j, nq)
-
-    comps = {k: 1.0}
-    if k + 1 <= kmax:
-        comps[k + 1] = g * f(k) * math.sqrt(K) / delta
-    if k - 1 >= 0:
-        comps[k - 1] = -g * f(k - 1) * math.sqrt(K + 1) / delta
-    if k + 2 <= kmax:
-        comps[k + 2] = g**2 * f(k) * f(k + 1) * math.sqrt(K * (K - 1)) / (2 * delta**2)
-    if k - 2 >= 0:
-        comps[k - 2] = (
-            g**2 * f(k - 1) * f(k - 2) * math.sqrt((K + 1) * (K + 2)) / (2 * delta**2)
-        )
-    vec = np.zeros(space.dim)
-    for kk, amp in comps.items():
-        vec[space.index(kk, n - kk)] = amp
-    vec /= np.linalg.norm(vec)
-    return vec.astype(complex)
 
 
 def eta_resonant(params: SystemParams, n: int, k: int) -> float:
@@ -317,7 +274,7 @@ def _spectrum(space: SpaceSpec, params: SystemParams, ms: list[int]) -> tuple[di
     the regime where the labels mean anything. Near-cutoff subspaces of a large
     space routinely fail that, so only the subspaces asked for are labeled.
     """
-    h = hamiltonian_static(space, params).toarray().real
+    h = build_hamiltonian(space, params).h_const.toarray().real
     if params.with_crt:
         index_sets = [np.arange(space.dim)]
     else:
@@ -345,43 +302,6 @@ def _spectrum(space: SpaceSpec, params: SystemParams, ms: list[int]) -> tuple[di
 # ---------------------------------------------------------------------------
 # drive matrix elements and rates
 # ---------------------------------------------------------------------------
-
-def upsilon(
-    spectrum: DressedSpectrum,
-    schedule: ModulationSchedule,
-    k: int,
-    m: int,
-    t_label: int,
-    s_label: int,
-) -> float:
-    """First-order drive matrix element Upsilon^(target, k) between dressed
-    states (m, T) and (m, S).
-
-    omega target: delta_{k,0} * eps * <T| n |S>; g target: eps * f_k *
-    <T| a sigma_{k+1,k} + h.c. |S>; Omega target: eps * k * <T| sigma_kk |S>.
-    Real by the dressed-state phase convention.
-    """
-    if schedule.target == "omega":
-        if k != 0:
-            return 0.0
-        return _upsilon_target_total(spectrum, schedule, m, t_label, s_label)
-    space = spectrum.space
-    nq = space.n_qubits
-    grid_t = spectrum.state(m, t_label).reshape(nq + 1, space.photon_dim)
-    grid_s = spectrum.state(m, s_label).reshape(nq + 1, space.photon_dim)
-    if schedule.target == "g":
-        if not 0 <= k <= nq - 1:
-            raise DomainError(f"g-target k={k} outside [0, {nq - 1}]")
-        # a sigma_{k+1,k} |k, n> = sqrt(n) |k+1, n-1>, and its conjugate
-        sq = np.sqrt(np.arange(1, space.photon_dim))
-        val = f_coefficient(k, nq) * (np.vdot(grid_t[k + 1, :-1], sq * grid_s[k, 1:])
-                                      + np.vdot(grid_t[k, 1:], sq * grid_s[k + 1, :-1]))
-    else:
-        if not 0 <= k <= nq:
-            raise DomainError(f"Omega-target k={k} outside [0, {nq}]")
-        val = k * np.vdot(grid_t[k], grid_s[k])
-    return schedule.epsilon * float(np.real(val))
-
 
 def _upsilon_target_total(
     spectrum: DressedSpectrum,
@@ -441,22 +361,6 @@ def transition_rate_general(
     return TransitionRate(
         m=m, t_label=t_label, s_label=s_label, xi=complex(xi), eta_res=abs(diff), sign=sgn
     )
-
-
-def subspace_rates(
-    spectrum: DressedSpectrum,
-    schedules: tuple[ModulationSchedule, ...],
-    m: int,
-) -> dict[tuple[int, int], TransitionRate]:
-    """All ordered-pair rates inside one subspace."""
-    out: dict[tuple[int, int], TransitionRate] = {}
-    for t_label in spectrum.labels(m):
-        for s_label in spectrum.labels(m):
-            if t_label != s_label:
-                out[(t_label, s_label)] = transition_rate_general(
-                    spectrum, schedules, m, t_label, s_label
-                )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -520,71 +424,6 @@ def project_initial(
             f"initial state has {defect:.2e} of its norm outside subspaces {spectrum.subspaces}"
         )
     return EffectiveState(labels=labels, b=b)
-
-
-def evolve_effective(
-    spectrum: DressedSpectrum,
-    schedules: tuple[ModulationSchedule, ...],
-    eta: float,
-    state0: EffectiveState,
-    t_grid: np.ndarray,
-    rtol: float = 1e-12,
-) -> np.ndarray:
-    """Integrate the slow amplitudes across every populated subspace.
-
-    db_T/dt = sum_{S != T} Xi_{T,S} e^{i t (lam_tilde_T - lam_tilde_S - s*eta)} b_S,
-    block diagonal over subspaces. Returns b with shape (len(t_grid), n_labels);
-    the norm must stay within 1e-8 of its initial value.
-    """
-    if eta <= 0:
-        raise DomainError("eta must be > 0")
-    t_grid = np.asarray(t_grid, dtype=float)
-    labels = state0.labels
-    nlab = len(labels)
-    xi_mat = np.zeros((nlab, nlab), dtype=complex)
-    pha_mat = np.zeros((nlab, nlab))
-    populated_ms = {m for (m, _s), amp in zip(labels, state0.b) if abs(amp) > 1e-14}
-    for m in populated_ms:
-        idx = {s: i for i, (mm, s) in enumerate(labels) if mm == m}
-        if len(idx) < 2:
-            continue
-        # couple only the labels the state carries; a restricted label list is
-        # a deliberate truncation of the slow system
-        for t_label in idx:
-            for s_label in idx:
-                if t_label == s_label:
-                    continue
-                rate = transition_rate_general(
-                    spectrum, schedules, m, t_label, s_label
-                )
-                i, j = idx[t_label], idx[s_label]
-                xi_mat[i, j] = rate.xi
-                pha_mat[i, j] = (
-                    spectrum.lam_tilde(m, t_label)
-                    - spectrum.lam_tilde(m, s_label)
-                    - rate.sign * eta
-                )
-
-    def rhs(t, b):
-        return (xi_mat * np.exp(1j * t * pha_mat)) @ b
-
-    sol = solve_ivp(
-        rhs,
-        (float(t_grid[0]), float(t_grid[-1])),
-        state0.b,
-        t_eval=t_grid,
-        method="DOP853",
-        rtol=rtol,
-        atol=rtol * 1e-2,
-    )
-    if not sol.success:
-        raise NumericError(f"effective integration failed: {sol.message}")
-    b_t = sol.y.T
-    norms = np.linalg.norm(b_t, axis=1)
-    drift = float(np.max(np.abs(norms - np.linalg.norm(state0.b))))
-    if drift > 1e-8:
-        raise NumericError(f"effective amplitude norm drifted by {drift:.2e} (> 1e-8)")
-    return b_t
 
 
 def rwa_solution(xi: complex, b_t0: complex, b_s0: complex, t):

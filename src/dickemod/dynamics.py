@@ -228,9 +228,6 @@ class DensityMatrix:
         amp = state.amplitudes
         return cls(state.space, np.outer(amp, amp.conj()))
 
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
-
 
 def _validate_run(tol: float, cutoff_policy: str) -> None:
     if not 1e-12 <= tol <= 1e-6:
@@ -832,17 +829,6 @@ def evolve_schrodinger_etas(
 # dissipators
 # ---------------------------------------------------------------------------
 
-def lindblad_dissipator(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """D[O]rho = (2 O rho O^dag - O^dag O rho - rho O^dag O)/2; traceless."""
-    op = np.asarray(op)
-    rho = np.asarray(rho)
-    if op.shape != rho.shape or op.shape[0] != op.shape[1]:
-        raise DomainError(f"dissipator shapes {op.shape} vs {rho.shape} mismatch")
-    od = op.conj().T
-    m = od @ op
-    return op @ rho @ od - 0.5 * (m @ rho + rho @ m)
-
-
 def _collapse_operators(space: SpaceSpec, rates: DissipationRates):
     """(rate, sparse operator) pairs for kappa D[a], gamma_l D[sigma-_l],
     (gamma_phi_l/2) D[sigma_z_l]."""
@@ -1269,8 +1255,10 @@ def lindblad_grid(schedules, t_final: float, sample_count: int, method: str = "a
     The stroboscopic engine samples whole drive periods only, so where it
     runs (forced, or under auto over at least STROBE_MIN_PERIODS periods of
     one common drive frequency) this is the period-aligned grid of
-    snapped_span; anywhere else it is the request itself.
+    snapped_span; anywhere else it is the request itself. t_final must be
+    positive and sample_count at least 2 (ConfigError).
     """
+    _sample_grid((0.0, t_final), sample_count)
     etas = {s.eta for s in schedules if s.epsilon > 0}
     if method != "direct" and len(etas) == 1:
         eta = etas.pop()

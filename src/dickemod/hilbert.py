@@ -33,19 +33,6 @@ def f_coefficient(k: int, n_qubits: int) -> float:
     return math.sqrt((k + 1) * (n_qubits - k))
 
 
-def dicke_amplitude(n_qubits: int, k: int) -> float:
-    """Amplitude sqrt(k!(N-k)!/N!) of each configuration inside the Dicke state |k>."""
-    if not 0 <= k <= n_qubits:
-        raise DomainError(f"k={k} outside [0, {n_qubits}]")
-    return 1.0 / math.sqrt(math.comb(n_qubits, k))
-
-
-def coherent_cutoff(alpha: complex) -> int:
-    """Default Fock cutoff for a coherent-state scenario, never below 20."""
-    a = abs(alpha)
-    return max(20, math.ceil(a * a + 8.0 * a + 10.0))
-
-
 @dataclass(frozen=True)
 class SpaceSpec:
     """Shape of the joint Hilbert space.
@@ -125,13 +112,6 @@ class StateVector:
         if abs(nrm - 1.0) > STATE_NORM_TOL:
             raise NormalizationError(f"state norm {nrm!r} deviates from 1 beyond 1e-10")
         self.amplitudes = amp
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def overlap(self, other: "StateVector") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
 @dataclass
@@ -257,9 +237,6 @@ class Operators:
     a_dag: sp.csr_matrix
     n_ph: sp.csr_matrix
 
-    def identity(self) -> sp.csr_matrix:
-        return sp.identity(self.space.dim, dtype=complex, format="csr")
-
     # -- collective-basis atomic generators ------------------------------
     def sigma(self, bra_k: int, ket_k: int) -> sp.csr_matrix:
         """Collective generator |bra_k><ket_k| x 1_field."""
@@ -353,19 +330,3 @@ def build_operators(space: SpaceSpec) -> Operators:
         complex
     )
     return Operators(space=space, a=a, a_dag=a_dag, n_ph=n_ph)
-
-
-def embed_collective(state: StateVector) -> StateVector:
-    """Isometric embedding of a collective-basis state into the distinguishable basis.
-
-    Only meaningful for identical qubits; each |k> maps to the symmetric
-    superposition with amplitude sqrt(k!(N-k)!/N!).
-    """
-    space = state.space
-    if space.basis != COLLECTIVE:
-        raise DomainError("embed_collective expects a collective-basis state")
-    target = SpaceSpec(space.n_qubits, space.n_max, DISTINGUISHABLE)
-    grid = state.amplitudes.reshape(space.atom_dim, space.photon_dim)
-    ks = target.atom_excitations
-    amplitude = np.array([dicke_amplitude(space.n_qubits, k) for k in ks])
-    return StateVector(target, (grid[ks] * amplitude[:, None]).reshape(target.dim))

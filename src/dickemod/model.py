@@ -428,17 +428,6 @@ def build_hamiltonian(
     return ham
 
 
-def hamiltonian_static(space: SpaceSpec, params: SystemParams) -> sp.csr_matrix:
-    """Time-independent Hamiltonian (no modulation)."""
-    return build_hamiltonian(space, params).h_const
-
-
-def total_excitation_operator(space: SpaceSpec) -> sp.csr_matrix:
-    """n_ph + atomic excitation count; conserved by the Tavis-Cummings coupling."""
-    ops = build_operators(space)
-    return (ops.n_ph + ops.atomic_excitation()).tocsr()
-
-
 def seconds_per_time_unit(omega0_frequency_hz: float = 10e9) -> float:
     """Physical seconds per dimensionless time unit, given omega0/2pi in Hz."""
     if omega0_frequency_hz <= 0:

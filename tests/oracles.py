@@ -229,3 +229,104 @@ def full_space_lindblad_channel(h_at, collapse, period, panels, rtol=1e-13, slic
         channel = (np.eye(dim * dim) + omega + 0.5 * omega @ omega) @ channel
     u_t = _nearest_unitary(us[-1])
     return np.kron(u_t, u_t.conj()) @ channel
+
+
+def lindblad_dissipator(op, rho):
+    """D[O]rho = (2 O rho O^dag - O^dag O rho - rho O^dag O)/2; traceless."""
+    op = np.asarray(op)
+    rho = np.asarray(rho)
+    if op.shape != rho.shape or op.shape[0] != op.shape[1]:
+        raise ValueError(f"dissipator shapes {op.shape} vs {rho.shape} mismatch")
+    od = op.conj().T
+    m = od @ op
+    return op @ rho @ od - 0.5 * (m @ rho + rho @ m)
+
+
+def dicke_amplitude(n_qubits, k):
+    """Amplitude sqrt(k!(N-k)!/N!) of each configuration inside the Dicke state |k>."""
+    if not 0 <= k <= n_qubits:
+        raise ValueError(f"k={k} outside [0, {n_qubits}]")
+    return 1.0 / math.sqrt(math.comb(n_qubits, k))
+
+
+def embed_collective(amplitudes, n_qubits, n_max):
+    """Amplitudes of a collective-basis state in the distinguishable basis.
+
+    Only meaningful for identical qubits; each |k> maps to the symmetric
+    superposition of its configurations, each with dicke_amplitude(N, k).
+    """
+    grid = np.asarray(amplitudes).reshape(n_qubits + 1, n_max + 1)
+    ks = [bin(bits).count("1") for bits in range(2**n_qubits)]
+    amplitude = np.array([dicke_amplitude(n_qubits, k) for k in ks])
+    return (grid[ks] * amplitude[:, None]).ravel()
+
+
+def total_excitation(n_qubits, n_max, distinguishable=False):
+    """Diagonal of n + k, photon index fastest, with k the Dicke index or the
+    popcount of the configuration; conserved by the Tavis-Cummings coupling."""
+    atoms = range(2**n_qubits if distinguishable else n_qubits + 1)
+    ks = [bin(a).count("1") if distinguishable else a for a in atoms]
+    return np.add.outer(ks, np.arange(n_max + 1)).ravel().astype(float)
+
+
+def dressed_state_perturbative(n_qubits, n_max, delta, g, n, k):
+    """Second-order dressed state of |k, n-k> as a collective-basis vector.
+
+    Components exist only for atomic indices k', |k'-k| <= 2, inside
+    [0, min(n, N)]; the vector is normalized with the leading amplitude
+    positive.
+    """
+    if not 0 <= k <= min(n, n_qubits) or n > n_max or delta == 0.0:
+        raise ValueError(f"no dressed state of (n={n}, k={k}) at N={n_qubits}, "
+                         f"n_max={n_max}, delta={delta}")
+    kmax = min(n, n_qubits)
+    K = n - k
+
+    def f(j):
+        return math.sqrt((j + 1) * (n_qubits - j))
+
+    comps = {k: 1.0}
+    if k + 1 <= kmax:
+        comps[k + 1] = g * f(k) * math.sqrt(K) / delta
+    if k - 1 >= 0:
+        comps[k - 1] = -g * f(k - 1) * math.sqrt(K + 1) / delta
+    if k + 2 <= kmax:
+        comps[k + 2] = g**2 * f(k) * f(k + 1) * math.sqrt(K * (K - 1)) / (2 * delta**2)
+    if k - 2 >= 0:
+        comps[k - 2] = (
+            g**2 * f(k - 1) * f(k - 2) * math.sqrt((K + 1) * (K + 2)) / (2 * delta**2)
+        )
+    vec = np.zeros((n_qubits + 1) * (n_max + 1))
+    for kk, amp in comps.items():
+        vec[kk * (n_max + 1) + n - kk] = amp
+    vec /= np.linalg.norm(vec)
+    return vec.astype(complex)
+
+
+def upsilon(target, epsilon, k, bra, ket, n_qubits):
+    """First-order drive matrix element Upsilon^(target, k) between two
+    collective-basis states.
+
+    omega target: delta_{k,0} * eps * <bra| n |ket>; g target: eps * f_k *
+    <bra| a sigma_{k+1,k} + h.c. |ket>; Omega target: eps * k *
+    <bra| sigma_kk |ket>. Returns the real part.
+    """
+    grid_t = np.asarray(bra).reshape(n_qubits + 1, -1)
+    grid_s = np.asarray(ket).reshape(n_qubits + 1, -1)
+    if target == "omega":
+        if k != 0:
+            return 0.0
+        val = np.vdot(grid_t, np.arange(grid_s.shape[1]) * grid_s)
+    elif target == "g":
+        if not 0 <= k <= n_qubits - 1:
+            raise ValueError(f"g-target k={k} outside [0, {n_qubits - 1}]")
+        # a sigma_{k+1,k} |k, n> = sqrt(n) |k+1, n-1>, and its conjugate
+        sq = np.sqrt(np.arange(1, grid_s.shape[1]))
+        f = math.sqrt((k + 1) * (n_qubits - k))
+        val = f * (np.vdot(grid_t[k + 1, :-1], sq * grid_s[k, 1:])
+                   + np.vdot(grid_t[k, 1:], sq * grid_s[k + 1, :-1]))
+    else:
+        if not 0 <= k <= n_qubits:
+            raise ValueError(f"Omega-target k={k} outside [0, {n_qubits}]")
+        val = k * np.vdot(grid_t[k], grid_s[k])
+    return epsilon * float(np.real(val))

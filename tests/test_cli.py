@@ -252,6 +252,18 @@ def test_lindblad_requires_rates(tmp_path, capsys):
     assert "dissipation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("count", [1, 0])
+def test_lindblad_refuses_fewer_than_two_samples(tmp_path, capsys, count):
+    # 200 time units hold 47 drive periods, so the run would take the
+    # period-aligned grid
+    text = (SYSTEM_LINES + DRIVE_LINES + STATE_LINES + "dissipation.kappa = 0.001\n"
+            + f"run.t_final = 200.0\nrun.sample_count = {count}\n")
+    cfg = write_cfg(tmp_path, text)
+    rc = main(["lindblad", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "error[config]" in capsys.readouterr().err
+
+
 def test_run_scenario_guards(tmp_path):
     with pytest.raises(ConfigError, match="unknown subcommand"):
         run_scenario(None, "orbit", tmp_path)

@@ -8,18 +8,14 @@ import numpy as np
 import pytest
 
 from dickemod.dispersive import (
-    EffectiveState,
     dispersive_spectrum,
-    dressed_state_perturbative,
     eta_resonant,
-    evolve_effective,
     lambda_perturbative,
     phase_Phi,
     project_initial,
     reconstruct_state,
     rwa_solution,
     spectrum_exact,
-    subspace_rates,
     transition_rate_general,
     two_photon_rate_closed_form,
 )
@@ -35,7 +31,12 @@ from dickemod.errors import (
 from dickemod.hilbert import DISTINGUISHABLE, SpaceSpec, dicke_fock_state
 from dickemod.model import ModulationSchedule, SystemParams
 
-from oracles import dense_collective_hamiltonian, two_level_exchange_direct
+from oracles import (
+    dense_collective_hamiltonian,
+    dressed_state_perturbative,
+    two_level_exchange_direct,
+    upsilon,
+)
 
 
 BENCH = dict(omega0=1.0, Omega0=1.72, g0=0.08 / math.sqrt(2), n_qubits=2)
@@ -331,7 +332,7 @@ def test_perturbative_dressed_states_match_exact():
     p = bench_params(with_crt=False)
     spec = spectrum_exact(space, p)
     for k in (0, 1, 2):
-        vec = dressed_state_perturbative(space, p, 3, k)
+        vec = dressed_state_perturbative(2, 8, p.delta_minus, p.g0_uniform, 3, k)
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-14)
         assert abs(np.vdot(spec.state(3, k), vec)) > 0.999
 
@@ -340,27 +341,29 @@ def test_perturbative_dressed_states_match_exact():
 # drive matrix elements and rates
 # ---------------------------------------------------------------------------
 
-def test_drive_element_rows():
-    from dickemod.dispersive import upsilon
+def drive_element(spec, schedule, k, m, t_label, s_label):
+    """The oracle's Upsilon^(target, k) between the dressed states (m, T) and (m, S)."""
+    return upsilon(schedule.target, schedule.epsilon, k, spec.state(m, t_label),
+                   spec.state(m, s_label), spec.space.n_qubits)
 
+
+def test_drive_element_rows():
     space = SpaceSpec(2, 8)
     p = bench_params(with_crt=False)
     spec = spectrum_exact(space, p)
     sch_om = ModulationSchedule("omega", 0.05, 1.3)
-    assert upsilon(spec, sch_om, 1, 3, 0, 2) == 0.0
+    assert drive_element(spec, sch_om, 1, 3, 0, 2) == 0.0
     direct = 0.05 * photon_matrix_element(space, spec.state(3, 0), spec.state(3, 2))
-    assert upsilon(spec, sch_om, 0, 3, 0, 2) == pytest.approx(direct.real, abs=1e-14)
-    with pytest.raises(DomainError):
-        upsilon(spec, g_schedule(p), 2, 3, 0, 1)
-    with pytest.raises(DomainError):
-        upsilon(spec, ModulationSchedule("Omega", 0.05, 1.3), 3, 3, 0, 1)
+    assert drive_element(spec, sch_om, 0, 3, 0, 2) == pytest.approx(direct.real, abs=1e-14)
+    with pytest.raises(ValueError):
+        drive_element(spec, g_schedule(p), 2, 3, 0, 1)
+    with pytest.raises(ValueError):
+        drive_element(spec, ModulationSchedule("Omega", 0.05, 1.3), 3, 3, 0, 1)
 
 
 def test_drive_element_sum_identity():
     # for distinct eigenstates of the same block, eigenvalue orthogonality
     # pins the summed coupling element to the photon matrix element
-    from dickemod.dispersive import upsilon
-
     space = SpaceSpec(2, 8)
     p = bench_params(with_crt=False)
     spec = spectrum_exact(space, p)
@@ -369,9 +372,9 @@ def test_drive_element_sum_identity():
     ratio = -p.delta_minus / p.g0_uniform
     for pair in ((0, 1), (0, 2), (1, 2)):
         nel = photon_matrix_element(space, spec.state(3, pair[0]), spec.state(3, pair[1])).real
-        total_g = sum(upsilon(spec, sch_g, k, 3, *pair) for k in range(2))
+        total_g = sum(drive_element(spec, sch_g, k, 3, *pair) for k in range(2))
         assert total_g == pytest.approx(ratio * sch_g.epsilon * nel, abs=1e-12)
-        total_om = sum(upsilon(spec, sch_Om, k, 3, *pair) for k in range(3))
+        total_om = sum(drive_element(spec, sch_Om, k, 3, *pair) for k in range(3))
         assert total_om == pytest.approx(-sch_Om.epsilon * nel, abs=1e-12)
 
 
@@ -385,7 +388,8 @@ def test_rates_antisymmetric(seed):
         g_schedule(p, phi=float(rng.uniform(0, 2 * math.pi))),
         ModulationSchedule("Omega", 0.05, 1.0, float(rng.uniform(0, 2 * math.pi))),
     )
-    rates = subspace_rates(spec, sch, 4)
+    rates = {(t, s): transition_rate_general(spec, sch, 4, t, s)
+             for t in spec.labels(4) for s in spec.labels(4) if t != s}
     for (t, s), fwd in rates.items():
         rev = rates[(s, t)]
         assert fwd.xi == pytest.approx(-np.conj(rev.xi), abs=1e-14)
@@ -513,47 +517,6 @@ def test_rwa_solution_matches_direct_integration():
     ref_t, ref_s = two_level_exchange_direct(xi, 0.8 + 0j, 0.6j, t)
     assert np.max(np.abs(got_t - ref_t)) < 1e-8
     assert np.max(np.abs(got_s - ref_s)) < 1e-8
-
-
-def pair_state():
-    return EffectiveState(labels=[(3, 0), (3, 2)], b=np.array([1.0, 0.0], complex))
-
-
-def test_effective_evolution_matches_rwa_on_resonance():
-    space = SpaceSpec(2, 8)
-    p = bench_params()
-    spec = dispersive_spectrum(space, p, subspaces=(3,))
-    probe = transition_rate_general(spec, (g_schedule(p),), 3, 0, 2)
-    sch = (g_schedule(p, eta=probe.eta_res),)
-    t = np.linspace(0.0, math.pi / abs(probe.xi), 101)
-    b = evolve_effective(spec, sch, probe.eta_res, pair_state(), t)
-    ref_t, ref_s = rwa_solution(probe.xi, 1.0 + 0j, 0j, t)
-    assert np.max(np.abs(b[:, 0] - ref_t)) < 1e-8
-    assert np.max(np.abs(b[:, 1] - ref_s)) < 1e-8
-
-
-def test_effective_evolution_detuned_lineshape():
-    space = SpaceSpec(2, 8)
-    p = bench_params()
-    spec = dispersive_spectrum(space, p, subspaces=(3,))
-    probe = transition_rate_general(spec, (g_schedule(p),), 3, 0, 2)
-    q = abs(probe.xi)
-    eta = probe.eta_res + 10 * q
-    t = np.linspace(0.0, 2 * math.pi / (q * math.sqrt(26.0)), 801)
-    b = evolve_effective(spec, (g_schedule(p, eta=eta),), eta, pair_state(), t)
-    peak = float(np.max(np.abs(b[:, 1]) ** 2))
-    # generalized two-level transfer: Xi^2 / (Xi^2 + (D/2)^2) at D = 10 Xi
-    assert peak == pytest.approx(1.0 / 26.0, abs=1.5e-3)
-
-
-def test_effective_evolution_guards():
-    space = SpaceSpec(2, 8)
-    p = bench_params()
-    spec = dispersive_spectrum(space, p, subspaces=(3,))
-    with pytest.raises(DomainError):
-        evolve_effective(spec, (g_schedule(p),), 0.0, pair_state(), np.array([0.0, 1.0]))
-    b = evolve_effective(spec, (), 1.0, pair_state(), np.linspace(0.0, 50.0, 11))
-    assert np.max(np.abs(b - pair_state().b)) < 1e-12
 
 
 def test_spectrum_is_frozen_and_holds_the_request():

@@ -13,13 +13,11 @@ from dickemod.model import (
     ModulationSchedule,
     SystemParams,
     build_hamiltonian,
-    hamiltonian_static,
     seconds_per_time_unit,
-    total_excitation_operator,
     validate_schedules,
 )
 
-from oracles import dense_collective_hamiltonian
+from oracles import dense_collective_hamiltonian, total_excitation
 
 TWO_QUBIT = dict(omega0=1.0, Omega0=1.72, g0=0.08 / math.sqrt(2), n_qubits=2)
 
@@ -73,7 +71,7 @@ def test_static_matches_bruteforce_construction():
     space = SpaceSpec(2, 6)
     for with_crt in (True, False):
         p = SystemParams(**TWO_QUBIT, with_crt=with_crt)
-        h = hamiltonian_static(space, p).toarray()
+        h = build_hamiltonian(space, p).h_const.toarray()
         ref = dense_collective_hamiltonian(2, 6, 1.0, 1.72, p.g0_uniform, with_crt)
         assert np.max(np.abs(h - ref)) < 1e-14
 
@@ -81,7 +79,7 @@ def test_static_matches_bruteforce_construction():
 def test_zero_coupling_is_diagonal():
     space = SpaceSpec(2, 5)
     p = SystemParams(omega0=1.0, Omega0=1.72, g0=0.0, n_qubits=2)
-    h = hamiltonian_static(space, p).toarray()
+    h = build_hamiltonian(space, p).h_const.toarray()
     assert np.max(np.abs(h - np.diag(np.diag(h)))) == 0.0
     psi = dicke_fock_state(space, 1, 3)
     e = np.vdot(psi.amplitudes, h @ psi.amplitudes).real
@@ -113,11 +111,11 @@ def test_modulation_extremes():
     ham = build_hamiltonian(space, p, (ModulationSchedule("g", eps, eta, 0.0),))
     # sin = 0: identical to static
     h_pi = ham.at(math.pi / eta).toarray()
-    assert np.max(np.abs(h_pi - hamiltonian_static(space, p).toarray())) < 1e-14
+    assert np.max(np.abs(h_pi - build_hamiltonian(space, p).h_const.toarray())) < 1e-14
     # sin = 1: coupling exactly g0 + eps
     h_top = ham.at(math.pi / (2 * eta)).toarray()
     p_top = SystemParams(omega0=1.0, Omega0=1.72, g0=p.g0_uniform + eps, n_qubits=2)
-    assert np.max(np.abs(h_top - hamiltonian_static(space, p_top).toarray())) < 1e-13
+    assert np.max(np.abs(h_top - build_hamiltonian(space, p_top).h_const.toarray())) < 1e-13
 
 
 @pytest.mark.parametrize("basis", ["collective", DISTINGUISHABLE])
@@ -237,16 +235,16 @@ def test_restricted_apply_matches_the_sector_of_the_full_product():
 
 def test_tc_conserves_total_excitation():
     space = SpaceSpec(2, 8)
-    n_tot = total_excitation_operator(space).toarray()
-    h_tc = hamiltonian_static(space, SystemParams(**TWO_QUBIT, with_crt=False)).toarray()
+    n_tot = np.diag(total_excitation(2, 8))
+    h_tc = build_hamiltonian(space, SystemParams(**TWO_QUBIT, with_crt=False)).h_const.toarray()
     assert np.max(np.abs(h_tc @ n_tot - n_tot @ h_tc)) < 1e-12
-    h_crt = hamiltonian_static(space, SystemParams(**TWO_QUBIT, with_crt=True)).toarray()
+    h_crt = build_hamiltonian(space, SystemParams(**TWO_QUBIT, with_crt=True)).h_const.toarray()
     assert np.max(np.abs(h_crt @ n_tot - n_tot @ h_crt)) > 1e-3
 
 
 def test_crt_vacuum_shift():
     space = SpaceSpec(2, 10)
-    h = hamiltonian_static(space, SystemParams(**TWO_QUBIT, with_crt=True)).toarray()
+    h = build_hamiltonian(space, SystemParams(**TWO_QUBIT, with_crt=True)).h_const.toarray()
     assert np.linalg.eigvalsh(h)[0] < 0.0
 
 
@@ -258,8 +256,8 @@ def test_distinguishable_spectrum_is_collective_plus_dark():
     coll = SpaceSpec(2, n_max)
     dist = SpaceSpec(2, n_max, DISTINGUISHABLE)
     p = SystemParams(omega0=omega, Omega0=Omega, g0=g, n_qubits=2, with_crt=True)
-    e_coll = np.linalg.eigvalsh(hamiltonian_static(coll, p).toarray())
-    e_dist = np.linalg.eigvalsh(hamiltonian_static(dist, p).toarray()) + Omega
+    e_coll = np.linalg.eigvalsh(build_hamiltonian(coll, p).h_const.toarray())
+    e_dist = np.linalg.eigvalsh(build_hamiltonian(dist, p).h_const.toarray()) + Omega
     e_dark = omega * np.arange(n_max + 1) + Omega
     combined = np.sort(np.concatenate([e_coll, e_dark]))
     assert np.max(np.abs(np.sort(e_dist) - combined)) < 1e-10

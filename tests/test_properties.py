@@ -5,11 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dickemod.cli import _SCHEDULE_KEYS, _SECTION_KEYS, ScenarioConfig, emit_config, parse_config
-from dickemod.dispersive import dispersive_spectrum, subspace_rates, upsilon
+from dickemod.dispersive import dispersive_spectrum, transition_rate_general
 from dickemod.dynamics import (
     EIG_FLOOR_RUN,
     NORM_DRIFT_TOL,
@@ -44,7 +45,6 @@ from dickemod.model import (
     ModulationSchedule,
     SystemParams,
     build_hamiltonian,
-    total_excitation_operator,
 )
 
 from oracles import (
@@ -52,6 +52,8 @@ from oracles import (
     dense_collective_hamiltonian,
     full_space_floquet,
     full_space_lindblad_channel,
+    total_excitation,
+    upsilon,
 )
 
 frequency = st.floats(0.05, 3.0)
@@ -103,7 +105,8 @@ def test_assembled_operators_keep_parity_sectors(system):
         flips = parity_flips(op, space)
         assert flips == (op.diagonal() == 0).all() or op.nnz == 0
     if not params.with_crt:
-        n_exc = total_excitation_operator(space)
+        n_exc = sp.diags(total_excitation(space.n_qubits, space.n_max,
+                                          space.basis == DISTINGUISHABLE))
         for h in pieces:
             commutator = h @ n_exc - n_exc @ h
             assert commutator.nnz == 0 or np.abs(commutator.data).max() == 0.0
@@ -284,7 +287,8 @@ def dispersive_systems(draw):
 def test_rates_are_antisymmetric_and_drive_elements_sum_to_the_operator(system):
     space, params, schedules, m = system
     spec = dispersive_spectrum(space, params, subspaces=(m,))
-    rates = subspace_rates(spec, schedules, m)
+    rates = {(t, s): transition_rate_general(spec, schedules, m, t, s)
+             for t in spec.labels(m) for s in spec.labels(m) if t != s}
     for (t, s), fwd in rates.items():
         rev = rates[(s, t)]
         assert abs(fwd.xi + np.conj(rev.xi)) <= 1e-14
@@ -299,7 +303,8 @@ def test_rates_are_antisymmetric_and_drive_elements_sum_to_the_operator(system):
     for sched in schedules:
         for t in spec.labels(m):
             for s in spec.labels(m):
-                total = sum(upsilon(spec, sched, k, m, t, s) for k in ks[sched.target])
+                total = sum(upsilon(sched.target, sched.epsilon, k, spec.state(m, t),
+                                    spec.state(m, s), nq) for k in ks[sched.target])
                 want = sched.epsilon * np.vdot(spec.state(m, t),
                                                operators[sched.target] @ spec.state(m, s))
                 assert abs(total - want) <= 1e-13
