@@ -42,6 +42,8 @@ from .model import ModulationSchedule, SystemParams, _collective_blocks, build_h
 DENOMINATOR_TOL = 1e-9
 DEGENERACY_TOL = 1e-12
 LABEL_OVERLAP_MIN = 0.5
+# the norm an initial state may keep outside the projected subspaces
+COVERAGE_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -399,12 +401,10 @@ class EffectiveState:
         return complex(self.b[self.labels.index((m, s_label))])
 
 
-def project_initial(
-    spectrum: DressedSpectrum, state: StateVector, coverage_tol: float = 1e-9
-) -> EffectiveState:
+def project_initial(spectrum: DressedSpectrum, state: StateVector) -> EffectiveState:
     """Expand a bare state over the dressed basis at t = 0.
 
-    Raises when more than coverage_tol of the norm lives outside the
+    Raises when more than COVERAGE_TOL of the norm lives outside the
     spectrum's subspaces.
     """
     if state.space != spectrum.space:
@@ -419,7 +419,7 @@ def project_initial(
             amps.append(proj[s_label])
     b = np.asarray(amps, dtype=complex)
     defect = 1.0 - float(np.sum(np.abs(b) ** 2))
-    if defect > coverage_tol:
+    if defect > COVERAGE_TOL:
         raise CutoffError(
             f"initial state has {defect:.2e} of its norm outside subspaces {spectrum.subspaces}"
         )

@@ -6,21 +6,24 @@ runs integrate the master equation
               + (gamma_phi_l/2) D[sigma_z_l]),
 with D[O]rho = (2 O rho O^dag - O^dag O rho - rho O^dag O)/2.
 
-evolve_schrodinger and evolve_lindblad share one dispatcher, _select_engine,
-which is also the only place that validates `method` (auto, direct or
-stroboscopic). Under auto, static Hamiltonians propagate by
-eigendecomposition; the master equation has no static engine and integrates
-them directly. Short or aperiodic drives use adaptive Runge-Kutta. Drives
-with one common frequency that span at least STROBE_MIN_PERIODS periods from
-t=0 use the stroboscopic engine, and a forced `stroboscopic` run needs the
-same common frequency and t=0 start. Every ODE solve goes through _integrate,
-which steps with DOP853 (the Dormand-Prince 8(5,3) pair; Hairer, Norsett &
-Wanner, Solving ODEs I) and caps the step at a twentieth of the fastest
-drive period. Its right-hand
-sides apply H(t) through ModulatedHamiltonian.apply: one real sparse product
-of the pieces' merged pattern, with d_0 + sum_j s_j(t) d_j as its data, and
-the float64 view of the complex state (interleaved re/im columns), so the ODE
-state stays complex.
+One dispatcher, _select_engine, picks the engine of every run:
+evolve_schrodinger, each point of evolve_schrodinger_etas, evolve_lindblad
+and lindblad_grid ask it, and it is the only place that validates `method`
+(auto, direct or stroboscopic). It reads the schedules alone, with the one
+rule for which drives count (model.active_drives, those of nonzero depth),
+which the time-symmetric window and the step cap use too. Under auto, a run
+with no active drive is static and propagates by eigendecomposition; the
+master equation has no static engine and integrates it directly. Short or
+aperiodic drives use adaptive Runge-Kutta. Drives with one common frequency
+that span at least STROBE_MIN_PERIODS periods from t=0 use the stroboscopic
+engine, and a forced `stroboscopic` run needs the same common frequency and
+t=0 start. Every ODE solve goes through _integrate, which steps with DOP853
+(the Dormand-Prince 8(5,3) pair; Hairer, Norsett & Wanner, Solving ODEs I)
+and caps the step at a twentieth of the fastest active drive's period. Its
+right-hand sides apply H(t) through ModulatedHamiltonian.apply: one real
+sparse product of the pieces' merged pattern, with d_0 + sum_j s_j(t) d_j as
+its data, and the float64 view of the complex state (interleaved re/im
+columns), so the ODE state stays complex.
 
 The stroboscopic engines integrate one drive period once, at tight
 tolerance; this is what makes horizons of 1e5 time units tractable. The drive
@@ -28,14 +31,16 @@ is a single sinusoid, so the periodicity is exact and the only approximation
 is the one the integrator tolerance controls. The period solve runs in the
 normalized time s = eta t, where H(s) and the period 2 pi do not depend on
 eta: one solve integrates dY_j/ds = -(i/eta_j) H(s) Y_j for a batch of
-frequencies side by side (_sector_propagators). evolve_schrodinger_etas, the
-entry of resonance sweeps, builds one Hamiltonian and splits its
-stroboscopic points into chunks whose lab-frame samples fit in
-SAMPLE_STORE_BYTES; every point keeps its own engine choice and gates. A
-single run and the Lindblad channel's solve are batches of one. The period
-solve runs in the interaction frame of the diagonal of H(t), the
-integrating-factor (Lawson) Runge-Kutta method (Lawson, SIAM J. Numer.
-Anal. 4, 372 (1967)): the diagonal D(t) = D_0 + sum_j sin(eta_j t + phi_j) D_j holds the bare
+frequencies side by side (_sector_propagators). The unitary entries share
+one per-point loop (_unitary_points), of which evolve_schrodinger is the
+one-point case: it builds one Hamiltonian and runs every point on its own
+engine and gates. For evolve_schrodinger_etas, the entry of resonance
+sweeps, the stroboscopic points go in chunks whose lab-frame samples fit in
+SAMPLE_STORE_BYTES. A single run and the Lindblad channel's solve are
+batches of one. The period solve runs in the interaction frame of the
+diagonal of H(t), the integrating-factor (Lawson) Runge-Kutta method
+(Lawson, SIAM J. Numer. Anal. 4, 372 (1967)): the diagonal
+D(t) = D_0 + sum_j sin(eta_j t + phi_j) D_j holds the bare
 energies omega*n + Omega*k, which dominate H(t) in the dispersive regime, and
 its integral theta(t) from the window start is exact in closed form
 (ModulatedHamiltonian.diagonal_phase). The ODE integrates Y_I = e^{i theta} Y,
@@ -148,7 +153,9 @@ from .model import (
     ModulatedHamiltonian,
     ModulationSchedule,
     SystemParams,
+    active_drives,
     build_hamiltonian,
+    common_eta,
 )
 
 NORM_DRIFT_TOL = 1e-7
@@ -262,10 +269,8 @@ def snapped_span(eta: float, t_final: float, samples: int):
 
 
 def _max_step(schedules) -> float:
-    etas = [s.eta for s in schedules]
-    if not etas:
-        return np.inf
-    return (2.0 * math.pi / max(etas)) / DRIVE_STEPS_PER_PERIOD
+    etas = [s.eta for s in active_drives(schedules)]
+    return (2.0 * math.pi / max(etas)) / DRIVE_STEPS_PER_PERIOD if etas else np.inf
 
 
 def _cutoff_check(space: SpaceSpec, obs_list, policy: str, metadata: dict,
@@ -445,7 +450,7 @@ def _symmetric_window(ham, period: float):
     count as equal within 1e-13 rad, where phi + pi - phi rounds; the
     Hamiltonian error that admits is far below the solve's tolerance.
     """
-    active = [s for s, hx in ham.terms if s.epsilon > 0 and hx.nnz > 0]
+    active = active_drives(s for s, _ in ham.terms)
     phi = active[0].phi
     if any(abs(math.remainder(s.phi - phi, math.pi)) > 1e-13 for s in active):
         return None
@@ -688,49 +693,83 @@ def _evolve_floquet(ham, etas, psi0, t_grid, tol):
         for lo in range(0, len(etas), width))
 
 
-def _select_engine(method: str, eta: float | None, is_static: bool, t_grid: np.ndarray) -> str:
-    """The one method validator and dispatcher of the evolve functions, for a
-    drive with common frequency eta (None when there is none).
+def _select_engine(method: str, schedules, t_grid: np.ndarray) -> str:
+    """The one method validator and engine dispatcher of the package: the
+    engine of a run of `schedules` sampled at t_grid, "static",
+    "stroboscopic" or "direct"; see the module docstring for the auto rule.
 
-    Returns "static", "stroboscopic" or "direct"; see the module docstring for
-    the auto rule.
+    It reads the schedules alone (model.active_drives), so lindblad_grid asks
+    it before any Hamiltonian is built.
     """
     if method not in ("auto", "direct", "stroboscopic"):
         raise ConfigError(f"unknown method {method!r}")
-    periodic = eta is not None and t_grid[0] == 0.0
-    if method == "stroboscopic" and not periodic:
+    eta = common_eta(schedules) if t_grid[0] == 0.0 else None
+    if method == "stroboscopic" and eta is None:
         raise ConfigError(
             "stroboscopic engine needs a common drive frequency and t_span starting at 0"
         )
     if method != "auto":
         return method
-    if is_static:
+    if not active_drives(schedules):
         return "static"
-    periods = (t_grid[-1] - t_grid[0]) / (2.0 * math.pi / eta) if periodic else 0.0
+    periods = t_grid[-1] / (2.0 * math.pi / eta) if eta else 0.0
     return "stroboscopic" if periods >= STROBE_MIN_PERIODS else "direct"
 
 
-def _unitary_trajectory(space, t_grid, states, metadata, cutoff_policy, store_states):
-    """The norm-drift gate, the observables and the cutoff check of a run."""
-    norms = np.linalg.norm(states, axis=1)
-    drift = float(np.max(np.abs(norms - 1.0)))
-    metadata["norm_drift_max"] = drift
-    if drift > NORM_DRIFT_TOL:
-        raise NumericError(
-            f"norm drift {drift:.2e} exceeds {NORM_DRIFT_TOL:g}; tighten tol "
-            f"(currently {metadata['tol']:g})"
-        )
-    obs = [observables(states[i], space) for i in range(len(t_grid))]
-    _cutoff_check(space, obs, cutoff_policy, metadata, stacklevel=4)
-    return Trajectory(
-        space=space,
-        times=t_grid,
-        observables=obs,
-        states=[StateVector(space, s / np.linalg.norm(s)) for s in states]
-        if store_states
-        else None,
-        metadata=metadata,
-    )
+def _unitary_points(space, params, schedules, psi0, etas, t_span, sample_count, tol, method,
+                    store_states, cutoff_policy):
+    """The one per-point loop of the unitary entries: an iterator over a
+    Trajectory per point, in order. etas=None is one point, the schedules as
+    given; otherwise point j drives every schedule at etas[j].
+
+    The arguments and every point's engine (_select_engine) are checked on the
+    call, before the one Hamiltonian is built, and the parity leak guard when
+    a point runs stroboscopic. Static points propagate h_const, which no eta
+    changes, direct points the Hamiltonian at their eta, and stroboscopic
+    points share batched period solves (_evolve_floquet). Every point has its
+    own norm-drift gate and cutoff check.
+    """
+    _validate_run(tol, cutoff_policy)
+    if psi0.space != space:
+        raise DomainError("initial state lives on a different space")
+    t_grid = _sample_grid(t_span, sample_count)
+    single = etas is None
+    etas = [None] if single else [float(eta) for eta in etas]
+    points = [tuple(schedules) if eta is None else tuple(replace(s, eta=eta) for s in schedules)
+              for eta in etas]
+    engines = [_select_engine(method, point, t_grid) for point in points]
+    ham = build_hamiltonian(space, params, schedules)
+    psi0_arr = psi0.amplitudes
+    strobe = [common_eta(point) for point, engine in zip(points, engines)
+              if engine == "stroboscopic"]
+    floquet = _evolve_floquet(ham.at_eta(1.0), strobe, psi0_arr, t_grid, tol) if strobe else None
+
+    def trajectories():
+        for eta, engine in zip(etas, engines):
+            metadata: dict = {"tol": tol}
+            if engine == "static":
+                states = _evolve_static(ham, psi0_arr, t_grid, metadata)
+            elif engine == "stroboscopic":
+                states, work = next(floquet)
+                metadata.update(work)
+            else:
+                states = _evolve_direct(ham if eta is None else ham.at_eta(eta), psi0_arr,
+                                        t_grid, tol, metadata)
+            drift = float(np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)))
+            metadata["norm_drift_max"] = drift
+            if drift > NORM_DRIFT_TOL:
+                raise NumericError(
+                    f"norm drift {drift:.2e} exceeds {NORM_DRIFT_TOL:g}; tighten tol "
+                    f"(currently {tol:g})"
+                )
+            obs = [observables(state, space) for state in states]
+            # the warning names evolve_schrodinger's caller, or the one consuming the points
+            _cutoff_check(space, obs, cutoff_policy, metadata, stacklevel=4 if single else 3)
+            kept = ([StateVector(space, s / np.linalg.norm(s)) for s in states]
+                    if store_states else None)
+            yield Trajectory(space, t_grid, obs, kept, metadata)
+
+    return trajectories()
 
 
 def evolve_schrodinger(
@@ -749,26 +788,12 @@ def evolve_schrodinger(
 
     method: auto (dispatch on structure), direct (adaptive RK only), or
     stroboscopic (force the periodic engine). Norm drift is measured, never
-    silently repaired; drift beyond 1e-7 fails the run.
+    silently repaired; drift beyond 1e-7 fails the run. The one-point case
+    of _unitary_points.
     """
-    _validate_run(tol, cutoff_policy)
-    if psi0.space != space:
-        raise DomainError("initial state lives on a different space")
-    t_grid = _sample_grid(t_span, sample_count)
-    ham = build_hamiltonian(space, params, schedules)
-    metadata: dict = {"tol": tol}
-    chosen = _select_engine(method, ham.common_eta, ham.is_static, t_grid)
-
-    psi0_arr = psi0.amplitudes
-    if chosen == "static":
-        states = _evolve_static(ham, psi0_arr, t_grid, metadata)
-    elif chosen == "stroboscopic":
-        (states, work), = _evolve_floquet(ham.at_eta(1.0), (ham.common_eta,), psi0_arr,
-                                          t_grid, tol)
-        metadata.update(work)
-    else:
-        states = _evolve_direct(ham, psi0_arr, t_grid, tol, metadata)
-    return _unitary_trajectory(space, t_grid, states, metadata, cutoff_policy, store_states)
+    traj, = _unitary_points(space, params, schedules, psi0, None, t_span, sample_count, tol,
+                            method, store_states, cutoff_policy)
+    return traj
 
 
 def evolve_schrodinger_etas(
@@ -784,45 +809,22 @@ def evolve_schrodinger_etas(
     cutoff_policy: str = "warn",
 ):
     """evolve_schrodinger with every schedule driven at each eta of `etas` in
-    turn, storing no states: an iterator over the points in order, with a
-    Trajectory for each point the dispatcher sends to the stroboscopic engine
-    and None for the others (evolve_schrodinger runs those).
+    turn, storing no states: an iterator over a Trajectory per point, in
+    order, whatever engine each point runs (_unitary_points).
 
-    In the normalized time s = eta t every point has the same H(s), so one
-    Hamiltonian serves them all, and the stroboscopic points share batched
-    period solves (_sector_propagators), as many per solve as fit in
-    SAMPLE_STORE_BYTES of samples. A solve runs when its first point is
-    reached, so a caller that consumes the points one by one holds one
-    solve's samples and one point's observables at a time. Each point keeps
-    its own engine choice, unitarity gate, Schur sampling, norm-drift gate
-    and cutoff check; its rhs_evals are those of the solve it shared, whose
-    width batch_points records. The shared solve's tolerance holds for the
-    batch as a whole, so a point's error per step may exceed what its own
-    evolve_schrodinger run accepts by up to sqrt(batch_points)
-    (_sector_propagators). The arguments, every point's engine choice and
-    the parity leak guard are checked on the call.
+    A static or direct point is the run its own evolve_schrodinger call
+    makes. In the normalized time s = eta t every point has the same H(s),
+    so the stroboscopic points share batched period solves
+    (_sector_propagators), as many per solve as fit in SAMPLE_STORE_BYTES of
+    samples. A solve runs when its first point is reached, so a caller that
+    consumes the points one by one holds one solve's samples and one point's
+    observables at a time. A stroboscopic point's rhs_evals are those of the
+    solve it shared, whose width batch_points records. That solve's tolerance
+    holds for the batch as a whole, so a point's error per step may exceed
+    what its own evolve_schrodinger run accepts by up to sqrt(batch_points).
     """
-    _validate_run(tol, cutoff_policy)
-    if psi0.space != space:
-        raise DomainError("initial state lives on a different space")
-    t_grid = _sample_grid(t_span, sample_count)
-    ham = build_hamiltonian(space, params, tuple(replace(s, eta=1.0) for s in schedules))
-    etas = [float(eta) for eta in etas]
-    strobe = [_select_engine(method, eta if ham.common_eta else None, ham.is_static,
-                             t_grid) == "stroboscopic" for eta in etas]
-    points = _evolve_floquet(ham, [eta for eta, s in zip(etas, strobe) if s],
-                             psi0.amplitudes, t_grid, tol)
-
-    def trajectories():
-        for chosen in strobe:
-            if not chosen:
-                yield None
-                continue
-            states, work = next(points)
-            yield _unitary_trajectory(space, t_grid, states, {"tol": tol, **work},
-                                      cutoff_policy, False)
-
-    return trajectories()
+    return _unitary_points(space, params, schedules, psi0, etas, t_span, sample_count, tol,
+                           method, False, cutoff_policy)
 
 
 # ---------------------------------------------------------------------------
@@ -883,9 +885,9 @@ def _lindblad_direct(ham, collapse, rho0, t_grid, tol, metadata):
     return rhos
 
 
-def _gauss_nodes(a: float, b: float, panels: int, order: int = 6):
-    """Composite Gauss-Legendre nodes and weights on [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(order)
+def _gauss_nodes(a: float, b: float, panels: int):
+    """Composite 6-node Gauss-Legendre nodes and weights on [a, b]."""
+    x, w = np.polynomial.legendre.leggauss(6)
     edges = np.linspace(a, b, panels + 1)
     nodes, weights = [], []
     for i in range(panels):
@@ -1252,18 +1254,16 @@ def lindblad_grid(schedules, t_final: float, sample_count: int, method: str = "a
     """The grid to request from evolve_lindblad for t in [0, t_final]:
     ((0, t_end), count).
 
-    The stroboscopic engine samples whole drive periods only, so where it
-    runs (forced, or under auto over at least STROBE_MIN_PERIODS periods of
-    one common drive frequency) this is the period-aligned grid of
-    snapped_span; anywhere else it is the request itself. t_final must be
-    positive and sample_count at least 2 (ConfigError).
+    It asks _select_engine, as evolve_lindblad does, which engine runs on the
+    requested grid. The stroboscopic engine samples whole drive periods only,
+    so where it runs this is the period-aligned grid of snapped_span;
+    anywhere else it is the request itself. evolve_lindblad accepts either:
+    any engine takes an aligned grid. t_final must be positive, sample_count
+    at least 2 and method one the dispatcher accepts (ConfigError).
     """
-    _sample_grid((0.0, t_final), sample_count)
-    etas = {s.eta for s in schedules if s.epsilon > 0}
-    if method != "direct" and len(etas) == 1:
-        eta = etas.pop()
-        if method == "stroboscopic" or t_final / (2.0 * math.pi / eta) >= STROBE_MIN_PERIODS:
-            return snapped_span(eta, t_final, sample_count)
+    t_grid = _sample_grid((0.0, t_final), sample_count)
+    if _select_engine(method, schedules, t_grid) == "stroboscopic":
+        return snapped_span(common_eta(schedules), t_final, sample_count)
     return (0.0, float(t_final)), sample_count
 
 
@@ -1304,7 +1304,7 @@ def evolve_lindblad(
     metadata: dict = {"tol": tol}
 
     # the master equation has no static engine: "static" integrates directly
-    if _select_engine(method, ham.common_eta, ham.is_static, t_grid) == "stroboscopic":
+    if _select_engine(method, schedules, t_grid) == "stroboscopic":
         rhos, times = _lindblad_strobe(ham, collapse, rho0.matrix, (t_grid[0], t_grid[-1]),
                                        sample_count, tol, metadata, coherences=store_states)
         # T^H gives every sample's transpose pairs as exact conjugates

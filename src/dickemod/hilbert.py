@@ -250,11 +250,6 @@ class Operators:
         )
         return sp.kron(at, sp.identity(self.space.photon_dim, dtype=complex), format="csr")
 
-    def atomic_excitation(self) -> sp.csr_matrix:
-        """Sum_k k |k><k| (collective) or sum_l |e><e|_l (distinguishable)."""
-        at = sp.diags(self.space.atom_excitations.astype(float)).tocsr()
-        return sp.kron(at, sp.identity(self.space.photon_dim, dtype=complex), format="csr")
-
     # -- distinguishable-basis per-qubit operators -----------------------
     def _qubit_site(self, qubit: int, op2: np.ndarray) -> sp.csr_matrix:
         if self.space.basis != DISTINGUISHABLE:

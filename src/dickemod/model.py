@@ -119,6 +119,21 @@ class ModulationSchedule:
         return np.sin(self.eta * np.asarray(t) + self.phi)
 
 
+def active_drives(schedules) -> list[ModulationSchedule]:
+    """The schedules that move H(t): those of nonzero depth epsilon. The one
+    rule for which drives count: for a static H, the common frequency, the
+    time-symmetric window and the ODE step cap. A drive whose matrix vanishes
+    on the space (g at n_max = 0) counts, so no Hamiltonian is needed."""
+    return [s for s in schedules if s.epsilon > 0]
+
+
+def common_eta(schedules) -> float | None:
+    """The one frequency of the active drives, or None when there is no
+    active drive or they disagree."""
+    etas = {s.eta for s in active_drives(schedules)}
+    return etas.pop() if len(etas) == 1 else None
+
+
 @dataclass(frozen=True)
 class DissipationRates:
     """Cavity decay kappa, per-qubit relaxation gamma and pure dephasing gamma_phi."""
@@ -356,17 +371,12 @@ class ModulatedHamiltonian:
 
     @property
     def is_static(self) -> bool:
-        return all(hx.nnz == 0 or s.epsilon == 0 for s, hx in self.terms)
+        return not active_drives(s for s, _ in self.terms)
 
     @property
     def common_eta(self) -> float | None:
-        """The shared drive frequency, or None when schedules disagree."""
-        etas = {s.eta for s, hx in self.terms if s.epsilon > 0 and hx.nnz > 0}
-        if not etas:
-            return None
-        if len(etas) == 1:
-            return etas.pop()
-        return None
+        """common_eta of the drive terms' schedules."""
+        return common_eta(s for s, _ in self.terms)
 
 
 def build_hamiltonian(

@@ -6,11 +6,11 @@ each frequency, and locates the peak by quadratic interpolation through the
 three highest neighboring samples, optionally refined by one 10x zoom. The
 transfer is one cell of the joint (excited qubits, photons) distribution
 that every sample's ObservableSet carries, so sweeps store no states.
-A unitary grid goes to dynamics.evolve_schrodinger_etas in one call: in the
-normalized time s = eta t its stroboscopic points share batched period
-solves, as many per solve as fit in dynamics.SAMPLE_STORE_BYTES of samples,
-and each keeps its own engine choice and gates; the other points run
-evolve_schrodinger one at a time. Each point's evolution work goes with it:
+A unitary grid goes to dynamics.evolve_schrodinger_etas in one call, which
+returns every point: in the normalized time s = eta t its stroboscopic
+points share batched period solves, as many per solve as fit in
+dynamics.SAMPLE_STORE_BYTES of samples, and each point keeps its own engine
+choice and gates. Each point's evolution work goes with it:
 fit_diagnostics holds its rhs evaluations (those of the solve it shared),
 its one-period propagator defect and that solve's width (batch_points) as
 arrays aligned with etas, and period_solves counts the solves. fit_rabi
@@ -32,7 +32,7 @@ from .dynamics import (
     DensityMatrix,
     Trajectory,
     evolve_lindblad,
-    evolve_schrodinger,
+    evolve_schrodinger,  # unused here; perfbench/spans.py wraps scan.evolve_schrodinger
     evolve_schrodinger_etas,
     lindblad_grid,
 )
@@ -118,10 +118,11 @@ class SweepResult:
             raise NumericError("transfer values escaped [0, 1]")
 
 
-def _lindblad_point(scenario: TransferScenario, schedules, horizon: float) -> Trajectory:
-    """A master-equation point samples the grid lindblad_grid gives, whole
-    periods wherever the stroboscopic engine runs."""
+def _lindblad_point(scenario: TransferScenario, eta: float, horizon: float) -> Trajectory:
+    """A master-equation point, every schedule at eta, samples the grid
+    lindblad_grid gives, whole periods wherever the stroboscopic engine runs."""
     sc = scenario
+    schedules = tuple(dataclasses.replace(s, eta=eta) for s in sc.schedules)
     span, count = lindblad_grid(schedules, horizon, sc.sample_count, sc.method)
     return evolve_lindblad(sc.space, sc.params, schedules, sc.rates,
                            DensityMatrix.from_state(sc.psi0), span, count,
@@ -146,26 +147,18 @@ def _evaluate(scenario, etas, horizon):
     """(transfer, rhs_evals, propagator_defect, batch_points), one array each
     over etas.
 
-    Unitary points go to evolve_schrodinger_etas in one call, so the ones
-    that run stroboscopic share batched period solves; the others run
-    evolve_schrodinger one at a time.
+    Unitary points go to evolve_schrodinger_etas in one call, which runs
+    each on its own engine, so the ones that run stroboscopic share batched
+    period solves. Master-equation points run evolve_lindblad one at a time.
     """
     sc = scenario
-
-    def at(eta):
-        return tuple(dataclasses.replace(s, eta=eta) for s in sc.schedules)
-
     # the points are generated one by one, so one point's observables are held at a time
     if sc.rates is not None and not sc.rates.all_zero:
-        trajs = (_lindblad_point(sc, at(eta), horizon) for eta in etas)
+        trajs = (_lindblad_point(sc, eta, horizon) for eta in etas)
     else:
-        batched = evolve_schrodinger_etas(sc.space, sc.params, sc.schedules, sc.psi0, etas,
-                                          (0.0, horizon), sc.sample_count, tol=sc.tol,
-                                          method=sc.method)
-        trajs = (traj or evolve_schrodinger(sc.space, sc.params, at(eta), sc.psi0,
-                                            (0.0, horizon), sc.sample_count, tol=sc.tol,
-                                            method=sc.method)
-                 for eta, traj in zip(etas, batched))
+        trajs = evolve_schrodinger_etas(sc.space, sc.params, sc.schedules, sc.psi0, etas,
+                                        (0.0, horizon), sc.sample_count, tol=sc.tol,
+                                        method=sc.method)
     return tuple(np.array(v) for v in zip(*(_point_record(sc, traj) for traj in trajs)))
 
 

@@ -628,6 +628,30 @@ def test_lindblad_strobe_samples_the_snapped_grid():
     assert dynamics.lindblad_grid(schedules, 20.3 * period, 21) == ((0.0, 20.3 * period), 21)
 
 
+@pytest.mark.parametrize("drives, chosen", [
+    # g and Omega on two frequencies: no common period, so the request stands
+    ((ModulationSchedule("g", 0.005, 1.5), ModulationSchedule("Omega", 0.01, 2.0)), "direct"),
+    ((ModulationSchedule("g", 0.005, 1.5),), "stroboscopic"),
+])
+def test_lindblad_grid_agrees_with_the_engine_when_a_drive_piece_vanishes(drives, chosen):
+    # at n_max = 0 the g piece is structurally zero, and the g drive still
+    # counts: evolve_lindblad runs the engine the grid was made for and
+    # accepts the grid
+    space = SpaceSpec(2, 0)
+    p = bench_params()
+    span, count = dynamics.lindblad_grid(drives, 200.0, 11)
+    grid = np.linspace(*span, count)
+    tr = evolve_lindblad(space, p, drives, DissipationRates(kappa=0.01),
+                         DensityMatrix.from_state(dicke_fock_state(space, 1, 0)), span, count,
+                         cutoff_policy="ignore")
+    assert dynamics._select_engine("auto", drives, grid) == chosen
+    assert tr.metadata["engine"] == {"direct": "lindblad-adaptive-rk",
+                                     "stroboscopic": "lindblad-stroboscopic"}[chosen]
+    assert np.array_equal(tr.times, grid)
+    assert (span, count) == (((0.0, 200.0), 11) if chosen == "direct"
+                             else snapped_span(1.5, 200.0, 11))
+
+
 def test_lindblad_grid_refuses_short_or_empty_requests():
     schedules = (ModulationSchedule("Omega", 0.05, 1.5),)
     period = 2 * math.pi / 1.5
@@ -863,13 +887,39 @@ def test_batched_points_make_one_solve_per_chunk(width, monkeypatch):
         assert traj.metadata["rhs_evals"] == solutions[chunk].nfev
 
 
-def test_batched_entry_leaves_points_off_the_stroboscopic_engine():
+def test_batched_entry_runs_every_point_on_its_own_engine():
     space, p, sch, psi0, _ = _batch_case("half")
-    # three periods: auto integrates these directly
+    # three periods: auto integrates these directly, each as its own run would
     span = (0.0, 3 * 2 * math.pi / ETA)
-    assert list(evolve_schrodinger_etas(space, p, sch, psi0, BATCH_ETAS, span, 9)) == [None] * 3
+    kw = dict(cutoff_policy="ignore")
+    batched = list(evolve_schrodinger_etas(space, p, sch, psi0, BATCH_ETAS, span, 9, **kw))
+    for eta, traj in zip(BATCH_ETAS, batched):
+        alone = evolve_schrodinger(space, p, tuple(dataclasses.replace(s, eta=eta) for s in sch),
+                                   psi0, span, 9, **kw)
+        assert traj.metadata["engine"] == alone.metadata["engine"] == "adaptive-rk"
+        assert traj.metadata["rhs_evals"] == alone.metadata["rhs_evals"]
+        assert np.array_equal([o.joint for o in traj.observables],
+                              [o.joint for o in alone.observables])
+    # schedules that are all epsilon = 0 leave H static at every eta
+    still = tuple(dataclasses.replace(s, epsilon=0.0) for s in sch)
+    assert [traj.metadata["engine"] for traj in evolve_schrodinger_etas(
+        space, p, still, psi0, BATCH_ETAS, span, 9, **kw)] == ["static-eigendecomposition"] * 3
     with pytest.raises(ConfigError, match="unknown method"):
         evolve_schrodinger_etas(space, p, sch, psi0, BATCH_ETAS, span, 9, method="bogus")
+
+
+def test_zero_depth_schedule_leaves_the_direct_step_alone():
+    # an epsilon = 0 schedule leaves H(t) as it is, so its eta must not cap
+    # the step
+    space, p, sch, psi0, _ = _batch_case("half")
+    span = (0.0, 3 * 2 * math.pi / ETA)
+    kw = dict(method="direct", cutoff_policy="ignore")
+    plain = evolve_schrodinger(space, p, sch, psi0, span, 9, **kw)
+    idle = evolve_schrodinger(space, p, sch + (ModulationSchedule("Omega", 0.0, 50.0),), psi0,
+                              span, 9, **kw)
+    assert idle.metadata["rhs_evals"] == plain.metadata["rhs_evals"]
+    assert np.max(np.abs(np.array([o.joint for o in idle.observables])
+                         - [o.joint for o in plain.observables])) < 1e-12
 
 
 def test_store_width_follows_the_budget(monkeypatch):
