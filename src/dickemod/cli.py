@@ -131,17 +131,22 @@ class ScenarioConfig:
     outputs: dict = field(default_factory=dict)
 
 
-# every key a section accepts, in emit order; run_scenario rejects any other
+# every key a section accepts, in emit order, with the type of its value; a
+# (type,) value also takes a comma list. run_scenario rejects any other key or type
 _SECTION_KEYS = {
-    "system": ("n_qubits", "n_max", "omega0", "Omega0", "g0", "basis", "with_crt"),
-    "dissipation": ("kappa", "gamma", "gamma_phi"),
-    "initial_state": ("kind", "k", "n", "alpha_squared"),
-    "transition": ("n", "k"),
-    "run": ("t_final", "sample_count", "tol", "method", "time_unit"),
-    "sweep": ("factor_min", "factor_max", "grid_points", "horizon", "zoom"),
-    "outputs": ("observables",),
+    "system": {"n_qubits": int, "n_max": int, "omega0": float, "Omega0": (float,),
+               "g0": (float,), "basis": str, "with_crt": bool},
+    "dissipation": {"kappa": float, "gamma": (float,), "gamma_phi": (float,)},
+    "initial_state": {"kind": str, "k": int, "n": int, "alpha_squared": float},
+    "transition": {"n": int, "k": int},
+    "run": {"t_final": float, "sample_count": int, "tol": float, "method": str,
+            "time_unit": str},
+    "sweep": {"factor_min": float, "factor_max": float, "grid_points": int,
+              "horizon": float, "zoom": bool},
+    "outputs": {"observables": (str,)},
 }
-_SCHEDULE_KEYS = ("target", "epsilon", "eta", "phi", "qubit")
+_SCHEDULE_KEYS = {"target": str, "epsilon": float, "eta": float, "phi": float, "qubit": int}
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a word"}
 
 
 def parse_config(text: str, origin: str = "<config>") -> ScenarioConfig:
@@ -193,16 +198,35 @@ def emit_config(cfg: ScenarioConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _reject_unknown_keys(cfg: ScenarioConfig, origin: str) -> None:
-    """A misspelled key would otherwise run silently with its default."""
+def _has_type(value, kind) -> bool:
+    """Whether value is of kind, where an integer counts as a number and
+    true or false as neither, and a (kind,) tuple takes one or a tuple of them."""
+    if isinstance(kind, tuple):
+        items = value if isinstance(value, tuple) else (value,)
+        return all(_has_type(v, kind[0]) for v in items)
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _check_keys(cfg: ScenarioConfig, origin: str) -> None:
+    """A misspelled key would otherwise run silently with its default, and a
+    value of the wrong type would be cast (7.9 samples to 7, no to true)."""
     buckets = [(name, getattr(cfg, name), known) for name, known in _SECTION_KEYS.items()]
     buckets += [(f"schedule{i}", d, _SCHEDULE_KEYS) for i, d in enumerate(cfg.schedules)]
     for section, bucket, known in buckets:
-        for name in bucket:
+        for name, value in bucket.items():
             if name not in known:
                 raise ConfigError(
                     f"{origin}: unknown key {section}.{name}; "
                     f"{section} accepts {', '.join(known)}"
+                )
+            kind = known[name]
+            if not _has_type(value, kind):
+                what = (f"{_TYPE_NAMES[kind[0]]}, or a comma list of them"
+                        if isinstance(kind, tuple) else _TYPE_NAMES[kind])
+                raise ConfigError(
+                    f"{origin}: {section}.{name} = {_encode_value(value)} must be {what}"
                 )
 
 
@@ -228,19 +252,19 @@ def _require(bucket: dict, section: str, *names):
 def build_space(cfg: ScenarioConfig) -> SpaceSpec:
     n_qubits, n_max = _require(cfg.system, "system", "n_qubits", "n_max")
     basis = cfg.system.get("basis", "collective")
-    return SpaceSpec(n_qubits=int(n_qubits), n_max=int(n_max), basis=str(basis))
+    return SpaceSpec(n_qubits=n_qubits, n_max=n_max, basis=basis)
 
 
 def build_params(cfg: ScenarioConfig, no_crt: bool = False) -> SystemParams:
     omega0, Omega0, g0, n_qubits = _require(
         cfg.system, "system", "omega0", "Omega0", "g0", "n_qubits"
     )
-    with_crt = bool(cfg.system.get("with_crt", True)) and not no_crt
+    with_crt = cfg.system.get("with_crt", True) and not no_crt
     return SystemParams(
         omega0=float(omega0),
         Omega0=Omega0,
         g0=g0,
-        n_qubits=int(n_qubits),
+        n_qubits=n_qubits,
         with_crt=with_crt,
     )
 
@@ -251,11 +275,11 @@ def build_schedules(cfg: ScenarioConfig) -> tuple[ModulationSchedule, ...]:
         target, epsilon, eta = _require(d, f"schedule{i}", "target", "epsilon", "eta")
         out.append(
             ModulationSchedule(
-                target=str(target),
+                target=target,
                 epsilon=float(epsilon),
                 eta=float(eta),
                 phi=float(d.get("phi", 0.0)),
-                qubit=int(d["qubit"]) if "qubit" in d else None,
+                qubit=d.get("qubit"),
             )
         )
     return tuple(out)
@@ -280,11 +304,10 @@ def build_initial_state(cfg: ScenarioConfig, space: SpaceSpec) -> StateVector:
     kind = st.get("kind")
     if kind == "dicke_fock":
         k, n = _require(st, "initial_state", "k", "n")
-        return dicke_fock_state(space, int(k), int(n))
+        return dicke_fock_state(space, k, n)
     if kind == "coherent":
         (a2,) = _require(st, "initial_state", "alpha_squared")
-        k = int(st.get("k", 0))
-        return coherent_state(space, math.sqrt(float(a2)), k)
+        return coherent_state(space, math.sqrt(a2), st.get("k", 0))
     raise ConfigError(
         f"initial_state.kind must be 'dicke_fock' or 'coherent', got {kind!r}"
     )
@@ -292,7 +315,7 @@ def build_initial_state(cfg: ScenarioConfig, space: SpaceSpec) -> StateVector:
 
 def _closed_rate_for(cfg, params, schedules) -> float:
     n, k = _require(cfg.transition, "transition", "n", "k")
-    xi = two_photon_rate_closed_form(params, schedules, int(n), int(k))
+    xi = two_photon_rate_closed_form(params, schedules, n, k)
     if abs(xi) == 0.0:
         raise ConfigError("closed-form rate vanishes; the 1/q time unit is undefined")
     return abs(xi)
@@ -312,11 +335,11 @@ def _time_scale(cfg, params, schedules) -> tuple[float, str]:
 
 # run keys the library takes as keywords; one the config leaves out is not
 # passed, so the library's own default applies
-_RUN_KEYWORDS = {"sample_count": int, "tol": float, "method": str}
+_RUN_KEYWORDS = ("sample_count", "tol", "method")
 
 
 def _run_keywords(cfg) -> dict:
-    return {key: kind(cfg.run[key]) for key, kind in _RUN_KEYWORDS.items() if key in cfg.run}
+    return {key: cfg.run[key] for key in _RUN_KEYWORDS if key in cfg.run}
 
 
 def build_run_options(cfg) -> dict:
@@ -330,7 +353,7 @@ def _output_tokens(cfg) -> list[str]:
     tokens = cfg.outputs.get("observables", ("n_ph", "n_at"))
     if isinstance(tokens, str):
         tokens = (tokens,)
-    return [str(t).strip() for t in tokens]
+    return list(tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +540,7 @@ def _cmd_rates(cfg, no_crt: bool):
     if not schedules:
         raise ConfigError("rates needs at least one schedule section")
     validate_schedules(params, schedules)
-    (m,) = (int(v) for v in _require(cfg.transition, "transition", "n"))
+    (m,) = _require(cfg.transition, "transition", "n")
     spec = dispersive_spectrum(space, params, subspaces=(m,))
     ks, closed_abs, closed_re, closed_im = [], [], [], []
     exact_abs, exact_re, exact_im, eta_f, eta_x = [], [], [], [], []
@@ -628,7 +651,7 @@ def _cmd_sweep(cfg, no_crt: bool):
     if not schedules:
         raise ConfigError("sweep needs at least one schedule section")
     psi0 = build_initial_state(cfg, space)
-    n, k = (int(v) for v in _require(cfg.transition, "transition", "n", "k"))
+    n, k = _require(cfg.transition, "transition", "n", "k")
     sw = cfg.sweep
     f_lo, f_hi, points = _require(sw, "sweep", "factor_min", "factor_max", "grid_points")
     two_delta = 2.0 * abs(params.delta_minus)
@@ -646,9 +669,9 @@ def _cmd_sweep(cfg, no_crt: bool):
     result = sweep_resonance(
         scenario,
         (float(f_lo) * two_delta, float(f_hi) * two_delta),
-        int(points),
+        points,
         horizon=float(horizon) if horizon is not None else None,
-        zoom=bool(sw.get("zoom", True)),
+        zoom=sw.get("zoom", True),
     )
     columns = [
         ("eta", result.etas, None),
@@ -663,6 +686,7 @@ def _cmd_sweep(cfg, no_crt: bool):
         "peak_factor": result.peak_eta / two_delta,
         "peak_width": result.peak_width,
         "background": result.fit_diagnostics["background"],
+        "vertex_fallback": result.fit_diagnostics["vertex_fallback"],
         # the sweep's period solves and the most points one of them served
         "period_solves": result.fit_diagnostics["period_solves"],
         "batch_points": int(max(result.fit_diagnostics["batch_points"])),
@@ -1060,7 +1084,7 @@ def run_scenario(
     if config_path is None:
         raise ConfigError(f"{subcommand} requires --config")
     cfg = load_config(Path(config_path))
-    _reject_unknown_keys(cfg, str(config_path))
+    _check_keys(cfg, str(config_path))
     return _emit(out_dir, subcommand, svg, *runner(cfg, no_crt))
 
 

@@ -237,19 +237,6 @@ class Operators:
     a_dag: sp.csr_matrix
     n_ph: sp.csr_matrix
 
-    # -- collective-basis atomic generators ------------------------------
-    def sigma(self, bra_k: int, ket_k: int) -> sp.csr_matrix:
-        """Collective generator |bra_k><ket_k| x 1_field."""
-        if self.space.basis != COLLECTIVE:
-            raise DomainError("sigma(bra, ket) is defined on the collective basis")
-        ad = self.space.atom_dim
-        if not (0 <= bra_k < ad and 0 <= ket_k < ad):
-            raise DomainError(f"sigma indices ({bra_k},{ket_k}) outside [0,{ad})")
-        at = sp.csr_matrix(
-            ([1.0], ([bra_k], [ket_k])), shape=(ad, ad), dtype=complex
-        )
-        return sp.kron(at, sp.identity(self.space.photon_dim, dtype=complex), format="csr")
-
     # -- distinguishable-basis per-qubit operators -----------------------
     def _qubit_site(self, qubit: int, op2: np.ndarray) -> sp.csr_matrix:
         if self.space.basis != DISTINGUISHABLE:

@@ -370,10 +370,6 @@ class ModulatedHamiltonian:
         return (self.h_const, *(hx for _, hx in self.terms))
 
     @property
-    def is_static(self) -> bool:
-        return not active_drives(s for s, _ in self.terms)
-
-    @property
     def common_eta(self) -> float | None:
         """common_eta of the drive terms' schedules."""
         return common_eta(s for s, _ in self.terms)

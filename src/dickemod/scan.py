@@ -2,20 +2,18 @@
 
 sweep_resonance evolves one scenario at a grid of modulation frequencies,
 records the best population transfer into the two-photon target state at
-each frequency, and locates the peak by quadratic interpolation through the
-three highest neighboring samples, optionally refined by one 10x zoom. The
+each frequency, and locates the peak with one rule, _vertex: the vertex of
+the parabola through the highest sample and its two neighbors, read off the
+coarse grid or, with zoom, off a 10x finer grid across that bracket. The
 transfer is one cell of the joint (excited qubits, photons) distribution
 that every sample's ObservableSet carries, so sweeps store no states.
-A unitary grid goes to dynamics.evolve_schrodinger_etas in one call, which
-returns every point: in the normalized time s = eta t its stroboscopic
-points share batched period solves, as many per solve as fit in
-dynamics.SAMPLE_STORE_BYTES of samples, and each point keeps its own engine
-choice and gates. Each point's evolution work goes with it:
-fit_diagnostics holds its rhs evaluations (those of the solve it shared),
-its one-period propagator defect and that solve's width (batch_points) as
-arrays aligned with etas, and period_solves counts the solves. fit_rabi
-pulls |Xi| out of a sampled population oscillation by fitting
-A*cos(2|Xi| t + theta) + C.
+_evaluate runs one grid and gives one table, a row per field and a column
+per point, which the zoom points join in eta order. fit_diagnostics holds
+the horizon, the median background, peak_transfer, vertex_fallback, and
+each point's rhs_evals, propagator_defect and batch_points (the width of
+the period solve it shared) as arrays aligned with etas; period_solves
+counts the solves. fit_rabi pulls |Xi| out of a sampled population
+oscillation by fitting A*cos(2|Xi| t + theta) + C.
 """
 
 from __future__ import annotations
@@ -143,9 +141,9 @@ def _point_record(scenario: TransferScenario, traj: Trajectory):
             md.get("batch_points", 0))
 
 
-def _evaluate(scenario, etas, horizon):
-    """(transfer, rhs_evals, propagator_defect, batch_points), one array each
-    over etas.
+def _evaluate(scenario, etas, horizon) -> np.ndarray:
+    """The per-point table over etas: one row per _point_record field
+    (transfer, rhs_evals, propagator_defect, batch_points), one column per eta.
 
     Unitary points go to evolve_schrodinger_etas in one call, which runs
     each on its own engine, so the ones that run stroboscopic share batched
@@ -159,31 +157,28 @@ def _evaluate(scenario, etas, horizon):
         trajs = evolve_schrodinger_etas(sc.space, sc.params, sc.schedules, sc.psi0, etas,
                                         (0.0, horizon), sc.sample_count, tol=sc.tol,
                                         method=sc.method)
-    return tuple(np.array(v) for v in zip(*(_point_record(sc, traj) for traj in trajs)))
+    return np.array([_point_record(sc, traj) for traj in trajs]).T
 
 
-def _quad_vertex(x3, y3):
-    """Vertex of the parabola through three samples.
+def _vertex(etas, transfer):
+    """(eta, transfer, width, fell_back) of the peak of three neighboring
+    samples of one grid, the highest in the middle.
 
-    Returns (x_v, y_v, curvature, fell_back); falls back to the middle sample
-    when the triple is not concave or the vertex escapes the triple's span.
+    The peak is the vertex of the parabola through them, or the middle
+    sample (fell_back) when they are not concave or the vertex leaves their
+    span. The width is the full width where the parabola halves, a rough
+    line-width proxy; it is the grid spacing when the parabola has no
+    negative curvature or no positive peak.
     """
-    coeffs = np.polyfit(x3, y3, 2)
-    a, b, c = (float(v) for v in coeffs)
-    if a >= 0.0:
-        return float(x3[1]), float(y3[1]), a, True
-    xv = -b / (2.0 * a)
-    if not (x3[0] <= xv <= x3[2]):
-        return float(x3[1]), float(y3[1]), a, True
-    yv = c - b * b / (4.0 * a)
-    return float(xv), float(yv), a, False
-
-
-def _width_from_parabola(y_peak: float, curvature: float, fallback_width: float) -> float:
-    # full width where the local parabola halves; a rough line-width proxy
-    if curvature >= 0.0 or y_peak <= 0.0:
-        return fallback_width
-    return 2.0 * math.sqrt(y_peak / (-2.0 * curvature))
+    a, b, c = (float(v) for v in np.polyfit(etas, transfer, 2))
+    fell_back = a >= 0.0 or not (etas[0] <= -b / (2.0 * a) <= etas[2])
+    if fell_back:
+        x, y = float(etas[1]), float(transfer[1])
+    else:
+        x, y = -b / (2.0 * a), c - b * b / (4.0 * a)
+    if a >= 0.0 or y <= 0.0:
+        return x, y, float(etas[1] - etas[0]), fell_back
+    return x, y, 2.0 * math.sqrt(y / (-2.0 * a)), fell_back
 
 
 def sweep_resonance(
@@ -198,9 +193,9 @@ def sweep_resonance(
     Every schedule in the scenario is driven at the same swept eta. horizon
     defaults to 1.2 * pi / |Xi_closed_form| of the scenario transition so a
     resonant point completes at least one full transfer. The peak is the
-    vertex of the parabola through the three highest neighboring samples;
-    with zoom=True the bracket around the coarse peak is resampled once on a
-    10x finer grid and the vertex recomputed there.
+    vertex of the parabola through the highest sample and its two
+    neighbors; with zoom=True the bracket around the coarse peak is
+    resampled once on a 10x finer grid and the vertex recomputed there.
     """
     lo, hi = float(eta_range[0]), float(eta_range[1])
     if not (lo < hi):
@@ -222,83 +217,53 @@ def sweep_resonance(
         raise ConfigError(f"horizon={horizon} must be positive")
 
     etas = np.linspace(lo, hi, grid_points)
-    transfer, rhs_evals, defects, widths = _evaluate(scenario, etas, horizon)
-    spacing = etas[1] - etas[0]
-
-    i_star = int(np.argmax(transfer))
+    table = _evaluate(scenario, etas, horizon)
+    grid, transfer = etas, table[0]
+    i = int(np.argmax(transfer))
     background = float(np.median(transfer))
-    peak_sample = float(transfer[i_star])
-    if peak_sample < max(BACKGROUND_FACTOR * background, TRANSFER_FLOOR):
+    if transfer[i] < max(BACKGROUND_FACTOR * background, TRANSFER_FLOOR):
         raise NoResonanceError(
-            f"best transfer {peak_sample:.3e} does not stand out of the "
+            f"best transfer {transfer[i]:.3e} does not stand out of the "
             f"off-resonant background {background:.3e} (need {BACKGROUND_FACTOR}x)"
         )
-    if i_star in (0, grid_points - 1):
+    if i in (0, grid_points - 1):
         raise SweepBoundaryError(
-            f"transfer peak sits at the sweep boundary eta={etas[i_star]:.9g}; "
+            f"transfer peak sits at the sweep boundary eta={etas[i]:.9g}; "
             "widen eta_range"
         )
 
-    coarse_x = etas[i_star - 1 : i_star + 2]
-    coarse_y = transfer[i_star - 1 : i_star + 2]
-    peak_eta, peak_val, curv, fell_back = _quad_vertex(coarse_x, coarse_y)
-    diagnostics = {
-        "horizon": horizon,
-        "grid_spacing": float(spacing),
-        "background": background,
-        "coarse_peak_eta": peak_eta,
-        "coarse_peak_transfer": peak_val,
-        "vertex_fallback": fell_back,
-        "zoom": False,
-        "residuals": (coarse_y - np.polyval(np.polyfit(coarse_x, coarse_y, 2), coarse_x)),
-    }
-    width = _width_from_parabola(peak_val, curv, float(spacing))
-
-    all_etas = etas
-    all_transfer = transfer
     if zoom:
-        z_etas = np.linspace(etas[i_star - 1], etas[i_star + 1], 2 * ZOOM_SHRINK + 1)
-        known = {0: transfer[i_star - 1], ZOOM_SHRINK: transfer[i_star], 2 * ZOOM_SHRINK: transfer[i_star + 1]}
-        new_j = [j for j in range(len(z_etas)) if j not in known]
-        new_vals, new_rhs, new_defects, new_widths = _evaluate(scenario, z_etas[new_j], horizon)
-        z_transfer = np.empty(len(z_etas))
-        for j, v in known.items():
-            z_transfer[j] = v
-        z_transfer[new_j] = new_vals
+        grid = np.linspace(etas[i - 1], etas[i + 1], 2 * ZOOM_SHRINK + 1)
+        new = np.delete(grid, [0, ZOOM_SHRINK, 2 * ZOOM_SHRINK])
+        merged = np.concatenate([etas, new])
+        order = np.argsort(merged)
+        etas = merged[order]
+        table = np.concatenate([table, _evaluate(scenario, new, horizon)], axis=1)[:, order]
+        # the bracket's center is the coarse maximum, argmax's first, and its
+        # ends are the coarse neighbors, the left lower and the right no
+        # higher, so the zoomed maximum is never on an edge
+        transfer = table[0, i - 1 : i + 2 * ZOOM_SHRINK]
+        i = int(np.argmax(transfer))
+    peak_eta, peak_transfer, width, fell_back = _vertex(grid[i - 1 : i + 2],
+                                                        transfer[i - 1 : i + 2])
 
-        j_star = int(np.argmax(z_transfer))
-        diagnostics["zoom"] = True
-        diagnostics["zoom_spacing"] = float(z_etas[1] - z_etas[0])
-        if 0 < j_star < len(z_etas) - 1:
-            zx = z_etas[j_star - 1 : j_star + 2]
-            zy = z_transfer[j_star - 1 : j_star + 2]
-            peak_eta, peak_val, curv, fell_back = _quad_vertex(zx, zy)
-            width = _width_from_parabola(peak_val, curv, float(z_etas[1] - z_etas[0]))
-            diagnostics["vertex_fallback"] = fell_back
-            diagnostics["residuals"] = zy - np.polyval(np.polyfit(zx, zy, 2), zx)
-        else:
-            # zoomed maximum landed on the bracket edge; keep the coarse vertex
-            diagnostics["zoom_edge"] = True
-
-        order = np.argsort(np.concatenate([etas, z_etas[new_j]]))
-        all_etas = np.concatenate([etas, z_etas[new_j]])[order]
-        all_transfer = np.concatenate([transfer, new_vals])[order]
-        rhs_evals = np.concatenate([rhs_evals, new_rhs])[order]
-        defects = np.concatenate([defects, new_defects])[order]
-        widths = np.concatenate([widths, new_widths])[order]
-
-    diagnostics["peak_transfer"] = peak_val
-    diagnostics["rhs_evals"] = rhs_evals
-    diagnostics["propagator_defect"] = defects
-    diagnostics["batch_points"] = widths
-    # a solve of w points gives each of them 1/w of it
-    diagnostics["period_solves"] = int(round(sum(1.0 / w for w in widths if w)))
+    widths = table[3].astype(int)
     return SweepResult(
-        etas=all_etas,
-        transfer=np.clip(all_transfer, 0.0, 1.0),
+        etas=etas,
+        transfer=np.clip(table[0], 0.0, 1.0),
         peak_eta=peak_eta,
         peak_width=width,
-        fit_diagnostics=diagnostics,
+        fit_diagnostics={
+            "horizon": horizon,
+            "background": background,
+            "vertex_fallback": fell_back,
+            "peak_transfer": peak_transfer,
+            "rhs_evals": table[1].astype(int),
+            "propagator_defect": table[2],
+            "batch_points": widths,
+            # a solve of w points gives each of them 1/w of it
+            "period_solves": int(round(sum(1.0 / w for w in widths if w))),
+        },
     )
 
 

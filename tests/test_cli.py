@@ -305,6 +305,34 @@ def test_unknown_config_keys_are_rejected(tmp_path, subcommand, line):
     assert not any((tmp_path / "o").iterdir())
 
 
+@pytest.mark.parametrize(
+    "subcommand, line",
+    [
+        ("evolve", "system.with_crt = no"),
+        ("evolve", "run.sample_count = 7.9"),
+        ("sweep", "sweep.zoom = 1"),
+        ("sweep", "transition.n = 3.0"),
+        ("evolve", "schedule0.qubit = true"),
+        ("lindblad", "dissipation.gamma = 0.01, x"),
+        ("evolve", "run.method = 2"),
+    ],
+)
+def test_config_values_of_the_wrong_type_are_rejected(tmp_path, capsys, subcommand, line):
+    text = SYSTEM_LINES + DRIVE_LINES + STATE_LINES + "run.t_final = 1.0\n" + line + "\n"
+    cfg = write_cfg(tmp_path, text)
+    assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    key = line.split("=")[0].strip()
+    assert re.search(rf"error\[config\]: .*{re.escape(key)} = .* must be", capsys.readouterr().err)
+    assert not any((tmp_path / "o").iterdir())
+
+
+def test_number_keys_take_integer_literals(tmp_path):
+    text = (SYSTEM_LINES.replace("omega0 = 1.0", "omega0 = 1") + DRIVE_LINES
+            + STATE_LINES + "schedule0.phi = 0\nrun.t_final = 1\nrun.sample_count = 5\n")
+    cfg = write_cfg(tmp_path, text)
+    assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
 def test_parser_covers_all_subcommands():
     parser = build_parser()
     args = parser.parse_args(["figure2", "--out", "x", "--eta-factor", "1.04"])
@@ -608,6 +636,7 @@ def test_sweep_csv(tmp_path):
     # the stroboscopic points share period solves of up to batch_points each
     width = int(meta["batch_points"])
     assert 1 <= width <= 5 and int(meta["period_solves"]) == math.ceil(5 / width)
+    assert meta["vertex_fallback"] == "false"
     assert np.all(np.diff(data[:, 0]) > 0)
     assert np.all((data[:, 2] >= 0.0) & (data[:, 2] <= 1.0))
     peak_factor = float(meta["peak_factor"])

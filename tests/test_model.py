@@ -12,6 +12,7 @@ from dickemod.model import (
     DissipationRates,
     ModulationSchedule,
     SystemParams,
+    active_drives,
     build_hamiltonian,
     seconds_per_time_unit,
     validate_schedules,
@@ -100,7 +101,7 @@ def test_hermiticity_and_periodicity():
         assert np.max(np.abs(h - h.conj().T)) < 1e-14
         assert np.max(np.abs(h - ham.at(t + period).toarray())) < 1e-13
     assert ham.common_eta == pytest.approx(1.53)
-    assert not ham.is_static
+    assert active_drives(sched)
 
 
 def test_modulation_extremes():

@@ -318,7 +318,7 @@ value = st.one_of(scalar, st.lists(scalar, min_size=1, max_size=4).map(tuple))
 
 
 def section(keys, min_size=0):
-    return st.dictionaries(st.sampled_from(keys), value, min_size=min_size)
+    return st.dictionaries(st.sampled_from(tuple(keys)), value, min_size=min_size)
 
 
 configs = st.builds(

@@ -365,3 +365,51 @@ def test_sweep_result_validation():
         SweepResult(etas=etas, transfer=good * 2.0, peak_eta=1.5, peak_width=0.1)
     with pytest.raises(ConfigError):
         SweepResult(etas=etas, transfer=good[:4], peak_eta=1.5, peak_width=0.1)
+
+
+H = 0.25  # spacing of the hand-made triples below
+
+
+@pytest.mark.parametrize("transfer, expected, fell_back", [
+    # A = (y0 - 2 y1 + y2) / 2 and B = (y2 - y0) / 2 in units of the spacing
+    pytest.param([0.5, 1.0, 0.7], (1.25 + 0.125 * H, 1.00625,
+                                   2 * math.sqrt(1.00625 * H**2 / 0.8)), False,
+                 id="vertex"),
+    pytest.param([0.5, 0.2, 0.6], (1.25, 0.2, H), True, id="not-concave"),
+    # the vertex lies 4.5 spacings out; the width still comes from A = -0.05
+    pytest.param([0.0, 0.5, 0.9], (1.25, 0.5, 2 * math.sqrt(0.5 * H**2 / 0.1)), True,
+                 id="vertex-outside"),
+    pytest.param([-0.3, -0.1, -0.3], (1.25, -0.1, H), False, id="no-positive-peak"),
+])
+def test_vertex_reads_one_triple(transfer, expected, fell_back):
+    *peak, flag = scan._vertex(np.array([1.0, 1.25, 1.5]), np.array(transfer))
+    assert peak == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    assert flag is fell_back
+
+
+def test_zoom_reads_its_vertex_inside_the_bracket(monkeypatch):
+    # every zoom point reads below both ends of the coarse bracket, the worst
+    # a zoom can see: the bracket's middle, the coarse maximum, is still the
+    # zoomed maximum, so the vertex comes off the zoom grid, never its edge
+    coarse = {1.0: 0.01, 1.25: 0.1, 1.5: 0.9, 1.75: 0.15, 2.0: 0.01}
+
+    def fake(scenario, etas, horizon):
+        etas = np.asarray(etas)
+        return np.array([[coarse.get(e, 0.05) for e in etas], np.round(etas * 1e4),
+                         np.full(len(etas), math.nan), np.zeros(len(etas))])
+
+    monkeypatch.setattr(scan, "_evaluate", fake)
+    scen = scenario(SpaceSpec(2, 4), SystemParams(**BENCH))
+    res = sweep_resonance(scen, (1.0, 2.0), 5, horizon=1.0, zoom=True)
+    h = 0.5 / (2 * scan.ZOOM_SHRINK)
+    assert (res.peak_eta, res.fit_diagnostics["peak_transfer"], res.peak_width) == (
+        pytest.approx((1.5, 0.9, 2 * math.sqrt(0.9 * h**2 / 1.7)), rel=1e-9))
+    assert res.fit_diagnostics["vertex_fallback"] is False
+    # the zoom points join the one per-point table in eta order
+    assert len(res.etas) == 5 + 2 * scan.ZOOM_SHRINK - 2
+    assert np.all(np.diff(res.etas) > 0)
+    assert res.transfer.tolist() == [coarse.get(e, 0.05) for e in res.etas]
+    assert res.fit_diagnostics["rhs_evals"].tolist() == np.round(res.etas * 1e4).tolist()
+    assert set(res.fit_diagnostics) == {
+        "horizon", "background", "vertex_fallback", "peak_transfer", "rhs_evals",
+        "propagator_defect", "batch_points", "period_solves"}
