@@ -18,10 +18,8 @@ from .errors import (
 )
 from .hilbert import (
     ObservableSet,
-    Operators,
     SpaceSpec,
     StateVector,
-    build_operators,
     coherent_state,
     dicke_fock_state,
     f_coefficient,

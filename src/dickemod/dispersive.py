@@ -36,8 +36,8 @@ from .errors import (
     NumericError,
     PhysicsGuardError,
 )
-from .hilbert import COLLECTIVE, SpaceSpec, StateVector
-from .model import ModulationSchedule, SystemParams, _collective_blocks, build_hamiltonian
+from .hilbert import COLLECTIVE, SpaceSpec, StateVector, ladder_operators
+from .model import ModulationSchedule, SystemParams, _couplings, build_hamiltonian
 
 DENOMINATOR_TOL = 1e-9
 DEGENERACY_TOL = 1e-12
@@ -215,7 +215,7 @@ def dispersive_spectrum(
     ms = _requested_subspaces(space, subspaces, default_subspaces(space, params))
     near = {mm for m in ms for mm in (m - 2, m + 2) if mm >= 0} if params.with_crt else set()
     lams, vecs = _spectrum(space, replace(params, with_crt=False), sorted(near.union(ms)))
-    crt = _collective_blocks(space)[3]
+    crt = _couplings(space)[0][1]
     nus = {}
     for m in ms:
         nu = np.zeros(len(lams[m]))
@@ -276,7 +276,7 @@ def _spectrum(space: SpaceSpec, params: SystemParams, ms: list[int]) -> tuple[di
     the regime where the labels mean anything. Near-cutoff subspaces of a large
     space routinely fail that, so only the subspaces asked for are labeled.
     """
-    h = build_hamiltonian(space, params).h_const.toarray().real
+    h = build_hamiltonian(space, params).h_const.toarray()
     if params.with_crt:
         index_sets = [np.arange(space.dim)]
     else:
@@ -314,8 +314,8 @@ def _upsilon_target_total(
 ) -> float:
     """sum_k Upsilon^(target,k), from the structural operator the Hamiltonian
     is assembled from."""
-    n_op, k_op, tc, _ = _collective_blocks(spectrum.space)
-    op = {"omega": n_op, "Omega": k_op, "g": tc}[schedule.target]
+    _, n_op, _, (k_op,) = ladder_operators(spectrum.space)
+    op = {"omega": n_op, "Omega": k_op, "g": _couplings(spectrum.space)[0][0]}[schedule.target]
     val = np.vdot(spectrum.state(m, t_label), op @ spectrum.state(m, s_label))
     return schedule.epsilon * float(np.real(val))
 

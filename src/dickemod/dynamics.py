@@ -48,16 +48,16 @@ dY_I/dt = -i P (H(t) - D(t)) P^* Y_I with P = e^{i theta(t)}, so its steps
 follow the slow dispersive dynamics rather than the bare phases, and every
 sample goes back to the lab frame as Y = e^{-i theta} Y_I. The direct engines
 stay in the lab frame: they are the slow paths the stroboscopic ones are
-checked against. When every active drive term
-has one phase phi mod pi and every Hamiltonian piece is symmetric (h^T == h,
-exactly, on the sparse matrices; the assembled pieces are real), H(t) is
-also mirror-symmetric about the drive extremum c = ((pi/2 - phi) mod pi)/eta,
+checked against. Every Hamiltonian piece is real
+and equal to its transpose, exactly (ModulatedHamiltonian refuses any other),
+so when every active drive term has one phase phi mod pi, H(t) is also
+mirror-symmetric about the drive extremum c = ((pi/2 - phi) mod pi)/eta,
 so U(c + s, c) = U(c, c - s)^T and half a period of integration, over
 [c - T/2, c], gives U(T) and U(t) at every t in [0, T] (the time-reversal
 symmetric Floquet construction; Haake, Quantum Signatures of Chaos, ch. 4).
-Drives whose phases differ by anything other than a multiple of pi, or a
-piece with h^T != h, integrate the full window [0, T]; the drive alone
-chooses, and metadata["period_window"] records the window integrated.
+Drives whose phases differ by anything other than a multiple of pi
+integrate the full window [0, T]; the drive alone chooses, and
+metadata["period_window"] records the window integrated.
 
 The unitary engine reads Y at every fractional-period offset of the grid off
 that solve's steps, projects U(T) to the nearest exact unitary, reports the
@@ -143,7 +143,7 @@ from .hilbert import (
     ObservableSet,
     SpaceSpec,
     StateVector,
-    build_operators,
+    ladder_operators,
     observables,
     parity_flips,
     parity_sectors,
@@ -444,17 +444,15 @@ def _parity_blocks(ham: ModulatedHamiltonian, collapse=()):
 def _symmetric_window(ham, period: float):
     """The half window (c - T/2, c) of a time-symmetric drive, or None.
 
-    When every active drive term has one phase phi mod pi and every piece is
-    symmetric (h^T == h, exactly), H(t) = H(t)^T and H(c + s) = H(c - s) about
-    the drive extremum c = ((pi/2 - phi) mod pi) / eta in [0, T/2]. Phases
-    count as equal within 1e-13 rad, where phi + pi - phi rounds; the
-    Hamiltonian error that admits is far below the solve's tolerance.
+    Every piece equals its transpose (ModulatedHamiltonian enforces it), so
+    H(t) = H(t)^T; when every active drive term has one phase phi mod pi,
+    H(c + s) = H(c - s) about the drive extremum c = ((pi/2 - phi) mod pi) / eta
+    in [0, T/2]. Phases count as equal within 1e-13 rad, where phi + pi - phi
+    rounds; the Hamiltonian error that admits is far below the solve's tolerance.
     """
     active = active_drives(s for s, _ in ham.terms)
     phi = active[0].phi
     if any(abs(math.remainder(s.phi - phi, math.pi)) > 1e-13 for s in active):
-        return None
-    if any((h != h.T).nnz for h in ham.pieces):
         return None
     c = ((math.pi / 2.0 - phi) % math.pi) / ham.common_eta
     return c - period / 2.0, c
@@ -839,10 +837,10 @@ def _collapse_operators(space: SpaceSpec, rates: DissipationRates):
             f"per-qubit rates need one entry per qubit ({space.n_qubits}), "
             f"got {rates.n_qubits}"
         )
-    ops = build_operators(space)
+    a, _, lowering, level = ladder_operators(space)
     out = []
     if rates.kappa > 0:
-        out.append((rates.kappa, ops.a))
+        out.append((rates.kappa, a))
     per_qubit = any(g > 0 for g in rates.gamma) or any(g > 0 for g in rates.gamma_phi)
     if per_qubit and space.basis == COLLECTIVE:
         raise UnsupportedError(
@@ -850,11 +848,11 @@ def _collapse_operators(space: SpaceSpec, rates: DissipationRates):
             "the collective basis only supports cavity decay"
         )
     if space.basis != COLLECTIVE:
-        for l, (g, gp) in enumerate(zip(rates.gamma, rates.gamma_phi)):
+        for g, gp, s, half_z in zip(rates.gamma, rates.gamma_phi, lowering, level):
             if g > 0:
-                out.append((g, ops.sigma_minus(l + 1)))
+                out.append((g, s))
             if gp > 0:
-                out.append((gp / 2.0, ops.sigma_z(l + 1)))
+                out.append((gp / 2.0, 2.0 * half_z))
     return out
 
 

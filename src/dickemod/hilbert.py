@@ -5,10 +5,15 @@ symmetric atomic ladder |k>, k = 0..N excitations, so the joint dimension is
 (N+1)*(n_max+1). The distinguishable basis keeps all 2^N qubit configurations and
 is required as soon as per-qubit parameters differ. In both, the photon index
 varies fastest: amplitudes reshape to (atom_dim, n_max+1) without copying.
+
+ladder_operators builds the structural operators of either basis once, as real
+matrices; the Hamiltonian, its drive pieces and the collapse operators are formed
+from them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -224,49 +229,6 @@ def observables(state, space: SpaceSpec | None = None) -> ObservableSet:
     return ObservableSet(joint)
 
 
-@dataclass
-class Operators:
-    """Sparse operator collection on one SpaceSpec.
-
-    All matrices are CSR on the joint space. The truncated commutator
-    [a, a_dag] equals the identity except on the top Fock block.
-    """
-
-    space: SpaceSpec
-    a: sp.csr_matrix
-    a_dag: sp.csr_matrix
-    n_ph: sp.csr_matrix
-
-    # -- distinguishable-basis per-qubit operators -----------------------
-    def _qubit_site(self, qubit: int, op2: np.ndarray) -> sp.csr_matrix:
-        if self.space.basis != DISTINGUISHABLE:
-            raise DomainError("per-qubit operators need the distinguishable basis")
-        if not 1 <= qubit <= self.space.n_qubits:
-            raise DomainError(f"qubit={qubit} outside [1, {self.space.n_qubits}]")
-        bit = qubit - 1
-        ad = self.space.atom_dim
-        rows, cols, vals = [], [], []
-        for bits in range(ad):
-            b = (bits >> bit) & 1
-            for b2 in range(2):
-                v = op2[b2, b]
-                if v != 0.0:
-                    rows.append((bits & ~(1 << bit)) | (b2 << bit))
-                    cols.append(bits)
-                    vals.append(v)
-        at = sp.csr_matrix((vals, (rows, cols)), shape=(ad, ad), dtype=complex)
-        return sp.kron(at, sp.identity(self.space.photon_dim, dtype=complex), format="csr")
-
-    def sigma_minus(self, qubit: int) -> sp.csr_matrix:
-        return self._qubit_site(qubit, np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def sigma_plus(self, qubit: int) -> sp.csr_matrix:
-        return self._qubit_site(qubit, np.array([[0.0, 0.0], [1.0, 0.0]]))
-
-    def sigma_z(self, qubit: int) -> sp.csr_matrix:
-        return self._qubit_site(qubit, np.array([[-1.0, 0.0], [0.0, 1.0]]))
-
-
 def parity_sectors(space: SpaceSpec) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices of the even and the odd sector of the parity (-1)^(n+k).
 
@@ -300,15 +262,38 @@ def parity_flips(op, space: SpaceSpec) -> bool:
     )
 
 
-def build_operators(space: SpaceSpec) -> Operators:
-    """Sparse ladder and number operators on the joint space."""
+@functools.lru_cache(maxsize=16)
+def ladder_operators(space: SpaceSpec):
+    """(a, n, lowering, level) on `space`, real float64 CSR matrices.
+
+    a and n are the cavity's annihilation and number operators ([a, a^T] = 1
+    except on the top Fock block). lowering[l] and level[l] belong to emitter
+    l. The collective basis has one emitter, the symmetric ladder:
+    sum_k f_k |k><k+1| and the Dicke index k. In the distinguishable basis
+    qubit l + 1 (bit l of the configuration) is emitter l: sigma-_l and
+    sigma_z_l / 2. Cached per space and shared, so the arrays are read-only.
+    """
     pd = space.photon_dim
-    sq = np.sqrt(np.arange(1, pd))
-    a_ph = sp.diags(sq, offsets=1).tocsr()
-    eye_at = sp.identity(space.atom_dim, dtype=complex)
-    a = sp.kron(eye_at, a_ph, format="csr").astype(complex)
-    a_dag = sp.kron(eye_at, a_ph.T, format="csr").astype(complex)
-    n_ph = sp.kron(eye_at, sp.diags(np.arange(pd, dtype=float)), format="csr").astype(
-        complex
-    )
-    return Operators(space=space, a=a, a_dag=a_dag, n_ph=n_ph)
+    eye_at = sp.identity(space.atom_dim)
+    eye_ph = sp.identity(pd)
+    a = sp.kron(eye_at, sp.diags(np.sqrt(np.arange(1, pd)), offsets=1), format="csr")
+    n = sp.kron(eye_at, sp.diags(np.arange(pd, dtype=float)), format="csr")
+    if space.basis == COLLECTIVE:
+        nq = space.n_qubits
+        f = np.array([f_coefficient(k, nq) for k in range(nq)])
+        atom_lowering = [sp.diags(f, offsets=1)]
+        atom_level = [sp.diags(np.arange(nq + 1, dtype=float))]
+    else:
+        configs = np.arange(space.atom_dim)
+        excited = [(configs >> bit) & 1 == 1 for bit in range(space.n_qubits)]
+        atom_lowering = [sp.csr_matrix((np.ones(np.count_nonzero(up)),
+                                        (configs[up] & ~(1 << bit), configs[up])),
+                                       shape=(space.atom_dim,) * 2)
+                         for bit, up in enumerate(excited)]
+        atom_level = [sp.diags(np.where(up, 0.5, -0.5)) for up in excited]
+    lowering = tuple(sp.kron(s, eye_ph, format="csr") for s in atom_lowering)
+    level = tuple(sp.kron(z, eye_ph, format="csr") for z in atom_level)
+    for op in (a, n, *lowering, *level):
+        for arr in (op.data, op.indices, op.indptr):
+            arr.flags.writeable = False
+    return a, n, lowering, level

@@ -2,13 +2,16 @@
 
 Frequencies are dimensionless (units of omega0, so omega0=1.0 in every preset);
 physical units enter only through the seconds-per-unit conversion at the
-presentation layer. The energy zero point follows the collective ladder form:
-no -N*Omega/2 offset, the bare level of |k, n> is omega*n + Omega*k.
+presentation layer. The energy zero differs between the bases. The collective
+basis follows the ladder form, with no -N*Omega/2 offset: the bare level of
+|k, n> is omega*n + Omega*k. The distinguishable basis uses sigma_z/2: the bare
+level is omega*n + sum_l Omega_l sz_l/2, sz_l = +1 (-1) for qubit l excited (not).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -17,14 +20,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, DomainError, UnsupportedError
-from .hilbert import (
-    COLLECTIVE,
-    SpaceSpec,
-    build_operators,
-    f_coefficient,
-)
+from .hilbert import COLLECTIVE, SpaceSpec, ladder_operators
 
-HERMITICITY_TOL = 1e-14
 MODULATION_DEPTH_WARN = 0.3
 
 MOD_TARGETS = ("omega", "Omega", "g")
@@ -195,76 +192,34 @@ def validate_schedules(
 
 
 @functools.lru_cache(maxsize=16)
-def _collective_blocks(space: SpaceSpec):
-    """(n_op, k_op, tc, crt) structural matrices on the collective basis.
-
-    tc = sum_k f_k (a sigma_{k+1,k} + h.c.) is the excitation-conserving
-    coupling and crt = sum_k f_k (a^dag sigma_{k+1,k} + h.c.) its counter-
-    rotating part, both at g = 1. Built once per space and shared, so the
-    arrays are read-only: every caller forms new matrices from them.
-    """
-    pd = space.photon_dim
-    nq = space.n_qubits
-    sq = np.sqrt(np.arange(1, pd))
-    a_ph = sp.diags(sq, offsets=1)
-    eye_at = sp.identity(nq + 1)
-    eye_ph = sp.identity(pd)
-    n_op = sp.kron(eye_at, sp.diags(np.arange(pd, dtype=float)), format="csr")
-    k_op = sp.kron(sp.diags(np.arange(nq + 1, dtype=float)), eye_ph, format="csr")
-    f = np.array([f_coefficient(k, nq) for k in range(nq)])
-    s_raise = sp.diags(f, offsets=-1)  # |k+1><k| weighted by f_k
-    tc = sp.kron(s_raise, a_ph) + sp.kron(s_raise.T, a_ph.T)
-    crt = sp.kron(s_raise, a_ph.T) + sp.kron(s_raise.T, a_ph)
-    blocks = tuple(op.tocsr().astype(complex) for op in (n_op, k_op, tc, crt))
-    for op in blocks:
+def _couplings(space: SpaceSpec) -> tuple[tuple[sp.csr_matrix, sp.csr_matrix], ...]:
+    """(tc_l, crt_l) of each emitter l at g = 1, s_l its lowering operator: the
+    excitation-conserving tc_l = a s_l^T + a^T s_l and the counter-rotating
+    crt_l = a^T s_l^T + a s_l. Cached per space, so the arrays are read-only."""
+    a, _, lowering, _ = ladder_operators(space)
+    pairs = tuple(((a @ s.T + a.T @ s).tocsr(), (a.T @ s.T + a @ s).tocsr()) for s in lowering)
+    for op in itertools.chain.from_iterable(pairs):
         for arr in (op.data, op.indices, op.indptr):
             arr.flags.writeable = False
-    return blocks
-
-
-def _distinguishable_blocks(space: SpaceSpec, with_crt: bool):
-    """(n_op, [sz_l/2], [coupling_l]) on the distinguishable basis."""
-    if space.n_qubits != 2:
-        raise UnsupportedError(
-            "distinguishable-basis Hamiltonians are implemented for N=2 only"
-        )
-    ops = build_operators(space)
-    n_op = ops.n_ph.copy()
-    half_sz = []
-    couplings = []
-    for l in range(1, space.n_qubits + 1):
-        half_sz.append((0.5 * ops.sigma_z(l)).tocsr())
-        sm = ops.sigma_minus(l)
-        spl = ops.sigma_plus(l)
-        tc = ops.a @ spl + ops.a_dag @ sm
-        if with_crt:
-            c = (ops.a + ops.a_dag) @ (spl + sm)
-        else:
-            c = tc
-        couplings.append(c.tocsr())
-    return n_op, half_sz, couplings
-
-
-def hermiticity_defect(h: sp.spmatrix) -> float:
-    d = h - h.getH()
-    return 0.0 if d.nnz == 0 else float(np.abs(d.data).max())
+    return pairs
 
 
 @dataclass(frozen=True)
 class ModulatedHamiltonian:
     """H(t) = H_const + sum_j sin(eta_j t + phi_j) * H_j, with the pieces cached.
 
-    The pieces (h_const, then each drive term's matrix) also live on one
-    merged real CSR matrix, whose pattern is the union of theirs: each piece
-    is one real data row d_j on that pattern, and a piece with an imaginary
-    part, H_j = A_j + i B_j, adds its B_j to a second set of rows. `apply`
-    writes d_0 + sum_j s_j(t) d_j into the merged matrix's data and multiplies
-    it once. The real diagonal D_j of each piece is kept apart too, with real
-    rows on the same pattern that zero it: `apply_off_diagonal` multiplies
-    H(t) - D(t), D(t) = D_0 + sum_j s_j(t) D_j, and `diagonal_phase` is the
-    exact integral of D(t). The rows are derived from h_const and terms on
-    construction, so `restrict` and `dataclasses.replace` rebuild them; the
-    instance is frozen so they cannot go stale.
+    Every piece (h_const, then each drive term's matrix) is a real float64
+    matrix equal to its transpose, exactly; construction raises DomainError
+    for any other. The pieces also live on one merged real CSR matrix, whose
+    pattern is the union of theirs: each piece is one data row d_j on that
+    pattern. `apply` writes d_0 + sum_j s_j(t) d_j into the merged matrix's
+    data and multiplies it once. The diagonal D_j of each piece is kept apart
+    too, with rows on the same pattern that zero it: `apply_off_diagonal`
+    multiplies H(t) - D(t), D(t) = D_0 + sum_j s_j(t) D_j, and
+    `diagonal_phase` is the exact integral of D(t). The rows are derived from
+    h_const and terms on construction, so `restrict` and
+    `dataclasses.replace` rebuild them; the instance is frozen so they cannot
+    go stale.
     """
 
     space: SpaceSpec
@@ -273,12 +228,14 @@ class ModulatedHamiltonian:
     h_const: sp.csr_matrix
     terms: tuple[tuple[ModulationSchedule, sp.csr_matrix], ...]
     _merged: sp.csr_matrix = field(init=False, repr=False)
-    _rows: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    _off_rows: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    _rows: np.ndarray = field(init=False, repr=False)
+    _off_rows: np.ndarray = field(init=False, repr=False)
     _diagonals: np.ndarray = field(init=False, repr=False)
     _drives: tuple[tuple[float, float], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
+        if any(h.dtype != np.float64 or (h != h.T).nnz for h in self.pieces):
+            raise DomainError("every Hamiltonian piece must be real float64 and equal its transpose")
         n_rows, n_cols = self.h_const.shape
         # each piece's entries as row-major keys row * n_cols + col
         piece_keys = [np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(h.indptr)) * n_cols
@@ -287,20 +244,18 @@ class ModulatedHamiltonian:
         keys = keys[np.diff(keys, prepend=-1) > 0]  # the union pattern
         indptr = np.searchsorted(keys, np.arange(n_rows + 1) * n_cols)
         merged = sp.csr_matrix((np.zeros(keys.size), keys % n_cols, indptr), shape=(n_rows, n_cols))
-        data = np.zeros((len(piece_keys), keys.size), dtype=complex)
-        for d, k, h in zip(data, piece_keys, self.pieces):
+        rows = np.zeros((len(piece_keys), keys.size))
+        for d, k, h in zip(rows, piece_keys, self.pieces):
             np.add.at(d, np.searchsorted(keys, k), h.data)
-        # the real rows, then the imaginary ones when a piece has any
-        rows = (data.real.copy(), data.imag.copy()) if data.imag.any() else (data.real.copy(),)
-        # each piece's real diagonal, and the real rows without it
+        # each piece's diagonal, and the rows without it
         on_diag = keys // n_cols == keys % n_cols
         diagonals = np.zeros((len(piece_keys), n_rows))
-        diagonals[:, keys[on_diag] // n_cols] = rows[0][:, on_diag]
-        off = rows[0].copy()
+        diagonals[:, keys[on_diag] // n_cols] = rows[:, on_diag]
+        off = rows.copy()
         off[:, on_diag] = 0.0
         object.__setattr__(self, "_merged", merged)
         object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_off_rows", (off, *rows[1:]))
+        object.__setattr__(self, "_off_rows", off)
         object.__setattr__(self, "_diagonals", diagonals)
         object.__setattr__(self, "_drives", tuple((s.eta, s.phi) for s, _ in self.terms))
 
@@ -314,15 +269,14 @@ class ModulatedHamiltonian:
         """H(t) @ y for a state vector or a matrix of columns, without forming H(t).
 
         One real sparse product with y's float64 view, whose columns are the
-        interleaved real and imaginary parts of y's columns, and a second one
-        (times i) when a piece is complex. The merged matrix's data is
-        overwritten on every call, so one instance must not apply from two
-        threads at once.
+        interleaved real and imaginary parts of y's columns. The merged
+        matrix's data is overwritten on every call, so one instance must not
+        apply from two threads at once.
         """
         return self._apply(self._rows, t, y)
 
     def apply_off_diagonal(self, t: float, y: np.ndarray) -> np.ndarray:
-        """(H(t) - D(t)) @ y, with D(t) the real diagonal of H(t), made like
+        """(H(t) - D(t)) @ y, with D(t) the diagonal of H(t), made like
         `apply`'s product on the same pattern."""
         return self._apply(self._off_rows, t, y)
 
@@ -335,18 +289,12 @@ class ModulatedHamiltonian:
                                      for eta, phi in self._drives)])
         return coeffs.T @ self._diagonals
 
-    def _apply(self, row_sets: tuple[np.ndarray, ...], t: float, y: np.ndarray) -> np.ndarray:
+    def _apply(self, rows: np.ndarray, t: float, y: np.ndarray) -> np.ndarray:
         shape = np.shape(y)
         cols = np.ascontiguousarray(y, dtype=complex).reshape(shape[0], -1).view(np.float64)
         coeffs = np.array([1.0, *(math.sin(eta * t + phi) for eta, phi in self._drives)])
-        out = self._product(coeffs, row_sets[0], cols)
-        for rows in row_sets[1:]:
-            out += 1j * self._product(coeffs, rows, cols)
-        return out.reshape(shape)
-
-    def _product(self, coeffs: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         np.dot(coeffs, rows, out=self._merged.data)
-        return (self._merged @ cols).view(complex)
+        return (self._merged @ cols).view(complex).reshape(shape)
 
     def restrict(self, index: np.ndarray) -> "ModulatedHamiltonian":
         """The pieces on the rows and columns `index`, in that order; `space`
@@ -380,11 +328,16 @@ def build_hamiltonian(
     params: SystemParams,
     schedules: tuple[ModulationSchedule, ...] = (),
 ) -> ModulatedHamiltonian:
-    """Assemble the cached time-dependent Hamiltonian for either basis.
+    """Assemble the cached time-dependent Hamiltonian for either basis:
 
-    Collective basis: H = omega*n + sum_k [Omega*k |k><k| + g f_k couplings],
-    with counter-rotating terms included when params.with_crt. Distinguishable
-    basis (N=2): H = omega*n + sum_l [Omega_l sz_l/2 + g_l couplings_l].
+    H = omega*n + sum_l [Omega_l level_l + g_l coupling_l]
+
+    over the emitters l of hilbert.ladder_operators, with coupling_l = tc_l,
+    plus crt_l when params.with_crt (_couplings). The collective basis has one
+    emitter with the uniform (Omega, g); the distinguishable basis (N=2) has
+    one per qubit with its own. A drive piece is epsilon times n, one
+    emitter's operator (a qubit-addressed schedule) or their sum over every
+    emitter.
     """
     if params.n_qubits != space.n_qubits:
         raise DomainError("params.n_qubits does not match space.n_qubits")
@@ -397,41 +350,25 @@ def build_hamiltonian(
         for s in schedules:
             if s.qubit is not None:
                 raise ConfigError("qubit-addressed schedules require the distinguishable basis")
-        n_op, k_op, tc, crt = _collective_blocks(space)
-        coupling = tc + crt if params.with_crt else tc
-        h_const = (
-            params.omega0 * n_op
-            + params.Omega0_uniform * k_op
-            + params.g0_uniform * coupling
-        ).tocsr()
-        struct = {"omega": n_op, "Omega": k_op, "g": coupling}
-        terms = tuple((s, (s.epsilon * struct[s.target]).tocsr()) for s in schedules)
+        Omegas, gs = (params.Omega0_uniform,), (params.g0_uniform,)
     else:
-        n_op, half_sz, couplings = _distinguishable_blocks(space, params.with_crt)
-        h_const = params.omega0 * n_op
-        for l in range(space.n_qubits):
-            h_const = h_const + params.Omega0[l] * half_sz[l] + params.g0[l] * couplings[l]
-        h_const = h_const.tocsr()
-        struct = {"omega": [n_op], "Omega": half_sz, "g": couplings}
-        terms = []
-        for s in schedules:
-            if s.target == "omega":
-                hx = n_op
-            else:
-                per = struct[s.target]
-                if s.qubit is None:
-                    hx = sum(per[1:], per[0])
-                else:
-                    hx = per[s.qubit - 1]
-            terms.append((s, (s.epsilon * hx).tocsr()))
-        terms = tuple(terms)
+        if space.n_qubits != 2:
+            raise UnsupportedError("distinguishable-basis Hamiltonians are implemented for N=2 only")
+        Omegas, gs = params.Omega0, params.g0
 
-    ham = ModulatedHamiltonian(space, params, schedules, h_const, terms)
-    for h in ham.pieces:
-        defect = hermiticity_defect(h)
-        if defect > HERMITICITY_TOL:
-            raise DomainError(f"assembled Hamiltonian not Hermitian: defect {defect:.2e}")
-    return ham
+    _, n_op, _, levels = ladder_operators(space)
+    couplings = [tc + crt if params.with_crt else tc for tc, crt in _couplings(space)]
+    h_const = params.omega0 * n_op
+    for Omega, g, level, coupling in zip(Omegas, gs, levels, couplings):
+        h_const = h_const + Omega * level + g * coupling
+    struct = {"omega": (n_op,), "Omega": levels, "g": couplings}
+    terms = []
+    for s in schedules:
+        per = struct[s.target]
+        # one qubit's operator for a qubit-addressed Omega or g drive, else the sum
+        hx = per[s.qubit - 1] if s.qubit and s.target != "omega" else sum(per[1:], per[0])
+        terms.append((s, (s.epsilon * hx).tocsr()))
+    return ModulatedHamiltonian(space, params, schedules, h_const.tocsr(), tuple(terms))
 
 
 def seconds_per_time_unit(omega0_frequency_hz: float = 10e9) -> float:

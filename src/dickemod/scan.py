@@ -112,8 +112,8 @@ class SweepResult:
                 f"peak_eta={self.peak_eta:.9g} not inside "
                 f"({self.etas[0]:.9g}, {self.etas[-1]:.9g})"
             )
-        if np.any(self.transfer < 0.0) or np.any(self.transfer > 1.0):
-            raise NumericError("transfer values escaped [0, 1]")
+        if not np.all((self.transfer >= 0.0) & (self.transfer <= 1.0)):
+            raise NumericError("transfer values escaped [0, 1] or are NaN")
 
 
 def _lindblad_point(scenario: TransferScenario, eta: float, horizon: float) -> Trajectory:
@@ -131,11 +131,12 @@ def _point_record(scenario: TransferScenario, traj: Trajectory):
     """(transfer, rhs_evals, propagator_defect, batch_points) of one point:
     the best target population joint[k+2, n-k-2] over its samples, and the
     work and gate value its engine recorded. The defect is NaN, and
-    batch_points 0, for an engine that makes no period solve."""
+    batch_points 0, for an engine that makes no period solve. A NaN
+    population in any sample raises NumericError, as one above 1 does."""
     n, k = scenario.transition
-    top = max(float(o.joint[k + 2, n - k - 2]) for o in traj.observables)
-    if top > 1.0 + POPULATION_SLACK:
-        raise NumericError(f"target population {top:.6g} exceeds 1")
+    top = float(np.max([o.joint[k + 2, n - k - 2] for o in traj.observables]))
+    if not top <= 1.0 + POPULATION_SLACK:
+        raise NumericError(f"target population {top:.6g} exceeds 1 or is NaN")
     md = traj.metadata
     return (min(top, 1.0), md["rhs_evals"], md.get("propagator_defect", math.nan),
             md.get("batch_points", 0))

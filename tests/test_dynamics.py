@@ -30,6 +30,7 @@ from dickemod.hilbert import (
     StateVector,
     coherent_state,
     dicke_fock_state,
+    ladder_operators,
     parity_sectors,
 )
 from dickemod.model import (
@@ -708,24 +709,18 @@ def test_half_window_propagators_match_full_period_solve():
         assert np.max(np.abs(u - full[:, s][:, :, s])) < 1e-9
 
 
-def _complex_piece(ham):
-    # a Hermitian pair i, -i inside the even sector: h^T != h, parity kept
-    even, _ = parity_sectors(ham.space)
-    h = ham.h_const.tolil()
-    h[even[0], even[1]], h[even[1], even[0]] = 1e-3j, -1e-3j
-    return dataclasses.replace(ham, h_const=h.tocsr())
-
-
-@pytest.mark.parametrize("case", ["mixed-phase", "complex-piece"])
-def test_asymmetric_drive_integrates_the_full_period(case, monkeypatch):
-    space = SpaceSpec(2, 3)
+@pytest.mark.parametrize("case", ["mixed-phase", "distinguishable-mixed-phase"])
+def test_asymmetric_drive_integrates_the_full_period(case):
     p = bench_params()
     if case == "mixed-phase":
+        space = SpaceSpec(2, 3)
         sch = (g_schedule(p), ModulationSchedule("Omega", 0.05, ETA, math.pi / 2))
     else:
-        sch = (g_schedule(p),)
-        ham = _complex_piece(build_hamiltonian(space, p, sch))
-        monkeypatch.setattr(dynamics, "build_hamiltonian", lambda *args: ham)
+        # the circuit pair's per-qubit g drives, out of phase
+        space = SpaceSpec(2, 3, "distinguishable")
+        eps = 0.1 * p.g0_uniform
+        sch = (ModulationSchedule("g", eps, ETA, 0.0, qubit=1),
+               ModulationSchedule("g", eps, ETA, 0.4, qubit=2))
     psi0 = coherent_state(space, 0.8)
     span = (0.0, 2 * math.pi / ETA * 40.3)
     kw = dict(tol=1e-10, store_states=True, cutoff_policy="ignore")
@@ -770,14 +765,13 @@ def _frame_case(case):
     p = bench_params()
     if case == "mixed-phase":
         sch = (g_schedule(p), ModulationSchedule("Omega", 0.05, ETA, math.pi / 2))
-        ham = build_hamiltonian(SpaceSpec(2, 3), p, sch)
-    else:
-        sch = (g_schedule(p), ModulationSchedule("Omega", 0.05, ETA, qubit=1))
-        ham = _complex_piece(build_hamiltonian(SpaceSpec(2, 3, "distinguishable"), p, sch))
-    return ham, 2 * math.pi / ETA, False
+        return build_hamiltonian(SpaceSpec(2, 3), p, sch), 2 * math.pi / ETA, False
+    # one qubit's Omega drive in phase with g: the half window
+    sch = (g_schedule(p), ModulationSchedule("Omega", 0.05, ETA, qubit=1))
+    return build_hamiltonian(SpaceSpec(2, 3, "distinguishable"), p, sch), 2 * math.pi / ETA, True
 
 
-@pytest.mark.parametrize("case", ["n6-g-omega", "mixed-phase", "distinguishable-complex-piece"])
+@pytest.mark.parametrize("case", ["n6-g-omega", "mixed-phase", "distinguishable"])
 def test_interaction_frame_propagators_match_the_lab_frame(case):
     # the period solve integrates e^{i theta} U in the diagonal frame; the
     # oracle integrates U itself, on the full space, at rtol 1e-13
@@ -1043,6 +1037,21 @@ def test_dissipator_single_photon_algebra():
     assert np.allclose(lindblad_dissipator(a, vac), 0.0, atol=1e-15)
     expect = vac - one
     assert np.allclose(lindblad_dissipator(a, one), expect, atol=1e-15)
+
+
+def test_collapse_operators_are_the_cached_ladder_operators():
+    space = SpaceSpec(2, 3, "distinguishable")
+    a, _, lowering, level = ladder_operators(space)
+    collapse = dynamics._collapse_operators(space, DissipationRates(0.1, (0.2, 0.0), (0.0, 0.3)))
+    assert [r for r, _ in collapse] == [0.1, 0.2, 0.15]
+    assert collapse[0][1] is a and collapse[1][1] is lowering[0]
+    for _, op in collapse[:2]:
+        with pytest.raises(ValueError, match="read-only"):
+            op.data[0] = 0.0
+    # the dephasing operator is sigma_z of qubit 2, exactly +-1
+    sz = collapse[2][1]
+    assert np.array_equal(sz.toarray(), 2.0 * level[1].toarray())
+    assert set(np.abs(sz.data)) == {1.0}
 
 
 @pytest.mark.parametrize("seed", [0, 7, 19])

@@ -11,10 +11,10 @@ from dickemod.hilbert import (
     DISTINGUISHABLE,
     SpaceSpec,
     StateVector,
-    build_operators,
     coherent_state,
     dicke_fock_state,
     f_coefficient,
+    ladder_operators,
     observables,
     parity_flips,
     parity_sectors,
@@ -162,13 +162,13 @@ def test_observable_sets_compare_by_their_joint_distribution():
 
 def test_operators_ladder_algebra():
     space = SpaceSpec(2, 7)
-    ops = build_operators(space)
+    a, n, _, _ = ladder_operators(space)
     psi = dicke_fock_state(space, 1, 5)
-    assert np.vdot(psi.amplitudes, ops.n_ph @ psi.amplitudes).real == pytest.approx(5.0)
+    assert np.vdot(psi.amplitudes, n @ psi.amplitudes).real == pytest.approx(5.0)
 
     # [a, a^dag] = 1 away from the truncation edge
     psi = dicke_fock_state(space, 0, 3)
-    comm = (ops.a @ ops.a_dag - ops.a_dag @ ops.a) @ psi.amplitudes
+    comm = (a @ a.T - a.T @ a) @ psi.amplitudes
     assert np.vdot(psi.amplitudes, comm).real == pytest.approx(1.0, abs=1e-12)
 
 
@@ -189,9 +189,29 @@ def test_embedding_preserves_observables():
 
 def test_operator_sparsity():
     space = SpaceSpec(2, 40)
-    ops = build_operators(space)
+    a = ladder_operators(space)[0]
     # one nonzero per photon step per atomic block
-    assert ops.a.nnz == space.atom_dim * space.n_max
+    assert a.nnz == space.atom_dim * space.n_max
+
+
+@pytest.mark.parametrize("n_qubits", [2, 3])
+def test_ladder_operators_are_real_cached_and_read_only(n_qubits):
+    space = SpaceSpec(n_qubits, 2, DISTINGUISHABLE)
+    a, n, lowering, level = ladder_operators(space)
+    assert ladder_operators(SpaceSpec(n_qubits, 2, DISTINGUISHABLE))[0] is a
+
+    def site(op2, bit):
+        # qubit bit + 1 is bit `bit` of the configuration; bit 0 varies fastest
+        atom = np.kron(np.kron(np.eye(2 ** (n_qubits - 1 - bit)), op2), np.eye(2 ** bit))
+        return np.kron(atom, np.eye(3))
+
+    for bit in range(n_qubits):
+        assert np.array_equal(lowering[bit].toarray(), site([[0.0, 1.0], [0.0, 0.0]], bit))
+        assert np.array_equal(level[bit].toarray(), site(np.diag([-0.5, 0.5]), bit))
+    for op in (a, n, *lowering, *level, *ladder_operators(SpaceSpec(n_qubits, 2))[2]):
+        assert op.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            op.data[0] = 1.0
 
 
 def test_parity_sectors_and_leak_guard():
@@ -204,10 +224,10 @@ def test_parity_sectors_and_leak_guard():
     even, odd = parity_sectors(dist)
     assert even.tolist() == [0, 3, 5, 6]
     assert [len(s) for s in parity_sectors(SpaceSpec(1, 0))] == [1, 1]
-    ops = build_operators(dist)
-    assert parity_flips(ops.a, dist)
-    assert parity_flips(ops.sigma_minus(2), dist)
-    assert not parity_flips(ops.sigma_z(1), dist)
-    assert not parity_flips(0 * ops.a, dist)
+    a, n, lowering, level = ladder_operators(dist)
+    assert parity_flips(a, dist)
+    assert parity_flips(lowering[1], dist)
+    assert not parity_flips(2 * level[0], dist)
+    assert not parity_flips(0 * a, dist)
     with pytest.raises(DomainError, match="leaks"):
-        parity_flips(ops.a + ops.n_ph, dist)
+        parity_flips(a + n, dist)

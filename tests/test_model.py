@@ -158,14 +158,6 @@ def _random_columns(dim, m, seed=3):
     return rng.normal(size=(dim, m)) + 1j * rng.normal(size=(dim, m))
 
 
-def _complex_piece(ham):
-    # a Hermitian pair i, -i inside the even sector, as test_dynamics builds it
-    even, _ = parity_sectors(ham.space)
-    h = ham.h_const.tolil()
-    h[even[0], even[1]], h[even[1], even[0]] = 1e-3j, -1e-3j
-    return dataclasses.replace(ham, h_const=h.tocsr())
-
-
 def _union_pattern(ham):
     # g0 = 0: every coupling entry of the g drive is missing from h_const
     rows, cols = ham.terms[0][1].nonzero()
@@ -180,7 +172,6 @@ def _replaced(ham):
 
 
 PATTERN_CASES = [
-    pytest.param(0.0566, _complex_piece, id="complex-piece"),
     pytest.param(0.0, _union_pattern, id="union-pattern"),
     pytest.param(0.0566, _replaced, id="replaced-h-const"),
 ]
@@ -232,6 +223,22 @@ def test_restricted_apply_matches_the_sector_of_the_full_product():
         for t in (0.0, 0.71, 13.9):
             full = ham.at(t) @ inside
             assert np.max(np.abs(sub.apply(t, y[sector]) - full[sector])) < 1e-14
+
+
+@pytest.mark.parametrize("upper, lower, dtype", [(1e-3j, -1e-3j, complex), (1e-3, 2e-3, float),
+                                                 (0.0, 0.0, complex)],
+                         ids=["complex-hermitian", "real-asymmetric", "complex-dtype"])
+def test_pieces_must_be_real_and_symmetric(upper, lower, dtype):
+    # entries inside the even sector: parity is kept, only the type is wrong
+    ham = _coupling_drive(0.0566)
+    even, _ = parity_sectors(ham.space)
+    h = ham.h_const.astype(dtype).tolil()
+    h[even[0], even[1]], h[even[1], even[0]] = upper, lower
+    with pytest.raises(DomainError, match="transpose"):
+        dataclasses.replace(ham, h_const=h.tocsr())
+    (sched, hx), *rest = ham.terms
+    with pytest.raises(DomainError, match="transpose"):
+        dataclasses.replace(ham, terms=((sched, (hx + h - ham.h_const).tocsr()), *rest))
 
 
 def test_tc_conserves_total_excitation():

@@ -100,8 +100,12 @@ def test_assembled_operators_keep_parity_sectors(system):
     pieces = ham.pieces
     # every Hamiltonian piece keeps each sector; the leak guard raises otherwise
     assert not any(parity_flips(h, space) for h in pieces)
+    # every piece is real and equal to its transpose, exactly
+    for h in pieces:
+        assert h.dtype == np.float64 and (h != h.T).nnz == 0
     # cavity decay and relaxation flip the parity, dephasing keeps it
     for _, op in _collapse_operators(space, rates):
+        assert op.dtype == np.float64
         flips = parity_flips(op, space)
         assert flips == (op.diagonal() == 0).all() or op.nnz == 0
     if not params.with_crt:

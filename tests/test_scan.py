@@ -26,6 +26,7 @@ from dickemod.errors import (
 )
 from dickemod.hilbert import (
     DISTINGUISHABLE,
+    ObservableSet,
     SpaceSpec,
     StateVector,
     coherent_state,
@@ -365,6 +366,23 @@ def test_sweep_result_validation():
         SweepResult(etas=etas, transfer=good * 2.0, peak_eta=1.5, peak_width=0.1)
     with pytest.raises(ConfigError):
         SweepResult(etas=etas, transfer=good[:4], peak_eta=1.5, peak_width=0.1)
+    with pytest.raises(NumericError, match="NaN"):
+        SweepResult(etas=etas, transfer=[0.1, math.nan, 0.9, 0.2, 0.1], peak_eta=1.5,
+                    peak_width=0.1)
+
+
+@pytest.mark.parametrize("nan_at", [0, 2])
+def test_point_record_refuses_a_nan_population(nan_at):
+    # ObservableSet lets a NaN joint through; the sweep point must not
+    space = SpaceSpec(2, 4)
+    scen = scenario(space, SystemParams(**BENCH))
+    joints = [observables(dicke_fock_state(space, 0, 3)).joint for _ in range(3)]
+    joints[nan_at] = np.full_like(joints[nan_at], math.nan)
+    traj = Trajectory(space=space, times=np.arange(3.0),
+                      observables=[ObservableSet(j) for j in joints], states=None,
+                      metadata={"rhs_evals": 1})
+    with pytest.raises(NumericError, match="NaN"):
+        scan._point_record(scen, traj)
 
 
 H = 0.25  # spacing of the hand-made triples below
