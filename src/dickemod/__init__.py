@@ -17,7 +17,6 @@ from .errors import (
     UnsupportedError,
 )
 from .hilbert import (
-    ObservableSet,
     SpaceSpec,
     StateVector,
     coherent_state,

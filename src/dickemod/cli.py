@@ -37,6 +37,7 @@ from .dispersive import (
 )
 from .dynamics import (
     DensityMatrix,
+    Trajectory,
     evolve_lindblad,
     evolve_schrodinger,
     lindblad_grid,
@@ -57,7 +58,8 @@ from .model import (
     seconds_per_time_unit,
     validate_schedules,
 )
-from .scan import TransferScenario, _select_observable, fit_rabi, sweep_resonance
+from .scan import (TransferScenario, _observable_token, _select_observable, fit_rabi,
+                   sweep_resonance)
 
 CSV_SCHEMA = "dickemod-csv-1"
 # physical cavity frequency backing the microsecond time unit
@@ -349,10 +351,14 @@ def build_run_options(cfg) -> dict:
     return {"t_final": float(t_final), "sample_count": 401, **_run_keywords(cfg)}
 
 
-def _output_tokens(cfg) -> list[str]:
+def _output_tokens(cfg, space: SpaceSpec) -> list[str]:
+    """outputs.observables (n_ph, n_at when unset), every token checked
+    against the space, so a bad one exits 2 before anything evolves."""
     tokens = cfg.outputs.get("observables", ("n_ph", "n_at"))
     if isinstance(tokens, str):
         tokens = (tokens,)
+    for token in tokens:
+        _observable_token(space, token)
     return list(tokens)
 
 
@@ -611,6 +617,7 @@ def _cmd_trajectory(command: str, cfg, no_crt: bool):
     params = build_params(cfg, no_crt)
     schedules = build_schedules(cfg)
     psi0 = build_initial_state(cfg, space)
+    tokens = _output_tokens(cfg, space)
     scale, t_name = _time_scale(cfg, params, schedules)
     opts = build_run_options(cfg)
     rates = build_rates(cfg, space.n_qubits)
@@ -628,7 +635,7 @@ def _cmd_trajectory(command: str, cfg, no_crt: bool):
     md = traj.metadata
     columns = [(t_name, traj.times / scale, t_name)] + [
         (tok.replace(":", "_"), _select_observable(traj, tok), tok.replace(":", "_"))
-        for tok in _output_tokens(cfg)
+        for tok in tokens
     ]
     meta = {
         "engine": md.get("engine"),
@@ -807,8 +814,9 @@ def circuit_pair_systems() -> dict[str, PresetSystem]:
     return {"realistic": realistic, "ideal": ideal}
 
 
-def _figure1_analytic(spec, space, schedules, psi0, times):
-    """Two-level rotation of the resonant dressed pair; spectators frozen."""
+def _figure1_analytic(spec, space, schedules, psi0, times) -> Trajectory:
+    """Two-level rotation of the resonant dressed pair, spectators frozen, as
+    a Trajectory of the reconstructed states' joint distributions."""
     eff0 = project_initial(spec, psi0)
     rate = transition_rate_general(spec, schedules, 5, 2, 0)
     b_t0 = eff0.amplitude(5, 2)
@@ -816,17 +824,14 @@ def _figure1_analytic(spec, space, schedules, psi0, times):
     b_t, b_s = rwa_solution(rate.xi, b_t0, b_s0, times)
     idx_t = eff0.labels.index((5, 2))
     idx_s = eff0.labels.index((5, 0))
-    n_ph = np.empty(len(times))
-    n_at = np.empty(len(times))
+    joint = np.empty((len(times), space.n_qubits + 1, space.photon_dim))
     for i, t in enumerate(times):
         b = eff0.b.copy()
         b[idx_t] = b_t[i]
         b[idx_s] = b_s[i]
-        state = reconstruct_state(spec, schedules, eff0.labels, b, float(t))
-        obs = observables(state, space)
-        n_ph[i] = obs.n_ph
-        n_at[i] = obs.n_at
-    return n_ph, n_at
+        joint[i] = observables(reconstruct_state(spec, schedules, eff0.labels, b, float(t)),
+                               space)
+    return Trajectory(space, times, joint, None)
 
 
 def _uniform_system_meta(system: PresetSystem) -> dict:
@@ -858,14 +863,14 @@ def _cmd_figure1(factor_crt: float, factor_tc: float):
     traj_tc = evolve_schrodinger(space, tc.params, tc.drive(eta_tc), psi0,
                                  span, count, tol=1e-9)
     spec_crt = dispersive_spectrum(space, crt.params)
-    ana_ph, ana_at = _figure1_analytic(spec_crt, space, sched_crt, psi0, traj_crt.times)
+    analytic = _figure1_analytic(spec_crt, space, sched_crt, psi0, traj_crt.times)
 
     columns = [
         ("t_q_over_pi", traj_crt.times * q / math.pi, "t q / pi"),
-        ("n_ph_analytic", ana_ph, "n_ph analytic"),
+        ("n_ph_analytic", analytic.n_ph, "n_ph analytic"),
         ("n_ph_exactCRT", traj_crt.n_ph, "n_ph CRT"),
         ("n_ph_exactTC", traj_tc.n_ph, "n_ph TC"),
-        ("n_at_analytic", ana_at, "n_at analytic"),
+        ("n_at_analytic", analytic.n_at, "n_at analytic"),
         ("n_at_exactCRT", traj_crt.n_at, "n_at CRT"),
         ("n_at_exactTC", traj_tc.n_at, "n_at TC"),
     ]
@@ -881,7 +886,7 @@ def _cmd_figure1(factor_crt: float, factor_tc: float):
     summary = [
         f"figure1: eta/2|Delta| = {factor_crt} (with CRT), {factor_tc} (without); "
         f"q = {q:.6e}",
-        f"  n_ph swing: analytic {ana_ph.min():.3f}..{ana_ph.max():.3f}  "
+        f"  n_ph swing: analytic {analytic.n_ph.min():.3f}..{analytic.n_ph.max():.3f}  "
         f"exact CRT {traj_crt.n_ph.min():.3f}..{traj_crt.n_ph.max():.3f}  "
         f"exact TC {traj_tc.n_ph.min():.3f}..{traj_tc.n_ph.max():.3f}",
     ]

@@ -140,7 +140,6 @@ from scipy.linalg import schur
 from .errors import ConfigError, CutoffError, DomainError, NumericError, UnsupportedError
 from .hilbert import (
     COLLECTIVE,
-    ObservableSet,
     SpaceSpec,
     StateVector,
     ladder_operators,
@@ -180,32 +179,38 @@ CUTOFF_POLICIES = ("warn", "error", "ignore")
 
 @dataclass
 class Trajectory:
-    """Sampled evolution: times, observables, optional raw states, run stats."""
+    """Sampled evolution: times, the joint distribution of every sample,
+    optional raw states, run stats.
+
+    joint[i, k, n] = P(k excited qubits, n photons) at times[i], shape
+    (samples, N+1, n_max+1); the means and marginals are sums over it.
+    """
 
     space: SpaceSpec
     times: np.ndarray
-    observables: list[ObservableSet]
+    joint: np.ndarray
     states: list | None
     metadata: dict = field(default_factory=dict)
 
     @property
     def n_ph(self) -> np.ndarray:
-        return np.array([o.n_ph for o in self.observables])
+        return self.joint.sum(axis=1) @ np.arange(self.space.photon_dim, dtype=float)
 
     @property
     def n_at(self) -> np.ndarray:
-        return np.array([o.n_at for o in self.observables])
+        return self.joint.sum(axis=2) @ np.arange(self.space.n_qubits + 1, dtype=float)
 
     def p_ph(self, n: int) -> np.ndarray:
-        return np.array([o.p_ph[n] for o in self.observables])
+        return self.joint.sum(axis=1)[:, n]
 
     def p_at(self, k: int) -> np.ndarray:
-        return np.array([o.p_at[k] for o in self.observables])
+        return self.joint.sum(axis=2)[:, k]
 
 
 @dataclass
 class DensityMatrix:
-    """Validated density operator on a SpaceSpec."""
+    """Validated density operator on a SpaceSpec: Hermitian to 1e-12, unit
+    trace to 1e-9, eigenvalues above -floor_tol; NaN fails every gate."""
 
     space: SpaceSpec
     matrix: np.ndarray
@@ -218,13 +223,13 @@ class DensityMatrix:
                 f"density matrix shape {m.shape} != space dim {self.space.dim}"
             )
         herm = float(np.max(np.abs(m - m.conj().T)))
-        if herm > 1e-12:
+        if not herm <= 1e-12:
             raise NumericError(f"density matrix hermiticity defect {herm:.2e} > 1e-12")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > 1e-9:
+        if not abs(tr - 1.0) <= 1e-9:
             raise NumericError(f"density matrix trace {tr:.12f} off unity by > 1e-9")
         w = np.linalg.eigvalsh(m)
-        if w[0] < -self.floor_tol:
+        if not w[0] >= -self.floor_tol:
             raise NumericError(
                 f"density matrix minimum eigenvalue {w[0]:.2e} below -{self.floor_tol:.0e}"
             )
@@ -273,9 +278,18 @@ def _max_step(schedules) -> float:
     return (2.0 * math.pi / max(etas)) / DRIVE_STEPS_PER_PERIOD if etas else np.inf
 
 
-def _cutoff_check(space: SpaceSpec, obs_list, policy: str, metadata: dict,
+def _joints(space: SpaceSpec, samples) -> np.ndarray:
+    """The (samples, N+1, n_max+1) joint distributions of a run's states or
+    density matrices, one observables call per sample."""
+    joint = np.empty((len(samples), space.n_qubits + 1, space.photon_dim))
+    for i, sample in enumerate(samples):
+        joint[i] = observables(sample, space)
+    return joint
+
+
+def _cutoff_check(space: SpaceSpec, joint: np.ndarray, policy: str, metadata: dict,
                   stacklevel: int = 3) -> None:
-    top = max(o.p_ph[space.n_max] for o in obs_list)
+    top = float(np.max(joint[:, :, space.n_max].sum(axis=1)))
     metadata["cutoff_max_population"] = top
     if top > CUTOFF_POP_TOL:
         msg = (
@@ -760,12 +774,12 @@ def _unitary_points(space, params, schedules, psi0, etas, t_span, sample_count, 
                     f"norm drift {drift:.2e} exceeds {NORM_DRIFT_TOL:g}; tighten tol "
                     f"(currently {tol:g})"
                 )
-            obs = [observables(state, space) for state in states]
+            joint = _joints(space, states)
             # the warning names evolve_schrodinger's caller, or the one consuming the points
-            _cutoff_check(space, obs, cutoff_policy, metadata, stacklevel=4 if single else 3)
+            _cutoff_check(space, joint, cutoff_policy, metadata, stacklevel=4 if single else 3)
             kept = ([StateVector(space, s / np.linalg.norm(s)) for s in states]
                     if store_states else None)
-            yield Trajectory(space, t_grid, obs, kept, metadata)
+            yield Trajectory(space, t_grid, joint, kept, metadata)
 
     return trajectories()
 
@@ -816,7 +830,7 @@ def evolve_schrodinger_etas(
     (_sector_propagators), as many per solve as fit in SAMPLE_STORE_BYTES of
     samples. A solve runs when its first point is reached, so a caller that
     consumes the points one by one holds one solve's samples and one point's
-    observables at a time. A stroboscopic point's rhs_evals are those of the
+    joint at a time. A stroboscopic point's rhs_evals are those of the
     solve it shared, whose width batch_points records. That solve's tolerance
     holds for the batch as a whole, so a point's error per step may exceed
     what its own evolve_schrodinger run accepts by up to sqrt(batch_points).
@@ -961,12 +975,6 @@ def _to_hermitian_basis(m: np.ndarray, pairing) -> np.ndarray:
     """T m T^H, computed in place on the complex matrix m."""
     m = _rotate_pairs(m, pairing, _HERMITIAN_PAIR)
     return _rotate_pairs(m, pairing, _HERMITIAN_PAIR.conj(), axis=1)
-
-
-def _from_hermitian_basis(r: np.ndarray, pairing) -> np.ndarray:
-    """T^H r T as a new complex matrix: the inverse of _to_hermitian_basis."""
-    c = _rotate_pairs(r.astype(complex), pairing, _HERMITIAN_PAIR.conj().T)
-    return _rotate_pairs(c, pairing, _HERMITIAN_PAIR.T, axis=1)
 
 
 def _real_part(z: np.ndarray, metadata: dict) -> np.ndarray:
@@ -1321,12 +1329,12 @@ def evolve_lindblad(
     if floor < EIG_FLOOR_RUN:
         raise NumericError(f"density matrix eigenvalue {floor:.2e} below {EIG_FLOOR_RUN:g}")
 
-    obs = [observables(r, space) for r in rhos]
-    _cutoff_check(space, obs, cutoff_policy, metadata)
+    joint = _joints(space, rhos)
+    _cutoff_check(space, joint, cutoff_policy, metadata)
     return Trajectory(
         space=space,
         times=times,
-        observables=obs,
+        joint=joint,
         states=[DensityMatrix(space, r / np.real(np.trace(r)), floor_tol=1e-6) for r in rhos]
         if store_states
         else None,

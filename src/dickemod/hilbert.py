@@ -8,14 +8,16 @@ varies fastest: amplitudes reshape to (atom_dim, n_max+1) without copying.
 
 ladder_operators builds the structural operators of either basis once, as real
 matrices; the Hamiltonian, its drive pieces and the collapse operators are formed
-from them.
+from them. observables reads one state or density matrix as the joint (excited
+qubits, photons) distribution, a plain array that every population the package
+reports is a sum over.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,7 +30,6 @@ DISTINGUISHABLE = "distinguishable"
 
 STATE_NORM_TOL = 1e-10
 OBSERVABLE_NORM_TOL = 1e-6
-DISTRIBUTION_SUM_TOL = 1e-9
 
 
 def f_coefficient(k: int, n_qubits: int) -> float:
@@ -114,41 +115,9 @@ class StateVector:
                 f"amplitude shape {amp.shape} does not match dim {self.space.dim}"
             )
         nrm = float(np.linalg.norm(amp))
-        if abs(nrm - 1.0) > STATE_NORM_TOL:
+        if not abs(nrm - 1.0) <= STATE_NORM_TOL:
             raise NormalizationError(f"state norm {nrm!r} deviates from 1 beyond 1e-10")
         self.amplitudes = amp
-
-
-@dataclass
-class ObservableSet:
-    """The joint distribution of one state or density matrix over excited
-    qubits and photons, and the marginals and means read from it.
-
-    joint[k, n] = P(k excited qubits, n photons), shape (N+1, n_max+1), sums
-    to 1 within 1e-9. p_ph, p_at, n_ph and n_at are derived from it, so two
-    sets are equal when their joint distributions are.
-    """
-
-    joint: np.ndarray
-    p_ph: np.ndarray = field(init=False)  # length n_max+1
-    p_at: np.ndarray = field(init=False)  # length N+1
-    n_ph: float = field(init=False)
-    n_at: float = field(init=False)
-
-    def __post_init__(self):
-        self.joint = np.asarray(self.joint, dtype=float)
-        s = float(self.joint.sum())
-        if abs(s - 1.0) > DISTRIBUTION_SUM_TOL:
-            raise NormalizationError(f"joint distribution sums to {s!r}, not 1 within 1e-9")
-        self.p_ph = self.joint.sum(axis=0)
-        self.p_at = self.joint.sum(axis=1)
-        self.n_ph = float(np.dot(self.p_ph, np.arange(len(self.p_ph))))
-        self.n_at = float(np.dot(self.p_at, np.arange(len(self.p_at))))
-
-    def __eq__(self, other):
-        if not isinstance(other, ObservableSet):
-            return NotImplemented
-        return bool(np.array_equal(self.joint, other.joint))
 
 
 def dicke_fock_state(space: SpaceSpec, k: int, n_photon: int) -> StateVector:
@@ -194,39 +163,47 @@ def coherent_state(space: SpaceSpec, alpha: complex, k_atom: int = 0) -> StateVe
     return StateVector(space, amp)
 
 
-def observables(state, space: SpaceSpec | None = None) -> ObservableSet:
+@functools.lru_cache(maxsize=16)
+def _excitation_fold(space: SpaceSpec) -> np.ndarray:
+    """The 0/1 matrix F[k, a] = (atom_excitations[a] == k), shape
+    (N+1, atom_dim): F @ the (atom, photon) grid sums each k's atomic levels.
+    Cached per space and shared, so it is read-only."""
+    fold = (np.arange(space.n_qubits + 1)[:, None] == space.atom_excitations).astype(float)
+    fold.flags.writeable = False
+    return fold
+
+
+def observables(state, space: SpaceSpec | None = None) -> np.ndarray:
     """Joint (excited qubits, photons) distribution of a StateVector, an
-    amplitude vector, or a density matrix.
+    amplitude vector, or a density matrix: joint[k, n] = P(k excited qubits,
+    n photons), a float array of shape (N+1, n_max+1) that sums to one.
 
     Raw ndarray input (1d amplitudes or 2d matrix) requires an explicit space.
-    The input must be normalized to 1e-6; the distribution is renormalized by
-    the actual norm so it always sums to one. The (atom, photon) grid of |psi|^2
-    or diag(rho) is folded onto k = space.atom_excitations, which sums the
-    distinguishable configurations by popcount.
+    The input must be normalized to 1e-6 (NaN fails); the distribution is
+    renormalized by the actual norm. The (atom, photon) grid of |psi|^2 or
+    diag(rho) is folded onto k by the space's cached 0/1 matrix
+    F[k, a] = (atom_excitations[a] == k), which sums the distinguishable
+    configurations by popcount.
     """
     if isinstance(state, StateVector):
-        space = state.space
-        pops = np.abs(state.amplitudes) ** 2
+        space, state = state.space, state.amplitudes
+    arr = np.asarray(state)
+    if space is None:
+        raise DomainError("raw array input requires an explicit SpaceSpec")
+    if arr.ndim == 1:
+        if arr.shape != (space.dim,):
+            raise DomainError(f"amplitude shape {arr.shape} != ({space.dim},)")
+        pops = np.abs(arr) ** 2
+    elif arr.ndim == 2:
+        if arr.shape != (space.dim, space.dim):
+            raise DomainError(f"matrix shape {arr.shape} != square dim {space.dim}")
+        pops = np.real(np.diag(arr))
     else:
-        arr = np.asarray(state)
-        if space is None:
-            raise DomainError("raw array input requires an explicit SpaceSpec")
-        if arr.ndim == 1:
-            if arr.shape != (space.dim,):
-                raise DomainError(f"amplitude shape {arr.shape} != ({space.dim},)")
-            pops = np.abs(arr) ** 2
-        elif arr.ndim == 2:
-            if arr.shape != (space.dim, space.dim):
-                raise DomainError(f"matrix shape {arr.shape} != square dim {space.dim}")
-            pops = np.real(np.diag(arr))
-        else:
-            raise DomainError(f"unsupported input ndim {arr.ndim}")
+        raise DomainError(f"unsupported input ndim {arr.ndim}")
     total = float(pops.sum())
-    if abs(total - 1.0) > OBSERVABLE_NORM_TOL:
+    if not abs(total - 1.0) <= OBSERVABLE_NORM_TOL:
         raise NormalizationError(f"input normalization {total!r} off by more than 1e-6")
-    joint = np.zeros((space.n_qubits + 1, space.photon_dim))
-    np.add.at(joint, space.atom_excitations, pops.reshape(space.atom_dim, space.photon_dim) / total)
-    return ObservableSet(joint)
+    return _excitation_fold(space) @ (pops.reshape(space.atom_dim, space.photon_dim) / total)
 
 
 def parity_sectors(space: SpaceSpec) -> tuple[np.ndarray, np.ndarray]:

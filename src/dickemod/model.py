@@ -161,7 +161,8 @@ class DissipationRates:
 def validate_schedules(
     params: SystemParams, schedules: tuple[ModulationSchedule, ...]
 ) -> None:
-    """Reject duplicate targets and warn outside the perturbative regime.
+    """Reject duplicate targets and a qubit on the cavity drive omega, and
+    warn outside the perturbative regime.
 
     Perturbative regime: epsilon_g well below g0, epsilon_omega and
     epsilon_Omega well below |Delta|. The warning threshold is 0.3.
@@ -170,6 +171,8 @@ def validate_schedules(
     for s in schedules:
         if s.qubit is not None and s.qubit > params.n_qubits:
             raise DomainError(f"qubit={s.qubit} > N={params.n_qubits}")
+        if s.qubit is not None and s.target == "omega":
+            raise ConfigError(f"the cavity drive omega takes no qubit, got qubit={s.qubit}")
         key = (s.target, s.qubit)
         if key in seen:
             raise ConfigError(f"duplicate modulation target {key}")

@@ -6,7 +6,7 @@ each frequency, and locates the peak with one rule, _vertex: the vertex of
 the parabola through the highest sample and its two neighbors, read off the
 coarse grid or, with zoom, off a 10x finer grid across that bracket. The
 transfer is one cell of the joint (excited qubits, photons) distribution
-that every sample's ObservableSet carries, so sweeps store no states.
+that a Trajectory holds for every sample, so sweeps store no states.
 _evaluate runs one grid and gives one table, a row per field and a column
 per point, which the zoom points join in eta order. fit_diagnostics holds
 the horizon, the median background, peak_transfer, vertex_fallback, and
@@ -59,8 +59,8 @@ class TransferScenario:
 
     transition = (n, k) labels the targeted pair inside the n-excitation
     subspace; the transfer metric is the bare |k+2, n-k-2> population,
-    joint[k+2, n-k-2] of the sample's ObservableSet, the quantity these
-    resonances actually move.
+    the cell joint[:, k+2, n-k-2] of the Trajectory's joint distribution, the
+    quantity these resonances actually move.
 
     sample_count, tol and method control each per-frequency evolution. When
     rates is given and nonzero the scenario evolves under the master equation.
@@ -134,7 +134,7 @@ def _point_record(scenario: TransferScenario, traj: Trajectory):
     batch_points 0, for an engine that makes no period solve. A NaN
     population in any sample raises NumericError, as one above 1 does."""
     n, k = scenario.transition
-    top = float(np.max([o.joint[k + 2, n - k - 2] for o in traj.observables]))
+    top = float(np.max(traj.joint[:, k + 2, n - k - 2]))
     if not top <= 1.0 + POPULATION_SLACK:
         raise NumericError(f"target population {top:.6g} exceeds 1 or is NaN")
     md = traj.metadata
@@ -151,7 +151,7 @@ def _evaluate(scenario, etas, horizon) -> np.ndarray:
     period solves. Master-equation points run evolve_lindblad one at a time.
     """
     sc = scenario
-    # the points are generated one by one, so one point's observables are held at a time
+    # the points are generated one by one, so one point's joint is held at a time
     if sc.rates is not None and not sc.rates.all_zero:
         trajs = (_lindblad_point(sc, eta, horizon) for eta in etas)
     else:
@@ -283,22 +283,27 @@ class RabiFit:
     phase: float = 0.0
 
 
+def _observable_token(space: SpaceSpec, token: str) -> tuple[str, int | None]:
+    """(name, index) of an observable token: n_ph, n_at, p_ph:<n> with n in
+    0..n_max or p_at:<k> with k in 0..N. Any other token raises ConfigError."""
+    name, colon, arg = token.partition(":")
+    top = {"p_ph": space.n_max, "p_at": space.n_qubits}.get(name)
+    if name in ("n_ph", "n_at") and not colon:
+        return name, None
+    if top is not None and arg.isdecimal() and int(arg) <= top:
+        return name, int(arg)
+    raise ConfigError(
+        f"unknown observable {token!r}: expected n_ph, n_at, p_ph:<0..{space.n_max}> "
+        f"or p_at:<0..{space.n_qubits}>"
+    )
+
+
 def _select_observable(trajectory: Trajectory, selector) -> np.ndarray:
     if callable(selector):
-        y = np.asarray(selector(trajectory), dtype=float)
+        y = selector(trajectory)
     elif isinstance(selector, str):
-        name, _, arg = selector.partition(":")
-        if name == "n_ph":
-            y = trajectory.n_ph
-        elif name == "n_at":
-            y = trajectory.n_at
-        elif name in ("p_ph", "p_at"):
-            if not arg:
-                raise ConfigError(f"selector {selector!r} needs an index, e.g. '{name}:2'")
-            idx = int(arg)
-            y = trajectory.p_ph(idx) if name == "p_ph" else trajectory.p_at(idx)
-        else:
-            raise ConfigError(f"unknown observable selector {selector!r}")
+        name, index = _observable_token(trajectory.space, selector)
+        y = getattr(trajectory, name) if index is None else getattr(trajectory, name)(index)
     else:
         raise ConfigError("observable_selector must be a string or a callable")
     y = np.asarray(y, dtype=float)

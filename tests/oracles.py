@@ -231,6 +231,23 @@ def full_space_lindblad_channel(h_at, collapse, period, panels, rtol=1e-13, slic
     return np.kron(u_t, u_t.conj()) @ channel
 
 
+def hermitian_basis_map(pairing, dim):
+    """The unitary T on a Liouville block of size dim: each transpose pair
+    (x_lo, x_hi) of `pairing` goes to ((x_lo + x_hi), i (x_lo - x_hi)) / sqrt(2),
+    every entry in no pair stays."""
+    lo, hi = (np.asarray(index) for index in pairing)
+    t = np.eye(dim, dtype=complex)
+    s = math.sqrt(0.5)
+    t[lo, lo], t[lo, hi], t[hi, lo], t[hi, hi] = s, s, 1j * s, -1j * s
+    return t
+
+
+def from_hermitian_basis(r, pairing):
+    """T^H r T: a block matrix in the Hermitian basis back in vec(rho) order."""
+    t = hermitian_basis_map(pairing, len(r))
+    return t.conj().T @ r @ t
+
+
 def lindblad_dissipator(op, rho):
     """D[O]rho = (2 O rho O^dag - O^dag O rho - rho O^dag O)/2; traceless."""
     op = np.asarray(op)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import dickemod
+from dickemod import cli
 from dickemod.cli import (
     CSV_SCHEMA,
     ScenarioConfig,
@@ -458,8 +459,6 @@ def test_spectrum_stops_at_the_first_unlabeled_subspace(tmp_path, capsys):
 
 def test_library_defaults_are_not_retyped(tmp_path, monkeypatch):
     # a config without run.tol or run.method leaves both to the library
-    import dickemod.cli as cli
-
     calls = {}
 
     class Stop(Exception):
@@ -504,6 +503,18 @@ def test_evolve_csv_and_determinism(tmp_path):
     total = data[:, 1] + data[:, 2]
     assert np.ptp(total) < 1e-6
     assert np.all((data[:, 3] >= 0.0) & (data[:, 3] <= 1.0))
+
+
+@pytest.mark.parametrize("token", ["p_ph:99", "p_ph:-1", "p_ph:abc", "p_at:3"])
+def test_evolve_refuses_an_observable_outside_the_space(tmp_path, capsys, monkeypatch, token):
+    # N = 2 and n_max = 4: the token is refused before anything evolves
+    monkeypatch.setattr(cli, "evolve_schrodinger", lambda *a, **k: pytest.fail("evolved"))
+    text = (SYSTEM_LINES.replace("n_max = 8", "n_max = 4") + DRIVE_LINES + STATE_LINES
+            + f"run.t_final = 5.0\nrun.sample_count = 5\noutputs.observables = n_ph, {token}\n")
+    cfg = write_cfg(tmp_path, text)
+    assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert repr(token) in capsys.readouterr().err
+    assert not (tmp_path / "o" / "evolve.csv").exists()
 
 
 def test_evolve_time_units(tmp_path):

@@ -44,6 +44,7 @@ from oracles import (
     _one_period_propagators,
     damped_cavity_nph,
     dense_collective_hamiltonian,
+    from_hermitian_basis,
     frozen_step_evolve,
     full_space_floquet,
     full_space_lindblad_channel,
@@ -286,7 +287,7 @@ def test_sector_lindblad_matches_full_space_channel(basis, state, phi):
         sectors, blocks, pairings, real = dynamics._lindblad_channel(
             ham, collapse, rho0.matrix, 1e-12, meta, coherences=True)
     # the channels come back real in each block's Hermitian basis
-    channels = [dynamics._from_hermitian_basis(r, pr) for r, pr in zip(real, pairings)]
+    channels = [from_hermitian_basis(r, pr) for r, pr in zip(real, pairings)]
     assert len(blocks) == occupied
     assert meta["period_window"] == pytest.approx(half_window(phi), rel=1e-15)
     period = 2 * math.pi / ETA
@@ -368,7 +369,7 @@ def test_channel_slice_error_bounds_the_distance_to_64_slices(strength):
     for pairs, r, pairing in zip(blocks, real, pairings):
         index = np.concatenate([(sectors[a][:, None] * space.dim + sectors[b]).ravel()
                                 for a, b in pairs])
-        channel = dynamics._from_hermitian_basis(r, pairing)
+        channel = from_hermitian_basis(r, pairing)
         distance = max(distance, np.max(np.abs(c64[np.ix_(index, index)] - channel)))
     assert distance <= meta["channel_slice_error"]
 
@@ -840,8 +841,7 @@ def test_batched_points_match_one_point_at_a_time(window, monkeypatch):
         assert traj.metadata["period_window"] == pytest.approx(
             alone.metadata["period_window"], rel=1e-15)
         assert (alone.metadata["period_window"][0] == 0.0) == (window == "full")
-        joint = np.array([o.joint for o in traj.observables])
-        assert np.max(np.abs(joint - [o.joint for o in alone.observables])) < 1e-9
+        assert np.max(np.abs(traj.joint - alone.joint)) < 1e-9
     assert len({traj.metadata["rhs_evals"] for traj in batched}) == 1
 
 
@@ -892,8 +892,7 @@ def test_batched_entry_runs_every_point_on_its_own_engine():
                                    psi0, span, 9, **kw)
         assert traj.metadata["engine"] == alone.metadata["engine"] == "adaptive-rk"
         assert traj.metadata["rhs_evals"] == alone.metadata["rhs_evals"]
-        assert np.array_equal([o.joint for o in traj.observables],
-                              [o.joint for o in alone.observables])
+        assert np.array_equal(traj.joint, alone.joint)
     # schedules that are all epsilon = 0 leave H static at every eta
     still = tuple(dataclasses.replace(s, epsilon=0.0) for s in sch)
     assert [traj.metadata["engine"] for traj in evolve_schrodinger_etas(
@@ -912,8 +911,7 @@ def test_zero_depth_schedule_leaves_the_direct_step_alone():
     idle = evolve_schrodinger(space, p, sch + (ModulationSchedule("Omega", 0.0, 50.0),), psi0,
                               span, 9, **kw)
     assert idle.metadata["rhs_evals"] == plain.metadata["rhs_evals"]
-    assert np.max(np.abs(np.array([o.joint for o in idle.observables])
-                         - [o.joint for o in plain.observables])) < 1e-12
+    assert np.max(np.abs(idle.joint - plain.joint)) < 1e-12
 
 
 def test_store_width_follows_the_budget(monkeypatch):
@@ -1016,7 +1014,7 @@ def test_trajectory_accessors():
         space, p, (), dicke_fock_state(space, 1, 2), (0.0, 5.0), 9, cutoff_policy="ignore"
     )
     assert tr.times.shape == (9,)
-    assert len(tr.observables) == 9
+    assert tr.joint.shape == (9, 3, space.photon_dim)
     assert tr.states is None
     recon = sum(n * tr.p_ph(n) for n in range(space.photon_dim))
     assert np.allclose(recon, tr.n_ph, atol=1e-12)
@@ -1086,6 +1084,18 @@ def test_density_matrix_validation():
         DensityMatrix(space, np.eye(3) / 3)
     pure = DensityMatrix.from_state(dicke_fock_state(space, 0, 1))
     assert np.trace(pure.matrix @ pure.matrix).real == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("where", ["everywhere", "one-diagonal-entry"])
+def test_density_matrix_refuses_nan(where):
+    space = SpaceSpec(1, 1)
+    m = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    if where == "everywhere":
+        m[:] = np.nan
+    else:
+        m[2, 2] = np.nan
+    with pytest.raises(NumericError):
+        DensityMatrix(space, m)
 
 
 # ---------------------------------------------------------------------------

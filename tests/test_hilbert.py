@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from dickemod import hilbert
+from dickemod.dynamics import Trajectory
 from dickemod.errors import CutoffError, DomainError, NormalizationError
 from dickemod.hilbert import (
     COLLECTIVE,
@@ -21,6 +23,12 @@ from dickemod.hilbert import (
 )
 
 from oracles import embed_collective, truncated_poisson
+
+
+def marginals(joint):
+    """(p_ph, p_at, n_ph, n_at) of one joint distribution joint[k, n]."""
+    p_ph, p_at = joint.sum(axis=0), joint.sum(axis=1)
+    return p_ph, p_at, p_ph @ np.arange(len(p_ph)), p_at @ np.arange(len(p_at))
 
 
 def test_space_dimensions():
@@ -101,18 +109,18 @@ def test_coherent_marginal_matches_truncated_poisson():
     alpha = math.sqrt(5.5)
     space = SpaceSpec(6, 21)
     psi = coherent_state(space, alpha, 0)
-    obs = observables(psi, space)
+    p_ph, _, _, n_at = marginals(observables(psi, space))
     ref = truncated_poisson(5.5, space.n_max)
-    assert np.max(np.abs(obs.p_ph - ref)) < 1e-12
-    assert obs.p_ph[5] == pytest.approx(0.17, abs=0.005)
-    assert obs.n_at == pytest.approx(0.0, abs=1e-12)
+    assert np.max(np.abs(p_ph - ref)) < 1e-12
+    assert p_ph[5] == pytest.approx(0.17, abs=0.005)
+    assert n_at == pytest.approx(0.0, abs=1e-12)
 
 
 def test_coherent_mean_photon_number():
     space = SpaceSpec(1, 30)
     psi = coherent_state(space, math.sqrt(3.0), 0)
-    obs = observables(psi, space)
-    assert abs(obs.n_ph - 3.0) < 1e-6
+    _, _, n_ph, _ = marginals(observables(psi, space))
+    assert abs(n_ph - 3.0) < 1e-6
 
 
 def test_coherent_cutoff_guard():
@@ -132,32 +140,58 @@ def test_state_norm_guard():
 def test_observables_basic():
     space = SpaceSpec(2, 6)
     psi = dicke_fock_state(space, 0, 5)
-    obs = observables(psi, space)
-    assert obs.n_ph == pytest.approx(5.0, abs=1e-12)
-    assert obs.n_at == pytest.approx(0.0, abs=1e-12)
+    joint = observables(psi, space)
+    assert joint.shape == (3, 7) and joint.dtype == np.float64
+    _, _, n_ph, n_at = marginals(joint)
+    assert n_ph == pytest.approx(5.0, abs=1e-12)
+    assert n_at == pytest.approx(0.0, abs=1e-12)
 
     vec = np.zeros(space.dim, dtype=complex)
     vec[space.index(0, 5)] = 1.0 / math.sqrt(2)
     vec[space.index(2, 3)] = 1.0 / math.sqrt(2)
-    obs = observables(StateVector(space, vec), space)
-    assert obs.n_ph == pytest.approx(4.0, abs=1e-12)
-    assert obs.n_at == pytest.approx(1.0, abs=1e-12)
-    assert obs.p_ph[5] == pytest.approx(0.5, abs=1e-12)
-    assert obs.p_ph[3] == pytest.approx(0.5, abs=1e-12)
-    assert obs.p_ph.sum() == pytest.approx(1.0, abs=1e-9)
-    assert obs.p_at.sum() == pytest.approx(1.0, abs=1e-9)
-    # n_ph and n_at are the first moments of their marginals
-    assert obs.n_ph == pytest.approx(np.arange(space.photon_dim) @ obs.p_ph, abs=1e-12)
-    assert obs.n_at == pytest.approx(np.arange(space.atom_dim) @ obs.p_at, abs=1e-12)
+    joint = observables(StateVector(space, vec), space)
+    p_ph, p_at, n_ph, n_at = marginals(joint)
+    assert n_ph == pytest.approx(4.0, abs=1e-12)
+    assert n_at == pytest.approx(1.0, abs=1e-12)
+    assert p_ph[5] == pytest.approx(0.5, abs=1e-12)
+    assert p_ph[3] == pytest.approx(0.5, abs=1e-12)
+    assert p_ph.sum() == pytest.approx(1.0, abs=1e-9)
+    assert p_at.sum() == pytest.approx(1.0, abs=1e-9)
+    # a trajectory's n_ph and n_at are the first moments of its marginals
+    traj = Trajectory(space, np.zeros(2), np.stack([joint, joint]), None)
+    assert np.all(traj.n_ph == pytest.approx(n_ph, abs=1e-12))
+    assert np.all(traj.n_at == pytest.approx(n_at, abs=1e-12))
+    assert np.array_equal(traj.p_ph(5), [p_ph[5]] * 2)
+    assert np.array_equal(traj.p_at(2), [p_at[2]] * 2)
 
 
-def test_observable_sets_compare_by_their_joint_distribution():
-    space = SpaceSpec(1, 2)
-    one_photon = observables(dicke_fock_state(space, 0, 1), space)
-    assert one_photon == observables(dicke_fock_state(space, 0, 1), space)
-    assert one_photon != observables(dicke_fock_state(space, 1, 0), space)
-    wider = SpaceSpec(1, 3)
-    assert one_photon != observables(dicke_fock_state(wider, 0, 1), wider)
+def test_observables_fold_configurations_by_popcount():
+    # every distinguishable configuration lands on its number of excited
+    # qubits, against a loop over the configurations
+    space = SpaceSpec(3, 2, DISTINGUISHABLE)
+    vec = np.random.default_rng(3).normal(size=space.dim) + 0j
+    vec /= np.linalg.norm(vec)
+    grid = np.abs(vec.reshape(space.atom_dim, space.photon_dim)) ** 2
+    ref = np.zeros((4, 3))
+    for config in range(space.atom_dim):
+        ref[bin(config).count("1")] += grid[config]
+    assert np.max(np.abs(observables(vec, space) - ref)) < 1e-15
+    fold = hilbert._excitation_fold(space)
+    assert fold is hilbert._excitation_fold(SpaceSpec(3, 2, DISTINGUISHABLE))
+    with pytest.raises(ValueError):
+        fold[0, 0] = 2.0
+
+
+@pytest.mark.parametrize("source", ["state", "amplitudes", "matrix"])
+def test_a_nan_input_fails_the_normalization_gates(source):
+    space = SpaceSpec(1, 1)
+    nan = np.full(space.dim, np.nan, dtype=complex)
+    if source == "state":
+        with pytest.raises(NormalizationError):
+            StateVector(space, nan)
+        return
+    with pytest.raises(NormalizationError):
+        observables(nan if source == "amplitudes" else np.diag(nan), space)
 
 
 def test_operators_ladder_algebra():
@@ -179,12 +213,12 @@ def test_embedding_preserves_observables():
     vec[space.index(2, 3)] = 0.8j
     psi = StateVector(space, vec)
     emb = StateVector(SpaceSpec(3, 6, DISTINGUISHABLE), embed_collective(vec, 3, 6))
-    a = observables(psi, space)
-    b = observables(emb, emb.space)
-    assert np.max(np.abs(a.p_ph - b.p_ph)) < 1e-12
-    assert np.max(np.abs(a.p_at - b.p_at)) < 1e-12
-    assert abs(a.n_ph - b.n_ph) < 1e-12
-    assert abs(a.n_at - b.n_at) < 1e-12
+    a = marginals(observables(psi, space))
+    b = marginals(observables(emb, emb.space))
+    assert np.max(np.abs(a[0] - b[0])) < 1e-12
+    assert np.max(np.abs(a[1] - b[1])) < 1e-12
+    assert abs(a[2] - b[2]) < 1e-12
+    assert abs(a[3] - b[3]) < 1e-12
 
 
 def test_operator_sparsity():

@@ -300,6 +300,20 @@ def test_qubit_addressed_schedule_guards():
         )
 
 
+def test_the_cavity_drive_takes_no_qubit():
+    # omega belongs to the cavity: a qubit on it would be dropped, not obeyed
+    p = SystemParams(**TWO_QUBIT)
+    sched = (ModulationSchedule("omega", 0.01, 1.5, qubit=2),)
+    with pytest.raises(ConfigError, match="takes no qubit"):
+        validate_schedules(p, sched)
+    with pytest.raises(ConfigError, match="takes no qubit"):
+        build_hamiltonian(SpaceSpec(2, 3, DISTINGUISHABLE), p, sched)
+    build_hamiltonian(SpaceSpec(2, 3, DISTINGUISHABLE), p,
+                      (ModulationSchedule("omega", 0.01, 1.5), *(
+                          ModulationSchedule(target, 0.01, 1.5, qubit=2)
+                          for target in ("Omega", "g"))))
+
+
 def test_seconds_per_time_unit():
     assert seconds_per_time_unit(10e9) == pytest.approx(1.0 / (2 * math.pi * 1e10))
     with pytest.raises(DomainError):

@@ -18,10 +18,10 @@ from dickemod.dynamics import (
     _HERMITIAN_PAIR,
     _LIOUVILLE_BLOCKS,
     DensityMatrix,
+    Trajectory,
     _block_vec,
     _collapse_operators,
     _eig_floor,
-    _from_hermitian_basis,
     _lindblad_strobe,
     _rotate_pairs,
     _to_hermitian_basis,
@@ -50,8 +50,10 @@ from dickemod.model import (
 from oracles import (
     bare_marginals,
     dense_collective_hamiltonian,
+    from_hermitian_basis,
     full_space_floquet,
     full_space_lindblad_channel,
+    hermitian_basis_map,
     total_excitation,
     upsilon,
 )
@@ -222,8 +224,7 @@ def test_stroboscopic_lindblad_keeps_its_gates_and_matches_full_space(run):
                                tol=1e-12, method="stroboscopic", cutoff_policy="ignore")
     assert diag.metadata["liouville_pairs"] == ((0, 0), (1, 1))
     assert np.array_equal(diag.times, traj.times)
-    joint = [o.joint for o in diag.observables]
-    assert np.max(np.abs(np.array(joint) - [o.joint for o in traj.observables])) < 1e-12
+    assert np.max(np.abs(diag.joint - traj.joint)) < 1e-12
 
     # its samples are block diagonal by parity, so the eigenvalue floor taken
     # per parity block is the floor of the whole matrices
@@ -245,7 +246,9 @@ def test_hermitian_basis_map_is_unitary_and_makes_hermitian_vecs_real(a, b, pair
     sectors = [np.arange(a), a + np.arange(b)]
     pairing = _transpose_pairing(pairs, sizes)
     n = sum(sizes[p] * sizes[q] for p, q in pairs)
-    t = _rotate_pairs(np.eye(n, dtype=complex), pairing, _HERMITIAN_PAIR)
+    t = hermitian_basis_map(pairing, n)
+    assert np.max(np.abs(_rotate_pairs(np.eye(n, dtype=complex), pairing, _HERMITIAN_PAIR)
+                         - t)) < 1e-15
     assert np.max(np.abs(t @ t.conj().T - np.eye(n))) < 1e-14
 
     rng = np.random.default_rng(seed)
@@ -261,7 +264,7 @@ def test_hermitian_basis_map_is_unitary_and_makes_hermitian_vecs_real(a, b, pair
     big = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     there = _to_hermitian_basis(big.copy(), pairing)
     assert np.max(np.abs(there - t @ big @ t.conj().T)) < 1e-13
-    assert np.max(np.abs(_from_hermitian_basis(there, pairing) - big)) < 1e-13
+    assert np.max(np.abs(from_hermitian_basis(there, pairing) - big)) < 1e-13
 
 
 @st.composite
@@ -352,15 +355,16 @@ def test_joint_distribution_sums_to_one_and_folds_to_the_marginals(n_qubits, n_m
         a = rng.normal(size=(space.dim, rank)) + 1j * rng.normal(size=(space.dim, rank))
         rho = a @ a.conj().T
         rho /= np.trace(rho).real
-        obs, pops = observables(rho, space), np.real(np.diag(rho))
+        joint, pops = observables(rho, space), np.real(np.diag(rho))
     else:
         state = StateVector(space, amp) if kind == "state" else amp
-        obs, pops = observables(state, space), np.abs(amp) ** 2
-    assert obs.joint.shape == (n_qubits + 1, n_max + 1)
-    assert np.all(obs.joint >= 0.0)
-    assert abs(float(obs.joint.sum()) - 1.0) <= 1e-14
+        joint, pops = observables(state, space), np.abs(amp) ** 2
+    assert joint.shape == (n_qubits + 1, n_max + 1)
+    assert np.all(joint >= 0.0)
+    assert abs(float(joint.sum()) - 1.0) <= 1e-14
     p_ph, p_at = bare_marginals(pops, n_qubits, n_max, basis == DISTINGUISHABLE)
-    assert np.max(np.abs(obs.p_ph - p_ph)) <= 1e-14
-    assert np.max(np.abs(obs.p_at - p_at)) <= 1e-14
-    assert obs.n_ph == pytest.approx(p_ph @ np.arange(n_max + 1), abs=1e-13)
-    assert obs.n_at == pytest.approx(p_at @ np.arange(n_qubits + 1), abs=1e-13)
+    assert np.max(np.abs(joint.sum(axis=0) - p_ph)) <= 1e-14
+    assert np.max(np.abs(joint.sum(axis=1) - p_at)) <= 1e-14
+    traj = Trajectory(space, np.zeros(1), joint[None], None)
+    assert traj.n_ph[0] == pytest.approx(p_ph @ np.arange(n_max + 1), abs=1e-13)
+    assert traj.n_at[0] == pytest.approx(p_at @ np.arange(n_qubits + 1), abs=1e-13)

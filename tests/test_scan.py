@@ -26,7 +26,6 @@ from dickemod.errors import (
 )
 from dickemod.hilbert import (
     DISTINGUISHABLE,
-    ObservableSet,
     SpaceSpec,
     StateVector,
     coherent_state,
@@ -44,7 +43,7 @@ RATE = 9e-6
 def synthetic_trajectory(times):
     """Bare container for callable-selector fits."""
     return Trajectory(space=SpaceSpec(1, 1), times=np.asarray(times, float),
-                      observables=[], states=None)
+                      joint=np.zeros((0, 2, 2)), states=None)
 
 
 def rotating_trajectory(space, q, n_samples=121):
@@ -57,7 +56,7 @@ def rotating_trajectory(space, q, n_samples=121):
         amps[hi], amps[lo] = math.cos(x), math.sin(x)
         states.append(StateVector(space, amps))
     return Trajectory(space=space, times=t,
-                      observables=[observables(s) for s in states], states=states)
+                      joint=np.array([observables(s) for s in states]), states=states)
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +119,9 @@ def test_fit_selector_guards():
         fit_rabi(tr, "p_ph")  # index missing
     with pytest.raises(ConfigError):
         fit_rabi(tr, "energy")
+    for token in ("p_at:3", "p_ph:5", "p_ph:-1", "p_ph:abc", "n_ph:1"):
+        with pytest.raises(ConfigError, match="unknown observable"):
+            fit_rabi(tr, token)  # N = 2, n_max = 4
     with pytest.raises(ConfigError):
         fit_rabi(tr, 42)
     with pytest.raises(ConfigError):
@@ -288,7 +290,7 @@ def test_dissipative_sweep_points_propagate_one_liouville_block(baseline, monkey
         assert traj.metadata["liouville_pairs"] == ((0, 0), (1, 1))
         both = evolve(*args, **{**kwargs, "store_states": True})
         assert len(both.metadata["sectors"]) == 2
-        top = max(float(o.joint[k + 2, n - k - 2]) for o in both.observables)
+        top = float(np.max(both.joint[:, k + 2, n - k - 2]))
         assert abs(transfer - top) <= 1e-12
 
 
@@ -373,13 +375,13 @@ def test_sweep_result_validation():
 
 @pytest.mark.parametrize("nan_at", [0, 2])
 def test_point_record_refuses_a_nan_population(nan_at):
-    # ObservableSet lets a NaN joint through; the sweep point must not
+    # a Trajectory holds whatever joint it is given; the sweep point must
+    # not let a NaN through
     space = SpaceSpec(2, 4)
     scen = scenario(space, SystemParams(**BENCH))
-    joints = [observables(dicke_fock_state(space, 0, 3)).joint for _ in range(3)]
-    joints[nan_at] = np.full_like(joints[nan_at], math.nan)
-    traj = Trajectory(space=space, times=np.arange(3.0),
-                      observables=[ObservableSet(j) for j in joints], states=None,
+    joint = np.array([observables(dicke_fock_state(space, 0, 3)) for _ in range(3)])
+    joint[nan_at] = math.nan
+    traj = Trajectory(space=space, times=np.arange(3.0), joint=joint, states=None,
                       metadata={"rhs_evals": 1})
     with pytest.raises(NumericError, match="NaN"):
         scan._point_record(scen, traj)
