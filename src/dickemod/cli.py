@@ -7,8 +7,9 @@ hard-code the headline parameter sets so a single command regenerates each
 reference plot's data. CSV is the canonical output; SVG line charts are a
 convenience rendered natively.
 
-Exit codes: 0 success, 2 configuration, 3 physics guard, 4 numerical failure,
-5 no resonance found.
+Exit codes: 0 success; an error exits with its class's exit_code (errors.py):
+2 configuration, 3 physics guard, 4 numerical or other package failure, 5 no
+resonance found.
 """
 
 from __future__ import annotations
@@ -43,13 +44,7 @@ from .dynamics import (
     lindblad_grid,
     snapped_span,
 )
-from .errors import (
-    ConfigError,
-    DickemodError,
-    NoResonanceError,
-    NumericError,
-    PhysicsGuardError,
-)
+from .errors import ConfigError, DickemodError, PhysicsGuardError
 from .hilbert import SpaceSpec, StateVector, coherent_state, dicke_fock_state, observables
 from .model import (
     DissipationRates,
@@ -257,17 +252,16 @@ def build_space(cfg: ScenarioConfig) -> SpaceSpec:
     return SpaceSpec(n_qubits=n_qubits, n_max=n_max, basis=basis)
 
 
-def build_params(cfg: ScenarioConfig, no_crt: bool = False) -> SystemParams:
+def build_params(cfg: ScenarioConfig) -> SystemParams:
     omega0, Omega0, g0, n_qubits = _require(
         cfg.system, "system", "omega0", "Omega0", "g0", "n_qubits"
     )
-    with_crt = cfg.system.get("with_crt", True) and not no_crt
     return SystemParams(
         omega0=float(omega0),
         Omega0=Omega0,
         g0=g0,
         n_qubits=n_qubits,
-        with_crt=with_crt,
+        with_crt=cfg.system.get("with_crt", True),
     )
 
 
@@ -309,6 +303,8 @@ def build_initial_state(cfg: ScenarioConfig, space: SpaceSpec) -> StateVector:
         return dicke_fock_state(space, k, n)
     if kind == "coherent":
         (a2,) = _require(st, "initial_state", "alpha_squared")
+        if not a2 >= 0:
+            raise ConfigError(f"initial_state.alpha_squared = {a2} must be >= 0")
         return coherent_state(space, math.sqrt(a2), st.get("k", 0))
     raise ConfigError(
         f"initial_state.kind must be 'dicke_fock' or 'coherent', got {kind!r}"
@@ -500,9 +496,9 @@ def _emit(out_dir: Path, command: str, svg: bool, columns, meta: dict, chart, su
 # subcommand runners: each returns _emit's (columns, meta, chart, summary)
 # ---------------------------------------------------------------------------
 
-def _cmd_spectrum(cfg, no_crt: bool):
+def _cmd_spectrum(cfg):
     space = build_space(cfg)
-    params = build_params(cfg, no_crt)
+    params = build_params(cfg)
     # one subspace at a time, up to the first whose labels (or whose m +- 2
     # neighbours' labels) break down near the cutoff
     specs, stop = [], None
@@ -539,9 +535,9 @@ def _cmd_spectrum(cfg, no_crt: bool):
     return columns, meta, None, [summary]
 
 
-def _cmd_rates(cfg, no_crt: bool):
+def _cmd_rates(cfg):
     space = build_space(cfg)
-    params = build_params(cfg, no_crt)
+    params = build_params(cfg)
     schedules = build_schedules(cfg)
     if not schedules:
         raise ConfigError("rates needs at least one schedule section")
@@ -611,10 +607,10 @@ _ENGINE_WORK_KEYS = ("sectors", "liouville_pairs", "period_window", "rhs_evals",
                      "channel_hermiticity_defect", "channel_matmuls")
 
 
-def _cmd_trajectory(command: str, cfg, no_crt: bool):
+def _cmd_trajectory(command: str, cfg):
     dissipative, refusal, gates = _TRAJECTORY_COMMANDS[command]
     space = build_space(cfg)
-    params = build_params(cfg, no_crt)
+    params = build_params(cfg)
     schedules = build_schedules(cfg)
     psi0 = build_initial_state(cfg, space)
     tokens = _output_tokens(cfg, space)
@@ -651,9 +647,9 @@ def _cmd_trajectory(command: str, cfg, no_crt: bool):
     ]
 
 
-def _cmd_sweep(cfg, no_crt: bool):
+def _cmd_sweep(cfg):
     space = build_space(cfg)
-    params = build_params(cfg, no_crt)
+    params = build_params(cfg)
     schedules = build_schedules(cfg)
     if not schedules:
         raise ConfigError("sweep needs at least one schedule section")
@@ -1031,15 +1027,14 @@ def _cmd_figure4(factor_real: float, factor_ideal: float):
 # entry points
 # ---------------------------------------------------------------------------
 
-# config subcommand -> (runner, the options it reads): every one reads --config
-# and --no-crt, and those that draw a chart read --svg
-_CONFIG_OPTIONS = ("config_path", "no_crt")
+# config subcommand -> (runner, the options it reads): every one reads --config,
+# and those that draw a chart read --svg
 _CONFIG_COMMANDS = {
-    "spectrum": (_cmd_spectrum, _CONFIG_OPTIONS),
-    "rates": (_cmd_rates, _CONFIG_OPTIONS),
-    "evolve": (functools.partial(_cmd_trajectory, "evolve"), (*_CONFIG_OPTIONS, "svg")),
-    "lindblad": (functools.partial(_cmd_trajectory, "lindblad"), (*_CONFIG_OPTIONS, "svg")),
-    "sweep": (_cmd_sweep, (*_CONFIG_OPTIONS, "svg")),
+    "spectrum": (_cmd_spectrum, ("config_path",)),
+    "rates": (_cmd_rates, ("config_path",)),
+    "evolve": (functools.partial(_cmd_trajectory, "evolve"), ("config_path", "svg")),
+    "lindblad": (functools.partial(_cmd_trajectory, "lindblad"), ("config_path", "svg")),
+    "sweep": (_cmd_sweep, ("config_path", "svg")),
 }
 # preset -> (runner, the eta / 2|Delta| overrides it reads with their defaults,
 # in the runner's argument order); every preset also reads --svg
@@ -1058,7 +1053,6 @@ def run_scenario(
     subcommand: str,
     output_dir,
     svg: bool = False,
-    no_crt: bool = False,
     eta_factor: float | None = None,
     eta_factor_2: float | None = None,
 ) -> int:
@@ -1073,8 +1067,8 @@ def run_scenario(
         runner, reads = _CONFIG_COMMANDS[subcommand]
     else:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
-    options = {"config_path": config_path, "svg": svg or None, "no_crt": no_crt or None,
-               "eta_factor": eta_factor, "eta_factor_2": eta_factor_2}
+    options = {"config_path": config_path, "svg": svg or None, "eta_factor": eta_factor,
+               "eta_factor_2": eta_factor_2}
     unread = [k for k, v in options.items() if v is not None and k not in reads]
     if unread:
         raise ConfigError(f"{subcommand} does not read {', '.join(unread)}")
@@ -1090,7 +1084,7 @@ def run_scenario(
         raise ConfigError(f"{subcommand} requires --config")
     cfg = load_config(Path(config_path))
     _check_keys(cfg, str(config_path))
-    return _emit(out_dir, subcommand, svg, *runner(cfg, no_crt))
+    return _emit(out_dir, subcommand, svg, *runner(cfg))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1105,8 +1099,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         if "svg" in reads:
             p.add_argument("--svg", action="store_true", help="also write SVG charts")
-        p.add_argument("--no-crt", action="store_true",
-                       help="drop counter-rotating terms regardless of the config")
     for name, (_, reads) in _FIGURE_COMMANDS.items():
         p = sub.add_parser(name, help=f"regenerate the {name} dataset")
         p.add_argument("--out", required=True, help="output directory")
@@ -1126,25 +1118,12 @@ def main(argv=None) -> int:
             args.command,
             args.out,
             svg=getattr(args, "svg", False),
-            no_crt=getattr(args, "no_crt", False),
             eta_factor=getattr(args, "eta_factor", None),
             eta_factor_2=getattr(args, "eta_factor_2", None),
         )
-    except NoResonanceError as exc:
-        print(f"error[no-resonance]: {exc}", file=sys.stderr)
-        return 5
-    except ConfigError as exc:
-        print(f"error[config]: {exc}", file=sys.stderr)
-        return 2
-    except PhysicsGuardError as exc:
-        print(f"error[physics-guard]: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"error[numeric]: {exc}", file=sys.stderr)
-        return 4
     except DickemodError as exc:
-        print(f"error[failure]: {exc}", file=sys.stderr)
-        return 4
+        print(f"error[{exc.label}]: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -137,7 +137,7 @@ import numpy as np
 from scipy.integrate import DOP853, solve_ivp
 from scipy.linalg import schur
 
-from .errors import ConfigError, CutoffError, DomainError, NumericError, UnsupportedError
+from .errors import ConfigError, DomainError, NumericError, UnsupportedError
 from .hilbert import (
     COLLECTIVE,
     SpaceSpec,
@@ -174,7 +174,6 @@ DRIVE_STEPS_PER_PERIOD = 20
 # until their U(T) is known; a sweep gives each solve as many points as fit
 # in this many bytes of samples, and at least one (_store_width)
 SAMPLE_STORE_BYTES = 2_000_000
-CUTOFF_POLICIES = ("warn", "error", "ignore")
 
 
 @dataclass
@@ -201,9 +200,13 @@ class Trajectory:
         return self.joint.sum(axis=2) @ np.arange(self.space.n_qubits + 1, dtype=float)
 
     def p_ph(self, n: int) -> np.ndarray:
+        if not 0 <= n <= self.space.n_max:
+            raise DomainError(f"p_ph({n}) outside 0..{self.space.n_max}")
         return self.joint.sum(axis=1)[:, n]
 
     def p_at(self, k: int) -> np.ndarray:
+        if not 0 <= k <= self.space.n_qubits:
+            raise DomainError(f"p_at({k}) outside 0..{self.space.n_qubits}")
         return self.joint.sum(axis=2)[:, k]
 
 
@@ -241,19 +244,15 @@ class DensityMatrix:
         return cls(state.space, np.outer(amp, amp.conj()))
 
 
-def _validate_run(tol: float, cutoff_policy: str) -> None:
+def _validate_tol(tol: float) -> None:
     if not 1e-12 <= tol <= 1e-6:
         raise ConfigError(f"tol={tol:g} outside [1e-12, 1e-6]")
-    if cutoff_policy not in CUTOFF_POLICIES:
-        raise ConfigError(
-            f"cutoff_policy={cutoff_policy!r} is not one of {', '.join(CUTOFF_POLICIES)}"
-        )
 
 
 def _sample_grid(t_span, sample_count: int) -> np.ndarray:
     t0, t1 = float(t_span[0]), float(t_span[1])
-    if not t1 > t0:
-        raise ConfigError(f"t_span ({t0}, {t1}) must be increasing")
+    if not -math.inf < t0 < t1 < math.inf:
+        raise ConfigError(f"t_span ({t0}, {t1}) must be increasing and finite")
     if sample_count < 2:
         raise ConfigError("sample_count must be >= 2")
     return np.linspace(t0, t1, sample_count)
@@ -264,8 +263,10 @@ def snapped_span(eta: float, t_final: float, samples: int):
 
     The one period-alignment rule: the stride is the requested spacing
     rounded to whole periods, and the count the one that lands nearest
-    t_final. Returns ((0, t_end), count).
+    t_final. Returns ((0, t_end), count). t_final must be positive and
+    samples at least 2 (ConfigError), as for any run's grid.
     """
+    _sample_grid((0.0, t_final), samples)
     period = 2.0 * math.pi / eta
     stride = max(1, int(round(t_final / (samples - 1) / period)))
     dt = stride * period
@@ -287,19 +288,18 @@ def _joints(space: SpaceSpec, samples) -> np.ndarray:
     return joint
 
 
-def _cutoff_check(space: SpaceSpec, joint: np.ndarray, policy: str, metadata: dict,
+def _cutoff_check(space: SpaceSpec, joint: np.ndarray, metadata: dict,
                   stacklevel: int = 3) -> None:
+    """Record the largest population at n_max, and warn above CUTOFF_POP_TOL.
+    A warnings filter on the message makes the warning fatal or silent."""
     top = float(np.max(joint[:, :, space.n_max].sum(axis=1)))
     metadata["cutoff_max_population"] = top
     if top > CUTOFF_POP_TOL:
-        msg = (
+        warnings.warn(
             f"population {top:.2e} at the Fock cutoff n_max={space.n_max} "
-            f"exceeds {CUTOFF_POP_TOL:g}; the truncation is biting"
+            f"exceeds {CUTOFF_POP_TOL:g}; the truncation is biting",
+            stacklevel=stacklevel,
         )
-        if policy == "error":
-            raise CutoffError(msg)
-        if policy == "warn":
-            warnings.warn(msg, stacklevel=stacklevel)
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +501,7 @@ class _PeriodSamples:
     to, one (n, cols) block, in which sector p holds rows spans[p] and the
     first as many columns. U(tau_k) on sector p is F_k(Y) R_k
     (_window_reads), with R_k = tails[p] where tail[k], else heads[p].
+    `apply` is the one reader of U(tau_k); U itself is apply(p, k, I).
     metadata holds the point's period_window (t units), the solve's
     rhs_evals and its batch_points.
     """
@@ -523,16 +524,6 @@ class _PeriodSamples:
         rv = (self.tails[p] if self.tail[k] else self.heads[p]) @ v
         y = self._block(p, self.rows[k])
         return (y @ rv.conj()).conj() if self.conj[k] else y @ rv
-
-    def propagators(self, p: int) -> np.ndarray:
-        """U(tau_k) on sector p for every requested tau, one (K, b, b) array
-        written one tau at a time, so the only other array is the store."""
-        head = self.heads[p]
-        u = np.empty((len(self.rows), *head.shape), dtype=complex)
-        for k, (row, conj, tail) in enumerate(zip(self.rows, self.conj, self.tail)):
-            y = self._block(p, row)
-            np.matmul(y.conj() if conj else y, self.tails[p] if tail else head, out=u[k])
-        return u
 
 
 def _sector_propagators(ham, etas, sectors, tol: float, taus) -> list[_PeriodSamples]:
@@ -625,7 +616,8 @@ def _period_propagators(ham, sectors, tol: float, t_eval, metadata) -> list[np.n
     samples, = _sector_propagators(ham.at_eta(1.0), (eta,), sectors, tol,
                                    [np.asarray(t_eval, dtype=float) * eta])
     metadata.update(samples.metadata)
-    return [samples.propagators(p) for p in range(len(sectors))]
+    return [np.stack([samples.apply(p, k, eye) for k in range(len(samples.rows))])
+            for p, eye in enumerate(np.eye(len(s)) for s in sectors)]
 
 
 def _projected_period(u_period: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
@@ -651,14 +643,13 @@ def _floquet_states(samples: _PeriodSamples, sectors, psi0, split, tol):
     """
     ks, offset_index, offsets = split
     states = np.zeros((len(ks), len(psi0)), dtype=complex)
-    defects, offdiag = [], []
+    defects = []
     shifted = np.flatnonzero(offset_index >= 0)
     for p, s in enumerate(sectors):
         # U(T) is the last tau the point reads
         u_t, defect = _projected_period(samples.apply(p, -1, np.eye(len(s))), tol)
         schur_t, z = schur(u_t, output="complex")
         defects.append(defect)
-        offdiag.append(float(np.max(np.abs(np.triu(schur_t, 1)))))
         # lambda is left unnormalized, so the norm-drift gate sees its error
         phases = np.exp(np.outer(ks, np.log(np.diag(schur_t))))
         part = (phases * (z.conj().T @ psi0[s])) @ z.T
@@ -667,8 +658,7 @@ def _floquet_states(samples: _PeriodSamples, sectors, psi0, split, tol):
         states[:, s] = part
     return states, {**samples.metadata, "engine": "floquet-stroboscopic",
                     "sectors": [len(s) for s in sectors], "propagator_defect": max(defects),
-                    "periods": int(ks.max()), "offsets": len(offsets),
-                    "schur_offdiag": max(offdiag)}
+                    "periods": int(ks.max()), "offsets": len(offsets)}
 
 
 def _store_width(reads: int, n: int, cols: int) -> int:
@@ -729,7 +719,7 @@ def _select_engine(method: str, schedules, t_grid: np.ndarray) -> str:
 
 
 def _unitary_points(space, params, schedules, psi0, etas, t_span, sample_count, tol, method,
-                    store_states, cutoff_policy):
+                    store_states):
     """The one per-point loop of the unitary entries: an iterator over a
     Trajectory per point, in order. etas=None is one point, the schedules as
     given; otherwise point j drives every schedule at etas[j].
@@ -741,7 +731,7 @@ def _unitary_points(space, params, schedules, psi0, etas, t_span, sample_count, 
     points share batched period solves (_evolve_floquet). Every point has its
     own norm-drift gate and cutoff check.
     """
-    _validate_run(tol, cutoff_policy)
+    _validate_tol(tol)
     if psi0.space != space:
         raise DomainError("initial state lives on a different space")
     t_grid = _sample_grid(t_span, sample_count)
@@ -776,7 +766,7 @@ def _unitary_points(space, params, schedules, psi0, etas, t_span, sample_count, 
                 )
             joint = _joints(space, states)
             # the warning names evolve_schrodinger's caller, or the one consuming the points
-            _cutoff_check(space, joint, cutoff_policy, metadata, stacklevel=4 if single else 3)
+            _cutoff_check(space, joint, metadata, stacklevel=4 if single else 3)
             kept = ([StateVector(space, s / np.linalg.norm(s)) for s in states]
                     if store_states else None)
             yield Trajectory(space, t_grid, joint, kept, metadata)
@@ -794,7 +784,6 @@ def evolve_schrodinger(
     tol: float = 1e-9,
     method: str = "auto",
     store_states: bool = False,
-    cutoff_policy: str = "warn",
 ) -> Trajectory:
     """Integrate the Schrodinger equation and sample observables uniformly.
 
@@ -804,7 +793,7 @@ def evolve_schrodinger(
     of _unitary_points.
     """
     traj, = _unitary_points(space, params, schedules, psi0, None, t_span, sample_count, tol,
-                            method, store_states, cutoff_policy)
+                            method, store_states)
     return traj
 
 
@@ -818,7 +807,6 @@ def evolve_schrodinger_etas(
     sample_count: int,
     tol: float = 1e-9,
     method: str = "auto",
-    cutoff_policy: str = "warn",
 ):
     """evolve_schrodinger with every schedule driven at each eta of `etas` in
     turn, storing no states: an iterator over a Trajectory per point, in
@@ -836,7 +824,7 @@ def evolve_schrodinger_etas(
     what its own evolve_schrodinger run accepts by up to sqrt(batch_points).
     """
     return _unitary_points(space, params, schedules, psi0, etas, t_span, sample_count, tol,
-                           method, False, cutoff_policy)
+                           method, False)
 
 
 # ---------------------------------------------------------------------------
@@ -1284,7 +1272,6 @@ def evolve_lindblad(
     tol: float = 1e-9,
     method: str = "auto",
     store_states: bool = False,
-    cutoff_policy: str = "warn",
 ) -> Trajectory:
     """Integrate the master equation; check trace drift (<= 1e-7) and the
     eigenvalue floor (>= -1e-6) of the Hermitian samples.
@@ -1301,7 +1288,7 @@ def evolve_lindblad(
     Its samples are Hermitian by construction;
     metadata["channel_hermiticity_defect"] gates the channel that made them.
     """
-    _validate_run(tol, cutoff_policy)
+    _validate_tol(tol)
     if rho0.space != space:
         raise DomainError("initial density matrix lives on a different space")
     t_grid = _sample_grid(t_span, sample_count)
@@ -1330,7 +1317,7 @@ def evolve_lindblad(
         raise NumericError(f"density matrix eigenvalue {floor:.2e} below {EIG_FLOOR_RUN:g}")
 
     joint = _joints(space, rhos)
-    _cutoff_check(space, joint, cutoff_policy, metadata)
+    _cutoff_check(space, joint, metadata)
     return Trajectory(
         space=space,
         times=times,

@@ -1,17 +1,24 @@
 """Exception taxonomy.
 
-Every guard in the package raises one of these, so callers (and the CLI exit-code
-mapping) can tell configuration mistakes from physics-regime violations and from
-numerical failures.
+Every guard in the package raises one of these, so callers can tell
+configuration mistakes from physics-regime violations and from numerical
+failures. Each class owns its CLI label and exit code, and subclasses inherit
+them: cli.main prints `error[label]: message` and exits with `exit_code`.
 """
 
 
 class DickemodError(Exception):
     """Base class for all package errors."""
 
+    label = "failure"
+    exit_code = 4
+
 
 class ConfigError(DickemodError):
-    """Invalid configuration or arguments (CLI exit code 2)."""
+    """Invalid configuration or arguments."""
+
+    label = "config"
+    exit_code = 2
 
 
 class DomainError(ConfigError):
@@ -23,7 +30,10 @@ class UnsupportedError(ConfigError):
 
 
 class PhysicsGuardError(DickemodError):
-    """A validity guard of the physical regime tripped (CLI exit code 3)."""
+    """A validity guard of the physical regime tripped."""
+
+    label = "physics-guard"
+    exit_code = 3
 
 
 class CutoffError(PhysicsGuardError):
@@ -39,7 +49,10 @@ class LabelingError(PhysicsGuardError):
 
 
 class NumericError(DickemodError):
-    """Numerical failure: drift beyond tolerance, integrator breakdown (exit code 4)."""
+    """Numerical failure: drift beyond tolerance, integrator breakdown."""
+
+    label = "numeric"
+    exit_code = 4
 
 
 class NormalizationError(NumericError):
@@ -55,4 +68,7 @@ class SweepBoundaryError(ConfigError):
 
 
 class NoResonanceError(DickemodError):
-    """No sweep point stands out of the off-resonant background (exit code 5)."""
+    """No sweep point stands out of the off-resonant background."""
+
+    label = "no-resonance"
+    exit_code = 5

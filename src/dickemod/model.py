@@ -57,6 +57,8 @@ class SystemParams:
             self, "Omega0", _as_per_qubit(self.Omega0, self.n_qubits, "Omega0")
         )
         object.__setattr__(self, "g0", _as_per_qubit(self.g0, self.n_qubits, "g0"))
+        if not all(map(math.isfinite, (self.omega0, *self.Omega0, *self.g0))):
+            raise DomainError("omega0, Omega0 and g0 must be finite")
 
     @property
     def is_uniform(self) -> bool:
@@ -104,16 +106,14 @@ class ModulationSchedule:
     def __post_init__(self):
         if self.target not in MOD_TARGETS:
             raise DomainError(f"target {self.target!r} not in {MOD_TARGETS}")
-        if self.epsilon < 0:
-            raise DomainError(f"epsilon={self.epsilon} must be >= 0")
-        if self.eta <= 0:
-            raise DomainError(f"eta={self.eta} must be > 0")
+        if not 0 <= self.epsilon < math.inf:
+            raise DomainError(f"epsilon={self.epsilon} must be finite and >= 0")
+        if not 0 < self.eta < math.inf:
+            raise DomainError(f"eta={self.eta} must be finite and > 0")
+        if not math.isfinite(self.phi):
+            raise DomainError(f"phi={self.phi} must be finite")
         if self.qubit is not None and self.qubit < 1:
             raise DomainError(f"qubit={self.qubit} must be a 1-based index")
-
-    def drive(self, t) -> np.ndarray:
-        """The oscillating factor sin(eta*t + phi)."""
-        return np.sin(self.eta * np.asarray(t) + self.phi)
 
 
 def active_drives(schedules) -> list[ModulationSchedule]:
@@ -144,8 +144,8 @@ class DissipationRates:
         object.__setattr__(
             self, "gamma_phi", tuple(float(g) for g in self.gamma_phi)
         )
-        if self.kappa < 0 or any(g < 0 for g in self.gamma + self.gamma_phi):
-            raise DomainError("dissipation rates must be >= 0")
+        if not all(0 <= r < math.inf for r in (self.kappa, *self.gamma, *self.gamma_phi)):
+            raise DomainError("dissipation rates must be finite and >= 0")
         if len(self.gamma) != len(self.gamma_phi):
             raise DomainError("gamma and gamma_phi must have one entry per qubit")
 
@@ -211,6 +211,10 @@ def _couplings(space: SpaceSpec) -> tuple[tuple[sp.csr_matrix, sp.csr_matrix], .
 class ModulatedHamiltonian:
     """H(t) = H_const + sum_j sin(eta_j t + phi_j) * H_j, with the pieces cached.
 
+    terms pairs each drive's schedule with its matrix H_j, so it holds every
+    schedule. `apply` is the one way to apply H(t); no method forms H(t) as a
+    matrix.
+
     Every piece (h_const, then each drive term's matrix) is a real float64
     matrix equal to its transpose, exactly; construction raises DomainError
     for any other. The pieces also live on one merged real CSR matrix, whose
@@ -226,8 +230,6 @@ class ModulatedHamiltonian:
     """
 
     space: SpaceSpec
-    params: SystemParams
-    schedules: tuple[ModulationSchedule, ...]
     h_const: sp.csr_matrix
     terms: tuple[tuple[ModulationSchedule, sp.csr_matrix], ...]
     _merged: sp.csr_matrix = field(init=False, repr=False)
@@ -261,12 +263,6 @@ class ModulatedHamiltonian:
         object.__setattr__(self, "_off_rows", off)
         object.__setattr__(self, "_diagonals", diagonals)
         object.__setattr__(self, "_drives", tuple((s.eta, s.phi) for s, _ in self.terms))
-
-    def at(self, t: float) -> sp.csr_matrix:
-        h = self.h_const
-        for sched, hx in self.terms:
-            h = h + float(sched.drive(t)) * hx
-        return h
 
     def apply(self, t: float, y: np.ndarray) -> np.ndarray:
         """H(t) @ y for a state vector or a matrix of columns, without forming H(t).
@@ -312,8 +308,7 @@ class ModulatedHamiltonian:
     def at_eta(self, eta: float) -> "ModulatedHamiltonian":
         """The same pieces with every drive at frequency eta. At eta = 1 this
         is H(s) in the normalized time s = eta t of any common frequency."""
-        return replace(self, schedules=tuple(replace(s, eta=eta) for s in self.schedules),
-                       terms=tuple((replace(s, eta=eta), hx) for s, hx in self.terms))
+        return replace(self, terms=tuple((replace(s, eta=eta), hx) for s, hx in self.terms))
 
     @property
     def pieces(self) -> tuple[sp.csr_matrix, ...]:
@@ -371,7 +366,7 @@ def build_hamiltonian(
         # one qubit's operator for a qubit-addressed Omega or g drive, else the sum
         hx = per[s.qubit - 1] if s.qubit and s.target != "omega" else sum(per[1:], per[0])
         terms.append((s, (s.epsilon * hx).tocsr()))
-    return ModulatedHamiltonian(space, params, schedules, h_const.tocsr(), tuple(terms))
+    return ModulatedHamiltonian(space, h_const.tocsr(), tuple(terms))
 
 
 def seconds_per_time_unit(omega0_frequency_hz: float = 10e9) -> float:

@@ -6,7 +6,9 @@ matrix exponentials, distributions are textbook formulas. Slow and dumb on
 purpose: a bug in the package cannot leak into these values.
 """
 
+import contextlib
 import math
+import warnings
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -42,6 +44,24 @@ def dense_collective_hamiltonian(n_qubits, n_max, omega, Omega, g, with_crt):
                 h[idx(k + 1, n + 1), idx(k, n)] += g * f * math.sqrt(n + 1)
                 h[idx(k, n), idx(k + 1, n + 1)] += g * f * math.sqrt(n + 1)
     return h
+
+
+def hamiltonian_at(ham, t):
+    """H(t) = h_const + sum_j sin(eta_j t + phi_j) H_j as a sparse matrix, read
+    from a ModulatedHamiltonian's h_const and (schedule, matrix) terms."""
+    h = ham.h_const
+    for sched, hx in ham.terms:
+        h = h + float(np.sin(sched.eta * t + sched.phi)) * hx
+    return h
+
+
+@contextlib.contextmanager
+def cutoff_warning_ignored():
+    """Silence only the Fock-cutoff warning, for a run whose population
+    reaches n_max on purpose (or may, as a generated example)."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="population .* at the Fock cutoff")
+        yield
 
 
 def frozen_step_evolve(h_at, psi0, t_final, steps):

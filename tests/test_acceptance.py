@@ -39,6 +39,7 @@ from dickemod.scan import TransferScenario, fit_rabi, sweep_resonance
 from dickemod.dispersive import lambda_perturbative, spectrum_exact
 
 from oracles import (
+    cutoff_warning_ignored,
     damped_cavity_nph,
     dense_collective_hamiltonian,
     dominant_angular_rate,
@@ -274,11 +275,12 @@ def test_criterion_6_property_suite():
     cav_space = SpaceSpec(1, 6)
     cav = SystemParams(omega0=1.0, Omega0=1.72, g0=0.0, n_qubits=1)
     kappa = 0.05
-    trl = evolve_lindblad(
-        cav_space, cav, (), DissipationRates(kappa=kappa),
-        DensityMatrix.from_state(dicke_fock_state(cav_space, 0, 3)),
-        (0.0, 40.0), 21, tol=1e-10, cutoff_policy="ignore",
-    )
+    with cutoff_warning_ignored():
+        trl = evolve_lindblad(
+            cav_space, cav, (), DissipationRates(kappa=kappa),
+            DensityMatrix.from_state(dicke_fock_state(cav_space, 0, 3)),
+            (0.0, 40.0), 21, tol=1e-10,
+        )
     decay_err = float(np.max(
         np.abs(trl.n_ph - damped_cavity_nph(3.0, kappa, trl.times))
         / damped_cavity_nph(3.0, kappa, trl.times)))
@@ -345,9 +347,9 @@ def test_criterion_7_oracle_equivalence():
     eta = 1.4844
     sched = (ModulationSchedule("g", 0.1 * g0, eta),)
     psi0 = dicke_fock_state(space, 0, 3)
-    tr = evolve_schrodinger(space, params, sched, psi0, (0.0, 20.0), 5,
-                            tol=1e-10, method="direct", store_states=True,
-                            cutoff_policy="ignore")
+    with cutoff_warning_ignored():
+        tr = evolve_schrodinger(space, params, sched, psi0, (0.0, 20.0), 5,
+                                tol=1e-10, method="direct", store_states=True)
 
     def h_at(t):
         g_t = g0 + sched[0].epsilon * math.sin(eta * t)

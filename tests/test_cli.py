@@ -33,7 +33,7 @@ from dickemod.dispersive import (
     two_photon_rate_closed_form,
 )
 from dickemod.dynamics import CHANNEL_HERMITICITY_TOL, TRACE_DRIFT_TOL, UNITARY_DEFECT_TOL
-from dickemod.errors import ConfigError
+from dickemod.errors import ConfigError, DickemodError
 from dickemod.hilbert import SpaceSpec
 from dickemod.model import ModulationSchedule, SystemParams
 
@@ -236,6 +236,15 @@ def test_exit_code_no_resonance(tmp_path, capsys):
     assert "error[no-resonance]" in capsys.readouterr().err
 
 
+def test_exit_code_other_package_error(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise DickemodError("boom")
+
+    monkeypatch.setattr(cli, "run_scenario", fail)
+    assert main(["figure3", "--out", str(tmp_path / "o")]) == 4
+    assert "error[failure]: boom" in capsys.readouterr().err
+
+
 def test_evolve_rejects_dissipation(tmp_path, capsys):
     text = (SYSTEM_LINES + STATE_LINES + "dissipation.kappa = 0.01\n"
             + "run.t_final = 10.0\n")
@@ -251,6 +260,15 @@ def test_lindblad_requires_rates(tmp_path, capsys):
     rc = main(["lindblad", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "dissipation" in capsys.readouterr().err
+
+
+def test_negative_alpha_squared_is_a_config_error(tmp_path, capsys):
+    text = (SYSTEM_LINES + "initial_state.kind = coherent\ninitial_state.alpha_squared = -1.0\n"
+            + "run.t_final = 10.0\n")
+    cfg = write_cfg(tmp_path, text)
+    rc = main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "error[config]: initial_state.alpha_squared" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("count", [1, 0])
@@ -275,7 +293,6 @@ def test_run_scenario_guards(tmp_path):
     for command, config, option in [("evolve", cfg, {"eta_factor": 1.04}),
                                     ("lindblad", cfg, {"eta_factor_2": 1.04}),
                                     ("figure3", None, {"eta_factor_2": 1.04}),
-                                    ("figure1", None, {"no_crt": True}),
                                     ("figure2", cfg, {}),
                                     ("spectrum", cfg, {"svg": True}),
                                     ("rates", cfg, {"svg": True})]:
@@ -338,8 +355,6 @@ def test_parser_covers_all_subcommands():
     parser = build_parser()
     args = parser.parse_args(["figure2", "--out", "x", "--eta-factor", "1.04"])
     assert args.command == "figure2" and args.eta_factor == 1.04
-    args = parser.parse_args(["rates", "--config", "c", "--out", "x", "--no-crt"])
-    assert args.command == "rates" and args.no_crt
     for name in ("figure1", "figure2", "figure4"):
         args = parser.parse_args([name, "--out", "x", "--eta-factor-2", "1.05"])
         assert args.eta_factor_2 == 1.05
@@ -348,6 +363,7 @@ def test_parser_covers_all_subcommands():
     # each command registers only the flags it reads; spectrum and rates draw no chart
     for argv in (["figure3", "--out", "x", "--eta-factor-2", "1.04"],
                  ["figure1", "--out", "x", "--no-crt"],
+                 ["rates", "--config", "c", "--out", "x", "--no-crt"],
                  ["evolve", "--config", "c", "--out", "x", "--eta-factor", "1.04"],
                  ["spectrum", "--config", "c", "--out", "x", "--svg"],
                  ["rates", "--config", "c", "--out", "x", "--svg"]):
@@ -382,9 +398,8 @@ def test_spectrum_csv_matches_library(tmp_path, capsys):
 
 
 def test_spectrum_no_crt_flag(tmp_path):
-    cfg = write_cfg(tmp_path, SYSTEM_LINES)
-    rc = main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o"),
-               "--no-crt"])
+    cfg = write_cfg(tmp_path, SYSTEM_LINES + "system.with_crt = false\n")
+    rc = main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 0
     meta, header, data = read_csv(tmp_path / "o" / "spectrum.csv")
     assert meta["with_crt"] == "false"

@@ -18,7 +18,6 @@ from dickemod.dynamics import (
 )
 from dickemod.errors import (
     ConfigError,
-    CutoffError,
     DomainError,
     NumericError,
     UnsupportedError,
@@ -42,12 +41,14 @@ from dickemod.model import (
 
 from oracles import (
     _one_period_propagators,
+    cutoff_warning_ignored,
     damped_cavity_nph,
     dense_collective_hamiltonian,
     from_hermitian_basis,
     frozen_step_evolve,
     full_space_floquet,
     full_space_lindblad_channel,
+    hamiltonian_at,
     lindblad_dissipator,
     reference_march,
     total_excitation,
@@ -106,10 +107,11 @@ def test_adaptive_matches_frozen_step_oracle():
     p = bench_params()
     sch = (g_schedule(p),)
     psi0 = dicke_fock_state(space, 0, 3)
-    tr = evolve_schrodinger(
-        space, p, sch, psi0, (0.0, 20.0), 5,
-        tol=1e-10, method="direct", store_states=True, cutoff_policy="ignore",
-    )
+    with cutoff_warning_ignored():
+        tr = evolve_schrodinger(
+            space, p, sch, psi0, (0.0, 20.0), 5,
+            tol=1e-10, method="direct", store_states=True,
+        )
 
     def h_at(t):
         g_t = p.g0_uniform + sch[0].epsilon * math.sin(ETA * t)
@@ -128,10 +130,11 @@ def test_tightening_tol_improves_end_time_accuracy():
     psi0 = dicke_fock_state(space, 0, 3)
 
     def end_nph(tol):
-        tr = evolve_schrodinger(
-            space, p, sch, psi0, (0.0, 30.0), 4,
-            tol=tol, method="direct", cutoff_policy="ignore",
-        )
+        with cutoff_warning_ignored():
+            tr = evolve_schrodinger(
+                space, p, sch, psi0, (0.0, 30.0), 4,
+                tol=tol, method="direct",
+            )
         return tr.n_ph[-1]
 
     ref = end_nph(1e-12)
@@ -144,10 +147,10 @@ def test_norm_gate_rejects_sloppy_run():
     space = SpaceSpec(2, 3)
     p = bench_params()
     psi0 = dicke_fock_state(space, 0, 3)
-    with pytest.raises(NumericError, match="tighten tol"):
+    with pytest.raises(NumericError, match="tighten tol"), cutoff_warning_ignored():
         evolve_schrodinger(
             space, p, (g_schedule(p),), psi0, (0.0, 100.0), 5,
-            tol=1e-6, method="direct", cutoff_policy="ignore",
+            tol=1e-6, method="direct",
         )
 
 
@@ -156,15 +159,16 @@ def test_auto_dispatch_prefers_stroboscopic_engine():
     p = bench_params()
     psi0 = dicke_fock_state(space, 0, 3)
     t_final = 2 * math.pi / ETA * 48
-    auto = evolve_schrodinger(
-        space, p, (g_schedule(p),), psi0, (0.0, t_final), 49,
-        tol=1e-10, cutoff_policy="ignore",
-    )
+    with cutoff_warning_ignored():
+        auto = evolve_schrodinger(
+            space, p, (g_schedule(p),), psi0, (0.0, t_final), 49,
+            tol=1e-10,
+        )
+        direct = evolve_schrodinger(
+            space, p, (g_schedule(p),), psi0, (0.0, t_final), 49,
+            tol=1e-10, method="direct",
+        )
     assert auto.metadata["engine"] == "floquet-stroboscopic"
-    direct = evolve_schrodinger(
-        space, p, (g_schedule(p),), psi0, (0.0, t_final), 49,
-        tol=1e-10, method="direct", cutoff_policy="ignore",
-    )
     assert np.max(np.abs(auto.n_ph - direct.n_ph)) < 1e-7
 
 
@@ -181,14 +185,16 @@ def test_floquet_sampling_matches_reference_march():
     psi0 = dicke_fock_state(space, 0, 3)
     period = 2 * math.pi / ETA
     span, count = snapped_span(ETA, 1e5, 200)
-    kw = dict(tol=1e-12, store_states=True, cutoff_policy="ignore")
-    strobe = evolve_schrodinger(space, p, sch, psi0, span, count, **kw)
+    kw = dict(tol=1e-12, store_states=True)
+    with cutoff_warning_ignored():
+        strobe = evolve_schrodinger(space, p, sch, psi0, span, count, **kw)
     assert strobe.metadata["engine"] == "floquet-stroboscopic"
     assert strobe.metadata["periods"] >= 20000
 
     def one_period(column):
-        run = evolve_schrodinger(space, p, sch, StateVector(space, column), (0.0, period), 2,
-                                 method="direct", **kw)
+        with cutoff_warning_ignored():
+            run = evolve_schrodinger(space, p, sch, StateVector(space, column), (0.0, period),
+                                     2, method="direct", **kw)
         return run.states[-1].amplitudes
 
     ref = reference_march(one_period, psi0.amplitudes, np.round(strobe.times / period).astype(int))
@@ -201,10 +207,12 @@ def test_floquet_off_period_samples_match_direct():
     p = bench_params()
     sch = (g_schedule(p),)
     psi0 = dicke_fock_state(space, 0, 3)
-    kw = dict(tol=1e-10, store_states=True, cutoff_policy="ignore")
-    strobe = evolve_schrodinger(space, p, sch, psi0, (0.0, 250.0), 200, **kw)
+    kw = dict(tol=1e-10, store_states=True)
+    with cutoff_warning_ignored():
+        strobe = evolve_schrodinger(space, p, sch, psi0, (0.0, 250.0), 200, **kw)
+        direct = evolve_schrodinger(space, p, sch, psi0, (0.0, 250.0), 200, method="direct",
+                                    **kw)
     assert strobe.metadata["offsets"] > 128
-    direct = evolve_schrodinger(space, p, sch, psi0, (0.0, 250.0), 200, method="direct", **kw)
     assert np.max(np.abs(_amplitudes(strobe) - _amplitudes(direct))) < 1e-7
 
 
@@ -215,8 +223,8 @@ def test_floquet_one_period_solve_on_any_grid():
     psi0 = dicke_fock_state(space, 0, 3)
 
     def run(t_span, count):
-        return evolve_schrodinger(space, p, sch, psi0, t_span, count, tol=1e-10,
-                                  cutoff_policy="ignore").metadata
+        with cutoff_warning_ignored():
+            return evolve_schrodinger(space, p, sch, psi0, t_span, count, tol=1e-10).metadata
 
     # past t = 5e5 a period multiple on the grid is off by more than 1e-10
     far = run(*snapped_span(ETA, 6e5, 500))
@@ -253,11 +261,12 @@ def test_sector_floquet_matches_full_space(basis, state):
     p = bench_params()
     sch = (g_schedule(p),)
     # about 41 periods, 97 distinct fractional offsets
-    kw = dict(tol=1e-12, store_states=True, cutoff_policy="ignore", method="stroboscopic")
-    strobe = evolve_schrodinger(space, p, sch, psi0, (0.0, 175.0), 98, **kw)
+    with cutoff_warning_ignored():
+        strobe = evolve_schrodinger(space, p, sch, psi0, (0.0, 175.0), 98, tol=1e-12,
+                                    store_states=True, method="stroboscopic")
     assert len(strobe.metadata["sectors"]) == occupied
     ham = build_hamiltonian(space, p, sch)
-    ref = full_space_floquet(lambda t: ham.at(t).toarray(), psi0.amplitudes,
+    ref = full_space_floquet(lambda t: hamiltonian_at(ham, t).toarray(), psi0.amplitudes,
                              2 * math.pi / ETA, strobe.times)
     assert np.max(np.abs(_amplitudes(strobe) - ref)) < 1e-9
 
@@ -293,7 +302,7 @@ def test_sector_lindblad_matches_full_space_channel(basis, state, phi):
     period = 2 * math.pi / ETA
     slices = meta["channel_slices"]
     full = full_space_lindblad_channel(
-        lambda t: ham.at(t).toarray(), [(r, op.toarray()) for r, op in collapse],
+        lambda t: hamiltonian_at(ham, t).toarray(), [(r, op.toarray()) for r, op in collapse],
         period, slices=slices, panels=meta["channel_nodes"] // (6 * slices),
     )
     # the block's rows and columns: row-major vec(rho) indices of its pairs
@@ -302,10 +311,9 @@ def test_sector_lindblad_matches_full_space_channel(basis, state, phi):
                                 for a, b in pairs])
         assert np.max(np.abs(full[np.ix_(index, index)] - channel)) < 1e-9
 
-    with pytest.warns(UserWarning, match="slice error"):
+    with pytest.warns(UserWarning, match="slice error"), cutoff_warning_ignored():
         strobe = evolve_lindblad(space, p, sch, rates, rho0, (0.0, 30 * period), 16,
-                                 tol=1e-12, method="stroboscopic", store_states=True,
-                                 cutoff_policy="ignore")
+                                 tol=1e-12, method="stroboscopic", store_states=True)
     assert strobe.metadata["sectors"] == [len(c) for c in channels]
     vec = rho0.matrix.ravel()
     ref = [np.linalg.matrix_power(full, int(k)) @ vec for k in np.round(strobe.times / period)]
@@ -362,7 +370,7 @@ def test_channel_slice_error_bounds_the_distance_to_64_slices(strength):
     period = 2 * math.pi / ETA
     panels = max(2, math.ceil(period / 64 * dynamics._spectral_radius_bound(ham) / 1.3))
     c64 = full_space_lindblad_channel(
-        lambda t: ham.at(t).toarray(), [(r, op.toarray()) for r, op in collapse],
+        lambda t: hamiltonian_at(ham, t).toarray(), [(r, op.toarray()) for r, op in collapse],
         period, slices=64, panels=panels,
     )
     distance = 0.0
@@ -379,11 +387,11 @@ def test_weak_system_stroboscopic_matches_direct_within_the_slice_estimate():
     p = bench_params()
     sch = (g_schedule(p),)
     span, count = snapped_span(ETA, 40 * 2 * math.pi / ETA, 5)
-    kw = dict(store_states=True, cutoff_policy="ignore")
-    strobe = evolve_lindblad(space, p, sch, rates, rho0, span, count, tol=1e-9,
-                             method="stroboscopic", **kw)
-    direct = evolve_lindblad(space, p, sch, rates, rho0, span, count, tol=1e-11,
-                             method="direct", **kw)
+    with cutoff_warning_ignored():
+        strobe = evolve_lindblad(space, p, sch, rates, rho0, span, count, tol=1e-9,
+                                 method="stroboscopic", store_states=True)
+        direct = evolve_lindblad(space, p, sch, rates, rho0, span, count, tol=1e-11,
+                                 method="direct", store_states=True)
     bound = 40 * strobe.metadata["channel_slice_error"] + 1e-10
     gap = max(np.max(np.abs(a.matrix - b.matrix)) for a, b in zip(strobe.states, direct.states))
     assert gap <= bound
@@ -394,9 +402,10 @@ def test_channel_slices_stop_at_the_cap_and_warn_once():
     p = bench_params()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        tr = evolve_lindblad(space, p, (g_schedule(p),), rates, rho0,
-                             (0.0, 32 * 2 * math.pi / ETA), 5, tol=1e-12,
-                             method="stroboscopic", cutoff_policy="ignore")
+        with cutoff_warning_ignored():
+            tr = evolve_lindblad(space, p, (g_schedule(p),), rates, rho0,
+                                 (0.0, 32 * 2 * math.pi / ETA), 5, tol=1e-12,
+                                 method="stroboscopic")
     md = tr.metadata
     assert md["channel_slices"] == dynamics.MAX_CHANNEL_SLICES
     assert md["channel_slice_error"] > 1e-12
@@ -426,10 +435,10 @@ def test_cap_bound_lindblad_run_makes_one_period_solve(monkeypatch):
     space, rho0, rates, _ = _lindblad_case("distinguishable", "coherent")
     p = bench_params()
     solutions = _counting_solve_ivp(monkeypatch)
-    with pytest.warns(UserWarning, match="slice error"):
+    with pytest.warns(UserWarning, match="slice error"), cutoff_warning_ignored():
         tr = evolve_lindblad(space, p, (g_schedule(p),), rates, rho0,
                              (0.0, 32 * 2 * math.pi / ETA), 5, tol=1e-12,
-                             method="stroboscopic", cutoff_policy="ignore")
+                             method="stroboscopic")
     md = tr.metadata
     assert md["channel_slices"] == dynamics.MAX_CHANNEL_SLICES
     assert len(solutions) == 1 and md["rhs_evals"] == solutions[0].nfev
@@ -502,17 +511,18 @@ def test_only_the_direct_lindblad_engine_measures_a_hermiticity_defect(monkeypat
     space, rho0, rates = _weak_lindblad_case()
     p = bench_params()
     sch = (g_schedule(p),)
-    kw = dict(store_states=True, cutoff_policy="ignore")
     span, count = snapped_span(ETA, 40 * 2 * math.pi / ETA, 5)
-    strobe = evolve_lindblad(space, p, sch, rates, rho0, span, count, tol=1e-9,
-                             method="stroboscopic", **kw)
+    with cutoff_warning_ignored():
+        strobe = evolve_lindblad(space, p, sch, rates, rho0, span, count, tol=1e-9,
+                                 method="stroboscopic", store_states=True)
     # T^H gives every transpose pair as exact conjugates
     assert strobe.metadata["hermiticity_defect_max"] == 0.0
     assert all(np.array_equal(s.matrix, s.matrix.conj().T) for s in strobe.states)
 
     solutions = _counting_solve_ivp(monkeypatch)
-    direct = evolve_lindblad(space, p, sch, rates, rho0, (0.0, 2 * math.pi / ETA), 3,
-                             tol=1e-9, method="direct", **kw)
+    with cutoff_warning_ignored():
+        direct = evolve_lindblad(space, p, sch, rates, rho0, (0.0, 2 * math.pi / ETA), 3,
+                                 tol=1e-9, method="direct", store_states=True)
     dim = space.dim
     raw = np.moveaxis(solutions[0].y.reshape(dim, dim, -1), -1, 0)
     skew = np.max(np.abs(raw - raw.conj().transpose(0, 2, 1))) / 2.0
@@ -556,9 +566,10 @@ def test_observable_only_lindblad_propagates_the_parity_diagonal_block():
     assert rates.kappa > 0 and all(rates.gamma) and all(rates.gamma_phi)
     p = bench_params()
     sch = (g_schedule(p),)
-    kw = dict(tol=1e-12, method="stroboscopic", cutoff_policy="ignore")
+    kw = dict(tol=1e-12, method="stroboscopic")
     span = (0.0, 30 * 2 * math.pi / ETA)
-    with pytest.warns(UserWarning, match="slice error"):  # both reach the slice cap
+    # both reach the slice cap
+    with pytest.warns(UserWarning, match="slice error"), cutoff_warning_ignored():
         both = evolve_lindblad(space, p, sch, rates, rho0, span, 16, store_states=True, **kw)
         diag = evolve_lindblad(space, p, sch, rates, rho0, span, 16, **kw)
     assert both.metadata["liouville_pairs"] == ((0, 0), (1, 1), (0, 1), (1, 0))
@@ -581,9 +592,10 @@ def test_one_state_sectors_run_both_engines():
     sch = (ModulationSchedule("Omega", 0.05, 1.5),)
     psi0 = StateVector(space, np.array([1.0, 1.0j]) / math.sqrt(2))
     span = (0.0, 2 * math.pi / 1.5 * 40.3)
-    kw = dict(tol=1e-10, store_states=True, cutoff_policy="ignore")
-    strobe = evolve_schrodinger(space, p, sch, psi0, span, 9, method="stroboscopic", **kw)
-    direct = evolve_schrodinger(space, p, sch, psi0, span, 9, method="direct", **kw)
+    kw = dict(tol=1e-10, store_states=True)
+    with cutoff_warning_ignored():
+        strobe = evolve_schrodinger(space, p, sch, psi0, span, 9, method="stroboscopic", **kw)
+        direct = evolve_schrodinger(space, p, sch, psi0, span, 9, method="direct", **kw)
     assert strobe.metadata["sectors"] == [1, 1]
     assert np.max(np.abs(_amplitudes(strobe) - _amplitudes(direct))) < 1e-7
 
@@ -591,10 +603,12 @@ def test_one_state_sectors_run_both_engines():
     rates = DissipationRates(kappa=0.01)
     # the Lindblad engine samples whole periods: 9 samples ending on the 40th
     span, count = snapped_span(1.5, span[1], 9)
-    strobe = evolve_lindblad(space, p, sch, rates, rho0, span, count, method="stroboscopic",
-                             **kw)
+    with cutoff_warning_ignored():
+        strobe = evolve_lindblad(space, p, sch, rates, rho0, span, count,
+                                 method="stroboscopic", **kw)
+        direct = evolve_lindblad(space, p, sch, rates, rho0, span, count, method="direct",
+                                 **kw)
     assert strobe.metadata["sectors"] == [2, 2]
-    direct = evolve_lindblad(space, p, sch, rates, rho0, span, count, method="direct", **kw)
     assert np.allclose(strobe.times, direct.times, rtol=1e-12)
     for a, b in zip(strobe.states, direct.states):
         assert np.max(np.abs(a.matrix - b.matrix)) < 1e-7
@@ -610,9 +624,10 @@ def test_lindblad_strobe_samples_the_snapped_grid():
     schedules = (ModulationSchedule("Omega", 0.05, 1.5),)
 
     def run(span, count):
-        return evolve_lindblad(space, p, schedules, DissipationRates(kappa=0.01),
-                               DensityMatrix.from_state(dicke_fock_state(space, 0, 1)), span,
-                               count, method="stroboscopic", cutoff_policy="ignore")
+        with cutoff_warning_ignored():
+            return evolve_lindblad(space, p, schedules, DissipationRates(kappa=0.01),
+                                   DensityMatrix.from_state(dicke_fock_state(space, 0, 1)),
+                                   span, count, method="stroboscopic")
 
     (start, end), count = snapped_span(1.5, 58.8 * period, 21)
     assert count == 21 and end == pytest.approx(60 * period, rel=1e-15)
@@ -643,9 +658,10 @@ def test_lindblad_grid_agrees_with_the_engine_when_a_drive_piece_vanishes(drives
     p = bench_params()
     span, count = dynamics.lindblad_grid(drives, 200.0, 11)
     grid = np.linspace(*span, count)
-    tr = evolve_lindblad(space, p, drives, DissipationRates(kappa=0.01),
-                         DensityMatrix.from_state(dicke_fock_state(space, 1, 0)), span, count,
-                         cutoff_policy="ignore")
+    with cutoff_warning_ignored():
+        tr = evolve_lindblad(space, p, drives, DissipationRates(kappa=0.01),
+                             DensityMatrix.from_state(dicke_fock_state(space, 1, 0)), span,
+                             count)
     assert dynamics._select_engine("auto", drives, grid) == chosen
     assert tr.metadata["engine"] == {"direct": "lindblad-adaptive-rk",
                                      "stroboscopic": "lindblad-stroboscopic"}[chosen]
@@ -663,6 +679,12 @@ def test_lindblad_grid_refuses_short_or_empty_requests():
     for t_final in (0.0, -period):
         with pytest.raises(ConfigError, match="must be increasing"):
             dynamics.lindblad_grid(schedules, t_final, 11, "stroboscopic")
+    # snapped_span, which the aligned grid comes from, refuses them itself
+    for t_final, count, fragment in ((10.0, 1, "sample_count must be >= 2"),
+                                     (0.0, 5, "must be increasing"),
+                                     (-3.0, 5, "must be increasing")):
+        with pytest.raises(ConfigError, match=fragment):
+            snapped_span(1.0, t_final, count)
 
 
 @pytest.mark.parametrize("engine", ["schrodinger", "lindblad", "schrodinger-etas"])
@@ -704,8 +726,8 @@ def test_half_window_propagators_match_full_period_solve():
     sectors = parity_sectors(space)
     blocks = dynamics._period_propagators(ham, sectors, 1e-12, t_eval, meta)
     assert meta["period_window"] == pytest.approx(half_window(PHI), rel=1e-15)
-    full = _one_period_propagators(lambda t: ham.at(t).toarray(), space.dim, period, t_eval,
-                                   rtol=1e-13)
+    full = _one_period_propagators(lambda t: hamiltonian_at(ham, t).toarray(), space.dim,
+                                   period, t_eval, rtol=1e-13)
     for s, u in zip(sectors, blocks):
         assert np.max(np.abs(u - full[:, s][:, :, s])) < 1e-9
 
@@ -724,10 +746,11 @@ def test_asymmetric_drive_integrates_the_full_period(case):
                ModulationSchedule("g", eps, ETA, 0.4, qubit=2))
     psi0 = coherent_state(space, 0.8)
     span = (0.0, 2 * math.pi / ETA * 40.3)
-    kw = dict(tol=1e-10, store_states=True, cutoff_policy="ignore")
-    strobe = evolve_schrodinger(space, p, sch, psi0, span, 9, method="stroboscopic", **kw)
+    kw = dict(tol=1e-10, store_states=True)
+    with cutoff_warning_ignored():
+        strobe = evolve_schrodinger(space, p, sch, psi0, span, 9, method="stroboscopic", **kw)
+        direct = evolve_schrodinger(space, p, sch, psi0, span, 9, method="direct", **kw)
     assert strobe.metadata["period_window"] == (0.0, 2 * math.pi / ETA)
-    direct = evolve_schrodinger(space, p, sch, psi0, span, 9, method="direct", **kw)
     assert np.max(np.abs(_amplitudes(strobe) - _amplitudes(direct))) < 1e-7
 
 
@@ -738,8 +761,9 @@ def test_half_window_halves_the_period_solve(monkeypatch):
     psi0 = coherent_state(space, 1.1)
 
     def run():
-        return evolve_schrodinger(space, p, sch, psi0, (0.0, 175.0), 98, tol=1e-10,
-                                  cutoff_policy="ignore").metadata
+        with cutoff_warning_ignored():
+            return evolve_schrodinger(space, p, sch, psi0, (0.0, 175.0), 98,
+                                      tol=1e-10).metadata
 
     half = run()
     monkeypatch.setattr(dynamics, "_symmetric_window", lambda ham, period: None)
@@ -782,8 +806,8 @@ def test_interaction_frame_propagators_match_the_lab_frame(case):
     sectors = parity_sectors(ham.space)
     blocks = dynamics._period_propagators(ham, sectors, 1e-9, t_eval, meta)
     assert (meta["period_window"] == (0.0, period)) != half
-    full = _one_period_propagators(lambda t: ham.at(t).toarray(), ham.space.dim, period,
-                                   t_eval, rtol=1e-13)
+    full = _one_period_propagators(lambda t: hamiltonian_at(ham, t).toarray(), ham.space.dim,
+                                   period, t_eval, rtol=1e-13)
     for s, u in zip(sectors, blocks):
         assert np.max(np.abs(u - full[:, s][:, :, s])) < 1e-10
 
@@ -831,11 +855,15 @@ def _point_store_bytes(space, psi0, t_span, count, eta):
 def test_batched_points_match_one_point_at_a_time(window, monkeypatch):
     space, p, sch, psi0, span = _batch_case(window)
     monkeypatch.setattr(dynamics, "SAMPLE_STORE_BYTES", 10**12)
-    kw = dict(tol=1e-10, method="stroboscopic", cutoff_policy="ignore")
-    batched = list(evolve_schrodinger_etas(space, p, sch, psi0, BATCH_ETAS, span, 121, **kw))
+    kw = dict(tol=1e-10, method="stroboscopic")
+    with cutoff_warning_ignored():
+        batched = list(evolve_schrodinger_etas(space, p, sch, psi0, BATCH_ETAS, span, 121,
+                                               **kw))
     for eta, traj in zip(BATCH_ETAS, batched):
-        alone = evolve_schrodinger(space, p, tuple(dataclasses.replace(s, eta=eta) for s in sch),
-                                   psi0, span, 121, **kw)
+        with cutoff_warning_ignored():
+            alone = evolve_schrodinger(space, p,
+                                       tuple(dataclasses.replace(s, eta=eta) for s in sch),
+                                       psi0, span, 121, **kw)
         assert traj.states is None
         assert traj.metadata["batch_points"] == 3 and alone.metadata["batch_points"] == 1
         assert traj.metadata["period_window"] == pytest.approx(
@@ -859,10 +887,11 @@ def test_batched_points_hold_the_single_run_bound(window):
     for eta, samples in zip(BATCH_ETAS, batch):
         at = ham.at_eta(eta)
         period = 2 * math.pi / eta
-        full = _one_period_propagators(lambda t: at.at(t).toarray(), space.dim, period,
-                                       period * fractions, rtol=1e-13)
+        full = _one_period_propagators(lambda t: hamiltonian_at(at, t).toarray(), space.dim,
+                                       period, period * fractions, rtol=1e-13)
         for q, s in enumerate(sectors):
-            assert np.max(np.abs(samples.propagators(q) - full[:, s][:, :, s])) < 1e-10
+            u = np.stack([samples.apply(q, k, np.eye(len(s))) for k in range(len(fractions))])
+            assert np.max(np.abs(u - full[:, s][:, :, s])) < 1e-10
 
 
 @pytest.mark.parametrize("width", [1, 2, 5])
@@ -872,8 +901,8 @@ def test_batched_points_make_one_solve_per_chunk(width, monkeypatch):
     per_point = max(_point_store_bytes(space, psi0, span, 9, eta) for eta in etas)
     monkeypatch.setattr(dynamics, "SAMPLE_STORE_BYTES", width * per_point)
     solutions = _counting_solve_ivp(monkeypatch)
-    trajs = list(evolve_schrodinger_etas(space, p, sch, psi0, etas, span, 9, tol=1e-10,
-                                         cutoff_policy="ignore"))
+    with cutoff_warning_ignored():
+        trajs = list(evolve_schrodinger_etas(space, p, sch, psi0, etas, span, 9, tol=1e-10))
     assert len(solutions) == math.ceil(len(etas) / width)
     for i, traj in enumerate(trajs):
         chunk = i // width
@@ -885,18 +914,22 @@ def test_batched_entry_runs_every_point_on_its_own_engine():
     space, p, sch, psi0, _ = _batch_case("half")
     # three periods: auto integrates these directly, each as its own run would
     span = (0.0, 3 * 2 * math.pi / ETA)
-    kw = dict(cutoff_policy="ignore")
-    batched = list(evolve_schrodinger_etas(space, p, sch, psi0, BATCH_ETAS, span, 9, **kw))
+    with cutoff_warning_ignored():
+        batched = list(evolve_schrodinger_etas(space, p, sch, psi0, BATCH_ETAS, span, 9))
     for eta, traj in zip(BATCH_ETAS, batched):
-        alone = evolve_schrodinger(space, p, tuple(dataclasses.replace(s, eta=eta) for s in sch),
-                                   psi0, span, 9, **kw)
+        with cutoff_warning_ignored():
+            alone = evolve_schrodinger(space, p,
+                                       tuple(dataclasses.replace(s, eta=eta) for s in sch),
+                                       psi0, span, 9)
         assert traj.metadata["engine"] == alone.metadata["engine"] == "adaptive-rk"
         assert traj.metadata["rhs_evals"] == alone.metadata["rhs_evals"]
         assert np.array_equal(traj.joint, alone.joint)
     # schedules that are all epsilon = 0 leave H static at every eta
     still = tuple(dataclasses.replace(s, epsilon=0.0) for s in sch)
-    assert [traj.metadata["engine"] for traj in evolve_schrodinger_etas(
-        space, p, still, psi0, BATCH_ETAS, span, 9, **kw)] == ["static-eigendecomposition"] * 3
+    with cutoff_warning_ignored():
+        engines = [traj.metadata["engine"] for traj in evolve_schrodinger_etas(
+            space, p, still, psi0, BATCH_ETAS, span, 9)]
+    assert engines == ["static-eigendecomposition"] * 3
     with pytest.raises(ConfigError, match="unknown method"):
         evolve_schrodinger_etas(space, p, sch, psi0, BATCH_ETAS, span, 9, method="bogus")
 
@@ -906,10 +939,10 @@ def test_zero_depth_schedule_leaves_the_direct_step_alone():
     # the step
     space, p, sch, psi0, _ = _batch_case("half")
     span = (0.0, 3 * 2 * math.pi / ETA)
-    kw = dict(method="direct", cutoff_policy="ignore")
-    plain = evolve_schrodinger(space, p, sch, psi0, span, 9, **kw)
-    idle = evolve_schrodinger(space, p, sch + (ModulationSchedule("Omega", 0.0, 50.0),), psi0,
-                              span, 9, **kw)
+    with cutoff_warning_ignored():
+        plain = evolve_schrodinger(space, p, sch, psi0, span, 9, method="direct")
+        idle = evolve_schrodinger(space, p, sch + (ModulationSchedule("Omega", 0.0, 50.0),),
+                                  psi0, span, 9, method="direct")
     assert idle.metadata["rhs_evals"] == plain.metadata["rhs_evals"]
     assert np.max(np.abs(idle.joint - plain.joint)) < 1e-12
 
@@ -980,39 +1013,21 @@ def test_cutoff_policy_rows():
     space = SpaceSpec(2, 2)
     p = bench_params(with_crt=False)
     psi0 = dicke_fock_state(space, 0, 2)  # all weight at the cutoff
-    with pytest.raises(CutoffError):
-        evolve_schrodinger(space, p, (), psi0, (0.0, 1.0), 3, cutoff_policy="error")
     with pytest.warns(UserWarning, match="truncation"):
-        evolve_schrodinger(space, p, (), psi0, (0.0, 1.0), 3, cutoff_policy="warn")
-    tr = evolve_schrodinger(space, p, (), psi0, (0.0, 1.0), 3, cutoff_policy="ignore")
+        tr = evolve_schrodinger(space, p, (), psi0, (0.0, 1.0), 3)
     assert tr.metadata["cutoff_max_population"] > 0.9
-
-
-@pytest.mark.parametrize("engine", ["schrodinger", "lindblad"])
-def test_unknown_cutoff_policy_is_refused_before_integrating(engine, monkeypatch):
-    space = SpaceSpec(1, 2)
-    p = SystemParams(omega0=1.0, Omega0=1.72, g0=0.05, n_qubits=1)
-    psi0 = dicke_fock_state(space, 0, 2)  # all weight at the cutoff
-
-    def no_assembly(*_):
-        raise AssertionError("the run was assembled before its options were checked")
-
-    monkeypatch.setattr(dynamics, "build_hamiltonian", no_assembly)
-    with pytest.raises(ConfigError, match="cutoff_policy='raise'"):
-        if engine == "schrodinger":
-            evolve_schrodinger(space, p, (), psi0, (0.0, 1.0), 3, cutoff_policy="raise")
-        else:
-            evolve_lindblad(space, p, (), DissipationRates(kappa=0.01),
-                            DensityMatrix.from_state(psi0), (0.0, 1.0), 3,
-                            cutoff_policy="raise")
+    # the warnings filter makes the warning fatal
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", message="population .* at the Fock cutoff")
+        with pytest.raises(UserWarning, match="truncation"):
+            evolve_schrodinger(space, p, (), psi0, (0.0, 1.0), 3)
 
 
 def test_trajectory_accessors():
     space = SpaceSpec(2, 4)
     p = bench_params()
-    tr = evolve_schrodinger(
-        space, p, (), dicke_fock_state(space, 1, 2), (0.0, 5.0), 9, cutoff_policy="ignore"
-    )
+    with cutoff_warning_ignored():
+        tr = evolve_schrodinger(space, p, (), dicke_fock_state(space, 1, 2), (0.0, 5.0), 9)
     assert tr.times.shape == (9,)
     assert tr.joint.shape == (9, 3, space.photon_dim)
     assert tr.states is None
@@ -1020,6 +1035,11 @@ def test_trajectory_accessors():
     assert np.allclose(recon, tr.n_ph, atol=1e-12)
     recon_at = sum(k * tr.p_at(k) for k in range(3))
     assert np.allclose(recon_at, tr.n_at, atol=1e-12)
+    # an index outside 0..n_max or 0..N is refused, not wrapped
+    for read in (lambda: tr.p_ph(-1), lambda: tr.p_ph(5), lambda: tr.p_at(-1),
+                 lambda: tr.p_at(3)):
+        with pytest.raises(DomainError):
+            read()
 
 
 # ---------------------------------------------------------------------------
@@ -1107,10 +1127,10 @@ def test_damped_cavity_matches_analytic_decay():
     p = SystemParams(omega0=1.0, Omega0=1.72, g0=0.0, n_qubits=1)
     rho0 = DensityMatrix.from_state(dicke_fock_state(space, 0, 3))
     kappa = 0.05
-    tr = evolve_lindblad(
-        space, p, (), DissipationRates(kappa=kappa), rho0, (0.0, 40.0), 21,
-        tol=1e-10, cutoff_policy="ignore",
-    )
+    with cutoff_warning_ignored():
+        tr = evolve_lindblad(
+            space, p, (), DissipationRates(kappa=kappa), rho0, (0.0, 40.0), 21, tol=1e-10,
+        )
     ref = damped_cavity_nph(3.0, kappa, tr.times)
     assert np.max(np.abs(tr.n_ph - ref) / ref) < 1e-6
     assert tr.metadata["trace_drift_max"] <= 1e-7
@@ -1122,14 +1142,14 @@ def test_zero_rates_match_unitary_run():
     p = bench_params()
     sch = (g_schedule(p),)
     psi0 = dicke_fock_state(space, 0, 3)
-    uni = evolve_schrodinger(
-        space, p, sch, psi0, (0.0, 50.0), 26, tol=1e-10, method="direct",
-        cutoff_policy="ignore",
-    )
-    mixed = evolve_lindblad(
-        space, p, sch, DissipationRates(), DensityMatrix.from_state(psi0),
-        (0.0, 50.0), 26, tol=1e-10, method="direct", cutoff_policy="ignore",
-    )
+    with cutoff_warning_ignored():
+        uni = evolve_schrodinger(
+            space, p, sch, psi0, (0.0, 50.0), 26, tol=1e-10, method="direct",
+        )
+        mixed = evolve_lindblad(
+            space, p, sch, DissipationRates(), DensityMatrix.from_state(psi0),
+            (0.0, 50.0), 26, tol=1e-10, method="direct",
+        )
     assert np.max(np.abs(uni.n_ph - mixed.n_ph)) < 1e-7
     assert np.max(np.abs(uni.n_at - mixed.n_at)) < 1e-7
 
@@ -1140,10 +1160,11 @@ def test_purity_never_increases_under_static_hamiltonian():
     space = SpaceSpec(2, 5)
     p = bench_params()
     rho0 = DensityMatrix.from_state(dicke_fock_state(space, 0, 3))
-    tr = evolve_lindblad(
-        space, p, (), DissipationRates(kappa=0.02), rho0, (0.0, 25.0), 26,
-        tol=1e-10, store_states=True, cutoff_policy="ignore",
-    )
+    with cutoff_warning_ignored():
+        tr = evolve_lindblad(
+            space, p, (), DissipationRates(kappa=0.02), rho0, (0.0, 25.0), 26,
+            tol=1e-10, store_states=True,
+        )
     purity = np.array([np.trace(s.matrix @ s.matrix).real for s in tr.states])
     assert float(np.max(np.diff(purity))) <= 1e-8
 
@@ -1154,12 +1175,14 @@ def test_lindblad_stroboscopic_matches_direct():
     sch = (ModulationSchedule("g", 0.005, 1.5),)
     rho0 = DensityMatrix.from_state(dicke_fock_state(space, 0, 2))
     t_final = 2 * math.pi / 1.5 * 40
-    kw = dict(tol=1e-9, cutoff_policy="ignore")
-    direct = evolve_lindblad(
-        space, p, sch, DissipationRates(kappa=0.01), rho0, (0.0, t_final), 41,
-        method="direct", **kw,
-    )
-    with pytest.warns(UserWarning, match="slice error"):  # kappa = 0.01 reaches the cap
+    kw = dict(tol=1e-9)
+    with cutoff_warning_ignored():
+        direct = evolve_lindblad(
+            space, p, sch, DissipationRates(kappa=0.01), rho0, (0.0, t_final), 41,
+            method="direct", **kw,
+        )
+    # kappa = 0.01 reaches the cap
+    with pytest.warns(UserWarning, match="slice error"), cutoff_warning_ignored():
         strobe = evolve_lindblad(
             space, p, sch, DissipationRates(kappa=0.01), rho0, (0.0, t_final), 41,
             method="stroboscopic", **kw,

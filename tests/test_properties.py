@@ -53,6 +53,7 @@ from oracles import (
     from_hermitian_basis,
     full_space_floquet,
     full_space_lindblad_channel,
+    hamiltonian_at,
     hermitian_basis_map,
     total_excitation,
     upsilon,
@@ -145,16 +146,17 @@ def stroboscopic_runs(draw):
 def test_stroboscopic_run_keeps_norm_and_matches_full_space(run):
     space, params, schedules, psi0, span, samples = run
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # deep modulations only warn
+        # deep modulations and population at the Fock cutoff only warn
+        warnings.simplefilter("ignore")
         # a drive whose piece vanishes (n_max = 0) still sets the period
         ham = build_hamiltonian(space, params, schedules)
         traj = evolve_schrodinger(space, params, schedules, psi0, span, samples, tol=1e-12,
-                                  method="stroboscopic", store_states=True,
-                                  cutoff_policy="ignore")
+                                  method="stroboscopic", store_states=True)
     assert traj.metadata["norm_drift_max"] <= NORM_DRIFT_TOL
     h0 = ham.h_const.toarray()
     drives = [(s, hx.toarray()) for s, hx in ham.terms]
-    ref = full_space_floquet(lambda t: h0 + sum(s.drive(t) * hx for s, hx in drives),
+    ref = full_space_floquet(lambda t: h0 + sum(np.sin(s.eta * t + s.phi) * hx
+                                                for s, hx in drives),
                              psi0.amplitudes, 2 * math.pi / ham.common_eta, traj.times)
     got = np.array([s.amplitudes for s in traj.states])
     assert np.max(np.abs(got - ref)) < 1e-9
@@ -194,11 +196,11 @@ def lindblad_runs(draw):
 def test_stroboscopic_lindblad_keeps_its_gates_and_matches_full_space(run):
     space, params, schedules, rates, rho0, span, samples = run
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # deep modulations only warn
+        # deep modulations and population at the Fock cutoff only warn
+        warnings.simplefilter("ignore")
         ham = build_hamiltonian(space, params, schedules)
         traj = evolve_lindblad(space, params, schedules, rates, rho0, span, samples,
-                               tol=1e-12, method="stroboscopic", store_states=True,
-                               cutoff_policy="ignore")
+                               tol=1e-12, method="stroboscopic", store_states=True)
     md = traj.metadata
     assert len(traj.times) == samples
     assert md["trace_drift_max"] <= TRACE_DRIFT_TOL
@@ -207,7 +209,7 @@ def test_stroboscopic_lindblad_keeps_its_gates_and_matches_full_space(run):
     period = 2 * math.pi / ham.common_eta
     slices = md["channel_slices"]
     full = full_space_lindblad_channel(
-        lambda t: ham.at(t).toarray(),
+        lambda t: hamiltonian_at(ham, t).toarray(),
         [(r, op.toarray()) for r, op in _collapse_operators(space, rates)],
         period, slices=slices, panels=md["channel_nodes"] // (6 * slices),
     )
@@ -221,7 +223,7 @@ def test_stroboscopic_lindblad_keeps_its_gates_and_matches_full_space(run):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         diag = evolve_lindblad(space, params, schedules, rates, rho0, span, samples,
-                               tol=1e-12, method="stroboscopic", cutoff_policy="ignore")
+                               tol=1e-12, method="stroboscopic")
     assert diag.metadata["liouville_pairs"] == ((0, 0), (1, 1))
     assert np.array_equal(diag.times, traj.times)
     assert np.max(np.abs(diag.joint - traj.joint)) < 1e-12

@@ -321,7 +321,7 @@ def test_fitted_rate_scales_linearly_with_drive():
         on_peak = (ModulationSchedule("g", frac * p.g0_uniform, res.peak_eta),)
         tr = evolve_schrodinger(
             space, p, on_peak, psi0, (0.0, 2.2 * math.pi / q), 181,
-            tol=1e-8, store_states=True, cutoff_policy="warn",
+            tol=1e-8, store_states=True,
         )
         fit = fit_rabi(tr, lambda t: np.array(
             [abs(st.amplitudes[hi]) ** 2 for st in t.states]))
