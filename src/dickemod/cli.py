@@ -597,12 +597,13 @@ _TRAJECTORY_COMMANDS = {
 }
 # the block sizes, the parity-block pairs (p, q) of rho a Lindblad run
 # propagated, integrated period window, rhs evaluations, the points the
-# period solve served, propagator defect, and the Lindblad channel's
-# quadrature nodes, slice count and step-doubling error estimate, trace and
-# Hermiticity defects and dense block products; the header leaves out the
-# keys an engine does not record
+# period solve served, propagator defect, the per-period and the horizon's
+# error estimates, and the Lindblad channel's quadrature nodes, slice count
+# and step-doubling error estimate, trace and Hermiticity defects and dense
+# block products; the header leaves out the keys an engine does not record
 _ENGINE_WORK_KEYS = ("sectors", "liouville_pairs", "period_window", "rhs_evals",
-                     "batch_points", "propagator_defect", "channel_nodes", "channel_slices",
+                     "batch_points", "propagator_defect", "period_error_estimate",
+                     "global_error_estimate", "channel_nodes", "channel_slices",
                      "channel_slice_error", "channel_trace_defect",
                      "channel_hermiticity_defect", "channel_matmuls")
 
@@ -680,9 +681,11 @@ def _cmd_sweep(cfg):
         ("eta", result.etas, None),
         ("eta_factor", result.etas / two_delta, "eta / 2|Delta|"),
         ("transfer", result.transfer, "transfer"),
-        # each point's work and gate value, NaN where the engine formed no U(T)
+        # each point's work, gate value and error estimate, NaN where the
+        # engine formed no U(T)
         ("rhs_evals", result.fit_diagnostics["rhs_evals"], None),
         ("propagator_defect", result.fit_diagnostics["propagator_defect"], None),
+        ("global_error_estimate", result.fit_diagnostics["global_error_estimate"], None),
     ]
     meta = {
         "peak_eta": result.peak_eta,

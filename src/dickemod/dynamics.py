@@ -25,13 +25,19 @@ sparse product of the pieces' merged pattern, with d_0 + sum_j s_j(t) d_j as
 its data, and the float64 view of the complex state (interleaved re/im
 columns), so the ODE state stays complex.
 
-The stroboscopic engines integrate one drive period once, at tight
-tolerance; this is what makes horizons of 1e5 time units tractable. The drive
+The stroboscopic engines integrate one drive period once, at a tenth of the
+run's tol; this is what makes horizons of 1e5 time units tractable. The drive
 is a single sinusoid, so the periodicity is exact and the only approximation
-is the one the integrator tolerance controls. The period solve runs in the
-normalized time s = eta t, where H(s) and the period 2 pi do not depend on
-eta: one solve integrates dY_j/ds = -(i/eta_j) H(s) Y_j for a batch of
-frequencies side by side (_sector_propagators). The unitary entries share
+is the one the integrator tolerance controls. That tolerance bounds a local
+error, each step's and so each period's, and a march of k periods carries k
+of them: every stroboscopic run records metadata["global_error_estimate"],
+the periods its last sample has begun times a per-period estimate built
+from DOP853's own error estimates (period_error_estimate, see
+_sector_propagators; the dissipative engine adds its channel's slice
+error). The period solve runs in the normalized time s = eta t, where H(s)
+and the period 2 pi do not depend on eta: one solve integrates
+dY_j/ds = -(i/eta_j) H(s) Y_j for a batch of frequencies side by side
+(_sector_propagators). The unitary entries share
 one per-point loop (_unitary_points), of which evolve_schrodinger is the
 one-point case: it builds one Hamiltonian and runs every point on its own
 engine and gates. For evolve_schrodinger_etas, the entry of resonance
@@ -82,7 +88,8 @@ MAX_CHANNEL_SLICES; a run whose estimate is still above tol there keeps that
 channel, records the estimate and warns once, pointing to method="direct".
 tol so bounds the channel's error per period (local), as it bounds each ODE
 step's, not the global error of a long march; metadata records
-channel_slices and channel_slice_error. A Lindblad channel maps Hermitian
+channel_slices and channel_slice_error, and the march's
+global_error_estimate. A Lindblad channel maps Hermitian
 matrices to Hermitian ones, so on each Liouville block below it is a real
 matrix in a Hermitian operator basis (Havel, J. Math. Phys. 44, 534
 (2003)): the fixed unitary T keeps every diagonal entry rho_ii and sends
@@ -308,12 +315,26 @@ def _cutoff_check(space: SpaceSpec, joint: np.ndarray, metadata: dict,
 
 class _SampledDOP853(DOP853):
     """DOP853 that hands each accepted step to `sampler`, which may read the
-    step's dense output. That output is built at most once per step, for the
-    sampler and solve_ivp's own t_eval alike."""
+    step's dense output and its error estimate (`estimate`). That output is
+    built at most once per step, for the sampler and solve_ivp's own t_eval
+    alike."""
 
     def __init__(self, fun, t0, y0, t_bound, sampler=None, **options):
         super().__init__(fun, t0, y0, t_bound, **options)
         self._sampler, self._dense = sampler, None
+        self.estimate = None
+
+    def _estimate_error_norm(self, K, h, scale):
+        # DOP853's own norm, keeping (h, err5, err3), the unscaled 5th- and
+        # 3rd-order estimates of the attempt; a step's last attempt is the
+        # one it accepts, so the sampler reads the accepted step's
+        err5, err3 = np.dot(K.T, self.E5), np.dot(K.T, self.E3)
+        self.estimate = (h, err5, err3)
+        n5 = np.linalg.norm(err5 / scale) ** 2
+        n3 = np.linalg.norm(err3 / scale) ** 2
+        if n5 == 0.0 and n3 == 0.0:
+            return 0.0
+        return abs(h) * n5 / np.sqrt((n5 + 0.01 * n3) * len(scale))
 
     def step(self):
         self._dense = None
@@ -370,14 +391,30 @@ class _StepSampler:
     and each point keeps its own block of its own times. stores[j] receives
     point j's lab-frame blocks in the order of grids[j]; one array per point
     keeps every allocation the size of one point's samples.
+
+    errors[j][i] is the sum, over the steps up to the one that holds sample
+    i, of DOP853's error estimate on point j's block: its own norm,
+    |h| |e5|^2 / sqrt(|e5|^2 + 0.01 |e3|^2), with the 2-norms taken over
+    that block alone and unweighted. It is read per block because the step
+    controller's RMS norm lets one point's error exceed the batch's
+    tolerance by up to sqrt(width).
     """
 
     def __init__(self, grids, labs, shape):
         self.grids, self.labs, self.shape = grids, labs, shape
         self.stores = [np.empty((len(g), shape[0], shape[2]), dtype=complex) for g in grids]
+        self.errors = [np.empty(len(g)) for g in grids]
         self.done = [0] * len(grids)
+        self.error = np.zeros(shape[1])
 
     def __call__(self, solver):
+        h, err5, err3 = solver.estimate
+        # each point's squared 2-norms, over the float64 view of the estimates
+        n, width, _ = self.shape
+        e5, e3 = (np.einsum("iwj,iwj->w", v, v) for v in
+                  (e.view(float).reshape(n, width, -1) for e in (err5, err3)))
+        denom = np.sqrt(e5 + 0.01 * e3)
+        self.error += abs(h) * np.divide(e5, denom, out=np.zeros_like(e5), where=denom > 0.0)
         stops = [int(np.searchsorted(g, solver.t, side="right")) for g in self.grids]
         new = [(j, lo, hi) for j, (lo, hi) in enumerate(zip(self.done, stops)) if hi > lo]
         if not new:
@@ -388,6 +425,7 @@ class _StepSampler:
         for j, lo, hi in new:
             block = values[first:first + hi - lo, :, j]
             self.stores[j][lo:hi] = block * self.labs[j][lo:hi, :, None]
+            self.errors[j][lo:hi] = self.error[j]
             first += hi - lo
         self.done = stops
 
@@ -503,7 +541,7 @@ class _PeriodSamples:
     (_window_reads), with R_k = tails[p] where tail[k], else heads[p].
     `apply` is the one reader of U(tau_k); U itself is apply(p, k, I).
     metadata holds the point's period_window (t units), the solve's
-    rhs_evals and its batch_points.
+    rhs_evals and its batch_points, and the point's period_error_estimate.
     """
 
     store: np.ndarray
@@ -529,7 +567,7 @@ class _PeriodSamples:
 def _sector_propagators(ham, etas, sectors, tol: float, taus) -> list[_PeriodSamples]:
     """The one period solve: U on each parity sector for every drive frequency
     of `etas` at once, from one DOP853 solve at a tenth of the run's tol
-    (within [1e-13, 1e-11]). Returns one _PeriodSamples per eta.
+    (floored at 1e-13). Returns one _PeriodSamples per eta.
 
     One step controller serves the batch: DOP853 accepts a step when the RMS
     norm of its error estimate over the whole state, every point's block and
@@ -537,6 +575,14 @@ def _sector_propagators(ham, etas, sectors, tol: float, taus) -> list[_PeriodSam
     exceed what a solve of that point alone would accept, by up to
     sqrt(len(etas)), and its result depends, within that, on which points
     share its solve (the grid and SAMPLE_STORE_BYTES set those).
+
+    Each point's period_error_estimate is therefore read from its own block:
+    e(s), the sum of DOP853's error estimates on that block over the steps
+    up to s (_StepSampler), propagates unitarily, so Y(s) is off by about
+    e(s). U(2 pi) = Y0 M^T M Y0^dag below then carries 2 (e(0) + e(c)) on
+    the half window, and M = Y(2 pi) alone, e(2 pi), on the full one. The
+    estimates are those of DOP853's embedded lower-order solutions, so
+    the estimate sits above the error of the 8th-order solution it steps.
 
     ham has every drive at eta 1 (ModulatedHamiltonian.at_eta): in the
     normalized time s = eta t every point has the same H(s) and the period
@@ -571,7 +617,8 @@ def _sector_propagators(ham, etas, sectors, tol: float, taus) -> list[_PeriodSam
     starts = np.cumsum([0, *sizes])
     n, cols, width = int(starts[-1]), max(sizes), len(etas)
     inv_eta = 1.0 / np.asarray(etas, dtype=float)
-    window = _symmetric_window(ham, 2.0 * math.pi) or (0.0, 2.0 * math.pi)
+    half = _symmetric_window(ham, 2.0 * math.pi)
+    window = half or (0.0, 2.0 * math.pi)
     reads = [_window_reads(np.asarray(t, dtype=float), window) for t in taus]
     sub = ham.restrict(np.concatenate(sectors))
     sampler = _StepSampler(
@@ -581,7 +628,7 @@ def _sector_propagators(ham, etas, sectors, tol: float, taus) -> list[_PeriodSam
     y0 = np.zeros((n, width, cols), dtype=complex)
     for lo, b in zip(starts, sizes):
         y0[lo + np.arange(b), :, np.arange(b)] = 1.0
-    rtol = max(min(tol / 10.0, 1e-11), 1e-13)
+    rtol = max(tol / 10.0, 1e-13)
     rate, scale = 1j * inv_eta, -1j * inv_eta
 
     def frame_rhs(s, y):
@@ -595,15 +642,18 @@ def _sector_propagators(ham, etas, sectors, tol: float, taus) -> list[_PeriodSam
                      "propagator integration failed: {}", sampler)
     spans = [slice(lo, lo + b) for lo, b in zip(starts, sizes)]
     out = []
-    for eta, store, (_, index, conj, tail) in zip(etas, sampler.stores, reads):
+    for eta, store, errors, (_, index, conj, tail) in zip(etas, sampler.stores, sampler.errors,
+                                                           reads):
         # the head Y0^dag and, where a tau reads past c, the tail M^T M Y0^dag
         heads = [store[index[-2], sp, :sp.stop - sp.start].conj().T for sp in spans]
         ms = [store[index[-1], sp, :sp.stop - sp.start] for sp in spans] if tail.any() else []
+        e0, ec = float(errors[index[-2]]), float(errors[index[-1]])
         out.append(_PeriodSamples(store, index[:-2], conj, tail, spans, heads,
                                   [m.T @ m @ h for m, h in zip(ms, heads)], {
                                       "period_window": (window[0] / eta, window[1] / eta),
                                       "rhs_evals": int(sol.nfev),
                                       "batch_points": width,
+                                      "period_error_estimate": 2.0 * (e0 + ec) if half else ec,
                                   }))
     return out
 
@@ -611,7 +661,8 @@ def _sector_propagators(ham, etas, sectors, tol: float, taus) -> list[_PeriodSam
 def _period_propagators(ham, sectors, tol: float, t_eval, metadata) -> list[np.ndarray]:
     """U(t) on each parity sector at the times t_eval in [0, T] of ham's common
     drive, one (len(t_eval), b, b) array per sector: _sector_propagators for
-    a batch of one. Records period_window, rhs_evals and batch_points."""
+    a batch of one. Records period_window, rhs_evals, batch_points and
+    period_error_estimate."""
     eta = ham.common_eta
     samples, = _sector_propagators(ham.at_eta(1.0), (eta,), sectors, tol,
                                    [np.asarray(t_eval, dtype=float) * eta])
@@ -639,7 +690,9 @@ def _floquet_states(samples: _PeriodSamples, sectors, psi0, split, tol):
     Schur form Z diag(lambda) Z^dag, psi(kT) = Z (lambda^k * Z^dag psi0) for
     every sampled k at once, and an off-period sample is
     psi(kT + tau) = F(Y) (R psi(kT)) (_PeriodSamples.apply), with no U(tau)
-    formed.
+    formed. Such a sample carries k periods' errors and U(tau)'s, which is
+    no more than one period's, so global_error_estimate is the periods the
+    last sample has begun times period_error_estimate.
     """
     ks, offset_index, offsets = split
     states = np.zeros((len(ks), len(psi0)), dtype=complex)
@@ -656,9 +709,11 @@ def _floquet_states(samples: _PeriodSamples, sectors, psi0, split, tol):
         for r in shifted:
             part[r] = samples.apply(p, offset_index[r], part[r])
         states[:, s] = part
+    begun = int(np.max(ks + (offset_index >= 0)))
     return states, {**samples.metadata, "engine": "floquet-stroboscopic",
                     "sectors": [len(s) for s in sectors], "propagator_defect": max(defects),
-                    "periods": int(ks.max()), "offsets": len(offsets)}
+                    "periods": int(ks.max()), "offsets": len(offsets),
+                    "global_error_estimate": begun * samples.metadata["period_error_estimate"]}
 
 
 def _store_width(reads: int, n: int, cols: int) -> int:
@@ -789,8 +844,10 @@ def evolve_schrodinger(
 
     method: auto (dispatch on structure), direct (adaptive RK only), or
     stroboscopic (force the periodic engine). Norm drift is measured, never
-    silently repaired; drift beyond 1e-7 fails the run. The one-point case
-    of _unitary_points.
+    silently repaired; drift beyond 1e-7 fails the run. tol bounds the
+    local error, per step and so per period; a stroboscopic run records in
+    metadata["global_error_estimate"] what its horizon makes of that. The
+    one-point case of _unitary_points.
     """
     traj, = _unitary_points(space, params, schedules, psi0, None, t_span, sample_count, tol,
                             method, store_states)
@@ -819,9 +876,11 @@ def evolve_schrodinger_etas(
     samples. A solve runs when its first point is reached, so a caller that
     consumes the points one by one holds one solve's samples and one point's
     joint at a time. A stroboscopic point's rhs_evals are those of the
-    solve it shared, whose width batch_points records. That solve's tolerance
-    holds for the batch as a whole, so a point's error per step may exceed
-    what its own evolve_schrodinger run accepts by up to sqrt(batch_points).
+    solve it shared, whose width batch_points records. That solve steps at a
+    tenth of tol for the batch as a whole, so a point's error per step may
+    exceed what its own evolve_schrodinger run accepts by up to
+    sqrt(batch_points); each point's global_error_estimate is read off its
+    own block of the solve, so it states that point's error, not the batch's.
     """
     return _unitary_points(space, params, schedules, psi0, etas, t_span, sample_count, tol,
                            method, False)
@@ -1219,6 +1278,9 @@ def _lindblad_strobe(ham, collapse, rho0, t_span, sample_count, tol, metadata,
     sizes = [len(s) for s in sectors]
     metadata["engine"] = "lindblad-stroboscopic"
     metadata["sectors"] = [len(ch) for ch in channels]
+    # the Hamiltonian factor U(T) (x) conj(U(T)) carries U(T)'s error twice
+    metadata["global_error_estimate"] = (count - 1) * stride * (
+        2.0 * metadata["period_error_estimate"] + metadata["channel_slice_error"])
     # matrix_power squares bit_length - 1 times and multiplies bit_count - 1 times
     metadata["channel_matmuls"] += len(channels) * (stride.bit_length() + stride.bit_count() - 2)
 
@@ -1280,13 +1342,16 @@ def evolve_lindblad(
     grid (ConfigError, naming the aligned grid); lindblad_grid gives the grid
     to request. Its tol also bounds the step-doubling estimate of the
     one-period channel's error (metadata["channel_slice_error"], see
-    _lindblad_channel). With store_states=False it propagates only the
-    parity-diagonal Liouville block, which carries every observable: the
-    coherences between the parity sectors stay zero, so rho is block diagonal
-    and the eigenvalue floor takes one eigvalsh per parity block of all the
-    samples at once. metadata["liouville_pairs"] names the pairs propagated.
-    Its samples are Hermitian by construction;
-    metadata["channel_hermiticity_defect"] gates the channel that made them.
+    _lindblad_channel); the stroboscopic march records
+    metadata["global_error_estimate"], its periods times twice the period
+    solve's period_error_estimate plus channel_slice_error. With
+    store_states=False it propagates only the parity-diagonal Liouville
+    block, which carries every observable: the coherences between the parity
+    sectors stay zero, so rho is block diagonal and the eigenvalue floor
+    takes one eigvalsh per parity block of all the samples at once.
+    metadata["liouville_pairs"] names the pairs propagated. Its samples are
+    Hermitian by construction; metadata["channel_hermiticity_defect"] gates
+    the channel that made them.
     """
     _validate_tol(tol)
     if rho0.space != space:

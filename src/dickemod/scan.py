@@ -10,16 +10,18 @@ that a Trajectory holds for every sample, so sweeps store no states.
 _evaluate runs one grid and gives one table, a row per field and a column
 per point, which the zoom points join in eta order. fit_diagnostics holds
 the horizon, the median background, peak_transfer, vertex_fallback, and
-each point's rhs_evals, propagator_defect and batch_points (the width of
-the period solve it shared) as arrays aligned with etas; period_solves
-counts the solves. fit_rabi pulls |Xi| out of a sampled population
-oscillation by fitting A*cos(2|Xi| t + theta) + C.
+each point's rhs_evals, propagator_defect, batch_points (the width of the
+period solve it shared) and global_error_estimate (what the horizon makes
+of its per-period error, dynamics.evolve_schrodinger) as arrays aligned
+with etas; period_solves counts the solves. fit_rabi pulls |Xi| out of a
+sampled population oscillation by fitting A*cos(2|Xi| t + theta) + C.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,9 +130,10 @@ def _lindblad_point(scenario: TransferScenario, eta: float, horizon: float) -> T
 
 
 def _point_record(scenario: TransferScenario, traj: Trajectory):
-    """(transfer, rhs_evals, propagator_defect, batch_points) of one point:
-    the best target population joint[k+2, n-k-2] over its samples, and the
-    work and gate value its engine recorded. The defect is NaN, and
+    """(transfer, rhs_evals, propagator_defect, batch_points,
+    global_error_estimate) of one point: the best target population
+    joint[k+2, n-k-2] over its samples, and the work, gate value and error
+    estimate its engine recorded. The defect and the estimate are NaN, and
     batch_points 0, for an engine that makes no period solve. A NaN
     population in any sample raises NumericError, as one above 1 does."""
     n, k = scenario.transition
@@ -139,12 +142,13 @@ def _point_record(scenario: TransferScenario, traj: Trajectory):
         raise NumericError(f"target population {top:.6g} exceeds 1 or is NaN")
     md = traj.metadata
     return (min(top, 1.0), md["rhs_evals"], md.get("propagator_defect", math.nan),
-            md.get("batch_points", 0))
+            md.get("batch_points", 0), md.get("global_error_estimate", math.nan))
 
 
 def _evaluate(scenario, etas, horizon) -> np.ndarray:
     """The per-point table over etas: one row per _point_record field
-    (transfer, rhs_evals, propagator_defect, batch_points), one column per eta.
+    (transfer, rhs_evals, propagator_defect, batch_points,
+    global_error_estimate), one column per eta.
 
     Unitary points go to evolve_schrodinger_etas in one call, which runs
     each on its own engine, so the ones that run stroboscopic share batched
@@ -199,12 +203,13 @@ def sweep_resonance(
     resampled once on a 10x finer grid and the vertex recomputed there.
     """
     lo, hi = float(eta_range[0]), float(eta_range[1])
-    if not (lo < hi):
-        raise ConfigError(f"eta_range ({lo}, {hi}) must be increasing")
-    if lo <= 0.0:
-        raise ConfigError("eta_range must be positive")
-    if grid_points < 5:
-        raise ConfigError("grid_points must be at least 5")
+    if not 0.0 < lo < hi < math.inf:
+        raise ConfigError(f"eta_range ({lo}, {hi}) must be positive, finite and increasing")
+    if isinstance(grid_points, bool) or not isinstance(grid_points, numbers.Integral) \
+            or grid_points < 5:
+        raise ConfigError(f"grid_points={grid_points!r} must be an integer of at least 5")
+    if horizon is not None and not 0.0 < horizon < math.inf:
+        raise ConfigError(f"horizon={horizon} must be positive and finite")
 
     n, k = scenario.transition
     if horizon is None:
@@ -214,8 +219,6 @@ def sweep_resonance(
                 "closed-form rate vanishes for this scenario; pass horizon explicitly"
             )
         horizon = 1.2 * math.pi / abs(xi)
-    if horizon <= 0.0:
-        raise ConfigError(f"horizon={horizon} must be positive")
 
     etas = np.linspace(lo, hi, grid_points)
     table = _evaluate(scenario, etas, horizon)
@@ -262,6 +265,7 @@ def sweep_resonance(
             "rhs_evals": table[1].astype(int),
             "propagator_defect": table[2],
             "batch_points": widths,
+            "global_error_estimate": table[4],
             # a solve of w points gives each of them 1/w of it
             "period_solves": int(round(sum(1.0 / w for w in widths if w))),
         },

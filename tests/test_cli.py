@@ -605,6 +605,9 @@ def test_stroboscopic_csv_headers_carry_engine_work(tmp_path, command, blocks):
     assert int(meta["rhs_evals"]) > 0
     assert int(meta["batch_points"]) == 1
     assert 0.0 <= float(meta["propagator_defect"]) < 1e-9
+    # the horizon's error estimate, some periods' worth of a per-period one
+    per_period = float(meta["period_error_estimate"])
+    assert 0.0 < per_period < float(meta["global_error_estimate"]) < math.inf
     # the lindblad command asks the Lindblad engine for whole periods: 5
     # samples over 60 become 5 samples 4 periods apart, ending on the 16th
     channel_keys = ("channel_nodes", "channel_slices", "channel_slice_error",
@@ -654,11 +657,14 @@ def test_sweep_csv(tmp_path):
     cfg = write_cfg(tmp_path, text)
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     meta, header, data = read_csv(tmp_path / "o" / "sweep.csv")
-    assert header == ["eta", "eta_factor", "transfer", "rhs_evals", "propagator_defect"]
-    assert data.shape == (5, 5)
-    # one row per eta with that point's period solve and its unitarity gate
+    assert header == ["eta", "eta_factor", "transfer", "rhs_evals", "propagator_defect",
+                      "global_error_estimate"]
+    assert data.shape == (5, 6)
+    # one row per eta with that point's period solve, its unitarity gate and
+    # what the horizon makes of its per-period error
     assert np.all(data[:, 3] > 0)
     assert np.all(data[:, 4] <= UNITARY_DEFECT_TOL)
+    assert np.all(np.isfinite(data[:, 5]) & (data[:, 5] > 0))
     # the stroboscopic points share period solves of up to batch_points each
     width = int(meta["batch_points"])
     assert 1 <= width <= 5 and int(meta["period_solves"]) == math.ceil(5 / width)

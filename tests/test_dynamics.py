@@ -22,8 +22,13 @@ from dickemod.errors import (
     NumericError,
     UnsupportedError,
 )
-from dickemod.cli import snapped_span
-from dickemod.dispersive import spectrum_exact
+from dickemod.cli import (
+    circuit_pair_systems,
+    six_qubit_systems,
+    snapped_span,
+    two_qubit_systems,
+)
+from dickemod.dispersive import spectrum_exact, two_photon_rate_closed_form
 from dickemod.hilbert import (
     SpaceSpec,
     StateVector,
@@ -37,6 +42,7 @@ from dickemod.model import (
     ModulationSchedule,
     SystemParams,
     build_hamiltonian,
+    seconds_per_time_unit,
 )
 
 from oracles import (
@@ -824,6 +830,110 @@ def test_period_solve_on_the_exchange_system_is_accurate_and_cheap():
     for u, ref in zip(runs[1e-9], runs[1e-12]):
         assert np.max(np.abs(u[-1] - ref[-1])) < 1e-11
         assert dynamics._projected_period(u[-1], 1e-9)[1] < 1e-11
+
+
+# ---------------------------------------------------------------------------
+# the period solve's tolerance and the horizon's error estimate
+# ---------------------------------------------------------------------------
+
+def _sweep_n2_system():
+    """The N=2, n_max=12 CRT system of figure1 and of the sweep-n2 benchmark,
+    its g drive at eta 1, |0, 5>, and the horizon of its transfer sweeps."""
+    system = two_qubit_systems()["crt"]
+    sch = system.drive(1.0)
+    horizon = 1.2 * math.pi / abs(two_photon_rate_closed_form(system.params, sch, 5, 0))
+    return system.space, system.params, sch, system.psi0, horizon
+
+
+def _covering(ham1, etas, psi0, t_grid, tol):
+    """(distance, estimate) per point of a batched stroboscopic run at tol:
+    the largest state distance over the samples to a tol-1e-12 run, and the
+    run's global_error_estimate."""
+    runs = [list(dynamics._evolve_floquet(ham1, list(etas), psi0.amplitudes, t_grid, t))
+            for t in (tol, 1e-12)]
+    return [(float(np.max(np.linalg.norm(states - ref, axis=1))), md["global_error_estimate"])
+            for (states, md), (ref, _) in zip(*runs)]
+
+
+def test_period_solve_steps_at_the_runs_tol():
+    # the period solve steps at tol / 10, so a looser run makes fewer rhs
+    space, p, sch, psi0, _ = _sweep_n2_system()
+    ham = build_hamiltonian(space, p, tuple(dataclasses.replace(s, eta=1.068 * 1.44)
+                                            for s in sch))
+    sectors = [s for s in parity_sectors(space) if np.any(psi0.amplitudes[s])]
+    rhs = {}
+    for tol in (1e-8, 1e-10):
+        meta = {}
+        dynamics._period_propagators(ham, sectors, tol, [2 * math.pi / ham.common_eta], meta)
+        rhs[tol] = meta["rhs_evals"]
+    assert rhs[1e-8] < rhs[1e-10]
+
+
+@pytest.mark.parametrize("case", ["sweep-n2", "criterion-1", "criterion-3"])
+def test_global_error_estimate_covers_batched_sweep_points(case):
+    # sweep-n2's 9 points, batched as a sweep batches them, and one sweep
+    # point of each acceptance system at its fixture's tol, samples and
+    # horizon: ~37,600 periods at N=2, ~85,000 at N=6
+    if case == "criterion-3":
+        system = six_qubit_systems()["g"]
+        space, p, sch, psi0 = system.space, system.params, system.drive(1.0), system.psi0
+        horizon = 1.2 * math.pi / abs(two_photon_rate_closed_form(p, sch, 5, 0))
+        etas, count = [1.0389 * 1.44], 61
+    else:
+        space, p, sch, psi0, horizon = _sweep_n2_system()
+        etas, count = [1.0678 * 1.44], 121
+        if case == "sweep-n2":
+            etas = np.linspace((1.068 - 0.004) * 1.44, (1.068 + 0.004) * 1.44, 9)
+    points = _covering(build_hamiltonian(space, p, sch), etas, psi0,
+                       np.linspace(0.0, horizon, count), 1e-8)
+    assert len(points) == len(etas)
+    for distance, estimate in points:
+        assert 0.0 < distance <= estimate
+
+
+def test_global_error_estimate_covers_an_exchange_trajectory():
+    # exchange-n6's g + Omega run: 501 samples over ~156,000 periods at tol 1e-9
+    system = six_qubit_systems()["go"]
+    eta = 1.03876 * 1.44
+    sch = system.drive(eta)
+    q = abs(two_photon_rate_closed_form(system.params, sch[:1], 5, 0))
+    span, count = snapped_span(eta, 2.2 * math.pi / q, 501)
+    runs = [evolve_schrodinger(system.space, system.params, sch, system.psi0, span, count,
+                               tol=tol, store_states=True)
+            for tol in (1e-9, 1e-12)]
+    distance = max(np.linalg.norm(a.amplitudes - b.amplitudes)
+                   for a, b in zip(runs[0].states, runs[1].states))
+    md = runs[0].metadata
+    assert md["periods"] > 150_000
+    assert md["global_error_estimate"] == md["periods"] * md["period_error_estimate"]
+    assert 0.0 < distance <= md["global_error_estimate"]
+
+
+def test_global_error_estimate_covers_a_lindblad_march():
+    # the lindblad-cli benchmark's system: the realistic pair at n_max 8 from
+    # |alpha|^2 = 0.5, 301 samples over one microsecond (15,300 periods)
+    system = circuit_pair_systems()["realistic"]
+    space = SpaceSpec(2, 8, "distinguishable")
+    sch = system.drive(1.0632 * 1.44)
+    ham = build_hamiltonian(space, system.params, sch)
+    collapse = dynamics._collapse_operators(space, system.rates)
+    rho0 = DensityMatrix.from_state(coherent_state(space, math.sqrt(0.5))).matrix
+    span, count = dynamics.lindblad_grid(sch, 1e-6 / seconds_per_time_unit(10e9), 301)
+    runs = []
+    for tol in (1e-9, 1e-12):
+        meta = {}
+        with warnings.catch_warnings():
+            # at tol 1e-12 the channel reaches the slice cap a hair above tol
+            warnings.filterwarnings("ignore", message="Lindblad channel slice error")
+            rhos, _ = dynamics._lindblad_strobe(ham, collapse, rho0, span, count, tol, meta,
+                                                coherences=False)
+        runs.append((rhos, meta))
+    (rhos, meta), (ref, _) = runs
+    distance = float(np.max(np.linalg.norm(rhos - ref, axis=(1, 2))))
+    periods = span[1] * ham.common_eta / (2 * math.pi)
+    assert meta["global_error_estimate"] == pytest.approx(
+        periods * (2 * meta["period_error_estimate"] + meta["channel_slice_error"]), rel=1e-9)
+    assert 0.0 < distance <= meta["global_error_estimate"]
 
 
 # ---------------------------------------------------------------------------

@@ -189,7 +189,8 @@ def test_transfer_reads_the_joint_target_cell(basis, rates):
     horizon = 0.6 * math.pi / abs(pred.xi)
     space = SpaceSpec(2, 8, basis)
     scen = scenario(space, p, psi0=dicke_fock_state(space, 0, 3), rates=rates)
-    (transfer,), (rhs_evals,), (defect,), _ = scan._evaluate(scen, [pred.eta_res], horizon)
+    (transfer,), (rhs_evals,), (defect,), _, (estimate,) = scan._evaluate(
+        scen, [pred.eta_res], horizon)
 
     on_peak = (dataclasses.replace(sched[0], eta=pred.eta_res),)
     kw = dict(tol=scen.tol, store_states=True)
@@ -204,6 +205,7 @@ def test_transfer_reads_the_joint_target_cell(basis, rates):
     assert abs(transfer - _stored_target_population(traj, space, (3, 0))) <= 1e-14
     assert rhs_evals > 0
     assert defect <= 1e-9
+    assert 0.0 < estimate < math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +360,23 @@ def test_sweep_input_guards(baseline):
         sweep_resonance(silent, (1.4, 1.5), 5)
 
 
+@pytest.mark.parametrize("eta_range, grid_points, horizon, named", [
+    pytest.param((1.5, math.inf), 9, None, "eta_range", id="infinite-end"),
+    pytest.param((math.nan, 1.5), 9, None, "eta_range", id="nan-start"),
+    pytest.param((1.4, 1.5), 9.0, None, "grid_points", id="float-grid-points"),
+    pytest.param((1.4, 1.5), True, None, "grid_points", id="bool-grid-points"),
+    pytest.param((1.4, 1.5), 9, math.inf, "horizon", id="infinite-horizon"),
+    pytest.param((1.4, 1.5), 9, math.nan, "horizon", id="nan-horizon"),
+])
+def test_sweep_refuses_non_finite_or_non_integer_inputs(eta_range, grid_points, horizon, named,
+                                                        monkeypatch):
+    # refused before any point runs, naming the argument, with no numpy warning
+    monkeypatch.setattr(scan, "_evaluate", lambda *args: pytest.fail("a point ran"))
+    scen = scenario(SpaceSpec(2, 4), SystemParams(**BENCH))
+    with pytest.raises(ConfigError, match=named):
+        sweep_resonance(scen, eta_range, grid_points, horizon=horizon)
+
+
 def test_sweep_result_validation():
     etas = np.linspace(1.0, 2.0, 5)
     good = np.array([0.1, 0.2, 0.9, 0.2, 0.1])
@@ -416,7 +435,8 @@ def test_zoom_reads_its_vertex_inside_the_bracket(monkeypatch):
     def fake(scenario, etas, horizon):
         etas = np.asarray(etas)
         return np.array([[coarse.get(e, 0.05) for e in etas], np.round(etas * 1e4),
-                         np.full(len(etas), math.nan), np.zeros(len(etas))])
+                         np.full(len(etas), math.nan), np.zeros(len(etas)),
+                         np.full(len(etas), math.nan)])
 
     monkeypatch.setattr(scan, "_evaluate", fake)
     scen = scenario(SpaceSpec(2, 4), SystemParams(**BENCH))
@@ -432,4 +452,4 @@ def test_zoom_reads_its_vertex_inside_the_bracket(monkeypatch):
     assert res.fit_diagnostics["rhs_evals"].tolist() == np.round(res.etas * 1e4).tolist()
     assert set(res.fit_diagnostics) == {
         "horizon", "background", "vertex_fallback", "peak_transfer", "rhs_evals",
-        "propagator_defect", "batch_points", "period_solves"}
+        "propagator_defect", "batch_points", "global_error_estimate", "period_solves"}
