@@ -71,39 +71,26 @@ defect, gets psi(kT) for all sampled k at once from the complex Schur form
 Z diag(lambda^k) Z^dag of U(T) (Floquet; Shirley 1965), with no march, and
 an off-period sample as Y(tau) (R psi(kT)), with no U(tau) formed. The
 dissipative engine marches a one-period channel that keeps the Hamiltonian
-factor exact and, per sub-period slice, takes the
-dissipative factor as a first-order Magnus step expanded to second order;
-trace preservation is exact by construction because the same quadrature rule
-builds both the jump and the anticommutator pieces. The slice count comes
-from step doubling (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4):
-rounds of 2, 4, 8, ... slices share one quadrature grid and one period
-solve, each round compares its channel with the previous round's, the
-embedded partner of half the slices on that grid, and the first round whose
-estimate max|C_2s - C_s| is within tol keeps C_2s. Each Liouville block
-below doubles on its own, so its channel does not depend on which other
-blocks a run propagates. The error falls as
-1/slices^2, from the commutator term the step drops, so the kept channel
-carries about a quarter of the estimate. The doubling stops at
-MAX_CHANNEL_SLICES; a run whose estimate is still above tol there keeps that
-channel, records the estimate and warns once, pointing to method="direct".
-tol so bounds the channel's error per period (local), as it bounds each ODE
-step's, not the global error of a long march; metadata records
-channel_slices and channel_slice_error, and the march's
-global_error_estimate. A Lindblad channel maps Hermitian
-matrices to Hermitian ones, so on each Liouville block below it is a real
-matrix in a Hermitian operator basis (Havel, J. Math. Phys. 44, 534
-(2003)): the fixed unitary T keeps every diagonal entry rho_ii and sends
-each transpose pair (rho_ij, rho_ji) to (rho_ij + rho_ji)/sqrt(2) and
-i(rho_ij - rho_ji)/sqrt(2).
-Each slice generator is built in complex and taken to these coordinates
-once; the slice products, the channel power and the march are real, and T^H
-takes each sample back. The imaginary residue each step to real leaves is a
-gate: metadata["channel_hermiticity_defect"] records the largest, relative
-to the matrix's largest entry, and above CHANNEL_HERMITICITY_TOL the run
-raises NumericError. The engine samples whole periods only: a grid that
-snapped_span, the one period-alignment rule of the package, would move is
-refused with ConfigError naming the aligned grid, and lindblad_grid gives
-callers the grid to request.
+factor exact and, per sub-period slice, takes the dissipative factor as a
+first-order Magnus step expanded to second order; one quadrature rule builds
+both the jump and the anticommutator pieces, so the trace is kept exactly.
+Each Liouville block below gets its slice count from step doubling, up to
+MAX_CHANNEL_SLICES (_lindblad_channel): tol bounds the channel's error per
+period, and metadata records channel_slices, channel_slice_error and the
+march's global_error_estimate. A Lindblad channel maps Hermitian matrices to
+Hermitian ones, so on each Liouville block it is a real matrix in a
+Hermitian operator basis (Havel, J. Math. Phys. 44, 534 (2003)): the fixed
+unitary T keeps every diagonal entry rho_ii and sends each transpose pair
+(rho_ij, rho_ji) to (rho_ij + rho_ji)/sqrt(2) and i(rho_ij - rho_ji)/sqrt(2).
+Each slice generator is built in these coordinates from half of its rows;
+the slice products, the channel power and the march are real, and T^H takes
+each sample back. Hermiticity is gated on the collapse rates, which must be
+real, and on the Hamiltonian factor's step to real: the largest relative
+imaginary residue is metadata["channel_hermiticity_defect"], and above
+CHANNEL_HERMITICITY_TOL the run raises NumericError. The engine samples
+whole periods only: a grid that snapped_span, the one period-alignment rule
+of the package, would move is refused with ConfigError naming the aligned
+grid, and lindblad_grid gives callers the grid to request.
 
 Both stroboscopic engines work on parity sectors. Every Hamiltonian piece
 conserves the parity (-1)^(n+k) (hilbert.parity_sectors), so U(t) is block
@@ -143,6 +130,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.integrate import DOP853, solve_ivp
 from scipy.linalg import schur
+from scipy.linalg.blas import zherk
 
 from .errors import ConfigError, DomainError, NumericError, UnsupportedError
 from .hilbert import (
@@ -947,14 +935,9 @@ def _lindblad_direct(ham, collapse, rho0, t_grid, tol, metadata):
 def _gauss_nodes(a: float, b: float, panels: int):
     """Composite 6-node Gauss-Legendre nodes and weights on [a, b]."""
     x, w = np.polynomial.legendre.leggauss(6)
-    edges = np.linspace(a, b, panels + 1)
-    nodes, weights = [], []
-    for i in range(panels):
-        lo, hi = edges[i], edges[i + 1]
-        half = (hi - lo) / 2.0
-        nodes.append(half * x + (lo + hi) / 2.0)
-        weights.append(half * w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    edges = np.linspace(a, b, panels + 1)[:, None]
+    half, mid = (edges[1:] - edges[:-1]) / 2.0, (edges[:-1] + edges[1:]) / 2.0
+    return (half * x + mid).ravel(), (half * w).ravel()
 
 
 def _spectral_radius_bound(ham) -> float:
@@ -1002,40 +985,29 @@ def _transpose_pairing(pairs, sizes):
     return lo, partner[lo]
 
 
-def _rotate_pairs(x: np.ndarray, pairing, w: np.ndarray, axis: int = 0) -> np.ndarray:
+def _rotate_pairs(x: np.ndarray, pairing, w: np.ndarray) -> np.ndarray:
     """Apply the 2 x 2 matrix w to every transpose pair (x_lo, x_hi) of the
-    vectors along `axis` of the complex array x, in place; entries in no pair
-    stay. With w = _HERMITIAN_PAIR this is T @ x, with its conjugate
-    transpose T^H @ x; along axis 1, w acts as x @ A with A's pair block w^T.
+    rows of the complex array x, in place; entries in no pair stay. With
+    w = _HERMITIAN_PAIR this is T @ x, with its conjugate transpose T^H @ x.
     It takes 64 pairs at a time, so its temporaries stay small.
     """
-    v = np.moveaxis(x, axis, 0)
     for start in range(0, len(pairing[0]), 64):
         lo, hi = (index[start:start + 64] for index in pairing)
-        a, b = v[lo], v[hi]
-        v[lo] = w[0, 0] * a + w[0, 1] * b
-        v[hi] = w[1, 0] * a + w[1, 1] * b
+        a, b = x[lo], x[hi]
+        x[lo] = w[0, 0] * a + w[0, 1] * b
+        x[hi] = w[1, 0] * a + w[1, 1] * b
     return x
 
 
-def _to_hermitian_basis(m: np.ndarray, pairing) -> np.ndarray:
-    """T m T^H, computed in place on the complex matrix m."""
-    m = _rotate_pairs(m, pairing, _HERMITIAN_PAIR)
-    return _rotate_pairs(m, pairing, _HERMITIAN_PAIR.conj(), axis=1)
-
-
 def _real_part(z: np.ndarray, metadata: dict) -> np.ndarray:
-    """The real part of a block matrix in the Hermitian basis, gated on the
-    imaginary residue relative to its largest entry.
-
-    A Lindblad generator or channel preserves Hermiticity, so in that basis
-    it is real and the residue is rounding; metadata keeps the largest one as
-    channel_hermiticity_defect, and above CHANNEL_HERMITICITY_TOL the matrix
-    was not what it claims to be. The largest entries come from reductions
-    over the views, with no temporary the size of z.
-    """
-    imag = max(float(z.imag.max()), -float(z.imag.min()))
-    scale = max(float(z.real.max()), -float(z.real.min()), imag)
+    """The real part of z, gated on its imaginary residue relative to its
+    largest entry, rounding for a Hermiticity-preserving map in the Hermitian
+    basis and for the rates of one: metadata keeps the largest residue as
+    channel_hermiticity_defect, and above CHANNEL_HERMITICITY_TOL z was not
+    what it claims to be. The reductions run over views, with no temporary
+    the size of z."""
+    imag = max(float(z.imag.max(initial=0.0)), -float(z.imag.min(initial=0.0)))
+    scale = max(float(z.real.max(initial=0.0)), -float(z.real.min(initial=0.0)), imag)
     residue = imag / scale if scale else 0.0
     metadata["channel_hermiticity_defect"] = max(
         metadata.get("channel_hermiticity_defect", 0.0), residue)
@@ -1057,46 +1029,73 @@ def _slice_step(r: np.ndarray, channel) -> np.ndarray:
     return step if channel is None else np.matmul(step, channel, out=r)
 
 
-def _pair_view(om: np.ndarray, span, a, b, sizes) -> np.ndarray:
-    """The 4-D view v[i, j, k, l] = om[(i, j) of pair a, (k, l) of pair b];
-    splitting each axis of a strided 2-D view always gives a view."""
-    return om[span[a], span[b]].reshape(sizes[a[0]], sizes[a[1]], sizes[b[0]], sizes[b[1]])
+def _slice_generator(u_nd, wt, jumps, pairs, span, sizes, pairing) -> np.ndarray:
+    """One slice's generator on the Liouville block of `pairs` (positions
+    `span`) as the real R = T Omega T^H, built from half of Omega's rows.
 
-
-def _slice_generator(u_nd, wt, collapse, flips, op_blocks, pairs, span, sizes) -> np.ndarray:
-    """One slice's generator Omega on the Liouville block of `pairs`, in
-    complex on the concatenated row-major vec(rho_pq) (positions `span`).
-
-    It is the quadrature, with weights wt, of the dissipator in the
-    interaction picture of U(t), whose parity-sector blocks at the slice's
-    nodes are u_nd; vec(A rho B) = (A (x) B^T) vec(rho). Every term is added
-    in place through 4-D views of the block, so the only temporary the size
-    of a pair's block is one gram matrix.
+    Omega is the quadrature with weights wt of the dissipator in the
+    interaction picture of U(t), sector blocks u_nd at the nodes; jumps holds
+    per parity flip f the stacked sqrt(rate) op[sector p, sector p ^ f]^T,
+    rates >= 0. Real rates make Omega = P conj(Omega) P, P the transpose
+    pairing, so its rows at the lo positions L and the self-paired D fix R
+    (the symmetric Kronecker structure; Alizadeh, Haeberly & Overton, SIAM J.
+    Optim. 8, 746 (1998)): with m = beta conj(Omega) on an L row, beta 1 on
+    L columns, -i on their partners H and e^{-i pi/4} on D, R's row is
+    Re m - Im m^P and its partner's Re m^P + Im m, ^P reading each column's
+    partner (a k <-> l transpose of a 4-D view); a D row is the first over
+    sqrt(2). Row i of rho_pq, p <= q (j >= i if p = q), is one gram product
+    per flip, the anticommutator two rank-one terms of the f = 0 one.
     """
-    n = span[pairs[-1]].stop
-    om = np.zeros((n, n), dtype=complex)
-    m_slice = [np.zeros((b, b), dtype=complex) for b in sizes]
-    for (rate, _), f, ob in zip(collapse, flips, op_blocks):
-        # x[p]: the sector block (p, p ^ f) of U^dag op U at each node
-        x = [np.conj(u_nd[p]).transpose(0, 2, 1) @ ob[p] @ u_nd[p ^ f] for p in (0, 1)]
-        flat = [xp.reshape(len(wt), -1) for xp in x]
-        for c in (0, 1):
-            # the columns of sector c of U^dag op U sit in block (c ^ f, c)
-            fw = (x[c ^ f].conj() * wt[:, None, None]).reshape(-1, sizes[c])
-            m_slice[c] += rate * (fw.T @ x[c ^ f].reshape(-1, sizes[c]))
-        for p, q in pairs:
-            # the jump term A rho A^dag; the gram is indexed [(i,k),(j,l)]
-            view = _pair_view(om, span, (p, q), (p ^ f, q ^ f), sizes)
-            view += ((flat[p] * (rate * wt)[:, None]).T @ flat[q].conj()).reshape(
-                sizes[p], sizes[p ^ f], sizes[q], sizes[q ^ f]).transpose(0, 2, 1, 3)
-    for p, q in pairs:
-        # -(M_p (x) 1 + 1 (x) M_q^T)/2, one identity index at a time
-        view = _pair_view(om, span, (p, q), (p, q), sizes)
-        for j in range(sizes[q]):
-            view[:, j, :, j] -= 0.5 * m_slice[p]
+    n, nodes = span[pairs[-1]].stop, len(wt)
+    beta = np.full(n, math.sqrt(0.5) * (1.0 - 1.0j))
+    beta[pairing[0]], beta[pairing[1]] = 1.0, -1.0j
+    # y[f][p][K, i, k]: block (p, p ^ f) of sqrt(w rate) U^dag op U, K = (node, op) + 2 in y[0]
+    uh = [(np.conj(u) * np.sqrt(wt)[:, None, None]).transpose(1, 0, 2).reshape(len(u[0]), -1)
+          for u in u_nd]
+    ys = {0: [np.zeros((2, b, b), dtype=complex) for b in sizes]}
+    scratch = np.empty(max((a.size for _, b in jumps for a in b), default=0) * nodes, dtype=complex)
+    for f, blocks in jumps:
+        ys[f] = []
+        for p, at in enumerate(blocks):
+            au = np.matmul(at, uh[p], out=scratch[:at.size * nodes].reshape(len(at), -1))
+            au = au.reshape(-1, sizes[p ^ f], nodes, sizes[p]).transpose(2, 0, 3, 1)
+            y = np.zeros((au.shape[1] * nodes + 2 * (f == 0), *au.shape[2:]), dtype=complex)
+            np.matmul(au, u_nd[p ^ f][:, None], out=y[:au.shape[1] * nodes].reshape(au.shape))
+            ys[f].append(y)
+    # conj(M_c), M_c the sum of y^dag y over the blocks (c ^ f, c), from zherk's upper triangle;
+    # -(M_p (x) 1 + 1 (x) M_q^T)/2 is then conj(-M_p/2) (x) I plus I (x) -conj(M_q)^T/2
+    mc = [sum(zherk(1.0, y[c ^ f].reshape(-1, b).T) for f, y in ys.items())
+          for c, b in enumerate(sizes)]
+    for y, m in zip(ys[0], mc):
+        m += np.triu(m, 1).conj().T
+        y[-2], y[-1] = np.eye(len(m)), -0.5 * m.T
+    extra = [np.stack([-0.5 * m, np.eye(len(m))], axis=1) for m in mc]
+    out = np.empty((n, n))
+    for p, q in (pair for pair in pairs if pair[0] <= pair[1]):
+        # rows (i, j) of pair (p, q), and their partners (j, i), by column pair
+        view = {(r, c): out[span[r], span[c]].reshape(*(sizes[x] for x in r + c))
+                for r in ((p, q), (q, p)) for c in pairs}
+        # g[a, b][k, j, l] = conj(Omega)[(i, j0 + j), (k, l) of pair (a, b)], in one buffer each
+        bufs = {(a, b): np.zeros(sizes[a] * sizes[q] * sizes[b], dtype=complex) for a, b in pairs}
         for i in range(sizes[p]):
-            view[i, :, i, :] -= 0.5 * m_slice[q].T
-    return om
+            j0, d = (i, 1) if p == q else (0, 0)
+            g = {(a, b): buf[:sizes[a] * (sizes[q] - j0) * sizes[b]].reshape(sizes[a], -1, sizes[b])
+                 for (a, b), buf in bufs.items()}
+            for f, y in ys.items():
+                left = np.conj(y[p][:, i, :])
+                if f == 0:
+                    left[-2:] = extra[p][i]
+                np.matmul(left.T, y[q][:, j0:].reshape(len(left), -1),
+                          out=g[p ^ f, q ^ f].reshape(sizes[p ^ f], -1))
+            for (a, b), gab in g.items():
+                gab *= beta[span[a, b]].reshape(sizes[a], 1, sizes[b])
+            for a, b in pairs:
+                m, mp = g[a, b].transpose(1, 0, 2), g[b, a].transpose(1, 2, 0)
+                np.subtract(m.real, mp.imag, out=view[(p, q), (a, b)][i, j0:])
+                np.add(mp.real[d:], m.imag[d:], out=view[(q, p), (a, b)][j0 + d:, i])
+            if d:
+                out[span[p, q].start + i * (sizes[q] + 1)] *= math.sqrt(0.5)
+    return out
 
 
 def _doubling_round(real, slices: int, previous):
@@ -1137,38 +1136,35 @@ def _lindblad_channel(ham, collapse, rho0, tol, metadata, coherences: bool):
     the parity-diagonal one only unless `coherences` asks for rho_pq with
     p != q as well, as a real matrix in the block's Hermitian basis.
 
-    The period is split into slices; per slice the dissipative factor is the
-    first-order Magnus step exp(Omega) of the interaction picture of the
-    exact Hamiltonian propagator, expanded to I + Omega + Omega^2/2. Omega is
+    Per slice of the period, the dissipative factor is the first-order
+    Magnus step exp(Omega) of the interaction picture of the exact
+    Hamiltonian propagator, expanded to I + Omega + Omega^2/2. Omega is
     integrated on one composite 6-node Gauss grid per run: the fewest panels,
     in a multiple of MAX_CHANNEL_SLICES, none wider than 1.3 over the
     spectral radius bound of H, so every slice of every round is a run of
     whole panels, and one period solve gives U(t) at all of its nodes. The
     slice count comes from step doubling (Hairer, Norsett & Wanner, Solving
-    ODEs I, sec. II.4), block by block: for 2, 4, 8, ... slices, each round's
-    factor C_2s is compared with its embedded partner C_s (_doubling_round),
-    and the first round whose estimate max|C_2s - C_s| is within tol keeps
-    C_2s. On the one grid quadrature is additive, so the partner is the
-    previous round's factor; round 1's is the one-slice factor of R_0 + R_1.
-    The dropped commutator term makes the error fall as 1/slices^2, so C_2s
+    ODEs I, sec. II.4), block by block: for 2, 4, 8, ... slices, the first
+    round whose factor C_2s is within tol of its embedded partner C_s, the
+    previous round's factor (round 1's is the one-slice factor of R_0 + R_1),
+    keeps C_2s (_doubling_round). The error falls as 1/slices^2, so C_2s
     carries about a quarter of the estimate. At MAX_CHANNEL_SLICES the
-    doubling stops and keeps that channel; an estimate still above tol is
-    recorded and warned about once. tol so bounds the channel's error per
-    period, as it bounds each ODE step's, not the error of a long march.
+    doubling stops and keeps that channel, warning once if the estimate is
+    above tol. tol so bounds the channel's error per period.
 
     Every factor is built block by block from the parity-sector blocks of
-    U(t) and of the jump operators, so no d^2 x d^2 array is formed. A
-    slice's generator is built in complex (_slice_generator) and taken once
-    to the real coordinates T Omega T^H (_HERMITIAN_PAIR); I + R + R^2/2 and
-    the slice products are real. The Hamiltonian factor U (x) conj(U) acts on
-    T^H C, and T takes the result back to real. Each step to real is gated on
-    its imaginary residue (_real_part). metadata records channel_slices and
-    channel_slice_error, the largest over the blocks, the grid's
-    channel_nodes, the one solve's rhs_evals, and in channel_matmuls the dense block products of every
-    round: 2s - 1 for s slices, and one more for round 1's partner. Returns
-    the parity sectors, the propagated blocks (as pair tuples of
-    _LIOUVILLE_BLOCKS, also in metadata["liouville_pairs"]), their transpose
-    pairings and one real channel matrix per block.
+    U(t) and of the jump operators, so no d^2 x d^2 array is formed. Each
+    slice generator is built real from half of Omega's rows
+    (_slice_generator), gated on the rates' imaginary parts (_real_part). The
+    Hamiltonian factor U (x) conj(U) acts on T^H C, and T takes the result
+    back to real, gated on its imaginary residue. metadata records
+    channel_slices and channel_slice_error, the largest over the blocks, the
+    grid's channel_nodes, the one solve's rhs_evals, and in channel_matmuls
+    the dense block products of every round: 2s - 1 for s slices, and one
+    more for round 1's partner. Returns the parity sectors, the propagated
+    blocks (as pair tuples of _LIOUVILLE_BLOCKS, also in
+    metadata["liouville_pairs"]), their transpose pairings and one real
+    channel matrix per block.
     """
     period = 2.0 * math.pi / ham.common_eta
     sectors, flips = _parity_blocks(ham, collapse)
@@ -1179,9 +1175,11 @@ def _lindblad_channel(ham, collapse, rho0, tol, metadata, coherences: bool):
     metadata["liouville_pairs"] = tuple(pair for pairs in blocks for pair in pairs)
     spans = [_pair_spans(pairs, sizes) for pairs in blocks]
     pairings = [_transpose_pairing(pairs, sizes) for pairs in blocks]
-    # jump operator blocks op[sector p, sector p ^ flip]
-    op_blocks = [[op[sectors[p]][:, sectors[p ^ f]].toarray() for p in (0, 1)]
-                 for (_, op), f in zip(collapse, flips)]
+    rates = _real_part(np.array([r for r, _ in collapse], dtype=complex), metadata)
+    # per parity flip f, the blocks sqrt(rate) op[sector p, sector p ^ f]^T of its operators
+    jumps = [(f, [np.concatenate([math.sqrt(r) * op[sectors[p]][:, sectors[p ^ f]].T.toarray()
+                                  for r, (_, op), g in zip(rates, collapse, flips) if g == f])
+                  for p in (0, 1)]) for f in set(flips)]
     # one grid for every round: each slice of 2 .. MAX_CHANNEL_SLICES slices is
     # a run of whole panels, none wider than 1.3 over the spectral radius bound
     panels = MAX_CHANNEL_SLICES * max(1, math.ceil(
@@ -1202,9 +1200,8 @@ def _lindblad_channel(ham, collapse, rho0, tol, metadata, coherences: bool):
             wts = weights.reshape(block_slices, -1)
 
             def real(j, at=at, wts=wts, pairs=pairs, span=span, pairing=pairing):
-                om = _slice_generator([u[at[j]] for u in u_at], wts[j], collapse, flips,
-                                      op_blocks, pairs, span, sizes)
-                return _real_part(_to_hermitian_basis(om, pairing), metadata)
+                return _slice_generator([u[at[j]] for u in u_at], wts[j], jumps, pairs, span,
+                                        sizes, pairing)
 
             # a squaring per slice and a product per slice but the first;
             # round 1's one-slice partner adds a squaring
@@ -1275,7 +1272,6 @@ def _lindblad_strobe(ham, collapse, rho0, t_span, sample_count, tol, metadata,
 
     sectors, blocks, pairings, channels = _lindblad_channel(ham, collapse, rho0, tol, metadata,
                                                             coherences)
-    sizes = [len(s) for s in sectors]
     metadata["engine"] = "lindblad-stroboscopic"
     metadata["sectors"] = [len(ch) for ch in channels]
     # the Hamiltonian factor U(T) (x) conj(U(T)) carries U(T)'s error twice
@@ -1287,16 +1283,19 @@ def _lindblad_strobe(ham, collapse, rho0, t_span, sample_count, tol, metadata,
     # samples sit on stride multiples, so one channel^stride step per sample
     herm = (rho0 + rho0.conj().T) / 2.0
     rhos = np.zeros((count, *rho0.shape), dtype=complex)
-    for pairs, pairing, channel in zip(blocks, pairings, channels):
+    flat = rhos.reshape(count, -1)
+    for pairs, (lo, hi), channel in zip(blocks, pairings, channels):
         step = np.linalg.matrix_power(channel, stride) if stride > 1 else channel
         vecs = np.empty((count, len(channel)))
-        vecs[0] = _rotate_pairs(_block_vec(herm, sectors, pairs), pairing, _HERMITIAN_PAIR).real
+        vecs[0] = _rotate_pairs(_block_vec(herm, sectors, pairs), (lo, hi), _HERMITIAN_PAIR).real
         for i in range(1, count):
             np.dot(step, vecs[i - 1], out=vecs[i])
-        back = _rotate_pairs(vecs.astype(complex), pairing, _HERMITIAN_PAIR.conj().T, axis=1)
-        for (p, q), part in _pair_spans(pairs, sizes).items():
-            rhos[:, sectors[p][:, None], sectors[q]] = back[:, part].reshape(
-                count, sizes[p], sizes[q])
+        # T^H: rho_ii = y_ii, rho_lo = (y_lo - i y_hi)/sqrt(2) and rho_hi its conjugate
+        where = np.concatenate([(sectors[p][:, None] * len(rho0) + sectors[q]).ravel()
+                                for p, q in pairs])
+        flat[:, where] = vecs
+        flat[:, where[lo]] = math.sqrt(0.5) * (vecs[:, lo] - 1j * vecs[:, hi])
+        flat[:, where[hi]] = flat[:, where[lo]].conj()
     return rhos, times
 
 

@@ -268,6 +268,63 @@ def from_hermitian_basis(r, pairing):
     return t.conj().T @ r @ t
 
 
+def complex_slice_generator(u_nd, wt, collapse, flips, op_blocks, pairs, span, sizes):
+    """One slice's Lindblad generator Omega on the Liouville block of `pairs`,
+    in complex on the concatenated row-major vec(rho_pq) (positions `span`):
+    the quadrature, with weights wt, of the dissipator in the interaction
+    picture of U(t), whose parity-sector blocks at the slice's nodes are u_nd.
+    collapse holds (rate, _) pairs, flips each operator's parity flip and
+    op_blocks its blocks op[sector p, sector p ^ flip]. Every row of Omega is
+    built, one full gram matrix per operator and pair."""
+    def pair_view(om, a, b):
+        # v[i, j, k, l] = om[(i, j) of pair a, (k, l) of pair b]
+        return om[span[a], span[b]].reshape(sizes[a[0]], sizes[a[1]], sizes[b[0]], sizes[b[1]])
+
+    n = span[pairs[-1]].stop
+    om = np.zeros((n, n), dtype=complex)
+    m_slice = [np.zeros((b, b), dtype=complex) for b in sizes]
+    for (rate, _), f, ob in zip(collapse, flips, op_blocks):
+        # x[p]: the sector block (p, p ^ f) of U^dag op U at each node
+        x = [np.conj(u_nd[p]).transpose(0, 2, 1) @ ob[p] @ u_nd[p ^ f] for p in (0, 1)]
+        flat = [xp.reshape(len(wt), -1) for xp in x]
+        for c in (0, 1):
+            # the columns of sector c of U^dag op U sit in block (c ^ f, c)
+            fw = (x[c ^ f].conj() * wt[:, None, None]).reshape(-1, sizes[c])
+            m_slice[c] += rate * (fw.T @ x[c ^ f].reshape(-1, sizes[c]))
+        for p, q in pairs:
+            # the jump term A rho A^dag; the gram is indexed [(i,k),(j,l)]
+            view = pair_view(om, (p, q), (p ^ f, q ^ f))
+            view += ((flat[p] * (rate * wt)[:, None]).T @ flat[q].conj()).reshape(
+                sizes[p], sizes[p ^ f], sizes[q], sizes[q ^ f]).transpose(0, 2, 1, 3)
+    for p, q in pairs:
+        # -(M_p (x) 1 + 1 (x) M_q^T)/2, one identity index at a time
+        view = pair_view(om, (p, q), (p, q))
+        for j in range(sizes[q]):
+            view[:, j, :, j] -= 0.5 * m_slice[p]
+        for i in range(sizes[p]):
+            view[i, :, i, :] -= 0.5 * m_slice[q].T
+    return om
+
+
+def to_hermitian_basis(m, pairing):
+    """T m T^H, in place on the complex matrix m: every transpose pair of
+    rows, then of columns, rotated as hermitian_basis_map's T does."""
+    lo, hi = (np.asarray(index) for index in pairing)
+    s = math.sqrt(0.5)
+    a, b = m[lo], m[hi]
+    m[lo], m[hi] = s * (a + b), 1j * s * (a - b)
+    a, b = m[:, lo], m[:, hi]
+    m[:, lo], m[:, hi] = s * (a + b), 1j * s * (b - a)
+    return m
+
+
+def real_part(z):
+    """(Re z, the imaginary residue max|Im z| relative to the largest entry)."""
+    imag = float(np.max(np.abs(z.imag)))
+    scale = max(float(np.max(np.abs(z.real))), imag)
+    return np.ascontiguousarray(z.real), imag / scale if scale else 0.0
+
+
 def lindblad_dissipator(op, rho):
     """D[O]rho = (2 O rho O^dag - O^dag O rho - rho O^dag O)/2; traceless."""
     op = np.asarray(op)

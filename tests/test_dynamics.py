@@ -35,6 +35,7 @@ from dickemod.hilbert import (
     coherent_state,
     dicke_fock_state,
     ladder_operators,
+    parity_flips,
     parity_sectors,
 )
 from dickemod.model import (
@@ -47,6 +48,7 @@ from dickemod.model import (
 
 from oracles import (
     _one_period_propagators,
+    complex_slice_generator,
     cutoff_warning_ignored,
     damped_cavity_nph,
     dense_collective_hamiltonian,
@@ -56,7 +58,9 @@ from oracles import (
     full_space_lindblad_channel,
     hamiltonian_at,
     lindblad_dissipator,
+    real_part,
     reference_march,
+    to_hermitian_basis,
     total_excitation,
 )
 
@@ -329,8 +333,8 @@ def test_sector_lindblad_matches_full_space_channel(basis, state, phi):
 
 def test_channel_that_breaks_hermiticity_is_refused():
     # rates with an imaginary part leave each slice generator trace-preserving
-    # but not Hermiticity-preserving: the trace gate cannot see it, the
-    # residue left in the Hermitian basis can
+    # but not Hermiticity-preserving: the trace gate cannot see it, the gate on
+    # the rates' imaginary part can
     space, rho0, rates, _ = _lindblad_case("distinguishable", "coherent")
     p = bench_params()
     ham = build_hamiltonian(space, p, (g_schedule(p),))
@@ -349,6 +353,67 @@ def test_channel_that_breaks_hermiticity_is_refused():
     skewed = [(r * (1 + 1e-6j), op) for r, op in collapse]
     with pytest.raises(NumericError, match="Hermiticity defect"):
         dynamics._lindblad_channel(ham, skewed, rho0.matrix, 1e-9, {}, coherences=False)
+
+
+def _generator_case(case):
+    """(ham, collapse, rho0) of the systems the real generator is checked on."""
+    if case == "lindblad-cli":
+        # the lindblad-cli benchmark's pair (seed 1): distinguishable, n_max 8,
+        # each coupling driven on its own qubit, per-qubit rates
+        g1, space = 5.66e-2, SpaceSpec(2, 8, "distinguishable")
+        params = SystemParams(1.0, (1.72, 1.0 + 1.02 * 0.72), (g1, 1.01 * g1), 2)
+        sch = tuple(ModulationSchedule("g", 0.1 * g, 1.0632 * 1.44, math.pi / 4, qubit=i + 1)
+                    for i, g in enumerate((g1, 1.01 * g1)))
+        loss = (5e-5 * g1, 5e-5 * 1.01 * g1)
+        rates = DissipationRates(kappa=loss[0], gamma=loss, gamma_phi=loss)
+        rho0 = DensityMatrix.from_state(coherent_state(space, math.sqrt(0.5)))
+        ham = build_hamiltonian(space, params, sch)
+        return ham, dynamics._collapse_operators(space, rates), rho0
+    basis, state, phi = case
+    space, rho0, rates, _ = _lindblad_case(basis, state)
+    ham = build_hamiltonian(space, bench_params(), (g_schedule(bench_params(), phi=phi),))
+    return ham, dynamics._collapse_operators(space, rates), rho0
+
+
+@pytest.mark.parametrize("case", [
+    *(pytest.param((*case.values, 0.0), id=case.id) for case in SECTOR_CASES),
+    pytest.param(("distinguishable", "coherent", PHI), id="distinguishable-coherent-phi0.7"),
+    pytest.param("lindblad-cli", id="lindblad-cli"),
+    pytest.param("zero-rates", id="zero-rates"),
+])
+def test_real_slice_generator_matches_the_complex_route(case, monkeypatch):
+    # every generator the channel builds, against the complex Liouville matrix
+    # rotated twice into the Hermitian basis, on both Liouville blocks
+    zero = case == "zero-rates"
+    ham, collapse, rho0 = _generator_case(("distinguishable", "coherent", 0.0) if zero else case)
+    if zero:
+        collapse = [(0.0, op) for _, op in collapse]
+    built, real = [], dynamics._slice_generator
+
+    def record(*args):
+        built.append((args, real(*args)))
+        return built[-1][1].copy()  # the doubling round works on its copy
+
+    monkeypatch.setattr(dynamics, "_slice_generator", record)
+    meta = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # kappa = 0.01 takes the channel to the slice cap
+        sectors, blocks, _, _ = dynamics._lindblad_channel(ham, collapse, rho0.matrix, 1e-9, meta,
+                                                            coherences=True)
+    # a coherent rho0 fills both blocks, a Fock state only the parity-diagonal one
+    assert len(blocks) == 1 + ("fock" not in case) and meta["channel_hermiticity_defect"] < 1e-14
+    flips = [parity_flips(op, ham.space) for _, op in collapse]
+    op_blocks = [[op[sectors[p]][:, sectors[p ^ f]].toarray() for p in (0, 1)]
+                 for (_, op), f in zip(collapse, flips)]
+    assert {args[3] for args, _ in built} == set(blocks)
+    for (u_nd, wt, _, pairs, span, sizes, pairing), r in built:
+        om = complex_slice_generator(u_nd, wt, collapse, flips, op_blocks, pairs, span, sizes)
+        want, residue = real_part(to_hermitian_basis(om, pairing))
+        assert r.dtype == float and residue < 1e-14
+        if zero:
+            assert not np.any(want) and not np.any(r)
+        else:
+            assert np.max(np.abs(r - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def _weak_lindblad_case():
@@ -558,10 +623,10 @@ def test_hermitian_basis_gate_catches_an_added_skew_term(pairs):
 
     om = np.array([column(k) for k in range(n)]).T
     meta = {}
-    r = dynamics._real_part(dynamics._to_hermitian_basis(om.copy(), pairing), meta)
+    r = dynamics._real_part(to_hermitian_basis(om.copy(), pairing), meta)
     assert r.dtype == float and meta["channel_hermiticity_defect"] < 1e-15
     with pytest.raises(NumericError, match="Hermiticity defect"):
-        dynamics._real_part(dynamics._to_hermitian_basis(om + 1j * np.eye(n), pairing), {})
+        dynamics._real_part(to_hermitian_basis(om + 1j * np.eye(n), pairing), {})
 
 
 def test_observable_only_lindblad_propagates_the_parity_diagonal_block():

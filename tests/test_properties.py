@@ -24,7 +24,6 @@ from dickemod.dynamics import (
     _eig_floor,
     _lindblad_strobe,
     _rotate_pairs,
-    _to_hermitian_basis,
     _transpose_pairing,
     evolve_lindblad,
     evolve_schrodinger,
@@ -55,6 +54,7 @@ from oracles import (
     full_space_lindblad_channel,
     hamiltonian_at,
     hermitian_basis_map,
+    to_hermitian_basis,
     total_excitation,
     upsilon,
 )
@@ -264,7 +264,7 @@ def test_hermitian_basis_map_is_unitary_and_makes_hermitian_vecs_real(a, b, pair
 
     # the matrix maps are T M T^H and its inverse T^H R T
     big = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    there = _to_hermitian_basis(big.copy(), pairing)
+    there = to_hermitian_basis(big.copy(), pairing)
     assert np.max(np.abs(there - t @ big @ t.conj().T)) < 1e-13
     assert np.max(np.abs(from_hermitian_basis(there, pairing) - big)) < 1e-13
 
