@@ -19,11 +19,15 @@ that span at least STROBE_MIN_PERIODS periods from t=0 use the stroboscopic
 engine, and a forced `stroboscopic` run needs the same common frequency and
 t=0 start. Every ODE solve goes through _integrate, which steps with DOP853
 (the Dormand-Prince 8(5,3) pair; Hairer, Norsett & Wanner, Solving ODEs I)
-and caps the step at a twentieth of the fastest active drive's period. Its
-right-hand sides apply H(t) through ModulatedHamiltonian.apply: one real
-sparse product of the pieces' merged pattern, with d_0 + sum_j s_j(t) d_j as
-its data, and the float64 view of the complex state (interleaved re/im
-columns), so the ODE state stays complex.
+and caps the step at a twentieth of the fastest active drive's period. It
+reads every sample the same way, direct or stroboscopic: off the dense
+output of the accepted step that holds it (ibid., sec. II.6), together with
+the sum of DOP853's error estimates over the steps up to it (_StepSampler).
+A direct run's metadata["global_error_estimate"] is that sum at its last
+sample. The right-hand sides apply H(t) through ModulatedHamiltonian.apply:
+one real sparse product of the pieces' merged pattern, with
+d_0 + sum_j s_j(t) d_j as its data, and the float64 view of the complex
+state (interleaved re/im columns), so the ODE state stays complex.
 
 The stroboscopic engines integrate one drive period once, at a tenth of the
 run's tol; this is what makes horizons of 1e5 time units tractable. The drive
@@ -124,6 +128,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -248,6 +253,8 @@ def _sample_grid(t_span, sample_count: int) -> np.ndarray:
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not -math.inf < t0 < t1 < math.inf:
         raise ConfigError(f"t_span ({t0}, {t1}) must be increasing and finite")
+    if isinstance(sample_count, bool) or not isinstance(sample_count, numbers.Integral):
+        raise ConfigError(f"sample_count={sample_count!r} must be an integer")
     if sample_count < 2:
         raise ConfigError("sample_count must be >= 2")
     return np.linspace(t0, t1, sample_count)
@@ -302,14 +309,12 @@ def _cutoff_check(space: SpaceSpec, joint: np.ndarray, metadata: dict,
 # ---------------------------------------------------------------------------
 
 class _SampledDOP853(DOP853):
-    """DOP853 that hands each accepted step to `sampler`, which may read the
-    step's dense output and its error estimate (`estimate`). That output is
-    built at most once per step, for the sampler and solve_ivp's own t_eval
-    alike."""
+    """DOP853 that hands each accepted step to `sampler`, which reads the
+    step's dense output and its error estimate (`estimate`)."""
 
-    def __init__(self, fun, t0, y0, t_bound, sampler=None, **options):
+    def __init__(self, fun, t0, y0, t_bound, sampler, **options):
         super().__init__(fun, t0, y0, t_bound, **options)
-        self._sampler, self._dense = sampler, None
+        self._sampler = sampler
         self.estimate = None
 
     def _estimate_error_norm(self, K, h, scale):
@@ -325,12 +330,9 @@ class _SampledDOP853(DOP853):
         return abs(h) * n5 / np.sqrt((n5 + 0.01 * n3) * len(scale))
 
     def step(self):
-        self._dense = None
         message = super().step()
-        if self._sampler is not None and self.status != "failed":
+        if self.status != "failed":
             self._sampler(self)
-        if self.status == "finished":
-            self.dense_output()  # solve_ivp reads it after the last step
         if self.status != "running":
             # the solver and its rhs wrapper form a reference cycle: break it,
             # so that the solver's arrays go when solve_ivp returns rather
@@ -338,26 +340,24 @@ class _SampledDOP853(DOP853):
             self._sampler = self.fun = self.fun_vectorized = None
         return message
 
-    def dense_output(self):
-        if self._dense is None:
-            self._dense = super().dense_output()
-        return self._dense
 
+def _integrate(ham: ModulatedHamiltonian, rhs, y0, t_span, grids, rtol: float, failure: str):
+    """The one ODE call: dY/dt = rhs(t, Y) from y0 by DOP853, sampled off its
+    accepted steps (_StepSampler).
 
-def _integrate(ham: ModulatedHamiltonian, rhs, y0, t_span, t_eval, rtol: float, failure: str,
-               sampler=None):
-    """The one ODE call site: dY/dt = rhs(t, Y) for Y shaped like y0, by DOP853.
-
-    atol is rtol * 1e-3 and the step is capped by the fastest drive; failure is
-    the NumericError text, with {} standing for the solver's message. sampler,
-    when given, sees every accepted step (_SampledDOP853).
+    rhs maps the flat state to its flat derivative. y0 is (n, width, cols),
+    one (n, cols) block per point side by side, a single run's a batch of
+    one; grids[j] holds point j's sample times, ascending, in t_span. atol is
+    rtol * 1e-3 and the step is capped by the fastest drive; failure is the
+    NumericError text, with {} standing for the solver's message. Returns the
+    sampler's stores and errors, and the rhs count.
     """
-    shape = np.shape(y0)
+    sampler = _StepSampler(grids, np.shape(y0))
     sol = solve_ivp(
-        lambda t, y: rhs(t, y.reshape(shape)).ravel(),
+        rhs,
         t_span,
         np.asarray(y0, dtype=complex).ravel(),
-        t_eval=t_eval,
+        t_eval=(),
         method=_SampledDOP853,
         sampler=sampler,
         rtol=rtol,
@@ -366,19 +366,18 @@ def _integrate(ham: ModulatedHamiltonian, rhs, y0, t_span, t_eval, rtol: float, 
     )
     if not sol.success:
         raise NumericError(failure.format(sol.message))
-    return sol
+    return sampler.stores, sampler.errors, int(sol.nfev)
 
 
 class _StepSampler:
-    """Reads the samples of a batched period solve off each accepted step.
+    """Reads the samples of an ODE solve off each accepted step.
 
-    The state is (n, width, cols), one (n, cols) block per point. grids[j]
-    holds point j's sample times, ascending, and labs[j] their row factors
-    e^{-i theta(s)/eta_j}, which take a sample back to the lab frame. A step
-    evaluates its interpolant once, at every sample it holds of any point,
-    and each point keeps its own block of its own times. stores[j] receives
-    point j's lab-frame blocks in the order of grids[j]; one array per point
-    keeps every allocation the size of one point's samples.
+    The state is (n, width, cols), one (n, cols) block per point, and
+    grids[j] holds point j's sample times, ascending. A step evaluates its
+    interpolant once, at every sample it holds of any point, and each point
+    keeps its own block of its own times. stores[j] receives point j's blocks
+    in the order of grids[j]; one array per point keeps every allocation the
+    size of one point's samples.
 
     errors[j][i] is the sum, over the steps up to the one that holds sample
     i, of DOP853's error estimate on point j's block: its own norm,
@@ -388,38 +387,40 @@ class _StepSampler:
     tolerance by up to sqrt(width).
     """
 
-    def __init__(self, grids, labs, shape):
-        self.grids, self.labs, self.shape = grids, labs, shape
+    def __init__(self, grids, shape):
+        self.grids, self.shape = grids, shape
         self.stores = [np.empty((len(g), shape[0], shape[2]), dtype=complex) for g in grids]
         self.errors = [np.empty(len(g)) for g in grids]
         self.done = [0] * len(grids)
-        self.error = np.zeros(shape[1])
+        self.error = [0.0] * shape[1]
+        self.next = min(g[0] for g in grids)  # the first time not yet sampled
 
     def __call__(self, solver):
         h, err5, err3 = solver.estimate
-        # each point's squared 2-norms, over the float64 view of the estimates
         n, width, _ = self.shape
-        e5, e3 = (np.einsum("iwj,iwj->w", v, v) for v in
-                  (e.view(float).reshape(n, width, -1) for e in (err5, err3)))
-        denom = np.sqrt(e5 + 0.01 * e3)
-        self.error += abs(h) * np.divide(e5, denom, out=np.zeros_like(e5), where=denom > 0.0)
+        # each point's squared 2-norms of the two estimates; a lone point's
+        # block is the whole state
+        if width == 1:
+            e5, e3 = [np.vdot(err5, err5).real], [np.vdot(err3, err3).real]
+        else:
+            e5, e3 = (np.einsum("iwj,iwj->w", v, v).tolist() for v in
+                      (e.view(float).reshape(n, width, -1) for e in (err5, err3)))
+        for j, (a, b) in enumerate(zip(e5, e3)):
+            if a:  # a zero e5 adds nothing, and may come with a zero denominator
+                self.error[j] += abs(h) * (a / math.sqrt(a + 0.01 * b))
+        if solver.t < self.next:
+            return
         stops = [int(np.searchsorted(g, solver.t, side="right")) for g in self.grids]
         new = [(j, lo, hi) for j, (lo, hi) in enumerate(zip(self.done, stops)) if hi > lo]
-        if not new:
-            return
         times = np.concatenate([self.grids[j][lo:hi] for j, lo, hi in new])
         values = solver.dense_output()(times).T.reshape(len(times), *self.shape)
         first = 0
         for j, lo, hi in new:
-            block = values[first:first + hi - lo, :, j]
-            self.stores[j][lo:hi] = block * self.labs[j][lo:hi, :, None]
+            self.stores[j][lo:hi] = values[first:first + hi - lo, :, j]
             self.errors[j][lo:hi] = self.error[j]
             first += hi - lo
         self.done = stops
-
-
-def _schrodinger_rhs(ham: ModulatedHamiltonian):
-    return lambda t, y: -1j * ham.apply(t, y)
+        self.next = min((g[k] for g, k in zip(self.grids, stops) if k < len(g)), default=math.inf)
 
 
 def _polar_project(u: np.ndarray):
@@ -443,11 +444,13 @@ def _evolve_static(ham, psi0, t_grid, metadata):
 
 
 def _evolve_direct(ham, psi0, t_grid, tol, metadata):
-    sol = _integrate(ham, _schrodinger_rhs(ham), psi0, (float(t_grid[0]), float(t_grid[-1])),
-                     t_grid, tol, "integration failed: {}; try a tighter tol")
+    (states,), (errors,), metadata["rhs_evals"] = _integrate(
+        ham, lambda t, y: -1j * ham.apply(t, y), psi0[:, None, None],
+        (float(t_grid[0]), float(t_grid[-1])), [t_grid], tol,
+        "integration failed: {}; try a tighter tol")
     metadata["engine"] = "adaptive-rk"
-    metadata["rhs_evals"] = int(sol.nfev)
-    return sol.y.T
+    metadata["global_error_estimate"] = float(errors[-1])
+    return states.reshape(len(t_grid), -1)
 
 
 def _period_split(t_grid, period):
@@ -590,7 +593,7 @@ def _sector_propagators(ham, etas, sectors, tol: float, taus) -> list[_PeriodSam
         dY_I/ds = -(i/eta_j) P_j (H(s) - D(s)) P_j^* Y_I,   P_j = e^{i theta_j},
     one off-diagonal product of ModulatedHamiltonian's merged pattern between
     two row scalings. Y_I(s0) = Y(s0), and every sample goes back to the lab
-    frame, Y = e^{-i theta_j} Y_I, as it is read (_StepSampler).
+    frame, Y = e^{-i theta_j} Y_I, once the solve has read it (_StepSampler).
 
     For a time-symmetric drive (_symmetric_window) the solve covers only the
     half window [c - pi, c], for Y(s) = U(s, c - pi). With Y0 = Y(0),
@@ -609,10 +612,6 @@ def _sector_propagators(ham, etas, sectors, tol: float, taus) -> list[_PeriodSam
     window = half or (0.0, 2.0 * math.pi)
     reads = [_window_reads(np.asarray(t, dtype=float), window) for t in taus]
     sub = ham.restrict(np.concatenate(sectors))
-    sampler = _StepSampler(
-        [r[0] for r in reads],
-        [np.exp(-1j / eta * sub.diagonal_phase(r[0], window[0])) for eta, r in zip(etas, reads)],
-        (n, width, cols))
     y0 = np.zeros((n, width, cols), dtype=complex)
     for lo, b in zip(starts, sizes):
         y0[lo + np.arange(b), :, np.arange(b)] = 1.0
@@ -622,24 +621,25 @@ def _sector_propagators(ham, etas, sectors, tol: float, taus) -> list[_PeriodSam
     def frame_rhs(s, y):
         # dY_I/ds = -(i/eta_j) P_j (H - D) P_j^* Y_I with P_j = e^{i Theta(s)/eta_j}
         p = np.exp(np.multiply.outer(sub.diagonal_phase(s, window[0]), rate))
-        out = sub.apply_off_diagonal(s, y * p.conj()[:, :, None])
+        out = sub.apply_off_diagonal(s, y.reshape(n, width, cols) * p.conj()[:, :, None])
         out *= (p * scale)[:, :, None]
-        return out
+        return out.ravel()
 
-    sol = _integrate(sub, frame_rhs, y0, window, [window[1]], rtol,
-                     "propagator integration failed: {}", sampler)
+    stores, errors, rhs_evals = _integrate(sub, frame_rhs, y0, window, [r[0] for r in reads],
+                                           rtol, "propagator integration failed: {}")
     spans = [slice(lo, lo + b) for lo, b in zip(starts, sizes)]
     out = []
-    for eta, store, errors, (_, index, conj, tail) in zip(etas, sampler.stores, sampler.errors,
-                                                           reads):
+    for eta, store, error, (times, index, conj, tail) in zip(etas, stores, errors, reads):
+        # back to the lab frame, Y = e^{-i theta/eta} Y_I
+        store *= np.exp(-1j / eta * sub.diagonal_phase(times, window[0]))[:, :, None]
         # the head Y0^dag and, where a tau reads past c, the tail M^T M Y0^dag
         heads = [store[index[-2], sp, :sp.stop - sp.start].conj().T for sp in spans]
         ms = [store[index[-1], sp, :sp.stop - sp.start] for sp in spans] if tail.any() else []
-        e0, ec = float(errors[index[-2]]), float(errors[index[-1]])
+        e0, ec = float(error[index[-2]]), float(error[index[-1]])
         out.append(_PeriodSamples(store, index[:-2], conj, tail, spans, heads,
                                   [m.T @ m @ h for m, h in zip(ms, heads)], {
                                       "period_window": (window[0] / eta, window[1] / eta),
-                                      "rhs_evals": int(sol.nfev),
+                                      "rhs_evals": rhs_evals,
                                       "batch_points": width,
                                       "period_error_estimate": 2.0 * (e0 + ec) if half else ec,
                                   }))
@@ -833,9 +833,11 @@ def evolve_schrodinger(
     method: auto (dispatch on structure), direct (adaptive RK only), or
     stroboscopic (force the periodic engine). Norm drift is measured, never
     silently repaired; drift beyond 1e-7 fails the run. tol bounds the
-    local error, per step and so per period; a stroboscopic run records in
-    metadata["global_error_estimate"] what its horizon makes of that. The
-    one-point case of _unitary_points.
+    local error, per step and so per period; a run that solves an ODE records
+    in metadata["global_error_estimate"] what its horizon makes of that: a
+    direct run the sum of its steps' error estimates, a stroboscopic one its
+    periods times a per-period estimate. The one-point case of
+    _unitary_points.
     """
     traj, = _unitary_points(space, params, schedules, psi0, None, t_span, sample_count, tol,
                             method, store_states)
@@ -914,19 +916,20 @@ def _lindblad_direct(ham, collapse, rho0, t_grid, tol, metadata):
     dense = [(r, op.toarray()) for r, op in collapse]
     mats = [(r, op, op.conj().T @ op) for r, op in dense]
 
-    def rhs(t, rho):
+    def rhs(t, y):
+        rho = y.reshape(dim, dim)
         h = ham.apply(t, rho)
         out = -1j * (h - h.conj().T)
         for r, op, m in mats:
             out = out + r * (op @ rho @ op.conj().T - 0.5 * (m @ rho + rho @ m))
-        return out
+        return out.ravel()
 
-    sol = _integrate(ham, rhs, rho0, (float(t_grid[0]), float(t_grid[-1])), t_grid,
-                     tol, "master-equation integration failed: {}")
+    (raw,), (errors,), metadata["rhs_evals"] = _integrate(
+        ham, rhs, rho0[:, None], (float(t_grid[0]), float(t_grid[-1])), [t_grid], tol,
+        "master-equation integration failed: {}")
     metadata["engine"] = "lindblad-adaptive-rk"
-    metadata["rhs_evals"] = int(sol.nfev)
+    metadata["global_error_estimate"] = float(errors[-1])
     # the samples' Hermitian parts, gated downstream; the skew part is the defect
-    raw = np.moveaxis(sol.y.reshape(dim, dim, -1), -1, 0)
     rhos = (raw + raw.conj().transpose(0, 2, 1)) / 2.0
     metadata["hermiticity_defect_max"] = float(np.max(np.abs(raw - rhos)))
     return rhos
@@ -1343,7 +1346,8 @@ def evolve_lindblad(
     one-period channel's error (metadata["channel_slice_error"], see
     _lindblad_channel); the stroboscopic march records
     metadata["global_error_estimate"], its periods times twice the period
-    solve's period_error_estimate plus channel_slice_error. With
+    solve's period_error_estimate plus channel_slice_error, and a direct run
+    the sum of its steps' error estimates (_StepSampler). With
     store_states=False it propagates only the parity-diagonal Liouville
     block, which carries every observable: the coherences between the parity
     sectors stay zero, so rho is block diagonal and the eigenvalue floor

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import gammaln
 
 from .errors import CutoffError, DomainError, NormalizationError
 
@@ -150,8 +149,10 @@ def coherent_state(space: SpaceSpec, alpha: complex, k_atom: int = 0) -> StateVe
         )
     n = np.arange(space.photon_dim)
     if abs(alpha) > 0:
-        # log-domain magnitudes so large alpha never overflows the factorial
-        logmag = n * math.log(abs(alpha)) - 0.5 * gammaln(n + 1)
+        # log-domain magnitudes so large alpha never overflows; log n! is the
+        # log of the exact integer n!
+        log_factorial = np.array([math.log(math.factorial(k)) for k in n])
+        logmag = n * math.log(abs(alpha)) - 0.5 * log_factorial
         photon = np.exp(logmag) * np.exp(1j * np.angle(alpha) * n)
     else:
         photon = np.where(n == 0, 1.0 + 0j, 0.0)

@@ -12,9 +12,10 @@ per point, which the zoom points join in eta order. fit_diagnostics holds
 the horizon, the median background, peak_transfer, vertex_fallback, and
 each point's rhs_evals, propagator_defect, batch_points (the width of the
 period solve it shared) and global_error_estimate (what the horizon makes
-of its per-period error, dynamics.evolve_schrodinger) as arrays aligned
-with etas; period_solves counts the solves. fit_rabi pulls |Xi| out of a
-sampled population oscillation by fitting A*cos(2|Xi| t + theta) + C.
+of its local error, dynamics.evolve_schrodinger; NaN only for a static
+point, which solves no ODE) as arrays aligned with etas; period_solves
+counts the solves. fit_rabi pulls |Xi| out of a sampled population
+oscillation by fitting A*cos(2|Xi| t + theta) + C.
 """
 
 from __future__ import annotations
@@ -133,8 +134,9 @@ def _point_record(scenario: TransferScenario, traj: Trajectory):
     """(transfer, rhs_evals, propagator_defect, batch_points,
     global_error_estimate) of one point: the best target population
     joint[k+2, n-k-2] over its samples, and the work, gate value and error
-    estimate its engine recorded. The defect and the estimate are NaN, and
-    batch_points 0, for an engine that makes no period solve. A NaN
+    estimate its engine recorded. The defect is NaN, and batch_points 0, for
+    an engine that makes no period solve; the estimate is NaN for a static
+    point alone, which solves no ODE. A NaN
     population in any sample raises NumericError, as one above 1 does."""
     n, k = scenario.transition
     top = float(np.max(traj.joint[:, k + 2, n - k - 2]))
@@ -313,6 +315,8 @@ def _select_observable(trajectory: Trajectory, selector) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.shape != np.shape(trajectory.times):
         raise ConfigError("selected observable does not match the sample grid")
+    if not np.all(np.isfinite(y)):
+        raise NumericError("selected observable holds a NaN or an infinity")
     return y
 
 
@@ -330,7 +334,8 @@ def fit_rabi(trajectory: Trajectory, observable_selector) -> RabiFit:
     The frequency seed is the dominant line of the demeaned sample spectrum,
     refined on a local frequency grid before the nonlinear fit. The fit is
     rejected unless the data spans >= 1.5 fitted periods and the residual rms
-    stays below 0.1x the fitted amplitude.
+    stays below 0.1x the fitted amplitude. An observable that holds a NaN or
+    an infinity raises NumericError.
     """
     t = np.asarray(trajectory.times, dtype=float)
     y = _select_observable(trajectory, observable_selector)

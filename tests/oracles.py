@@ -194,6 +194,17 @@ def _one_period_propagators(h_at, dim, period, times, rtol):
     return sol.y.T.reshape(-1, dim, dim)
 
 
+def dop853_t_eval(fun, t_span, y0, t_grid, rtol, max_step):
+    """Samples at t_grid of dy/dt = fun(t, y), one row per time, and the rhs
+    count, from scipy's DOP853 sampling through solve_ivp's t_eval, with
+    atol = rtol * 1e-3 and the step cap max_step."""
+    sol = solve_ivp(fun, t_span, y0, method="DOP853", t_eval=t_grid, rtol=rtol,
+                    atol=rtol * 1e-3, max_step=max_step)
+    if not sol.success:
+        raise RuntimeError(f"oracle integration failed: {sol.message}")
+    return sol.y.T, sol.nfev
+
+
 def _nearest_unitary(u):
     w, _, vh = np.linalg.svd(u)
     return w @ vh

@@ -511,7 +511,9 @@ def test_evolve_csv_and_determinism(tmp_path):
 
     meta, header, data = read_csv(tmp_path / "a" / "evolve.csv")
     assert header == ["t", "n_ph", "n_at", "p_ph_3"]
-    assert "engine" in meta
+    # 12 drive periods run direct, and the header carries the run's estimate
+    assert meta["engine"] == "adaptive-rk"
+    assert 0.0 < float(meta["global_error_estimate"]) < 1e-6
     assert data[0, 0] == 0.0 and data[-1, 0] == pytest.approx(50.0)
     assert data.shape == (41, 4)
     # excitation exchange conserves the total
@@ -577,6 +579,7 @@ def test_lindblad_csv(tmp_path):
     meta, header, data = read_csv(tmp_path / "o" / "lindblad.csv")
     assert header == ["t", "n_ph"]
     assert meta["engine"] == "lindblad-adaptive-rk"
+    assert 0.0 < float(meta["global_error_estimate"]) < 1e-6
     # photon loss without drive: population decays
     assert data[-1, 1] < data[0, 1]
     assert data[0, 1] == pytest.approx(2.0, abs=1e-9)

@@ -52,6 +52,7 @@ from oracles import (
     cutoff_warning_ignored,
     damped_cavity_nph,
     dense_collective_hamiltonian,
+    dop853_t_eval,
     from_hermitian_basis,
     frozen_step_evolve,
     full_space_floquet,
@@ -501,6 +502,20 @@ def _counting_solve_ivp(monkeypatch):
     return solutions
 
 
+def _recorded_integrations(monkeypatch):
+    """Route dynamics' _integrate through a wrapper; returns the list of its
+    (arguments, result) pairs, one per call."""
+    calls = []
+    integrate = dynamics._integrate
+
+    def recorded(*args):
+        calls.append((args, integrate(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(dynamics, "_integrate", recorded)
+    return calls
+
+
 def test_cap_bound_lindblad_run_makes_one_period_solve(monkeypatch):
     # every doubling round, 2 to 32 slices, reads the nodes of one grid
     space, rho0, rates, _ = _lindblad_case("distinguishable", "coherent")
@@ -590,12 +605,12 @@ def test_only_the_direct_lindblad_engine_measures_a_hermiticity_defect(monkeypat
     assert strobe.metadata["hermiticity_defect_max"] == 0.0
     assert all(np.array_equal(s.matrix, s.matrix.conj().T) for s in strobe.states)
 
-    solutions = _counting_solve_ivp(monkeypatch)
+    calls = _recorded_integrations(monkeypatch)
     with cutoff_warning_ignored():
         direct = evolve_lindblad(space, p, sch, rates, rho0, (0.0, 2 * math.pi / ETA), 3,
                                  tol=1e-9, method="direct", store_states=True)
-    dim = space.dim
-    raw = np.moveaxis(solutions[0].y.reshape(dim, dim, -1), -1, 0)
+    # the raw samples, as the ODE solve handed them to the engine
+    _, ((raw,), _, _) = calls[0]
     skew = np.max(np.abs(raw - raw.conj().transpose(0, 2, 1))) / 2.0
     assert direct.metadata["hermiticity_defect_max"] == pytest.approx(skew, rel=1e-12, abs=0.0)
     assert direct.metadata["hermiticity_defect_max"] < 1e-12
@@ -1001,6 +1016,61 @@ def test_global_error_estimate_covers_a_lindblad_march():
     assert 0.0 < distance <= meta["global_error_estimate"]
 
 
+@pytest.mark.parametrize("engine", ["schrodinger", "lindblad"])
+def test_direct_engines_sample_as_solve_ivp_t_eval_does(engine, monkeypatch):
+    # the direct engines read their samples off DOP853's accepted steps; scipy's
+    # own DOP853 at the same rtol, atol and step cap, sampling through t_eval,
+    # takes the same steps and reads the same numbers
+    space = SpaceSpec(2, 3)
+    p = bench_params()
+    sch = (g_schedule(p),)
+    calls = _recorded_integrations(monkeypatch)
+    with cutoff_warning_ignored():
+        traj = _evolve_either(engine, space, p, sch, dicke_fock_state(space, 0, 3), (0.0, 20.0),
+                              tol=1e-9, method="direct")
+    (_, rhs, y0, t_span, (grid,), rtol, _), ((store,), _, rhs_evals) = calls[0]
+    ref, nfev = dop853_t_eval(rhs, t_span, np.ravel(y0).astype(complex), grid, rtol,
+                              dynamics._max_step(sch))
+    assert len(calls) == 1 and np.array_equal(grid, traj.times)
+    assert traj.metadata["rhs_evals"] == rhs_evals == nfev
+    assert np.array_equal(store.reshape(len(grid), -1), ref)
+
+
+@pytest.mark.parametrize("engine, tols", [("schrodinger", (1e-7, 1e-8, 1e-9)),
+                                          ("lindblad", (1e-6, 1e-9))])
+def test_global_error_estimate_covers_a_direct_run(engine, tols):
+    # a direct run's estimate sums DOP853's error estimates over its steps up
+    # to the last sample; it covers the largest distance to a tol-1e-12 run
+    if engine == "schrodinger":
+        space = SpaceSpec(2, 5)
+        p = bench_params()
+        psi0 = dicke_fock_state(space, 0, 5).amplitudes
+        t_grid = np.linspace(0.0, 40.0, 9)
+
+        def run(tol, md):
+            return dynamics._evolve_direct(build_hamiltonian(space, p, (g_schedule(p),)), psi0,
+                                           t_grid, tol, md)
+    else:
+        # the distinguishable pair of figure4, with all three channels
+        space = SpaceSpec(2, 2, "distinguishable")
+        p = SystemParams(omega0=1.0, Omega0=(1.72, 1.7344), g0=(0.0566, 0.0572), n_qubits=2)
+        sch = (ModulationSchedule("g", 0.00566, 1.53, qubit=1),)
+        rates = DissipationRates(kappa=0.01, gamma=(0.005, 0.005), gamma_phi=(0.002, 0.002))
+        rho0 = DensityMatrix.from_state(coherent_state(space, 0.5)).matrix
+        t_grid = np.linspace(0.0, 10.0, 5)
+
+        def run(tol, md):
+            return dynamics._lindblad_direct(build_hamiltonian(space, p, sch),
+                                             dynamics._collapse_operators(space, rates), rho0,
+                                             t_grid, tol, md)
+    ref = run(1e-12, {})
+    for tol in tols:
+        md = {}
+        samples = run(tol, md)
+        distance = max(np.linalg.norm(a - b) for a, b in zip(samples, ref))
+        assert 0.0 < distance <= md["global_error_estimate"] < 100 * distance
+
+
 # ---------------------------------------------------------------------------
 # eta-batched period solves
 # ---------------------------------------------------------------------------
@@ -1180,8 +1250,30 @@ def test_run_configuration_guards():
         evolve_schrodinger(space, p, (), psi0, (1.0, 1.0), 5)
     with pytest.raises(ConfigError):
         evolve_schrodinger(space, p, (), psi0, (0.0, 1.0), 1)
+    with cutoff_warning_ignored():
+        assert len(evolve_schrodinger(space, p, (), psi0, (0.0, 1.0), np.int64(5)).times) == 5
     with pytest.raises(DomainError):
         evolve_schrodinger(space, p, (), dicke_fock_state(SpaceSpec(2, 4), 0, 3), (0.0, 1.0), 5)
+
+
+@pytest.mark.parametrize("count", [5.5, 5.0, True, "5"])
+def test_sample_count_must_be_an_integer(count):
+    # numpy integers pass (test_run_configuration_guards); a bool or a
+    # non-integral value is refused by every entry that takes a count
+    space = SpaceSpec(2, 3)
+    p = bench_params()
+    sch = (g_schedule(p),)
+    psi0 = dicke_fock_state(space, 0, 3)
+    entries = [
+        lambda: evolve_schrodinger(space, p, sch, psi0, (0.0, 1.0), count),
+        lambda: evolve_lindblad(space, p, sch, DissipationRates(kappa=0.01),
+                                DensityMatrix.from_state(psi0), (0.0, 1.0), count),
+        lambda: dynamics.lindblad_grid(sch, 100.0, count),
+        lambda: snapped_span(ETA, 100.0, count),
+    ]
+    for entry in entries:
+        with pytest.raises(ConfigError, match="sample_count"):
+            entry()
 
 
 def test_cutoff_policy_rows():

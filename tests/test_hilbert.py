@@ -123,6 +123,25 @@ def test_coherent_mean_photon_number():
     assert abs(n_ph - 3.0) < 1e-6
 
 
+@pytest.mark.parametrize("n_max", [1, 8, 12, 30, 60])
+def test_coherent_amplitudes_match_scipy_gammaln(n_max):
+    # coherent_state takes log n! as the log of the exact integer n!; with
+    # scipy.special.gammaln(n + 1), as before, the amplitudes are the same
+    # bitwise up to n_max 12, within 1e-15 up to |alpha|^2 = n_max / 4, and
+    # within 2.2e-15 at the cutoff guard's n_max / 2 at n_max 60
+    from scipy.special import gammaln
+
+    n = np.arange(n_max + 1)
+    for alpha_sq, bound in ((0.09, 1e-15), (n_max / 4, 1e-15), (0.49 * n_max, 3e-15)):
+        alpha = math.sqrt(alpha_sq) * np.exp(0.4j)
+        photon = np.exp(n * math.log(abs(alpha)) - 0.5 * gammaln(n + 1)) * np.exp(
+            1j * np.angle(alpha) * n)
+        psi = coherent_state(SpaceSpec(1, n_max), alpha, 0)
+        ref = np.concatenate([photon / np.linalg.norm(photon), np.zeros(n_max + 1)])
+        diff = np.max(np.abs(psi.amplitudes - ref))
+        assert diff == 0.0 if n_max <= 12 else diff <= bound
+
+
 def test_coherent_cutoff_guard():
     space = SpaceSpec(2, 8)
     with pytest.raises(CutoffError):

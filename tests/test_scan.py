@@ -112,6 +112,15 @@ def test_fit_rejections():
         fit_rabi(flat, lambda _: np.full(len(t), 0.3))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_fit_refuses_a_non_finite_observable(bad):
+    t = np.linspace(0.0, 2.2 * math.pi / RATE, 181)
+    y = 0.4 * np.cos(2 * RATE * t) + 0.5
+    y[17] = bad
+    with pytest.raises(NumericError, match="NaN or an infinity"):
+        fit_rabi(synthetic_trajectory(t), lambda _: y)
+
+
 def test_fit_selector_guards():
     space = SpaceSpec(2, 4)
     tr = rotating_trajectory(space, RATE, n_samples=32)
@@ -206,6 +215,23 @@ def test_transfer_reads_the_joint_target_cell(basis, rates):
     assert rhs_evals > 0
     assert defect <= 1e-9
     assert 0.0 < estimate < math.inf
+
+
+@pytest.mark.parametrize("rates", [None, DissipationRates(kappa=1e-4)],
+                         ids=["unitary", "dissipative"])
+def test_direct_points_record_their_error_estimate(rates):
+    # a direct point states its global error estimate; a static point (no
+    # active drive) makes no ODE solve, so its estimate and defect read NaN
+    space, p = SpaceSpec(2, 8), SystemParams(**BENCH)
+    direct = scenario(space, p, rates=rates, method="direct")
+    (_, rhs_evals, defect, width, estimate), = scan._evaluate(direct, [1.5], 30.0).T
+    assert rhs_evals > 0 and width == 0 and math.isnan(defect)
+    assert 0.0 < estimate < 1e-6
+    if rates is None:
+        static = scenario(space, p, epsilon_frac=0.0)
+        (_, rhs_evals, defect, width, estimate), = scan._evaluate(static, [1.5], 30.0).T
+        assert rhs_evals == 0 and width == 0
+        assert math.isnan(defect) and math.isnan(estimate)
 
 
 # ---------------------------------------------------------------------------
