@@ -18,8 +18,15 @@ aperiodic drives use adaptive Runge-Kutta. Drives with one common frequency
 that span at least STROBE_MIN_PERIODS periods from t=0 use the stroboscopic
 engine, and a forced `stroboscopic` run needs the same common frequency and
 t=0 start. Every ODE solve goes through _integrate, which steps with DOP853
-(the Dormand-Prince 8(5,3) pair; Hairer, Norsett & Wanner, Solving ODEs I)
-and caps the step at a twentieth of the fastest active drive's period. It
+(the Dormand-Prince 8(5,3) pair; Hairer, Norsett & Wanner, Solving ODEs I,
+sec. II.5) and caps the step at a twentieth of the fastest active drive's
+period. The step is the package's own (_SampledDOP853._step_impl): scipy's
+tableau and step controller, with scipy's stage sums in scipy's order, so
+its steps, samples and rhs counts are bitwise those of scipy's DOP853, but
+with no array allocated per stage. Every right-hand side takes
+rhs(t, y, out=None) and writes each stage straight into the solver's stage
+row when given `out`. The solve is still started by scipy.integrate's
+solve_ivp, the name the benchmark wraps to time the ODE layer. _integrate
 reads every sample the same way, direct or stroboscopic: off the dense
 output of the accepted step that holds it (ibid., sec. II.6), together with
 the sum of DOP853's error estimates over the steps up to it (_StepSampler).
@@ -309,25 +316,85 @@ def _cutoff_check(space: SpaceSpec, joint: np.ndarray, metadata: dict,
 # ---------------------------------------------------------------------------
 
 class _SampledDOP853(DOP853):
-    """DOP853 that hands each accepted step to `sampler`, which reads the
-    step's dense output and its error estimate (`estimate`)."""
+    """scipy's DOP853 with the package's own step, which hands each accepted
+    step to `sampler`; the sampler reads the step's dense output and its
+    error estimate (`estimate`).
+
+    _step_impl is scipy's RungeKutta step with its rk_step and DOP853's
+    error norm inlined: the same controller and scipy's operations in
+    scipy's order, so the steps, the samples and the rhs count are bitwise
+    those of scipy's DOP853. Only the buffers differ. Each stage sum
+    K[:s].T a_s is written into one stage buffer, scaled by h and offset by
+    y in place; y_new alternates between two buffers, so y_old stays intact
+    for the dense output; and the rhs, called as rhs(t, y, out=K[s]), writes
+    every stage straight into its row of K. scipy's own calls (the first f,
+    the initial step and the dense output's extra stages) pass no out and
+    keep the arrays they get.
+    """
 
     def __init__(self, fun, t0, y0, t_bound, sampler, **options):
         super().__init__(fun, t0, y0, t_bound, **options)
-        self._sampler = sampler
+        self._rhs, self._sampler = fun, sampler
         self.estimate = None
+        # the tableau rows as complex arrays, the type np.dot casts them to
+        self._rows = [a[:s].astype(complex) for s, a in enumerate(self.A[1:], start=1)]
+        self._b = self.B.astype(complex)
+        self._stage = np.empty(self.n, dtype=complex)
+        self._ys = (np.empty(self.n, dtype=complex), np.empty(self.n, dtype=complex))
 
-    def _estimate_error_norm(self, K, h, scale):
-        # DOP853's own norm, keeping (h, err5, err3), the unscaled 5th- and
-        # 3rd-order estimates of the attempt; a step's last attempt is the
-        # one it accepts, so the sampler reads the accepted step's
-        err5, err3 = np.dot(K.T, self.E5), np.dot(K.T, self.E3)
-        self.estimate = (h, err5, err3)
-        n5 = np.linalg.norm(err5 / scale) ** 2
-        n3 = np.linalg.norm(err3 / scale) ** 2
-        if n5 == 0.0 and n3 == 0.0:
-            return 0.0
-        return abs(h) * n5 / np.sqrt((n5 + 0.01 * n3) * len(scale))
+    def _step_impl(self):
+        t, y, K, stage = self.t, self.y, self.K, self._stage
+        y_new = self._ys[1] if y is self._ys[0] else self._ys[0]
+        min_step = 10 * np.abs(np.nextafter(t, self.direction * np.inf) - t)
+        if self.h_abs > self.max_step:
+            h_abs = self.max_step
+        elif self.h_abs < min_step:
+            h_abs = min_step
+        else:
+            h_abs = self.h_abs
+        # f at t; no stage writes row 0, so a rejected attempt keeps it
+        K[0] = self.f
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return False, self.TOO_SMALL_STEP
+            h = h_abs * self.direction
+            t_new = t + h
+            if self.direction * (t_new - self.t_bound) > 0:
+                t_new = self.t_bound
+            h = t_new - t
+            h_abs = np.abs(h)
+            for s, (a, c) in enumerate(zip(self._rows, self.C[1:]), start=1):
+                np.dot(K[:s].T, a, out=stage)
+                stage *= h
+                stage += y
+                self._rhs(t + c * h, stage, out=K[s])
+            np.dot(K[:-1].T, self._b, out=y_new)
+            y_new *= h
+            y_new += y
+            self._rhs(t + h, y_new, out=K[-1])
+            self.nfev += self.n_stages
+            # DOP853's own norm, keeping (h, err5, err3), the unscaled 5th- and
+            # 3rd-order estimates of the attempt; a step's last attempt is the
+            # one it accepts, so the sampler reads the accepted step's
+            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+            err5, err3 = np.dot(K.T, self.E5), np.dot(K.T, self.E3)
+            self.estimate = (h, err5, err3)
+            n5 = np.linalg.norm(err5 / scale) ** 2
+            n3 = np.linalg.norm(err3 / scale) ** 2
+            error_norm = (0.0 if n5 == 0.0 and n3 == 0.0 else
+                          np.abs(h) * n5 / np.sqrt((n5 + 0.01 * n3) * len(scale)))
+            # scipy's controller: safety 0.9, factors between 0.2 and 10
+            if error_norm < 1:
+                factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** self.error_exponent)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * error_norm ** self.error_exponent)
+            rejected = True
+        self.h_previous, self.y_old = h, y
+        self.t, self.y, self.h_abs = t_new, y_new, h_abs
+        self.f = K[-1]  # f at t_new, which the next step copies to K[0]
+        return True, None
 
     def step(self):
         message = super().step()
@@ -345,7 +412,9 @@ def _integrate(ham: ModulatedHamiltonian, rhs, y0, t_span, grids, rtol: float, f
     """The one ODE call: dY/dt = rhs(t, Y) from y0 by DOP853, sampled off its
     accepted steps (_StepSampler).
 
-    rhs maps the flat state to its flat derivative. y0 is (n, width, cols),
+    rhs(t, y, out=None) maps the flat state to its flat derivative, written
+    into `out` and returned when one is given, else a new array (scipy keeps
+    the arrays of its own calls). y0 is (n, width, cols),
     one (n, cols) block per point side by side, a single run's a batch of
     one; grids[j] holds point j's sample times, ascending, in t_span. atol is
     rtol * 1e-3 and the step is capped by the fastest drive; failure is the
@@ -444,8 +513,12 @@ def _evolve_static(ham, psi0, t_grid, metadata):
 
 
 def _evolve_direct(ham, psi0, t_grid, tol, metadata):
+    def rhs(t, y, out=None):
+        hy = ham.apply(t, y, out)
+        return np.multiply(-1j, hy, out=hy)
+
     (states,), (errors,), metadata["rhs_evals"] = _integrate(
-        ham, lambda t, y: -1j * ham.apply(t, y), psi0[:, None, None],
+        ham, rhs, psi0[:, None, None],
         (float(t_grid[0]), float(t_grid[-1])), [t_grid], tol,
         "integration failed: {}; try a tighter tol")
     metadata["engine"] = "adaptive-rk"
@@ -618,10 +691,13 @@ def _sector_propagators(ham, etas, sectors, tol: float, taus) -> list[_PeriodSam
     rtol = max(tol / 10.0, 1e-13)
     rate, scale = 1j * inv_eta, -1j * inv_eta
 
-    def frame_rhs(s, y):
+    framed = np.empty((n, width, cols), dtype=complex)  # P_j^* Y_I, rewritten by every rhs
+
+    def frame_rhs(s, y, out=None):
         # dY_I/ds = -(i/eta_j) P_j (H - D) P_j^* Y_I with P_j = e^{i Theta(s)/eta_j}
         p = np.exp(np.multiply.outer(sub.diagonal_phase(s, window[0]), rate))
-        out = sub.apply_off_diagonal(s, y.reshape(n, width, cols) * p.conj()[:, :, None])
+        np.multiply(y.reshape(n, width, cols), p.conj()[:, :, None], out=framed)
+        out = sub.apply_off_diagonal(s, framed, None if out is None else out.reshape(framed.shape))
         out *= (p * scale)[:, :, None]
         return out.ravel()
 
@@ -916,13 +992,13 @@ def _lindblad_direct(ham, collapse, rho0, t_grid, tol, metadata):
     dense = [(r, op.toarray()) for r, op in collapse]
     mats = [(r, op, op.conj().T @ op) for r, op in dense]
 
-    def rhs(t, y):
+    def rhs(t, y, out=None):
         rho = y.reshape(dim, dim)
         h = ham.apply(t, rho)
-        out = -1j * (h - h.conj().T)
+        drho = np.multiply(-1j, h - h.conj().T, out=None if out is None else out.reshape(rho.shape))
         for r, op, m in mats:
-            out = out + r * (op @ rho @ op.conj().T - 0.5 * (m @ rho + rho @ m))
-        return out.ravel()
+            drho += r * (op @ rho @ op.conj().T - 0.5 * (m @ rho + rho @ m))
+        return drho.ravel()
 
     (raw,), (errors,), metadata["rhs_evals"] = _integrate(
         ham, rhs, rho0[:, None], (float(t_grid[0]), float(t_grid[-1])), [t_grid], tol,

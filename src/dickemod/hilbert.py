@@ -139,12 +139,13 @@ def coherent_state(space: SpaceSpec, alpha: complex, k_atom: int = 0) -> StateVe
     """Dicke state |k_atom> x truncated coherent state |alpha>, renormalized.
 
     Guard: |alpha|^2 must not exceed n_max/2, otherwise the truncation is judged
-    unsafe and a CutoffError names the cutoff that was in force.
+    unsafe and a CutoffError names the cutoff that was in force. It compares
+    |alpha| with sqrt(n_max/2), so an alpha passed as sqrt(n_max/2) is at the
+    limit, not past it by the rounding of its square.
     """
-    mean = abs(alpha) ** 2
-    if mean > space.n_max / 2:
+    if abs(alpha) > math.sqrt(space.n_max / 2):
         raise CutoffError(
-            f"|alpha|^2={mean:.3g} exceeds n_max/2={space.n_max / 2:.3g}; "
+            f"|alpha|^2={abs(alpha) ** 2:.3g} exceeds n_max/2={space.n_max / 2:.3g}; "
             f"raise n_max (currently {space.n_max})"
         )
     n = np.arange(space.photon_dim)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvecs
 
 from .errors import ConfigError, DomainError, UnsupportedError
 from .hilbert import COLLECTIVE, SpaceSpec, ladder_operators
@@ -264,20 +265,24 @@ class ModulatedHamiltonian:
         object.__setattr__(self, "_diagonals", diagonals)
         object.__setattr__(self, "_drives", tuple((s.eta, s.phi) for s, _ in self.terms))
 
-    def apply(self, t: float, y: np.ndarray) -> np.ndarray:
+    def apply(self, t: float, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """H(t) @ y for a state vector or a matrix of columns, without forming H(t).
 
         One real sparse product with y's float64 view, whose columns are the
-        interleaved real and imaginary parts of y's columns. The merged
-        matrix's data is overwritten on every call, so one instance must not
-        apply from two threads at once.
+        interleaved real and imaginary parts of y's columns: scipy.sparse's
+        own kernel, csr_matvecs, called without its Python dispatch, so the
+        result is bitwise that of `merged @ cols`. It is written into `out`, a
+        C-contiguous complex array of y's shape, when one is given, else into
+        a new array. The merged matrix's data is overwritten on every call,
+        so one instance must not apply from two threads at once.
         """
-        return self._apply(self._rows, t, y)
+        return self._apply(self._rows, t, y, out)
 
-    def apply_off_diagonal(self, t: float, y: np.ndarray) -> np.ndarray:
+    def apply_off_diagonal(self, t: float, y: np.ndarray,
+                           out: np.ndarray | None = None) -> np.ndarray:
         """(H(t) - D(t)) @ y, with D(t) the diagonal of H(t), made like
         `apply`'s product on the same pattern."""
-        return self._apply(self._off_rows, t, y)
+        return self._apply(self._off_rows, t, y, out)
 
     def diagonal_phase(self, t, t0: float) -> np.ndarray:
         """theta(t), the integral of D(s) from t0 to t, in closed form:
@@ -288,12 +293,22 @@ class ModulatedHamiltonian:
                                      for eta, phi in self._drives)])
         return coeffs.T @ self._diagonals
 
-    def _apply(self, rows: np.ndarray, t: float, y: np.ndarray) -> np.ndarray:
+    def _apply(self, rows: np.ndarray, t: float, y: np.ndarray, out) -> np.ndarray:
         shape = np.shape(y)
         cols = np.ascontiguousarray(y, dtype=complex).reshape(shape[0], -1).view(np.float64)
         coeffs = np.array([1.0, *(math.sin(eta * t + phi) for eta, phi in self._drives)])
-        np.dot(coeffs, rows, out=self._merged.data)
-        return (self._merged @ cols).view(complex).reshape(shape)
+        merged = self._merged
+        np.dot(coeffs, rows, out=merged.data)
+        if out is None:
+            out = np.zeros(shape, dtype=complex)
+        elif out.shape != shape or out.dtype != complex or not out.flags.c_contiguous:
+            # the kernel writes through a flat view, which any other out would not be
+            raise ConfigError("out must be a C-contiguous complex array of y's shape")
+        else:
+            out.fill(0.0)  # the kernel adds its product into out
+        csr_matvecs(*merged.shape, cols.shape[1], merged.indptr, merged.indices, merged.data,
+                    cols.ravel(), out.view(np.float64).ravel())
+        return out
 
     def restrict(self, index: np.ndarray) -> "ModulatedHamiltonian":
         """The pieces on the rows and columns `index`, in that order; `space`

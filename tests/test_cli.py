@@ -37,6 +37,8 @@ from dickemod.errors import ConfigError, DickemodError
 from dickemod.hilbert import SpaceSpec
 from dickemod.model import ModulationSchedule, SystemParams
 
+from oracles import cutoff_warning_ignored
+
 
 G0 = 0.08 / math.sqrt(2)
 
@@ -269,6 +271,23 @@ def test_negative_alpha_squared_is_a_config_error(tmp_path, capsys):
     rc = main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "error[config]: initial_state.alpha_squared" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_max", range(6, 31))
+def test_coherent_state_at_the_cutoff_limit_runs(tmp_path, capsys, n_max):
+    # alpha_squared = n_max / 2 is the guard's own limit, whatever the rounding
+    # of sqrt(alpha_squared)**2; a hair above it is a physics-guard error
+    def run(alpha_squared):
+        text = (SYSTEM_LINES.replace("n_max = 8", f"n_max = {n_max}")
+                + f"initial_state.kind = coherent\ninitial_state.alpha_squared = {alpha_squared!r}\n"
+                + "run.t_final = 1.0\nrun.sample_count = 3\n")
+        cfg = write_cfg(tmp_path, text)
+        with cutoff_warning_ignored():
+            return main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+
+    assert run(n_max / 2) == 0
+    assert run(n_max / 2 * (1 + 1e-9)) == 3
+    assert "error[physics-guard]: |alpha|^2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("count", [1, 0])

@@ -27,3 +27,24 @@ def test_oracles_import_nothing_from_dickemod():
                for alias in node.names]
     modules += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
     assert modules and not [m for m in modules if m.split(".")[0] == "dickemod"]
+
+
+def test_scipy_private_surface_the_stepper_reads():
+    # dynamics._SampledDOP853 steps with DOP853's own tableau and controller
+    # fields, and ModulatedHamiltonian calls scipy.sparse's product kernel
+    # without its dispatch; a scipy that moved any of them fails here, by name
+    from scipy.integrate import DOP853
+    from scipy.integrate._ivp import rk
+    from scipy.sparse import _sparsetools
+
+    class_fields = ("A", "B", "C", "E3", "E5", "n_stages", "TOO_SMALL_STEP")
+    missing = [name for name in class_fields if not hasattr(DOP853, name)]
+    solver = DOP853(lambda t, y: -y, 0.0, [1.0 + 0j], 1.0)
+    missing += [name for name in ("K_extended", "K", "error_exponent", "f", "h_abs", "max_step",
+                                  "rtol", "atol", "direction", "nfev") if not hasattr(solver, name)]
+    assert not missing, f"scipy's DOP853 lacks {missing}"
+    assert solver.K.base is solver.K_extended, "DOP853.K no longer views K_extended"
+    assert DOP853.n_stages == 12 and DOP853.A.shape == (12, 12)
+    assert (rk.SAFETY, rk.MIN_FACTOR, rk.MAX_FACTOR) == (0.9, 0.2, 10), \
+        "scipy's step controller constants changed"
+    assert hasattr(_sparsetools, "csr_matvecs"), "scipy.sparse._sparsetools.csr_matvecs is gone"

@@ -1,5 +1,6 @@
 """Integration engines: unitary evolution, master equation, trajectory checks."""
 
+import copy
 import dataclasses
 import math
 import warnings
@@ -504,13 +505,16 @@ def _counting_solve_ivp(monkeypatch):
 
 def _recorded_integrations(monkeypatch):
     """Route dynamics' _integrate through a wrapper; returns the list of its
-    (arguments, result) pairs, one per call."""
+    (arguments, result) pairs, one per call. The result is recorded as a
+    copy, as _integrate returned it: the period solve changes its stores in
+    place afterwards."""
     calls = []
     integrate = dynamics._integrate
 
     def recorded(*args):
-        calls.append((args, integrate(*args)))
-        return calls[-1][1]
+        result = integrate(*args)
+        calls.append((args, copy.deepcopy(result)))
+        return result
 
     monkeypatch.setattr(dynamics, "_integrate", recorded)
     return calls
@@ -1034,6 +1038,50 @@ def test_direct_engines_sample_as_solve_ivp_t_eval_does(engine, monkeypatch):
     assert len(calls) == 1 and np.array_equal(grid, traj.times)
     assert traj.metadata["rhs_evals"] == rhs_evals == nfev
     assert np.array_equal(store.reshape(len(grid), -1), ref)
+
+
+@pytest.mark.parametrize("window", ["half", "full"])
+def test_period_solve_samples_as_solve_ivp_t_eval_does(window, monkeypatch):
+    # the period solve's step is the package's own; replayed through scipy's
+    # DOP853 at the same rtol, atol and step cap, its rhs takes the same steps
+    # and the samples read the same numbers. A two-point batch on the half
+    # window, and g at phase 0 with Omega at pi/2 on the full one
+    p = bench_params()
+    if window == "half":
+        sch, etas = (g_schedule(p, phi=PHI),), (0.995 * ETA, 1.005 * ETA)
+        taus = [2 * math.pi * np.array([0.13, 0.5, 0.94, 1.0]),
+                2 * math.pi * np.array([0.37, 0.71, 1.0])]
+    else:
+        sch = (g_schedule(p), ModulationSchedule("Omega", 0.05, ETA, math.pi / 2))
+        etas, taus = (ETA,), [2 * math.pi * np.array([0.13, 0.37, 0.5, 0.71, 0.94, 1.0])]
+    ham = build_hamiltonian(SpaceSpec(2, 3), p, sch)
+    calls = _recorded_integrations(monkeypatch)
+    dynamics._sector_propagators(ham.at_eta(1.0), etas, parity_sectors(ham.space), 1e-9, taus)
+    (sub, rhs, y0, t_span, grids, rtol, _), (stores, _, rhs_evals) = calls[0]
+    assert len(calls) == 1 and (t_span[0] == 0.0) == (window == "full")
+    times = np.unique(np.concatenate(grids))
+    ref, nfev = dop853_t_eval(rhs, t_span, np.ravel(y0), times, rtol,
+                              dynamics._max_step([s for s, _ in sub.terms]))
+    assert rhs_evals == nfev
+    ref = ref.reshape(len(times), *np.shape(y0))
+    for j, (grid, store) in enumerate(zip(grids, stores)):
+        assert np.array_equal(store, ref[np.searchsorted(times, grid), :, j])
+
+
+def test_a_step_below_the_float_spacing_fails_as_in_scipy():
+    # dy/dt = y^2 from y(0) = 1 blows up at t = 1: the step shrinks below ten
+    # float spacings there, and the solve fails with scipy's own message
+    ham = build_hamiltonian(SpaceSpec(1, 1), bench_params(n_qubits=1))
+
+    def rhs(t, y, out=None):
+        return np.multiply(y, y, out=out)
+
+    ref = solve_ivp(rhs, (0.0, 2.0), np.ones(1, dtype=complex), method="DOP853", rtol=1e-9,
+                    atol=1e-12)
+    assert ref.status == -1 and "step size" in ref.message
+    with pytest.raises(NumericError, match=f"^failed: {ref.message}$"):
+        dynamics._integrate(ham, rhs, np.ones((1, 1, 1), dtype=complex), (0.0, 2.0),
+                            [np.array([0.0, 2.0])], 1e-9, "failed: {}")
 
 
 @pytest.mark.parametrize("engine, tols", [("schrodinger", (1e-7, 1e-8, 1e-9)),

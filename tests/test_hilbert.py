@@ -148,6 +148,18 @@ def test_coherent_cutoff_guard():
         coherent_state(space, math.sqrt(5.5), 0)
 
 
+@pytest.mark.parametrize("n_max", range(6, 31))
+def test_coherent_cutoff_guard_admits_its_own_limit(n_max):
+    # the guard compares |alpha| with sqrt(n_max / 2): alpha = sqrt(n_max / 2)
+    # passes where its square rounds above n_max / 2 (n_max 10, 14, 16, 20,
+    # 25, 29 and 30), and a mean photon number 1e-9 past the limit is refused
+    space = SpaceSpec(1, n_max)
+    psi = coherent_state(space, math.sqrt(n_max / 2), 0)
+    assert psi.space == space
+    with pytest.raises(CutoffError):
+        coherent_state(space, math.sqrt(n_max / 2 * (1 + 1e-9)), 0)
+
+
 def test_state_norm_guard():
     space = SpaceSpec(2, 3)
     vec = np.zeros(space.dim, dtype=complex)

@@ -145,8 +145,7 @@ def test_modulation_extremes():
     assert np.max(np.abs(h_top - build_hamiltonian(space, p_top).h_const.toarray())) < 1e-13
 
 
-@pytest.mark.parametrize("basis", ["collective", DISTINGUISHABLE])
-def test_apply_matches_assembled_operator(basis):
+def _two_drive_hamiltonian(basis):
     space = SpaceSpec(2, 6, basis)
     if basis == DISTINGUISHABLE:
         g1 = 5.66e-2
@@ -161,7 +160,13 @@ def test_apply_matches_assembled_operator(basis):
             ModulationSchedule("g", 0.1 * p.g0_uniform, 1.53, 0.3),
             ModulationSchedule("Omega", 0.05, 1.53, math.pi),
         )
-    ham = build_hamiltonian(space, p, sched)
+    return build_hamiltonian(space, p, sched)
+
+
+@pytest.mark.parametrize("basis", ["collective", DISTINGUISHABLE])
+def test_apply_matches_assembled_operator(basis):
+    ham = _two_drive_hamiltonian(basis)
+    space = ham.space
     rng = np.random.default_rng(3)
     y = rng.normal(size=(space.dim, 4)) + 1j * rng.normal(size=(space.dim, 4))
     y /= np.linalg.norm(y, axis=0)
@@ -169,6 +174,31 @@ def test_apply_matches_assembled_operator(basis):
         h = hamiltonian_at(ham, t)
         assert np.max(np.abs(ham.apply(t, y[:, 0]) - h @ y[:, 0])) < 1e-14
         assert np.max(np.abs(ham.apply(t, y) - h @ y)) < 1e-14
+
+
+@pytest.mark.parametrize("basis", ["collective", DISTINGUISHABLE])
+def test_apply_is_the_public_sparse_product_bitwise(basis):
+    # apply calls scipy.sparse's csr_matvecs kernel itself; after a call the
+    # merged matrix holds H(t)'s (or H(t) - D(t)'s) data, and scipy's public
+    # product with the float64 view of y must give the same bits, whether
+    # apply writes a new array or an out buffer that held garbage
+    ham = _two_drive_hamiltonian(basis)
+    y = _random_columns(ham.space.dim, 3)
+    for cols in (y, y[:, 1].copy()):
+        for t in (0.0, 0.71, 13.9, 250.3):
+            for product in (ham.apply, ham.apply_off_diagonal):
+                out = np.full(cols.shape, np.nan + 1e300j)
+                got = product(t, cols, out)
+                fresh = product(t, cols)
+                want = (ham._merged @ cols.reshape(len(cols), -1).view(np.float64)).view(complex)
+                assert got is out
+                assert np.array_equal(got.ravel(), want.ravel())
+                assert np.array_equal(fresh, got)
+    # the kernel writes through a flat view: an out it cannot view is refused
+    for out in (np.empty((len(y), 6), dtype=complex)[:, ::2], np.empty(y.shape),
+                np.empty((len(y), 2), dtype=complex)):
+        with pytest.raises(ConfigError, match="C-contiguous complex array"):
+            ham.apply(0.71, y, out)
 
 
 def _coupling_drive(g0):
