@@ -229,8 +229,8 @@ def _check_keys(cfg: ScenarioConfig, origin: str) -> None:
 
 def load_config(path: Path) -> ScenarioConfig:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text, origin=str(path))
 
@@ -362,6 +362,13 @@ def _output_tokens(cfg, space: SpaceSpec) -> list[str]:
 # CSV / SVG writers
 # ---------------------------------------------------------------------------
 
+def _write_text(path: Path, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def write_csv(path: Path, command: str, columns, meta: dict) -> None:
     """columns: list of (name, array); meta lines precede the header as '#'."""
     arrays = [np.asarray(a) for _, a in columns]
@@ -375,7 +382,7 @@ def write_csv(path: Path, command: str, columns, meta: dict) -> None:
     lines.append(",".join(name for name, _ in columns))
     for i in range(length):
         lines.append(",".join("%.17g" % a[i] for a in arrays))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _svg_ticks(lo: float, hi: float, count: int = 6) -> np.ndarray:
@@ -467,7 +474,7 @@ def write_svg(path: Path, title: str, xlabel: str, ylabel: str, x, series) -> No
             f'font-size="12">{label}</text>'
         )
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
+    _write_text(path, "\n".join(parts) + "\n")
 
 
 def _emit(out_dir: Path, command: str, svg: bool, columns, meta: dict, chart, summary) -> int:
@@ -588,28 +595,17 @@ def _cmd_rates(cfg):
 
 # evolve and lindblad differ only here: whether the run is dissipative (the
 # master equation), the refusal when the config's rates say otherwise, and
-# the gates reported in the header and the summary line
+# the gate the summary line reports
 _TRAJECTORY_COMMANDS = {
     "evolve": (False, "config has nonzero dissipation; use the lindblad subcommand",
-               ("norm_drift_max",)),
+               "norm_drift_max"),
     "lindblad": (True, "lindblad needs a dissipation section with nonzero rates",
-                 ("trace_drift_max", "eig_floor_min")),
+                 "trace_drift_max"),
 }
-# the block sizes, the parity-block pairs (p, q) of rho a Lindblad run
-# propagated, integrated period window, rhs evaluations, the points the
-# period solve served, propagator defect, the per-period and the horizon's
-# error estimates, and the Lindblad channel's quadrature nodes, slice count
-# and step-doubling error estimate, trace and Hermiticity defects and dense
-# block products; the header leaves out the keys an engine does not record
-_ENGINE_WORK_KEYS = ("sectors", "liouville_pairs", "period_window", "rhs_evals",
-                     "batch_points", "propagator_defect", "period_error_estimate",
-                     "global_error_estimate", "channel_nodes", "channel_slices",
-                     "channel_slice_error", "channel_trace_defect",
-                     "channel_hermiticity_defect", "channel_matmuls")
 
 
 def _cmd_trajectory(command: str, cfg):
-    dissipative, refusal, gates = _TRAJECTORY_COMMANDS[command]
+    dissipative, refusal, gate = _TRAJECTORY_COMMANDS[command]
     space = build_space(cfg)
     params = build_params(cfg)
     schedules = build_schedules(cfg)
@@ -634,17 +630,12 @@ def _cmd_trajectory(command: str, cfg):
         (tok.replace(":", "_"), _select_observable(traj, tok), tok.replace(":", "_"))
         for tok in tokens
     ]
-    meta = {
-        "engine": md.get("engine"),
-        **{k: md.get(k) for k in gates},
-        **{k: md[k] for k in _ENGINE_WORK_KEYS if k in md},
-        "time_unit": cfg.run.get("time_unit", "one_over_omega0"),
-    }
+    # the header is the run's whole record, whatever its engine wrote
+    meta = {**md, "time_unit": cfg.run.get("time_unit", "one_over_omega0")}
     # "norm_drift_max" reads "norm drift" on stdout
-    gate = gates[0].removesuffix("_max").replace("_", " ")
+    label = gate.removesuffix("_max").replace("_", " ")
     return columns, meta, (command, "observables"), [
-        f"{command}: engine={md.get('engine')} samples={len(traj.times)} "
-        f"{gate}={md.get(gates[0]):.2e}"
+        f"{command}: engine={md['engine']} samples={len(traj.times)} {label}={md[gate]:.2e}"
     ]
 
 
@@ -677,32 +668,25 @@ def _cmd_sweep(cfg):
         horizon=float(horizon) if horizon is not None else None,
         zoom=sw.get("zoom", True),
     )
+    # the sweep's record: its per-point arrays are columns, its scalars header lines
+    record = result.fit_diagnostics
     columns = [
         ("eta", result.etas, None),
         ("eta_factor", result.etas / two_delta, "eta / 2|Delta|"),
         ("transfer", result.transfer, "transfer"),
-        # each point's work, gate value and error estimate, NaN where the
-        # engine formed no U(T)
-        ("rhs_evals", result.fit_diagnostics["rhs_evals"], None),
-        ("propagator_defect", result.fit_diagnostics["propagator_defect"], None),
-        ("global_error_estimate", result.fit_diagnostics["global_error_estimate"], None),
-    ]
+    ] + [(key, v, None) for key, v in record.items() if isinstance(v, np.ndarray)]
     meta = {
         "peak_eta": result.peak_eta,
         "peak_factor": result.peak_eta / two_delta,
         "peak_width": result.peak_width,
-        "background": result.fit_diagnostics["background"],
-        "vertex_fallback": result.fit_diagnostics["vertex_fallback"],
-        # the sweep's period solves and the most points one of them served
-        "period_solves": result.fit_diagnostics["period_solves"],
-        "batch_points": int(max(result.fit_diagnostics["batch_points"])),
+        **{key: v for key, v in record.items() if not isinstance(v, np.ndarray)},
         "transition_n": n,
         "transition_k": k,
     }
     return columns, meta, ("resonance sweep", "max transfer"), [
         f"sweep: peak eta = {result.peak_eta:.9g} "
         f"(factor {result.peak_eta/two_delta:.6f}), width ~ {result.peak_width:.3g}, "
-        f"peak transfer {result.fit_diagnostics['peak_transfer']:.3f}"
+        f"peak transfer {record['peak_transfer']:.3f}"
     ]
 
 

@@ -14,8 +14,11 @@ each point's rhs_evals, propagator_defect, batch_points (the width of the
 period solve it shared) and global_error_estimate (what the horizon makes
 of its local error, dynamics.evolve_schrodinger; NaN only for a static
 point, which solves no ODE) as arrays aligned with etas; period_solves
-counts the solves. fit_rabi pulls |Xi| out of a sampled population
-oscillation by fitting A*cos(2|Xi| t + theta) + C.
+counts the solves. The sweep command writes every array there as a
+sweep.csv column and every scalar as a header line. fit_rabi pulls |Xi| out
+of a sampled population oscillation by fitting A*cos(2|Xi| t + theta) + C by
+variable projection: a search over the frequency alone, with the amplitude,
+phase and offset solved exactly at each frequency.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .dispersive import two_photon_rate_closed_form
 from .dynamics import (
@@ -54,6 +56,8 @@ BACKGROUND_FACTOR = 5.0
 TRANSFER_FLOOR = 1e-12
 ZOOM_SHRINK = 10
 POPULATION_SLACK = 1e-8
+# fit_rabi refines its frequency to this relative bracket width
+FREQUENCY_REL_WIDTH = 1e-12
 
 
 @dataclass(frozen=True)
@@ -328,14 +332,37 @@ def _linear_cosine_rms(t, y, w):
     return math.sqrt(float(np.mean(resid**2))), coef
 
 
+def _golden_minimum(f, lo: float, hi: float) -> float:
+    """Golden-section search for the minimum of f between lo and hi, down to
+    a bracket of FREQUENCY_REL_WIDTH relative width."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > FREQUENCY_REL_WIDTH * abs(hi):
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - inv_phi * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + inv_phi * (hi - lo)
+            f2 = f(x2)
+    return x1 if f1 <= f2 else x2
+
+
 def fit_rabi(trajectory: Trajectory, observable_selector) -> RabiFit:
     """Fit A*cos(2|Xi| t + theta) + C to one sampled observable.
 
-    The frequency seed is the dominant line of the demeaned sample spectrum,
-    refined on a local frequency grid before the nonlinear fit. The fit is
-    rejected unless the data spans >= 1.5 fitted periods and the residual rms
-    stays below 0.1x the fitted amplitude. An observable that holds a NaN or
-    an infinity raises NumericError.
+    Variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413
+    (1973)): at a fixed frequency the amplitude, phase and offset are the
+    exact linear least-squares fit, so only the frequency is searched. The
+    seed is the dominant line of the demeaned sample spectrum; a 41-point
+    grid across one bin either side of it picks the basin (the rms has a
+    second, shallower minimum inside that bracket), and golden-section search
+    between the best grid point's neighbours refines it. The fit is rejected
+    unless the data spans >= 1.5 fitted periods and the residual rms stays
+    below 0.1x the fitted amplitude. An observable that holds a NaN or an
+    infinity raises NumericError.
     """
     t = np.asarray(trajectory.times, dtype=float)
     y = _select_observable(trajectory, observable_selector)
@@ -351,42 +378,18 @@ def fit_rabi(trajectory: Trajectory, observable_selector) -> RabiFit:
         raise FitError("observable is constant; nothing to fit")
     spectrum = np.abs(np.fft.rfft(yc))
     kbin = int(np.argmax(spectrum[1:])) + 1
-    freqs = np.fft.rfftfreq(len(t), dt)
-    w_seed = 2.0 * math.pi * float(freqs[kbin])
+    # 16 or more samples give at least 9 bins, so the bracket is never empty
+    freqs = 2.0 * math.pi * np.fft.rfftfreq(len(t), dt)
+    grid = np.linspace(freqs[max(kbin - 1, 1)], freqs[min(kbin + 1, len(freqs) - 1)], 41)
 
-    # one-bin-wide local search keeps curve_fit inside the right basin
-    w_lo = 2.0 * math.pi * float(freqs[max(kbin - 1, 1)])
-    w_hi = 2.0 * math.pi * float(freqs[min(kbin + 1, len(freqs) - 1)])
-    if w_hi <= w_lo:
-        w_lo, w_hi = 0.5 * w_seed, 1.5 * w_seed
-    best = (math.inf, w_seed, None)
-    for w in np.linspace(w_lo, w_hi, 41):
-        if w <= 0.0:
-            continue
-        rms, coef = _linear_cosine_rms(t, y, w)
-        if rms < best[0]:
-            best = (rms, w, coef)
-    _, w0, coef0 = best
-    a0 = math.hypot(float(coef0[0]), float(coef0[1]))
-    th0 = math.atan2(-float(coef0[1]), float(coef0[0]))
-    c0 = float(coef0[2])
+    def rms_at(w):
+        return _linear_cosine_rms(t, y, w)[0]
 
-    def model(tt, a, w, th, c):
-        return a * np.cos(w * tt + th) + c
-
-    try:
-        popt, _ = curve_fit(model, t, y, p0=[a0, w0, th0, c0], maxfev=20000)
-    except RuntimeError as exc:
-        raise FitError(f"cosine fit did not converge: {exc}") from exc
-    a, w, th, c = (float(v) for v in popt)
-    if w < 0.0:
-        w, th = -w, -th
-    if a < 0.0:
-        a, th = -a, th + math.pi
-    th = (th + math.pi) % (2.0 * math.pi) - math.pi
-
-    resid = y - model(t, a, w, th, c)
-    residual_rms = math.sqrt(float(np.mean(resid**2)))
+    j = int(np.argmin([rms_at(w) for w in grid]))
+    w = _golden_minimum(rms_at, float(grid[max(j - 1, 0)]), float(grid[min(j + 1, 40)]))
+    residual_rms, (ca, cb, c) = _linear_cosine_rms(t, y, w)
+    # A cos(wt) + B sin(wt) = a cos(wt + th) with a >= 0
+    a, th, c = math.hypot(ca, cb), math.atan2(-cb, ca), float(c)
     if not (w > 0.0 and math.isfinite(w)):
         raise FitError(f"fitted frequency {w} is not a positive finite number")
     span_periods = (t[-1] - t[0]) * w / (2.0 * math.pi)

@@ -39,6 +39,7 @@ from dickemod.scan import TransferScenario, fit_rabi, sweep_resonance
 from dickemod.dispersive import lambda_perturbative, spectrum_exact
 
 from oracles import (
+    curve_fit_rabi_rate,
     cutoff_warning_ignored,
     damped_cavity_nph,
     dense_collective_hamiltonian,
@@ -111,8 +112,9 @@ def two_qubit_fit(two_qubit):
     traj = evolve_schrodinger(system.space, system.params, sched, system.psi0,
                               span, count, tol=1e-9, store_states=True)
     spec = dispersive_spectrum(system.space, system.params)
-    fit = fit_rabi(traj, dressed_population_selector(spec.state(5, 2)))
-    return {"fit": fit, "q": q, "params": system.params}
+    selector = dressed_population_selector(spec.state(5, 2))
+    return {"fit": fit_rabi(traj, selector), "q": q, "params": system.params,
+            "observable": (traj.times, selector(traj))}
 
 
 @pytest.fixture(scope="module")
@@ -140,7 +142,9 @@ def six_qubit():
                                   tol=1e-9, store_states=True)
         out[f"{tag}_q"] = q
         out[f"{tag}_traj"] = traj
-        out[f"{tag}_fit"] = fit_rabi(traj, dressed_population_selector(target))
+        selector = dressed_population_selector(target)
+        out[f"{tag}_fit"] = fit_rabi(traj, selector)
+        out[f"{tag}_observable"] = (traj.times, selector(traj))
     return out
 
 
@@ -209,6 +213,18 @@ def test_criterion_3_six_qubit_resonances_and_rate_ratio(six_qubit):
     assert f_g == pytest.approx(1.0389, abs=0.003)
     assert f_go == pytest.approx(1.0388, abs=0.003)
     assert 1.5 <= ratio <= 2.5
+
+
+def test_fitted_rates_match_a_four_parameter_curve_fit(two_qubit_fit, six_qubit):
+    # variable projection reaches the minimum scipy's nonlinear fit reaches,
+    # on the criterion 2 and criterion 3 trajectories
+    runs = {"crt": (two_qubit_fit["fit"], two_qubit_fit["observable"])}
+    runs.update({tag: (six_qubit[f"{tag}_fit"], six_qubit[f"{tag}_observable"])
+                 for tag in ("g", "go")})
+    for tag, (fit, observable) in runs.items():
+        reference = curve_fit_rabi_rate(*observable)
+        print(f"{tag}: fit_rabi rate {fit.rate:.12e}, curve_fit {reference:.12e}")
+        assert fit.rate == pytest.approx(reference, rel=1e-9), tag
 
 
 def test_criterion_4_population_exchange_pattern(six_qubit):

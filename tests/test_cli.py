@@ -162,6 +162,15 @@ def test_load_config_missing_file(tmp_path):
         load_config(tmp_path / "absent.cfg")
 
 
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "latin.cfg"
+    cfg.write_bytes(SYSTEM_LINES.encode() + b"# caf\xe9 \xff\n")
+    with pytest.raises(ConfigError, match=re.escape(f"cannot read config {cfg}")):
+        load_config(cfg)
+    assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"error[config]: cannot read config {cfg}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # CSV writer
 # ---------------------------------------------------------------------------
@@ -186,6 +195,17 @@ def test_write_csv_rejects_ragged_columns(tmp_path):
     with pytest.raises(ConfigError, match="length"):
         write_csv(tmp_path / "t.csv", "evolve",
                   [("t", np.zeros(3)), ("y", np.zeros(4))], {})
+
+
+@pytest.mark.parametrize("blocked", ["evolve.csv", "evolve.svg"])
+def test_an_unwritable_output_is_a_config_error(tmp_path, capsys, blocked):
+    # a directory where an output file goes: the run ends in exit 2 naming it
+    out = tmp_path / "o"
+    (out / blocked).mkdir(parents=True)
+    cfg = write_cfg(tmp_path, SYSTEM_LINES + DRIVE_LINES + STATE_LINES
+                    + "run.t_final = 10.0\nrun.sample_count = 5\n")
+    assert main(["evolve", "--config", str(cfg), "--out", str(out), "--svg"]) == 2
+    assert f"error[config]: cannot write {out / blocked}" in capsys.readouterr().err
 
 
 def test_write_svg_rejects_all_nan(tmp_path):
@@ -656,6 +676,69 @@ def test_stroboscopic_csv_headers_carry_engine_work(tmp_path, command, blocks):
         assert not any(key in meta for key in channel_keys)
 
 
+def _header_value(text):
+    """A header line's value as the config codec reads it; a sequence of
+    parenthesised groups, such as liouville_pairs, reads group by group."""
+    if text.startswith("("):
+        return tuple(cli._decode_value(g) for g in re.findall(r"\(([^()]*)\)", text))
+    return cli._decode_value(text)
+
+
+def _reads_back_as(decoded, value) -> bool:
+    """Whether decoded equals value with the same Python types, where a list
+    reads back as a tuple: np.float64(0.5) is not 0.5 here."""
+    if isinstance(value, (list, tuple)):
+        return (type(decoded) is tuple and len(decoded) == len(value)
+                and all(map(_reads_back_as, decoded, value)))
+    return type(decoded) is type(value) and decoded == value
+
+
+# run -> (command, the engine it takes, its config lines past the system and state)
+_RECORD_RUNS = {
+    "evolve-stroboscopic": ("evolve", "floquet-stroboscopic", DRIVE_LINES
+                            + "run.t_final = 60.0\nrun.sample_count = 5\n"
+                            + "run.method = stroboscopic\n"),
+    "evolve-direct": ("evolve", "adaptive-rk",
+                      DRIVE_LINES + "run.t_final = 50.0\nrun.sample_count = 11\n"),
+    "evolve-static": ("evolve", "static-eigendecomposition",
+                      "run.t_final = 50.0\nrun.sample_count = 11\n"),
+    "lindblad-stroboscopic": ("lindblad", "lindblad-stroboscopic", DRIVE_LINES
+                              + "run.t_final = 60.0\nrun.sample_count = 5\n"
+                              + "run.method = stroboscopic\ndissipation.kappa = 0.01\n"),
+    "lindblad-direct": ("lindblad", "lindblad-adaptive-rk",
+                        "run.t_final = 40.0\nrun.sample_count = 11\ndissipation.kappa = 0.01\n"),
+}
+
+
+@pytest.mark.parametrize("run", list(_RECORD_RUNS))
+def test_trajectory_headers_hold_the_whole_run_record(tmp_path, monkeypatch, run):
+    # every metadata key reaches the header, and its text reads back as the
+    # recorded value (a numpy scalar would write as np.float64(...))
+    command, engine, lines = _RECORD_RUNS[run]
+    evolve = {"evolve": "evolve_schrodinger", "lindblad": "evolve_lindblad"}[command]
+    runs = []
+
+    def recording(*args, _evolve=getattr(cli, evolve), **kwargs):
+        runs.append(_evolve(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, evolve, recording)
+    text = SYSTEM_LINES.replace("n_max = 8", "n_max = 6") + STATE_LINES + lines
+    cfg = write_cfg(tmp_path, text.replace("initial_state.n = 3", "initial_state.n = 2"))
+    with warnings.catch_warnings():
+        # kappa = 0.01 takes the Lindblad channel to its slice cap
+        warnings.filterwarnings("ignore", message="Lindblad channel slice error")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    meta, _, _ = read_csv(tmp_path / "o" / f"{command}.csv")
+    (record,) = [traj.metadata for traj in runs]
+    assert record["engine"] == engine
+    assert set(record) <= set(meta)
+    unread = {key: meta[key] for key, value in record.items()
+              if not _reads_back_as(_header_value(meta[key]), value)}
+    assert not unread
+    assert meta["time_unit"] == "one_over_omega0"
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(dickemod.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -680,15 +763,15 @@ def test_sweep_csv(tmp_path):
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     meta, header, data = read_csv(tmp_path / "o" / "sweep.csv")
     assert header == ["eta", "eta_factor", "transfer", "rhs_evals", "propagator_defect",
-                      "global_error_estimate"]
-    assert data.shape == (5, 6)
+                      "batch_points", "global_error_estimate"]
+    assert data.shape == (5, 7)
     # one row per eta with that point's period solve, its unitarity gate and
     # what the horizon makes of its per-period error
     assert np.all(data[:, 3] > 0)
     assert np.all(data[:, 4] <= UNITARY_DEFECT_TOL)
-    assert np.all(np.isfinite(data[:, 5]) & (data[:, 5] > 0))
+    assert np.all(np.isfinite(data[:, 6]) & (data[:, 6] > 0))
     # the stroboscopic points share period solves of up to batch_points each
-    width = int(meta["batch_points"])
+    width = int(data[:, 5].max())
     assert 1 <= width <= 5 and int(meta["period_solves"]) == math.ceil(5 / width)
     assert meta["vertex_fallback"] == "false"
     assert np.all(np.diff(data[:, 0]) > 0)

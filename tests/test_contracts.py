@@ -1,5 +1,6 @@
 """Contracts between the package and the code around it: the benchmark's
-span targets resolve, and the test oracles stay independent of dickemod."""
+span targets resolve, the test oracles stay independent of dickemod, and the
+package imports no scipy module it does not need."""
 
 import ast
 import importlib
@@ -27,6 +28,25 @@ def test_oracles_import_nothing_from_dickemod():
                for alias in node.names]
     modules += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
     assert modules and not [m for m in modules if m.split(".")[0] == "dickemod"]
+
+
+def test_package_imports_neither_scipy_optimize_nor_scipy_special():
+    # each costs import time: fit_rabi solves its linear part exactly and
+    # searches one frequency, and hilbert takes log n! from math
+    banned = ("scipy.optimize", "scipy.special")
+    found = []
+    for path in sorted((ROOT / "src" / "dickemod").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module}.{alias.name}"
+                                               for alias in node.names]
+            else:
+                continue
+            found += [(path.name, name) for name in names
+                      if any(name == b or name.startswith(b + ".") for b in banned)]
+    assert not found
 
 
 def test_scipy_private_surface_the_stepper_reads():

@@ -74,6 +74,18 @@ def test_fit_recovers_synthetic_oscillation():
     assert fit.residual_rms < 1e-10
 
 
+@pytest.mark.parametrize("phase", [0.0, 0.6, 2.0])
+def test_fit_reaches_the_least_squares_rate(phase):
+    # the searched frequency is the rms minimum: a step of 1e-9 either way
+    # does not lower the rms of the exact linear fit
+    t = np.linspace(0.0, 2.2 * math.pi / RATE, 181)
+    y = 0.42 * np.cos(2 * RATE * t + phase) + 0.5
+    fit = fit_rabi(synthetic_trajectory(t), lambda _: y)
+    assert abs(fit.rate - RATE) <= 1e-11 * RATE
+    for step in (1.0 - 1e-9, 1.0 + 1e-9):
+        assert scan._linear_cosine_rms(t, y, 2 * fit.rate * step)[0] >= fit.residual_rms
+
+
 def test_fit_accepts_observable_names():
     space = SpaceSpec(2, 4)
     tr = rotating_trajectory(space, RATE)
