@@ -100,14 +100,24 @@ def _decode_scalar(tok: str):
     return tok
 
 
-def _decode_value(raw: str):
-    raw = raw.strip()
-    if "," in raw:
-        parts = raw.split(",")
-        if parts and parts[-1].strip() == "":
-            parts = parts[:-1]
-        return tuple(_decode_scalar(p) for p in parts)
-    return _decode_scalar(raw)
+def _decode_value(raw: str, nested: bool = False):
+    """The inverse of _encode_value: a value with a comma outside parentheses
+    is a tuple (a trailing comma ends a one-element one), and in a tuple a
+    parenthesised item is a nested tuple; nested decodes an item's inside,
+    which is a tuple even without a comma."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(raw):
+        depth += (ch == "(") - (ch == ")")
+        if ch == "," and depth == 0:
+            parts.append(raw[start:i])
+            start = i + 1
+    if not (parts or nested):
+        return _decode_scalar(raw)
+    if raw[start:].strip():
+        parts.append(raw[start:])
+    items = [p.strip() for p in parts]
+    return tuple(_decode_value(p[1:-1], nested=True) if p[:1] == "(" and p[-1:] == ")"
+                 else _decode_scalar(p) for p in items)
 
 
 @dataclass

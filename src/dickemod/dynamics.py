@@ -99,9 +99,11 @@ each sample back. Hermiticity is gated on the collapse rates, which must be
 real, and on the Hamiltonian factor's step to real: the largest relative
 imaginary residue is metadata["channel_hermiticity_defect"], and above
 CHANNEL_HERMITICITY_TOL the run raises NumericError. The engine samples
-whole periods only: a grid that snapped_span, the one period-alignment rule
-of the package, would move is refused with ConfigError naming the aligned
-grid, and lindblad_grid gives callers the grid to request.
+the grid it is given, whole periods only. _period_split judges the grids of
+both stroboscopic engines: the unitary one reads any fractional-period
+offset off its period solve, and the dissipative one refuses a grid that
+has one, with ConfigError naming the aligned grid that snapped_span builds;
+lindblad_grid gives callers that grid to request.
 
 Both stroboscopic engines work on parity sectors. Every Hamiltonian piece
 conserves the parity (-1)^(n+k) (hilbert.parity_sectors), so U(t) is block
@@ -270,10 +272,10 @@ def _sample_grid(t_span, sample_count: int) -> np.ndarray:
 def snapped_span(eta: float, t_final: float, samples: int):
     """Uniform grid whose spacing is an integer number of drive periods.
 
-    The one period-alignment rule: the stride is the requested spacing
-    rounded to whole periods, and the count the one that lands nearest
-    t_final. Returns ((0, t_end), count). t_final must be positive and
-    samples at least 2 (ConfigError), as for any run's grid.
+    The stride is the requested spacing rounded to whole periods, and the
+    count the one that lands nearest t_final. Returns ((0, t_end), count).
+    t_final must be positive and samples at least 2 (ConfigError), as for
+    any run's grid. It builds aligned grids; _period_split judges them.
     """
     _sample_grid((0.0, t_final), samples)
     period = 2.0 * math.pi / eta
@@ -1043,25 +1045,21 @@ def _pair_spans(pairs, sizes) -> dict:
     return {(p, q): slice(int(e - sizes[p] * sizes[q]), int(e)) for (p, q), e in zip(pairs, ends)}
 
 
-def _block_vec(rho: np.ndarray, sectors, pairs) -> np.ndarray:
-    """The block's vector: the row-major vec(rho_pq) of its pairs, in order."""
-    return np.concatenate([rho[np.ix_(sectors[p], sectors[q])].ravel() for p, q in pairs])
+def _block_layout(sectors, pairs, dim: int):
+    """A Liouville block's layout in the d x d rho: (where, pairing).
 
-
-def _transpose_pairing(pairs, sizes):
-    """The transpose pairs of a block's vector as index arrays lo < hi.
-
-    The partner of entry (i, j) of pair (p, q) is entry (j, i) of pair (q, p);
-    the diagonal entries rho_ii are their own partners and in neither array.
-    Both blocks of _LIOUVILLE_BLOCKS are closed under this pairing.
+    The block's vector is the row-major vec(rho_pq) of its pairs, in order,
+    and its entry e is rho.ravel()[where[e]]. pairing holds its transpose
+    pairs as index arrays lo < hi: the partner of rho_ij is rho_ji, and the
+    diagonal entries rho_ii are their own partners and in neither array. Both
+    blocks of _LIOUVILLE_BLOCKS are closed under this pairing.
     """
-    spans = _pair_spans(pairs, sizes)
-    partner = np.empty(spans[pairs[-1]].stop, dtype=np.intp)
-    for p, q in pairs:
-        own = np.arange(spans[p, q].start, spans[p, q].stop).reshape(sizes[p], sizes[q])
-        partner[spans[q, p]] = own.T.ravel()
-    lo = np.flatnonzero(partner > np.arange(len(partner)))
-    return lo, partner[lo]
+    where = np.concatenate([(sectors[p][:, None] * dim + sectors[q]).ravel() for p, q in pairs])
+    position = np.empty(dim * dim, dtype=np.intp)
+    position[where] = np.arange(len(where))
+    partner = position[where % dim * dim + where // dim]
+    lo = np.flatnonzero(partner > np.arange(len(where)))
+    return where, (lo, partner[lo])
 
 
 def _rotate_pairs(x: np.ndarray, pairing, w: np.ndarray) -> np.ndarray:
@@ -1202,12 +1200,9 @@ def _doubling_round(real, slices: int, previous):
 
 def _kron_apply_unitary(u: np.ndarray, v: np.ndarray, c: np.ndarray) -> None:
     """C <- (U (x) conj(V)) @ C in place, without materializing the
-    Kronecker product."""
-    b = v.shape[0]
-    t = (u @ c.reshape(u.shape[0], -1)).reshape(u.shape[0], b, -1)
-    vc = v.conj()
-    for a, rows in enumerate(t):
-        c[a * b:(a + 1) * b] = vc @ rows
+    Kronecker product; C is a C-contiguous row block."""
+    t = (u @ c.reshape(u.shape[0], -1)).reshape(u.shape[0], v.shape[0], -1)
+    np.matmul(v.conj(), t, out=c.reshape(t.shape))
 
 
 def _lindblad_channel(ham, collapse, rho0, tol, metadata, coherences: bool):
@@ -1242,18 +1237,20 @@ def _lindblad_channel(ham, collapse, rho0, tol, metadata, coherences: bool):
     the dense block products of every round: 2s - 1 for s slices, and one
     more for round 1's partner. Returns the parity sectors, the propagated
     blocks (as pair tuples of _LIOUVILLE_BLOCKS, also in
-    metadata["liouville_pairs"]), their transpose pairings and one real
+    metadata["liouville_pairs"]), their layouts (_block_layout) and one real
     channel matrix per block.
     """
     period = 2.0 * math.pi / ham.common_eta
     sectors, flips = _parity_blocks(ham, collapse)
-    sizes = [len(s) for s in sectors]
-    blocks = [pairs for pairs in _LIOUVILLE_BLOCKS
-              if (coherences or all(p == q for p, q in pairs))
-              and any(np.any(rho0[np.ix_(sectors[p], sectors[q])]) for p, q in pairs)]
+    sizes, dim = [len(s) for s in sectors], len(rho0)
+    blocks, layouts = [], []
+    for pairs in _LIOUVILLE_BLOCKS if coherences else _LIOUVILLE_BLOCKS[:1]:
+        where, pairing = _block_layout(sectors, pairs, dim)
+        if np.any(rho0.ravel()[where]):
+            blocks.append(pairs)
+            layouts.append((where, pairing))
     metadata["liouville_pairs"] = tuple(pair for pairs in blocks for pair in pairs)
     spans = [_pair_spans(pairs, sizes) for pairs in blocks]
-    pairings = [_transpose_pairing(pairs, sizes) for pairs in blocks]
     rates = _real_part(np.array([r for r, _ in collapse], dtype=complex), metadata)
     # per parity flip f, the blocks sqrt(rate) op[sector p, sector p ^ f]^T of its operators
     jumps = [(f, [np.concatenate([math.sqrt(r) * op[sectors[p]][:, sectors[p ^ f]].T.toarray()
@@ -1271,7 +1268,7 @@ def _lindblad_channel(ham, collapse, rho0, tol, metadata, coherences: bool):
     # each block doubles on its own, so a block's channel does not depend on
     # which other blocks the run propagates
     channels, slices, error, matmuls = [], 2, 0.0, 0
-    for pairs, span, pairing in zip(blocks, spans, pairings):
+    for pairs, span, (_, pairing) in zip(blocks, spans, layouts):
         channel, block_slices = None, 1
         while True:
             block_slices *= 2
@@ -1306,55 +1303,56 @@ def _lindblad_channel(ham, collapse, rho0, tol, metadata, coherences: bool):
 
     # the trace is the sum of the diagonal entries rho_ii, which T keeps
     tp_defect = 0.0
-    for i, (pairs, s, pairing) in enumerate(zip(blocks, spans, pairings)):
+    for i, (pairs, s, (where, pairing)) in enumerate(zip(blocks, spans, layouts)):
         # the real factor goes before the complex channel is worked on
         ch, channels[i] = channels[i].astype(complex), None
         ch = _rotate_pairs(ch, pairing, _HERMITIAN_PAIR.conj().T)
-        trace = np.zeros(len(ch))
         for p, q in pairs:
             _kron_apply_unitary(u_period[p], u_period[q], ch[s[p, q]])
-            if p == q:
-                trace[s[p, q]] = np.eye(sizes[p]).ravel()
         channels[i] = ch = _real_part(_rotate_pairs(ch, pairing, _HERMITIAN_PAIR), metadata)
+        trace = (where // dim == where % dim).astype(float)
         tp_defect = max(tp_defect, float(np.max(np.abs(trace @ ch - trace))))
     metadata["channel_trace_defect"] = tp_defect
     if tp_defect > TRACE_DRIFT_TOL:
         raise NumericError(
             f"one-period channel trace defect {tp_defect:.2e} exceeds {TRACE_DRIFT_TOL:g}"
         )
-    return sectors, blocks, pairings, channels
+    return sectors, blocks, layouts, channels
 
 
-def _lindblad_strobe(ham, collapse, rho0, t_span, sample_count, tol, metadata,
-                     coherences: bool):
+def _lindblad_strobe(ham, collapse, rho0, t_grid, tol, metadata, coherences: bool):
     """The one-period channel of _lindblad_channel, applied stroboscopically
-    on each Liouville block it propagates; the blocks left out stay zero in
-    the returned matrices. The march is real: it starts from T vec(rho0_herm),
-    with rho0_herm the Hermitian part of rho0, and T^H maps every sample back,
-    so the returned matrices are Hermitian by construction. It samples whole
-    periods only: a grid that snapped_span would move (by more than the
-    64-ulp snap of _period_split) raises ConfigError naming the aligned grid
-    to request, so the grid it returns is the one asked for.
+    on each Liouville block it propagates and sampled at t_grid; the blocks
+    left out stay zero in the returned matrices. The march is real: it starts
+    from T vec(rho0_herm), with rho0_herm the Hermitian part of rho0, and T^H
+    maps every sample back, so the returned matrices are Hermitian by
+    construction and hermiticity_defect_max is 0. It samples whole periods
+    only, judged by _period_split as the unitary engine's grid is: a grid
+    with a fractional-period offset raises ConfigError naming the aligned
+    grid of snapped_span to request. metadata["periods"] holds the periods of
+    the last sample. Returns the samples and the index sets they are block
+    diagonal on: the parity sectors when only the parity-diagonal block was
+    propagated, else all of rho.
     """
-    period = 2.0 * math.pi / ham.common_eta
-    t_final = float(t_span[1])
-    span, count = snapped_span(ham.common_eta, t_final, sample_count)
-    if count != sample_count or abs(span[1] - t_final) > 64.0 * np.spacing(t_final):
+    ks, offset_index, _ = _period_split(t_grid, 2.0 * math.pi / ham.common_eta)
+    count = len(t_grid)
+    if np.any(offset_index >= 0):
+        t_final = float(t_grid[-1])
+        span, aligned = snapped_span(ham.common_eta, t_final, count)
         raise ConfigError(
             f"the stroboscopic Lindblad engine samples whole drive periods only, and "
-            f"{sample_count} samples on (0, {t_final!r}) are not period-aligned; request "
-            f"t_span=(0.0, {span[1]!r}) with sample_count={count}, the grid snapped_span gives"
+            f"{count} samples on (0, {t_final!r}) are not period-aligned; request "
+            f"t_span=(0.0, {span[1]!r}) with sample_count={aligned}, the grid snapped_span gives"
         )
-    times = np.linspace(*span, count)
-    # every time of that grid is a whole number of periods
-    stride = int(_period_split(times, period)[0][1])
+    stride = int(ks[1])
 
-    sectors, blocks, pairings, channels = _lindblad_channel(ham, collapse, rho0, tol, metadata,
-                                                            coherences)
+    sectors, blocks, layouts, channels = _lindblad_channel(ham, collapse, rho0, tol, metadata,
+                                                           coherences)
     metadata["engine"] = "lindblad-stroboscopic"
     metadata["sectors"] = [len(ch) for ch in channels]
+    metadata["periods"] = int(ks[-1])
     # the Hamiltonian factor U(T) (x) conj(U(T)) carries U(T)'s error twice
-    metadata["global_error_estimate"] = (count - 1) * stride * (
+    metadata["global_error_estimate"] = metadata["periods"] * (
         2.0 * metadata["period_error_estimate"] + metadata["channel_slice_error"])
     # matrix_power squares bit_length - 1 times and multiplies bit_count - 1 times
     metadata["channel_matmuls"] += len(channels) * (stride.bit_length() + stride.bit_count() - 2)
@@ -1363,19 +1361,19 @@ def _lindblad_strobe(ham, collapse, rho0, t_span, sample_count, tol, metadata,
     herm = (rho0 + rho0.conj().T) / 2.0
     rhos = np.zeros((count, *rho0.shape), dtype=complex)
     flat = rhos.reshape(count, -1)
-    for pairs, (lo, hi), channel in zip(blocks, pairings, channels):
+    for (where, (lo, hi)), channel in zip(layouts, channels):
         step = np.linalg.matrix_power(channel, stride) if stride > 1 else channel
         vecs = np.empty((count, len(channel)))
-        vecs[0] = _rotate_pairs(_block_vec(herm, sectors, pairs), (lo, hi), _HERMITIAN_PAIR).real
+        vecs[0] = _rotate_pairs(herm.ravel()[where], (lo, hi), _HERMITIAN_PAIR).real
         for i in range(1, count):
             np.dot(step, vecs[i - 1], out=vecs[i])
         # T^H: rho_ii = y_ii, rho_lo = (y_lo - i y_hi)/sqrt(2) and rho_hi its conjugate
-        where = np.concatenate([(sectors[p][:, None] * len(rho0) + sectors[q]).ravel()
-                                for p, q in pairs])
         flat[:, where] = vecs
         flat[:, where[lo]] = math.sqrt(0.5) * (vecs[:, lo] - 1j * vecs[:, hi])
         flat[:, where[hi]] = flat[:, where[lo]].conj()
-    return rhos, times
+    # T^H gives every sample's transpose pairs as exact conjugates
+    metadata["hermiticity_defect_max"] = 0.0
+    return rhos, sectors if blocks == [_LIOUVILLE_BLOCKS[0]] else [np.arange(len(rho0))]
 
 
 def _eig_floor(rhos: np.ndarray, blocks) -> float:
@@ -1414,23 +1412,25 @@ def evolve_lindblad(
     store_states: bool = False,
 ) -> Trajectory:
     """Integrate the master equation; check trace drift (<= 1e-7) and the
-    eigenvalue floor (>= -1e-6) of the Hermitian samples.
+    eigenvalue floor (>= -1e-6) of the Hermitian samples. Every engine
+    samples the requested grid, np.linspace(*t_span, sample_count), and the
+    trajectory's times are that grid.
 
     The stroboscopic engine samples whole periods only and refuses any other
     grid (ConfigError, naming the aligned grid); lindblad_grid gives the grid
     to request. Its tol also bounds the step-doubling estimate of the
     one-period channel's error (metadata["channel_slice_error"], see
-    _lindblad_channel); the stroboscopic march records
-    metadata["global_error_estimate"], its periods times twice the period
-    solve's period_error_estimate plus channel_slice_error, and a direct run
-    the sum of its steps' error estimates (_StepSampler). With
+    _lindblad_channel); the stroboscopic march records metadata["periods"]
+    and metadata["global_error_estimate"], those periods times twice the
+    period solve's period_error_estimate plus channel_slice_error, and a
+    direct run the sum of its steps' error estimates (_StepSampler). With
     store_states=False it propagates only the parity-diagonal Liouville
     block, which carries every observable: the coherences between the parity
     sectors stay zero, so rho is block diagonal and the eigenvalue floor
-    takes one eigvalsh per parity block of all the samples at once.
-    metadata["liouville_pairs"] names the pairs propagated. Its samples are
-    Hermitian by construction; metadata["channel_hermiticity_defect"] gates
-    the channel that made them.
+    takes one eigvalsh per parity block of all the samples at once; the
+    engine names the blocks. metadata["liouville_pairs"] names the pairs
+    propagated. Its samples are Hermitian by construction;
+    metadata["channel_hermiticity_defect"] gates the channel that made them.
     """
     _validate_tol(tol)
     if rho0.space != space:
@@ -1442,17 +1442,14 @@ def evolve_lindblad(
 
     # the master equation has no static engine: "static" integrates directly
     if _select_engine(method, schedules, t_grid) == "stroboscopic":
-        rhos, times = _lindblad_strobe(ham, collapse, rho0.matrix, (t_grid[0], t_grid[-1]),
-                                       sample_count, tol, metadata, coherences=store_states)
-        # T^H gives every sample's transpose pairs as exact conjugates
-        metadata["hermiticity_defect_max"] = 0.0
+        rhos, blocks = _lindblad_strobe(ham, collapse, rho0.matrix, t_grid, tol, metadata,
+                                        coherences=store_states)
     else:
         rhos = _lindblad_direct(ham, collapse, rho0.matrix, t_grid, tol, metadata)
-        times = t_grid
+        blocks = [np.arange(space.dim)]
 
     drift = float(np.max(np.abs(np.real(np.trace(rhos, axis1=1, axis2=2)) - 1.0)))
-    diagonal = metadata.get("liouville_pairs") == _LIOUVILLE_BLOCKS[0]
-    floor = _eig_floor(rhos, parity_sectors(space) if diagonal else [np.arange(space.dim)])
+    floor = _eig_floor(rhos, blocks)
     metadata["trace_drift_max"] = drift
     metadata["eig_floor_min"] = floor
     if drift > TRACE_DRIFT_TOL:
@@ -1464,7 +1461,7 @@ def evolve_lindblad(
     _cutoff_check(space, joint, metadata)
     return Trajectory(
         space=space,
-        times=times,
+        times=t_grid,
         joint=joint,
         states=[DensityMatrix(space, r / np.real(np.trace(r)), floor_tol=1e-6) for r in rhos]
         if store_states

@@ -386,6 +386,6 @@ def build_hamiltonian(
 
 def seconds_per_time_unit(omega0_frequency_hz: float = 10e9) -> float:
     """Physical seconds per dimensionless time unit, given omega0/2pi in Hz."""
-    if omega0_frequency_hz <= 0:
-        raise DomainError("omega0 frequency must be positive")
+    if not 0 < omega0_frequency_hz < math.inf:
+        raise DomainError(f"omega0 frequency {omega0_frequency_hz} must be finite and > 0")
     return 1.0 / (2.0 * math.pi * omega0_frequency_hz)

@@ -131,6 +131,15 @@ def test_config_value_forms():
     assert parse_config(emit_config(cfg)) == cfg
 
 
+@pytest.mark.parametrize("value", [
+    ((0, 0), (1, 1)), ((0, 0),), (1, 2.5, "x"), (7,), ((5,), (1, (2, 3))), ((), 1),
+], ids=["nested", "one-nested", "flat", "one-flat", "deeper", "empty-item"])
+def test_encoded_sequences_decode_to_themselves(value):
+    # a parenthesised group inside a sequence reads back as a tuple, as the
+    # lindblad header's liouville_pairs = (0, 0), (1, 1) does
+    assert cli._decode_value(cli._encode_value(value)) == value
+
+
 def test_config_comments_and_blanks_ignored():
     cfg = parse_config("# a comment\n\nsystem.n_max = 4\n   \n# tail\n")
     assert cfg.system == {"n_max": 4}
@@ -372,6 +381,10 @@ def test_unknown_config_keys_are_rejected(tmp_path, subcommand, line):
         ("evolve", "schedule0.qubit = true"),
         ("lindblad", "dissipation.gamma = 0.01, x"),
         ("evolve", "run.method = 2"),
+        # parentheses make a nested tuple inside a sequence and a word alone
+        ("lindblad", "dissipation.gamma = (0.01, 0.02)"),
+        ("lindblad", "dissipation.gamma_phi = (0.01), (0.02)"),
+        ("evolve", "run.tol = (1e-9)"),
     ],
 )
 def test_config_values_of_the_wrong_type_are_rejected(tmp_path, capsys, subcommand, line):
@@ -676,14 +689,6 @@ def test_stroboscopic_csv_headers_carry_engine_work(tmp_path, command, blocks):
         assert not any(key in meta for key in channel_keys)
 
 
-def _header_value(text):
-    """A header line's value as the config codec reads it; a sequence of
-    parenthesised groups, such as liouville_pairs, reads group by group."""
-    if text.startswith("("):
-        return tuple(cli._decode_value(g) for g in re.findall(r"\(([^()]*)\)", text))
-    return cli._decode_value(text)
-
-
 def _reads_back_as(decoded, value) -> bool:
     """Whether decoded equals value with the same Python types, where a list
     reads back as a tuple: np.float64(0.5) is not 0.5 here."""
@@ -734,7 +739,7 @@ def test_trajectory_headers_hold_the_whole_run_record(tmp_path, monkeypatch, run
     assert record["engine"] == engine
     assert set(record) <= set(meta)
     unread = {key: meta[key] for key, value in record.items()
-              if not _reads_back_as(_header_value(meta[key]), value)}
+              if not _reads_back_as(cli._decode_value(meta[key]), value)}
     assert not unread
     assert meta["time_unit"] == "one_over_omega0"
 

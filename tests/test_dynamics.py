@@ -305,10 +305,10 @@ def test_sector_lindblad_matches_full_space_channel(basis, state, phi):
     meta = {}
     # kappa = 0.01 takes the channel to the slice cap at tol 1e-12
     with pytest.warns(UserWarning, match="slice error"):
-        sectors, blocks, pairings, real = dynamics._lindblad_channel(
+        sectors, blocks, layouts, real = dynamics._lindblad_channel(
             ham, collapse, rho0.matrix, 1e-12, meta, coherences=True)
     # the channels come back real in each block's Hermitian basis
-    channels = [from_hermitian_basis(r, pr) for r, pr in zip(real, pairings)]
+    channels = [from_hermitian_basis(r, pr) for r, (_, pr) in zip(real, layouts)]
     assert len(blocks) == occupied
     assert meta["period_window"] == pytest.approx(half_window(phi), rel=1e-15)
     period = 2 * math.pi / ETA
@@ -331,6 +331,18 @@ def test_sector_lindblad_matches_full_space_channel(basis, state, phi):
     ref = [np.linalg.matrix_power(full, int(k)) @ vec for k in np.round(strobe.times / period)]
     got = [s.matrix.ravel() for s in strobe.states]
     assert np.max(np.abs(np.array(got) - np.array(ref))) < 1e-9
+
+
+def test_kron_apply_unitary_is_the_kronecker_product():
+    # the coherence block's pair (0, 1) of sectors of 3 and 2 states, on a
+    # 13-column row block of the channel
+    rng = np.random.default_rng(11)
+    u, v = (np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+            for n in (3, 2))
+    c = rng.normal(size=(6, 13)) + 1j * rng.normal(size=(6, 13))
+    want = np.kron(u, v.conj()) @ c
+    dynamics._kron_apply_unitary(u, v, c)
+    assert np.max(np.abs(c - want)) < 1e-14
 
 
 def test_channel_that_breaks_hermiticity_is_refused():
@@ -437,7 +449,7 @@ def test_channel_slice_error_bounds_the_distance_to_64_slices(strength):
     meta = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the strong system stops at the cap
-        sectors, blocks, pairings, real = dynamics._lindblad_channel(
+        sectors, blocks, layouts, real = dynamics._lindblad_channel(
             ham, collapse, rho0.matrix, 1e-9, meta, coherences=True)
     assert (meta["channel_slices"] < 32) == (strength == "weak")
     period = 2 * math.pi / ETA
@@ -447,7 +459,7 @@ def test_channel_slice_error_bounds_the_distance_to_64_slices(strength):
         period, slices=64, panels=panels,
     )
     distance = 0.0
-    for pairs, r, pairing in zip(blocks, real, pairings):
+    for pairs, r, (_, pairing) in zip(blocks, real, layouts):
         index = np.concatenate([(sectors[a][:, None] * space.dim + sectors[b]).ravel()
                                 for a, b in pairs])
         channel = from_hermitian_basis(r, pairing)
@@ -625,7 +637,7 @@ def test_hermitian_basis_gate_catches_an_added_skew_term(pairs):
     # a Hermiticity-preserving generator on one block is real in its basis;
     # adding 1j * I is not
     sizes, sectors = [3, 2], [np.arange(3), 3 + np.arange(2)]
-    pairing = dynamics._transpose_pairing(pairs, sizes)
+    where, pairing = dynamics._block_layout(sectors, pairs, 5)
     rng = np.random.default_rng(5)
     ops = [rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)) for _ in range(3)]
     n = sum(sizes[p] * sizes[q] for p, q in pairs)
@@ -638,7 +650,7 @@ def test_hermitian_basis_gate_catches_an_added_skew_term(pairs):
         for (p, q), part in dynamics._pair_spans(pairs, sizes).items():
             rho[np.ix_(sectors[p], sectors[q])] = vec[part].reshape(sizes[p], sizes[q])
         out = sum(lindblad_dissipator(op, rho) for op in ops)
-        return dynamics._block_vec(out, sectors, pairs)
+        return out.ravel()[where]
 
     om = np.array([column(k) for k in range(n)]).T
     meta = {}
@@ -1009,8 +1021,8 @@ def test_global_error_estimate_covers_a_lindblad_march():
         with warnings.catch_warnings():
             # at tol 1e-12 the channel reaches the slice cap a hair above tol
             warnings.filterwarnings("ignore", message="Lindblad channel slice error")
-            rhos, _ = dynamics._lindblad_strobe(ham, collapse, rho0, span, count, tol, meta,
-                                                coherences=False)
+            rhos, _ = dynamics._lindblad_strobe(ham, collapse, rho0, np.linspace(*span, count),
+                                                tol, meta, coherences=False)
         runs.append((rhos, meta))
     (rhos, meta), (ref, _) = runs
     distance = float(np.max(np.linalg.norm(rhos - ref, axis=(1, 2))))
@@ -1252,20 +1264,50 @@ def test_store_width_follows_the_budget(monkeypatch):
     assert dynamics._store_width(63, 77, 77) == dynamics._store_width(63, 154, 77) == 1
 
 
+@pytest.mark.parametrize("ulps", [0, 10, 40])
+@pytest.mark.parametrize("engine", ["schrodinger", "lindblad"])
+def test_stroboscopic_engines_return_the_grid_they_are_given(engine, ulps):
+    # lindblad_grid's 240 samples ending on the 239th period, the end moved
+    # up to 40 ulps later: inside the 64-ulp snap, so the run is stroboscopic
+    # and samples that grid, not the aligned one
+    space = SpaceSpec(1, 4)
+    p = SystemParams(omega0=1.0, Omega0=1.72, g0=0.05, n_qubits=1)
+    sch = (ModulationSchedule("g", 0.005, 1.5),)
+    (start, end), count = dynamics.lindblad_grid(sch, 1000.0, 301)
+    assert count == 240
+    t_span = (start, end + ulps * np.spacing(end))
+    psi0 = dicke_fock_state(space, 0, 1)
+    with warnings.catch_warnings():
+        # kappa = 0.01 takes the Lindblad channel to its slice cap
+        warnings.filterwarnings("ignore", message="Lindblad channel slice error")
+        if engine == "schrodinger":
+            tr = evolve_schrodinger(space, p, sch, psi0, t_span, count, method="stroboscopic")
+        else:
+            tr = evolve_lindblad(space, p, sch, DissipationRates(kappa=0.01),
+                                 DensityMatrix.from_state(psi0), t_span, count,
+                                 method="stroboscopic")
+    assert "stroboscopic" in tr.metadata["engine"]
+    assert np.array_equal(tr.times, np.linspace(*t_span, count))
+    assert tr.metadata["periods"] == 239 == round(end * 1.5 / (2 * math.pi))
+
+
 def test_lindblad_period_count_snaps_like_the_sample_grid():
     # 1e5 periods and 40 ulps: past the old absolute 1e-9 (17 ulps at this t),
-    # inside the 64-ulp snap, so the span ends on the 1e5-th period
+    # inside the 64-ulp snap, so the last sample counts 1e5 periods and keeps
+    # the time it was asked for
     space = SpaceSpec(1, 0)
     p = SystemParams(omega0=1.0, Omega0=1.72, g0=0.05, n_qubits=1)
-    ham = build_hamiltonian(space, p, (ModulationSchedule("Omega", 0.05, 1.5),))
-    collapse = dynamics._collapse_operators(space, DissipationRates(kappa=0.01))
     period = 2 * math.pi / 1.5
     k = 100_000
     t1 = k * period + 40 * np.spacing(k * period)
-    _, times = dynamics._lindblad_strobe(ham, collapse, np.diag([0.0, 1.0]).astype(complex),
-                                         (0.0, t1), k + 1, 1e-9, {}, coherences=False)
-    assert len(times) == k + 1
-    assert times[-1] == k * period
+    with cutoff_warning_ignored():
+        tr = evolve_lindblad(space, p, (ModulationSchedule("Omega", 0.05, 1.5),),
+                             DissipationRates(kappa=0.01),
+                             DensityMatrix(space, np.diag([0.0, 1.0]).astype(complex)),
+                             (0.0, t1), k + 1, method="stroboscopic")
+    assert len(tr.times) == k + 1
+    assert tr.metadata["periods"] == k
+    assert tr.times[-1] == t1
 
 
 @pytest.mark.parametrize("engine", ["schrodinger", "lindblad"])

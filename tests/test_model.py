@@ -374,3 +374,10 @@ def test_seconds_per_time_unit():
     assert seconds_per_time_unit(10e9) == pytest.approx(1.0 / (2 * math.pi * 1e10))
     with pytest.raises(DomainError):
         seconds_per_time_unit(0.0)
+
+
+@pytest.mark.parametrize("frequency", [math.nan, math.inf])
+def test_seconds_per_time_unit_refuses_a_frequency_outside_zero_to_infinity(frequency):
+    # nan used to come back as nan and inf as 0.0 seconds per unit
+    with pytest.raises(DomainError, match="must be finite and > 0"):
+        seconds_per_time_unit(frequency)

@@ -19,12 +19,11 @@ from dickemod.dynamics import (
     _LIOUVILLE_BLOCKS,
     DensityMatrix,
     Trajectory,
-    _block_vec,
+    _block_layout,
     _collapse_operators,
     _eig_floor,
     _lindblad_strobe,
     _rotate_pairs,
-    _transpose_pairing,
     evolve_lindblad,
     evolve_schrodinger,
     snapped_span,
@@ -232,9 +231,10 @@ def test_stroboscopic_lindblad_keeps_its_gates_and_matches_full_space(run):
     # per parity block is the floor of the whole matrices
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        raw, _ = _lindblad_strobe(ham, _collapse_operators(space, rates), rho0.matrix, span,
-                                  samples, 1e-12, {}, coherences=False)
+        raw, blocks = _lindblad_strobe(ham, _collapse_operators(space, rates), rho0.matrix,
+                                       np.linspace(*span, samples), 1e-12, {}, coherences=False)
     rhos = (raw + raw.conj().transpose(0, 2, 1)) / 2
+    assert all(map(np.array_equal, blocks, parity_sectors(space)))
     floor = _eig_floor(rhos, parity_sectors(space))
     assert abs(floor - np.linalg.eigvalsh(rhos)[:, 0].min()) <= 1e-15
     assert floor == diag.metadata["eig_floor_min"]
@@ -244,18 +244,24 @@ def test_stroboscopic_lindblad_keeps_its_gates_and_matches_full_space(run):
 @given(st.integers(1, 6), st.integers(1, 6), st.sampled_from(_LIOUVILLE_BLOCKS),
        st.integers(0, 2**32 - 1))
 def test_hermitian_basis_map_is_unitary_and_makes_hermitian_vecs_real(a, b, pairs, seed):
-    sizes = [a, b]
-    sectors = [np.arange(a), a + np.arange(b)]
-    pairing = _transpose_pairing(pairs, sizes)
-    n = sum(sizes[p] * sizes[q] for p, q in pairs)
+    # parity sectors interleave in a space's basis: two shuffled index sets
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(a + b)
+    sectors = [order[:a], order[a:]]
+    where, pairing = _block_layout(sectors, pairs, a + b)
+    n = len(where)
+    assert n == sum(len(sectors[p]) * len(sectors[q]) for p, q in pairs)
     t = hermitian_basis_map(pairing, n)
     assert np.max(np.abs(_rotate_pairs(np.eye(n, dtype=complex), pairing, _HERMITIAN_PAIR)
                          - t)) < 1e-15
     assert np.max(np.abs(t @ t.conj().T - np.eye(n))) < 1e-14
 
-    rng = np.random.default_rng(seed)
     m = rng.normal(size=(a + b, a + b)) + 1j * rng.normal(size=(a + b, a + b))
-    vec = _block_vec((m + m.conj().T) / 2, sectors, pairs)
+    herm = (m + m.conj().T) / 2
+    # the block's vector: the row-major vec(rho_pq) of its pairs, in order
+    vec = herm.ravel()[where]
+    assert np.array_equal(vec, np.concatenate([herm[np.ix_(sectors[p], sectors[q])].ravel()
+                                               for p, q in pairs]))
     real = _rotate_pairs(vec.copy(), pairing, _HERMITIAN_PAIR)
     assert np.max(np.abs(real.imag)) <= 1e-15
     assert np.max(np.abs(real - t @ vec)) < 1e-14
