@@ -89,14 +89,11 @@ def _decode_scalar(tok: str):
         return True
     if tok == "false":
         return False
-    try:
-        return int(tok)
-    except ValueError:
-        pass
-    try:
-        return float(tok)
-    except ValueError:
-        pass
+    for kind in (int, float):
+        try:
+            return kind(tok)
+        except ValueError:
+            pass
     return tok
 
 
@@ -295,14 +292,13 @@ def build_rates(cfg: ScenarioConfig, n_qubits: int) -> DissipationRates | None:
     d = cfg.dissipation
     if not d:
         return None
-    kappa = float(d.get("kappa", 0.0))
-    gamma = d.get("gamma", 0.0)
-    gamma_phi = d.get("gamma_phi", 0.0)
-    if isinstance(gamma, (int, float)):
-        gamma = (float(gamma),) * n_qubits
-    if isinstance(gamma_phi, (int, float)):
-        gamma_phi = (float(gamma_phi),) * n_qubits
-    return DissipationRates(kappa=kappa, gamma=tuple(gamma), gamma_phi=tuple(gamma_phi))
+
+    def per_qubit(key):
+        value = d.get(key, 0.0)
+        return (float(value),) * n_qubits if isinstance(value, (int, float)) else tuple(value)
+
+    return DissipationRates(kappa=float(d.get("kappa", 0.0)), gamma=per_qubit("gamma"),
+                            gamma_phi=per_qubit("gamma_phi"))
 
 
 def build_initial_state(cfg: ScenarioConfig, space: SpaceSpec) -> StateVector:
@@ -401,6 +397,20 @@ def _svg_ticks(lo: float, hi: float, count: int = 6) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
+def _svg_line(x1: float, y1: float, x2: float, y2: float, stroke: str, width: int) -> str:
+    return (f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" y2="{y2:.1f}" '
+            f'stroke="{stroke}" stroke-width="{width}"/>')
+
+
+def _svg_text(x: str, y: str, size: int, body, anchor: str | None = "middle",
+              tail: str = "") -> str:
+    """x and y come formatted; anchor None leaves text-anchor out, and tail
+    holds any attribute after the font."""
+    anchor = "" if anchor is None else f' text-anchor="{anchor}"'
+    return (f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" '
+            f'font-size="{size}"{tail}>{body}</text>')
+
+
 def write_svg(path: Path, title: str, xlabel: str, ylabel: str, x, series) -> None:
     """Minimal static line chart; series is a list of (label, y-array)."""
     x = np.asarray(x, dtype=float)
@@ -432,57 +442,31 @@ def write_svg(path: Path, title: str, xlabel: str, ylabel: str, x, series) -> No
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
         f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">',
         f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
-        f'<text x="{width/2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{title}</text>',
+        _svg_text(f"{width/2:.1f}", "24", 16, title),
     ]
     for tx in _svg_ticks(x_lo, x_hi):
-        parts.append(
-            f'<line x1="{px(tx):.1f}" y1="{mt:.1f}" x2="{px(tx):.1f}" '
-            f'y2="{mt+ph:.1f}" stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{px(tx):.1f}" y="{mt+ph+20:.1f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{tx:.6g}</text>'
-        )
+        parts += [_svg_line(px(tx), mt, px(tx), mt + ph, "#dddddd", 1),
+                  _svg_text(f"{px(tx):.1f}", f"{mt+ph+20:.1f}", 12, f"{tx:.6g}")]
     for ty in _svg_ticks(y_lo, y_hi):
-        parts.append(
-            f'<line x1="{ml:.1f}" y1="{py(ty):.1f}" x2="{ml+pw:.1f}" '
-            f'y2="{py(ty):.1f}" stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{ml-8:.1f}" y="{py(ty)+4:.1f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="12">{ty:.6g}</text>'
-        )
-    parts.append(
+        parts += [_svg_line(ml, py(ty), ml + pw, py(ty), "#dddddd", 1),
+                  _svg_text(f"{ml-8:.1f}", f"{py(ty)+4:.1f}", 12, f"{ty:.6g}", "end")]
+    parts += [
         f'<rect x="{ml:.1f}" y="{mt:.1f}" width="{pw:.1f}" height="{ph:.1f}" '
-        'fill="none" stroke="#333333" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<text x="{ml+pw/2:.1f}" y="{height-14:.1f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{xlabel}</text>'
-    )
-    parts.append(
-        f'<text x="20" y="{mt+ph/2:.1f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14" '
-        f'transform="rotate(-90 20 {mt+ph/2:.1f})">{ylabel}</text>'
-    )
-    for i, (label, y) in enumerate(series):
+        'fill="none" stroke="#333333" stroke-width="1"/>',
+        _svg_text(f"{ml+pw/2:.1f}", f"{height-14:.1f}", 14, xlabel),
+        _svg_text("20", f"{mt+ph/2:.1f}", 14, ylabel,
+                  tail=f' transform="rotate(-90 20 {mt+ph/2:.1f})"'),
+    ]
+    for i, ((label, _), y) in enumerate(zip(series, ys)):
         color = SVG_COLORS[i % len(SVG_COLORS)]
-        y = np.asarray(y, dtype=float)
         ok = np.isfinite(y) & np.isfinite(x)
         pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(x[ok], y[ok]))
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.6"/>'
-        )
         ly = mt + 16 + 18 * i
-        parts.append(
-            f'<line x1="{ml+pw-150:.1f}" y1="{ly:.1f}" x2="{ml+pw-120:.1f}" '
-            f'y2="{ly:.1f}" stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{ml+pw-114:.1f}" y="{ly+4:.1f}" font-family="sans-serif" '
-            f'font-size="12">{label}</text>'
-        )
+        parts += [
+            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.6"/>',
+            _svg_line(ml + pw - 150, ly, ml + pw - 120, ly, color, 2),
+            _svg_text(f"{ml+pw-114:.1f}", f"{ly+4:.1f}", 12, label, None),
+        ]
     parts.append("</svg>")
     _write_text(path, "\n".join(parts) + "\n")
 
@@ -561,44 +545,32 @@ def _cmd_rates(cfg):
     validate_schedules(params, schedules)
     (m,) = _require(cfg.transition, "transition", "n")
     spec = dispersive_spectrum(space, params, subspaces=(m,))
-    ks, closed_abs, closed_re, closed_im = [], [], [], []
-    exact_abs, exact_re, exact_im, eta_f, eta_x = [], [], [], [], []
+    # one row per (k, k+2) pair; its keys are the csv columns
+    rows = []
     labels = spec.labels(m)
     for k in labels:
         if k + 2 not in labels:
             continue
-        xi_c = two_photon_rate_closed_form(params, schedules, m, k)
+        xi = two_photon_rate_closed_form(params, schedules, m, k)
         rate = transition_rate_general(spec, schedules, m, k + 2, k)
-        ks.append(k)
-        closed_abs.append(abs(xi_c))
-        closed_re.append(xi_c.real)
-        closed_im.append(xi_c.imag)
-        exact_abs.append(abs(rate.xi))
-        exact_re.append(rate.xi.real)
-        exact_im.append(rate.xi.imag)
-        eta_f.append(eta_resonant(params, m, k))
-        eta_x.append(rate.eta_res)
-    if not ks:
+        rows.append({
+            "k_from": k, "k_to": k + 2,
+            "xi_closed_abs": abs(xi), "xi_closed_re": xi.real, "xi_closed_im": xi.imag,
+            "xi_exact_abs": abs(rate.xi), "xi_exact_re": rate.xi.real,
+            "xi_exact_im": rate.xi.imag,
+            "eta_res_formula": eta_resonant(params, m, k), "eta_res_exact": rate.eta_res,
+        })
+    if not rows:
         raise ConfigError(f"subspace n={m} has no (k, k+2) pairs")
-    columns = [
-        ("k_from", np.array(ks, dtype=float), None),
-        ("k_to", np.array(ks, dtype=float) + 2, None),
-        ("xi_closed_abs", np.array(closed_abs), None),
-        ("xi_closed_re", np.array(closed_re), None),
-        ("xi_closed_im", np.array(closed_im), None),
-        ("xi_exact_abs", np.array(exact_abs), None),
-        ("xi_exact_re", np.array(exact_re), None),
-        ("xi_exact_im", np.array(exact_im), None),
-        ("eta_res_formula", np.array(eta_f), None),
-        ("eta_res_exact", np.array(eta_x), None),
-    ]
+    columns = [(name, np.array([row[name] for row in rows], dtype=float), None)
+               for name in rows[0]]
     two_delta = 2.0 * abs(params.delta_minus)
     summary = [f"rates in subspace n={m} (eta factors relative to 2|Delta| = {two_delta:.6g}):"]
     summary += [
-        f"  k={k} -> {k+2}: |Xi_closed| = {closed_abs[i]:.6e}  "
-        f"|Xi_exact| = {exact_abs[i]:.6e}  "
-        f"eta_r = {eta_x[i]:.8g} (factor {eta_x[i]/two_delta:.6f})"
-        for i, k in enumerate(ks)
+        f"  k={row['k_from']} -> {row['k_to']}: |Xi_closed| = {row['xi_closed_abs']:.6e}  "
+        f"|Xi_exact| = {row['xi_exact_abs']:.6e}  eta_r = {row['eta_res_exact']:.8g} "
+        f"(factor {row['eta_res_exact']/two_delta:.6f})"
+        for row in rows
     ]
     return columns, {"n": m, "with_crt": params.with_crt}, None, summary
 
@@ -1047,7 +1019,7 @@ _ETA_HELP = {"eta_factor": "the first run's", "eta_factor_2": "the second run's"
 
 def run_scenario(
     config_path,
-    subcommand: str,
+    command: str,
     output_dir,
     svg: bool = False,
     eta_factor: float | None = None,
@@ -1057,34 +1029,35 @@ def run_scenario(
 
     An option the subcommand does not read is refused, not ignored.
     """
-    if subcommand in _FIGURE_COMMANDS:
-        runner, defaults = _FIGURE_COMMANDS[subcommand]
+    if command in _FIGURE_COMMANDS:
+        runner, defaults = _FIGURE_COMMANDS[command]
         reads = ("svg", *defaults)
-    elif subcommand in _CONFIG_COMMANDS:
-        runner, reads = _CONFIG_COMMANDS[subcommand]
+    elif command in _CONFIG_COMMANDS:
+        runner, reads = _CONFIG_COMMANDS[command]
     else:
-        raise ConfigError(f"unknown subcommand {subcommand!r}")
+        raise ConfigError(f"unknown subcommand {command!r}")
     options = {"config_path": config_path, "svg": svg or None, "eta_factor": eta_factor,
                "eta_factor_2": eta_factor_2}
     unread = [k for k, v in options.items() if v is not None and k not in reads]
     if unread:
-        raise ConfigError(f"{subcommand} does not read {', '.join(unread)}")
+        raise ConfigError(f"{command} does not read {', '.join(unread)}")
     out_dir = Path(output_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output dir {out_dir}: {exc}") from exc
-    if subcommand in _FIGURE_COMMANDS:
+    if command in _FIGURE_COMMANDS:
         factors = (d if options[k] is None else options[k] for k, d in defaults.items())
-        return _emit(out_dir, subcommand, svg, *runner(*factors))
+        return _emit(out_dir, command, svg, *runner(*factors))
     if config_path is None:
-        raise ConfigError(f"{subcommand} requires --config")
+        raise ConfigError(f"{command} requires --config")
     cfg = load_config(Path(config_path))
     _check_keys(cfg, str(config_path))
-    return _emit(out_dir, subcommand, svg, *runner(cfg))
+    return _emit(out_dir, command, svg, *runner(cfg))
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each option's destination is the run_scenario parameter it fills."""
     parser = argparse.ArgumentParser(
         prog="dickemod",
         description="Modulated collective cavity-QED simulator and analytics",
@@ -1092,13 +1065,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, reads) in _CONFIG_COMMANDS.items():
         p = sub.add_parser(name, help=f"run {name} from a scenario config")
-        p.add_argument("--config", required=True, help="scenario file")
-        p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--config", dest="config_path", metavar="CONFIG", required=True,
+                       help="scenario file")
+        p.add_argument("--out", dest="output_dir", metavar="OUT", required=True,
+                       help="output directory")
         if "svg" in reads:
             p.add_argument("--svg", action="store_true", help="also write SVG charts")
     for name, (_, reads) in _FIGURE_COMMANDS.items():
         p = sub.add_parser(name, help=f"regenerate the {name} dataset")
-        p.add_argument("--out", required=True, help="output directory")
+        p.set_defaults(config_path=None)
+        p.add_argument("--out", dest="output_dir", metavar="OUT", required=True,
+                       help="output directory")
         p.add_argument("--svg", action="store_true", help="also write SVG charts")
         for key, default in reads.items():
             p.add_argument("--" + key.replace("_", "-"), type=float, default=None,
@@ -1110,14 +1087,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return run_scenario(
-            getattr(args, "config", None),
-            args.command,
-            args.out,
-            svg=getattr(args, "svg", False),
-            eta_factor=getattr(args, "eta_factor", None),
-            eta_factor_2=getattr(args, "eta_factor_2", None),
-        )
+        return run_scenario(**vars(args))
     except DickemodError as exc:
         print(f"error[{exc.label}]: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -137,7 +137,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -151,6 +150,7 @@ from .hilbert import (
     COLLECTIVE,
     SpaceSpec,
     StateVector,
+    _require_integer,
     ladder_operators,
     observables,
     parity_flips,
@@ -259,11 +259,12 @@ def _validate_tol(tol: float) -> None:
 
 
 def _sample_grid(t_span, sample_count: int) -> np.ndarray:
+    if len(t_span) != 2:
+        raise ConfigError(f"t_span {tuple(t_span)} must be a pair (t0, t1)")
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not -math.inf < t0 < t1 < math.inf:
         raise ConfigError(f"t_span ({t0}, {t1}) must be increasing and finite")
-    if isinstance(sample_count, bool) or not isinstance(sample_count, numbers.Integral):
-        raise ConfigError(f"sample_count={sample_count!r} must be an integer")
+    _require_integer("sample_count", sample_count, ConfigError)
     if sample_count < 2:
         raise ConfigError("sample_count must be >= 2")
     return np.linspace(t0, t1, sample_count)
@@ -275,8 +276,11 @@ def snapped_span(eta: float, t_final: float, samples: int):
     The stride is the requested spacing rounded to whole periods, and the
     count the one that lands nearest t_final. Returns ((0, t_end), count).
     t_final must be positive and samples at least 2 (ConfigError), as for
-    any run's grid. It builds aligned grids; _period_split judges them.
+    any run's grid, and eta in (0, inf) (DomainError), as for a drive. It
+    builds aligned grids; _period_split judges them.
     """
+    if not 0 < eta < math.inf:
+        raise DomainError(f"eta={eta} must be finite and > 0")
     _sample_grid((0.0, t_final), samples)
     period = 2.0 * math.pi / eta
     stride = max(1, int(round(t_final / (samples - 1) / period)))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,12 @@ DISTINGUISHABLE = "distinguishable"
 
 STATE_NORM_TOL = 1e-10
 OBSERVABLE_NORM_TOL = 1e-6
+
+
+def _require_integer(name: str, value, error=DomainError) -> None:
+    """Refuse a value that is not an integer; numpy integers pass, a bool does not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name}={value!r} must be an integer")
 
 
 def f_coefficient(k: int, n_qubits: int) -> float:
@@ -57,6 +64,8 @@ class SpaceSpec:
     basis: str = COLLECTIVE
 
     def __post_init__(self):
+        _require_integer("n_qubits", self.n_qubits)
+        _require_integer("n_max", self.n_max)
         if self.n_qubits < 1:
             raise DomainError(f"n_qubits={self.n_qubits} must be >= 1")
         if self.n_max < 0:
@@ -143,6 +152,8 @@ def coherent_state(space: SpaceSpec, alpha: complex, k_atom: int = 0) -> StateVe
     |alpha| with sqrt(n_max/2), so an alpha passed as sqrt(n_max/2) is at the
     limit, not past it by the rounding of its square.
     """
+    if math.isnan(abs(alpha)):
+        raise DomainError(f"alpha={alpha} must be a number")
     if abs(alpha) > math.sqrt(space.n_max / 2):
         raise CutoffError(
             f"|alpha|^2={abs(alpha) ** 2:.3g} exceeds n_max/2={space.n_max / 2:.3g}; "

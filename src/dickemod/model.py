@@ -21,7 +21,7 @@ import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvecs
 
 from .errors import ConfigError, DomainError, UnsupportedError
-from .hilbert import COLLECTIVE, SpaceSpec, ladder_operators
+from .hilbert import COLLECTIVE, SpaceSpec, _require_integer, ladder_operators
 
 MODULATION_DEPTH_WARN = 0.3
 
@@ -52,6 +52,7 @@ class SystemParams:
     with_crt: bool = True
 
     def __post_init__(self):
+        _require_integer("n_qubits", self.n_qubits)
         if self.n_qubits < 1:
             raise DomainError(f"n_qubits={self.n_qubits} must be >= 1")
         object.__setattr__(
@@ -113,8 +114,10 @@ class ModulationSchedule:
             raise DomainError(f"eta={self.eta} must be finite and > 0")
         if not math.isfinite(self.phi):
             raise DomainError(f"phi={self.phi} must be finite")
-        if self.qubit is not None and self.qubit < 1:
-            raise DomainError(f"qubit={self.qubit} must be a 1-based index")
+        if self.qubit is not None:
+            _require_integer("qubit", self.qubit)
+            if self.qubit < 1:
+                raise DomainError(f"qubit={self.qubit} must be a 1-based index")
 
 
 def active_drives(schedules) -> list[ModulationSchedule]:

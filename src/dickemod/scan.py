@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +46,7 @@ from .errors import (
     NumericError,
     SweepBoundaryError,
 )
-from .hilbert import SpaceSpec, StateVector
+from .hilbert import SpaceSpec, StateVector, _require_integer
 from .model import DissipationRates, ModulationSchedule, SystemParams
 
 # a peak must beat the median transfer by this factor to count as a resonance
@@ -93,6 +92,9 @@ class TransferScenario:
             raise DomainError(
                 f"pair (k={k}, k+2) does not exist for n={n}, N={self.params.n_qubits}"
             )
+        if n - k > self.space.n_max:
+            raise DomainError(f"pair source |k={k}, n-k={n - k}> lies above the Fock "
+                              f"cutoff n_max={self.space.n_max}")
         if self.psi0.space != self.space:
             raise DomainError("initial state lives on a different space")
         if self.sample_count < 16:
@@ -211,8 +213,8 @@ def sweep_resonance(
     lo, hi = float(eta_range[0]), float(eta_range[1])
     if not 0.0 < lo < hi < math.inf:
         raise ConfigError(f"eta_range ({lo}, {hi}) must be positive, finite and increasing")
-    if isinstance(grid_points, bool) or not isinstance(grid_points, numbers.Integral) \
-            or grid_points < 5:
+    _require_integer("grid_points", grid_points, ConfigError)
+    if grid_points < 5:
         raise ConfigError(f"grid_points={grid_points!r} must be an integer of at least 5")
     if horizon is not None and not 0.0 < horizon < math.inf:
         raise ConfigError(f"horizon={horizon} must be positive and finite")

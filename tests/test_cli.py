@@ -1,6 +1,7 @@
 """Command-line interface: config codec, CSV output, exit codes."""
 
 import contextlib
+import inspect
 import math
 import os
 import re
@@ -223,6 +224,54 @@ def test_write_svg_rejects_all_nan(tmp_path):
                   np.full(4, math.nan), [("y", np.full(4, math.nan))])
 
 
+# the whole markup of a two-series chart whose second series skips a NaN
+TINY_SVG = """\
+<svg xmlns="http://www.w3.org/2000/svg" width="860" height="520" viewBox="0 0 860 520">
+<rect width="860" height="520" fill="white"/>
+<text x="430.0" y="24" text-anchor="middle" font-family="sans-serif" font-size="16">tiny</text>
+<line x1="78.0" y1="42.0" x2="78.0" y2="462.0" stroke="#dddddd" stroke-width="1"/>
+<text x="78.0" y="482.0" text-anchor="middle" font-family="sans-serif" font-size="12">0</text>
+<line x1="229.6" y1="42.0" x2="229.6" y2="462.0" stroke="#dddddd" stroke-width="1"/>
+<text x="229.6" y="482.0" text-anchor="middle" font-family="sans-serif" font-size="12">0.4</text>
+<line x1="381.2" y1="42.0" x2="381.2" y2="462.0" stroke="#dddddd" stroke-width="1"/>
+<text x="381.2" y="482.0" text-anchor="middle" font-family="sans-serif" font-size="12">0.8</text>
+<line x1="532.8" y1="42.0" x2="532.8" y2="462.0" stroke="#dddddd" stroke-width="1"/>
+<text x="532.8" y="482.0" text-anchor="middle" font-family="sans-serif" font-size="12">1.2</text>
+<line x1="684.4" y1="42.0" x2="684.4" y2="462.0" stroke="#dddddd" stroke-width="1"/>
+<text x="684.4" y="482.0" text-anchor="middle" font-family="sans-serif" font-size="12">1.6</text>
+<line x1="836.0" y1="42.0" x2="836.0" y2="462.0" stroke="#dddddd" stroke-width="1"/>
+<text x="836.0" y="482.0" text-anchor="middle" font-family="sans-serif" font-size="12">2</text>
+<line x1="78.0" y1="462.0" x2="836.0" y2="462.0" stroke="#dddddd" stroke-width="1"/>
+<text x="70.0" y="466.0" text-anchor="end" font-family="sans-serif" font-size="12">-0.04</text>
+<line x1="78.0" y1="378.0" x2="836.0" y2="378.0" stroke="#dddddd" stroke-width="1"/>
+<text x="70.0" y="382.0" text-anchor="end" font-family="sans-serif" font-size="12">0.176</text>
+<line x1="78.0" y1="294.0" x2="836.0" y2="294.0" stroke="#dddddd" stroke-width="1"/>
+<text x="70.0" y="298.0" text-anchor="end" font-family="sans-serif" font-size="12">0.392</text>
+<line x1="78.0" y1="210.0" x2="836.0" y2="210.0" stroke="#dddddd" stroke-width="1"/>
+<text x="70.0" y="214.0" text-anchor="end" font-family="sans-serif" font-size="12">0.608</text>
+<line x1="78.0" y1="126.0" x2="836.0" y2="126.0" stroke="#dddddd" stroke-width="1"/>
+<text x="70.0" y="130.0" text-anchor="end" font-family="sans-serif" font-size="12">0.824</text>
+<line x1="78.0" y1="42.0" x2="836.0" y2="42.0" stroke="#dddddd" stroke-width="1"/>
+<text x="70.0" y="46.0" text-anchor="end" font-family="sans-serif" font-size="12">1.04</text>
+<rect x="78.0" y="42.0" width="758.0" height="420.0" fill="none" stroke="#333333" stroke-width="1"/>
+<text x="457.0" y="506.0" text-anchor="middle" font-family="sans-serif" font-size="14">t</text>
+<text x="20" y="252.0" text-anchor="middle" font-family="sans-serif" font-size="14" transform="rotate(-90 20 252.0)">y</text>
+<polyline points="78.00,446.44 457.00,252.00 836.00,57.56" fill="none" stroke="#1f77b4" stroke-width="1.6"/>
+<line x1="686.0" y1="58.0" x2="716.0" y2="58.0" stroke="#1f77b4" stroke-width="2"/>
+<text x="722.0" y="62.0" font-family="sans-serif" font-size="12">a</text>
+<polyline points="78.00,57.56 836.00,349.22" fill="none" stroke="#d62728" stroke-width="1.6"/>
+<line x1="686.0" y1="76.0" x2="716.0" y2="76.0" stroke="#d62728" stroke-width="2"/>
+<text x="722.0" y="80.0" font-family="sans-serif" font-size="12">b</text>
+</svg>
+"""
+
+
+def test_write_svg_writes_the_pinned_markup(tmp_path):
+    write_svg(tmp_path / "t.svg", "tiny", "t", "y", [0.0, 1.0, 2.0],
+              [("a", [0.0, 0.5, 1.0]), ("b", [1.0, math.nan, 0.25])])
+    assert (tmp_path / "t.svg").read_text() == TINY_SVG
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
@@ -274,6 +323,26 @@ def test_exit_code_other_package_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_scenario", fail)
     assert main(["figure3", "--out", str(tmp_path / "o")]) == 4
     assert "error[failure]: boom" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["evolve", "--config", "c.cfg", "--out", "o", "--svg"],
+     ("c.cfg", "evolve", "o", True, None, None)),
+    (["figure1", "--out", "o", "--eta-factor", "1.06", "--eta-factor-2", "1.05"],
+     (None, "figure1", "o", False, 1.06, 1.05)),
+], ids=["config-svg", "preset-both-factors"])
+def test_main_hands_run_scenario_the_parsed_arguments(monkeypatch, argv, expected):
+    calls = []
+
+    def record(*args, **kwargs):
+        bound = inspect.signature(run_scenario).bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(tuple(bound.arguments.values()))
+        return 0
+
+    monkeypatch.setattr(cli, "run_scenario", record)
+    assert main(argv) == 0
+    assert calls == [expected]
 
 
 def test_evolve_rejects_dissipation(tmp_path, capsys):
@@ -791,6 +860,16 @@ def test_sweep_csv(tmp_path):
 SWEEP_LINES = ("transition.n = 3\ntransition.k = 0\n"
                + "sweep.factor_min = 1.03\nsweep.factor_max = 1.05\n"
                + "sweep.grid_points = 5\nsweep.zoom = false\n")
+
+
+def test_sweep_refuses_a_transition_outside_the_space_before_any_point(
+        tmp_path, capsys, monkeypatch):
+    # the source |k=0, n-k=9> needs n_max >= 9; the space stops at 8
+    cfg = write_cfg(tmp_path, SYSTEM_LINES + DRIVE_LINES + STATE_LINES
+                    + SWEEP_LINES.replace("transition.n = 3", "transition.n = 9"))
+    monkeypatch.setattr(cli, "sweep_resonance", lambda *a, **k: pytest.fail("swept"))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "n_max=8" in capsys.readouterr().err
 
 
 def test_sweep_honours_run_method(tmp_path, capsys):

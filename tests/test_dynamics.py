@@ -1366,6 +1366,24 @@ def test_sample_count_must_be_an_integer(count):
             entry()
 
 
+@pytest.mark.parametrize("eta", [math.nan, 0.0, math.inf, -1.0])
+def test_snapped_span_refuses_an_eta_outside_zero_to_infinity(eta):
+    with pytest.raises(DomainError, match=r"eta=.* must be finite and > 0"):
+        snapped_span(eta, 100.0, 11)
+
+
+@pytest.mark.parametrize("t_span", [(0.0, 1.0, 2.0), (1.0,)])
+def test_a_time_span_must_be_a_pair(t_span):
+    space = SpaceSpec(2, 4)
+    p = bench_params()
+    psi0 = dicke_fock_state(space, 0, 3)
+    with pytest.raises(ConfigError, match="must be a pair"):
+        evolve_schrodinger(space, p, (g_schedule(p),), psi0, t_span, 3)
+    with pytest.raises(ConfigError, match="must be a pair"):
+        evolve_lindblad(space, p, (g_schedule(p),), DissipationRates(kappa=0.01),
+                        DensityMatrix.from_state(psi0), t_span, 3)
+
+
 def test_cutoff_policy_rows():
     space = SpaceSpec(2, 2)
     p = bench_params(with_crt=False)

@@ -8,7 +8,8 @@ import pytest
 
 from dickemod.dynamics import _sample_grid
 from dickemod.errors import ConfigError, DomainError
-from dickemod.hilbert import DISTINGUISHABLE, SpaceSpec, dicke_fock_state, parity_sectors
+from dickemod.hilbert import (DISTINGUISHABLE, SpaceSpec, coherent_state, dicke_fock_state,
+                              parity_sectors)
 from dickemod.model import (
     DissipationRates,
     ModulationSchedule,
@@ -92,6 +93,33 @@ def test_dissipation_rates():
 def test_non_finite_parameters_are_refused(make, error):
     with pytest.raises(error, match="finite"):
         make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: coherent_state(SpaceSpec(2, 4), math.nan),
+    lambda: coherent_state(SpaceSpec(2, 4), complex(0.5, math.nan)),
+    lambda: SpaceSpec(1.5, 4),
+    lambda: SpaceSpec(1, 4.5),
+    lambda: SpaceSpec(True, 4),
+    lambda: SystemParams(1.0, 1.72, 0.05, n_qubits=1.5),
+    lambda: SystemParams(1.0, 1.72, 0.05, n_qubits=True),
+    lambda: ModulationSchedule("g", 0.01, 1.0, qubit=1.5),
+    lambda: ModulationSchedule("g", 0.01, 1.0, qubit=True),
+], ids=["alpha-nan", "alpha-imag-nan", "space-n_qubits-1.5", "space-n_max-4.5",
+        "space-n_qubits-bool", "params-n_qubits-1.5", "params-n_qubits-bool",
+        "schedule-qubit-1.5", "schedule-qubit-bool"])
+def test_malformed_numbers_are_refused_where_given(make):
+    # an integer field takes integers only (numpy's too) and no bool; a NaN
+    # alpha would otherwise read as the vacuum
+    with pytest.raises(DomainError, match="must be an integer|must be a number"):
+        make()
+
+
+def test_integer_fields_take_numpy_integers():
+    space = SpaceSpec(np.int64(2), np.int64(4))
+    assert space.dim == 15
+    assert SystemParams(1.0, 1.72, 0.05, n_qubits=np.int64(2)).n_qubits == 2
+    assert ModulationSchedule("g", 0.01, 1.0, qubit=np.int64(1)).qubit == 1
 
 
 def test_static_matches_bruteforce_construction():

@@ -183,6 +183,15 @@ def test_scenario_validation():
         scenario(space, p, sample_count=15)
 
 
+def test_scenario_refuses_a_source_above_the_cutoff():
+    # |k=0, n-k=9> is not in a space of n_max = 4, so no sweep may start
+    space = SpaceSpec(2, 4)
+    with pytest.raises(DomainError, match="n_max=4"):
+        scenario(space, SystemParams(**BENCH), transition=(9, 0))
+    # the highest source the space holds is accepted
+    scenario(space, SystemParams(**BENCH), transition=(4, 0))
+
+
 def _stored_target_population(traj, space, transition):
     """The max over samples of the summed |k+2, n-k-2> populations, read
     from the stored states with an explicit index list."""
