@@ -2,10 +2,13 @@
 dispersive-regime analytics for two-photon exchange resonances."""
 
 from .errors import (
+    ChannelSliceWarning,
     ConfigError,
     CutoffError,
+    CutoffWarning,
     DegeneracyError,
     DickemodError,
+    DickemodWarning,
     DomainError,
     FitError,
     LabelingError,
@@ -13,6 +16,7 @@ from .errors import (
     NormalizationError,
     NumericError,
     PhysicsGuardError,
+    RegimeWarning,
     SweepBoundaryError,
     UnsupportedError,
 )

@@ -19,6 +19,7 @@ import dataclasses
 import functools
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -1084,13 +1085,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    """warnings.formatwarning for the CLI: `warning[label]: message`, as
+    errors print, with the label of the warning's class (errors.py) and no
+    source location."""
+    label = getattr(category, "label", None)
+    return f"warning[{label}]: {message}\n" if label else f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # only the text changes: filters and recorders see every warning as before
+    format_warning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         return run_scenario(**vars(args))
     except DickemodError as exc:
         print(f"error[{exc.label}]: {exc}", file=sys.stderr)
         return exc.exit_code
+    finally:
+        warnings.formatwarning = format_warning
 
 
 if __name__ == "__main__":

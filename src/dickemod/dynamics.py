@@ -27,14 +27,20 @@ with no array allocated per stage. Every right-hand side takes
 rhs(t, y, out=None) and writes each stage straight into the solver's stage
 row when given `out`. The solve is still started by scipy.integrate's
 solve_ivp, the name the benchmark wraps to time the ODE layer. _integrate
-reads every sample the same way, direct or stroboscopic: off the dense
-output of the accepted step that holds it (ibid., sec. II.6), together with
-the sum of DOP853's error estimates over the steps up to it (_StepSampler).
-A direct run's metadata["global_error_estimate"] is that sum at its last
-sample. The right-hand sides apply H(t) through ModulatedHamiltonian.apply:
-one real sparse product of the pieces' merged pattern, with
-d_0 + sum_j s_j(t) d_j as its data, and the float64 view of the complex
-state (interleaved re/im columns), so the ODE state stays complex.
+reads every sample the same way, direct or stroboscopic: off the package's
+own interpolant of the accepted step that holds it (ibid., sec. II.6;
+_SampledDOP853.interpolant, scipy's dense output with scipy's operations in
+scipy's order, in buffers allocated once per solve), evaluated for each
+point of a batch on that point's own columns, straight into its sample
+store, together with the sum of DOP853's error estimates over the steps up
+to it (_StepSampler). A direct run's metadata["global_error_estimate"] is
+that sum at its last sample. The right-hand sides apply H(t) through
+ModulatedHamiltonian.apply: one real sparse product of the pieces' merged
+pattern, with d_0 + sum_j s_j(t) d_j as its data, and the float64 view of
+the complex state (interleaved re/im columns), so the ODE state stays
+complex. The period solve's right-hand side fixes its operand once
+(ModulatedHamiltonian.off_diagonal_product) and keeps its phases in buffers
+of its own, so a call given `out` allocates nothing and checks nothing.
 
 The stroboscopic engines integrate one drive period once, at a tenth of the
 run's tol; this is what makes horizons of 1e5 time units tractable. The drive
@@ -145,7 +151,14 @@ from scipy.integrate import DOP853, solve_ivp
 from scipy.linalg import schur
 from scipy.linalg.blas import zherk
 
-from .errors import ConfigError, DomainError, NumericError, UnsupportedError
+from .errors import (
+    ChannelSliceWarning,
+    ConfigError,
+    CutoffWarning,
+    DomainError,
+    NumericError,
+    UnsupportedError,
+)
 from .hilbert import (
     COLLECTIVE,
     SpaceSpec,
@@ -313,6 +326,7 @@ def _cutoff_check(space: SpaceSpec, joint: np.ndarray, metadata: dict,
         warnings.warn(
             f"population {top:.2e} at the Fock cutoff n_max={space.n_max} "
             f"exceeds {CUTOFF_POP_TOL:g}; the truncation is biting",
+            CutoffWarning,
             stacklevel=stacklevel,
         )
 
@@ -323,19 +337,20 @@ def _cutoff_check(space: SpaceSpec, joint: np.ndarray, metadata: dict,
 
 class _SampledDOP853(DOP853):
     """scipy's DOP853 with the package's own step, which hands each accepted
-    step to `sampler`; the sampler reads the step's dense output and its
-    error estimate (`estimate`).
+    step to `sampler`; the sampler reads the step's interpolant
+    (`interpolant`) and its error estimate (`estimate`).
 
     _step_impl is scipy's RungeKutta step with its rk_step and DOP853's
-    error norm inlined: the same controller and scipy's operations in
-    scipy's order, so the steps, the samples and the rhs count are bitwise
-    those of scipy's DOP853. Only the buffers differ. Each stage sum
-    K[:s].T a_s is written into one stage buffer, scaled by h and offset by
-    y in place; y_new alternates between two buffers, so y_old stays intact
-    for the dense output; and the rhs, called as rhs(t, y, out=K[s]), writes
-    every stage straight into its row of K. scipy's own calls (the first f,
-    the initial step and the dense output's extra stages) pass no out and
-    keep the arrays they get.
+    error norm inlined, and `interpolant` is DOP853's _dense_output_impl:
+    the same controller and scipy's operations in scipy's order, so the
+    steps, the samples and the rhs count are bitwise those of scipy's
+    DOP853. Only the buffers differ. Each stage sum K[:s].T a_s, the dense
+    output's 3 extra stages included, is written into one stage buffer,
+    scaled by h and offset by y in place; y_new alternates between two
+    buffers, so y_old stays intact for the interpolant; the rhs, called as
+    rhs(t, y, out=K[s]), writes every stage straight into its row of K; and
+    the interpolant's 7 rows share one buffer. scipy's own calls (the first
+    f and the initial step) pass no out and keep the arrays they get.
     """
 
     def __init__(self, fun, t0, y0, t_bound, sampler, **options):
@@ -345,6 +360,11 @@ class _SampledDOP853(DOP853):
         # the tableau rows as complex arrays, the type np.dot casts them to
         self._rows = [a[:s].astype(complex) for s, a in enumerate(self.A[1:], start=1)]
         self._b = self.B.astype(complex)
+        # the dense output's extra stage rows and D, likewise, and its 7 rows F
+        self._extra = [a[:s].astype(complex)
+                       for s, a in enumerate(self.A_EXTRA, start=self.n_stages + 1)]
+        self._d = self.D.astype(complex)
+        self._f_rows = np.empty((3 + len(self.D), self.n), dtype=complex)
         self._stage = np.empty(self.n, dtype=complex)
         self._ys = (np.empty(self.n, dtype=complex), np.empty(self.n, dtype=complex))
 
@@ -402,6 +422,31 @@ class _SampledDOP853(DOP853):
         self.f = K[-1]  # f at t_new, which the next step copies to K[0]
         return True, None
 
+    def interpolant(self) -> np.ndarray:
+        """The 7 rows F of the last accepted step's dense output, in a buffer
+        that every call rewrites: scipy's _dense_output_impl with its
+        operations in its order. The 3 extra stages are written into K's
+        last rows by rhs(..., out=K[s]) and count in nfev, as scipy's do."""
+        K, h, y_old, stage = self.K_extended, self.h_previous, self.y_old, self._stage
+        F = self._f_rows
+        for s, (a, c) in enumerate(zip(self._extra, self.C_EXTRA), start=self.n_stages + 1):
+            np.dot(K[:s].T, a, out=stage)
+            stage *= h
+            stage += y_old
+            self._rhs(self.t_old + c * h, stage, out=K[s])
+        self.nfev += len(self._extra)
+        # K[0] is f at t_old, and self.f at t
+        np.subtract(self.y, y_old, out=F[0])
+        np.multiply(h, K[0], out=F[1])
+        F[1] -= F[0]
+        np.multiply(2, F[0], out=stage)
+        np.add(self.f, K[0], out=F[2])
+        F[2] *= h
+        np.subtract(stage, F[2], out=F[2])
+        np.dot(self._d, K, out=F[3:])
+        F[3:] *= h
+        return F
+
     def step(self):
         message = super().step()
         if self.status != "failed":
@@ -448,11 +493,13 @@ class _StepSampler:
     """Reads the samples of an ODE solve off each accepted step.
 
     The state is (n, width, cols), one (n, cols) block per point, and
-    grids[j] holds point j's sample times, ascending. A step evaluates its
-    interpolant once, at every sample it holds of any point, and each point
-    keeps its own block of its own times. stores[j] receives point j's blocks
-    in the order of grids[j]; one array per point keeps every allocation the
-    size of one point's samples.
+    grids[j] holds point j's sample times, ascending. A step that holds
+    samples builds its interpolant once (_SampledDOP853.interpolant) and
+    evaluates it for each point at that point's own times, on the float64
+    view of that point's columns alone, straight into its store: no
+    full-state value is formed and nothing is copied. stores[j] receives
+    point j's blocks in the order of grids[j]; one array per point keeps
+    every allocation the size of one point's samples.
 
     errors[j][i] is the sum, over the steps up to the one that holds sample
     i, of DOP853's error estimate on point j's block: its own norm,
@@ -472,7 +519,7 @@ class _StepSampler:
 
     def __call__(self, solver):
         h, err5, err3 = solver.estimate
-        n, width, _ = self.shape
+        n, width, cols = self.shape
         # each point's squared 2-norms of the two estimates; a lone point's
         # block is the whole state
         if width == 1:
@@ -487,13 +534,27 @@ class _StepSampler:
             return
         stops = [int(np.searchsorted(g, solver.t, side="right")) for g in self.grids]
         new = [(j, lo, hi) for j, (lo, hi) in enumerate(zip(self.done, stops)) if hi > lo]
-        times = np.concatenate([self.grids[j][lo:hi] for j, lo, hi in new])
-        values = solver.dense_output()(times).T.reshape(len(times), *self.shape)
-        first = 0
+        if solver.t == solver.t_old:  # scipy's corner case: every sample is y
+            y = solver.y.reshape(self.shape)
+            for j, lo, hi in new:
+                self.stores[j][lo:hi] = y[:, j]
+        else:
+            # scipy's Horner loop on each point's own float64 columns, straight
+            # into its store: from y = 0, y += F6; y *= x; y += F5; y *= 1 - x;
+            # ...; y += y_old, with x = (t - t_old) / h, h = t - t_old
+            F = solver.interpolant().reshape(-1, n, width, cols).view(np.float64)
+            y_old = solver.y_old.reshape(self.shape).view(np.float64)
+            for j, lo, hi in new:
+                x = ((self.grids[j][lo:hi] - solver.t_old) / h)[:, None, None]
+                factors = (x, 1 - x)
+                y = self.stores[j][lo:hi].view(np.float64)
+                y.fill(0.0)
+                for i, f in enumerate(F[::-1, :, j]):
+                    y += f
+                    y *= factors[i % 2]
+                y += y_old[:, j]
         for j, lo, hi in new:
-            self.stores[j][lo:hi] = values[first:first + hi - lo, :, j]
             self.errors[j][lo:hi] = self.error[j]
-            first += hi - lo
         self.done = stops
         self.next = min((g[k] for g, k in zip(self.grids, stops) if k < len(g)), default=math.inf)
 
@@ -697,15 +758,25 @@ def _sector_propagators(ham, etas, sectors, tol: float, taus) -> list[_PeriodSam
     rtol = max(tol / 10.0, 1e-13)
     rate, scale = 1j * inv_eta, -1j * inv_eta
 
+    theta = sub.diagonal_phase_from(window[0])
     framed = np.empty((n, width, cols), dtype=complex)  # P_j^* Y_I, rewritten by every rhs
+    off_diagonal = sub.off_diagonal_product(framed)
+    # Theta, P_j, its conjugate and P_j scale_j at the rhs's s, rewritten by every rhs
+    phase = np.empty(n)
+    p, p_conj, p_scaled = (np.empty((n, width), dtype=complex) for _ in range(3))
+    phase_col, conj_cols, scaled_cols = phase[:, None], p_conj[:, :, None], p_scaled[:, :, None]
 
     def frame_rhs(s, y, out=None):
         # dY_I/ds = -(i/eta_j) P_j (H - D) P_j^* Y_I with P_j = e^{i Theta(s)/eta_j}
-        p = np.exp(np.multiply.outer(sub.diagonal_phase(s, window[0]), rate))
-        np.multiply(y.reshape(n, width, cols), p.conj()[:, :, None], out=framed)
-        out = sub.apply_off_diagonal(s, framed, None if out is None else out.reshape(framed.shape))
-        out *= (p * scale)[:, :, None]
-        return out.ravel()
+        theta(s, phase)
+        np.exp(np.multiply(phase_col, rate, out=p), out=p)
+        np.conjugate(p, out=p_conj)
+        np.multiply(y.reshape(framed.shape), conj_cols, out=framed)
+        out = off_diagonal(s, np.empty(framed.size, dtype=complex) if out is None else out)
+        np.multiply(p, scale, out=p_scaled)
+        derivative = out.reshape(framed.shape)
+        derivative *= scaled_cols
+        return out
 
     stores, errors, rhs_evals = _integrate(sub, frame_rhs, y0, window, [r[0] for r in reads],
                                            rtol, "propagator integration failed: {}")
@@ -713,7 +784,7 @@ def _sector_propagators(ham, etas, sectors, tol: float, taus) -> list[_PeriodSam
     out = []
     for eta, store, error, (times, index, conj, tail) in zip(etas, stores, errors, reads):
         # back to the lab frame, Y = e^{-i theta/eta} Y_I
-        store *= np.exp(-1j / eta * sub.diagonal_phase(times, window[0]))[:, :, None]
+        store *= np.exp(-1j / eta * theta(times))[:, :, None]
         # the head Y0^dag and, where a tau reads past c, the tail M^T M Y0^dag
         heads = [store[index[-2], sp, :sp.stop - sp.start].conj().T for sp in spans]
         ms = [store[index[-1], sp, :sp.stop - sp.start] for sp in spans] if tail.any() else []
@@ -1300,6 +1371,7 @@ def _lindblad_channel(ham, collapse, rho0, tol, metadata, coherences: bool):
             f"Lindblad channel slice error estimate {error:.2e} exceeds tol={tol:g} at the "
             f"cap of {MAX_CHANNEL_SLICES} slices; method='direct' integrates the master "
             "equation without slices",
+            ChannelSliceWarning,
             stacklevel=4,
         )
     u_period, defects = zip(*(_projected_period(u[-1], tol) for u in u_at))

@@ -1,9 +1,11 @@
-"""Exception taxonomy.
+"""Exception and warning taxonomy.
 
 Every guard in the package raises one of these, so callers can tell
 configuration mistakes from physics-regime violations and from numerical
 failures. Each class owns its CLI label and exit code, and subclasses inherit
 them: cli.main prints `error[label]: message` and exits with `exit_code`.
+The package's warnings are UserWarnings that own a label the same way, and
+cli.main prints them as `warning[label]: message`.
 """
 
 
@@ -72,3 +74,29 @@ class NoResonanceError(DickemodError):
 
     label = "no-resonance"
     exit_code = 5
+
+
+class DickemodWarning(UserWarning):
+    """Base class for all package warnings; one without a label prints as
+    `warning: message`."""
+
+    label = None
+
+
+class CutoffWarning(DickemodWarning):
+    """Population at the Fock cutoff n_max above CUTOFF_POP_TOL: the
+    truncation is biting."""
+
+    label = "cutoff"
+
+
+class RegimeWarning(DickemodWarning):
+    """Modulation depth outside the perturbative regime."""
+
+    label = "regime"
+
+
+class ChannelSliceWarning(DickemodWarning):
+    """Lindblad channel slice error estimate above tol at the slice cap."""
+
+    label = "channel-slices"

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvecs
 
-from .errors import ConfigError, DomainError, UnsupportedError
+from .errors import ConfigError, DomainError, RegimeWarning, UnsupportedError
 from .hilbert import COLLECTIVE, SpaceSpec, _require_integer, ladder_operators
 
 MODULATION_DEPTH_WARN = 0.3
@@ -194,6 +194,7 @@ def validate_schedules(
                 f"modulation depth epsilon/{'g0' if s.target == 'g' else '|Delta|'}"
                 f" = {s.epsilon / base:.2f} exceeds {MODULATION_DEPTH_WARN};"
                 " outside the perturbative regime",
+                RegimeWarning,
                 stacklevel=2,
             )
 
@@ -227,10 +228,12 @@ class ModulatedHamiltonian:
     data and multiplies it once. The diagonal D_j of each piece is kept apart
     too, with rows on the same pattern that zero it: `apply_off_diagonal`
     multiplies H(t) - D(t), D(t) = D_0 + sum_j s_j(t) D_j, and
-    `diagonal_phase` is the exact integral of D(t). The rows are derived from
-    h_const and terms on construction, so `restrict` and
-    `dataclasses.replace` rebuild them; the instance is frozen so they cannot
-    go stale.
+    `diagonal_phase` is the exact integral of D(t). `off_diagonal_product`
+    and `diagonal_phase_from` are their forms for a hot loop: the operand or
+    the start time is fixed once, and the checks and start terms leave the
+    call. The rows are derived from h_const and terms on construction, so
+    `restrict` and `dataclasses.replace` rebuild them; the instance is
+    frozen so they cannot go stale.
     """
 
     space: SpaceSpec
@@ -241,6 +244,7 @@ class ModulatedHamiltonian:
     _off_rows: np.ndarray = field(init=False, repr=False)
     _diagonals: np.ndarray = field(init=False, repr=False)
     _drives: tuple[tuple[float, float], ...] = field(init=False, repr=False)
+    _coeffs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if any(h.dtype != np.float64 or (h != h.T).nnz for h in self.pieces):
@@ -267,6 +271,8 @@ class ModulatedHamiltonian:
         object.__setattr__(self, "_off_rows", off)
         object.__setattr__(self, "_diagonals", diagonals)
         object.__setattr__(self, "_drives", tuple((s.eta, s.phi) for s, _ in self.terms))
+        # the coefficients (1, s_1(t), ...) of the rows, rewritten by every product
+        object.__setattr__(self, "_coeffs", np.ones(1 + len(self.terms)))
 
     def apply(self, t: float, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """H(t) @ y for a state vector or a matrix of columns, without forming H(t).
@@ -287,31 +293,70 @@ class ModulatedHamiltonian:
         `apply`'s product on the same pattern."""
         return self._apply(self._off_rows, t, y, out)
 
+    def off_diagonal_product(self, y: np.ndarray):
+        """apply_off_diagonal for one operand, checked once here rather than
+        on every call: a function product(t, out) that writes
+        (H(t) - D(t)) @ y into out and returns it. y is a C-contiguous complex
+        array, which the caller rewrites between calls; out must be a flat
+        C-contiguous complex array of y's size, and nothing checks it."""
+        if y.dtype != complex or not y.flags.c_contiguous:
+            raise ConfigError("y must be a C-contiguous complex array")
+        cols = y.reshape(len(y), -1).view(np.float64)
+        flat, rows = cols.ravel(), self._off_rows
+
+        def product(t, out):
+            self._product(rows, t, flat, cols.shape[1], out.view(np.float64))
+            return out
+
+        return product
+
     def diagonal_phase(self, t, t0: float) -> np.ndarray:
         """theta(t), the integral of D(s) from t0 to t, in closed form:
         D_0 (t - t0) - sum_j D_j (cos(eta_j t + phi_j) - cos(eta_j t0 + phi_j)) / eta_j.
         For a 1-D array of times, one row per time."""
-        cos = np.cos if np.ndim(t) else math.cos
-        coeffs = np.array([t - t0, *((math.cos(eta * t0 + phi) - cos(eta * t + phi)) / eta
-                                     for eta, phi in self._drives)])
-        return coeffs.T @ self._diagonals
+        return self.diagonal_phase_from(t0)(t)
+
+    def diagonal_phase_from(self, t0: float):
+        """diagonal_phase(t, t0) as a function phase(t, out=None) of t, with
+        the cos(eta_j t0 + phi_j) taken once. For a single time, `out` takes
+        theta(t) in place of a new array."""
+        drives = [(eta, phi, math.cos(eta * t0 + phi)) for eta, phi in self._drives]
+        scalar = np.empty(1 + len(drives))  # one time's coefficients, rewritten by every call
+
+        def phase(t, out=None):
+            if out is None and np.ndim(t):
+                coeffs, cos = np.empty((len(scalar), len(t))), np.cos
+            else:
+                coeffs, cos = scalar, math.cos
+            coeffs[0] = t - t0
+            for j, (eta, phi, start) in enumerate(drives, start=1):
+                coeffs[j] = (start - cos(eta * t + phi)) / eta
+            return np.matmul(coeffs.T, self._diagonals, out=out)
+
+        return phase
 
     def _apply(self, rows: np.ndarray, t: float, y: np.ndarray, out) -> np.ndarray:
         shape = np.shape(y)
-        cols = np.ascontiguousarray(y, dtype=complex).reshape(shape[0], -1).view(np.float64)
-        coeffs = np.array([1.0, *(math.sin(eta * t + phi) for eta, phi in self._drives)])
-        merged = self._merged
-        np.dot(coeffs, rows, out=merged.data)
         if out is None:
-            out = np.zeros(shape, dtype=complex)
+            out = np.empty(shape, dtype=complex)
         elif out.shape != shape or out.dtype != complex or not out.flags.c_contiguous:
             # the kernel writes through a flat view, which any other out would not be
             raise ConfigError("out must be a C-contiguous complex array of y's shape")
-        else:
-            out.fill(0.0)  # the kernel adds its product into out
-        csr_matvecs(*merged.shape, cols.shape[1], merged.indptr, merged.indices, merged.data,
-                    cols.ravel(), out.view(np.float64).ravel())
+        cols = np.ascontiguousarray(y, dtype=complex).reshape(shape[0], -1).view(np.float64)
+        self._product(rows, t, cols.ravel(), cols.shape[1], out.view(np.float64).ravel())
         return out
+
+    def _product(self, rows: np.ndarray, t: float, cols: np.ndarray, width: int,
+                 out: np.ndarray) -> None:
+        """The merged pattern with data sum_j coeffs_j rows_j, coeffs
+        (1, sin(eta_j t + phi_j), ...), times the flat float64 columns `cols`
+        of `width` each, written into the flat float64 `out`."""
+        coeffs, merged = self._coeffs, self._merged
+        for j, (eta, phi) in enumerate(self._drives, start=1):
+            coeffs[j] = math.sin(eta * t + phi)
+        np.dot(coeffs, rows, out=merged.data)
+        out.fill(0.0)  # the kernel adds its product into out
+        csr_matvecs(*merged.shape, width, merged.indptr, merged.indices, merged.data, cols, out)
 
     def restrict(self, index: np.ndarray) -> "ModulatedHamiltonian":
         """The pieces on the rows and columns `index`, in that order; `space`

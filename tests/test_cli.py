@@ -34,7 +34,7 @@ from dickemod.dispersive import (
     two_photon_rate_closed_form,
 )
 from dickemod.dynamics import CHANNEL_HERMITICITY_TOL, TRACE_DRIFT_TOL, UNITARY_DEFECT_TOL
-from dickemod.errors import ConfigError, DickemodError
+from dickemod.errors import ConfigError, CutoffWarning, DickemodError
 from dickemod.hilbert import SpaceSpec
 from dickemod.model import ModulationSchedule, SystemParams
 
@@ -822,6 +822,38 @@ def test_python_dash_m_runs_the_cli():
     assert run.returncode == 0, run.stderr
     assert "usage: dickemod" in run.stdout
     assert "RuntimeWarning" not in run.stderr
+
+
+def test_a_run_past_the_cutoff_warns_by_label_without_a_source_path(tmp_path):
+    # |alpha|^2 = n_max / 2 puts about 3% of the population at n_max
+    cfg = write_cfg(tmp_path, SYSTEM_LINES + "initial_state.kind = coherent\n"
+                    "initial_state.alpha_squared = 4.0\nrun.t_final = 1.0\nrun.sample_count = 3\n")
+    src = str(Path(dickemod.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    run = subprocess.run([sys.executable, "-W", "default", "-m", "dickemod", "evolve", "--config",
+                          str(cfg), "--out", str(tmp_path / "o")], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr.startswith("warning[cutoff]: population ")
+    assert ".py:" not in run.stderr and "UserWarning" not in run.stderr
+
+
+def test_main_formats_warnings_by_label_and_restores_the_hook(monkeypatch):
+    seen = []
+
+    def scenario(**_):
+        seen.extend(warnings.formatwarning(w, type(w), "x.py", 1)
+                    for w in (CutoffWarning("biting"), UserWarning("plain")))
+        with pytest.warns(CutoffWarning, match="biting"):
+            warnings.warn("biting", CutoffWarning)
+        return 0
+
+    monkeypatch.setattr(cli, "run_scenario", scenario)
+    hook = warnings.formatwarning
+    assert main(["figure1", "--out", "o"]) == 0
+    assert seen == ["warning[cutoff]: biting\n", "warning: plain\n"]
+    assert warnings.formatwarning is hook
 
 
 def test_sweep_csv(tmp_path):

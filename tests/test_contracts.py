@@ -51,20 +51,28 @@ def test_package_imports_neither_scipy_optimize_nor_scipy_special():
 
 def test_scipy_private_surface_the_stepper_reads():
     # dynamics._SampledDOP853 steps with DOP853's own tableau and controller
-    # fields, and ModulatedHamiltonian calls scipy.sparse's product kernel
-    # without its dispatch; a scipy that moved any of them fails here, by name
+    # fields and builds its dense output from DOP853's extra stages, D and the
+    # last step's h_previous, t_old and y_old, and ModulatedHamiltonian calls
+    # scipy.sparse's product kernel without its dispatch; a scipy that moved
+    # any of them fails here, by name
     from scipy.integrate import DOP853
     from scipy.integrate._ivp import rk
     from scipy.sparse import _sparsetools
 
-    class_fields = ("A", "B", "C", "E3", "E5", "n_stages", "TOO_SMALL_STEP")
+    class_fields = ("A", "B", "C", "E3", "E5", "A_EXTRA", "C_EXTRA", "D", "n_stages",
+                    "TOO_SMALL_STEP")
     missing = [name for name in class_fields if not hasattr(DOP853, name)]
     solver = DOP853(lambda t, y: -y, 0.0, [1.0 + 0j], 1.0)
+    solver.step()
     missing += [name for name in ("K_extended", "K", "error_exponent", "f", "h_abs", "max_step",
-                                  "rtol", "atol", "direction", "nfev") if not hasattr(solver, name)]
+                                  "rtol", "atol", "direction", "nfev", "h_previous", "t_old",
+                                  "y_old") if not hasattr(solver, name)]
     assert not missing, f"scipy's DOP853 lacks {missing}"
     assert solver.K.base is solver.K_extended, "DOP853.K no longer views K_extended"
     assert DOP853.n_stages == 12 and DOP853.A.shape == (12, 12)
+    assert DOP853.D.shape == (4, 16), "DOP853's interpolant no longer has 4 rows D over 16 stages"
+    assert DOP853.A_EXTRA.shape == (3, 16) and DOP853.C_EXTRA.shape == (3,), \
+        "DOP853's dense output no longer adds 3 stages"
     assert (rk.SAFETY, rk.MIN_FACTOR, rk.MAX_FACTOR) == (0.9, 0.2, 10), \
         "scipy's step controller constants changed"
     assert hasattr(_sparsetools, "csr_matvecs"), "scipy.sparse._sparsetools.csr_matvecs is gone"

@@ -7,7 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate._ivp.base import OdeSolver
 
 import dickemod.dynamics as dynamics
 from dickemod.dynamics import (
@@ -1094,6 +1095,60 @@ def test_a_step_below_the_float_spacing_fails_as_in_scipy():
     with pytest.raises(NumericError, match=f"^failed: {ref.message}$"):
         dynamics._integrate(ham, rhs, np.ones((1, 1, 1), dtype=complex), (0.0, 2.0),
                             [np.array([0.0, 2.0])], 1e-9, "failed: {}")
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_the_owned_dense_output_is_scipys_bitwise(width):
+    # each point's samples, evaluated straight into its store, are scipy's
+    # DOP853 dense_output() of the same step: at t_old (the first step's),
+    # inside every step at per-point fractions, and at every step's end t
+    rng = np.random.default_rng(width)
+    n, cols = 4, 2
+    a = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / 2
+    y0 = rng.normal(size=(n, width, cols)) + 1j * rng.normal(size=(n, width, cols))
+
+    def rhs(t, y, out=None):
+        out = np.matmul(a, y.reshape(n, -1), out=None if out is None else out.reshape(n, -1))
+        return out.reshape(-1)
+
+    ref = DOP853(rhs, 0.0, y0.ravel(), 3.0, rtol=1e-8, atol=1e-11)
+    steps = []
+    while ref.status == "running":
+        ref.step()
+        steps.append((ref.t_old, ref.t, ref.dense_output()))
+    assert len(steps) > 5
+    grids, want = [], []
+    for j in range(width):
+        fractions = (0.2 + 0.25 * j, 0.9 - 0.3 * j)
+        times = [[t_old] * (k == 0) + [t_old + f * (t - t_old) for f in sorted(fractions)] + [t]
+                 for k, (t_old, t, _) in enumerate(steps)]
+        grids.append(np.concatenate(times))
+        want.append(np.concatenate([dense(np.array(ts)).T.reshape(len(ts), n, width, cols)[:, :, j]
+                                    for ts, (_, _, dense) in zip(times, steps)]))
+    ham = build_hamiltonian(SpaceSpec(1, 1), bench_params(n_qubits=1))
+    stores, _, rhs_evals = dynamics._integrate(ham, rhs, y0, (0.0, 3.0), grids, 1e-8, "{}")
+    assert rhs_evals == ref.nfev
+    for store, expected in zip(stores, want):
+        assert np.array_equal(store, expected)
+
+
+def test_no_run_reads_scipys_dense_output(monkeypatch):
+    # the package evaluates every step's interpolant itself: a batched sweep,
+    # a direct unitary run and a direct master-equation run never ask scipy
+    def refused(self):
+        raise AssertionError("scipy's dense output was called")
+
+    monkeypatch.setattr(OdeSolver, "dense_output", refused)
+    space, p, sch, psi0, span = _batch_case("half")
+    with cutoff_warning_ignored():
+        trajs = list(evolve_schrodinger_etas(space, p, sch, psi0, BATCH_ETAS[:2], span, 9))
+        direct = evolve_schrodinger(space, p, sch, psi0, (0.0, 20.0), 5, method="direct")
+        master = evolve_lindblad(space, p, sch, DissipationRates(kappa=0.01),
+                                 DensityMatrix.from_state(psi0), (0.0, 20.0), 5, method="direct")
+    assert [t.metadata["engine"] for t in trajs] == ["floquet-stroboscopic"] * 2
+    assert trajs[0].metadata["batch_points"] == 2
+    assert direct.metadata["engine"] == "adaptive-rk"
+    assert master.metadata["engine"] == "lindblad-adaptive-rk"
 
 
 @pytest.mark.parametrize("engine, tols", [("schrodinger", (1e-7, 1e-8, 1e-9)),

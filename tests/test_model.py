@@ -229,6 +229,27 @@ def test_apply_is_the_public_sparse_product_bitwise(basis):
             ham.apply(0.71, y, out)
 
 
+@pytest.mark.parametrize("basis", ["collective", DISTINGUISHABLE])
+def test_the_hot_forms_are_the_checked_ones_bitwise(basis):
+    # the period solve's rhs calls off_diagonal_product and
+    # diagonal_phase_from, which fix the operand and the window start once
+    ham = _two_drive_hamiltonian(basis)
+    y = np.ascontiguousarray(_random_columns(ham.space.dim, 3))
+    product, t0 = ham.off_diagonal_product(y), -0.37
+    phase, theta = ham.diagonal_phase_from(t0), np.empty(ham.space.dim)
+    for t in (0.0, 0.71, 13.9, 250.3):
+        out = np.full(y.size, np.nan + 1e300j)
+        assert product(t, out) is out
+        assert np.array_equal(out.reshape(y.shape), ham.apply_off_diagonal(t, y))
+        assert phase(t, theta) is theta
+        assert np.array_equal(theta, ham.diagonal_phase(t, t0))
+    times = np.array([0.0, 0.71, 13.9])
+    assert np.array_equal(phase(times), ham.diagonal_phase(times, t0))
+    for bad in (y[:, ::2], y.real.copy()):
+        with pytest.raises(ConfigError, match="C-contiguous complex array"):
+            ham.off_diagonal_product(bad)
+
+
 def _coupling_drive(g0):
     space = SpaceSpec(2, 5)
     p = SystemParams(omega0=1.0, Omega0=1.72, g0=g0, n_qubits=2)
